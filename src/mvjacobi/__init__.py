@@ -26,14 +26,10 @@ from .numeric import (
     weight,
 )
 from .operators import (
-    InvertibilityCertificate,
-    OperatorMatrix,
     ProblemSpec,
     build_D,
-    check_invertibility,
     describe_kernel,
     dominant_coefficient,
-    induced_action,
     induced_action_float,
 )
 from .oppoly import OpPoly, VectorPoly, apply_A, build_Pk
@@ -66,11 +62,9 @@ __all__ = [
     "CheckReport",
     "Expansion",
     "IntegrabilityReport",
-    "InvertibilityCertificate",
     "NumericReport",
     "OdeConfig",
     "OdeError",
-    "OperatorMatrix",
     "OpPoly",
     "PolySpace",
     "PolyVector",
@@ -86,7 +80,6 @@ __all__ = [
     "build_D",
     "build_Pk",
     "build_tilde_Pk",
-    "check_invertibility",
     "classical_jacobi",
     "commutative_Y",
     "commutative_exponents",
@@ -99,7 +92,6 @@ __all__ = [
     "falling_factorial",
     "format_rational",
     "fundamental_matrix",
-    "induced_action",
     "induced_action_float",
     "integrability_check",
     "integral_interrelation_check",

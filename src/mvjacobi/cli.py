@@ -80,6 +80,11 @@ def _basis_manifest(space: PolySpace) -> list[dict]:
     return [{"m": list(b.m), "j": b.j} for b in space.basis]
 
 
+def _is_int(value) -> bool:
+    # bool is an int subclass, but true/false in a problem file is a mistake
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_problem(path: str) -> tuple[ProblemSpec, dict]:
     """Parse a problem document; returns the ProblemSpec and the raw JSON."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -89,12 +94,12 @@ def load_problem(path: str) -> tuple[ProblemSpec, dict]:
     for key in ("d", "n", "A", "B"):
         if key not in doc:
             raise ValueError(f"problem file is missing key {key!r}")
-    d, n = doc["d"], doc["n"]
-    if not isinstance(d, int) or not isinstance(n, int):
-        raise ValueError("d and n must be integers")
+    for key in ("d", "n", "k_max", "seed"):
+        if key in doc and not _is_int(doc[key]):
+            raise ValueError(f"{key} must be an integer")
     A = _matrix_from_json(doc["A"], "A")
     B = _matrix_from_json(doc["B"], "B")
-    return ProblemSpec(d, n, A, B), doc
+    return ProblemSpec(doc["d"], doc["n"], A, B), doc
 
 
 def load_vector_poly(path: str, spec: ProblemSpec) -> VectorPoly:
@@ -130,10 +135,8 @@ def _emit(doc: dict, out: Optional[str]) -> None:
 
 
 def _kmax(args, raw: dict, default: int) -> int:
-    if args.kmax is not None:
-        return args.kmax
-    k_max = raw.get("k_max", default)
-    if not isinstance(k_max, int) or k_max < 0:
+    k_max = args.kmax if args.kmax is not None else raw.get("k_max", default)
+    if k_max < 0:
         raise ValueError("k_max must be a nonnegative integer")
     return k_max
 
@@ -146,7 +149,7 @@ def cmd_compute(args) -> int:
     k_max = _kmax(args, raw, DEFAULT_COMPUTE_KMAX)
     space = spec.space
     members = [
-        {"k": k, "coeffs": _oppoly_to_json(build_Pk(spec, space, k))}
+        {"k": k, "coeffs": _oppoly_to_json(build_Pk(spec, k))}
         for k in range(k_max + 1)
     ]
     doc = {
@@ -197,7 +200,7 @@ def cmd_verify(args) -> int:
     k_max = _kmax(args, raw, DEFAULT_VERIFY_KMAX)
     seed = args.seed if args.seed is not None else raw.get("seed", DEFAULT_SEED)
     reports = _suite_reports(spec, args.suite, k_max, seed)
-    all_passed = all(r.passed for r in reports)
+    all_passed = bool(reports) and all(r.passed for r in reports)
     if args.format == "json":
         doc = {
             "header": _header(),

@@ -43,6 +43,12 @@ _DE_FIRST_LEVEL = 4
 _DELTA_FLOOR = 5e-300
 
 
+def _require_finite(cfg, fields: Sequence[str]) -> None:
+    for name in fields:
+        if not math.isfinite(getattr(cfg, name)):
+            raise ValueError(f"{name} must be finite, got {getattr(cfg, name)!r}")
+
+
 @dataclass(frozen=True)
 class OdeConfig:
     rel_tol: float = 1e-10
@@ -51,6 +57,7 @@ class OdeConfig:
     max_step: float = 0.05
 
     def __post_init__(self):
+        _require_finite(self, ("rel_tol", "abs_tol", "basepoint", "max_step"))
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
         if not -1.0 < self.basepoint < 1.0:
@@ -68,6 +75,7 @@ class QuadConfig:
     tolerance: float = 1e-8
 
     def __post_init__(self):
+        _require_finite(self, ("endpoint_clip", "tolerance"))
         if self.scheme not in ("double_exponential", "gauss_jacobi_commutative"):
             raise ValueError(f"unknown quadrature scheme {self.scheme!r}")
         if self.levels < _DE_FIRST_LEVEL + 1:
@@ -241,7 +249,7 @@ def weight(spec: ProblemSpec, space: PolySpace, x: float,
         Y = commutative_Y(spec, x)
     else:
         Y = fundamental_matrix(spec, x, cfg)
-    return np.array(induced_action_float(Y.tolist(), space))
+    return induced_action_float(Y, space)
 
 
 def ode_vs_closed_form_report(spec: ProblemSpec, cfg: Optional[OdeConfig] = None,
@@ -470,8 +478,8 @@ def _require_integrable(spec: ProblemSpec, space: PolySpace, j: int, k: int,
 def _commutative_quasi_orth_integrand(spec: ProblemSpec, j: int, k: int,
                                       side: str) -> tuple[Integrand, int]:
     space = spec.space
-    Pj = build_Pk(spec, space, j)
-    Pk = build_Pk(spec, space, k)
+    Pj = build_Pk(spec, j)
+    Pk = build_Pk(spec, k)
     pj = _diag_scalar_polys(Pj)
     pk = _diag_scalar_polys(Pk)
     plus, minus = commutative_exponents(spec, space)
@@ -492,13 +500,13 @@ def _commutative_quasi_orth_integrand(spec: ProblemSpec, j: int, k: int,
 def _general_quasi_orth_integrand(spec: ProblemSpec, j: int, k: int, side: str,
                                   ocfg: OdeConfig) -> tuple[Integrand, int]:
     space = spec.space
-    cj = _np_coeffs(build_Pk(spec, space, j))
-    ck = _np_coeffs(build_Pk(spec, space, k))
+    cj = _np_coeffs(build_Pk(spec, j))
+    ck = _np_coeffs(build_Pk(spec, k))
     N = space.N
     solver = _solver(spec, ocfg)
 
     def integrand(x: float, dist_minus: float, dist_plus: float) -> np.ndarray:
-        W = np.array(induced_action_float(solver.at(x, dist_minus, dist_plus).tolist(), space))
+        W = induced_action_float(solver.at(x, dist_minus, dist_plus), space)
         Fj = _np_horner(cj, x, N)
         Fk = _np_horner(ck, x, N)
         if side == "right":
@@ -563,8 +571,8 @@ def _gauss_jacobi_quasi_orth(spec: ProblemSpec, j: int, k: int,
     if not is_commutative(spec):
         raise ValueError("the Gauss-Jacobi scheme applies to commutative problems only")
     space = spec.space
-    pj = _diag_scalar_polys(build_Pk(spec, space, j))
-    pk = _diag_scalar_polys(build_Pk(spec, space, k))
+    pj = _diag_scalar_polys(build_Pk(spec, j))
+    pk = _diag_scalar_polys(build_Pk(spec, k))
     plus, minus = commutative_exponents(spec, space)
     need = j + k + 1
     order = max(qcfg.order, need)
@@ -622,7 +630,7 @@ def integral_interrelation_check(spec: ProblemSpec, k: int, x0: float,
 
     qf = np.array([float(e) for e in q])
     N = space.N
-    lhs = _np_horner(_np_coeffs(build_Pk(spec, space, k)), float(x0), N) @ qf
+    lhs = _np_horner(_np_coeffs(build_Pk(spec, k)), float(x0), N) @ qf
 
     ct = _np_coeffs(build_tilde_Pk(spec, k + 1))
     pe = [float(e) for e in plus]

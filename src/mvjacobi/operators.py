@@ -9,15 +9,19 @@ this form beforehand.
 
 Two derived operators drive everything downstream:
 
-  build_D(spec, space, i)   the derivation q |-> dq(w) . (M_i w) - M_i q(w)
+  build_D(spec, i)          the derivation q |-> dq(w) . (M_i w) - M_i q(w)
                             as an N x N matrix over the monomial basis,
                             where M_1 = A + B and M_2 = A - B;
-  induced_action(Y, space)  the substitution q |-> Y^{-1} q(Y w), the
+  induced_action_float(Y, space)
+                            the substitution q |-> Y^{-1} q(Y w) for a
+                            numerically integrated group element Y, the
                             finite-dimensional image of the group action
                             (note it reverses products: the image of a
                             product Y C is image(C) @ image(Y)).
 
-D_1 is diagonal whenever M_1 is, which is what makes the diagonality
+D_1 is diagonal whenever M_1 is, with entry m.lambda - lambda_j on the
+basis element w^m e_j, so every shift D_1 + s is singular exactly when
+one of those entries equals -s.  That is what makes the diagonality
 requirement on A + B worth enforcing at construction time.
 """
 
@@ -25,13 +29,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, cached_property
-from typing import Optional, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .polyspace import PolySpace, enumerate_basis
-from .ratmat import RatMatrix, RatVector
-from .rational import ONE, Rat, ZERO
-
-OperatorMatrix = RatMatrix
+from .ratmat import RatMatrix
+from .rational import ZERO
 
 
 @dataclass(frozen=True)
@@ -69,7 +73,7 @@ class ProblemSpec:
 
 
 @lru_cache(maxsize=None)
-def build_D(spec: ProblemSpec, space: PolySpace, which: int) -> OperatorMatrix:
+def build_D(spec: ProblemSpec, which: int) -> RatMatrix:
     """Matrix of the derivation induced by M_which on the monomial basis.
 
     On a basis element w^m e_j the derivation produces
@@ -79,6 +83,7 @@ def build_D(spec: ProblemSpec, space: PolySpace, which: int) -> OperatorMatrix:
     if which not in (1, 2):
         raise ValueError(f"which must be 1 or 2, got {which}")
     M = spec.M1 if which == 1 else spec.M2
+    space = spec.space
     N = space.N
     cols: list[list] = [[ZERO] * N for _ in range(N)]
     for cpos, b in enumerate(space.basis):
@@ -104,7 +109,7 @@ def build_D(spec: ProblemSpec, space: PolySpace, which: int) -> OperatorMatrix:
     return RatMatrix(tuple(cols[c][r] for c in range(N)) for r in range(N))
 
 
-def dominant_coefficient(D1: OperatorMatrix, k: int) -> OperatorMatrix:
+def dominant_coefficient(D1: RatMatrix, k: int) -> RatMatrix:
     """Leading coefficient (D1 + k + 1)(D1 + k + 2) ... (D1 + 2k) of the
     degree-k member; identity for k = 0."""
     if k < 0:
@@ -113,22 +118,6 @@ def dominant_coefficient(D1: OperatorMatrix, k: int) -> OperatorMatrix:
     for i in range(k + 1, 2 * k + 1):
         out = out @ D1.plus_scalar(i)
     return out
-
-
-@dataclass(frozen=True)
-class InvertibilityCertificate:
-    invertible: bool
-    rank: int
-    size: int
-    kernel: Optional[RatVector]
-
-
-def check_invertibility(op: OperatorMatrix) -> InvertibilityCertificate:
-    """Exact rank test with a kernel witness when the operator is singular."""
-    if not op.is_square:
-        raise ValueError("invertibility check needs a square matrix")
-    rank, kernel = op.rank_kernel()
-    return InvertibilityCertificate(kernel is None, rank, op.nrows, kernel)
 
 
 def describe_kernel(space: PolySpace, kernel: Sequence) -> str:
@@ -143,10 +132,10 @@ def describe_kernel(space: PolySpace, kernel: Sequence) -> str:
 # -- induced substitution action ------------------------------------------
 
 
-def _monomial_image(Y_rows: Sequence[Sequence], m: Sequence[int], zero, one) -> dict:
+def _monomial_image(Y_rows: Sequence[Sequence[float]], m: Sequence[int]) -> dict:
     """Expand prod_s (row_s . w)^{m_s} into {multi-index: coefficient}."""
     d = len(Y_rows)
-    acc = {(0,) * d: one}
+    acc = {(0,) * d: 1.0}
     for s, power in enumerate(m):
         row = Y_rows[s]
         for _ in range(power):
@@ -164,52 +153,20 @@ def _monomial_image(Y_rows: Sequence[Sequence], m: Sequence[int], zero, one) -> 
     return acc
 
 
-def _induced_rows(Y_rows, Yinv_rows, space: PolySpace, zero, one) -> list[list]:
-    N = space.N
-    cols: list[list] = []
-    for b in space.basis:
-        col = [zero] * N
-        img = _monomial_image(Y_rows, b.m, zero, one)
-        for mm, c in img.items():
-            if not c:
+def induced_action_float(Y, space: PolySpace) -> np.ndarray:
+    """Matrix of q |-> Y^{-1} q(Y w) on the monomial basis, for a float Y."""
+    Y = np.asarray(Y, dtype=float)
+    if Y.shape != (space.d, space.d):
+        raise ValueError(f"Y must be {space.d} x {space.d}")
+    Y_rows = Y.tolist()
+    Yinv_rows = np.linalg.inv(Y).tolist()
+    W = [[0.0] * space.N for _ in range(space.N)]
+    for c, b in enumerate(space.basis):
+        for mm, coeff in _monomial_image(Y_rows, b.m).items():
+            if not coeff:
                 continue
             for r in range(1, space.d + 1):
                 e = Yinv_rows[r - 1][b.j - 1]
                 if e:
-                    col[space.index_of(mm, r)] += c * e
-        cols.append(col)
-    return [[cols[c][r] for c in range(N)] for r in range(N)]
-
-
-def induced_action(Y: RatMatrix, space: PolySpace) -> OperatorMatrix:
-    """Exact matrix of q |-> Y^{-1} q(Y w) on the monomial basis."""
-    if Y.shape != (space.d, space.d):
-        raise ValueError(f"Y has shape {Y.shape}, expected ({space.d}, {space.d})")
-    Yinv = Y.inverse()
-    return RatMatrix(_induced_rows(Y.rows, Yinv.rows, space, ZERO, ONE))
-
-
-def induced_action_float(Y_rows: Sequence[Sequence[float]], space: PolySpace) -> list[list[float]]:
-    """Float twin of induced_action for numerically integrated group elements."""
-    rows = [list(map(float, r)) for r in Y_rows]
-    if len(rows) != space.d or any(len(r) != space.d for r in rows):
-        raise ValueError(f"Y must be {space.d} x {space.d}")
-    return _induced_rows(rows, _float_inverse(rows), space, 0.0, 1.0)
-
-
-def _float_inverse(rows: list[list[float]]) -> list[list[float]]:
-    n = len(rows)
-    work = [list(r) + [1.0 if i == j else 0.0 for j in range(n)] for i, r in enumerate(rows)]
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(work[r][col]))
-        if work[piv][col] == 0.0:
-            raise ValueError("singular matrix in float inverse")
-        work[col], work[piv] = work[piv], work[col]
-        inv = 1.0 / work[col][col]
-        work[col] = [e * inv for e in work[col]]
-        prow = work[col]
-        for r in range(n):
-            if r != col and work[r][col]:
-                f = work[r][col]
-                work[r] = [e - f * p for e, p in zip(work[r], prow)]
-    return [row[n:] for row in work]
+                    W[space.index_of(mm, r)][c] += coeff * e
+    return np.array(W)

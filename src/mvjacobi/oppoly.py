@@ -179,17 +179,6 @@ class OpPoly(_PolyBase):
             acc = acc.scale(x) + v
         return acc
 
-    def eval_float(self, x: float) -> list[list[float]]:
-        """Float Horner evaluation, for the numeric layer."""
-        N = self.space.N
-        acc = [[0.0] * N for _ in range(N)]
-        for v in reversed(self.coeffs):
-            acc = [
-                [x * acc[r][c] + float(v.rows[r][c]) for c in range(N)]
-                for r in range(N)
-            ]
-        return acc
-
     def apply_to(self, q: Sequence) -> "VectorPoly":
         """Coefficient-wise application to a constant vector."""
         if len(q) != self.space.N:
@@ -260,7 +249,7 @@ def _product_apply(D1: RatMatrix, D2: RatMatrix, k: int, seed: Poly) -> Poly:
 
 
 @lru_cache(maxsize=None)
-def build_Pk(spec: ProblemSpec, space: PolySpace, k: int) -> OpPoly:
+def build_Pk(spec: ProblemSpec, k: int) -> OpPoly:
     """Degree-k member of the family as an operator polynomial.
 
     The nested product forces degree k with leading coefficient
@@ -270,9 +259,9 @@ def build_Pk(spec: ProblemSpec, space: PolySpace, k: int) -> OpPoly:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    D1 = build_D(spec, space, 1)
-    D2 = build_D(spec, space, 2)
-    P = _product_apply(D1, D2, k, OpPoly.identity(space))
+    D1 = build_D(spec, 1)
+    D2 = build_D(spec, 2)
+    P = _product_apply(D1, D2, k, OpPoly.identity(spec.space))
     expected = dominant_coefficient(D1, k)
     if P.degree > k or P.coeff_at(k) != expected:
         raise RuntimeError(

@@ -19,7 +19,7 @@ from itertools import combinations
 from math import comb
 from typing import Sequence
 
-from .rational import Rat
+from .rational import ZERO
 
 MultiIndex = tuple[int, ...]
 PolyVector = tuple  # flat coefficient tuple, one Rat per basis element
@@ -87,19 +87,15 @@ def enumerate_basis(d: int, n: int) -> PolySpace:
 
 
 def evaluate(space: PolySpace, q: Sequence, w: Sequence) -> tuple:
-    """Evaluate the polynomial with coefficients q at the point w.
+    """Evaluate the polynomial with coefficients q at the point w, exactly.
 
-    Returns a length-d tuple.  Arithmetic stays exact when both q and w
-    are rationals; float input is propagated as float (the numeric layer
-    relies on this branch).
+    Returns a length-d tuple of rationals.
     """
     if len(q) != space.N:
         raise ValueError(f"coefficient vector has length {len(q)}, expected {space.N}")
     if len(w) != space.d:
         raise ValueError(f"point has length {len(w)}, expected {space.d}")
-    exact = not any(isinstance(x, float) for x in list(q) + list(w))
-    zero = Rat(0) if exact else 0.0
-    out = [zero] * space.d
+    out = [ZERO] * space.d
     for coeff, b in zip(q, space.basis):
         if not coeff:
             continue

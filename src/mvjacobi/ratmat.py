@@ -1,20 +1,18 @@
 """Dense exact rational matrices and vectors.
 
 RatMatrix is immutable (rows stored as tuples), hashable, and exact:
-products, inverses and rank computations never round.  Rank and kernel
-extraction run fraction-free (Bareiss elimination on the matrix with
-denominators cleared), so singularity detection is a statement about
-the matrix over the rationals, not about pivots of floating point size.
+sums and products never round.  Diagonal matrices are detected once and
+get O(N^2) fast paths in the product; the operator algebra upstream
+multiplies by diagonal shifts constantly, so this matters.
 
-Diagonal matrices are detected once and get O(N^2) fast paths in the
-product; the operator algebra upstream multiplies by diagonal shifts
-constantly, so this matters.
+Inversion is diagonal-only: A + B is required to be diagonal, so the
+derivation D1 and every shift or product of shifts of it is diagonal,
+and those are the only operators the construction ever inverts.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .rational import ONE, Rat, ZERO
@@ -162,74 +160,18 @@ class RatMatrix:
     # -- exact linear algebra -------------------------------------------
 
     def inverse(self) -> "RatMatrix":
-        """Exact inverse; raises ValueError on singular input."""
-        if not self.is_square:
-            raise ValueError("inverse needs a square matrix")
-        d = self.diag
-        if d is not None:
-            if any(not e for e in d):
-                raise ValueError("singular matrix (zero diagonal entry)")
-            return RatMatrix.diagonal([ONE / e for e in d])
-        n = self.nrows
-        work = [list(row) + [ONE if i == j else ZERO for j in range(n)]
-                for i, row in enumerate(self.rows)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if work[r][col]), None)
-            if piv is None:
-                raise ValueError("singular matrix")
-            work[col], work[piv] = work[piv], work[col]
-            inv = ONE / work[col][col]
-            work[col] = [e * inv for e in work[col]]
-            prow = work[col]
-            for r in range(n):
-                if r != col and work[r][col]:
-                    f = work[r][col]
-                    work[r] = [e - f * p for e, p in zip(work[r], prow)]
-        return RatMatrix(row[n:] for row in work)
+        """Exact inverse of a diagonal matrix.
 
-    def rank_kernel(self) -> tuple[int, Optional[RatVector]]:
-        """Exact rank and, when rank < ncols, one nonzero kernel vector.
-
-        Elimination is fraction-free: each row is scaled to integers and
-        reduced with the Bareiss pivot rule, so all intermediate values are
-        exact integer minors.
+        Every operator the construction inverts is a product of shifts of
+        the diagonal D1, so only the diagonal case is supported; any other
+        input, and a zero diagonal entry, raise ValueError.
         """
-        int_rows = []
-        for row in self.rows:
-            m = lcm(*(int(e.denominator) for e in row)) if row else 1
-            int_rows.append([int(e.numerator) * (m // int(e.denominator)) for e in row])
-        nr, nc = self.nrows, self.ncols
-        piv_cols: list[int] = []
-        prev = 1
-        r = 0
-        for c in range(nc):
-            if r == nr:
-                break
-            p = next((i for i in range(r, nr) if int_rows[i][c] != 0), None)
-            if p is None:
-                continue
-            int_rows[r], int_rows[p] = int_rows[p], int_rows[r]
-            pr = int_rows[r]
-            for i in range(r + 1, nr):
-                ri = int_rows[i]
-                head = ri[c]
-                for cc in range(c + 1, nc):
-                    ri[cc] = (pr[c] * ri[cc] - head * pr[cc]) // prev
-                ri[c] = 0
-            prev = pr[c]
-            piv_cols.append(c)
-            r += 1
-        rank = len(piv_cols)
-        if rank == nc:
-            return rank, None
-        free = next(c for c in range(nc) if c not in piv_cols)
-        x = [ZERO] * nc
-        x[free] = ONE
-        for i in range(rank - 1, -1, -1):
-            pc = piv_cols[i]
-            s = sum((Rat(int_rows[i][c]) * x[c] for c in range(pc + 1, nc) if int_rows[i][c]), ZERO)
-            x[pc] = -s / Rat(int_rows[i][pc])
-        return rank, tuple(x)
+        d = self.diag
+        if d is None:
+            raise ValueError("inverse needs a square diagonal matrix")
+        if not all(d):
+            raise ValueError("singular matrix (zero diagonal entry)")
+        return RatMatrix.diagonal([ONE / e for e in d])
 
     def _check_same_shape(self, other: "RatMatrix") -> None:
         if self.shape != other.shape:

@@ -31,7 +31,8 @@ class CheckReport:
 
     @property
     def passed(self) -> bool:
-        return all(item.passed for item in self.items)
+        # a report with no checks proves nothing, so it is not a pass
+        return bool(self.items) and all(item.passed for item in self.items)
 
     @property
     def counts(self) -> tuple[int, int]:

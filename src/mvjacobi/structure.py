@@ -7,13 +7,15 @@ The degree-k members satisfy a two-step recurrence
 with operator coefficients multiplying from the right; alpha_k, beta_k,
 gamma_k solve three matrix equations obtained by matching the x^2, x
 and constant coefficients of a quadratic operator identity.  Solvability
-needs the shifted operators D1 + s nonsingular for s = 2k, 2k+1, 2k+2;
-each inversion is certified first and failures surface as
-ResonanceError with an exact kernel witness.
+needs the shifted operators D1 + s nonsingular for s = 2k, 2k+1, 2k+2.
+D1 is diagonal, so a shift is singular exactly when some diagonal entry
+equals -s; failures surface as ResonanceError with that basis element
+as the kernel witness.
 
 The same invertibility (of the dominant coefficients) makes the family
 complete: any coefficient-vector polynomial expands uniquely as
-sum_j P_j(x) q_j by leading-term elimination.
+sum_j P_j(x) q_j by leading-term elimination, using seeded members
+P_j(x) q_j rather than whole operator polynomials.
 
 Everything here is exact; reports collect per-claim booleans rather
 than tolerances.
@@ -28,13 +30,7 @@ from math import factorial
 from typing import Sequence
 
 from .errors import ResonanceError
-from .operators import (
-    ProblemSpec,
-    build_D,
-    check_invertibility,
-    describe_kernel,
-    dominant_coefficient,
-)
+from .operators import ProblemSpec, build_D, describe_kernel, dominant_coefficient
 from .oppoly import OpPoly, VectorPoly, apply_A, build_Pk, _product_apply
 from .polyspace import PolyVector
 from .ratmat import RatMatrix, vec_is_zero
@@ -57,16 +53,53 @@ class RecurrenceCoeffs:
 
 
 def _certified_inverse(op: RatMatrix, name: str, spec: ProblemSpec) -> RatMatrix:
-    try:
+    """Inverse of a diagonal operator, or ResonanceError naming a kernel e_b."""
+    d = op.diag or ()
+    zero = next((b for b, e in enumerate(d) if not e), None)
+    if zero is None:
         return op.inverse()
-    except ValueError:
-        cert = check_invertibility(op)  # singular path only: extract a witness
-        raise ResonanceError(
-            name,
-            kernel=cert.kernel,
-            detail=f"rank {cert.rank} of {cert.size}; kernel "
-            + describe_kernel(spec.space, cert.kernel),
-        ) from None
+    kernel = tuple(ONE if b == zero else ZERO for b in range(len(d)))
+    raise ResonanceError(
+        name,
+        kernel=kernel,
+        detail=f"rank {sum(1 for e in d if e)} of {len(d)}; kernel "
+        + describe_kernel(spec.space, kernel),
+    )
+
+
+def _solve_recurrence(spec: ProblemSpec, k: int) -> RecurrenceCoeffs:
+    """alpha_k, beta_k, gamma_k from the three coefficient equations, unchecked."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    D1 = build_D(spec, 1)
+    D2 = build_D(spec, 2)
+    inv2 = _certified_inverse(D1.plus_scalar(2 * k + 2), f"D1 + 2k + 2 at k = {k}", spec)
+    if k == 0:
+        # (D1+1) cancels against its inverse in alpha_0 (D1 is diagonal), so
+        # it must not be inverted here: the shift 1 is outside the
+        # nonresonance condition and may legitimately be singular
+        return RecurrenceCoeffs(0, inv2, -(D2 @ inv2), RatMatrix.zeros(spec.space.N))
+    inv1 = _certified_inverse(D1.plus_scalar(2 * k + 1), f"D1 + 2k + 1 at k = {k}", spec)
+    alpha = inv1 @ inv2 @ D1.plus_scalar(k + 1)
+    inv0 = _certified_inverse(D1.plus_scalar(2 * k), f"D1 + 2k at k = {k}", spec)
+    mid = D2.scale(4 * k + 2) + D1 @ D2 + D2 @ D1
+    beta = inv0 @ (D2 - mid @ alpha)
+    gamma = (
+        RatMatrix.identity(spec.space.N).scale(k - 1)
+        - (D2 @ D2 - D1.plus_scalar(2 * k + 2)) @ alpha
+        - D2 @ beta
+    )
+    return RecurrenceCoeffs(k, alpha, beta, gamma)
+
+
+def _recurrence_holds(spec: ProblemSpec, rc: RecurrenceCoeffs) -> bool:
+    """x P_k == P_{k+1} alpha_k + P_k beta_k + P_{k-1} gamma_k, exactly."""
+    k = rc.k
+    rhs = build_Pk(spec, k + 1).rmul(rc.alpha)
+    rhs = rhs.add(build_Pk(spec, k).rmul(rc.beta))
+    if k >= 1:
+        rhs = rhs.add(build_Pk(spec, k - 1).rmul(rc.gamma))
+    return build_Pk(spec, k).mul_by_x() == rhs
 
 
 def recurrence_coeffs(spec: ProblemSpec, k: int) -> RecurrenceCoeffs:
@@ -80,33 +113,8 @@ def recurrence_coeffs(spec: ProblemSpec, k: int) -> RecurrenceCoeffs:
     case).  The returned triple is re-verified against the polynomial
     identity before being handed back.
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    space = spec.space
-    D1 = build_D(spec, space, 1)
-    D2 = build_D(spec, space, 2)
-    inv2 = _certified_inverse(D1.plus_scalar(2 * k + 2), f"D1 + 2k + 2 at k = {k}", spec)
-    if k == 0:
-        # (D1+1) cancels against its inverse in alpha_0 (D1 is diagonal), so
-        # it must not be inverted here: the shift 1 is outside the
-        # nonresonance condition and may legitimately be singular
-        alpha = inv2
-        beta = -(D2 @ inv2)
-        gamma = RatMatrix.zeros(space.N)
-    else:
-        inv1 = _certified_inverse(D1.plus_scalar(2 * k + 1), f"D1 + 2k + 1 at k = {k}", spec)
-        alpha = inv1 @ inv2 @ D1.plus_scalar(k + 1)
-        inv0 = _certified_inverse(D1.plus_scalar(2 * k), f"D1 + 2k at k = {k}", spec)
-        mid = D2.scale(4 * k + 2) + D1 @ D2 + D2 @ D1
-        beta = inv0 @ (D2 - mid @ alpha)
-        gamma = (
-            RatMatrix.identity(space.N).scale(k - 1)
-            - (D2 @ D2 - D1.plus_scalar(2 * k + 2)) @ alpha
-            - D2 @ beta
-        )
-    coeffs = RecurrenceCoeffs(k, alpha, beta, gamma)
-    lhs = build_Pk(spec, space, k).mul_by_x()
-    if lhs != _recurrence_rhs(spec, coeffs):
+    coeffs = _solve_recurrence(spec, k)
+    if not _recurrence_holds(spec, coeffs):
         raise RuntimeError(
             f"recurrence coefficients at k = {k} failed the polynomial identity; "
             "this indicates an internal construction bug"
@@ -114,27 +122,15 @@ def recurrence_coeffs(spec: ProblemSpec, k: int) -> RecurrenceCoeffs:
     return coeffs
 
 
-def _recurrence_rhs(spec: ProblemSpec, rc: RecurrenceCoeffs) -> OpPoly:
-    space = spec.space
-    k = rc.k
-    rhs = build_Pk(spec, space, k + 1).rmul(rc.alpha)
-    rhs = rhs.add(build_Pk(spec, space, k).rmul(rc.beta))
-    if k >= 1:
-        rhs = rhs.add(build_Pk(spec, space, k - 1).rmul(rc.gamma))
-    return rhs
-
-
 def verify_recurrence(spec: ProblemSpec, k_max: int) -> CheckReport:
     """Check the recurrence and its three coefficient equations for k <= k_max."""
     report = CheckReport(f"recurrence d={spec.d} n={spec.n}")
-    space = spec.space
-    D1 = build_D(spec, space, 1)
-    D2 = build_D(spec, space, 2)
-    I = RatMatrix.identity(space.N)
+    D1 = build_D(spec, 1)
+    D2 = build_D(spec, 2)
+    I = RatMatrix.identity(spec.space.N)
     for k in range(k_max + 1):
-        rc = recurrence_coeffs(spec, k)
-        lhs = build_Pk(spec, space, k).mul_by_x()
-        report.add(f"k={k} two-step recurrence", lhs == _recurrence_rhs(spec, rc))
+        rc = _solve_recurrence(spec, k)
+        report.add(f"k={k} two-step recurrence", _recurrence_holds(spec, rc))
         e1 = D1.plus_scalar(2 * k + 1) @ D1.plus_scalar(2 * k + 2) @ rc.alpha
         report.add(f"k={k} x^2 coefficient equation", e1 == D1.plus_scalar(k + 1))
         mid = D2.scale(4 * k + 2) + D1 @ D2 + D2 @ D1
@@ -157,12 +153,18 @@ class Expansion:
 
 @lru_cache(maxsize=None)
 def _dominant_inverse(spec: ProblemSpec, j: int) -> RatMatrix:
-    D1 = build_D(spec, spec.space, 1)
+    D1 = build_D(spec, 1)
     return _certified_inverse(
         dominant_coefficient(D1, j),
         f"dominant coefficient (D1+{j + 1})...(D1+{2 * j}) at degree {j}",
         spec,
     )
+
+
+def _seeded_member(spec: ProblemSpec, j: int, q: PolyVector) -> VectorPoly:
+    """P_j(x) q, by applying the j factors to the constant q."""
+    return _product_apply(build_D(spec, 1), build_D(spec, 2), j,
+                          VectorPoly.constant(q, spec.space))
 
 
 def expand(spec: ProblemSpec, f: VectorPoly) -> Expansion:
@@ -171,8 +173,7 @@ def expand(spec: ProblemSpec, f: VectorPoly) -> Expansion:
     The degree-j dominant coefficient is inverted at each step, so the
     triangular solve needs every Gamma_j with j <= deg f nonsingular.
     """
-    space = spec.space
-    if f.space != space:
+    if f.space != spec.space:
         raise ValueError("polynomial space does not match the problem space")
     out: list[PolyVector] = []
     rest = f
@@ -183,7 +184,7 @@ def expand(spec: ProblemSpec, f: VectorPoly) -> Expansion:
             qj = _dominant_inverse(spec, j).apply(rest.coeff_at(j))
         out.append(qj)
         if any(qj):
-            rest = rest - build_Pk(spec, space, j).apply_to(qj)
+            rest = rest - _seeded_member(spec, j, qj)
         if rest.degree >= j:
             raise RuntimeError(
                 f"expansion failed to reduce the degree at step {j}; "
@@ -195,11 +196,10 @@ def expand(spec: ProblemSpec, f: VectorPoly) -> Expansion:
 
 def reconstruct(spec: ProblemSpec, expansion: Expansion) -> VectorPoly:
     """Re-assemble sum_j P_j(x) q_j from expansion coefficients."""
-    space = spec.space
-    acc = VectorPoly.zero(space)
+    acc = VectorPoly.zero(spec.space)
     for j, qj in enumerate(expansion.coefficients):
         if not vec_is_zero(qj):
-            acc = acc.add(build_Pk(spec, space, j).apply_to(qj))
+            acc = acc.add(_seeded_member(spec, j, qj))
     return acc
 
 
@@ -224,41 +224,26 @@ def tilde_spec(spec: ProblemSpec) -> ProblemSpec:
     )
 
 
-@lru_cache(maxsize=None)
 def build_tilde_Pk(spec: ProblemSpec, k: int) -> OpPoly:
-    """Degree-k member of the shifted family: same product with D1 - 2I.
+    """Degree-k member of the shifted family: the base family of tilde_spec.
 
     Lowering M1 by 2/(n-1) I lowers the induced derivation on
     homogeneous degree-n polynomials by exactly 2I (each basis monomial
     picks up n times the shift from the substitution side and loses one
-    from the left multiplication).  Unlike the base family the shifted
-    dominant coefficient may vanish, so the degree may legitimately drop
-    below k; consistency is still checked against the shifted dominant
-    product.
+    from the left multiplication), so this is the product with D1 - 2I.
+    Unlike the base family the shifted dominant coefficient may vanish,
+    in which case the degree drops below k.
     """
-    if spec.n < 2:
-        raise ValueError("the shifted family needs n >= 2 (the shift divides by n - 1)")
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    space = spec.space
-    D1t = build_D(spec, space, 1).plus_scalar(-2)
-    D2 = build_D(spec, space, 2)
-    P = _product_apply(D1t, D2, k, OpPoly.identity(space))
-    if P.degree > k or P.coeff_at(k) != dominant_coefficient(D1t, k):
-        raise RuntimeError(
-            f"internal consistency failure in shifted member k={k}"
-        )
-    return P
+    return build_Pk(tilde_spec(spec), k)
 
 
 def verify_derivative_relation(spec: ProblemSpec, k_max: int) -> CheckReport:
     """Check (x D1 + D2 + Q d/dx) P_k = shifted P_{k+1} for k <= k_max."""
     report = CheckReport(f"derivative relation d={spec.d} n={spec.n}")
-    space = spec.space
-    D1 = build_D(spec, space, 1)
-    D2 = build_D(spec, space, 2)
+    D1 = build_D(spec, 1)
+    D2 = build_D(spec, 2)
     for k in range(k_max + 1):
-        P = build_Pk(spec, space, k)
+        P = build_Pk(spec, k)
         lhs = P.lmul(D1).mul_by_x().add(P.lmul(D2)).add(P.d_dx().mul_by_Q())
         report.add(f"k={k} maps into shifted member k+1", lhs == build_tilde_Pk(spec, k + 1))
     return report
@@ -333,11 +318,10 @@ def verify_scalar_reduction(a, b, n: int, k_max: int) -> CheckReport:
     classical leading coefficient ff(2k+alpha+beta, k) / (2^k k!).
     """
     spec = _scalar_spec(a, b, n)
-    space = spec.space
     alpha = (n - 1) * Rat(a)
     beta = (n - 1) * Rat(b)
     report = CheckReport(f"scalar reduction a={Rat(a)} b={Rat(b)} n={n}")
-    D1 = build_D(spec, space, 1)
+    D1 = build_D(spec, 1)
     for k in range(k_max + 1):
         ck = Rat(factorial(k)) * 2**k
         lead_expected = falling_factorial(alpha + beta + 2 * k, k)
@@ -347,7 +331,7 @@ def verify_scalar_reduction(a, b, n: int, k_max: int) -> CheckReport:
             lead_built == lead_expected,
             f"dominant product {lead_built}, classical gives {lead_expected}",
         )
-        mine = _as_scalar_poly(build_Pk(spec, space, k))
+        mine = _as_scalar_poly(build_Pk(spec, k))
         classical = _scale_poly(ck, classical_jacobi(k, alpha, beta))
         report.add(f"k={k} equals 2^k k! classical", mine == classical)
     return report
@@ -366,8 +350,8 @@ def verify_scalar_eigen_identity(a, b, n: int, k_max: int,
     alpha = (n - 1) * Rat(a)
     beta = (n - 1) * Rat(b)
     report = CheckReport(f"scalar eigen identity a={Rat(a)} b={Rat(b)} n={n}")
-    D1 = build_D(spec, space, 1)
-    D2 = build_D(spec, space, 2)
+    D1 = build_D(spec, 1)
+    D2 = build_D(spec, 2)
     rng = random.Random(seed)
     for t in range(trials):
         j = rng.randint(1, 5)
@@ -377,7 +361,7 @@ def verify_scalar_eigen_identity(a, b, n: int, k_max: int,
         rhs = r.scale(alpha + beta + 2 * j).add(apply_A(j + 1, D1, D2, r.d_dx()))
         report.add(f"trial {t} commutation past factor j={j}, deg {deg}", lhs == rhs)
     for k in range(k_max + 1):
-        P = build_Pk(spec, space, k)
+        P = build_Pk(spec, k)
         lhs = apply_A(1, D1, D2, P.d_dx())
         rhs = P.scale(k * (alpha + beta + k + 1))
         report.add(f"k={k} eigenvalue k(alpha+beta+k+1)", lhs == rhs)
@@ -393,11 +377,10 @@ def verify_trace_legendre(spec: ProblemSpec, k_max: int) -> CheckReport:
     """
     if spec.n != 1:
         raise ValueError("trace reduction requires n = 1")
-    space = spec.space
     d = spec.d
     report = CheckReport(f"trace reduction d={d}")
     for k in range(k_max + 1):
-        P = build_Pk(spec, space, k)
+        P = build_Pk(spec, k)
         ck = Rat(factorial(k)) * 2**k
         legendre = _scale_poly(ck, classical_jacobi(k, 0, 0))
         bad = []
@@ -451,8 +434,8 @@ def verify_product_identities(spec: ProblemSpec, trials: int = 20,
     applied to x q picks up k times the (k-1)-product of Q q.
     """
     space = spec.space
-    D1 = build_D(spec, space, 1)
-    D2 = build_D(spec, space, 2)
+    D1 = build_D(spec, 1)
+    D2 = build_D(spec, 2)
     rng = random.Random(seed)
     report = CheckReport(f"product identities d={spec.d} n={spec.n}")
     for t in range(trials):

@@ -1,16 +1,19 @@
 """Reference computations used as independent oracles by the test suite.
 
 Everything here is built from first principles (binomial sums, direct
-monomial differentiation, explicit convolution), deliberately sharing no
-code path with the library, so tests never compare the library against
-itself.
+monomial differentiation, explicit convolution) or on sympy, deliberately
+sharing no code path with the library, so tests never compare the
+library against itself.
 """
 
 from __future__ import annotations
 
 from math import comb, factorial
 
+import sympy
+
 from mvjacobi.polyspace import PolySpace
+from mvjacobi.ratmat import RatMatrix
 from mvjacobi.rational import ONE, Rat, ZERO, falling_factorial
 
 # Scalar polynomials are tuples of Rat coefficients, constant term first,
@@ -145,3 +148,37 @@ def commutative_weight_entry(a_diag, b_diag, m, j: int, x: float) -> float:
     p = sum(mi * float(ai) for mi, ai in zip(m, a_diag)) - float(a_diag[j - 1])
     q = sum(mi * float(bi) for mi, bi in zip(m, b_diag)) - float(b_diag[j - 1])
     return (1.0 - x) ** p * (1.0 + x) ** q
+
+
+def to_sympy(M) -> sympy.Matrix:
+    """Exact sympy copy of a RatMatrix (or any rows of rationals)."""
+    rows = M.rows if isinstance(M, RatMatrix) else M
+    return sympy.Matrix([[sympy.Rational(int(Rat(e).numerator), int(Rat(e).denominator))
+                          for e in row] for row in rows])
+
+
+def induced_action(Y: RatMatrix, space: PolySpace) -> RatMatrix:
+    """Exact matrix of q |-> Y^{-1} q(Y w) on the monomial basis.
+
+    The basis element w^m e_j maps to prod_s (Y w)_s^{m_s} times column j
+    of Y^{-1}; sympy expands the product and inverts Y.  Raises
+    ValueError for a wrongly shaped or singular Y.
+    """
+    if Y.shape != (space.d, space.d):
+        raise ValueError(f"Y has shape {Y.shape}, expected ({space.d}, {space.d})")
+    Ys = to_sympy(Y)
+    Yinv = Ys.inv()  # sympy raises a ValueError subclass when Y is singular
+    w = sympy.symbols(f"w1:{space.d + 1}")
+    Yw = Ys * sympy.Matrix(w)
+    cols = []
+    for b in space.basis:
+        image = sympy.Integer(1)
+        for s, ms in enumerate(b.m):
+            image *= Yw[s] ** ms
+        col = [ZERO] * space.N
+        for mm, c in sympy.Poly(sympy.expand(image), *w).as_dict().items():
+            for r in range(space.d):
+                col[space.index_of(mm, r + 1)] += Rat(int(c.p), int(c.q)) * Rat(
+                    int(Yinv[r, b.j - 1].p), int(Yinv[r, b.j - 1].q))
+        cols.append(col)
+    return RatMatrix([[cols[c][r] for c in range(space.N)] for r in range(space.N)])

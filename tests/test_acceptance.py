@@ -81,7 +81,7 @@ def test_criterion_01_scalar_family_matches_classical_jacobi():
             spec = diag_spec([a], [b], n)
             alpha, beta = (n - 1) * a, (n - 1) * b
             for k in range(9):
-                got = scalar_poly(build_Pk(spec, spec.space, k))
+                got = scalar_poly(build_Pk(spec, k))
                 fact = math.factorial(k)
                 want = poly_scale(Rat(2 ** k * fact),
                                   jacobi_binomial_sum(k, alpha, beta))
@@ -104,7 +104,7 @@ def test_criterion_02_commutative_diagonal_closed_form():
             spec = diag_spec(av, bv, n)
             space = spec.space
             for k in range(7):
-                P = build_Pk(spec, space, k)
+                P = build_Pk(spec, k)
                 for c in P.coeffs:
                     for r in range(space.N):
                         for s in range(space.N):
@@ -128,10 +128,10 @@ def test_criterion_03_recurrence_and_coefficient_identities():
     for spec in recurrence_specs():
         space = spec.space
         N = space.N
-        D1 = build_D(spec, space, 1)
-        D2 = build_D(spec, space, 2)
+        D1 = build_D(spec, 1)
+        D2 = build_D(spec, 2)
         I = RatMatrix.identity(N)
-        Ps = [build_Pk(spec, space, k) for k in range(8)]
+        Ps = [build_Pk(spec, k) for k in range(8)]
         for k in range(7):
             rc = recurrence_coeffs(spec, k)
             rhs = Ps[k + 1].rmul(rc.alpha).add(Ps[k].rmul(rc.beta))
@@ -157,10 +157,9 @@ def test_criterion_03_recurrence_and_coefficient_identities():
 
 def test_criterion_04_leading_coefficient_is_shift_product():
     for spec in recurrence_specs():
-        space = spec.space
-        D1 = build_D(spec, space, 1)
+        D1 = build_D(spec, 1)
         for k in range(8):
-            P = build_Pk(spec, space, k)
+            P = build_Pk(spec, k)
             assert P.degree == k
             assert P.leading() == dominant_coefficient(D1, k), (spec.d, spec.n, k)
     announce(4, "leading coefficient == (D1+k+1)...(D1+2k), exact")
@@ -177,7 +176,7 @@ def test_criterion_05_expansion_completeness_roundtrip():
         q = random_vector(rng, space.N)
         while not any(q):
             q = random_vector(rng, space.N)
-        coeffs = expand(spec, build_Pk(spec, space, j).apply_to(q)).coefficients
+        coeffs = expand(spec, build_Pk(spec, j).apply_to(q)).coefficients
         assert len(coeffs) == j + 1
         assert coeffs[j] == q
         assert all(not any(c) for c in coeffs[:j])
@@ -189,14 +188,13 @@ def test_criterion_06_shifted_family_derivative_relation():
     for spec in recurrence_specs():
         if spec.n < 2:
             continue
-        space = spec.space
-        D1 = build_D(spec, space, 1)
-        D2 = build_D(spec, space, 2)
+        D1 = build_D(spec, 1)
+        D2 = build_D(spec, 2)
         shifted = tilde_spec(spec)
-        assert build_D(shifted, space, 1) == D1.plus_scalar(-2)
-        assert build_D(shifted, space, 2) == D2
+        assert build_D(shifted, 1) == D1.plus_scalar(-2)
+        assert build_D(shifted, 2) == D2
         for k in range(7):
-            P = build_Pk(spec, space, k)
+            P = build_Pk(spec, k)
             lhs = P.lmul(D1).mul_by_x().add(P.lmul(D2)).add(P.d_dx().mul_by_Q())
             assert lhs == build_tilde_Pk(spec, k + 1), (spec.d, spec.n, k)
     announce(6, "(x D1 + D2 + Q d/dx) P_k == shifted-family P_{k+1}, exact, "
@@ -218,12 +216,11 @@ def test_criterion_08_scalar_eigenvalue_identity():
     for a, b in JACOBI_PAIRS:
         for n in (2, 3):
             spec = diag_spec([a], [b], n)
-            space = spec.space
-            D1 = build_D(spec, space, 1)
-            D2 = build_D(spec, space, 2)
+            D1 = build_D(spec, 1)
+            D2 = build_D(spec, 2)
             alpha, beta = (n - 1) * a, (n - 1) * b
             for k in range(9):
-                P = build_Pk(spec, space, k)
+                P = build_Pk(spec, k)
                 lhs = apply_A(1, D1, D2, P.d_dx())
                 assert lhs == P.scale(k * (alpha + beta + k + 1)), (a, b, n, k)
             report = verify_scalar_eigen_identity(a, b, n, 8, seed=8)
@@ -240,7 +237,7 @@ def test_criterion_09_trace_reduces_to_legendre():
         diag_idx = [space.index_of(tuple(1 if l == i else 0 for l in range(d)),
                                    i + 1) for i in range(d)]
         for k in range(6):
-            P = build_Pk(spec, space, k)
+            P = build_Pk(spec, k)
             legendre = poly_scale(Rat(2 ** k * math.factorial(k)),
                                   jacobi_binomial_sum(k, Rat(0), Rat(0)))
             for t in range(space.N):

@@ -88,7 +88,7 @@ def test_compute_result_file_roundtrips_exactly(tmp_path, capsys):
     assert main(["compute", "--input", inp, "--kmax", "3", "--out", str(out)]) == 0
     written = json.loads(out.read_text())
     for member in written["members"]:
-        P = build_Pk(spec, spec.space, member["k"])
+        P = build_Pk(spec, member["k"])
         got = [RatMatrix([[parse_rational(e) for e in row] for row in coeff])
                for coeff in member["coeffs"]]
         assert got == list(P.coeffs)
@@ -108,9 +108,24 @@ def test_compute_rejects_malformed_input(tmp_path, capsys):
     assert main(["compute", "--input", write_json(tmp_path / "c.json", nondiag)]) == 2
     assert "conjugate" in capsys.readouterr().err
 
+    # JSON true/false are not integers, although bool subclasses int
+    for key in ("d", "n", "k_max", "seed"):
+        flagged = write_json(tmp_path / f"{key}.json", dict(LEGENDRE, **{key: True}))
+        assert main(["compute", "--input", flagged]) == 2
+        assert f"{key} must be an integer" in capsys.readouterr().err
+
     assert main(["compute", "--input", str(tmp_path / "absent.json")]) == 2
     (tmp_path / "garbage.json").write_text("{not json")
     assert main(["compute", "--input", str(tmp_path / "garbage.json")]) == 2
+    capsys.readouterr()
+
+
+def test_compute_rejects_negative_kmax(tmp_path, capsys):
+    inp = write_json(tmp_path / "spec.json", LEGENDRE)
+    assert main(["compute", "--input", inp, "--kmax", "-3"]) == 2
+    assert "k_max must be a nonnegative integer" in capsys.readouterr().err
+    neg = write_json(tmp_path / "neg.json", dict(LEGENDRE, k_max=-1))
+    assert main(["compute", "--input", neg]) == 2
     capsys.readouterr()
 
 
@@ -167,6 +182,40 @@ def test_verify_resonance_names_operator(tmp_path, capsys):
     assert "kernel" in err
 
 
+def test_verify_rejects_negative_kmax(tmp_path, capsys):
+    # no suite may run zero checks and call that a pass
+    inp = write_json(tmp_path / "spec.json", LEGENDRE)
+    assert main(["verify", "--input", inp, "--kmax", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "k_max must be a nonnegative integer" in captured.err
+    assert "overall: PASS" not in captured.out
+
+
+def test_verify_failing_identity_exits_1(tmp_path, capsys, monkeypatch):
+    from mvjacobi import structure
+
+    solve = structure._solve_recurrence
+
+    def broken(spec, k):
+        rc = solve(spec, k)
+        return structure.RecurrenceCoeffs(k, rc.alpha, rc.beta.plus_scalar(1), rc.gamma)
+
+    monkeypatch.setattr(structure, "_solve_recurrence", broken)
+    inp = write_json(tmp_path / "spec.json", LEGENDRE)
+    assert main(["verify", "--input", inp, "--suite", "recurrence", "--kmax", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL]" in out and "overall: FAIL" in out
+
+
+def test_verify_with_no_reports_fails(tmp_path, capsys, monkeypatch):
+    from mvjacobi import cli
+
+    monkeypatch.setattr(cli, "_suite_reports", lambda *args: [])
+    inp = write_json(tmp_path / "spec.json", LEGENDRE)
+    assert main(["verify", "--input", inp]) == 1
+    assert "overall: FAIL" in capsys.readouterr().out
+
+
 def test_verify_deterministic_output(tmp_path, capsys):
     inp = write_json(tmp_path / "spec.json", COMMUT_2x2)
     outs = []
@@ -187,7 +236,7 @@ def test_expand_unit_and_roundtrip(tmp_path, capsys):
     space = spec.space
     rng = random.Random(11)
     q = random_vector(rng, space.N)
-    f = build_Pk(spec, space, 2).apply_to(q)
+    f = build_Pk(spec, 2).apply_to(q)
     poly_doc = {"d": 2, "n": 2,
                 "coeffs": [[str(e) for e in c] for c in f.coeffs]}
     inp = write_json(tmp_path / "spec.json", COMMUT_2x2)
@@ -278,6 +327,16 @@ def test_quadrature_nonconvergence_exit(tmp_path, capsys):
     assert main(["quadrature", "--input", inp, "--j", "0", "--k", "1",
                  "--side", "right", "--tol", "1e-30"]) == 4
     assert "quadrature failure:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_quadrature_rejects_nonfinite_tolerance(tmp_path, capsys, value):
+    # --tol inf would pass any claim; the ODE tolerance is covered by the
+    # OdeConfig test, so that no test can start the solver on a NaN
+    inp = write_json(tmp_path / "spec.json", COMMUT_2x2)
+    assert main(["quadrature", "--input", inp, "--j", "0", "--k", "1",
+                 "--side", "right", "--tol", value]) == 2
+    assert "must be finite" in capsys.readouterr().err
 
 
 def test_quadrature_biased_override_fails_claim(tmp_path, capsys):

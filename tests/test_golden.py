@@ -1,0 +1,61 @@
+"""Golden-output regression: CLI output digests on a fixed corpus.
+
+tests/golden/ holds five small problems (one resonant) with one
+polynomial each.  digests.json records, per problem and command, the
+exit code and either the sha256 of the JSON output with
+header.generated_at removed or, for a nonzero exit, the stderr line.
+Any change to the member construction, the verifiers, the expansion or
+the resonance message shows up here as a changed digest.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from mvjacobi.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+DIGESTS = json.loads((GOLDEN / "digests.json").read_text(encoding="utf-8"))
+
+
+def _argv(problem: str, command: str) -> list[str]:
+    inp = str(GOLDEN / f"{problem}.json")
+    if command == "compute":
+        return ["compute", "--input", inp, "--kmax", "4"]
+    if command == "verify":
+        return ["verify", "--input", inp, "--suite", "all", "--kmax", "4", "--format", "json"]
+    if command == "expand":
+        return ["expand", "--input", inp, "--poly", str(GOLDEN / f"{problem}.poly.json"),
+                "--roundtrip"]
+    raise ValueError(command)
+
+
+def _digest(text: str) -> str:
+    doc = json.loads(text)
+    del doc["header"]["generated_at"]
+    return hashlib.sha256(json.dumps(doc, sort_keys=True, indent=2).encode("utf-8")).hexdigest()
+
+
+def golden_record(key: str) -> dict:
+    """Exit code plus output digest (exit 0) or stderr text (otherwise)."""
+    problem, command = key.split()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(_argv(problem, command))
+    if code == 0:
+        return {"exit": 0, "sha256": _digest(out.getvalue())}
+    return {"exit": code, "stderr": err.getvalue().strip()}
+
+
+@pytest.mark.parametrize("key", sorted(DIGESTS))
+def test_golden_output(key):
+    assert golden_record(key) == DIGESTS[key]
+
+
+def test_golden_corpus_covers_resonance():
+    assert DIGESTS["resonant verify"]["exit"] == 3
+    assert DIGESTS["resonant verify"]["stderr"].startswith("resonance: ")

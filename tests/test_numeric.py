@@ -55,6 +55,10 @@ def test_ode_config_validation():
         OdeConfig(basepoint=1.0)
     with pytest.raises(ValueError):
         OdeConfig(max_step=0.0)
+    for field in ("rel_tol", "abs_tol", "basepoint", "max_step"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                OdeConfig(**{field: value})
 
 
 def test_quad_config_validation():
@@ -69,6 +73,10 @@ def test_quad_config_validation():
         QuadConfig(endpoint_clip=0.5)
     with pytest.raises(ValueError):
         QuadConfig(tolerance=0.0)
+    for field in ("endpoint_clip", "tolerance"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                QuadConfig(**{field: value})
 
 
 def test_is_commutative():

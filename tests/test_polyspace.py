@@ -104,13 +104,3 @@ def test_evaluate_homogeneous_of_degree_n(q, w, t):
     lhs = evaluate(space, q, scaled)
     rhs = tuple(t**space.n * v for v in evaluate(space, q, w))
     assert lhs == rhs
-
-
-def test_evaluate_float_branch():
-    space = enumerate_basis(2, 2)
-    q = [Rat(1)] * space.N
-    exact = evaluate(space, q, (Rat(1, 3), Rat(2)))
-    floats = evaluate(space, [float(c) for c in q], (1.0 / 3.0, 2.0))
-    assert all(isinstance(v, float) for v in floats)
-    for e, f in zip(exact, floats):
-        assert abs(float(e) - f) < 1e-12

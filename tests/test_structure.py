@@ -1,15 +1,23 @@
 import random
+import re
 
 import pytest
-from oracles import jacobi_binomial_sum, poly_eval, binom_rat
+import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from oracles import jacobi_binomial_sum, poly_eval, binom_rat, to_sympy
 
+from mvjacobi import structure
 from mvjacobi.errors import ResonanceError
 from mvjacobi.operators import ProblemSpec, build_D
 from mvjacobi.oppoly import OpPoly, VectorPoly, build_Pk
+from mvjacobi.polyspace import enumerate_basis
 from mvjacobi.rational import ONE, Rat, ZERO
 from mvjacobi.ratmat import RatMatrix, vec_is_zero, vec_zero
+from mvjacobi.reporting import CheckReport
 from mvjacobi.sampling import random_problem_spec, random_vector, random_vector_poly
 from mvjacobi.structure import (
+    RecurrenceCoeffs,
     build_tilde_Pk,
     classical_jacobi,
     expand,
@@ -36,8 +44,8 @@ def test_recurrence_k0_closed_form():
     rng = random.Random(17)
     spec = random_problem_spec(rng, 2, 2, max_den=3)
     space = spec.space
-    D1 = build_D(spec, space, 1)
-    D2 = build_D(spec, space, 2)
+    D1 = build_D(spec, 1)
+    D2 = build_D(spec, 2)
     rc = recurrence_coeffs(spec, 0)
     assert rc.alpha == D1.plus_scalar(2).inverse()
     assert rc.beta == -(D2 @ D1.plus_scalar(2).inverse())
@@ -70,7 +78,7 @@ def test_verify_recurrence_random_spec(commutative):
 def test_recurrence_resonance_is_reported():
     # one first-kind eigenvalue hits -3, so D1 + 2k + 1 is singular at k = 1
     spec = ProblemSpec(2, 2, RatMatrix.diagonal([-3, 0]), RatMatrix.zeros(2))
-    D1 = build_D(spec, spec.space, 1)
+    D1 = build_D(spec, 1)
     with pytest.raises(ResonanceError) as exc:
         recurrence_coeffs(spec, 1)
     err = exc.value
@@ -78,6 +86,95 @@ def test_recurrence_resonance_is_reported():
     assert err.kernel is not None
     assert vec_is_zero(D1.plus_scalar(3).apply(err.kernel))
     assert "singular operator" in str(err)
+
+
+def test_verify_recurrence_reports_a_failing_identity(monkeypatch):
+    # a wrong gamma must surface as FAIL items, not as an exception; the
+    # self-checking recurrence_coeffs still refuses to hand it out
+    spec = scalar_spec(0, 0, 1)
+    solve = structure._solve_recurrence
+
+    def broken(spec, k):
+        rc = solve(spec, k)
+        return RecurrenceCoeffs(k, rc.alpha, rc.beta, rc.gamma.plus_scalar(1))
+
+    monkeypatch.setattr(structure, "_solve_recurrence", broken)
+    report = verify_recurrence(spec, 2)
+    assert not report.passed
+    failed = {item.name for item in report.items if not item.passed}
+    assert {"k=1 two-step recurrence", "k=1 constant coefficient equation"} <= failed
+    assert "k=1 x coefficient equation" not in failed
+    with pytest.raises(RuntimeError, match="polynomial identity"):
+        recurrence_coeffs(spec, 1)
+
+
+def test_empty_report_is_not_a_pass():
+    assert not CheckReport("nothing ran").passed
+    report = verify_recurrence(scalar_spec(0, 0, 1), -1)
+    assert report.counts == (0, 0)
+    assert not report.passed
+
+
+small_rationals = st.builds(Rat, st.integers(-4, 4), st.integers(1, 3))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_resonance_rank_and_kernel_match_sympy(data):
+    # force D1[b] = -s on one basis element b by solving for one eigenvalue of
+    # A + B, then compare the reported rank and kernel of the singular
+    # operator with sympy's rank() and nullspace()
+    d = data.draw(st.integers(1, 2))
+    n = data.draw(st.integers(2 if d == 1 else 1, 3))
+    space = enumerate_basis(d, n)
+    target = data.draw(st.sampled_from(space.basis))
+    coef = [target.m[t] - (1 if t == target.j - 1 else 0) for t in range(d)]
+    t = next((t for t in range(d) if coef[t]), None)
+    assume(t is not None)
+    lam = [data.draw(small_rationals) for _ in range(d)]
+    via_expand = data.draw(st.booleans())
+    if via_expand:
+        degree = data.draw(st.integers(1, 3))
+        s = data.draw(st.integers(degree + 1, 2 * degree))
+    else:
+        k = data.draw(st.integers(1, 3))
+        s = data.draw(st.sampled_from((2 * k, 2 * k + 1, 2 * k + 2)))
+    rest = sum((coef[u] * lam[u] for u in range(d) if u != t), ZERO)
+    lam[t] = (-s - rest) / coef[t]
+    A = RatMatrix([[data.draw(small_rationals) for _ in range(d)] for _ in range(d)])
+    spec = ProblemSpec(d, n, A, RatMatrix.diagonal(lam) - A)
+
+    # D1 is diagonal with entry m.lam - lam_j on w^m e_j
+    D1 = sympy.diag(*to_sympy([[sum((mi * li for mi, li in zip(b.m, lam)), ZERO) - lam[b.j - 1]
+                                for b in space.basis]]))
+    I = sympy.eye(space.N)
+    with pytest.raises(ResonanceError) as exc:
+        if via_expand:
+            expand(spec, VectorPoly([(ONE,) * space.N] * (degree + 1), space))
+        else:
+            for kk in range(k + 1):
+                recurrence_coeffs(spec, kk)
+    err = exc.value
+    name = err.operator_name
+    m = re.fullmatch(r"D1 \+ 2k(?: \+ (\d))? at k = (\d+)", name)
+    if m:
+        op = D1 + (2 * int(m[2]) + int(m[1] or 0)) * I
+    else:
+        m = re.fullmatch(r"dominant coefficient \(D1\+\d+\)\.\.\.\(D1\+\d+\) "
+                         r"at degree (\d+)", name)
+        assert m, name
+        j = int(m[1])
+        op = I
+        for i in range(j + 1, 2 * j + 1):
+            op = op * (D1 + i * I)
+    rank, size = map(int, re.search(r"rank (\d+) of (\d+); kernel", str(err)).groups())
+    assert size == space.N
+    assert rank == op.rank()
+    null = op.nullspace()
+    assert len(null) == space.N - rank >= 1
+    kernel = to_sympy([err.kernel]).T
+    assert any(kernel) and op * kernel == sympy.zeros(space.N, 1)
+    assert sympy.Matrix.hstack(*null, kernel).rank() == len(null)
 
 
 # -- completeness --------------------------------------------------------------
@@ -89,7 +186,7 @@ def test_expand_unit_property():
     space = spec.space
     q = random_vector(rng, space.N)
     for j in (0, 2, 4):
-        f = build_Pk(spec, space, j).apply_to(q)
+        f = build_Pk(spec, j).apply_to(q)
         coeffs = expand(spec, f).coefficients
         assert len(coeffs) == j + 1
         assert coeffs[j] == q
@@ -105,7 +202,7 @@ def test_expand_recovers_synthesized_coefficients():
     coeffs[2] = vec_zero(space.N)  # a gap must round-trip too
     f = VectorPoly.zero(space)
     for j, qj in enumerate(coeffs):
-        f = f + build_Pk(spec, space, j).apply_to(qj)
+        f = f + build_Pk(spec, j).apply_to(qj)
     got = expand(spec, f).coefficients
     assert list(got) == coeffs
 
@@ -118,6 +215,17 @@ def test_expand_roundtrip_random():
             f = random_vector_poly(rng, spec.space, rng.randint(0, 5), max_den=3)
             exp = expand(spec, f)
             assert reconstruct(spec, exp) == f
+
+
+def test_expand_and_reconstruct_build_no_operator_members():
+    # both work on seeded members P_j q_j; a cold run on a fresh problem must
+    # not build (and cache) a single operator polynomial
+    rng = random.Random(83)
+    spec = random_problem_spec(rng, 2, 3, max_den=5)
+    f = random_vector_poly(rng, spec.space, 4, max_den=3)
+    before = build_Pk.cache_info().misses
+    assert reconstruct(spec, expand(spec, f)) == f
+    assert build_Pk.cache_info().misses == before
 
 
 def test_expand_degenerate_cases():
@@ -165,16 +273,16 @@ def test_tilde_derivation_drops_by_two(d, n):
     space = spec.space
     shifted = tilde_spec(spec)
     I = RatMatrix.identity(space.N)
-    assert build_D(shifted, space, 1) == build_D(spec, space, 1) - I.scale(2)
-    assert build_D(shifted, space, 2) == build_D(spec, space, 2)
+    assert build_D(shifted, 1) == build_D(spec, 1) - I.scale(2)
+    assert build_D(shifted, 2) == build_D(spec, 2)
 
 
 def test_build_tilde_Pk_first_member():
     rng = random.Random(61)
     spec = random_problem_spec(rng, 2, 2, max_den=3)
     space = spec.space
-    D1 = build_D(spec, space, 1)
-    D2 = build_D(spec, space, 2)
+    D1 = build_D(spec, 1)
+    D2 = build_D(spec, 2)
     assert build_tilde_Pk(spec, 0) == OpPoly.identity(space)
     assert build_tilde_Pk(spec, 1) == OpPoly((D2, D1), space)
     with pytest.raises(ValueError):
