@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from oracles import derivation_oracle, induced_action, to_sympy
 
+from mvjacobi.errors import ResonanceError
 from mvjacobi.operators import (
     ProblemSpec,
     build_D,
@@ -15,6 +16,7 @@ from mvjacobi.polyspace import enumerate_basis, evaluate
 from mvjacobi.rational import ONE, Rat, ZERO
 from mvjacobi.ratmat import RatMatrix
 from mvjacobi.sampling import random_matrix, random_problem_spec, random_vector
+from mvjacobi.structure import _certified_inverse
 
 
 def scalar_spec(a, b, n):
@@ -111,6 +113,28 @@ def test_dominant_coefficient_noncommutative_order():
     D1 = build_D(spec, 1)
     expected = D1.plus_scalar(3) @ D1.plus_scalar(4)
     assert dominant_coefficient(D1, 2) == expected
+
+
+# -- invertibility certificates ---------------------------------------------
+
+
+def test_check_invertibility():
+    # a diagonal operator is inverted, or refused with its rank and the
+    # kernel witness e_b of its first zero entry b rendered on the basis
+    spec = ProblemSpec(2, 1, RatMatrix.zeros(2), RatMatrix.zeros(2))
+    space = spec.space
+    assert _certified_inverse(RatMatrix.identity(space.N), "I", spec) == RatMatrix.identity(space.N)
+    M = RatMatrix.diagonal([1, 0, 2, 0])
+    with pytest.raises(ResonanceError) as exc:
+        _certified_inverse(M, "M", spec)
+    err = exc.value
+    assert err.operator_name == "M"
+    assert err.kernel == (ZERO, ONE, ZERO, ZERO)
+    assert str(err) == ("singular operator: M (rank 2 of 4; kernel "
+                        f"{describe_kernel(space, err.kernel)})")
+    assert M.apply(err.kernel) == (ZERO,) * space.N
+    with pytest.raises(ValueError):
+        _certified_inverse(RatMatrix.zeros(2, 3), "Z", spec)
 
 
 # -- kernel rendering -------------------------------------------------------

@@ -1,7 +1,11 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mvjacobi.errors import ResonanceError
+from mvjacobi.operators import ProblemSpec
 from mvjacobi.rational import ONE, Rat, ZERO
 from mvjacobi.ratmat import (
     RatMatrix,
@@ -11,6 +15,7 @@ from mvjacobi.ratmat import (
     vec_sub,
     vec_zero,
 )
+from mvjacobi.structure import _certified_inverse
 
 rationals = st.builds(Rat, st.integers(-6, 6), st.integers(1, 4))
 
@@ -28,6 +33,39 @@ def reference_matmul(X: RatMatrix, Y: RatMatrix) -> RatMatrix:
         for i in range(X.nrows)
     ]
     return RatMatrix(out)
+
+
+def reference_rank(M: RatMatrix) -> int:
+    # plain fraction Gaussian elimination
+    rows = [list(r) for r in M.rows]
+    rank = 0
+    for c in range(M.ncols):
+        piv = next((i for i in range(rank, M.nrows) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        pr = rows[rank]
+        for i in range(rank + 1, M.nrows):
+            if rows[i][c]:
+                f = rows[i][c] / pr[c]
+                rows[i] = [e - f * p for e, p in zip(rows[i], pr)]
+        rank += 1
+    return rank
+
+
+# every operator the construction inverts is diagonal, so rank and kernel
+# are read off the diagonal when the inverse is certified; SPEC4 only names
+# the N = 4 basis the kernel is described in
+SPEC4 = ProblemSpec(2, 1, RatMatrix.zeros(2), RatMatrix.zeros(2))
+
+
+def rank_kernel(M: RatMatrix):
+    try:
+        inv = _certified_inverse(M, "M", SPEC4)
+    except ResonanceError as err:
+        return int(re.search(r"rank (\d+) of 4;", str(err))[1]), err.kernel
+    assert M @ inv == RatMatrix.identity(4)
+    return 4, None
 
 
 # -- construction and shape ----------------------------------------------
@@ -160,6 +198,39 @@ def test_inverse_roundtrip(entries):
         return
     assert M @ inv == RatMatrix.identity(3)
     assert inv @ M == RatMatrix.identity(3)
+
+
+# -- rank and kernel ---------------------------------------------------------
+
+
+def test_rank_kernel_known_cases():
+    assert rank_kernel(RatMatrix.identity(4)) == (4, None)
+    assert rank_kernel(RatMatrix.zeros(4)) == (0, (ONE, ZERO, ZERO, ZERO))
+
+    M = RatMatrix.diagonal([1, 0, Rat(2, 3), 0])
+    rank, kern = rank_kernel(M)
+    assert rank == 2
+    assert kern == (ZERO, ONE, ZERO, ZERO)  # the first zero entry's e_b
+    assert vec_is_zero(M.apply(kern))
+
+    # no rank is computed for an operator that is not square diagonal
+    for M in (RatMatrix([[1, 2, 0, 0], [2, 4, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
+              RatMatrix.zeros(2, 3)):
+        with pytest.raises(ValueError, match="diagonal"):
+            rank_kernel(M)
+
+
+@settings(max_examples=40)
+@given(st.lists(rationals, min_size=4, max_size=4))
+def test_rank_matches_reference_and_kernel_annihilates(entries):
+    M = RatMatrix.diagonal(entries)
+    rank, kern = rank_kernel(M)
+    assert rank == reference_rank(M)
+    if kern is None:
+        assert rank == 4
+    else:
+        assert not vec_is_zero(kern)
+        assert vec_is_zero(M.apply(kern))
 
 
 # -- vector helpers ----------------------------------------------------------
