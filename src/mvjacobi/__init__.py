@@ -6,25 +6,14 @@ two-singularity first-order system by a nested product of first-order
 factors.  The package constructs them over exact rationals, provides
 their recurrence, expansion, shifted-family and scalar-reduction
 structure, and checks the weighted-integral statements numerically.
+
+The numeric layer (ODE solver, weight, quadrature) lives in
+mvjacobi.numeric and is imported from there; it is the only part that
+needs scipy, so importing the package or running the exact commands
+never loads it.
 """
 
 from .errors import OdeError, QuadratureError, ResonanceError
-from .numeric import (
-    IntegrabilityReport,
-    NumericReport,
-    OdeConfig,
-    QuadConfig,
-    commutative_Y,
-    commutative_exponents,
-    de_integrate,
-    fundamental_matrix,
-    integrability_check,
-    integral_interrelation_check,
-    is_commutative,
-    ode_vs_closed_form_report,
-    quasi_orth_integral,
-    weight,
-)
 from .operators import (
     ProblemSpec,
     build_D,
@@ -61,15 +50,11 @@ __all__ = [
     "CheckItem",
     "CheckReport",
     "Expansion",
-    "IntegrabilityReport",
-    "NumericReport",
-    "OdeConfig",
     "OdeError",
     "OpPoly",
     "PolySpace",
     "PolyVector",
     "ProblemSpec",
-    "QuadConfig",
     "QuadratureError",
     "Rat",
     "RatMatrix",
@@ -81,9 +66,6 @@ __all__ = [
     "build_Pk",
     "build_tilde_Pk",
     "classical_jacobi",
-    "commutative_Y",
-    "commutative_exponents",
-    "de_integrate",
     "describe_kernel",
     "dominant_coefficient",
     "enumerate_basis",
@@ -91,14 +73,8 @@ __all__ = [
     "expand",
     "falling_factorial",
     "format_rational",
-    "fundamental_matrix",
     "induced_action_float",
-    "integrability_check",
-    "integral_interrelation_check",
-    "is_commutative",
-    "ode_vs_closed_form_report",
     "parse_rational",
-    "quasi_orth_integral",
     "rat",
     "reconstruct",
     "recurrence_coeffs",
@@ -109,5 +85,4 @@ __all__ = [
     "verify_scalar_eigen_identity",
     "verify_scalar_reduction",
     "verify_trace_legendre",
-    "weight",
 ]

@@ -20,17 +20,9 @@ import argparse
 import json
 import sys
 from datetime import datetime, timezone
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import OdeError, QuadratureError, ResonanceError
-from .numeric import (
-    IntegrabilityReport,
-    NumericReport,
-    OdeConfig,
-    QuadConfig,
-    integrability_check,
-    quasi_orth_integral,
-)
 from .operators import ProblemSpec
 from .oppoly import OpPoly, VectorPoly, build_Pk
 from .polyspace import PolySpace
@@ -47,6 +39,9 @@ from .structure import (
     verify_scalar_reduction,
     verify_trace_legendre,
 )
+
+if TYPE_CHECKING:
+    from .numeric import IntegrabilityReport, NumericReport
 
 TOOL = "mvjacobi/0.1.0"
 DEFAULT_SEED = 0
@@ -246,6 +241,9 @@ def cmd_expand(args) -> int:
 
 
 def cmd_quadrature(args) -> int:
+    # the numeric layer (and scipy) is loaded only by this command
+    from .numeric import OdeConfig, QuadConfig, integrability_check, quasi_orth_integral
+
     spec, _raw = load_problem(args.input)
     qcfg = QuadConfig(tolerance=args.tol)
     ocfg = OdeConfig(rel_tol=args.ode_tol, abs_tol=args.ode_tol * 1e-2)

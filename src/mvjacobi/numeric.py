@@ -10,13 +10,14 @@ branch differs from an analytic continuation only by a constant
 diagonal right factor, which none of the checked statements feel.
 
 Integrals over (-1, 1) default to tanh-sinh (double-exponential)
-quadrature with dyadic step sizes, so refinement levels share nodes
-bit-for-bit.  Nodes are generated together with the exact distances
-1 -+ x to the endpoints, and integrands receive those distances
-directly; this is what keeps endpoint powers like (1-x)^(-1/2)
-accurate where float subtraction would have lost everything.  A
-Gauss-Jacobi scheme specialized to diagonal weights is available as a
-cross-check in the commutative case.
+quadrature with dyadic step sizes, so the levels are nested: each level
+reuses the previous level's sum and evaluates the integrand only at its
+new odd-indexed nodes.  Nodes are generated as numpy arrays together
+with the exact distances 1 -+ x to the endpoints, and integrands
+receive those distances directly; this is what keeps endpoint powers
+like (1-x)^(-1/2) accurate where float subtraction would have lost
+everything.  A Gauss-Jacobi scheme specialized to diagonal weights is
+available as a cross-check in the commutative case.
 """
 
 from __future__ import annotations
@@ -31,10 +32,9 @@ from scipy.integrate import solve_ivp
 from scipy.special import roots_jacobi
 
 from .errors import OdeError, QuadratureError
-from .operators import ProblemSpec, induced_action_float
+from .operators import ProblemSpec, basis_exponents, induced_action_float
 from .oppoly import OpPoly, build_Pk
 from .polyspace import PolySpace, PolyVector
-from .rational import Rat
 from .structure import build_tilde_Pk
 
 X_CAP = 1.0 - 1e-12  # ODE solutions are only taken this close to +-1
@@ -284,25 +284,26 @@ def ode_vs_closed_form_report(spec: ProblemSpec, cfg: Optional[OdeConfig] = None
 Integrand = Callable[[float, float, float], np.ndarray]
 
 
-def _de_sum(integrand: Integrand, level: int, clip: float) -> np.ndarray:
+def _de_nodes(level: int, clip: float) -> tuple[np.ndarray, ...]:
+    """Nodes x, distances 1 - x and 1 + x, and weights / h of one level.
+
+    The first level takes every node t = i h; later levels take only the
+    odd i, the nodes the coarser levels do not already have.
+    """
     h = 2.0 ** (-level)
     K = int(math.floor(_DE_TMAX / h))
-    floor = max(clip, _DELTA_FLOOR)
-    pieces = []
-    for i in range(-K, K + 1):
-        t = i * h
-        u = 0.5 * math.pi * math.sinh(t)
-        eu = math.exp(-2.0 * abs(u))
-        delta = 2.0 * eu / (1.0 + eu)  # 1 - |tanh(u)|, exact to the last bit
-        if delta <= floor:
-            continue
-        x = math.copysign(1.0 - delta, u)
-        dist_minus = delta if u >= 0 else 2.0 - delta
-        dist_plus = 2.0 - delta if u >= 0 else delta
-        w = h * 0.5 * math.pi * math.cosh(t) * (delta * (2.0 - delta))
-        # delta(2-delta) = 1 - tanh^2(u) = sech^2(u); avoids cosh overflow for large u
-        pieces.append(w * np.asarray(integrand(x, dist_minus, dist_plus), dtype=float))
-    return np.sum(np.stack(pieces), axis=0)
+    i = np.arange(-K, K + 1) if level == _DE_FIRST_LEVEL else np.arange(1 - K, K, 2)
+    t = i * h
+    u = 0.5 * math.pi * np.sinh(t)
+    eu = np.exp(-2.0 * np.abs(u))
+    delta = 2.0 * eu / (1.0 + eu)  # 1 - |tanh(u)|, exact to the last bit
+    keep = delta > max(clip, _DELTA_FLOOR)
+    t, u, delta = t[keep], u[keep], delta[keep]
+    x = np.copysign(1.0 - delta, u)
+    dist_minus = np.where(u >= 0, delta, 2.0 - delta)
+    dist_plus = np.where(u >= 0, 2.0 - delta, delta)
+    # delta(2-delta) = 1 - tanh^2(u) = sech^2(u); avoids cosh overflow for large u
+    return x, dist_minus, dist_plus, 0.5 * math.pi * np.cosh(t) * (delta * (2.0 - delta))
 
 
 def de_integrate(integrand: Integrand, qcfg: QuadConfig,
@@ -311,14 +312,23 @@ def de_integrate(integrand: Integrand, qcfg: QuadConfig,
 
     Levels are refined (halving h) until two consecutive levels agree to
     the target (default tolerance/10); returns (value, estimated error,
-    final level).  Raises QuadratureError when the level budget runs out.
+    final level).  Each level's sum is h times the running sum over all
+    nodes so far, so no node is evaluated twice.  Raises QuadratureError
+    when the level budget runs out.
     """
     if target is None:
         target = qcfg.tolerance / 10.0
+    total = 0.0
     prev = None
     est = math.inf
     for level in range(_DE_FIRST_LEVEL, qcfg.levels + 1):
-        cur = _de_sum(integrand, level, qcfg.endpoint_clip)
+        x, dist_minus, dist_plus, w = _de_nodes(level, qcfg.endpoint_clip)
+        total = total + np.sum(np.stack([
+            wi * np.asarray(integrand(xi, dm, dp), dtype=float)
+            for xi, dm, dp, wi in zip(x.tolist(), dist_minus.tolist(),
+                                      dist_plus.tolist(), w.tolist())
+        ]), axis=0)
+        cur = 2.0 ** (-level) * total
         if prev is not None:
             est = float(np.max(np.abs(cur - prev)))
             if est <= target:
@@ -344,12 +354,7 @@ def commutative_exponents(spec: ProblemSpec, space: PolySpace) -> tuple[tuple, t
     b_diag = spec.B.diag
     if a_diag is None or b_diag is None:
         raise ValueError("exact exponents need both residues diagonal")
-    plus = []
-    minus = []
-    for b in space.basis:
-        plus.append(sum((mi * ai for mi, ai in zip(b.m, a_diag)), Rat(0)) - a_diag[b.j - 1])
-        minus.append(sum((mi * bi for mi, bi in zip(b.m, b_diag)), Rat(0)) - b_diag[b.j - 1])
-    return tuple(plus), tuple(minus)
+    return tuple(basis_exponents(a_diag, space)), tuple(basis_exponents(b_diag, space))
 
 
 @dataclass(frozen=True)
@@ -395,8 +400,8 @@ def integrability_check(spec: ProblemSpec, space: PolySpace,
     else:
         eig_a = np.linalg.eigvals(np.array([[float(e) for e in row] for row in spec.A.rows]))
         eig_b = np.linalg.eigvals(np.array([[float(e) for e in row] for row in spec.B.rows]))
-        mp = _heuristic_min_exponent(eig_a.real, spec, space)
-        mm = _heuristic_min_exponent(eig_b.real, spec, space)
+        mp = float(min(basis_exponents(eig_a.real.tolist(), space)))
+        mm = float(min(basis_exponents(eig_b.real.tolist(), space)))
         heuristic = True
         detail = (
             f"heuristic only: eigenvalue-based exponents for j={j}, k={k}; "
@@ -414,16 +419,6 @@ def integrability_check(spec: ProblemSpec, space: PolySpace,
     )
 
 
-def _heuristic_min_exponent(eigs: np.ndarray, spec: ProblemSpec, space: PolySpace) -> float:
-    # the basis runs over every multi-index of total degree n, so a fixed
-    # eigenvalue order already covers all combinations m.eig - eig_j
-    worst = math.inf
-    for b in space.basis:
-        combo = sum(mi * e for mi, e in zip(b.m, eigs))
-        worst = min(worst, float(min(combo - e for e in eigs)))
-    return worst
-
-
 # -- quasi-orthogonality -------------------------------------------------------
 
 
@@ -431,7 +426,8 @@ def _np_coeffs(P: OpPoly) -> list[np.ndarray]:
     return [np.array([[float(e) for e in row] for row in c.rows]) for c in P.coeffs]
 
 
-def _np_horner(coeffs: list[np.ndarray], x: float, N: int) -> np.ndarray:
+def _np_horner(coeffs: list[np.ndarray], x, N: int) -> np.ndarray:
+    """sum_i coeffs[i] x^i; x is a float or an array that broadcasts."""
     if not coeffs:
         return np.zeros((N, N))
     acc = coeffs[-1]
@@ -440,20 +436,9 @@ def _np_horner(coeffs: list[np.ndarray], x: float, N: int) -> np.ndarray:
     return acc
 
 
-def _diag_scalar_polys(P: OpPoly) -> list[list[float]]:
-    """Diagonal entries of a diagonal operator polynomial, as float polys."""
-    N = P.space.N
-    out = []
-    for s in range(N):
-        out.append([float(c.rows[s][s]) for c in P.coeffs])
-    return out
-
-
-def _scalar_horner(coeffs: Sequence[float], x: float) -> float:
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = x * acc + c
-    return acc
+def _np_diag_coeffs(P: OpPoly) -> list[np.ndarray]:
+    """Diagonals of the coefficients of a diagonal operator polynomial."""
+    return [np.array([float(e) for e in c.diag]) for c in P.coeffs]
 
 
 def _require_integrable(spec: ProblemSpec, space: PolySpace, j: int, k: int,
@@ -475,30 +460,22 @@ def _require_integrable(spec: ProblemSpec, space: PolySpace, j: int, k: int,
     return rep
 
 
-def _commutative_quasi_orth_integrand(spec: ProblemSpec, j: int, k: int,
-                                      side: str) -> tuple[Integrand, int]:
-    space = spec.space
-    Pj = build_Pk(spec, j)
-    Pk = build_Pk(spec, k)
-    pj = _diag_scalar_polys(Pj)
-    pk = _diag_scalar_polys(Pk)
-    plus, minus = commutative_exponents(spec, space)
-    pe = [float(e) for e in plus]
-    me = [float(e) for e in minus]
-    N = space.N
+def _commutative_quasi_orth_integrand(spec: ProblemSpec, j: int, k: int) -> Integrand:
+    pj = _np_diag_coeffs(build_Pk(spec, j))
+    pk = _np_diag_coeffs(build_Pk(spec, k))
+    plus, minus = commutative_exponents(spec, spec.space)
+    pe = np.array([float(e) for e in plus])
+    me = np.array([float(e) for e in minus])
+    N = spec.space.N
 
     def integrand(x: float, dist_minus: float, dist_plus: float) -> np.ndarray:
-        out = np.empty(N)
-        for s in range(N):
-            w = dist_minus ** pe[s] * dist_plus ** me[s]
-            out[s] = _scalar_horner(pj[s], x) * w * _scalar_horner(pk[s], x)
-        return out
+        return _np_horner(pj, x, N) * (dist_minus ** pe * dist_plus ** me) * _np_horner(pk, x, N)
 
-    return integrand, N
+    return integrand
 
 
 def _general_quasi_orth_integrand(spec: ProblemSpec, j: int, k: int, side: str,
-                                  ocfg: OdeConfig) -> tuple[Integrand, int]:
+                                  ocfg: OdeConfig) -> Integrand:
     space = spec.space
     cj = _np_coeffs(build_Pk(spec, j))
     ck = _np_coeffs(build_Pk(spec, k))
@@ -513,7 +490,7 @@ def _general_quasi_orth_integrand(spec: ProblemSpec, j: int, k: int, side: str,
             return Fj @ W @ Fk
         return W @ Fj @ Fk
 
-    return integrand, N
+    return integrand
 
 
 def quasi_orth_integral(spec: ProblemSpec, j: int, k: int, side: str,
@@ -541,9 +518,9 @@ def quasi_orth_integral(spec: ProblemSpec, j: int, k: int, side: str,
         value, est = _gauss_jacobi_quasi_orth(spec, j, k, qcfg)
     else:
         if is_commutative(spec):
-            integrand, _ = _commutative_quasi_orth_integrand(spec, j, k, side)
+            integrand = _commutative_quasi_orth_integrand(spec, j, k)
         else:
-            integrand, _ = _general_quasi_orth_integrand(spec, j, k, side, ocfg)
+            integrand = _general_quasi_orth_integrand(spec, j, k, side, ocfg)
         value, est, _level = de_integrate(integrand, qcfg)
 
     worst = float(np.max(np.abs(value)))
@@ -567,27 +544,35 @@ def _gauss_jacobi_quasi_orth(spec: ProblemSpec, j: int, k: int,
     Each diagonal entry is a polynomial against the weight
     (1-x)^p (1+x)^q, so Gauss-Jacobi nodes of sufficient order integrate
     it to machine accuracy; both sides of the claim coincide entrywise.
+    The change from half the order is the error estimate, and it must
+    meet the same tolerance/10 target as the tanh-sinh levels.
     """
     if not is_commutative(spec):
         raise ValueError("the Gauss-Jacobi scheme applies to commutative problems only")
-    space = spec.space
-    pj = _diag_scalar_polys(build_Pk(spec, j))
-    pk = _diag_scalar_polys(build_Pk(spec, k))
-    plus, minus = commutative_exponents(spec, space)
+    N = spec.space.N
+    pj = [c[:, None] for c in _np_diag_coeffs(build_Pk(spec, j))]
+    pk = [c[:, None] for c in _np_diag_coeffs(build_Pk(spec, k))]
+    plus, minus = commutative_exponents(spec, spec.space)
     need = j + k + 1
     order = max(qcfg.order, need)
 
-    def entry(s: int, n_nodes: int) -> float:
-        nodes, weights = roots_jacobi(n_nodes, float(plus[s]), float(minus[s]))
-        vals = [
-            _scalar_horner(pj[s], float(x)) * _scalar_horner(pk[s], float(x))
-            for x in nodes
-        ]
-        return float(np.dot(weights, vals))
+    def integral(n_nodes: int) -> np.ndarray:
+        # one row of nodes and weights per diagonal channel
+        rules = [roots_jacobi(n_nodes, float(p), float(q)) for p, q in zip(plus, minus)]
+        x = np.array([r[0] for r in rules])
+        w = np.array([r[1] for r in rules])
+        return np.sum(w * _np_horner(pj, x, N) * _np_horner(pk, x, N), axis=1)
 
-    full = np.array([entry(s, order) for s in range(space.N)])
-    half = np.array([entry(s, max(need, order // 2)) for s in range(space.N)])
-    est = float(np.max(np.abs(full - half)))
+    half = max(need, order // 2)
+    full = integral(order)
+    est = float(np.max(np.abs(full - integral(half))))
+    target = qcfg.tolerance / 10.0
+    if est > target:
+        raise QuadratureError(
+            f"Gauss-Jacobi orders {order} and {half} differ by {est:g}, "
+            f"above the target {target:g}",
+            estimated_error=est,
+        )
     return full, est
 
 
@@ -633,8 +618,8 @@ def integral_interrelation_check(spec: ProblemSpec, k: int, x0: float,
     lhs = _np_horner(_np_coeffs(build_Pk(spec, k)), float(x0), N) @ qf
 
     ct = _np_coeffs(build_tilde_Pk(spec, k + 1))
-    pe = [float(e) for e in plus]
-    me = [float(e) for e in minus]
+    pe = np.array([float(e) for e in plus])
+    me = np.array([float(e) for e in minus])
     half_len = (float(x0) + 1.0) / 2.0
 
     def integrand(u: float, du_minus: float, du_plus: float) -> np.ndarray:
@@ -642,15 +627,13 @@ def integral_interrelation_check(spec: ProblemSpec, k: int, x0: float,
         dist_plus = du_plus * half_len            # t - (-1)
         t = dist_plus - 1.0
         dist_minus = 1.0 - t                      # not small: x0 < 1
-        w_diag = np.array([dist_minus ** pe[s] * dist_plus ** me[s] for s in range(N)])
+        w_diag = dist_minus ** pe * dist_plus ** me
         vec = _np_horner(ct, t, N) @ qf
         q_inv = -1.0 / (dist_minus * dist_plus)   # 1 / (t^2 - 1)
         return (q_inv * half_len) * (w_diag * vec)
 
     integral, est, _level = de_integrate(integrand, qcfg)
-    w0_diag = np.array([
-        (1.0 - float(x0)) ** pe[s] * (1.0 + float(x0)) ** me[s] for s in range(N)
-    ])
+    w0_diag = (1.0 - float(x0)) ** pe * (1.0 + float(x0)) ** me
     rhs = integral / w0_diag
     scale = float(np.max(np.abs(lhs)))
     diff = float(np.max(np.abs(lhs - rhs)))

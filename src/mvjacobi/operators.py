@@ -72,18 +72,31 @@ class ProblemSpec:
         return enumerate_basis(self.d, self.n)
 
 
+def basis_exponents(lam: Sequence, space: PolySpace) -> list:
+    """m.lam - lam_j for each basis element w^m e_j, given a diagonal lam.
+
+    This is the diagonal of the derivation induced by diag(lam), and the
+    endpoint exponent of the induced weight when lam holds the diagonal
+    (or the eigenvalues) of a residue.
+    """
+    return [sum(mi * li for mi, li in zip(b.m, lam)) - lam[b.j - 1] for b in space.basis]
+
+
 @lru_cache(maxsize=None)
 def build_D(spec: ProblemSpec, which: int) -> RatMatrix:
     """Matrix of the derivation induced by M_which on the monomial basis.
 
-    On a basis element w^m e_j the derivation produces
+    D_1 is the diagonal basis_exponents(diag(M_1)).  For D_2, on a basis
+    element w^m e_j the derivation produces
         sum_{s,t} m_s (M)_{st} w^{m - e_s + e_t} e_j  -  sum_r (M)_{rj} w^m e_r,
     both sums staying inside the same homogeneous degree.
     """
     if which not in (1, 2):
         raise ValueError(f"which must be 1 or 2, got {which}")
-    M = spec.M1 if which == 1 else spec.M2
     space = spec.space
+    if which == 1:
+        return RatMatrix.diagonal(basis_exponents(spec.M1.diag, space))
+    M = spec.M2
     N = space.N
     cols: list[list] = [[ZERO] * N for _ in range(N)]
     for cpos, b in enumerate(space.basis):
@@ -154,19 +167,20 @@ def _monomial_image(Y_rows: Sequence[Sequence[float]], m: Sequence[int]) -> dict
 
 
 def induced_action_float(Y, space: PolySpace) -> np.ndarray:
-    """Matrix of q |-> Y^{-1} q(Y w) on the monomial basis, for a float Y."""
+    """Matrix of q |-> Y^{-1} q(Y w) on the monomial basis, for a float Y.
+
+    The basis runs over monomials with the slot as the inner index, so the
+    matrix is S (x) Y^{-1}, where S substitutes Y w into the scalar
+    monomials of degree n.
+    """
     Y = np.asarray(Y, dtype=float)
     if Y.shape != (space.d, space.d):
         raise ValueError(f"Y must be {space.d} x {space.d}")
     Y_rows = Y.tolist()
-    Yinv_rows = np.linalg.inv(Y).tolist()
-    W = [[0.0] * space.N for _ in range(space.N)]
-    for c, b in enumerate(space.basis):
-        for mm, coeff in _monomial_image(Y_rows, b.m).items():
-            if not coeff:
-                continue
-            for r in range(1, space.d + 1):
-                e = Yinv_rows[r - 1][b.j - 1]
-                if e:
-                    W[space.index_of(mm, r)][c] += coeff * e
-    return np.array(W)
+    monomials = [b.m for b in space.basis[::space.d]]
+    position = {m: i for i, m in enumerate(monomials)}
+    S = np.zeros((len(monomials), len(monomials)))
+    for c, m in enumerate(monomials):
+        for mm, coeff in _monomial_image(Y_rows, m).items():
+            S[position[mm], c] = coeff
+    return np.kron(S, np.linalg.inv(Y))

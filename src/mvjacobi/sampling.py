@@ -10,9 +10,9 @@ is what the recurrence and expansion paths need to stay resonance-free.
 from __future__ import annotations
 
 import random
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
-from .operators import ProblemSpec
+from .operators import ProblemSpec, basis_exponents
 from .oppoly import OpPoly, VectorPoly
 from .polyspace import PolySpace, enumerate_basis
 from .ratmat import RatMatrix
@@ -36,14 +36,6 @@ def random_matrix(rng: random.Random, d: int, max_den: int = 3,
 def random_diagonal(rng: random.Random, d: int, max_den: int = 3,
                     lo: int = -1, hi: int = 1) -> RatMatrix:
     return RatMatrix.diagonal([random_rational(rng, max_den, lo, hi) for _ in range(d)])
-
-
-def _d1_diagonal_entries(lam: Sequence, d: int, n: int) -> list:
-    """Diagonal of D1 for diagonal M1 = diag(lam): entries m.lam - lam_j."""
-    space = enumerate_basis(d, n)
-    return [
-        sum(mi * li for mi, li in zip(b.m, lam)) - lam[b.j - 1] for b in space.basis
-    ]
 
 
 def random_problem_spec(
@@ -72,7 +64,7 @@ def random_problem_spec(
         else:
             A = random_matrix(rng, d, max_den)
         B = lam_mat - A
-        entries = _d1_diagonal_entries(lam, d, n)
+        entries = basis_exponents(lam, enumerate_basis(d, n))
         if any(e == -s for e in entries for s in shifts):
             continue
         return ProblemSpec(d, n, A, B)

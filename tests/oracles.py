@@ -143,6 +143,29 @@ def derivation_oracle(space: PolySpace, M_rows, coords, w) -> tuple:
     return tuple(out)
 
 
+def derivation_matrix(space: PolySpace, M) -> RatMatrix:
+    """Exact matrix of q |-> (grad q)(M w) - M q on the monomial basis.
+
+    Each basis element w^m e_j is written as a sympy vector of
+    polynomials, the derivation is applied symbolically, and the
+    coefficients of the image are read off against the basis.
+    """
+    d = space.d
+    Ms = to_sympy(M)
+    w = sympy.Matrix(sympy.symbols(f"w1:{d + 1}"))
+    cols = []
+    for b in space.basis:
+        mono = sympy.Mul(*[wi ** mi for wi, mi in zip(w, b.m)])
+        q = sympy.Matrix([mono if r == b.j - 1 else 0 for r in range(d)])
+        image = q.jacobian(w) * (Ms * w) - Ms * q
+        col = [ZERO] * space.N
+        for r in range(d):
+            for mm, c in sympy.Poly(sympy.expand(image[r]), *w).as_dict().items():
+                col[space.index_of(mm, r + 1)] = Rat(int(c.p), int(c.q))
+        cols.append(col)
+    return RatMatrix([[cols[c][r] for c in range(space.N)] for r in range(space.N)])
+
+
 def commutative_weight_entry(a_diag, b_diag, m, j: int, x: float) -> float:
     """One diagonal entry of the induced weight for diagonal residues."""
     p = sum(mi * float(ai) for mi, ai in zip(m, a_diag)) - float(a_diag[j - 1])

@@ -1,8 +1,13 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mvjacobi
 from mvjacobi.cli import main
 from mvjacobi.oppoly import build_Pk
 from mvjacobi.operators import ProblemSpec
@@ -364,3 +369,29 @@ def test_unknown_suite_rejected(tmp_path):
 def test_missing_subcommand_rejected():
     with pytest.raises(SystemExit):
         main([])
+
+
+# -- process level ---------------------------------------------------------------
+
+SRC = Path(mvjacobi.__file__).resolve().parents[1]
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def run_python(*args):
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_cli_import_loads_no_scipy():
+    # only the quadrature command needs the numeric layer
+    out = run_python("-c", "import sys, mvjacobi.cli; "
+                           "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
+def test_module_entry_point_computes():
+    out = run_python("-m", "mvjacobi", "compute", "--input", str(GOLDEN / "d1n2.json"))
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["kind"] == "members"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from oracles import commutative_weight_entry
 
+from mvjacobi import numeric
 from mvjacobi.errors import QuadratureError
 from mvjacobi.numeric import (
     OdeConfig,
@@ -161,6 +162,21 @@ def test_de_integrate_polynomial():
     assert level <= 10
 
 
+def test_de_integrate_reuses_nested_levels():
+    # level 4 has 193 nodes and level 5 adds only its 192 odd-indexed ones
+    calls = []
+
+    def square(x, dm, dp):
+        calls.append((dm, dp))  # x itself rounds to +-1 near the ends
+        return np.array([x * x])
+
+    value, _, level = de_integrate(square, QuadConfig())
+    assert abs(value[0] - 2.0 / 3.0) < 1e-14
+    assert level == 5
+    assert len(calls) == 193 + 192
+    assert len(set(calls)) == len(calls)
+
+
 def test_de_integrate_endpoint_singularity():
     # integral of (1-x)^(-1/2) over (-1, 1) is 2 sqrt(2); the integrand is
     # evaluated through the cancellation-free endpoint distance
@@ -283,6 +299,23 @@ def test_gauss_jacobi_scheme_agrees_with_tanh_sinh():
 
     with pytest.raises(ValueError, match="commutative"):
         quasi_orth_integral(small_noncommutative_spec(), 0, 1, "right", qcfg=gj)
+
+
+def test_gauss_jacobi_unsettled_orders_raise(monkeypatch):
+    # a full and a half order that disagree must not widen the pass by
+    # their difference; the scheme fails instead, as tanh-sinh does
+    real = numeric.roots_jacobi
+    order = QuadConfig().order
+
+    def skewed(n_nodes, alpha, beta):
+        x, w = real(n_nodes, alpha, beta)
+        return (x, w) if n_nodes == order else (0.9 * x, w)
+
+    monkeypatch.setattr(numeric, "roots_jacobi", skewed)
+    gj = QuadConfig(scheme="gauss_jacobi_commutative", tolerance=1e-10)
+    with pytest.raises(QuadratureError) as exc:
+        quasi_orth_integral(POSITIVE, 1, 2, "right", qcfg=gj)
+    assert exc.value.estimated_error > gj.tolerance / 10
 
 
 def test_quasi_orth_mild_negative_exponents():

@@ -2,7 +2,9 @@ import random
 
 import numpy as np
 import pytest
-from oracles import derivation_oracle, induced_action, to_sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import derivation_matrix, derivation_oracle, induced_action, to_sympy
 
 from mvjacobi.errors import ResonanceError
 from mvjacobi.operators import (
@@ -85,6 +87,16 @@ def test_build_D_matches_pointwise_derivation_oracle():
                 w = rand_point(rng, d)
                 got = evaluate(space, D.apply(coords), w)
                 assert got == derivation_oracle(space, M.rows, coords, w)
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=st.integers(1, 3), n=st.integers(1, 3), seed=st.integers(0, 10**6),
+       commutative=st.booleans())
+def test_build_D_matches_sympy_derivation(d, n, seed, commutative):
+    spec = random_problem_spec(random.Random(seed), d, n, commutative=commutative,
+                               avoid_shifts=None)
+    assert build_D(spec, 1) == derivation_matrix(spec.space, spec.M1)
+    assert build_D(spec, 2) == derivation_matrix(spec.space, spec.M2)
 
 
 def test_build_D_rejects_bad_kind():
@@ -203,9 +215,10 @@ def test_induced_action_identity_and_errors():
 
 def test_induced_action_float_matches_exact():
     rng = random.Random(29)
-    for d, n in [(2, 3), (3, 2)]:
+    fixed = {1: RatMatrix([["-3/2"]]), 2: RatMatrix([[1, "1/2"], ["-1/3", "3/4"]])}
+    for d, n in [(1, 3), (2, 1), (2, 3), (3, 2)]:
         space = enumerate_basis(d, n)
-        Y = RatMatrix([[1, "1/2"], ["-1/3", "3/4"]]) if d == 2 else random_matrix(rng, d)
+        Y = fixed[d] if d in fixed else random_matrix(rng, d)
         if to_sympy(Y).det() == 0:
             continue
         exact = induced_action(Y, space)
