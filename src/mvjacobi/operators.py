@@ -31,8 +31,6 @@ from dataclasses import dataclass
 from functools import lru_cache, cached_property
 from typing import Sequence
 
-import numpy as np
-
 from .polyspace import PolySpace, enumerate_basis
 from .ratmat import RatMatrix
 from .rational import ZERO
@@ -166,13 +164,16 @@ def _monomial_image(Y_rows: Sequence[Sequence[float]], m: Sequence[int]) -> dict
     return acc
 
 
-def induced_action_float(Y, space: PolySpace) -> np.ndarray:
+def induced_action_float(Y, space: PolySpace) -> "numpy.ndarray":
     """Matrix of q |-> Y^{-1} q(Y w) on the monomial basis, for a float Y.
 
     The basis runs over monomials with the slot as the inner index, so the
     matrix is S (x) Y^{-1}, where S substitutes Y w into the scalar
-    monomials of degree n.
+    monomials of degree n.  Only the numeric layer calls this, so numpy
+    is imported here and the exact commands never load it.
     """
+    import numpy as np
+
     Y = np.asarray(Y, dtype=float)
     if Y.shape != (space.d, space.d):
         raise ValueError(f"Y must be {space.d} x {space.d}")

@@ -1,22 +1,18 @@
-"""Exact rational scalar used throughout the algebraic core.
+"""Exact rational scalar at the boundary of the algebraic core.
 
-gmpy2's mpq is preferred when installed (same semantics as
-fractions.Fraction, roughly an order of magnitude faster on the dense
-operator products); fractions.Fraction is the fallback.  Either way a
-value is always in lowest terms with positive denominator, serializes
-as a "p/q" (or bare "p") string, and interoperates with ints.
+Rat is fractions.Fraction: always in lowest terms with positive
+denominator, serialized as a "p/q" (or bare "p") string, and
+interoperable with ints.  It is what problem files parse to, what
+reports format, and what RatMatrix takes and hands back.  Matrix
+arithmetic runs on integer numerators over one common denominator
+(see ratmat.py); only scalars and coefficient vectors are Fractions.
 
 Floats never enter here; the numeric layer converts explicitly.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-try:
-    from gmpy2 import mpq as Rat
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    Rat = Fraction
+from fractions import Fraction as Rat
 
 ZERO = Rat(0)
 ONE = Rat(1)

@@ -1,9 +1,13 @@
 """Dense exact rational matrices and vectors.
 
-RatMatrix is immutable (rows stored as tuples), hashable, and exact:
-sums and products never round.  Diagonal matrices are detected once and
-get O(N^2) fast paths in the product; the operator algebra upstream
-multiplies by diagonal shifts constantly, so this matters.
+A RatMatrix is an integer numerator matrix `num` (a tuple of int tuples)
+over one denominator `den` > 0, the fmpq_mat layout of FLINT in plain
+Python ints.  Every result is divided through by gcd(den, all of num),
+so the zero matrix has den 1, the form is unique, and equality and
+hashing compare (num, den).  All arithmetic runs on ints; Fraction
+appears only at the boundary: the constructor's entries, the cached
+`rows` and `diag` views, and the vector `apply` returns.  Diagonal
+matrices are detected once and get O(N^2) fast paths in the product.
 
 Inversion is diagonal-only: A + B is required to be diagonal, so the
 derivation D1 and every shift or product of shifts of it is diagonal,
@@ -13,36 +17,57 @@ and those are the only operators the construction ever inverts.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import chain
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
-from .rational import ONE, Rat, ZERO
+from .rational import Rat, ZERO
 
 RatVector = tuple  # length-N tuple of Rat
 
 
 class RatMatrix:
-    """Immutable matrix of exact rationals."""
+    """Immutable matrix of exact rationals: integer numerators over one denominator."""
 
-    __slots__ = ("rows", "__dict__")
+    __slots__ = ("num", "den", "__dict__")
 
     def __init__(self, rows: Iterable[Iterable]):
-        self.rows = tuple(tuple(Rat(e) for e in row) for row in rows)
-        if not self.rows:
+        rows = tuple(tuple(Rat(e) for e in row) for row in rows)
+        if not rows:
             raise ValueError("matrix needs at least one row")
-        width = len(self.rows[0])
-        if width == 0 or any(len(r) != width for r in self.rows):
+        width = len(rows[0])
+        if width == 0 or any(len(r) != width for r in rows):
             raise ValueError("ragged or empty matrix rows")
+        # the lcm of lowest-terms denominators is already normalized
+        self.den = lcm(*(e.denominator for row in rows for e in row))
+        self.num = tuple(
+            tuple(e.numerator * (self.den // e.denominator) for e in row) for row in rows
+        )
+        self.rows = rows  # fills the cached Fraction view
+
+    @staticmethod
+    def _normal(num: tuple, den: int) -> "RatMatrix":
+        """num / den (den > 0) divided through by gcd(den, every numerator)."""
+        g = gcd(den, *chain.from_iterable(num))
+        if g != 1:
+            num = tuple(tuple(e // g for e in row) for row in num)
+            den //= g
+        out = object.__new__(RatMatrix)
+        out.num = num
+        out.den = den
+        return out
 
     # -- constructors ------------------------------------------------
 
     @staticmethod
     def identity(n: int) -> "RatMatrix":
-        return RatMatrix([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        return RatMatrix._normal(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1)
 
     @staticmethod
     def zeros(nrows: int, ncols: Optional[int] = None) -> "RatMatrix":
         ncols = nrows if ncols is None else ncols
-        return RatMatrix([[ZERO] * ncols for _ in range(nrows)])
+        return RatMatrix._normal(((0,) * ncols,) * nrows, 1)
 
     @staticmethod
     def diagonal(entries: Sequence) -> "RatMatrix":
@@ -50,15 +75,15 @@ class RatMatrix:
         n = len(ents)
         return RatMatrix([[ents[i] if i == j else ZERO for j in range(n)] for i in range(n)])
 
-    # -- shape / predicates -------------------------------------------
+    # -- shape / predicates / Fraction views ----------------------------
 
     @property
     def nrows(self) -> int:
-        return len(self.rows)
+        return len(self.num)
 
     @property
     def ncols(self) -> int:
-        return len(self.rows[0])
+        return len(self.num[0])
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -70,88 +95,86 @@ class RatMatrix:
 
     @cached_property
     def is_zero(self) -> bool:
-        return all(not e for row in self.rows for e in row)
+        return not any(map(any, self.num))
+
+    @cached_property
+    def rows(self) -> tuple:
+        """Entries as a tuple of Fraction tuples."""
+        return tuple(tuple(Rat(e, self.den) for e in row) for row in self.num)
 
     @cached_property
     def diag(self) -> Optional[tuple]:
-        """Diagonal entries if the matrix is square diagonal, else None."""
+        """Diagonal entries (Fractions) if the matrix is square diagonal, else None."""
         if not self.is_square:
             return None
-        for i, row in enumerate(self.rows):
-            for j, e in enumerate(row):
-                if i != j and e:
-                    return None
-        return tuple(row[i] for i, row in enumerate(self.rows))
+        for i, row in enumerate(self.num):
+            if any(row[:i]) or any(row[i + 1:]):
+                return None
+        return tuple(Rat(row[i], self.den) for i, row in enumerate(self.num))
 
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
         self._check_same_shape(other)
-        return RatMatrix(
-            tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)
-        )
+        den = lcm(self.den, other.den)  # both sides over the common denominator
+        fa, fb = den // self.den, den // other.den
+        return RatMatrix._normal(tuple(tuple(fa * a + fb * b for a, b in zip(ra, rb))
+                                       for ra, rb in zip(self.num, other.num)), den)
 
     def __sub__(self, other: "RatMatrix") -> "RatMatrix":
-        self._check_same_shape(other)
-        return RatMatrix(
-            tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)
-        )
+        return self + -other
 
     def __neg__(self) -> "RatMatrix":
-        return RatMatrix(tuple(-e for e in row) for row in self.rows)
+        return RatMatrix._normal(tuple(tuple(-e for e in row) for row in self.num), self.den)
 
     def scale(self, c) -> "RatMatrix":
         c = Rat(c)
-        return RatMatrix(tuple(c * e for e in row) for row in self.rows)
+        return RatMatrix._normal(tuple(tuple(c.numerator * e for e in row) for row in self.num),
+                                 self.den * c.denominator)
 
     def plus_scalar(self, c) -> "RatMatrix":
         """self + c * identity."""
         if not self.is_square:
             raise ValueError("scalar shift needs a square matrix")
         c = Rat(c)
-        return RatMatrix(
-            tuple(e + c if i == j else e for j, e in enumerate(row))
-            for i, row in enumerate(self.rows)
-        )
+        q, shift = c.denominator, c.numerator * self.den
+        out = []
+        for i, row in enumerate(self.num):
+            row = [q * e for e in row]
+            row[i] += shift
+            out.append(tuple(row))
+        return RatMatrix._normal(tuple(out), self.den * q)
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.ncols != other.nrows:
             raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
-        d = self.diag
-        if d is not None:
-            return RatMatrix(
-                tuple(di * e for e in row) if di else (ZERO,) * other.ncols
-                for di, row in zip(d, other.rows)
-            )
-        d = other.diag
-        if d is not None:
-            return RatMatrix(
-                tuple(e * dj if dj else ZERO for e, dj in zip(row, d)) for row in self.rows
-            )
-        cols = tuple(zip(*other.rows))
-        return RatMatrix(
-            tuple(sum(a * b for a, b in zip(row, col) if a) for col in cols)
-            for row in self.rows
-        )
+        den = self.den * other.den
+        if self.diag is not None:
+            return RatMatrix._normal(tuple(tuple(row[i] * e for e in orow) for i, (row, orow)
+                                           in enumerate(zip(self.num, other.num))), den)
+        if other.diag is not None:
+            d = [row[j] for j, row in enumerate(other.num)]
+            return RatMatrix._normal(tuple(tuple(map(mul, row, d)) for row in self.num), den)
+        cols = tuple(zip(*other.num))
+        return RatMatrix._normal(
+            tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in self.num), den)
 
     def apply(self, vec: Sequence) -> RatVector:
-        """Matrix-vector product (vector of Rat)."""
+        """Matrix-vector product (vector of Rat), over one common denominator."""
         if len(vec) != self.ncols:
             raise ValueError(f"vector length {len(vec)} != {self.ncols} columns")
-        d = self.diag
-        if d is not None:
-            return tuple(di * v for di, v in zip(d, vec))
-        return tuple(
-            sum((a * v for a, v in zip(row, vec) if a), ZERO) for row in self.rows
-        )
+        vden = lcm(*(v.denominator for v in vec))
+        vnum = [v.numerator * (vden // v.denominator) for v in vec]
+        den = self.den * vden
+        return tuple(Rat(sum(map(mul, row, vnum)), den) for row in self.num)
 
     # -- comparison ----------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, RatMatrix) and self.rows == other.rows
+        return isinstance(other, RatMatrix) and self.den == other.den and self.num == other.num
 
     def __hash__(self) -> int:
-        return hash(self.rows)
+        return hash((self.num, self.den))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(e) for e in row) for row in self.rows)
@@ -166,12 +189,15 @@ class RatMatrix:
         the diagonal D1, so only the diagonal case is supported; any other
         input, and a zero diagonal entry, raise ValueError.
         """
-        d = self.diag
-        if d is None:
+        if self.diag is None:
             raise ValueError("inverse needs a square diagonal matrix")
+        d = [row[i] for i, row in enumerate(self.num)]
         if not all(d):
             raise ValueError("singular matrix (zero diagonal entry)")
-        return RatMatrix.diagonal([ONE / e for e in d])
+        # 1 / (d_i / den) = den * (L / d_i) / L with L = lcm(d)
+        L = lcm(*d)
+        return RatMatrix._normal(tuple(tuple(self.den * (L // e) if i == j else 0
+                                             for j in range(len(d))) for i, e in enumerate(d)), L)
 
     def _check_same_shape(self, other: "RatMatrix") -> None:
         if self.shape != other.shape:

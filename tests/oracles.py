@@ -143,8 +143,8 @@ def derivation_oracle(space: PolySpace, M_rows, coords, w) -> tuple:
     return tuple(out)
 
 
-def derivation_matrix(space: PolySpace, M) -> RatMatrix:
-    """Exact matrix of q |-> (grad q)(M w) - M q on the monomial basis.
+def derivation_sympy(space: PolySpace, M) -> sympy.Matrix:
+    """Exact sympy matrix of q |-> (grad q)(M w) - M q on the monomial basis.
 
     Each basis element w^m e_j is written as a sympy vector of
     polynomials, the derivation is applied symbolically, and the
@@ -153,17 +153,58 @@ def derivation_matrix(space: PolySpace, M) -> RatMatrix:
     d = space.d
     Ms = to_sympy(M)
     w = sympy.Matrix(sympy.symbols(f"w1:{d + 1}"))
-    cols = []
-    for b in space.basis:
+    out = sympy.zeros(space.N, space.N)
+    for c, b in enumerate(space.basis):
         mono = sympy.Mul(*[wi ** mi for wi, mi in zip(w, b.m)])
         q = sympy.Matrix([mono if r == b.j - 1 else 0 for r in range(d)])
         image = q.jacobian(w) * (Ms * w) - Ms * q
-        col = [ZERO] * space.N
         for r in range(d):
-            for mm, c in sympy.Poly(sympy.expand(image[r]), *w).as_dict().items():
-                col[space.index_of(mm, r + 1)] = Rat(int(c.p), int(c.q))
-        cols.append(col)
-    return RatMatrix([[cols[c][r] for c in range(space.N)] for r in range(space.N)])
+            for mm, coeff in sympy.Poly(sympy.expand(image[r]), *w).as_dict().items():
+                out[space.index_of(mm, r + 1), c] = coeff
+    return out
+
+
+def derivation_matrix(space: PolySpace, M) -> RatMatrix:
+    """derivation_sympy as a RatMatrix."""
+    Ds = derivation_sympy(space, M)
+    return RatMatrix([[Rat(int(e.p), int(e.q)) for e in Ds.row(r)] for r in range(space.N)])
+
+
+def recurrence_oracle(space: PolySpace, M1, M2, k: int) -> tuple:
+    """alpha_k, beta_k, gamma_k as sympy matrices, solved by sympy.
+
+    For k >= 1 the x^2, x and constant coefficients of the quadratic
+    operator identity give, solved in this order,
+        (D1 + 2k + 1)(D1 + 2k + 2) alpha = D1 + k + 1,
+        ((4k + 2) D2 + D1 D2 + D2 D1) alpha + (D1 + 2k) beta = D2,
+        (D2^2 - D1 - 2k - 2) alpha + D2 beta + gamma = (k - 1) I.
+    At k = 0, matching x P_0 = P_1 alpha_0 + P_0 beta_0 with
+    P_1 = x (D1 + 2) + D2 gives (D1 + 2) alpha_0 = I,
+    D2 alpha_0 + beta_0 = 0, and gamma_0 = 0.
+    """
+    D1, D2 = derivation_sympy(space, M1), derivation_sympy(space, M2)
+    I = sympy.eye(space.N)
+    if k == 0:
+        alpha = (D1 + 2 * I).solve(I)
+        return alpha, -D2 * alpha, sympy.zeros(space.N, space.N)
+    alpha = ((D1 + (2 * k + 1) * I) * (D1 + (2 * k + 2) * I)).solve(D1 + (k + 1) * I)
+    mid = (4 * k + 2) * D2 + D1 * D2 + D2 * D1
+    beta = (D1 + 2 * k * I).solve(D2 - mid * alpha)
+    gamma = (k - 1) * I - (D2 * D2 - D1 - (2 * k + 2) * I) * alpha - D2 * beta
+    return alpha, beta, gamma
+
+
+def seeded_member_sympy(D1: sympy.Matrix, D2: sympy.Matrix, j: int, q, x) -> sympy.Matrix:
+    """P_j(x) q as a column of polynomials in the sympy symbol x.
+
+    The factors A_i r = x (2i + D1) r + D2 r + (x^2 - 1) dr/dx are
+    applied to the constant column q for i = j, j - 1, ..., 1.
+    """
+    r = to_sympy([q]).T
+    I = sympy.eye(D1.rows)
+    for i in range(j, 0, -1):
+        r = (x * (D1 + 2 * i * I) * r + D2 * r + (x ** 2 - 1) * r.diff(x)).expand()
+    return r
 
 
 def commutative_weight_entry(a_diag, b_diag, m, j: int, x: float) -> float:

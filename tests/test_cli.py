@@ -384,9 +384,9 @@ def run_python(*args):
 
 
 def test_cli_import_loads_no_scipy():
-    # only the quadrature command needs the numeric layer
-    out = run_python("-c", "import sys, mvjacobi.cli; "
-                           "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    # only the quadrature command needs the numeric layer, and with it numpy
+    out = run_python("-c", "import sys, mvjacobi.cli; print(sorted(m for m in sys.modules "
+                           "if m.split('.')[0] in ('scipy', 'numpy')))")
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
 

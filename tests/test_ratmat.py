@@ -1,6 +1,10 @@
 import re
+from fractions import Fraction
+from itertools import chain
+from math import gcd
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -231,6 +235,91 @@ def test_rank_matches_reference_and_kernel_annihilates(entries):
     else:
         assert not vec_is_zero(kern)
         assert vec_is_zero(M.apply(kern))
+
+
+# -- integer core against sympy ---------------------------------------------
+
+# mixed denominators, with zeros common enough to give zero rows and zero
+# diagonal entries
+mixed = st.one_of(st.just(Fraction(0)),
+                  st.builds(Fraction, st.integers(-40, 40), st.sampled_from([1, 2, 3, 4, 6, 9, 35])))
+
+
+@st.composite
+def raw_matrix(draw, nrows, ncols, diagonal=False):
+    """Rows of Fractions (the input both sides are built from)."""
+    if diagonal:
+        d = draw(st.lists(mixed, min_size=nrows, max_size=nrows))
+        return [[d[i] if i == j else Fraction(0) for j in range(ncols)] for i in range(nrows)]
+    rows = [draw(st.lists(mixed, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    for i in draw(st.sets(st.integers(0, nrows - 1), max_size=nrows)):
+        rows[i] = [Fraction(0)] * ncols
+    return rows
+
+
+def sym(rows) -> sympy.Matrix:
+    return sympy.Matrix([[sympy.Rational(e.numerator, e.denominator) for e in row]
+                         for row in rows])
+
+
+def check_normal_and_equal(M: RatMatrix, expected: sympy.Matrix) -> None:
+    """M is in normal form and has the value of the sympy matrix."""
+    assert M.den > 0
+    assert gcd(M.den, *chain.from_iterable(M.num)) == 1
+    if not any(chain.from_iterable(M.num)):
+        assert M.den == 1
+    # the value, read from (num, den) and not from the Fraction view
+    assert sympy.Matrix(M.num) / M.den == expected
+    assert M.rows == tuple(tuple(Fraction(int(e.p), int(e.q)) for e in expected.row(i))
+                           for i in range(expected.rows))
+    # equal values built from scratch have the same form and hash
+    same = RatMatrix([[Fraction(int(e.p), int(e.q)) for e in expected.row(i)]
+                      for i in range(expected.rows)])
+    assert (same.num, same.den) == (M.num, M.den)
+    assert same == M and hash(same) == hash(M)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_products_match_sympy(data):
+    n, m, p = (data.draw(st.integers(1, 5)) for _ in range(3))
+    a, b = data.draw(raw_matrix(n, m)), data.draw(raw_matrix(m, p))
+    dl, dr = data.draw(raw_matrix(n, n, True)), data.draw(raw_matrix(m, m, True))
+    A, B, Dl, Dr = map(RatMatrix, (a, b, dl, dr))
+    check_normal_and_equal(A @ B, sym(a) * sym(b))  # dense
+    check_normal_and_equal(Dl @ A, sym(dl) * sym(a))  # diagonal left
+    check_normal_and_equal(A @ Dr, sym(a) * sym(dr))  # diagonal right
+    check_normal_and_equal(Dl @ Dl, sym(dl) * sym(dl))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_ring_operations_and_apply_match_sympy(data):
+    n, m = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    a, b = data.draw(raw_matrix(n, m)), data.draw(raw_matrix(n, m))
+    sq = data.draw(raw_matrix(n, n))
+    c = data.draw(mixed)
+    cs = sympy.Rational(c.numerator, c.denominator)
+    A, B, S = RatMatrix(a), RatMatrix(b), RatMatrix(sq)
+    check_normal_and_equal(A, sym(a))
+    check_normal_and_equal(A + B, sym(a) + sym(b))
+    check_normal_and_equal(A - B, sym(a) - sym(b))
+    check_normal_and_equal(A - A, sympy.zeros(n, m))
+    check_normal_and_equal(-A, -sym(a))
+    check_normal_and_equal(A.scale(c), sym(a) * cs)
+    check_normal_and_equal(S.plus_scalar(c), sym(sq) + cs * sympy.eye(n))
+    v = data.draw(st.lists(mixed, min_size=m, max_size=m))
+    out = A.apply(tuple(v))
+    assert all(type(e) is Fraction for e in out)
+    assert sym([out]).T == sym(a) * sym([v]).T
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_inverse_matches_sympy(data):
+    n = data.draw(st.integers(1, 5))
+    d = data.draw(st.lists(mixed.filter(bool), min_size=n, max_size=n))
+    check_normal_and_equal(RatMatrix.diagonal(d).inverse(), sympy.diag(*sym([d])).inv())
 
 
 # -- vector helpers ----------------------------------------------------------

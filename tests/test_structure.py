@@ -5,7 +5,15 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import jacobi_binomial_sum, poly_eval, binom_rat, to_sympy
+from oracles import (
+    binom_rat,
+    derivation_sympy,
+    jacobi_binomial_sum,
+    poly_eval,
+    recurrence_oracle,
+    seeded_member_sympy,
+    to_sympy,
+)
 
 from mvjacobi import structure
 from mvjacobi.errors import ResonanceError
@@ -175,6 +183,39 @@ def test_resonance_rank_and_kernel_match_sympy(data):
     kernel = to_sympy([err.kernel]).T
     assert any(kernel) and op * kernel == sympy.zeros(space.N, 1)
     assert sympy.Matrix.hstack(*null, kernel).rank() == len(null)
+
+
+# sympy differential tests: d, n in {1, 2, 3} and k <= 3 on problems with no
+# resonance at the shifts 2..14, so every operator inverted below is regular
+exact_problems = dict(d=st.integers(1, 3), n=st.integers(1, 3), k=st.integers(0, 3),
+                      seed=st.integers(0, 10**6), commutative=st.booleans())
+
+
+@settings(max_examples=25, deadline=None)
+@given(**exact_problems)
+def test_recurrence_coeffs_match_sympy(d, n, k, seed, commutative):
+    spec = random_problem_spec(random.Random(seed), d, n, commutative=commutative)
+    rc = recurrence_coeffs(spec, k)
+    expected = recurrence_oracle(spec.space, spec.M1, spec.M2, k)
+    assert tuple(map(to_sympy, (rc.alpha, rc.beta, rc.gamma))) == expected
+
+
+@settings(max_examples=25, deadline=None)
+@given(**exact_problems)
+def test_expand_matches_sympy_reconstruction(d, n, k, seed, commutative):
+    rng = random.Random(seed)
+    spec = random_problem_spec(rng, d, n, commutative=commutative)
+    f = random_vector_poly(rng, spec.space, k)
+    coefficients = expand(spec, f).coefficients
+    assert len(coefficients) == k + 1
+    D1, D2 = derivation_sympy(spec.space, spec.M1), derivation_sympy(spec.space, spec.M2)
+    x = sympy.Symbol("x")
+    total = sympy.zeros(spec.space.N, 1)
+    for j, q in enumerate(coefficients):
+        total += seeded_member_sympy(D1, D2, j, q, x)
+    target = sum((to_sympy([c]).T * x ** i for i, c in enumerate(f.coeffs)),
+                 sympy.zeros(spec.space.N, 1))
+    assert (total - target).expand() == sympy.zeros(spec.space.N, 1)
 
 
 # -- completeness --------------------------------------------------------------
