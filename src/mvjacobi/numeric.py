@@ -40,7 +40,8 @@ from .structure import build_tilde_Pk
 X_CAP = 1.0 - 1e-12  # ODE solutions are only taken this close to +-1
 _DE_TMAX = 6.0
 _DE_FIRST_LEVEL = 4
-_DELTA_FLOOR = 5e-300
+_DELTA_FLOOR = 5e-300  # tanh-sinh nodes closer than this to an endpoint are dropped
+_MAX_STEP = 0.05  # largest ODE step in the x chart
 
 
 def _require_finite(cfg, fields: Sequence[str]) -> None:
@@ -54,16 +55,13 @@ class OdeConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     basepoint: float = 0.0
-    max_step: float = 0.05
 
     def __post_init__(self):
-        _require_finite(self, ("rel_tol", "abs_tol", "basepoint", "max_step"))
+        _require_finite(self, ("rel_tol", "abs_tol", "basepoint"))
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
         if not -1.0 < self.basepoint < 1.0:
             raise ValueError("basepoint must lie strictly inside (-1, 1)")
-        if self.max_step <= 0:
-            raise ValueError("max_step must be positive")
 
 
 @dataclass(frozen=True)
@@ -71,19 +69,16 @@ class QuadConfig:
     scheme: str = "double_exponential"
     levels: int = 10
     order: int = 120
-    endpoint_clip: float = 0.0
     tolerance: float = 1e-8
 
     def __post_init__(self):
-        _require_finite(self, ("endpoint_clip", "tolerance"))
+        _require_finite(self, ("tolerance",))
         if self.scheme not in ("double_exponential", "gauss_jacobi_commutative"):
             raise ValueError(f"unknown quadrature scheme {self.scheme!r}")
         if self.levels < _DE_FIRST_LEVEL + 1:
             raise ValueError(f"levels must be >= {_DE_FIRST_LEVEL + 1}")
         if self.order < 1:
             raise ValueError("order must be >= 1")
-        if not 0.0 <= self.endpoint_clip < 0.5:
-            raise ValueError("endpoint_clip must lie in [0, 0.5)")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
 
@@ -173,7 +168,7 @@ class _FundamentalSolver:
             target = self.switch if direction > 0 else -self.switch
             self._central[direction] = self._run(
                 self._rhs_x, (self.cfg.basepoint, target),
-                np.eye(self.d).ravel(), self.cfg.max_step,
+                np.eye(self.d).ravel(), _MAX_STEP,
                 f"x chart toward {target:+g}",
             ).sol
         return self._central[direction]
@@ -284,7 +279,7 @@ def ode_vs_closed_form_report(spec: ProblemSpec, cfg: Optional[OdeConfig] = None
 Integrand = Callable[[float, float, float], np.ndarray]
 
 
-def _de_nodes(level: int, clip: float) -> tuple[np.ndarray, ...]:
+def _de_nodes(level: int) -> tuple[np.ndarray, ...]:
     """Nodes x, distances 1 - x and 1 + x, and weights / h of one level.
 
     The first level takes every node t = i h; later levels take only the
@@ -297,7 +292,7 @@ def _de_nodes(level: int, clip: float) -> tuple[np.ndarray, ...]:
     u = 0.5 * math.pi * np.sinh(t)
     eu = np.exp(-2.0 * np.abs(u))
     delta = 2.0 * eu / (1.0 + eu)  # 1 - |tanh(u)|, exact to the last bit
-    keep = delta > max(clip, _DELTA_FLOOR)
+    keep = delta > _DELTA_FLOOR
     t, u, delta = t[keep], u[keep], delta[keep]
     x = np.copysign(1.0 - delta, u)
     dist_minus = np.where(u >= 0, delta, 2.0 - delta)
@@ -322,7 +317,7 @@ def de_integrate(integrand: Integrand, qcfg: QuadConfig,
     prev = None
     est = math.inf
     for level in range(_DE_FIRST_LEVEL, qcfg.levels + 1):
-        x, dist_minus, dist_plus, w = _de_nodes(level, qcfg.endpoint_clip)
+        x, dist_minus, dist_plus, w = _de_nodes(level)
         total = total + np.sum(np.stack([
             wi * np.asarray(integrand(xi, dm, dp), dtype=float)
             for xi, dm, dp, wi in zip(x.tolist(), dist_minus.tolist(),
@@ -379,6 +374,7 @@ class IntegrabilityReport:
         }
 
 
+@lru_cache(maxsize=None)
 def integrability_check(spec: ProblemSpec, space: PolySpace,
                         j: int = 0, k: int = 0) -> IntegrabilityReport:
     """Endpoint-exponent advisory for the weighted integrals.

@@ -1,10 +1,13 @@
 """Polynomials in x with operator or coefficient-vector values.
 
-OpPoly holds an operator-valued polynomial: a list of N x N exact
-matrices indexed by the power of x, acting on a fixed coefficient
-space.  VectorPoly is the same with length-N coefficient vectors.  Both
-keep the invariant that the highest stored coefficient is nonzero, with
-the zero polynomial stored as an empty list (degree -1).
+OpPoly holds an operator-valued polynomial: one N x N exact matrix per
+power of x, acting on a fixed coefficient space.  VectorPoly is the
+same with one N x 1 column per power of x, so both run the same ring
+operations on RatMatrix; VectorPoly converts to and from length-N
+tuples of Fractions only at its constructor, `coeffs`, `coeff_at`,
+`leading` and `eval`.  Both keep the invariant that the highest stored
+coefficient is nonzero, with the zero polynomial stored as an empty
+tuple (degree -1).
 
 The degree-k family member is the nested product
 
@@ -24,101 +27,140 @@ from typing import Iterable, Sequence, Union
 
 from .operators import ProblemSpec, build_D, dominant_coefficient
 from .polyspace import PolySpace, PolyVector
-from .ratmat import RatMatrix, vec_add, vec_is_zero, vec_scale, vec_zero
+from .ratmat import RatMatrix
 from .rational import Rat
 
 
 class _PolyBase:
-    """Shared coefficient-list mechanics; subclasses fix the value type."""
+    """Shared coefficient-list mechanics on RatMatrix coefficients.
 
-    __slots__ = ("coeffs", "space")
+    `mats` holds one matrix per power of x, lowest first, each of the
+    subclass's `_shape`.  `_coerce` and `_out` convert one coefficient
+    from and to its public form; here that form is the matrix itself.
+    """
+
+    __slots__ = ("mats", "space")
 
     def __init__(self, coeffs: Iterable, space: PolySpace):
-        cs = tuple(coeffs)
-        while cs and self._value_is_zero(cs[-1]):
-            cs = cs[:-1]
-        for c in cs:
-            self._check_value(c, space)
-        object.__setattr__(self, "coeffs", cs)
+        self._set(tuple(self._coerce(c, space) for c in coeffs), space)
+
+    @classmethod
+    def from_mats(cls, mats: Iterable[RatMatrix], space: PolySpace):
+        """The polynomial with these RatMatrix coefficients, lowest power first."""
+        out = object.__new__(cls)
+        out._set(tuple(mats), space)
+        return out
+
+    def _set(self, mats: tuple, space: PolySpace) -> None:
+        shape = self._shape(space)
+        if any(m.shape != shape for m in mats):
+            raise ValueError(f"coefficient must be a {shape[0]} x {shape[1]} matrix")
+        while mats and mats[-1].is_zero:
+            mats = mats[:-1]
+        object.__setattr__(self, "mats", mats)
         object.__setattr__(self, "space", space)
+
+    @staticmethod
+    def _coerce(v, space: PolySpace) -> RatMatrix:
+        if not isinstance(v, RatMatrix):
+            raise ValueError(f"coefficient must be a RatMatrix, got {type(v).__name__}")
+        return v
+
+    @staticmethod
+    def _out(v: RatMatrix):
+        return v
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    @classmethod
+    def zero(cls, space: PolySpace):
+        return cls((), space)
+
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.mats) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.mats
 
-    def coeff_at(self, i: int):
+    def _zero(self) -> RatMatrix:
+        return RatMatrix.zeros(*self._shape(self.space))
+
+    def mat_at(self, i: int) -> RatMatrix:
+        """The RatMatrix coefficient of x^i (zero above the degree)."""
         if i < 0:
             raise ValueError("coefficient index must be >= 0")
-        return self.coeffs[i] if i <= self.degree else self._zero_value()
+        return self.mats[i] if i <= self.degree else self._zero()
+
+    @property
+    def coeffs(self) -> tuple:
+        return tuple(map(self._out, self.mats))
+
+    def coeff_at(self, i: int):
+        return self._out(self.mat_at(i))
 
     def leading(self):
-        return self.coeffs[-1] if self.coeffs else self._zero_value()
+        return self._out(self.mats[-1] if self.mats else self._zero())
+
+    def eval(self, x):
+        """Exact Horner evaluation at a rational point."""
+        x = Rat(x)
+        acc = self._zero()
+        for v in reversed(self.mats):
+            acc = acc.scale(x) + v
+        return self._out(acc)
 
     # -- ring operations ------------------------------------------------
 
     def add(self, other):
         self._check_space(other)
-        a, b = self.coeffs, other.coeffs
+        a, b = self.mats, other.mats
         if len(a) < len(b):
             a, b = b, a
-        merged = [self._value_add(x, y) for x, y in zip(a, b)]
-        merged.extend(a[len(b):])
-        return type(self)(merged, self.space)
+        return self.from_mats([x + y for x, y in zip(a, b)] + list(a[len(b):]), self.space)
 
     def scale(self, c):
         c = Rat(c)
-        return type(self)((self._value_scale(c, v) for v in self.coeffs), self.space)
+        return self.from_mats((v.scale(c) for v in self.mats), self.space)
 
     def mul_by_x(self):
-        if not self.coeffs:
-            return self
-        return type(self)((self._zero_value(),) + self.coeffs, self.space)
+        return self.from_mats((self._zero(),) + self.mats, self.space)
 
     def mul_by_Q(self):
         """Multiply by the fixed quadratic Q = x^2 - 1."""
-        if not self.coeffs:
-            return self
-        out = [self._value_scale(Rat(-1), v) for v in self.coeffs]
-        out.extend(self._zero_value() for _ in range(2))
-        for i, v in enumerate(self.coeffs):
-            out[i + 2] = self._value_add(out[i + 2], v)
-        return type(self)(out, self.space)
+        z = self._zero()
+        out = [-v for v in self.mats] + [z, z]
+        for i, v in enumerate(self.mats):
+            out[i + 2] = out[i + 2] + v
+        return self.from_mats(out, self.space)
 
     def d_dx(self):
-        return type(self)(
-            (self._value_scale(Rat(i), v) for i, v in enumerate(self.coeffs) if i),
-            self.space,
-        )
+        return self.from_mats((v.scale(i) for i, v in enumerate(self.mats) if i), self.space)
 
     def lmul(self, M: RatMatrix):
         """Apply a constant operator to every coefficient from the left."""
-        return type(self)((self._value_lmul(M, v) for v in self.coeffs), self.space)
+        return self.from_mats((M @ v for v in self.mats), self.space)
 
     def __add__(self, other):
         return self.add(other)
 
     def __sub__(self, other):
-        return self.add(other.scale(Rat(-1)))
+        return self.add(-other)
 
     def __neg__(self):
-        return self.scale(Rat(-1))
+        return self.from_mats((-v for v in self.mats), self.space)
 
     def __eq__(self, other) -> bool:
         return (
             type(other) is type(self)
             and self.space == other.space
-            and self.coeffs == other.coeffs
+            and self.mats == other.mats
         )
 
     def __hash__(self) -> int:
-        return hash((type(self).__name__, self.space, self.coeffs))
+        return hash((type(self).__name__, self.space, self.mats))
 
     def _check_space(self, other) -> None:
         if type(other) is not type(self):
@@ -131,10 +173,6 @@ class OpPoly(_PolyBase):
     """Operator-valued polynomial in x over a fixed coefficient space."""
 
     @staticmethod
-    def zero(space: PolySpace) -> "OpPoly":
-        return OpPoly((), space)
-
-    @staticmethod
     def constant(M: RatMatrix, space: PolySpace) -> "OpPoly":
         return OpPoly((M,), space)
 
@@ -142,92 +180,46 @@ class OpPoly(_PolyBase):
     def identity(space: PolySpace) -> "OpPoly":
         return OpPoly((RatMatrix.identity(space.N),), space)
 
-    def _check_value(self, v, space: PolySpace) -> None:
-        if not isinstance(v, RatMatrix) or v.shape != (space.N, space.N):
-            raise ValueError(f"coefficient must be a {space.N} x {space.N} matrix")
-
-    def _zero_value(self) -> RatMatrix:
-        return RatMatrix.zeros(self.space.N)
-
     @staticmethod
-    def _value_is_zero(v: RatMatrix) -> bool:
-        return v.is_zero
-
-    @staticmethod
-    def _value_add(a: RatMatrix, b: RatMatrix) -> RatMatrix:
-        return a + b
-
-    @staticmethod
-    def _value_scale(c, v: RatMatrix) -> RatMatrix:
-        return v.scale(c)
-
-    @staticmethod
-    def _value_lmul(M: RatMatrix, v: RatMatrix) -> RatMatrix:
-        return M @ v
+    def _shape(space: PolySpace) -> tuple[int, int]:
+        return (space.N, space.N)
 
     def rmul(self, M: RatMatrix) -> "OpPoly":
         """Multiply every coefficient by a constant operator on the right."""
-        return OpPoly((v @ M for v in self.coeffs), self.space)
-
-    def eval(self, x) -> RatMatrix:
-        """Exact Horner evaluation at a rational point."""
-        x = Rat(x)
-        if not self.coeffs:
-            return self._zero_value()
-        acc = self.coeffs[-1]
-        for v in reversed(self.coeffs[:-1]):
-            acc = acc.scale(x) + v
-        return acc
+        return OpPoly.from_mats((v @ M for v in self.mats), self.space)
 
     def apply_to(self, q: Sequence) -> "VectorPoly":
         """Coefficient-wise application to a constant vector."""
         if len(q) != self.space.N:
             raise ValueError(f"vector length {len(q)} != space dimension {self.space.N}")
-        return VectorPoly((v.apply(q) for v in self.coeffs), self.space)
+        col = RatMatrix.column(q)
+        return VectorPoly.from_mats((v @ col for v in self.mats), self.space)
 
 
 class VectorPoly(_PolyBase):
-    """Coefficient-vector-valued polynomial in x."""
+    """Coefficient-vector-valued polynomial in x: one N x 1 column per power.
 
-    @staticmethod
-    def zero(space: PolySpace) -> "VectorPoly":
-        return VectorPoly((), space)
+    The constructor takes length-N tuples of rationals; `coeffs`,
+    `coeff_at`, `leading` and `eval` return length-N tuples of Fractions.
+    """
 
     @staticmethod
     def constant(q: Sequence, space: PolySpace) -> "VectorPoly":
-        return VectorPoly((tuple(Rat(c) for c in q),), space)
+        return VectorPoly((tuple(q),), space)
 
-    def _check_value(self, v, space: PolySpace) -> None:
+    @staticmethod
+    def _shape(space: PolySpace) -> tuple[int, int]:
+        return (space.N, 1)
+
+    @staticmethod
+    def _coerce(v, space: PolySpace) -> RatMatrix:
         if not isinstance(v, tuple) or len(v) != space.N:
             raise ValueError(f"coefficient must be a length-{space.N} tuple")
-
-    def _zero_value(self) -> PolyVector:
-        return vec_zero(self.space.N)
+        return RatMatrix.column(v)
 
     @staticmethod
-    def _value_is_zero(v: PolyVector) -> bool:
-        return vec_is_zero(v)
-
-    @staticmethod
-    def _value_add(a: PolyVector, b: PolyVector) -> PolyVector:
-        return vec_add(a, b)
-
-    @staticmethod
-    def _value_scale(c, v: PolyVector) -> PolyVector:
-        return vec_scale(c, v)
-
-    @staticmethod
-    def _value_lmul(M: RatMatrix, v: PolyVector) -> PolyVector:
-        return M.apply(v)
-
-    def eval(self, x) -> PolyVector:
-        x = Rat(x)
-        if not self.coeffs:
-            return self._zero_value()
-        acc = self.coeffs[-1]
-        for v in reversed(self.coeffs[:-1]):
-            acc = vec_add(vec_scale(x, acc), v)
-        return acc
+    def _out(v: RatMatrix) -> PolyVector:
+        return tuple(row[0] for row in v.rows)
 
 
 Poly = Union[OpPoly, VectorPoly]

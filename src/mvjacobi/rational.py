@@ -3,9 +3,9 @@
 Rat is fractions.Fraction: always in lowest terms with positive
 denominator, serialized as a "p/q" (or bare "p") string, and
 interoperable with ints.  It is what problem files parse to, what
-reports format, and what RatMatrix takes and hands back.  Matrix
-arithmetic runs on integer numerators over one common denominator
-(see ratmat.py); only scalars and coefficient vectors are Fractions.
+reports format, and what RatMatrix and VectorPoly take and hand back.
+Matrix and coefficient-vector arithmetic runs on integer numerators
+over one common denominator (see ratmat.py); scalars stay Fractions.
 
 Floats never enter here; the numeric layer converts explicitly.
 """

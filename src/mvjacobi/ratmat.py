@@ -1,4 +1,4 @@
-"""Dense exact rational matrices and vectors.
+"""Dense exact rational matrices.
 
 A RatMatrix is an integer numerator matrix `num` (a tuple of int tuples)
 over one denominator `den` > 0, the fmpq_mat layout of FLINT in plain
@@ -6,8 +6,10 @@ Python ints.  Every result is divided through by gcd(den, all of num),
 so the zero matrix has den 1, the form is unique, and equality and
 hashing compare (num, den).  All arithmetic runs on ints; Fraction
 appears only at the boundary: the constructor's entries, the cached
-`rows` and `diag` views, and the vector `apply` returns.  Diagonal
-matrices are detected once and get O(N^2) fast paths in the product.
+`rows` and `diag` views, and the vector `apply` returns.  Coefficient
+vectors are N x 1 matrices, so a matrix-vector product is `@` on a
+column.  Diagonal matrices are detected once and get O(N^2) fast paths
+in the product.
 
 Inversion is diagonal-only: A + B is required to be diagonal, so the
 derivation D1 and every shift or product of shifts of it is diagonal,
@@ -23,8 +25,6 @@ from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .rational import Rat, ZERO
-
-RatVector = tuple  # length-N tuple of Rat
 
 
 class RatMatrix:
@@ -68,6 +68,17 @@ class RatMatrix:
     def zeros(nrows: int, ncols: Optional[int] = None) -> "RatMatrix":
         ncols = nrows if ncols is None else ncols
         return RatMatrix._normal(((0,) * ncols,) * nrows, 1)
+
+    @staticmethod
+    def column(entries: Sequence) -> "RatMatrix":
+        """The N x 1 matrix of a vector of rationals; the entries become `rows`."""
+        rows = tuple((e if type(e) is Rat else Rat(e),) for e in entries)
+        if not rows:
+            raise ValueError("column needs at least one entry")
+        den = lcm(*(e.denominator for (e,) in rows))
+        out = RatMatrix._normal(tuple((e.numerator * (den // e.denominator),) for (e,) in rows), den)
+        out.rows = rows
+        return out
 
     @staticmethod
     def diagonal(entries: Sequence) -> "RatMatrix":
@@ -159,14 +170,9 @@ class RatMatrix:
         return RatMatrix._normal(
             tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in self.num), den)
 
-    def apply(self, vec: Sequence) -> RatVector:
-        """Matrix-vector product (vector of Rat), over one common denominator."""
-        if len(vec) != self.ncols:
-            raise ValueError(f"vector length {len(vec)} != {self.ncols} columns")
-        vden = lcm(*(v.denominator for v in vec))
-        vnum = [v.numerator * (vden // v.denominator) for v in vec]
-        den = self.den * vden
-        return tuple(Rat(sum(map(mul, row, vnum)), den) for row in self.num)
+    def apply(self, vec: Sequence) -> tuple:
+        """Matrix-vector product as a tuple of Rat: `@` on the column of vec."""
+        return tuple(row[0] for row in (self @ RatMatrix.column(vec)).rows)
 
     # -- comparison ----------------------------------------------------
 
@@ -203,29 +209,3 @@ class RatMatrix:
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
 
-
-# -- plain rational vectors ---------------------------------------------
-
-def vec_zero(n: int) -> RatVector:
-    return (ZERO,) * n
-
-
-def vec_add(a: Sequence, b: Sequence) -> RatVector:
-    if len(a) != len(b):
-        raise ValueError("vector length mismatch")
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_sub(a: Sequence, b: Sequence) -> RatVector:
-    if len(a) != len(b):
-        raise ValueError("vector length mismatch")
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_scale(c, a: Sequence) -> RatVector:
-    c = Rat(c)
-    return tuple(c * x for x in a)
-
-
-def vec_is_zero(a: Sequence) -> bool:
-    return all(not x for x in a)

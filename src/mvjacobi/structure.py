@@ -33,7 +33,7 @@ from .errors import ResonanceError
 from .operators import ProblemSpec, build_D, describe_kernel, dominant_coefficient
 from .oppoly import OpPoly, VectorPoly, apply_A, build_Pk, _product_apply
 from .polyspace import PolyVector
-from .ratmat import RatMatrix, vec_is_zero
+from .ratmat import RatMatrix
 from .rational import ONE, Rat, ZERO, falling_factorial
 from .reporting import CheckReport
 from .sampling import random_op_poly, random_vector
@@ -161,12 +161,6 @@ def _dominant_inverse(spec: ProblemSpec, j: int) -> RatMatrix:
     )
 
 
-def _seeded_member(spec: ProblemSpec, j: int, q: PolyVector) -> VectorPoly:
-    """P_j(x) q, by applying the j factors to the constant q."""
-    return _product_apply(build_D(spec, 1), build_D(spec, 2), j,
-                          VectorPoly.constant(q, spec.space))
-
-
 def expand(spec: ProblemSpec, f: VectorPoly) -> Expansion:
     """Unique expansion of f over the family, by leading-term elimination.
 
@@ -175,16 +169,18 @@ def expand(spec: ProblemSpec, f: VectorPoly) -> Expansion:
     """
     if f.space != spec.space:
         raise ValueError("polynomial space does not match the problem space")
+    D1, D2 = build_D(spec, 1), build_D(spec, 2)
     out: list[PolyVector] = []
     rest = f
     for j in range(f.degree, -1, -1):
         if j == 0:
-            qj = rest.coeff_at(0)  # degree-0 dominant coefficient is the identity
+            qj = rest.mat_at(0)  # degree-0 dominant coefficient is the identity
         else:
-            qj = _dominant_inverse(spec, j).apply(rest.coeff_at(j))
-        out.append(qj)
-        if any(qj):
-            rest = rest - _seeded_member(spec, j, qj)
+            qj = _dominant_inverse(spec, j) @ rest.mat_at(j)
+        seed = VectorPoly.from_mats((qj,), f.space)
+        out.append(seed.coeff_at(0))
+        if not seed.is_zero:
+            rest = rest - _product_apply(D1, D2, j, seed)  # P_j(x) q_j
         if rest.degree >= j:
             raise RuntimeError(
                 f"expansion failed to reduce the degree at step {j}; "
@@ -196,10 +192,12 @@ def expand(spec: ProblemSpec, f: VectorPoly) -> Expansion:
 
 def reconstruct(spec: ProblemSpec, expansion: Expansion) -> VectorPoly:
     """Re-assemble sum_j P_j(x) q_j from expansion coefficients."""
+    D1, D2 = build_D(spec, 1), build_D(spec, 2)
     acc = VectorPoly.zero(spec.space)
     for j, qj in enumerate(expansion.coefficients):
-        if not vec_is_zero(qj):
-            acc = acc.add(_seeded_member(spec, j, qj))
+        seed = VectorPoly.constant(qj, spec.space)
+        if not seed.is_zero:
+            acc = acc.add(_product_apply(D1, D2, j, seed))
     return acc
 
 
@@ -442,18 +440,18 @@ def verify_product_identities(spec: ProblemSpec, trials: int = 20,
         j = rng.randint(2, 6)
         deg = rng.randint(0, 4)
         r = random_op_poly(rng, space, deg)
+        Ar = apply_A(j, D1, D2, r)
         lhs = apply_A(j, D1, D2, r.mul_by_x())
-        rhs = apply_A(j, D1, D2, r).mul_by_x().add(r.mul_by_Q())
+        rhs = Ar.mul_by_x().add(r.mul_by_Q())
         report.add(f"trial {t} factor on x r (j={j}, deg {deg})", lhs == rhs)
-        lhs = apply_A(j, D1, D2, r).mul_by_Q()
+        lhs = Ar.mul_by_Q()
         rhs = apply_A(j - 1, D1, D2, r.mul_by_Q())
         report.add(f"trial {t} Q lowers the factor index (j={j})", lhs == rhs)
     for t in range(trials):
         k = rng.randint(1, 5)
         q = random_vector(rng, space.N)
-        xq = VectorPoly((tuple(ZERO for _ in q), q), space)
-        lhs = _product_apply(D1, D2, k, xq)
         const = VectorPoly.constant(q, space)
+        lhs = _product_apply(D1, D2, k, const.mul_by_x())
         rhs = _product_apply(D1, D2, k, const).mul_by_x().add(
             _product_apply(D1, D2, k - 1, const.mul_by_Q()).scale(k)
         )

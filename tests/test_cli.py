@@ -318,6 +318,19 @@ def test_quadrature_json_format(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_quadrature_checks_integrability_once(tmp_path, capsys):
+    # the report printed by the command and the gate inside the integral
+    # share one memoized integrability check
+    from mvjacobi import numeric
+
+    numeric.integrability_check.cache_clear()
+    inp = write_json(tmp_path / "spec.json", COMMUT_2x2)
+    assert main(["quadrature", "--input", inp, "--j", "0", "--k", "2",
+                 "--side", "right"]) == 0
+    assert numeric.integrability_check.cache_info().misses == 1
+    capsys.readouterr()
+
+
 def test_quadrature_integrability_gate(tmp_path, capsys):
     divergent = {"d": 1, "n": 2, "A": [["-5/4"]], "B": [["0"]]}
     inp = write_json(tmp_path / "spec.json", divergent)

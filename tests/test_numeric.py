@@ -54,9 +54,7 @@ def test_ode_config_validation():
         OdeConfig(abs_tol=-1e-9)
     with pytest.raises(ValueError):
         OdeConfig(basepoint=1.0)
-    with pytest.raises(ValueError):
-        OdeConfig(max_step=0.0)
-    for field in ("rel_tol", "abs_tol", "basepoint", "max_step"):
+    for field in ("rel_tol", "abs_tol", "basepoint"):
         for value in (math.nan, math.inf):
             with pytest.raises(ValueError, match="finite"):
                 OdeConfig(**{field: value})
@@ -71,10 +69,8 @@ def test_quad_config_validation():
     with pytest.raises(ValueError):
         QuadConfig(order=0)
     with pytest.raises(ValueError):
-        QuadConfig(endpoint_clip=0.5)
-    with pytest.raises(ValueError):
         QuadConfig(tolerance=0.0)
-    for field in ("endpoint_clip", "tolerance"):
+    for field in ("tolerance",):
         for value in (math.nan, math.inf):
             with pytest.raises(ValueError, match="finite"):
                 QuadConfig(**{field: value})

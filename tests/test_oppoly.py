@@ -1,7 +1,12 @@
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
-from oracles import leibniz_scalar_member, trim
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import leibniz_scalar_member, to_sympy, trim
 
 from mvjacobi.operators import ProblemSpec, build_D, dominant_coefficient
 from mvjacobi.oppoly import OpPoly, VectorPoly, apply_A, build_Pk
@@ -122,6 +127,95 @@ def test_vector_poly_basics(space):
     assert v.degree == 0
     assert v.eval(Rat(5)) == q
     assert v.mul_by_x().eval(Rat(2)) == tuple(2 * c for c in q)
+
+
+# -- column-backed VectorPoly against sympy column arithmetic -----------------
+
+X = sympy.Symbol("x")
+small = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 4, 6]))
+
+
+@st.composite
+def vector_coeffs(draw, N):
+    """Length-N Fraction tuples, lowest power first; the top one may be zero."""
+    return [tuple(draw(st.lists(small, min_size=N, max_size=N)))
+            for _ in range(draw(st.integers(0, 4)))]
+
+
+def sym_rat(c) -> sympy.Rational:
+    return sympy.Rational(c.numerator, c.denominator)
+
+
+def sym_column(coeffs, N: int) -> sympy.Matrix:
+    """sum_i coeffs[i] x^i as a sympy column."""
+    return sum((to_sympy([c]).T * X**i for i, c in enumerate(coeffs)), sympy.zeros(N, 1))
+
+
+def assert_fraction_vector(vec, N: int) -> None:
+    assert isinstance(vec, tuple) and len(vec) == N
+    assert all(type(e) is Fraction and e.denominator > 0
+               and gcd(e.numerator, e.denominator) == 1 for e in vec)
+
+
+def assert_matches(f: VectorPoly, expected: sympy.Matrix) -> None:
+    """f holds trimmed N x 1 columns, has the value of expected and its degree."""
+    N = f.space.N
+    assert all(isinstance(m, RatMatrix) and m.shape == (N, 1) for m in f.mats)
+    assert not f.mats or not f.mats[-1].is_zero
+    expected = expected.expand()
+    for c in f.coeffs:
+        assert_fraction_vector(c, N)
+    assert (sym_column(f.coeffs, N) - expected).expand() == sympy.zeros(N, 1)
+    assert f.degree == max((sympy.degree(e, X) for e in expected if e != 0), default=-1)
+    for i in range(f.degree + 2):
+        assert to_sympy([f.coeff_at(i)]).T == expected.applyfunc(lambda e: e.coeff(X, i))
+        assert_fraction_vector(f.coeff_at(i), N)
+    top = expected.applyfunc(lambda e: e.coeff(X, max(f.degree, 0)))
+    assert to_sympy([f.leading()]).T == top
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_vector_poly_matches_sympy_columns(data):
+    space = enumerate_basis(data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2)))
+    N = space.N
+    a, b = data.draw(vector_coeffs(N)), data.draw(vector_coeffs(N))
+    f, g = VectorPoly(a, space), VectorPoly(b, space)
+    F, G = sym_column(a, N), sym_column(b, N)
+    c, x0 = data.draw(small), data.draw(small)
+    M = [[data.draw(small) for _ in range(N)] for _ in range(N)]
+    assert_matches(f, F)
+    assert_matches(f.add(g), F + G)
+    assert_matches(f - g, F - G)
+    assert_matches(f - f, sympy.zeros(N, 1))
+    assert_matches(-f, -F)
+    assert_matches(f.scale(c), F * sym_rat(c))
+    assert_matches(f.mul_by_x(), F * X)
+    assert_matches(f.mul_by_Q(), F * (X**2 - 1))
+    assert_matches(f.d_dx(), F.diff(X))
+    assert_matches(f.lmul(RatMatrix(M)), to_sympy(M) * F)
+    value = f.eval(x0)
+    assert_fraction_vector(value, N)
+    assert to_sympy([value]).T == F.subs(X, sym_rat(x0))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_vector_poly_int_and_fraction_entries_agree(data):
+    space = enumerate_basis(data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2)))
+    N = space.N
+    ints = [tuple(data.draw(st.lists(st.integers(-5, 5), min_size=N, max_size=N)))
+            for _ in range(data.draw(st.integers(0, 3)))]
+    from_ints = VectorPoly(ints, space)
+    from_fractions = VectorPoly([tuple(map(Fraction, c)) for c in ints], space)
+    assert from_ints == from_fractions and hash(from_ints) == hash(from_fractions)
+    assert from_ints.coeffs == from_fractions.coeffs
+    for c in from_ints.coeffs:
+        assert_fraction_vector(c, N)
+    q = (Fraction(1),) * N
+    for bad in (list(q), q + (Fraction(1),), q[:-1], RatMatrix([[e] for e in q])):
+        with pytest.raises(ValueError):
+            VectorPoly([bad], space)
 
 
 # -- the product factors -------------------------------------------------------

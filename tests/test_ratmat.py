@@ -11,14 +11,7 @@ from hypothesis import strategies as st
 from mvjacobi.errors import ResonanceError
 from mvjacobi.operators import ProblemSpec
 from mvjacobi.rational import ONE, Rat, ZERO
-from mvjacobi.ratmat import (
-    RatMatrix,
-    vec_add,
-    vec_is_zero,
-    vec_scale,
-    vec_sub,
-    vec_zero,
-)
+from mvjacobi.ratmat import RatMatrix
 from mvjacobi.structure import _certified_inverse
 
 rationals = st.builds(Rat, st.integers(-6, 6), st.integers(1, 4))
@@ -215,7 +208,7 @@ def test_rank_kernel_known_cases():
     rank, kern = rank_kernel(M)
     assert rank == 2
     assert kern == (ZERO, ONE, ZERO, ZERO)  # the first zero entry's e_b
-    assert vec_is_zero(M.apply(kern))
+    assert not any(M.apply(kern))
 
     # no rank is computed for an operator that is not square diagonal
     for M in (RatMatrix([[1, 2, 0, 0], [2, 4, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
@@ -233,8 +226,8 @@ def test_rank_matches_reference_and_kernel_annihilates(entries):
     if kern is None:
         assert rank == 4
     else:
-        assert not vec_is_zero(kern)
-        assert vec_is_zero(M.apply(kern))
+        assert any(kern)
+        assert not any(M.apply(kern))
 
 
 # -- integer core against sympy ---------------------------------------------
@@ -321,17 +314,3 @@ def test_inverse_matches_sympy(data):
     d = data.draw(st.lists(mixed.filter(bool), min_size=n, max_size=n))
     check_normal_and_equal(RatMatrix.diagonal(d).inverse(), sympy.diag(*sym([d])).inv())
 
-
-# -- vector helpers ----------------------------------------------------------
-
-
-def test_vector_helpers():
-    a = (ONE, Rat(2))
-    b = (Rat(1, 2), Rat(-2))
-    assert vec_add(a, b) == (Rat(3, 2), ZERO)
-    assert vec_sub(a, b) == (Rat(1, 2), Rat(4))
-    assert vec_scale(Rat(1, 2), a) == (Rat(1, 2), ONE)
-    assert vec_is_zero(vec_zero(3))
-    assert not vec_is_zero(a)
-    with pytest.raises(ValueError):
-        vec_add(a, (ONE,))

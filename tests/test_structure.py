@@ -1,5 +1,6 @@
 import random
 import re
+from itertools import chain
 
 import pytest
 import sympy
@@ -21,7 +22,7 @@ from mvjacobi.operators import ProblemSpec, build_D
 from mvjacobi.oppoly import OpPoly, VectorPoly, build_Pk
 from mvjacobi.polyspace import enumerate_basis
 from mvjacobi.rational import ONE, Rat, ZERO
-from mvjacobi.ratmat import RatMatrix, vec_is_zero, vec_zero
+from mvjacobi.ratmat import RatMatrix
 from mvjacobi.reporting import CheckReport
 from mvjacobi.sampling import random_problem_spec, random_vector, random_vector_poly
 from mvjacobi.structure import (
@@ -92,7 +93,7 @@ def test_recurrence_resonance_is_reported():
     err = exc.value
     assert err.operator_name == "D1 + 2k + 1 at k = 1"
     assert err.kernel is not None
-    assert vec_is_zero(D1.plus_scalar(3).apply(err.kernel))
+    assert not any(D1.plus_scalar(3).apply(err.kernel))
     assert "singular operator" in str(err)
 
 
@@ -231,7 +232,7 @@ def test_expand_unit_property():
         coeffs = expand(spec, f).coefficients
         assert len(coeffs) == j + 1
         assert coeffs[j] == q
-        assert all(vec_is_zero(c) for c in coeffs[:j])
+        assert not any(chain.from_iterable(coeffs[:j]))
 
 
 def test_expand_recovers_synthesized_coefficients():
@@ -240,7 +241,7 @@ def test_expand_recovers_synthesized_coefficients():
     spec = random_problem_spec(rng, 2, 2, max_den=3)
     space = spec.space
     coeffs = [random_vector(rng, space.N) for _ in range(5)]
-    coeffs[2] = vec_zero(space.N)  # a gap must round-trip too
+    coeffs[2] = (ZERO,) * space.N  # a gap must round-trip too
     f = VectorPoly.zero(space)
     for j, qj in enumerate(coeffs):
         f = f + build_Pk(spec, j).apply_to(qj)
@@ -413,3 +414,21 @@ def test_verify_product_identities():
     report = verify_product_identities(spec, trials=5, seed=9)
     assert report.passed, report.summary_lines()
     assert report.counts == (15, 15)  # two checks per trial plus the k-fold one
+
+
+def test_verify_product_identities_applies_each_factor_once(monkeypatch):
+    # A_j r serves both the x r identity and the Q identity of a trial, so
+    # a trial applies a factor directly three times, not four
+    real = structure.apply_A
+    calls = []
+
+    def counting(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(structure, "apply_A", counting)
+    spec = random_problem_spec(random.Random(73), 2, 2, max_den=3)
+    trials = 4
+    report = verify_product_identities(spec, trials=trials, seed=9)
+    assert report.passed, report.summary_lines()
+    assert len(calls) == 3 * trials
