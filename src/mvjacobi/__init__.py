@@ -9,7 +9,7 @@ structure, and checks the weighted-integral statements numerically.
 
 The numeric layer (ODE solver, weight, quadrature) lives in
 mvjacobi.numeric and is imported from there; it is the only part that
-needs scipy, so importing the package or running the exact commands
+needs numpy, so importing the package or running the exact commands
 never loads it.
 """
 

@@ -241,12 +241,12 @@ def cmd_expand(args) -> int:
 
 
 def cmd_quadrature(args) -> int:
-    # the numeric layer (and scipy) is loaded only by this command
+    # the numeric layer (and numpy) is loaded only by this command
     from .numeric import OdeConfig, QuadConfig, integrability_check, quasi_orth_integral
 
     spec, _raw = load_problem(args.input)
     qcfg = QuadConfig(tolerance=args.tol)
-    ocfg = OdeConfig(rel_tol=args.ode_tol, abs_tol=args.ode_tol * 1e-2)
+    ocfg = OdeConfig(rel_tol=args.ode_tol)
     integ = integrability_check(spec, spec.space, args.j, args.k)
     report = quasi_orth_integral(
         spec, args.j, args.k, args.side,
@@ -275,7 +275,8 @@ def _print_numeric(integ: IntegrabilityReport, report: NumericReport) -> None:
     print(f"[{mark}] {report.quantity}{claim}")
     print(f"  max |entry| = {report.max_abs_entry:.3e}"
           f"  estimated quadrature error = {report.estimated_quadrature_error:.3e}"
-          f"  tolerance = {report.tolerance:.3e}")
+          f"  tolerance = {report.tolerance:.3e}"
+          + ("" if report.de_level is None else f"  DE level = {report.de_level}"))
     if report.detail:
         print(f"  {report.detail}")
 

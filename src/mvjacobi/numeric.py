@@ -1,9 +1,13 @@
 """Floating-point layer: fundamental matrix, weight, and quadrature.
 
-The system y' = [A/(x-1) + B/(x+1)] y has regular singular points at
-+-1; its fundamental matrix Y(x) (normalized to the identity at an
-interior basepoint) is integrated with an adaptive eighth-order scheme
-and cached per problem with dense output, capped at |x| <= 1 - 1e-12.
+The system y' = [A/(x-1) + B/(x+1)] y, i.e. (x^2 - 1) y' = (x M1 + M2) y
+with M1 = A + B and M2 = A - B, has regular singular points at +-1.  Its
+fundamental matrix Y(x), normalized to the identity at an interior
+basepoint, is continued toward each endpoint by Taylor series at
+centers that step half a radius toward it, less for residues of large
+norm (the classical Taylor method for holonomic systems), up to
+|x| <= 1 - 1e-12.  Each side is swept once per problem and kept as
+dense output; only numpy is needed.
 For simultaneously diagonal residues the closed form
 diag((1-x)^{a_i} (1+x)^{b_i}) is used instead; on (-1, 1) this real
 branch differs from an analytic continuation only by a constant
@@ -17,19 +21,20 @@ with the exact distances 1 -+ x to the endpoints, and integrands
 receive those distances directly; this is what keeps endpoint powers
 like (1-x)^(-1/2) accurate where float subtraction would have lost
 everything.  A Gauss-Jacobi scheme specialized to diagonal weights is
-available as a cross-check in the commutative case.
+available as a cross-check in the commutative case; it imports its
+node generator when called, so nothing else here needs more than numpy.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.special import roots_jacobi
 
 from .errors import OdeError, QuadratureError
 from .operators import ProblemSpec, basis_exponents, induced_action_float
@@ -38,10 +43,12 @@ from .polyspace import PolySpace, PolyVector
 from .structure import build_tilde_Pk
 
 X_CAP = 1.0 - 1e-12  # ODE solutions are only taken this close to +-1
+_CAP_DIST = 1.0 - X_CAP
+_MAX_TERMS = 1000  # a Taylor sweep whose terms are still above its tail by then fails
+_MAX_CENTERS = 4000  # about 27.6 (1 + |A| + |B|) per side; 4000 allows norms up to ~140
 _DE_TMAX = 6.0
 _DE_FIRST_LEVEL = 4
 _DELTA_FLOOR = 5e-300  # tanh-sinh nodes closer than this to an endpoint are dropped
-_MAX_STEP = 0.05  # largest ODE step in the x chart
 
 
 def _require_finite(cfg, fields: Sequence[str]) -> None:
@@ -53,13 +60,12 @@ def _require_finite(cfg, fields: Sequence[str]) -> None:
 @dataclass(frozen=True)
 class OdeConfig:
     rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
     basepoint: float = 0.0
 
     def __post_init__(self):
-        _require_finite(self, ("rel_tol", "abs_tol", "basepoint"))
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        _require_finite(self, ("rel_tol", "basepoint"))
+        if self.rel_tol <= 0:
+            raise ValueError("rel_tol must be positive")
         if not -1.0 < self.basepoint < 1.0:
             raise ValueError("basepoint must lie strictly inside (-1, 1)")
 
@@ -92,6 +98,7 @@ class NumericReport:
     passed: bool
     claimed: bool = True
     detail: str = ""
+    de_level: Optional[int] = None  # tanh-sinh level reached, when one was used
 
     def to_dict(self) -> dict:
         return {
@@ -102,6 +109,7 @@ class NumericReport:
             "passed": self.passed,
             "claimed": self.claimed,
             "detail": self.detail,
+            "de_level": self.de_level,
         }
 
 
@@ -113,75 +121,113 @@ def is_commutative(spec: ProblemSpec) -> bool:
 # -- fundamental matrix ------------------------------------------------------
 
 
-class _FundamentalSolver:
-    """Dense-output sweeps from the basepoint, in endpoint-adapted charts.
+@dataclass(frozen=True)
+class _Sweep:
+    """Taylor data of one sweep from the basepoint toward an endpoint.
 
-    The x chart covers the middle of the interval.  Past |x| = switch
-    the integration continues in s = -ln(1 -+ x), where the system
-    dY/ds = [-A + B e^{-s}/(2 - e^{-s})] Y (and its mirror) is smooth
-    all the way to the cap, so no step-size collapse occurs near the
-    singular endpoints.
+    Center k lies at distance dist[k] from that endpoint (decreasing in
+    k) and has radius rho[k]; coeffs[k] is a (terms, d, d) array z with
+    Y(c_k + rho[k] s) = sum_j z[j] s^j.
+    """
+
+    dist: list
+    rho: list
+    coeffs: np.ndarray
+    nfev: int  # Taylor coefficient matrices in the sweep, over all centers
+
+
+def _sum_series(z: np.ndarray, s) -> np.ndarray:
+    """sum_j z_j s^j, where j indexes the third axis from the end of z."""
+    return np.tensordot(s ** np.arange(z.shape[-3]), z, axes=([0], [-3]))
+
+
+def solve_ivp(A: np.ndarray, B: np.ndarray, basepoint: float, sign: int,
+              tail: float) -> _Sweep:
+    """Continue Y(basepoint) = I toward the endpoint sign * 1 in Taylor steps.
+
+    Each center c has radius rho = min(1 - c, 1 + c), the distance to the
+    nearer singular point, and the next center lies at s = sign * h,
+    where s = (x - c)/rho.  The centers are carried as their distance e
+    to the approached endpoint, with c^2 - 1 = -e (2 - e), so rho keeps
+    its full relative precision near the endpoint, where x itself would
+    have lost it.  The sweep ends at the first center whose reach h rho
+    gets to the cap 1 - X_CAP.
+
+    The scaled Taylor coefficients z_j = T_j Y(c) obey the three-term
+    recursion (with M1 = A + B, M2 = A - B and q = c^2 - 1)
+
+        T_{j+1} = rho [(c M1 + M2 - 2cj) T_j + rho (M1 - (j-1)) T_{j-1}] / (q (j+1)),
+
+    which is run for all centers at once.  It stops once two consecutive
+    terms at |s| = h have norm below tail at every center: the bound
+    holds for each column of Y(c), so small columns keep their relative
+    accuracy.  The step is h = 1/2 while nu = |A| + |B| <= 1 and
+    h = 1/(1 + nu) beyond: the terms of a series summed at |s| = h can
+    exceed its value by (1 - h)^(-2 nu), which this keeps below e^2.
+    """
+    nu = np.max(np.sum(np.abs(A), axis=1)) + np.max(np.sum(np.abs(B), axis=1))
+    h = 1.0 / (1.0 + max(1.0, nu))
+    dist = [1.0 - sign * basepoint]
+    while (reach := dist[-1] - h * min(dist[-1], 2.0 - dist[-1])) > _CAP_DIST:
+        if len(dist) == _MAX_CENTERS:
+            raise OdeError(f"residue norm |A| + |B| = {nu:g} needs more than "
+                           f"{_MAX_CENTERS} Taylor centers toward {sign:+d}")
+        dist.append(reach)
+    e = np.array(dist)[:, None, None]
+    rho = np.minimum(e, 2.0 - e)
+    c = sign * (1.0 - e)
+    L = (c + 1.0) * A + (c - 1.0) * B  # c M1 + M2
+    rM1 = rho * (A + B)
+    rho_q = rho / (-e * (2.0 - e))  # rho / q
+    T = [np.broadcast_to(np.eye(A.shape[0]), L.shape)]
+    prev = np.zeros(L.shape)
+    settled = 0
+    while settled < 2:
+        j = len(T) - 1
+        if j == _MAX_TERMS:
+            raise OdeError(f"Taylor series toward {sign:+d} did not settle "
+                           f"within {_MAX_TERMS} terms")
+        cur = T[-1]
+        nxt = (rho_q / (j + 1)) * (L @ cur - (2.0 * j) * c * cur
+                                  + rM1 @ prev - (j - 1) * rho * prev)
+        T.append(nxt)
+        norm = np.max(np.sum(np.abs(nxt), axis=2)) * h ** (j + 1)
+        settled = settled + 1 if norm <= tail else 0
+        prev = cur
+    T = np.stack(T, axis=1)
+    # Y at each center: the previous one carried across one step
+    step_to_next = _sum_series(T, sign * h)
+    Y = [np.eye(A.shape[0])]
+    for P in step_to_next[:-1]:
+        Y.append(P @ Y[-1])
+        if not np.all(np.isfinite(Y[-1])):
+            raise OdeError(f"non-finite fundamental matrix at distance "
+                           f"{dist[len(Y) - 1]:.17g} from {sign:+d}")
+    return _Sweep(dist, rho.ravel().tolist(), T @ np.stack(Y)[:, None], T.shape[0] * T.shape[1])
+
+
+class _FundamentalSolver:
+    """Y(x) from one Taylor sweep per side of the basepoint.
+
+    A side is swept on first use.  A point is evaluated from the last
+    center of its side that is not beyond it, so |s| <= h there, and
+    points closer to an endpoint than 1 - X_CAP are evaluated at the cap.
     """
 
     def __init__(self, spec: ProblemSpec, cfg: OdeConfig):
-        self.spec = spec
         self.cfg = cfg
         self.d = spec.d
         self._a = np.array([[float(e) for e in row] for row in spec.A.rows])
         self._b = np.array([[float(e) for e in row] for row in spec.B.rows])
-        self.switch = max(0.5, abs(cfg.basepoint))
-        self._s_cap = -math.log(1.0 - X_CAP)
-        self._central: dict[int, object] = {}
-        self._outer: dict[int, object] = {}
+        self._sweeps: dict[int, _Sweep] = {}
 
-    def _rhs_x(self, t: float, y: np.ndarray) -> np.ndarray:
-        M = self._a / (t - 1.0) + self._b / (t + 1.0)
-        return (M @ y.reshape(self.d, self.d)).ravel()
-
-    def _rhs_log(self, sign: int):
-        near = self._a if sign > 0 else self._b
-        far = self._b if sign > 0 else self._a
-
-        def rhs(s: float, y: np.ndarray) -> np.ndarray:
-            es = math.exp(-s)
-            M = -near + far * (es / (2.0 - es))
-            return (M @ y.reshape(self.d, self.d)).ravel()
-
-        return rhs
-
-    def _run(self, rhs, span, y0, max_step, what: str):
-        sol = solve_ivp(
-            rhs, span, y0,
-            method="DOP853", dense_output=True,
-            rtol=self.cfg.rel_tol, atol=self.cfg.abs_tol, max_step=max_step,
-        )
-        if not sol.success:
-            reached = sol.t[-1] if len(sol.t) else span[0]
-            raise OdeError(
-                f"fundamental-matrix integration ({what}) stopped at "
-                f"coordinate {reached:.17g}: {sol.message}"
-            )
-        return sol
-
-    def _central_sol(self, direction: int):
-        if direction not in self._central:
-            target = self.switch if direction > 0 else -self.switch
-            self._central[direction] = self._run(
-                self._rhs_x, (self.cfg.basepoint, target),
-                np.eye(self.d).ravel(), _MAX_STEP,
-                f"x chart toward {target:+g}",
-            ).sol
-        return self._central[direction]
-
-    def _outer_sol(self, sign: int):
-        if sign not in self._outer:
-            y_switch = self._central_sol(sign)(sign * self.switch)
-            s0 = -math.log(1.0 - self.switch)
-            self._outer[sign] = self._run(
-                self._rhs_log(sign), (s0, self._s_cap), y_switch, 0.5,
-                f"log chart at {'+1' if sign > 0 else '-1'}",
-            ).sol
-        return self._outer[sign]
+    def _sweep(self, sign: int) -> _Sweep:
+        if sign not in self._sweeps:
+            # the truncations of ~40 centers per side add up; squaring the
+            # tolerance keeps them below rounding at the default 1e-10
+            self._sweeps[sign] = solve_ivp(self._a, self._b, self.cfg.basepoint,
+                                           sign, self.cfg.rel_tol ** 2)
+        return self._sweeps[sign]
 
     def at(self, x: float, dist_minus: Optional[float] = None,
            dist_plus: Optional[float] = None) -> np.ndarray:
@@ -189,22 +235,19 @@ class _FundamentalSolver:
         x = float(x)
         if x == self.cfg.basepoint:
             return np.eye(self.d)
-        if abs(x) <= self.switch:
-            Y = self._central_sol(1 if x > self.cfg.basepoint else -1)(x)
+        sign = 1 if x > self.cfg.basepoint else -1
+        if sign > 0:
+            delta = 1.0 - x if dist_minus is None else dist_minus
         else:
-            sign = 1 if x > 0 else -1
-            delta = dist_minus if sign > 0 else dist_plus
-            if delta is None:
-                delta = 1.0 - x if sign > 0 else 1.0 + x
-            if delta <= 0.0:
-                raise ValueError(f"x = {x} outside (-1, 1)")
-            s0 = -math.log(1.0 - self.switch)
-            s = min(max(-math.log(delta), s0), self._s_cap)
-            Y = self._outer_sol(sign)(s)
-        Y = Y.reshape(self.d, self.d)
-        if not np.all(np.isfinite(Y)):
-            raise OdeError(f"non-finite fundamental matrix at x = {x:.17g}")
-        return Y
+            delta = 1.0 + x if dist_plus is None else dist_plus
+        if not delta > 0.0:
+            raise ValueError(f"x = {x} outside (-1, 1)")
+        delta = max(delta, _CAP_DIST)
+        sweep = self._sweep(sign)
+        # the last center not beyond delta; the first one for a node that
+        # lies within rounding of the basepoint
+        i = max(bisect_right(sweep.dist, -delta, key=operator.neg) - 1, 0)
+        return _sum_series(sweep.coeffs[i], sign * (sweep.dist[i] - delta) / sweep.rho[i])
 
 
 @lru_cache(maxsize=None)
@@ -213,7 +256,7 @@ def _solver(spec: ProblemSpec, cfg: OdeConfig) -> _FundamentalSolver:
 
 
 def fundamental_matrix(spec: ProblemSpec, x: float, cfg: Optional[OdeConfig] = None) -> np.ndarray:
-    """Y(x) with Y(basepoint) = I, by adaptive integration of Y' = MY."""
+    """Y(x) with Y(basepoint) = I, from the Taylor sweeps of Y' = MY."""
     return _solver(spec, cfg or OdeConfig()).at(x)
 
 
@@ -510,6 +553,7 @@ def quasi_orth_integral(spec: ProblemSpec, j: int, k: int, side: str,
     claimed = j < k if side == "right" else j > k
     name = f"{side} weighted integral j={j} k={k} d={spec.d} n={spec.n}"
 
+    level = None
     if qcfg.scheme == "gauss_jacobi_commutative":
         value, est = _gauss_jacobi_quasi_orth(spec, j, k, qcfg)
     else:
@@ -517,7 +561,7 @@ def quasi_orth_integral(spec: ProblemSpec, j: int, k: int, side: str,
             integrand = _commutative_quasi_orth_integrand(spec, j, k)
         else:
             integrand = _general_quasi_orth_integrand(spec, j, k, side, ocfg)
-        value, est, _level = de_integrate(integrand, qcfg)
+        value, est, level = de_integrate(integrand, qcfg)
 
     worst = float(np.max(np.abs(value)))
     passed = worst <= qcfg.tolerance + est if claimed else True
@@ -530,6 +574,7 @@ def quasi_orth_integral(spec: ProblemSpec, j: int, k: int, side: str,
         passed=passed,
         claimed=claimed,
         detail=detail,
+        de_level=level,
     )
 
 
@@ -545,6 +590,8 @@ def _gauss_jacobi_quasi_orth(spec: ProblemSpec, j: int, k: int,
     """
     if not is_commutative(spec):
         raise ValueError("the Gauss-Jacobi scheme applies to commutative problems only")
+    from scipy.special import roots_jacobi
+
     N = spec.space.N
     pj = [c[:, None] for c in _np_diag_coeffs(build_Pk(spec, j))]
     pk = [c[:, None] for c in _np_diag_coeffs(build_Pk(spec, k))]
@@ -628,7 +675,7 @@ def integral_interrelation_check(spec: ProblemSpec, k: int, x0: float,
         q_inv = -1.0 / (dist_minus * dist_plus)   # 1 / (t^2 - 1)
         return (q_inv * half_len) * (w_diag * vec)
 
-    integral, est, _level = de_integrate(integrand, qcfg)
+    integral, est, level = de_integrate(integrand, qcfg)
     w0_diag = (1.0 - float(x0)) ** pe * (1.0 + float(x0)) ** me
     rhs = integral / w0_diag
     scale = float(np.max(np.abs(lhs)))
@@ -642,4 +689,5 @@ def integral_interrelation_check(spec: ProblemSpec, k: int, x0: float,
         tolerance=qcfg.tolerance,
         passed=passed,
         detail=f"relative error; |lhs| scale {scale:g}, absolute difference {diff:g}",
+        de_level=level,
     )

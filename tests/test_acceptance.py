@@ -268,7 +268,7 @@ def test_criterion_10_quasi_orthogonality():
     A = RatMatrix([[Rat(1, 16), Rat(1, 20)], [Rat(-1, 20), Rat(1, 16)]])
     lam = RatMatrix([[Rat(1, 8), Rat(0)], [Rat(0), Rat(1, 16)]])
     nc = ProblemSpec(2, 2, A, lam - A)
-    ocfg = OdeConfig(rel_tol=1e-10, abs_tol=1e-12)
+    ocfg = OdeConfig(rel_tol=1e-10)
     ncfg = QuadConfig(tolerance=1e-6)
     for side, (j, k) in (("right", (0, 2)), ("left", (2, 0))):
         rep = quasi_orth_integral(nc, j, k, side, qcfg=ncfg, ocfg=ocfg)

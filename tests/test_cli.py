@@ -296,6 +296,7 @@ def test_quadrature_claimed_pass(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "[PASS]" in out
     assert "integrability (exact)" in out
+    assert "DE level = 5" in out
 
 
 def test_quadrature_informational_equal_indices(tmp_path, capsys):
@@ -315,6 +316,7 @@ def test_quadrature_json_format(tmp_path, capsys):
     assert doc["report"]["claimed"] is True
     assert doc["report"]["passed"] is True
     assert doc["integrability"]["commutative"] is True
+    assert doc["report"]["de_level"] == 5
     capsys.readouterr()
 
 
@@ -402,6 +404,23 @@ def test_cli_import_loads_no_scipy():
                            "if m.split('.')[0] in ('scipy', 'numpy')))")
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_quadrature_loads_no_scipy(tmp_path):
+    # the fundamental matrix needs numpy only; scipy serves the Gauss-Jacobi
+    # cross-check alone, which the command never selects
+    doc = {"d": 2, "n": 2,
+           "A": [["1/16", "1/20"], ["-1/20", "1/16"]],
+           "B": [["1/16", "-1/20"], ["1/20", "0"]]}
+    inp = write_json(tmp_path / "spec.json", doc)
+    out = run_python("-X", "importtime", "-m", "mvjacobi", "quadrature", "--input", inp,
+                     "--j", "0", "--k", "2", "--side", "right", "--tol", "1e-6")
+    assert out.returncode == 0, out.stderr
+    assert "[PASS]" in out.stdout
+    imported = [line.rsplit("|", 1)[-1].strip() for line in out.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "numpy" in imported
+    assert [m for m in imported if m.split(".")[0] == "scipy"] == []
 
 
 def test_module_entry_point_computes():

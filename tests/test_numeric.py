@@ -1,11 +1,12 @@
 import math
+import random
 
 import numpy as np
 import pytest
+import scipy.special
 from oracles import commutative_weight_entry
 
-from mvjacobi import numeric
-from mvjacobi.errors import QuadratureError
+from mvjacobi.errors import OdeError, QuadratureError
 from mvjacobi.numeric import (
     OdeConfig,
     QuadConfig,
@@ -23,6 +24,7 @@ from mvjacobi.numeric import (
 from mvjacobi.operators import ProblemSpec
 from mvjacobi.rational import Rat
 from mvjacobi.ratmat import RatMatrix
+from mvjacobi.sampling import random_diagonal, random_matrix
 
 
 def diag_spec(a_entries, b_entries, n):
@@ -51,10 +53,8 @@ def test_ode_config_validation():
     with pytest.raises(ValueError):
         OdeConfig(rel_tol=0.0)
     with pytest.raises(ValueError):
-        OdeConfig(abs_tol=-1e-9)
-    with pytest.raises(ValueError):
         OdeConfig(basepoint=1.0)
-    for field in ("rel_tol", "abs_tol", "basepoint"):
+    for field in ("rel_tol", "basepoint"):
         for value in (math.nan, math.inf):
             with pytest.raises(ValueError, match="finite"):
                 OdeConfig(**{field: value})
@@ -107,11 +107,62 @@ def test_fundamental_matrix_identity_cases():
 
 
 def test_ode_matches_closed_form():
-    cfg = OdeConfig(rel_tol=1e-10, abs_tol=1e-12)
+    cfg = OdeConfig(rel_tol=1e-10)
     for spec in (POSITIVE, MILD_NEGATIVE):
         report = ode_vs_closed_form_report(spec, cfg)
         assert report.tolerance == 10.0 * cfg.rel_tol
         assert report.passed, report.to_dict()
+
+
+ENDPOINT_DISTANCES = (1e-6, 1e-9, 1e-12)
+
+
+def test_fundamental_matrix_matches_closed_form_near_endpoints():
+    # the Taylor sweep carries its centers as endpoint distances, so Y keeps
+    # full relative accuracy down to the cap 1e-12 from either endpoint
+    for spec in (POSITIVE, MILD_NEGATIVE):
+        for delta in ENDPOINT_DISTANCES:
+            for x in (1.0 - delta, -1.0 + delta):
+                got = fundamental_matrix(spec, x)
+                want = commutative_Y(spec, x)
+                assert np.all(got[~np.eye(2, dtype=bool)] == 0.0)
+                rel = np.abs(np.diag(got) / np.diag(want) - 1.0)
+                assert np.max(rel) <= 1e-13, (spec.A.diag, x, rel)
+
+
+def test_fundamental_matrix_large_residues_and_limits():
+    # a residue norm above 1 shortens the step, so the alternating series of
+    # (1-x)^20 is not summed where its terms exceed its value by 3^20
+    spec = diag_spec([Rat(20)], [Rat(-20, 3)], 1)
+    for x in (0.5, 1.0 - 1e-6, -1.0 + 1e-9):
+        rel = fundamental_matrix(spec, x)[0, 0] / commutative_Y(spec, x)[0, 0] - 1.0
+        assert abs(rel) <= 1e-12, (x, rel)
+    # norms whose sweep would need thousands of centers are refused
+    huge = diag_spec([Rat(400)], [Rat(-400, 3)], 1)
+    with pytest.raises(OdeError, match="Taylor centers"):
+        fundamental_matrix(huge, 0.5)
+    # a tail target that squares to zero is never met
+    with pytest.raises(OdeError, match="did not settle"):
+        fundamental_matrix(POSITIVE, 0.5, OdeConfig(rel_tol=1e-200))
+
+
+def test_fundamental_matrix_liouville_noncommutative():
+    # det Y = (1-x)^{tr A} (1+x)^{tr B} with Y(0) = I, for small-norm
+    # noncommutative residues drawn as in the quadrature benchmark
+    rng = random.Random(7)
+    for d in (2, 2, 3, 3):
+        lam = random_diagonal(rng, d).scale(Rat(1, 8))
+        A = random_matrix(rng, d).scale(Rat(1, 8))
+        spec = ProblemSpec(d, 2, A, lam - A)
+        assert not is_commutative(spec)
+        tr_a = float(sum(A.rows[i][i] for i in range(d)))
+        tr_b = float(sum(spec.B.rows[i][i] for i in range(d)))
+        for delta in ENDPOINT_DISTANCES:
+            for x in (1.0 - delta, -1.0 + delta):
+                Y = fundamental_matrix(spec, x)
+                want = (1.0 - x) ** tr_a * (1.0 + x) ** tr_b
+                scale = np.prod(np.linalg.norm(Y, axis=0))
+                assert abs(np.linalg.det(Y) - want) / scale <= 1e-13, (d, x)
 
 
 def test_ode_respects_nonzero_basepoint():
@@ -250,7 +301,7 @@ def test_quasi_orth_noncommutative_gate_and_override():
         quasi_orth_integral(spec, 0, 1, "right")
     report = quasi_orth_integral(
         spec, 0, 1, "right",
-        qcfg=QuadConfig(tolerance=1e-4), ocfg=OdeConfig(rel_tol=1e-10, abs_tol=1e-12),
+        qcfg=QuadConfig(tolerance=1e-4), ocfg=OdeConfig(rel_tol=1e-10),
         override_integrability=True,
     )
     assert report.passed, report.to_dict()
@@ -265,6 +316,7 @@ def test_quasi_orth_commutative_right_and_left():
     right = quasi_orth_integral(POSITIVE, 1, 3, "right", qcfg=qcfg)
     assert right.claimed and right.passed
     assert right.max_abs_entry <= 1e-10 + right.estimated_quadrature_error
+    assert right.de_level == 5 and right.to_dict()["de_level"] == 5
 
     left = quasi_orth_integral(POSITIVE, 3, 1, "left", qcfg=qcfg)
     assert left.claimed and left.passed
@@ -300,14 +352,14 @@ def test_gauss_jacobi_scheme_agrees_with_tanh_sinh():
 def test_gauss_jacobi_unsettled_orders_raise(monkeypatch):
     # a full and a half order that disagree must not widen the pass by
     # their difference; the scheme fails instead, as tanh-sinh does
-    real = numeric.roots_jacobi
+    real = scipy.special.roots_jacobi
     order = QuadConfig().order
 
     def skewed(n_nodes, alpha, beta):
         x, w = real(n_nodes, alpha, beta)
         return (x, w) if n_nodes == order else (0.9 * x, w)
 
-    monkeypatch.setattr(numeric, "roots_jacobi", skewed)
+    monkeypatch.setattr(scipy.special, "roots_jacobi", skewed)
     gj = QuadConfig(scheme="gauss_jacobi_commutative", tolerance=1e-10)
     with pytest.raises(QuadratureError) as exc:
         quasi_orth_integral(POSITIVE, 1, 2, "right", qcfg=gj)
@@ -323,7 +375,7 @@ def test_quasi_orth_mild_negative_exponents():
 def test_quasi_orth_noncommutative_small_norm():
     spec = small_noncommutative_spec()
     qcfg = QuadConfig(tolerance=1e-6)
-    ocfg = OdeConfig(rel_tol=1e-10, abs_tol=1e-12)
+    ocfg = OdeConfig(rel_tol=1e-10)
     report = quasi_orth_integral(spec, 0, 2, "right", qcfg=qcfg, ocfg=ocfg)
     assert report.claimed and report.passed, report.to_dict()
 
@@ -334,7 +386,7 @@ def test_quasi_orth_vanishing_survives_base_change():
     spec = small_noncommutative_spec()
     qcfg = QuadConfig(tolerance=1e-6)
     for basepoint in (0.0, 0.25):
-        ocfg = OdeConfig(rel_tol=1e-10, abs_tol=1e-12, basepoint=basepoint)
+        ocfg = OdeConfig(rel_tol=1e-10, basepoint=basepoint)
         report = quasi_orth_integral(spec, 1, 2, "right", qcfg=qcfg, ocfg=ocfg)
         assert report.passed, (basepoint, report.to_dict())
 
@@ -351,6 +403,7 @@ def test_interrelation_matches_exact_member():
         report = integral_interrelation_check(INTEGRABLE, k, x0, q)
         assert report.passed, report.to_dict()
         assert report.max_abs_entry < 1e-8
+        assert report.de_level == 5
 
 
 def test_interrelation_preconditions():
