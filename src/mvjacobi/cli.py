@@ -321,12 +321,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--side", choices=("right", "left"), required=True)
-    p.add_argument("--tol", type=float, default=1e-8, help="vanishing tolerance")
+    p.add_argument("--tol", type=float, default=1e-8,
+                   help="vanishing tolerance of noncommutative problems "
+                        "(commutative ones are decided exactly)")
     p.add_argument("--ode-tol", dest="ode_tol", type=float, default=1e-10,
                    help="relative tolerance for the fundamental-matrix solve")
     p.add_argument("--override-integrability", dest="override_integrability",
                    action="store_true",
-                   help="run the integral even when the endpoint-exponent check fails")
+                   help="run a noncommutative integral even when its heuristic "
+                        "endpoint-exponent check fails")
     p.set_defaults(func=cmd_quadrature)
     return parser
 

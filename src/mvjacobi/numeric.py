@@ -13,16 +13,17 @@ diag((1-x)^{a_i} (1+x)^{b_i}) is used instead; on (-1, 1) this real
 branch differs from an analytic continuation only by a constant
 diagonal right factor, which none of the checked statements feel.
 
-Integrals over (-1, 1) default to tanh-sinh (double-exponential)
+Weighted integrals over (-1, 1) use tanh-sinh (double-exponential)
 quadrature with dyadic step sizes, so the levels are nested: each level
 reuses the previous level's sum and evaluates the integrand only at its
 new odd-indexed nodes.  Nodes are generated as numpy arrays together
 with the exact distances 1 -+ x to the endpoints, and integrands
 receive those distances directly; this is what keeps endpoint powers
 like (1-x)^(-1/2) accurate where float subtraction would have lost
-everything.  A Gauss-Jacobi scheme specialized to diagonal weights is
-available as a cross-check in the commutative case; it imports its
-node generator when called, so nothing else here needs more than numpy.
+everything.  The one exception is quasi-orthogonality for commutative
+problems, where every channel is a polynomial against a Jacobi weight:
+its integrals are rational multiples of the Jacobi mass, from the
+classical moment recurrence, so vanishing is decided exactly.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .errors import OdeError, QuadratureError
 from .operators import ProblemSpec, basis_exponents, induced_action_float
 from .oppoly import OpPoly, build_Pk
 from .polyspace import PolySpace, PolyVector
+from .rational import ONE
 from .structure import build_tilde_Pk
 
 X_CAP = 1.0 - 1e-12  # ODE solutions are only taken this close to +-1
@@ -72,19 +74,13 @@ class OdeConfig:
 
 @dataclass(frozen=True)
 class QuadConfig:
-    scheme: str = "double_exponential"
     levels: int = 10
-    order: int = 120
     tolerance: float = 1e-8
 
     def __post_init__(self):
         _require_finite(self, ("tolerance",))
-        if self.scheme not in ("double_exponential", "gauss_jacobi_commutative"):
-            raise ValueError(f"unknown quadrature scheme {self.scheme!r}")
         if self.levels < _DE_FIRST_LEVEL + 1:
             raise ValueError(f"levels must be >= {_DE_FIRST_LEVEL + 1}")
-        if self.order < 1:
-            raise ValueError("order must be >= 1")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
 
@@ -422,10 +418,12 @@ def integrability_check(spec: ProblemSpec, space: PolySpace,
                         j: int = 0, k: int = 0) -> IntegrabilityReport:
     """Endpoint-exponent advisory for the weighted integrals.
 
-    Commutative case: exact exponents; existence needs all > -1, and
-    > -1/2 keeps quadrature convergence fast.  Noncommutative case: the
-    exponents are estimated from residue eigenvalues (real parts) and
-    flagged as heuristic only; nothing is proved about existence.
+    Commutative case: exact exponents; existence needs all > -1, and the
+    exact quasi-orthogonality path needs nothing more.  Noncommutative
+    case: the exponents are estimated from residue eigenvalues (real
+    parts) and flagged as heuristic only; nothing is proved about
+    existence, and > -1/2 keeps the tanh-sinh integral's endpoint
+    truncation bias small.
     """
     if is_commutative(spec):
         plus, minus = commutative_exponents(spec, space)
@@ -475,42 +473,68 @@ def _np_horner(coeffs: list[np.ndarray], x, N: int) -> np.ndarray:
     return acc
 
 
-def _np_diag_coeffs(P: OpPoly) -> list[np.ndarray]:
-    """Diagonals of the coefficients of a diagonal operator polynomial."""
-    return [np.array([float(e) for e in c.diag]) for c in P.coeffs]
-
-
 def _require_integrable(spec: ProblemSpec, space: PolySpace, j: int, k: int,
                         override: bool) -> IntegrabilityReport:
     rep = integrability_check(spec, space, j, k)
-    if override:
-        return rep
-    if rep.heuristic and not rep.fast_ok:
+    if not rep.heuristic and not rep.exists_ok:
+        raise ValueError(
+            f"weighted integral does not exist: {rep.detail}; every exact "
+            "endpoint exponent must exceed -1"
+        )
+    if rep.heuristic and not rep.fast_ok and not override:
         raise ValueError(
             "noncommutative weighted integrals are restricted to heuristic "
             f"endpoint exponents > -1/2 ({rep.detail}); pass the "
             "override-integrability flag to force the computation"
         )
-    if not rep.heuristic and not rep.exists_ok:
-        raise ValueError(
-            f"weighted integral does not exist: {rep.detail}; pass the "
-            "override-integrability flag to force the computation"
-        )
     return rep
 
 
-def _commutative_quasi_orth_integrand(spec: ProblemSpec, j: int, k: int) -> Integrand:
-    pj = _np_diag_coeffs(build_Pk(spec, j))
-    pk = _np_diag_coeffs(build_Pk(spec, k))
+def _jacobi_moments(a, b, count: int) -> list:
+    """mu_m = int x^m w / int w for w = (1-x)^a (1+x)^b, a, b > -1, m < count.
+
+    Integrating d/dx [(1 - x^2) w x^m] over (-1, 1) gives mu_0 = 1 and
+    (a + b + m + 2) mu_{m+1} = (b - a) mu_m + m mu_{m-1}.
+    """
+    mu = [ONE]
+    for m in range(count - 1):
+        lower = m * mu[m - 1] if m else 0
+        mu.append(((b - a) * mu[m] + lower) / (a + b + m + 2))
+    return mu
+
+
+def _jacobi_integral(R, a, b) -> float:
+    """R M0 with M0 = int (1-x)^a (1+x)^b = 2^{a+b+1} G(a+1) G(b+1) / G(a+b+2).
+
+    Taken through logarithms, as M0 alone can pass the float range; +-inf past it.
+    """
+    if R == 0:
+        return 0.0
+    a, b = float(a), float(b)
+    log_abs = (math.log(abs(R.numerator)) - math.log(R.denominator) + (a + b + 1.0) * math.log(2.0)
+               + math.lgamma(a + 1.0) + math.lgamma(b + 1.0) - math.lgamma(a + b + 2.0))
+    try:
+        value = math.exp(log_abs)
+    except OverflowError:
+        value = math.inf
+    return value if R > 0 else -value
+
+
+def _exact_channel_integrals(spec: ProblemSpec, j: int, k: int) -> list[tuple]:
+    """(R_i, R_i M0_i) per channel of P_j W P_k = W P_j P_k, both residues diagonal.
+
+    Channel i integrates the i-th diagonal entries of P_j and P_k against
+    the Jacobi weight of basis element i; R_i = sum c_m mu_m is rational.
+    """
+    pj = [c.diag for c in build_Pk(spec, j).coeffs]
+    pk = [c.diag for c in build_Pk(spec, k).coeffs]
     plus, minus = commutative_exponents(spec, spec.space)
-    pe = np.array([float(e) for e in plus])
-    me = np.array([float(e) for e in minus])
-    N = spec.space.N
-
-    def integrand(x: float, dist_minus: float, dist_plus: float) -> np.ndarray:
-        return _np_horner(pj, x, N) * (dist_minus ** pe * dist_plus ** me) * _np_horner(pk, x, N)
-
-    return integrand
+    out = []
+    for i, (a, b) in enumerate(zip(plus, minus)):
+        mu = _jacobi_moments(a, b, len(pj) + len(pk) - 1)
+        R = sum(cj[i] * ck[i] * mu[s + t] for s, cj in enumerate(pj) for t, ck in enumerate(pk))
+        out.append((R, _jacobi_integral(R, a, b)))
+    return out
 
 
 def _general_quasi_orth_integrand(spec: ProblemSpec, j: int, k: int, side: str,
@@ -541,6 +565,10 @@ def quasi_orth_integral(spec: ProblemSpec, j: int, k: int, side: str,
     side "right" integrates P_j W P_k (vanishes for j < k); side "left"
     integrates W P_j P_k (vanishes for j > k).  Off-claim index orders are
     computed and reported without a pass/fail assertion.
+
+    Commutative problems are integrated exactly and pass a claim only at
+    exactly 0; others use tanh-sinh over the ODE weight and pass within
+    tolerance plus the estimated quadrature error.
     """
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
@@ -553,70 +581,29 @@ def quasi_orth_integral(spec: ProblemSpec, j: int, k: int, side: str,
     claimed = j < k if side == "right" else j > k
     name = f"{side} weighted integral j={j} k={k} d={spec.d} n={spec.n}"
 
-    level = None
-    if qcfg.scheme == "gauss_jacobi_commutative":
-        value, est = _gauss_jacobi_quasi_orth(spec, j, k, qcfg)
-    else:
-        if is_commutative(spec):
-            integrand = _commutative_quasi_orth_integrand(spec, j, k)
-        else:
-            integrand = _general_quasi_orth_integrand(spec, j, k, side, ocfg)
-        value, est, level = de_integrate(integrand, qcfg)
-
-    worst = float(np.max(np.abs(value)))
-    passed = worst <= qcfg.tolerance + est if claimed else True
     detail = "vanishing claimed" if claimed else "no vanishing claim for this index order"
+    if is_commutative(spec):
+        channels = _exact_channel_integrals(spec, j, k)
+        worst = max(abs(value) for _, value in channels)
+        vanishes = all(R == 0 for R, _ in channels)
+        est, tol, level = 0.0, 0.0, None
+        detail += "; exact Jacobi moments, tolerance 0"
+    else:
+        integrand = _general_quasi_orth_integrand(spec, j, k, side, ocfg)
+        value, est, level = de_integrate(integrand, qcfg)
+        worst = float(np.max(np.abs(value)))
+        vanishes = worst <= qcfg.tolerance + est
+        tol = qcfg.tolerance
     return NumericReport(
         quantity=name,
         max_abs_entry=worst,
         estimated_quadrature_error=est,
-        tolerance=qcfg.tolerance,
-        passed=passed,
+        tolerance=tol,
+        passed=vanishes if claimed else True,
         claimed=claimed,
         detail=detail,
         de_level=level,
     )
-
-
-def _gauss_jacobi_quasi_orth(spec: ProblemSpec, j: int, k: int,
-                             qcfg: QuadConfig) -> tuple[np.ndarray, float]:
-    """Exact-node cross-check for the diagonal (commutative) weight.
-
-    Each diagonal entry is a polynomial against the weight
-    (1-x)^p (1+x)^q, so Gauss-Jacobi nodes of sufficient order integrate
-    it to machine accuracy; both sides of the claim coincide entrywise.
-    The change from half the order is the error estimate, and it must
-    meet the same tolerance/10 target as the tanh-sinh levels.
-    """
-    if not is_commutative(spec):
-        raise ValueError("the Gauss-Jacobi scheme applies to commutative problems only")
-    from scipy.special import roots_jacobi
-
-    N = spec.space.N
-    pj = [c[:, None] for c in _np_diag_coeffs(build_Pk(spec, j))]
-    pk = [c[:, None] for c in _np_diag_coeffs(build_Pk(spec, k))]
-    plus, minus = commutative_exponents(spec, spec.space)
-    need = j + k + 1
-    order = max(qcfg.order, need)
-
-    def integral(n_nodes: int) -> np.ndarray:
-        # one row of nodes and weights per diagonal channel
-        rules = [roots_jacobi(n_nodes, float(p), float(q)) for p, q in zip(plus, minus)]
-        x = np.array([r[0] for r in rules])
-        w = np.array([r[1] for r in rules])
-        return np.sum(w * _np_horner(pj, x, N) * _np_horner(pk, x, N), axis=1)
-
-    half = max(need, order // 2)
-    full = integral(order)
-    est = float(np.max(np.abs(full - integral(half))))
-    target = qcfg.tolerance / 10.0
-    if est > target:
-        raise QuadratureError(
-            f"Gauss-Jacobi orders {order} and {half} differ by {est:g}, "
-            f"above the target {target:g}",
-            estimated_error=est,
-        )
-    return full, est
 
 
 # -- integral inter-relation ---------------------------------------------------

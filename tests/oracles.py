@@ -246,3 +246,34 @@ def induced_action(Y: RatMatrix, space: PolySpace) -> RatMatrix:
                     int(Yinv[r, b.j - 1].p), int(Yinv[r, b.j - 1].q))
         cols.append(col)
     return RatMatrix([[cols[c][r] for c in range(space.N)] for r in range(space.N)])
+
+
+def _sympy_rat(c) -> sympy.Rational:
+    c = Rat(c)
+    return sympy.Rational(int(c.numerator), int(c.denominator))
+
+
+def jacobi_integral_sympy(p, a: int, b: int) -> sympy.Rational:
+    """int_{-1}^{1} p(x) (1-x)^a (1+x)^b dx by sympy.integrate, integer a, b >= 0.
+
+    Only for integer exponents: sympy needs minutes on fractional ones.
+    """
+    x = sympy.symbols("x")
+    poly = sum((_sympy_rat(c) * x ** i for i, c in enumerate(p)), sympy.Integer(0))
+    return sympy.integrate(poly * (1 - x) ** a * (1 + x) ** b, (x, -1, 1))
+
+
+def jacobi_integral_beta(p, a, b) -> sympy.Expr:
+    """int_{-1}^{1} p(x) (1-x)^a (1+x)^b dx in closed form, rational a, b > -1.
+
+    With x = 2t - 1 the weight becomes 2^{a+b+1} t^b (1-t)^a dt, and
+    x^m = sum_l C(m, l) (2t)^l (-1)^{m-l}, so each monomial is a sum of
+    Beta functions B(b+l+1, a+1) = Gamma(b+l+1) Gamma(a+1) / Gamma(a+b+l+2).
+    """
+    a, b = _sympy_rat(a), _sympy_rat(b)
+    total = sympy.Integer(0)
+    for m, c in enumerate(p):
+        for l in range(m + 1):
+            beta = sympy.gamma(b + l + 1) * sympy.gamma(a + 1) / sympy.gamma(a + b + l + 2)
+            total += _sympy_rat(c) * comb(m, l) * 2 ** l * (-1) ** (m - l) * beta
+    return 2 ** (a + b + 1) * total

@@ -22,6 +22,12 @@ COMMUT_2x2 = {
     "A": [["1/2", "0"], ["0", "1/3"]],
     "B": [["1/4", "0"], ["0", "1/5"]],
 }
+# a complex-conjugate eigenvalue pair with real part 1/16 on each side
+NONCOMMUT_2x2 = {
+    "d": 2, "n": 2,
+    "A": [["1/16", "1/20"], ["-1/20", "1/16"]],
+    "B": [["1/16", "-1/20"], ["1/20", "0"]],
+}
 RESONANT = {"d": 2, "n": 2, "A": [["-3", "0"], ["0", "0"]],
             "B": [["0", "0"], ["0", "0"]]}
 
@@ -296,7 +302,10 @@ def test_quadrature_claimed_pass(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "[PASS]" in out
     assert "integrability (exact)" in out
-    assert "DE level = 5" in out
+    assert ("max |entry| = 0.000e+00  estimated quadrature error = 0.000e+00"
+            "  tolerance = 0.000e+00\n") in out
+    assert "DE level" not in out
+    assert "vanishing claimed; exact Jacobi moments, tolerance 0" in out
 
 
 def test_quadrature_informational_equal_indices(tmp_path, capsys):
@@ -316,7 +325,11 @@ def test_quadrature_json_format(tmp_path, capsys):
     assert doc["report"]["claimed"] is True
     assert doc["report"]["passed"] is True
     assert doc["integrability"]["commutative"] is True
-    assert doc["report"]["de_level"] == 5
+    assert doc["report"]["max_abs_entry"] == 0.0
+    assert doc["report"]["estimated_quadrature_error"] == 0.0
+    assert doc["report"]["tolerance"] == 0.0
+    assert doc["report"]["de_level"] is None
+    assert doc["report"]["detail"] == "vanishing claimed; exact Jacobi moments, tolerance 0"
     capsys.readouterr()
 
 
@@ -334,16 +347,18 @@ def test_quadrature_checks_integrability_once(tmp_path, capsys):
 
 
 def test_quadrature_integrability_gate(tmp_path, capsys):
+    # an integral that does not exist is refused, with or without the override
     divergent = {"d": 1, "n": 2, "A": [["-5/4"]], "B": [["0"]]}
     inp = write_json(tmp_path / "spec.json", divergent)
-    assert main(["quadrature", "--input", inp, "--j", "0", "--k", "1",
-                 "--side", "right"]) == 2
-    assert "override-integrability" in capsys.readouterr().err
+    for extra in ([], ["--override-integrability"]):
+        assert main(["quadrature", "--input", inp, "--j", "0", "--k", "1",
+                     "--side", "right", *extra]) == 2
+        assert "weighted integral does not exist" in capsys.readouterr().err
 
 
 def test_quadrature_nonconvergence_exit(tmp_path, capsys):
     # an unreachable refinement target exhausts the level budget
-    inp = write_json(tmp_path / "spec.json", COMMUT_2x2)
+    inp = write_json(tmp_path / "spec.json", NONCOMMUT_2x2)
     assert main(["quadrature", "--input", inp, "--j", "0", "--k", "1",
                  "--side", "right", "--tol", "1e-30"]) == 4
     assert "quadrature failure:" in capsys.readouterr().err
@@ -407,20 +422,17 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_quadrature_loads_no_scipy(tmp_path):
-    # the fundamental matrix needs numpy only; scipy serves the Gauss-Jacobi
-    # cross-check alone, which the command never selects
-    doc = {"d": 2, "n": 2,
-           "A": [["1/16", "1/20"], ["-1/20", "1/16"]],
-           "B": [["1/16", "-1/20"], ["1/20", "0"]]}
-    inp = write_json(tmp_path / "spec.json", doc)
-    out = run_python("-X", "importtime", "-m", "mvjacobi", "quadrature", "--input", inp,
-                     "--j", "0", "--k", "2", "--side", "right", "--tol", "1e-6")
-    assert out.returncode == 0, out.stderr
-    assert "[PASS]" in out.stdout
-    imported = [line.rsplit("|", 1)[-1].strip() for line in out.stderr.splitlines()
-                if line.startswith("import time:")]
-    assert "numpy" in imported
-    assert [m for m in imported if m.split(".")[0] == "scipy"] == []
+    # the fundamental matrix and the exact Jacobi moments need numpy at most
+    for doc in (NONCOMMUT_2x2, COMMUT_2x2):
+        inp = write_json(tmp_path / "spec.json", doc)
+        out = run_python("-X", "importtime", "-m", "mvjacobi", "quadrature", "--input", inp,
+                         "--j", "0", "--k", "2", "--side", "right", "--tol", "1e-6")
+        assert out.returncode == 0, out.stderr
+        assert "[PASS]" in out.stdout
+        imported = [line.rsplit("|", 1)[-1].strip() for line in out.stderr.splitlines()
+                    if line.startswith("import time:")]
+        assert "numpy" in imported
+        assert [m for m in imported if m.split(".")[0] == "scipy"] == []
 
 
 def test_module_entry_point_computes():

@@ -3,13 +3,22 @@ import random
 
 import numpy as np
 import pytest
-import scipy.special
-from oracles import commutative_weight_entry
+import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from oracles import (
+    commutative_weight_entry,
+    jacobi_integral_beta,
+    jacobi_integral_sympy,
+    leibniz_scalar_member,
+    poly_mul,
+)
 
 from mvjacobi.errors import OdeError, QuadratureError
 from mvjacobi.numeric import (
     OdeConfig,
     QuadConfig,
+    _exact_channel_integrals,
     commutative_Y,
     commutative_exponents,
     de_integrate,
@@ -22,6 +31,7 @@ from mvjacobi.numeric import (
     weight,
 )
 from mvjacobi.operators import ProblemSpec
+from mvjacobi.oppoly import build_Pk
 from mvjacobi.rational import Rat
 from mvjacobi.ratmat import RatMatrix
 from mvjacobi.sampling import random_diagonal, random_matrix
@@ -63,11 +73,7 @@ def test_ode_config_validation():
 def test_quad_config_validation():
     QuadConfig()
     with pytest.raises(ValueError):
-        QuadConfig(scheme="midpoint")
-    with pytest.raises(ValueError):
         QuadConfig(levels=4)
-    with pytest.raises(ValueError):
-        QuadConfig(order=0)
     with pytest.raises(ValueError):
         QuadConfig(tolerance=0.0)
     for field in ("tolerance",):
@@ -281,9 +287,14 @@ def test_integrability_check_noncommutative_is_heuristic():
 
 
 def test_quasi_orth_rejects_divergent_weight():
-    divergent = diag_spec([Rat(-5, 4)], [0], 2)
-    with pytest.raises(ValueError, match="override-integrability"):
-        quasi_orth_integral(divergent, 0, 1, "right")
+    # an exact exponent <= -1 means the integral does not exist, so no
+    # override can produce a value for it
+    for a in (Rat(-5, 4), Rat(-1)):
+        divergent = diag_spec([a], [0], 2)
+        for override in (False, True):
+            with pytest.raises(ValueError, match="does not exist"):
+                quasi_orth_integral(divergent, 0, 1, "right",
+                                    override_integrability=override)
 
 
 def test_quasi_orth_noncommutative_gate_and_override():
@@ -315,8 +326,10 @@ def test_quasi_orth_commutative_right_and_left():
     qcfg = QuadConfig(tolerance=1e-10)
     right = quasi_orth_integral(POSITIVE, 1, 3, "right", qcfg=qcfg)
     assert right.claimed and right.passed
-    assert right.max_abs_entry <= 1e-10 + right.estimated_quadrature_error
-    assert right.de_level == 5 and right.to_dict()["de_level"] == 5
+    assert right.max_abs_entry == 0.0
+    assert right.estimated_quadrature_error == 0.0 and right.tolerance == 0.0
+    assert right.de_level is None and right.to_dict()["de_level"] is None
+    assert right.detail == "vanishing claimed; exact Jacobi moments, tolerance 0"
 
     left = quasi_orth_integral(POSITIVE, 3, 1, "left", qcfg=qcfg)
     assert left.claimed and left.passed
@@ -327,43 +340,19 @@ def test_quasi_orth_commutative_right_and_left():
     assert off_claim.max_abs_entry > 0.1
     assert "no vanishing claim" in off_claim.detail
 
+    # the Jacobi mass of exponent 1100 is past the float range; the claim is
+    # still decided exactly, and the off-claim magnitude reads inf
+    huge = diag_spec([Rat(1100)], [0], 2)
+    vanish = quasi_orth_integral(huge, 0, 1, "right")
+    assert vanish.passed and vanish.max_abs_entry == 0.0
+    assert quasi_orth_integral(huge, 1, 1, "right").max_abs_entry == math.inf
+
 
 def test_quasi_orth_validates_arguments():
     with pytest.raises(ValueError):
         quasi_orth_integral(POSITIVE, 0, 1, "middle")
     with pytest.raises(ValueError):
         quasi_orth_integral(POSITIVE, -1, 1, "right")
-
-
-def test_gauss_jacobi_scheme_agrees_with_tanh_sinh():
-    gj = QuadConfig(scheme="gauss_jacobi_commutative", tolerance=1e-10)
-    de = QuadConfig(tolerance=1e-10)
-    vanish = quasi_orth_integral(POSITIVE, 1, 2, "right", qcfg=gj)
-    assert vanish.passed and vanish.max_abs_entry <= 1e-10
-
-    a = quasi_orth_integral(POSITIVE, 1, 1, "right", qcfg=gj)
-    b = quasi_orth_integral(POSITIVE, 1, 1, "right", qcfg=de)
-    assert abs(a.max_abs_entry - b.max_abs_entry) < 1e-9
-
-    with pytest.raises(ValueError, match="commutative"):
-        quasi_orth_integral(small_noncommutative_spec(), 0, 1, "right", qcfg=gj)
-
-
-def test_gauss_jacobi_unsettled_orders_raise(monkeypatch):
-    # a full and a half order that disagree must not widen the pass by
-    # their difference; the scheme fails instead, as tanh-sinh does
-    real = scipy.special.roots_jacobi
-    order = QuadConfig().order
-
-    def skewed(n_nodes, alpha, beta):
-        x, w = real(n_nodes, alpha, beta)
-        return (x, w) if n_nodes == order else (0.9 * x, w)
-
-    monkeypatch.setattr(scipy.special, "roots_jacobi", skewed)
-    gj = QuadConfig(scheme="gauss_jacobi_commutative", tolerance=1e-10)
-    with pytest.raises(QuadratureError) as exc:
-        quasi_orth_integral(POSITIVE, 1, 2, "right", qcfg=gj)
-    assert exc.value.estimated_error > gj.tolerance / 10
 
 
 def test_quasi_orth_mild_negative_exponents():
@@ -378,6 +367,7 @@ def test_quasi_orth_noncommutative_small_norm():
     ocfg = OdeConfig(rel_tol=1e-10)
     report = quasi_orth_integral(spec, 0, 2, "right", qcfg=qcfg, ocfg=ocfg)
     assert report.claimed and report.passed, report.to_dict()
+    assert report.de_level == 5 and report.to_dict()["de_level"] == 5
 
 
 def test_quasi_orth_vanishing_survives_base_change():
@@ -389,6 +379,102 @@ def test_quasi_orth_vanishing_survives_base_change():
         ocfg = OdeConfig(rel_tol=1e-10, basepoint=basepoint)
         report = quasi_orth_integral(spec, 1, 2, "right", qcfg=qcfg, ocfg=ocfg)
         assert report.passed, (basepoint, report.to_dict())
+
+
+# -- exact commutative integrals against tanh-sinh and sympy ------------------------
+
+
+def commutative_de_integrand(spec: ProblemSpec, j: int, k: int):
+    """Tanh-sinh integrand of P_j W P_k for diagonal residues, one entry per channel."""
+    pj = [np.array([float(e) for e in c.diag]) for c in build_Pk(spec, j).coeffs]
+    pk = [np.array([float(e) for e in c.diag]) for c in build_Pk(spec, k).coeffs]
+    plus, minus = commutative_exponents(spec, spec.space)
+    pe = np.array([float(e) for e in plus])
+    me = np.array([float(e) for e in minus])
+
+    def horner(coeffs, x):
+        acc = coeffs[-1]
+        for c in reversed(coeffs[:-1]):
+            acc = x * acc + c
+        return acc
+
+    def integrand(x, dist_minus, dist_plus):
+        return horner(pj, x) * (dist_minus ** pe * dist_plus ** me) * horner(pk, x)
+
+    return integrand
+
+
+def exact_channel_values(spec: ProblemSpec, j: int, k: int) -> np.ndarray:
+    return np.array([value for _, value in _exact_channel_integrals(spec, j, k)])
+
+
+def test_de_integrate_meets_its_target_against_exact_values():
+    # the true error is checked against the refinement target, not against
+    # DE's own estimate: the difference of two levels can understate it
+    qcfg = QuadConfig(tolerance=1e-8)
+    target = qcfg.tolerance / 10.0
+    for spec in (POSITIVE, MILD_NEGATIVE):
+        for k in range(5):
+            for j in range(k + 1):
+                value, _, _ = de_integrate(commutative_de_integrand(spec, j, k), qcfg)
+                err = np.max(np.abs(value - exact_channel_values(spec, j, k)))
+                assert err <= target, (spec.A.diag, j, k, err)
+
+
+def channel_exponents_and_members(spec: ProblemSpec, j: int, k: int):
+    """(a, b, p_i) per channel, p_i from the closed-form members, not from build_Pk."""
+    plus, minus = commutative_exponents(spec, spec.space)
+    return [(a, b, poly_mul(leibniz_scalar_member(a, b, j), leibniz_scalar_member(a, b, k)))
+            for a, b in zip(plus, minus)]
+
+
+def assert_relative(got: np.ndarray, want: list, bound: float):
+    want = np.array([float(w) for w in want])
+    assert np.max(np.abs(got - want) / np.abs(want)) <= bound, (got, want)
+
+
+def test_exact_integrals_match_sympy_integrate_integer_exponents():
+    spec = diag_spec([1, 2], [1, 1], 2)
+    for k in range(4):
+        want = [jacobi_integral_sympy(p, int(a), int(b))
+                for a, b, p in channel_exponents_and_members(spec, k, k)]
+        assert_relative(exact_channel_values(spec, k, k), want, 1e-13)
+        report = quasi_orth_integral(spec, k, k, "right")
+        assert_relative(np.array([report.max_abs_entry]), [max(want)], 1e-13)
+
+
+def test_exact_integrals_match_beta_sums_fractional_exponents():
+    spec = diag_spec([Rat(1, 2), Rat(1, 4)], [Rat(1, 2), Rat(5, 4)], 2)
+    for k in range(4):
+        for j in range(k + 1):
+            want = [jacobi_integral_beta(p, a, b)
+                    for a, b, p in channel_exponents_and_members(spec, j, k)]
+            if j == k:
+                assert_relative(exact_channel_values(spec, k, k),
+                                [sympy.N(w, 30) for w in want], 1e-13)
+            else:
+                assert all(sympy.gammasimp(w) == 0 for w in want), (j, k)
+                assert all(R == 0 for R, _ in _exact_channel_integrals(spec, j, k))
+
+
+residue_entry = st.builds(Rat, st.integers(-2, 6), st.sampled_from([2, 3, 4, 6, 12]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_exact_quasi_orth_vanishes_on_integrable_draws(data):
+    d = data.draw(st.integers(1, 3))
+    n = data.draw(st.integers(1, 3))
+    a = data.draw(st.lists(residue_entry, min_size=d, max_size=d))
+    b = data.draw(st.lists(residue_entry, min_size=d, max_size=d))
+    spec = diag_spec(a, b, n)
+    assume(integrability_check(spec, spec.space).exists_ok)
+    for k in range(1, 5):
+        for j in range(k):
+            for side, (jj, kk) in (("right", (j, k)), ("left", (k, j))):
+                report = quasi_orth_integral(spec, jj, kk, side)
+                assert report.claimed and report.passed
+                assert report.max_abs_entry == 0.0, (a, b, n, side, jj, kk)
 
 
 # -- integral inter-relation -----------------------------------------------------
