@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -120,8 +121,26 @@ def _header() -> dict:
     return {"tool": TOOL, "generated_at": datetime.now(timezone.utc).isoformat()}
 
 
+def _strict(value):
+    """value with each non-finite float spelled "inf", "-inf" or "nan".
+
+    JSON has no such numbers; Python's json would write the non-standard
+    tokens Infinity and NaN, which strict parsers reject.
+    """
+    if isinstance(value, float) and not math.isfinite(value):
+        return "nan" if math.isnan(value) else ("inf" if value > 0 else "-inf")
+    if isinstance(value, dict):
+        return {key: _strict(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return value
+
+
 def _emit(doc: dict, out: Optional[str]) -> None:
-    text = json.dumps(doc, sort_keys=True, indent=2)
+    try:
+        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:  # a non-finite float; only then is the document walked
+        text = json.dumps(_strict(doc), sort_keys=True, indent=2, allow_nan=False)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

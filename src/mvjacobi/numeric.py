@@ -7,7 +7,8 @@ basepoint, is continued toward each endpoint by Taylor series at
 centers that step half a radius toward it, less for residues of large
 norm (the classical Taylor method for holonomic systems), up to
 |x| <= 1 - 1e-12.  Each side is swept once per problem and kept as
-dense output; only numpy is needed.
+dense output, which evaluates a whole array of points at once; only
+numpy is needed.
 For simultaneously diagonal residues the closed form
 diag((1-x)^{a_i} (1+x)^{b_i}) is used instead; on (-1, 1) this real
 branch differs from an analytic continuation only by a constant
@@ -16,21 +17,22 @@ diagonal right factor, which none of the checked statements feel.
 Weighted integrals over (-1, 1) use tanh-sinh (double-exponential)
 quadrature with dyadic step sizes, so the levels are nested: each level
 reuses the previous level's sum and evaluates the integrand only at its
-new odd-indexed nodes.  Nodes are generated as numpy arrays together
-with the exact distances 1 -+ x to the endpoints, and integrands
-receive those distances directly; this is what keeps endpoint powers
-like (1-x)^(-1/2) accurate where float subtraction would have lost
-everything.  The one exception is quasi-orthogonality for commutative
-problems, where every channel is a polynomial against a Jacobi weight:
-its integrals are rational multiples of the Jacobi mass, from the
-classical moment recurrence, so vanishing is decided exactly.
+new odd-indexed nodes, in one call on the whole node array.  The
+noncommutative integrand keeps the nodes as a leading axis throughout:
+dense output, weight action, members and their products are stacks.
+Nodes are generated together with the exact distances 1 -+ x to the
+endpoints, and integrands receive those distances directly; this is
+what keeps endpoint powers like (1-x)^(-1/2) accurate where float
+subtraction would have lost everything.  The one exception is
+quasi-orthogonality for commutative problems, where every channel is a
+polynomial against a Jacobi weight: its integrals are rational
+multiples of the Jacobi mass, from the classical moment recurrence, so
+vanishing is decided exactly.
 """
 
 from __future__ import annotations
 
 import math
-import operator
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
@@ -41,6 +43,7 @@ from .errors import OdeError, QuadratureError
 from .operators import ProblemSpec, basis_exponents, induced_action_float
 from .oppoly import OpPoly, build_Pk
 from .polyspace import PolySpace, PolyVector
+from .ratmat import RatMatrix
 from .rational import ONE
 from .structure import build_tilde_Pk
 
@@ -51,6 +54,7 @@ _MAX_CENTERS = 4000  # about 27.6 (1 + |A| + |B|) per side; 4000 allows norms up
 _DE_TMAX = 6.0
 _DE_FIRST_LEVEL = 4
 _DELTA_FLOOR = 5e-300  # tanh-sinh nodes closer than this to an endpoint are dropped
+_NODE_BLOCK = 32  # nodes per batched weight evaluation, bounding the (block, N, N) temporaries
 
 
 def _require_finite(cfg, fields: Sequence[str]) -> None:
@@ -117,24 +121,41 @@ def is_commutative(spec: ProblemSpec) -> bool:
 # -- fundamental matrix ------------------------------------------------------
 
 
+def _floats(M: RatMatrix) -> np.ndarray:
+    """M as a float array, entry e / den from the integer numerators.
+
+    int / int true division is correctly rounded, and so is
+    float(Fraction), so this equals the Fraction view entry by entry
+    without building it.
+    """
+    return np.array([[e / M.den for e in row] for row in M.num])
+
+
 @dataclass(frozen=True)
 class _Sweep:
     """Taylor data of one sweep from the basepoint toward an endpoint.
 
     Center k lies at distance dist[k] from that endpoint (decreasing in
-    k) and has radius rho[k]; coeffs[k] is a (terms, d, d) array z with
-    Y(c_k + rho[k] s) = sum_j z[j] s^j.
+    k) and has radius rho[k]; coeffs is a (terms, centers, d, d) array z
+    with Y(c_k + rho[k] s) = sum_j z[j, k] s^j.
     """
 
-    dist: list
-    rho: list
+    dist: np.ndarray
+    rho: np.ndarray
     coeffs: np.ndarray
     nfev: int  # Taylor coefficient matrices in the sweep, over all centers
 
 
-def _sum_series(z: np.ndarray, s) -> np.ndarray:
-    """sum_j z_j s^j, where j indexes the third axis from the end of z."""
-    return np.tensordot(s ** np.arange(z.shape[-3]), z, axes=([0], [-3]))
+def _sum_series(z: np.ndarray, s, centers=slice(None)) -> np.ndarray:
+    """sum_j z[j, centers] s^j by Horner; s broadcasts against z[j, centers].
+
+    Gathering one term at a time keeps a fancy-indexed `centers` from
+    copying the whole coefficient stack.
+    """
+    acc = z[-1, centers]
+    for zj in z[-2::-1]:
+        acc = acc * s + zj[centers]
+    return acc
 
 
 def solve_ivp(A: np.ndarray, B: np.ndarray, basepoint: float, sign: int,
@@ -190,7 +211,7 @@ def solve_ivp(A: np.ndarray, B: np.ndarray, basepoint: float, sign: int,
         norm = np.max(np.sum(np.abs(nxt), axis=2)) * h ** (j + 1)
         settled = settled + 1 if norm <= tail else 0
         prev = cur
-    T = np.stack(T, axis=1)
+    T = np.stack(T)
     # Y at each center: the previous one carried across one step
     step_to_next = _sum_series(T, sign * h)
     Y = [np.eye(A.shape[0])]
@@ -199,7 +220,7 @@ def solve_ivp(A: np.ndarray, B: np.ndarray, basepoint: float, sign: int,
         if not np.all(np.isfinite(Y[-1])):
             raise OdeError(f"non-finite fundamental matrix at distance "
                            f"{dist[len(Y) - 1]:.17g} from {sign:+d}")
-    return _Sweep(dist, rho.ravel().tolist(), T @ np.stack(Y)[:, None], T.shape[0] * T.shape[1])
+    return _Sweep(e.ravel(), rho.ravel(), T @ np.stack(Y), T.shape[0] * T.shape[1])
 
 
 class _FundamentalSolver:
@@ -213,8 +234,8 @@ class _FundamentalSolver:
     def __init__(self, spec: ProblemSpec, cfg: OdeConfig):
         self.cfg = cfg
         self.d = spec.d
-        self._a = np.array([[float(e) for e in row] for row in spec.A.rows])
-        self._b = np.array([[float(e) for e in row] for row in spec.B.rows])
+        self._a = _floats(spec.A)
+        self._b = _floats(spec.B)
         self._sweeps: dict[int, _Sweep] = {}
 
     def _sweep(self, sign: int) -> _Sweep:
@@ -225,25 +246,35 @@ class _FundamentalSolver:
                                            sign, self.cfg.rel_tol ** 2)
         return self._sweeps[sign]
 
-    def at(self, x: float, dist_minus: Optional[float] = None,
-           dist_plus: Optional[float] = None) -> np.ndarray:
-        """Y(x); optional exact endpoint distances sharpen s near +-1."""
-        x = float(x)
-        if x == self.cfg.basepoint:
-            return np.eye(self.d)
-        sign = 1 if x > self.cfg.basepoint else -1
-        if sign > 0:
-            delta = 1.0 - x if dist_minus is None else dist_minus
-        else:
-            delta = 1.0 + x if dist_plus is None else dist_plus
-        if not delta > 0.0:
-            raise ValueError(f"x = {x} outside (-1, 1)")
-        delta = max(delta, _CAP_DIST)
+    def at(self, x: np.ndarray, dist_minus: Optional[np.ndarray] = None,
+           dist_plus: Optional[np.ndarray] = None) -> np.ndarray:
+        """Y at each node of the 1-D array x, stacked as (len(x), d, d).
+
+        Optional exact endpoint distances 1 - x and 1 + x sharpen s near +-1.
+        """
+        x = np.asarray(x, dtype=float)
+        dist_minus = 1.0 - x if dist_minus is None else np.asarray(dist_minus, dtype=float)
+        dist_plus = 1.0 + x if dist_plus is None else np.asarray(dist_plus, dtype=float)
+        at_base = x == self.cfg.basepoint
+        plus = x > self.cfg.basepoint
+        delta = np.where(plus, dist_minus, dist_plus)
+        outside = ~at_base & ~(delta > 0.0)
+        if outside.any():
+            raise ValueError(f"x = {x[outside][0]} outside (-1, 1)")
+        out = np.empty(x.shape + (self.d, self.d))
+        out[at_base] = np.eye(self.d)
+        for sign, side in ((1, plus), (-1, ~plus & ~at_base)):
+            if side.any():
+                out[side] = self._side(sign, np.maximum(delta[side], _CAP_DIST))
+        return out
+
+    def _side(self, sign: int, delta: np.ndarray) -> np.ndarray:
         sweep = self._sweep(sign)
         # the last center not beyond delta; the first one for a node that
         # lies within rounding of the basepoint
-        i = max(bisect_right(sweep.dist, -delta, key=operator.neg) - 1, 0)
-        return _sum_series(sweep.coeffs[i], sign * (sweep.dist[i] - delta) / sweep.rho[i])
+        i = np.maximum(np.searchsorted(-sweep.dist, -delta, side="right") - 1, 0)
+        s = sign * (sweep.dist[i] - delta) / sweep.rho[i]
+        return _sum_series(sweep.coeffs, s[:, None, None], i)
 
 
 @lru_cache(maxsize=None)
@@ -253,7 +284,7 @@ def _solver(spec: ProblemSpec, cfg: OdeConfig) -> _FundamentalSolver:
 
 def fundamental_matrix(spec: ProblemSpec, x: float, cfg: Optional[OdeConfig] = None) -> np.ndarray:
     """Y(x) with Y(basepoint) = I, from the Taylor sweeps of Y' = MY."""
-    return _solver(spec, cfg or OdeConfig()).at(x)
+    return _solver(spec, cfg or OdeConfig()).at(np.array([float(x)]))[0]
 
 
 def commutative_Y(spec: ProblemSpec, x: float) -> np.ndarray:
@@ -295,11 +326,10 @@ def ode_vs_closed_form_report(spec: ProblemSpec, cfg: Optional[OdeConfig] = None
     """
     cfg = cfg or OdeConfig()
     base = commutative_Y(spec, cfg.basepoint)
-    worst = 0.0
-    for x in np.linspace(-0.95, 0.95, points):
-        got = fundamental_matrix(spec, float(x), cfg)
-        want = commutative_Y(spec, float(x)) @ np.linalg.inv(base)
-        worst = max(worst, float(np.max(np.abs(got - want))))
+    xs = np.linspace(-0.95, 0.95, points)
+    got = _solver(spec, cfg).at(xs)
+    want = np.stack([commutative_Y(spec, x) for x in xs.tolist()]) @ np.linalg.inv(base)
+    worst = float(np.max(np.abs(got - want)))
     tol = 10.0 * cfg.rel_tol
     return NumericReport(
         quantity=f"ODE vs closed-form fundamental matrix at {points} points",
@@ -312,10 +342,12 @@ def ode_vs_closed_form_report(spec: ProblemSpec, cfg: Optional[OdeConfig] = None
 
 # -- double-exponential quadrature -------------------------------------------
 
-# Integrands receive (x, dist_minus, dist_plus) where dist_minus = 1 - x and
-# dist_plus = 1 + x are computed without cancellation, so endpoint powers stay
-# accurate far below float resolution of x itself.
-Integrand = Callable[[float, float, float], np.ndarray]
+# An integrand is called once per level with that level's new nodes as arrays
+# (x, dist_minus, dist_plus), where dist_minus = 1 - x and dist_plus = 1 + x are
+# computed without cancellation, so endpoint powers stay accurate far below
+# float resolution of x itself.  It returns its values stacked along a leading
+# node axis.
+Integrand = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
 def _de_nodes(level: int) -> tuple[np.ndarray, ...]:
@@ -346,9 +378,10 @@ def de_integrate(integrand: Integrand, qcfg: QuadConfig,
 
     Levels are refined (halving h) until two consecutive levels agree to
     the target (default tolerance/10); returns (value, estimated error,
-    final level).  Each level's sum is h times the running sum over all
-    nodes so far, so no node is evaluated twice.  Raises QuadratureError
-    when the level budget runs out.
+    final level).  The integrand is called once per level, on that
+    level's new nodes; each level's sum is h times the running sum over
+    all nodes so far, so no node is evaluated twice.  Raises
+    QuadratureError when the level budget runs out.
     """
     if target is None:
         target = qcfg.tolerance / 10.0
@@ -357,11 +390,8 @@ def de_integrate(integrand: Integrand, qcfg: QuadConfig,
     est = math.inf
     for level in range(_DE_FIRST_LEVEL, qcfg.levels + 1):
         x, dist_minus, dist_plus, w = _de_nodes(level)
-        total = total + np.sum(np.stack([
-            wi * np.asarray(integrand(xi, dm, dp), dtype=float)
-            for xi, dm, dp, wi in zip(x.tolist(), dist_minus.tolist(),
-                                      dist_plus.tolist(), w.tolist())
-        ]), axis=0)
+        values = np.asarray(integrand(x, dist_minus, dist_plus), dtype=float)
+        total = total + np.tensordot(w, values, axes=1)
         cur = 2.0 ** (-level) * total
         if prev is not None:
             est = float(np.max(np.abs(cur - prev)))
@@ -435,8 +465,8 @@ def integrability_check(spec: ProblemSpec, space: PolySpace,
             f"min at +1 is {mp:g}, min at -1 is {mm:g}"
         )
     else:
-        eig_a = np.linalg.eigvals(np.array([[float(e) for e in row] for row in spec.A.rows]))
-        eig_b = np.linalg.eigvals(np.array([[float(e) for e in row] for row in spec.B.rows]))
+        eig_a = np.linalg.eigvals(_floats(spec.A))
+        eig_b = np.linalg.eigvals(_floats(spec.B))
         mp = float(min(basis_exponents(eig_a.real.tolist(), space)))
         mm = float(min(basis_exponents(eig_b.real.tolist(), space)))
         heuristic = True
@@ -459,18 +489,14 @@ def integrability_check(spec: ProblemSpec, space: PolySpace,
 # -- quasi-orthogonality -------------------------------------------------------
 
 
-def _np_coeffs(P: OpPoly) -> list[np.ndarray]:
-    return [np.array([[float(e) for e in row] for row in c.rows]) for c in P.coeffs]
+def _np_coeffs(P: OpPoly) -> np.ndarray:
+    """The coefficients of P as floats, stacked lowest power first."""
+    return np.stack([_floats(c) for c in P.coeffs])
 
 
-def _np_horner(coeffs: list[np.ndarray], x, N: int) -> np.ndarray:
-    """sum_i coeffs[i] x^i; x is a float or an array that broadcasts."""
-    if not coeffs:
-        return np.zeros((N, N))
-    acc = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        acc = x * acc + c
-    return acc
+def _np_members(coeffs: np.ndarray, x) -> np.ndarray:
+    """sum_i coeffs[i] x^i at each node of x, stacked along x's axes."""
+    return np.tensordot(np.power.outer(x, np.arange(len(coeffs))), coeffs, axes=1)
 
 
 def _require_integrable(spec: ProblemSpec, space: PolySpace, j: int, k: int,
@@ -545,13 +571,14 @@ def _general_quasi_orth_integrand(spec: ProblemSpec, j: int, k: int, side: str,
     N = space.N
     solver = _solver(spec, ocfg)
 
-    def integrand(x: float, dist_minus: float, dist_plus: float) -> np.ndarray:
-        W = induced_action_float(solver.at(x, dist_minus, dist_plus), space)
-        Fj = _np_horner(cj, x, N)
-        Fk = _np_horner(ck, x, N)
-        if side == "right":
-            return Fj @ W @ Fk
-        return W @ Fj @ Fk
+    def integrand(x: np.ndarray, dist_minus: np.ndarray, dist_plus: np.ndarray) -> np.ndarray:
+        out = np.empty((len(x), N, N))
+        for lo in range(0, len(x), _NODE_BLOCK):
+            b = slice(lo, lo + _NODE_BLOCK)
+            W = induced_action_float(solver.at(x[b], dist_minus[b], dist_plus[b]), space)
+            Fj = _np_members(cj, x[b])
+            np.matmul(Fj @ W if side == "right" else W @ Fj, _np_members(ck, x[b]), out=out[b])
+        return out
 
     return integrand
 
@@ -644,21 +671,20 @@ def integral_interrelation_check(spec: ProblemSpec, k: int, x0: float,
         )
 
     qf = np.array([float(e) for e in q])
-    N = space.N
-    lhs = _np_horner(_np_coeffs(build_Pk(spec, k)), float(x0), N) @ qf
+    lhs = _np_members(_np_coeffs(build_Pk(spec, k)), float(x0)) @ qf
 
-    ct = _np_coeffs(build_tilde_Pk(spec, k + 1))
+    ct_q = _np_coeffs(build_tilde_Pk(spec, k + 1)) @ qf  # coefficients of P~_{k+1}(t) q
     pe = np.array([float(e) for e in plus])
     me = np.array([float(e) for e in minus])
     half_len = (float(x0) + 1.0) / 2.0
 
-    def integrand(u: float, du_minus: float, du_plus: float) -> np.ndarray:
+    def integrand(u: np.ndarray, du_minus: np.ndarray, du_plus: np.ndarray) -> np.ndarray:
         # t runs over (-1, x0); distances to the endpoints stay cancellation-free
-        dist_plus = du_plus * half_len            # t - (-1)
+        dist_plus = du_plus[:, None] * half_len   # t - (-1)
         t = dist_plus - 1.0
         dist_minus = 1.0 - t                      # not small: x0 < 1
         w_diag = dist_minus ** pe * dist_plus ** me
-        vec = _np_horner(ct, t, N) @ qf
+        vec = _np_members(ct_q, t[:, 0])
         q_inv = -1.0 / (dist_minus * dist_plus)   # 1 / (t^2 - 1)
         return (q_inv * half_len) * (w_diag * vec)
 

@@ -14,10 +14,11 @@ Two derived operators drive everything downstream:
                             where M_1 = A + B and M_2 = A - B;
   induced_action_float(Y, space)
                             the substitution q |-> Y^{-1} q(Y w) for a
-                            numerically integrated group element Y, the
-                            finite-dimensional image of the group action
-                            (note it reverses products: the image of a
-                            product Y C is image(C) @ image(Y)).
+                            numerically integrated group element Y (or a
+                            stack of them), the finite-dimensional image
+                            of the group action (note it reverses
+                            products: the image of a product Y C is
+                            image(C) @ image(Y)).
 
 D_1 is diagonal whenever M_1 is, with entry m.lambda - lambda_j on the
 basis element w^m e_j, so every shift D_1 + s is singular exactly when
@@ -143,45 +144,58 @@ def describe_kernel(space: PolySpace, kernel: Sequence) -> str:
 # -- induced substitution action ------------------------------------------
 
 
-def _monomial_image(Y_rows: Sequence[Sequence[float]], m: Sequence[int]) -> dict:
-    """Expand prod_s (row_s . w)^{m_s} into {multi-index: coefficient}."""
-    d = len(Y_rows)
-    acc = {(0,) * d: 1.0}
-    for s, power in enumerate(m):
-        row = Y_rows[s]
-        for _ in range(power):
-            nxt: dict = {}
-            for mm, c in acc.items():
-                for t, yst in enumerate(row):
-                    if not yst:
-                        continue
-                    key = mm[:t] + (mm[t] + 1,) + mm[t + 1:]
-                    if key in nxt:
-                        nxt[key] += c * yst
-                    else:
-                        nxt[key] = c * yst
-            acc = nxt
-    return acc
+@lru_cache(maxsize=None)
+def _sym_power_plan(d: int, n: int) -> tuple:
+    """Gather plan for the symmetric powers of a d x d matrix, degrees 1..n.
+
+    Each degree lists its monomials in basis order.  Per degree the plan
+    holds (peel, col, row) index arrays: the variable s peeled off each
+    monomial m, the position of m - e_s one degree down, and for each
+    monomial mm and variable t the position of mm - e_t one degree down,
+    or one past the end (a zero row) when mm has no factor w_t.
+    """
+    import numpy as np
+
+    def down(m, s):
+        return m[:s] + (m[s] - 1,) + m[s + 1:]
+
+    plan = []
+    lower = {(0,) * d: 0}
+    for k in range(1, n + 1):
+        monomials = [b.m for b in enumerate_basis(d, k).basis[::d]]
+        peel = [next(s for s, ms in enumerate(m) if ms) for m in monomials]
+        col = [lower[down(m, s)] for m, s in zip(monomials, peel)]
+        row = [[lower[down(m, t)] if m[t] else len(lower) for t in range(d)] for m in monomials]
+        plan.append((np.array(peel), np.array(col), np.array(row)[:, :, None]))
+        lower = {m: i for i, m in enumerate(monomials)}
+    return tuple(plan)
 
 
 def induced_action_float(Y, space: PolySpace) -> "numpy.ndarray":
     """Matrix of q |-> Y^{-1} q(Y w) on the monomial basis, for a float Y.
 
-    The basis runs over monomials with the slot as the inner index, so the
-    matrix is S (x) Y^{-1}, where S substitutes Y w into the scalar
-    monomials of degree n.  Only the numeric layer calls this, so numpy
-    is imported here and the exact commands never load it.
+    Y may be a (..., d, d) stack; the result is the (..., N, N) stack of
+    actions.  The basis runs over monomials with the slot as the inner
+    index, so each matrix is S (x) Y^{-1}, where S = Sym^n(Y) substitutes
+    Y w into the scalar monomials of degree n.  S is built one degree at
+    a time: the image of w^m is (Y w)_s times the image of w^(m - e_s),
+    so S_k[mm, m] = sum_t Y[s, t] S_{k-1}[mm - e_t, m - e_s].  Only the
+    numeric layer calls this, so numpy is imported here and the exact
+    commands never load it.
     """
     import numpy as np
 
     Y = np.asarray(Y, dtype=float)
-    if Y.shape != (space.d, space.d):
-        raise ValueError(f"Y must be {space.d} x {space.d}")
-    Y_rows = Y.tolist()
-    monomials = [b.m for b in space.basis[::space.d]]
-    position = {m: i for i, m in enumerate(monomials)}
-    S = np.zeros((len(monomials), len(monomials)))
-    for c, m in enumerate(monomials):
-        for mm, coeff in _monomial_image(Y_rows, m).items():
-            S[position[mm], c] = coeff
-    return np.kron(S, np.linalg.inv(Y))
+    d = space.d
+    if Y.ndim < 2 or Y.shape[-2:] != (d, d):
+        raise ValueError(f"Y must be {d} x {d}, or a stack of such matrices")
+    Y_inv = np.linalg.inv(Y)  # raises LinAlgError, a ValueError, when singular
+    S = np.ones(Y.shape[:-2] + (1, 1))
+    for peel, col, row in _sym_power_plan(d, space.n):
+        padded = np.concatenate([S, np.zeros(S.shape[:-2] + (1, S.shape[-1]))], axis=-2)
+        # gathered[..., mm, t, m] = S_{k-1}[mm - e_t, m - e_s]
+        gathered = padded[..., row, col]
+        S = np.einsum("...itm,...mt->...im", gathered, Y[..., peel, :])
+    M = S.shape[-1]
+    W = S[..., :, None, :, None] * Y_inv[..., None, :, None, :]
+    return W.reshape(Y.shape[:-2] + (M * d, M * d))

@@ -333,6 +333,21 @@ def test_quadrature_json_format(tmp_path, capsys):
     capsys.readouterr()
 
 
+def reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def test_quadrature_json_is_strict_past_the_float_range(tmp_path, capsys):
+    # the exact off-claim magnitude of exponent 1100 overflows to inf; it is
+    # spelled as the string "inf", never as the bare token Infinity
+    inp = write_json(tmp_path / "spec.json", {"d": 1, "n": 2, "A": [["1100"]], "B": [["0"]]})
+    assert main(["quadrature", "--input", inp, "--j", "1", "--k", "1",
+                 "--side", "right", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
+    assert doc["report"]["max_abs_entry"] == "inf"
+    assert doc["report"]["claimed"] is False
+
+
 def test_quadrature_checks_integrability_once(tmp_path, capsys):
     # the report printed by the command and the gate inside the integral
     # share one memoized integrability check

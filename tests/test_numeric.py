@@ -16,9 +16,14 @@ from oracles import (
 
 from mvjacobi.errors import OdeError, QuadratureError
 from mvjacobi.numeric import (
+    X_CAP,
     OdeConfig,
     QuadConfig,
+    _de_nodes,
     _exact_channel_integrals,
+    _floats,
+    _general_quasi_orth_integrand,
+    _solver,
     commutative_Y,
     commutative_exponents,
     de_integrate,
@@ -30,7 +35,7 @@ from mvjacobi.numeric import (
     quasi_orth_integral,
     weight,
 )
-from mvjacobi.operators import ProblemSpec
+from mvjacobi.operators import ProblemSpec, induced_action_float
 from mvjacobi.oppoly import build_Pk
 from mvjacobi.rational import Rat
 from mvjacobi.ratmat import RatMatrix
@@ -171,6 +176,62 @@ def test_fundamental_matrix_liouville_noncommutative():
                 assert abs(np.linalg.det(Y) - want) / scale <= 1e-13, (d, x)
 
 
+def test_float_views_match_fraction_floats():
+    # e / den over the integer numerators rounds exactly as float(Fraction)
+    # does, including operands past the float range: both overflow alike
+    rng = random.Random(31)
+
+    def entry():
+        num = rng.randint(-10**20, 10**20) * 2 ** rng.choice([0, 0, 1100])
+        den = rng.randint(1, 10**20) * 2 ** rng.choice([0, 0, 1090, 1200])
+        return Rat(num, den)
+
+    def outcome(convert):
+        try:
+            return convert()
+        except OverflowError:
+            return "overflow"
+
+    seen = set()
+    for _ in range(200):
+        M = RatMatrix([[entry() for _ in range(3)] for _ in range(3)])
+        got = outcome(lambda: _floats(M).tolist())
+        want = outcome(lambda: [[float(e) for e in row] for row in M.rows])
+        assert got == want, M.rows
+        seen.add(got == "overflow")
+    assert seen == {True, False}
+
+
+def test_dense_output_batched_equals_pointwise():
+    # one batched call over a node array against one call per node, on both
+    # sides of the basepoint, at it, and past the cap 1e-12 from the ends
+    deltas = np.array([1e-6, 1e-9, 1e-12, 1e-13])
+    interior = np.array([0.5, 0.0, -0.5])
+    x = np.concatenate([1.0 - deltas, interior, deltas - 1.0])
+    dist_minus = np.concatenate([deltas, 1.0 - interior, 2.0 - deltas])
+    dist_plus = np.concatenate([2.0 - deltas, 1.0 + interior, deltas])
+    order = np.random.default_rng(3).permutation(len(x))  # sides interleaved
+    rng = random.Random(11)
+    lam = random_diagonal(rng, 3).scale(Rat(1, 8))
+    A = random_matrix(rng, 3).scale(Rat(1, 8))
+    for spec in (small_noncommutative_spec(), ProblemSpec(3, 2, A, lam - A)):
+        solver = _solver(spec, OdeConfig())
+        batched = solver.at(x[order], dist_minus[order], dist_plus[order])[np.argsort(order)]
+        assert batched.shape == (len(x), spec.d, spec.d)
+        for i in range(len(x)):
+            one = solver.at(x[i:i + 1], dist_minus[i:i + 1], dist_plus[i:i + 1])[0]
+            assert np.max(np.abs(batched[i] - one)) <= 1e-15 * np.max(np.abs(one)), x[i]
+        assert np.array_equal(batched[5], np.eye(spec.d))  # the basepoint
+        # nodes past the cap 1 - X_CAP (just below 1e-12) are evaluated at it
+        cap = 1.0 - X_CAP
+        at_cap = solver.at(np.array([X_CAP, -X_CAP]), np.array([cap, 2.0 - cap]),
+                           np.array([2.0 - cap, cap]))
+        assert np.array_equal(batched[3], at_cap[0])
+        assert np.array_equal(batched[10], at_cap[1])
+        with pytest.raises(ValueError, match="outside"):
+            solver.at(np.array([0.5, 1.0]))
+
+
 def test_ode_respects_nonzero_basepoint():
     cfg = OdeConfig(basepoint=0.25)
     assert np.allclose(fundamental_matrix(POSITIVE, 0.25, cfg), np.eye(2), atol=1e-12)
@@ -209,32 +270,34 @@ def test_weight_noncommutative_at_basepoint():
 
 
 def test_de_integrate_polynomial():
-    value, est, level = de_integrate(lambda x, dm, dp: np.array([x * x]), QuadConfig())
+    value, est, level = de_integrate(lambda x, dm, dp: (x * x)[:, None], QuadConfig())
     assert abs(value[0] - 2.0 / 3.0) < 1e-14
     assert est <= 1e-9
     assert level <= 10
 
 
 def test_de_integrate_reuses_nested_levels():
-    # level 4 has 193 nodes and level 5 adds only its 192 odd-indexed ones
+    # one call per level: level 4 has 193 nodes and level 5 adds only its
+    # 192 odd-indexed ones
     calls = []
 
     def square(x, dm, dp):
-        calls.append((dm, dp))  # x itself rounds to +-1 near the ends
-        return np.array([x * x])
+        calls.append(list(zip(dm.tolist(), dp.tolist())))  # x itself rounds to +-1 near the ends
+        return (x * x)[:, None]
 
     value, _, level = de_integrate(square, QuadConfig())
     assert abs(value[0] - 2.0 / 3.0) < 1e-14
     assert level == 5
-    assert len(calls) == 193 + 192
-    assert len(set(calls)) == len(calls)
+    assert [len(nodes) for nodes in calls] == [193, 192]
+    distinct = set(calls[0] + calls[1])
+    assert len(distinct) == 193 + 192
 
 
 def test_de_integrate_endpoint_singularity():
     # integral of (1-x)^(-1/2) over (-1, 1) is 2 sqrt(2); the integrand is
     # evaluated through the cancellation-free endpoint distance
     qcfg = QuadConfig(tolerance=1e-11)
-    value, est, _ = de_integrate(lambda x, dm, dp: np.array([dm ** -0.5]), qcfg)
+    value, est, _ = de_integrate(lambda x, dm, dp: (dm ** -0.5)[:, None], qcfg)
     assert abs(value[0] - 2.0 * math.sqrt(2.0)) < 1e-11
 
 
@@ -242,7 +305,7 @@ def test_de_integrate_budget_exhaustion():
     # an oscillatory integrand cannot settle between adjacent coarse levels
     qcfg = QuadConfig(levels=5, tolerance=1e-10)
     with pytest.raises(QuadratureError) as exc:
-        de_integrate(lambda x, dm, dp: np.array([math.cos(50.0 * x)]), qcfg)
+        de_integrate(lambda x, dm, dp: np.cos(50.0 * x)[:, None], qcfg)
     assert exc.value.estimated_error is not None
     assert exc.value.estimated_error > 1e-11
 
@@ -381,6 +444,55 @@ def test_quasi_orth_vanishing_survives_base_change():
         assert report.passed, (basepoint, report.to_dict())
 
 
+def small_norm_spec(rng: random.Random, d: int, n: int) -> ProblemSpec:
+    """A noncommutative pair with residues scaled by 1/8 that passes the gate."""
+    while True:
+        lam = random_diagonal(rng, d).scale(Rat(1, 8))
+        A = random_matrix(rng, d).scale(Rat(1, 8))
+        spec = ProblemSpec(d, n, A, lam - A)
+        if not is_commutative(spec) and integrability_check(spec, spec.space).fast_ok:
+            return spec
+
+
+def pointwise_quasi_orth(spec: ProblemSpec, j: int, k: int, side: str, level: int,
+                         ocfg: OdeConfig):
+    """Tanh-sinh sums up to `level` of the integrand and of its absolute value,
+    one node at a time: the single-point weight at the node's exact endpoint
+    distances, and the members summed term by term."""
+    solver = _solver(spec, ocfg)
+    cj, ck = ([np.array([[float(e) for e in row] for row in c.rows]) for c in build_Pk(spec, i).coeffs]
+              for i in (j, k))
+
+    def member(coeffs, x):
+        return sum(c * x ** i for i, c in enumerate(coeffs))
+
+    total = magnitude = 0.0
+    for lev in range(4, level + 1):
+        for x, dm, dp, w in zip(*(a.tolist() for a in _de_nodes(lev))):
+            Y = solver.at(np.array([x]), np.array([dm]), np.array([dp]))[0]
+            W = induced_action_float(Y, spec.space)
+            F = member(cj, x) @ W @ member(ck, x) if side == "right" else W @ member(cj, x) @ member(ck, x)
+            total = total + w * F
+            magnitude = magnitude + w * np.abs(F)
+    h = 2.0 ** -level
+    return h * total, h * magnitude
+
+
+def test_batched_quasi_orth_matches_pointwise_reference():
+    rng = random.Random(5)
+    qcfg, ocfg = QuadConfig(tolerance=1e-6), OdeConfig()
+    specs = [small_noncommutative_spec(), small_norm_spec(rng, 3, 2), small_norm_spec(rng, 3, 2)]
+    for spec in specs:
+        for j, k, side in ((0, 2, "right"), (2, 2, "right"), (2, 1, "left")):
+            report = quasi_orth_integral(spec, j, k, side, qcfg=qcfg, ocfg=ocfg)
+            want, magnitude = pointwise_quasi_orth(spec, j, k, side, report.de_level, ocfg)
+            got, _, level = de_integrate(_general_quasi_orth_integrand(spec, j, k, side, ocfg), qcfg)
+            assert level == report.de_level
+            scale = np.max(magnitude)
+            assert np.max(np.abs(got - want)) <= 1e-13 * scale, (spec, j, k, side)
+            assert abs(report.max_abs_entry - np.max(np.abs(want))) <= 1e-13 * scale
+
+
 # -- exact commutative integrals against tanh-sinh and sympy ------------------------
 
 
@@ -399,6 +511,8 @@ def commutative_de_integrand(spec: ProblemSpec, j: int, k: int):
         return acc
 
     def integrand(x, dist_minus, dist_plus):
+        # nodes down the first axis, channels along the second
+        x, dist_minus, dist_plus = x[:, None], dist_minus[:, None], dist_plus[:, None]
         return horner(pj, x) * (dist_minus ** pe * dist_plus ** me) * horner(pk, x)
 
     return integrand

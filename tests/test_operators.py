@@ -216,16 +216,30 @@ def test_induced_action_identity_and_errors():
 def test_induced_action_float_matches_exact():
     rng = random.Random(29)
     fixed = {1: RatMatrix([["-3/2"]]), 2: RatMatrix([[1, "1/2"], ["-1/3", "3/4"]])}
-    for d, n in [(1, 3), (2, 1), (2, 3), (3, 2)]:
-        space = enumerate_basis(d, n)
-        Y = fixed[d] if d in fixed else random_matrix(rng, d)
-        if to_sympy(Y).det() == 0:
-            continue
-        exact = induced_action(Y, space)
-        approx = induced_action_float([[float(e) for e in row] for row in Y.rows], space)
-        assert approx.shape == (space.N, space.N)
+
+    def assert_close(exact, approx):
         for erow, arow in zip(exact.rows, approx):
             for e, a in zip(erow, arow):
                 assert abs(float(e) - a) < 1e-12
+
+    for d, n in [(1, 3), (2, 1), (2, 3), (3, 2), (3, 3)]:
+        space = enumerate_basis(d, n)
+        first = fixed[d] if d in fixed else random_matrix(rng, d)
+        Ys = [Y for Y in [first] + [random_matrix(rng, d) for _ in range(3)]
+              if to_sympy(Y).det() != 0]
+        assert Ys[0] is first, (d, n)
+        floats = [[[float(e) for e in row] for row in Y.rows] for Y in Ys]
+        approx = induced_action_float(floats[0], space)
+        assert approx.shape == (space.N, space.N)
+        assert_close(induced_action(first, space), approx)
+        # a (B, d, d) stack gives the (B, N, N) stack of actions
+        stacked = induced_action_float(np.array(floats), space)
+        assert stacked.shape == (len(Ys), space.N, space.N)
+        for Y, approx in zip(Ys, stacked):
+            assert_close(induced_action(Y, space), approx)
     with pytest.raises(ValueError):
         induced_action_float([[1.0, 0.0]], enumerate_basis(2, 3))
+    with pytest.raises(ValueError):
+        induced_action_float(np.zeros((4, 3, 2)), enumerate_basis(3, 2))
+    with pytest.raises(ValueError):  # one singular matrix in the stack
+        induced_action_float(np.array([np.eye(2), np.zeros((2, 2))]), enumerate_basis(2, 2))
