@@ -137,10 +137,7 @@ def _strict(value):
 
 
 def _emit(doc: dict, out: Optional[str]) -> None:
-    try:
-        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
-    except ValueError:  # a non-finite float; only then is the document walked
-        text = json.dumps(_strict(doc), sort_keys=True, indent=2, allow_nan=False)
+    text = json.dumps(_strict(doc), sort_keys=True, indent=2, allow_nan=False)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
