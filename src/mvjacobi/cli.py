@@ -26,9 +26,9 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from .errors import OdeError, QuadratureError, ResonanceError
 from .operators import ProblemSpec
 from .oppoly import OpPoly, VectorPoly, build_Pk
-from .polyspace import PolySpace
+from .polyspace import PolySpace, basis_size
 from .ratmat import RatMatrix
-from .rational import format_rational, parse_rational
+from .rational import Rat, format_rational, parse_rational
 from .reporting import CheckReport
 from .structure import (
     expand,
@@ -49,13 +49,20 @@ DEFAULT_SEED = 0
 DEFAULT_VERIFY_KMAX = 6
 DEFAULT_COMPUTE_KMAX = 4
 SUITES = ("all", "recurrence", "tilde", "scalar", "trace", "identities")
+# Size caps, refused with exit 2 before anything is built.  Time grows
+# about like N^2.3 (the recurrence's dense products) and memory like
+# N^2 k^2 (the cached members); at N = 140 and k_max = 10, `verify` takes
+# 36 s and `compute` peaks at 297 MB on a 2-core x86-64 host.  README,
+# "Size limits", has the measurements.
+MAX_N = 150
+MAX_KMAX = 10
 
 
 # -- serialization -----------------------------------------------------------
 
 
 def _matrix_to_json(M: RatMatrix) -> list[list[str]]:
-    return [[format_rational(e) for e in row] for row in M.rows]
+    return [[format_rational(Rat(e, M.den)) for e in row] for row in M.num]
 
 
 def _matrix_from_json(rows, what: str) -> RatMatrix:
@@ -93,9 +100,28 @@ def load_problem(path: str) -> tuple[ProblemSpec, dict]:
     for key in ("d", "n", "k_max", "seed"):
         if key in doc and not _is_int(doc[key]):
             raise ValueError(f"{key} must be an integer")
+    _check_dimension(doc["d"], doc["n"])
     A = _matrix_from_json(doc["A"], "A")
     B = _matrix_from_json(doc["B"], "B")
     return ProblemSpec(doc["d"], doc["n"], A, B), doc
+
+
+def _check_dimension(d: int, n: int) -> None:
+    """Refuse a coefficient dimension N above MAX_N, computed by formula."""
+    if d < 1 or n < 1:
+        return  # ProblemSpec names the error
+    # for d >= 2, N exceeds both d and n, so a huge d or n needs no binomial
+    N = basis_size(d, n) if d == 1 or max(d, n) <= MAX_N else None
+    if N is None or N > MAX_N:
+        size = f"N > {MAX_N}" if N is None else f"N = {N}"
+        raise ValueError(f"d={d}, n={n} gives coefficient dimension {size}, "
+                         f"above the cap MAX_N = {MAX_N}")
+
+
+def _check_index(k: int, what: str) -> None:
+    """Refuse a member index above MAX_KMAX."""
+    if k > MAX_KMAX:
+        raise ValueError(f"{what} = {k} is above the cap MAX_KMAX = {MAX_KMAX}")
 
 
 def load_vector_poly(path: str, spec: ProblemSpec) -> VectorPoly:
@@ -149,6 +175,7 @@ def _kmax(args, raw: dict, default: int) -> int:
     k_max = args.kmax if args.kmax is not None else raw.get("k_max", default)
     if k_max < 0:
         raise ValueError("k_max must be a nonnegative integer")
+    _check_index(k_max, "k_max")
     return k_max
 
 
@@ -236,6 +263,7 @@ def cmd_verify(args) -> int:
 def cmd_expand(args) -> int:
     spec, _raw = load_problem(args.input)
     f = load_vector_poly(args.poly, spec)
+    _check_index(f.degree, "polynomial degree")
     expansion = expand(spec, f)
     roundtrip_ok = None
     if args.roundtrip:
@@ -261,6 +289,7 @@ def cmd_quadrature(args) -> int:
     from .numeric import OdeConfig, QuadConfig, integrability_check, quasi_orth_integral
 
     spec, _raw = load_problem(args.input)
+    _check_index(max(args.j, args.k), "member index")
     qcfg = QuadConfig(tolerance=args.tol)
     ocfg = OdeConfig(rel_tol=args.ode_tol)
     integ = integrability_check(spec, spec.space, args.j, args.k)

@@ -18,6 +18,15 @@ where Q = x^2 - 1 and D_1, D_2 are the derivations induced by the sum
 and difference of the residue matrices.  A_j acts the same way on
 vector-valued polynomials, which is how seeded members P_k(x) q are
 produced without building the full operator polynomial.
+
+Collecting powers of x, coefficient i of A_j r is the stencil
+
+    (D_1 + 2j + i - 1) r_{i-1} + D_2 r_i - (i + 1) r_{i+1}
+
+(terms with an index outside 0..deg r left out).  D_1 is diagonal, so
+apply_A forms each output coefficient in one RatMatrix.stencil call on
+the integer numerators: a row scaling for D_1, a pass over the nonzeros
+of D_2, one lcm and one reduction.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ from typing import Iterable, Sequence, Union
 from .operators import ProblemSpec, build_D, dominant_coefficient
 from .polyspace import PolySpace, PolyVector
 from .ratmat import RatMatrix
-from .rational import Rat
+from .rational import rat
 
 
 class _PolyBase:
@@ -106,7 +115,7 @@ class _PolyBase:
 
     def eval(self, x):
         """Exact Horner evaluation at a rational point."""
-        x = Rat(x)
+        x = rat(x)
         acc = self._zero()
         for v in reversed(self.mats):
             acc = acc.scale(x) + v
@@ -122,7 +131,7 @@ class _PolyBase:
         return self.from_mats([x + y for x, y in zip(a, b)] + list(a[len(b):]), self.space)
 
     def scale(self, c):
-        c = Rat(c)
+        c = rat(c)
         return self.from_mats((v.scale(c) for v in self.mats), self.space)
 
     def mul_by_x(self):
@@ -226,11 +235,24 @@ Poly = Union[OpPoly, VectorPoly]
 
 
 def apply_A(j: int, D1: RatMatrix, D2: RatMatrix, r: Poly) -> Poly:
-    """One factor of the product formula: x(2j + D1) r + D2 r + Q r'."""
+    """One factor of the product formula: x(2j + D1) r + D2 r + Q r'.
+
+    Computed as the three-term stencil of the module docstring, one
+    reduced matrix per output coefficient; D1 must be diagonal.
+    """
     if j < 1:
         raise ValueError(f"factor index must be >= 1, got {j}")
-    term_x = r.lmul(D1.plus_scalar(2 * j)).mul_by_x()
-    return term_x.add(r.lmul(D2)).add(r.d_dx().mul_by_Q())
+    m = r.mats
+    K = len(m) - 1
+    if K < 0:
+        return r  # A_j maps the zero polynomial to itself
+    return r.from_mats(
+        (RatMatrix.stencil(D1, 2 * j + i - 1, m[i - 1] if i else None,
+                           D2, m[i] if i <= K else None,
+                           -(i + 1), m[i + 1] if i < K else None)
+         for i in range(K + 2)),
+        r.space,
+    )
 
 
 def _product_apply(D1: RatMatrix, D2: RatMatrix, k: int, seed: Poly) -> Poly:

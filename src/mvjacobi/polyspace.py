@@ -73,6 +73,11 @@ def _multi_indices(d: int, n: int) -> list[MultiIndex]:
     return out
 
 
+def basis_size(d: int, n: int) -> int:
+    """N = d C(n + d - 1, d - 1), the size of enumerate_basis(d, n), by formula."""
+    return d * comb(n + d - 1, d - 1)
+
+
 @lru_cache(maxsize=None)
 def enumerate_basis(d: int, n: int) -> PolySpace:
     """Basis of degree-n homogeneous polynomials in d variables, valued in C^d."""
@@ -82,7 +87,7 @@ def enumerate_basis(d: int, n: int) -> PolySpace:
         BasisIndex(m, j) for m in _multi_indices(d, n) for j in range(1, d + 1)
     )
     space = PolySpace(d, n, basis)
-    assert space.N == d * comb(n + d - 1, d - 1)
+    assert space.N == basis_size(d, n)
     return space
 
 

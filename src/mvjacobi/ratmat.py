@@ -24,7 +24,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
-from .rational import Rat, ZERO
+from .rational import Rat, ZERO, rat
 
 
 class RatMatrix:
@@ -33,7 +33,7 @@ class RatMatrix:
     __slots__ = ("num", "den", "__dict__")
 
     def __init__(self, rows: Iterable[Iterable]):
-        rows = tuple(tuple(Rat(e) for e in row) for row in rows)
+        rows = tuple(tuple(rat(e) for e in row) for row in rows)
         if not rows:
             raise ValueError("matrix needs at least one row")
         width = len(rows[0])
@@ -72,7 +72,7 @@ class RatMatrix:
     @staticmethod
     def column(entries: Sequence) -> "RatMatrix":
         """The N x 1 matrix of a vector of rationals; the entries become `rows`."""
-        rows = tuple((e if type(e) is Rat else Rat(e),) for e in entries)
+        rows = tuple((e if type(e) is Rat else rat(e),) for e in entries)
         if not rows:
             raise ValueError("column needs at least one entry")
         den = lcm(*(e.denominator for (e,) in rows))
@@ -82,7 +82,7 @@ class RatMatrix:
 
     @staticmethod
     def diagonal(entries: Sequence) -> "RatMatrix":
-        ents = [Rat(e) for e in entries]
+        ents = [rat(e) for e in entries]
         n = len(ents)
         return RatMatrix([[ents[i] if i == j else ZERO for j in range(n)] for i in range(n)])
 
@@ -123,6 +123,11 @@ class RatMatrix:
                 return None
         return tuple(Rat(row[i], self.den) for i, row in enumerate(self.num))
 
+    @cached_property
+    def sparse_rows(self) -> tuple:
+        """Per row, the (column, numerator) pairs of its nonzero entries."""
+        return tuple(tuple((c, e) for c, e in enumerate(row) if e) for row in self.num)
+
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
@@ -139,7 +144,7 @@ class RatMatrix:
         return RatMatrix._normal(tuple(tuple(-e for e in row) for row in self.num), self.den)
 
     def scale(self, c) -> "RatMatrix":
-        c = Rat(c)
+        c = rat(c)
         return RatMatrix._normal(tuple(tuple(c.numerator * e for e in row) for row in self.num),
                                  self.den * c.denominator)
 
@@ -147,7 +152,7 @@ class RatMatrix:
         """self + c * identity."""
         if not self.is_square:
             raise ValueError("scalar shift needs a square matrix")
-        c = Rat(c)
+        c = rat(c)
         q, shift = c.denominator, c.numerator * self.den
         out = []
         for i, row in enumerate(self.num):
@@ -169,6 +174,59 @@ class RatMatrix:
         cols = tuple(zip(*other.num))
         return RatMatrix._normal(
             tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in self.num), den)
+
+    @staticmethod
+    def stencil(D1: "RatMatrix", s: int, a: Optional["RatMatrix"], D2: "RatMatrix",
+                b: Optional["RatMatrix"], t: int, c: Optional["RatMatrix"]) -> "RatMatrix":
+        """(D1 + s) a + D2 b + t c for a diagonal D1 and integers s, t.
+
+        a, b and c have one shape; a term whose matrix is None is left
+        out, and at least one must be given.  Row p of the sum combines
+        row p of a and of c with the rows of b that D2's row p selects,
+        all over one lcm denominator, and the result is reduced once: no
+        intermediate matrix is built.
+        """
+        given = [m for m in (a, b, c) if m is not None]
+        if not given:
+            raise ValueError("stencil needs at least one term")
+        nrows, ncols = given[0].shape
+        if any(m.shape != (nrows, ncols) for m in given):
+            raise ValueError("stencil terms differ in shape")
+        if D1.diag is None or D1.nrows != nrows or D2.shape != (nrows, nrows):
+            raise ValueError(f"stencil needs a diagonal D1 and a D2 of size {nrows}")
+        den = lcm(*(f * m.den for f, m in ((D1.den, a), (D2.den, b), (1, c)) if m is not None))
+        # per row: the weights and the source rows they scale
+        weights = [[] for _ in range(nrows)]
+        sources = [[] for _ in range(nrows)]
+        if a is not None:
+            fa, shift = den // (D1.den * a.den), s * D1.den
+            for p, (d, row) in enumerate(zip(D1.num, a.num)):
+                weights[p].append(fa * (d[p] + shift))
+                sources[p].append(row)
+        if c is not None:
+            h = t * (den // c.den)
+            for ws, srcs, row in zip(weights, sources, c.num):
+                ws.append(h)
+                srcs.append(row)
+        if b is not None:
+            fb, bnum = den // (D2.den * b.den), b.num
+            for ws, srcs, entries in zip(weights, sources, D2.sparse_rows):
+                for q, v in entries:
+                    ws.append(fb * v)
+                    srcs.append(bnum[q])
+        zero = (0,) * ncols
+        out = []
+        for ws, srcs in zip(weights, sources):
+            if not srcs:
+                out.append(zero)
+            elif len(srcs) >= ncols:  # narrow rows: one dot product per column
+                out.append(tuple(sum(map(mul, ws, col)) for col in zip(*srcs)))
+            else:  # wide rows: one scaled pass per source row
+                acc = [ws[0] * x for x in srcs[0]]
+                for w, src in zip(ws[1:], srcs[1:]):
+                    acc = [x + w * y for x, y in zip(acc, src)]
+                out.append(tuple(acc))
+        return RatMatrix._normal(tuple(out), den)
 
     def apply(self, vec: Sequence) -> tuple:
         """Matrix-vector product as a tuple of Rat: `@` on the column of vec."""

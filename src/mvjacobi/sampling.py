@@ -10,6 +10,7 @@ is what the recurrence and expansion paths need to stay resonance-free.
 from __future__ import annotations
 
 import random
+from math import lcm
 from typing import Iterable, Optional
 
 from .operators import ProblemSpec, basis_exponents
@@ -28,9 +29,19 @@ def random_rational(rng: random.Random, max_den: int = 3, lo: int = -1, hi: int 
 
 def random_matrix(rng: random.Random, d: int, max_den: int = 3,
                   lo: int = -1, hi: int = 1) -> RatMatrix:
-    return RatMatrix(
-        [[random_rational(rng, max_den, lo, hi) for _ in range(d)] for _ in range(d)]
-    )
+    """d x d matrix of random_rational draws, in the same order, row by row.
+
+    The (p, q) draws go straight into the integer core: over the lcm of
+    the q, reduced once, which is the normal form the Fractions p/q
+    would give.
+    """
+    draws = []
+    for _ in range(d * d):
+        q = rng.randint(1, max_den)
+        draws.append((rng.randint(lo * q, hi * q), q))
+    den = lcm(*(q for _, q in draws))
+    flat = [p * (den // q) for p, q in draws]
+    return RatMatrix._normal(tuple(tuple(flat[i:i + d]) for i in range(0, d * d, d)), den)
 
 
 def random_diagonal(rng: random.Random, d: int, max_den: int = 3,

@@ -441,11 +441,12 @@ def verify_product_identities(spec: ProblemSpec, trials: int = 20,
         deg = rng.randint(0, 4)
         r = random_op_poly(rng, space, deg)
         Ar = apply_A(j, D1, D2, r)
+        rQ = r.mul_by_Q()
         lhs = apply_A(j, D1, D2, r.mul_by_x())
-        rhs = Ar.mul_by_x().add(r.mul_by_Q())
+        rhs = Ar.mul_by_x().add(rQ)
         report.add(f"trial {t} factor on x r (j={j}, deg {deg})", lhs == rhs)
         lhs = Ar.mul_by_Q()
-        rhs = apply_A(j - 1, D1, D2, r.mul_by_Q())
+        rhs = apply_A(j - 1, D1, D2, rQ)
         report.add(f"trial {t} Q lowers the factor index (j={j})", lhs == rhs)
     for t in range(trials):
         k = rng.randint(1, 5)

@@ -277,3 +277,14 @@ def jacobi_integral_beta(p, a, b) -> sympy.Expr:
             beta = sympy.gamma(b + l + 1) * sympy.gamma(a + 1) / sympy.gamma(a + b + l + 2)
             total += _sympy_rat(c) * comb(m, l) * 2 ** l * (-1) ** (m - l) * beta
     return 2 ** (a + b + 1) * total
+
+
+def composite_apply_A(j: int, D1: RatMatrix, D2: RatMatrix, r):
+    """x(2j + D1) r + D2 r + Q r', composed from the generic ring operations.
+
+    lmul, mul_by_x, add, d_dx and mul_by_Q are each checked against sympy
+    on their own; this is the product-formula factor without the integer
+    stencil that oppoly.apply_A runs.
+    """
+    term_x = r.lmul(D1.plus_scalar(2 * j)).mul_by_x()
+    return term_x.add(r.lmul(D2)).add(r.d_dx().mul_by_Q())

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import mvjacobi
-from mvjacobi.cli import main
+import mvjacobi.operators
+from mvjacobi.cli import MAX_KMAX, MAX_N, main
 from mvjacobi.oppoly import build_Pk
 from mvjacobi.operators import ProblemSpec
 from mvjacobi.rational import Rat, parse_rational
@@ -409,6 +410,73 @@ def test_unknown_suite_rejected(tmp_path):
     inp = write_json(tmp_path / "spec.json", LEGENDRE)
     with pytest.raises(SystemExit):
         main(["verify", "--input", inp, "--suite", "bogus"])
+
+
+# -- size caps ---------------------------------------------------------------------
+
+
+CAPPED_COMMANDS = [
+    ["compute"],
+    ["verify"],
+    ["expand", "--poly", "f.json"],
+    ["quadrature", "--j", "1", "--k", "2", "--side", "right"],
+]
+
+
+@pytest.mark.parametrize("argv", CAPPED_COMMANDS, ids=lambda a: a[0])
+def test_dimension_cap_refuses_before_building(tmp_path, capsys, monkeypatch, argv):
+    # d = 6, n = 10 has N = 6 C(15, 5) = 18,018 basis elements
+    zeros = [["0"] * 6 for _ in range(6)]
+    inp = write_json(tmp_path / "big.json", {"d": 6, "n": 10, "A": zeros, "B": zeros})
+    write_json(tmp_path / "f.json", {"d": 6, "n": 10, "coeffs": []})
+    monkeypatch.chdir(tmp_path)
+
+    def refuse(d, n):
+        raise AssertionError("the basis was enumerated")
+
+    monkeypatch.setattr(mvjacobi.operators, "enumerate_basis", refuse)
+    assert 18_018 > MAX_N
+    assert main([argv[0], "--input", inp] + argv[1:]) == 2
+    err = capsys.readouterr().err
+    assert "N = 18018" in err and f"cap MAX_N = {MAX_N}" in err
+
+
+def test_dimension_cap_is_read_by_formula(tmp_path, capsys):
+    # a huge n refuses at once for d >= 2, and d = 1 always has N = 1
+    huge = write_json(tmp_path / "huge.json",
+                      {"d": 2, "n": 10**12, "A": [["0", "0"], ["0", "0"]],
+                       "B": [["0", "0"], ["0", "0"]]})
+    assert main(["compute", "--input", huge]) == 2
+    assert f"N > {MAX_N}" in capsys.readouterr().err
+    line = write_json(tmp_path / "line.json", {"d": 1, "n": 10**6, "A": [["0"]], "B": [["0"]]})
+    assert main(["compute", "--input", line, "--kmax", "1",
+                 "--out", str(tmp_path / "m.json")]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["compute", "verify"])
+def test_kmax_cap(tmp_path, capsys, command):
+    inp = write_json(tmp_path / "spec.json", LEGENDRE)
+    over = str(MAX_KMAX + 1)
+    assert main([command, "--input", inp, "--kmax", over]) == 2
+    assert f"k_max = {over} is above the cap MAX_KMAX = {MAX_KMAX}" in capsys.readouterr().err
+    from_file = write_json(tmp_path / "k.json", dict(LEGENDRE, k_max=MAX_KMAX + 1))
+    assert main([command, "--input", from_file]) == 2
+    assert f"cap MAX_KMAX = {MAX_KMAX}" in capsys.readouterr().err
+    assert main([command, "--input", inp, "--kmax", str(MAX_KMAX),
+                 "--out", str(tmp_path / "out.json")]) == 0
+    capsys.readouterr()
+
+
+def test_member_index_cap_on_expand_and_quadrature(tmp_path, capsys):
+    inp = write_json(tmp_path / "spec.json", LEGENDRE)
+    pol = write_json(tmp_path / "f.json",
+                     {"d": 1, "n": 1, "coeffs": [["0"]] * MAX_KMAX + [["1"], ["1"]]})
+    assert main(["expand", "--input", inp, "--poly", pol]) == 2
+    assert f"polynomial degree = {MAX_KMAX + 1} is above the cap" in capsys.readouterr().err
+    assert main(["quadrature", "--input", inp, "--j", str(MAX_KMAX + 1), "--k", "0",
+                 "--side", "left"]) == 2
+    assert f"member index = {MAX_KMAX + 1} is above the cap" in capsys.readouterr().err
 
 
 def test_missing_subcommand_rejected():

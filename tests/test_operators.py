@@ -17,7 +17,7 @@ from mvjacobi.operators import (
 from mvjacobi.polyspace import enumerate_basis, evaluate
 from mvjacobi.rational import ONE, Rat, ZERO
 from mvjacobi.ratmat import RatMatrix
-from mvjacobi.sampling import random_matrix, random_problem_spec, random_vector
+from mvjacobi.sampling import random_matrix, random_problem_spec, random_rational, random_vector
 from mvjacobi.structure import _certified_inverse
 
 
@@ -48,6 +48,22 @@ def test_spec_is_hashable_and_space_cached():
     s = scalar_spec(Rat(1, 2), Rat(1, 3), 2)
     assert s == scalar_spec(Rat(1, 2), Rat(1, 3), 2)
     assert s.space is enumerate_basis(1, 2)
+
+
+# -- sampling -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("d,max_den,lo,hi", [(1, 3, -1, 1), (3, 3, -1, 1), (4, 6, -2, 3)])
+def test_random_matrix_keeps_the_fraction_draw_stream(d, max_den, lo, hi):
+    # the integer core is built from the same (q, p) draws as one
+    # random_rational per entry, row by row, and leaves the generator alike
+    for seed in range(25):
+        fast, slow = random.Random(seed), random.Random(seed)
+        M = random_matrix(fast, d, max_den, lo, hi)
+        ref = RatMatrix([[random_rational(slow, max_den, lo, hi) for _ in range(d)]
+                         for _ in range(d)])
+        assert (M.num, M.den) == (ref.num, ref.den)
+        assert fast.getstate() == slow.getstate()
 
 
 # -- the two derivations ------------------------------------------------------

@@ -6,14 +6,15 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import leibniz_scalar_member, to_sympy, trim
+from oracles import composite_apply_A, leibniz_scalar_member, to_sympy, trim
 
 from mvjacobi.operators import ProblemSpec, build_D, dominant_coefficient
 from mvjacobi.oppoly import OpPoly, VectorPoly, apply_A, build_Pk
 from mvjacobi.polyspace import enumerate_basis
 from mvjacobi.rational import Rat
 from mvjacobi.ratmat import RatMatrix
-from mvjacobi.sampling import random_op_poly, random_problem_spec, random_vector
+from mvjacobi.sampling import (random_matrix, random_op_poly, random_problem_spec,
+                               random_vector, random_vector_poly)
 
 
 @pytest.fixture
@@ -232,6 +233,72 @@ def test_apply_A_on_identity_is_affine():
         apply_A(0, D1, D2, OpPoly.identity(space1))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_apply_A_stencil_matches_composite_formula(data):
+    d, n = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    spec = random_problem_spec(rng, d, n, commutative=data.draw(st.booleans()))
+    space = spec.space
+    D1, D2 = build_D(spec, 1), build_D(spec, 2)
+    if data.draw(st.booleans()):
+        # a D2 with whole zero rows, and more zeros than a derivation has
+        keep = [rng.random() < 0.5 for _ in range(space.N)]
+        D2 = RatMatrix([[e if keep[i] and rng.random() < 0.5 else 0 for e in row]
+                        for i, row in enumerate(random_matrix(rng, space.N).rows)])
+    j = data.draw(st.integers(1, 6))
+    deg = data.draw(st.integers(-1, 3 if space.N <= 9 else 1))
+    if data.draw(st.booleans()):
+        r = VectorPoly.zero(space) if deg < 0 else random_vector_poly(rng, space, deg)
+    else:
+        r = OpPoly.zero(space) if deg < 0 else random_op_poly(rng, space, deg)
+    got = apply_A(j, D1, D2, r)
+    assert type(got) is type(r)
+    assert got == composite_apply_A(j, D1, D2, r)
+    assert got.degree <= r.degree + 1 if deg >= 0 else got.is_zero
+
+
+@pytest.mark.parametrize("deg", [0, 1, 4])
+@pytest.mark.parametrize("kind", ["op", "vector"])
+def test_apply_A_normalises_once_per_output_coefficient(monkeypatch, deg, kind):
+    rng = random.Random(12)
+    spec = random_problem_spec(rng, 2, 2)
+    D1, D2 = build_D(spec, 1), build_D(spec, 2)
+    make = random_op_poly if kind == "op" else random_vector_poly
+    r = make(rng, spec.space, deg)
+    want = composite_apply_A(3, D1, D2, r)
+    calls = {"_normal": 0, "__matmul__": 0, "__add__": 0}
+    normal = RatMatrix._normal
+
+    def counting_normal(num, den):
+        calls["_normal"] += 1
+        return normal(num, den)
+
+    def forbidden(name):
+        def op(self, other):
+            calls[name] += 1
+            raise AssertionError(f"apply_A called RatMatrix.{name}")
+        return op
+
+    monkeypatch.setattr(RatMatrix, "_normal", staticmethod(counting_normal))
+    monkeypatch.setattr(RatMatrix, "__matmul__", forbidden("__matmul__"))
+    monkeypatch.setattr(RatMatrix, "__add__", forbidden("__add__"))
+    got = apply_A(3, D1, D2, r)
+    monkeypatch.undo()
+    assert calls == {"_normal": deg + 2, "__matmul__": 0, "__add__": 0}
+    assert got == want
+
+
+def test_apply_A_needs_a_diagonal_D1_and_matching_sizes():
+    space = enumerate_basis(2, 1)  # N = 4
+    I = RatMatrix.identity(4)
+    upper = RatMatrix([[1 if c in (r, r + 1) else 0 for c in range(4)] for r in range(4)])
+    with pytest.raises(ValueError, match="diagonal D1"):
+        apply_A(1, upper, I, OpPoly.identity(space))
+    with pytest.raises(ValueError, match="D2 of size 4"):
+        apply_A(1, I, RatMatrix.identity(3), OpPoly.identity(space))
+
+
 def test_build_Pk_low_degrees():
     rng = random.Random(9)
     spec = random_problem_spec(rng, 2, 2, max_den=3)
@@ -295,3 +362,17 @@ def test_build_Pk_diagonal_channels_match_leibniz_closed_form():
 def test_build_Pk_is_cached():
     spec = scalar_spec(0, 0, 1)
     assert build_Pk(spec, 4) is build_Pk(spec, 4)
+
+
+@pytest.mark.parametrize("method", ["scale", "eval"])
+@pytest.mark.parametrize("kind", ["op", "vector"])
+def test_polynomials_refuse_floats(space, method, kind):
+    p = OpPoly.identity(space) if kind == "op" else VectorPoly.constant((1,) * space.N, space)
+    with pytest.raises(TypeError, match="float"):
+        getattr(p, method)(0.5)
+    assert getattr(p, method)(Fraction(1, 2)) == getattr(p, method)("1/2")
+
+
+def test_vector_poly_refuses_float_entries(space):
+    with pytest.raises(TypeError, match="float"):
+        VectorPoly([(0.5,) + (0,) * (space.N - 1)], space)

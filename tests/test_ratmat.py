@@ -314,3 +314,63 @@ def test_inverse_matches_sympy(data):
     d = data.draw(st.lists(mixed.filter(bool), min_size=n, max_size=n))
     check_normal_and_equal(RatMatrix.diagonal(d).inverse(), sympy.diag(*sym([d])).inv())
 
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sparse_rows_list_the_nonzeros_of_each_row(data):
+    n, m = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    M = RatMatrix(data.draw(raw_matrix(n, m)))
+    assert len(M.sparse_rows) == M.nrows
+    for entries, row in zip(M.sparse_rows, M.num):
+        assert [c for c, _ in entries] == sorted({c for c, e in enumerate(row) if e})
+        dense = [0] * M.ncols
+        for c, e in entries:
+            assert e
+            dense[c] = e
+        assert tuple(dense) == row
+    assert M.sparse_rows is M.sparse_rows  # cached
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_stencil_matches_sympy(data):
+    n, m = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    d1, d2 = data.draw(raw_matrix(n, n, True)), data.draw(raw_matrix(n, n))
+    s, t = data.draw(st.integers(-6, 6)), data.draw(st.integers(-6, 6))
+    present = data.draw(st.lists(st.booleans(), min_size=3, max_size=3).filter(any))
+    terms = [data.draw(raw_matrix(n, m)) if p else None for p in present]
+    a, b, c = (None if x is None else RatMatrix(x) for x in terms)
+    expected = sympy.zeros(n, m)
+    if a is not None:
+        expected += (sym(d1) + s * sympy.eye(n)) * sym(terms[0])
+    if b is not None:
+        expected += sym(d2) * sym(terms[1])
+    if c is not None:
+        expected += t * sym(terms[2])
+    check_normal_and_equal(RatMatrix.stencil(RatMatrix(d1), s, a, RatMatrix(d2), b, t, c),
+                           expected)
+
+
+def test_stencil_rejects_bad_operands():
+    I2, I3 = RatMatrix.identity(2), RatMatrix.identity(3)
+    with pytest.raises(ValueError, match="at least one term"):
+        RatMatrix.stencil(I2, 1, None, I2, None, 1, None)
+    with pytest.raises(ValueError, match="differ in shape"):
+        RatMatrix.stencil(I2, 1, I2, I2, RatMatrix.zeros(2, 1), 1, None)
+    with pytest.raises(ValueError, match="diagonal D1"):
+        RatMatrix.stencil(RatMatrix([[1, 1], [0, 1]]), 1, I2, I2, None, 1, None)
+    with pytest.raises(ValueError, match="D2 of size 2"):
+        RatMatrix.stencil(I2, 1, I2, I3, None, 1, None)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: RatMatrix([[1, 0.1]]),
+    lambda: RatMatrix.column([Fraction(1, 2), 0.5]),
+    lambda: RatMatrix.diagonal([1, 0.5]),
+    lambda: RatMatrix.identity(2).scale(0.5),
+    lambda: RatMatrix.identity(2).plus_scalar(0.5),
+], ids=["constructor", "column", "diagonal", "scale", "plus_scalar"])
+def test_floats_are_refused_at_every_entry_point(build):
+    with pytest.raises(TypeError, match="float"):
+        build()
