@@ -24,15 +24,17 @@ Collecting powers of x, coefficient i of A_j r is the stencil
     (D_1 + 2j + i - 1) r_{i-1} + D_2 r_i - (i + 1) r_{i+1}
 
 (terms with an index outside 0..deg r left out).  D_1 is diagonal, so
-apply_A forms each output coefficient in one RatMatrix.stencil call on
-the integer numerators: a row scaling for D_1, a pass over the nonzeros
-of D_2, one lcm and one reduction.
+apply_A forms each output coefficient in one _stencil call on the
+integer numerators: a row scaling for D_1, a pass over the nonzeros of
+D_2 (RatMatrix.sparse_rows), one lcm and one reduction.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Sequence, Union
+from math import lcm
+from operator import mul
+from typing import Iterable, Optional, Sequence, Union
 
 from .operators import ProblemSpec, build_D, dominant_coefficient
 from .polyspace import PolySpace, PolyVector
@@ -234,6 +236,56 @@ class VectorPoly(_PolyBase):
 Poly = Union[OpPoly, VectorPoly]
 
 
+def _stencil(D1: RatMatrix, s: int, a: Optional[RatMatrix], D2: RatMatrix,
+             b: Optional[RatMatrix], t: int, c: Optional[RatMatrix]) -> RatMatrix:
+    """(D1 + s) a + D2 b + t c for the diagonal D1 and integers s, t.
+
+    a, b and c are coefficients of one polynomial, so they share a shape;
+    a term whose matrix is None is left out, and at least one is given.
+    Row p of the sum combines row p of a and of c with the rows of b that
+    D2's row p selects, all over one lcm denominator, and the result is
+    reduced once: no intermediate matrix is built.
+    """
+    nrows, ncols = next(m for m in (a, b, c) if m is not None).shape
+    den = lcm(*(f * m.den for f, m in ((D1.den, a), (D2.den, b), (1, c)) if m is not None))
+    # per row: the weights and the source rows they scale
+    weights = [[] for _ in range(nrows)]
+    sources = [[] for _ in range(nrows)]
+    if a is not None:
+        fa, shift = den // (D1.den * a.den), s * D1.den
+        for p, (d, row) in enumerate(zip(D1.num, a.num)):
+            weights[p].append(fa * (d[p] + shift))
+            sources[p].append(row)
+    if c is not None:
+        h = t * (den // c.den)
+        for ws, srcs, row in zip(weights, sources, c.num):
+            ws.append(h)
+            srcs.append(row)
+    if b is not None:
+        fb, bnum = den // (D2.den * b.den), b.num
+        for ws, srcs, entries in zip(weights, sources, D2.sparse_rows):
+            for q, v in entries:
+                ws.append(fb * v)
+                srcs.append(bnum[q])
+    zero = (0,) * ncols
+    out = []
+    for ws, srcs in zip(weights, sources):
+        if not srcs:
+            out.append(zero)
+        # The cheaper pass depends on the row's shape (BENCH_10.json,
+        # "stencil_branches"): a dot product per column when there are at
+        # least as many source rows as columns (VectorPoly), a scaled pass
+        # per source row when the rows are wider (OpPoly).
+        elif len(srcs) >= ncols:
+            out.append(tuple(sum(map(mul, ws, col)) for col in zip(*srcs)))
+        else:
+            acc = [ws[0] * x for x in srcs[0]]
+            for w, src in zip(ws[1:], srcs[1:]):
+                acc = [x + w * y for x, y in zip(acc, src)]
+            out.append(tuple(acc))
+    return RatMatrix._normal(tuple(out), den)
+
+
 def apply_A(j: int, D1: RatMatrix, D2: RatMatrix, r: Poly) -> Poly:
     """One factor of the product formula: x(2j + D1) r + D2 r + Q r'.
 
@@ -242,14 +294,17 @@ def apply_A(j: int, D1: RatMatrix, D2: RatMatrix, r: Poly) -> Poly:
     """
     if j < 1:
         raise ValueError(f"factor index must be >= 1, got {j}")
+    N = r.space.N
+    if D1.diag is None or D1.nrows != N or D2.shape != (N, N):
+        raise ValueError(f"apply_A needs a diagonal D1 and a D2 of size {N}")
     m = r.mats
     K = len(m) - 1
     if K < 0:
         return r  # A_j maps the zero polynomial to itself
     return r.from_mats(
-        (RatMatrix.stencil(D1, 2 * j + i - 1, m[i - 1] if i else None,
-                           D2, m[i] if i <= K else None,
-                           -(i + 1), m[i + 1] if i < K else None)
+        (_stencil(D1, 2 * j + i - 1, m[i - 1] if i else None,
+                  D2, m[i] if i <= K else None,
+                  -(i + 1), m[i + 1] if i < K else None)
          for i in range(K + 2)),
         r.space,
     )

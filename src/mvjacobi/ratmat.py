@@ -9,7 +9,9 @@ appears only at the boundary: the constructor's entries, the cached
 `rows` and `diag` views, and the vector `apply` returns.  Coefficient
 vectors are N x 1 matrices, so a matrix-vector product is `@` on a
 column.  Diagonal matrices are detected once and get O(N^2) fast paths
-in the product.
+in the product.  `sparse_rows` is a cached view of each row's nonzero
+(column, numerator) pairs, for products that should skip the zeros of
+a sparse operator such as D2.
 
 Inversion is diagonal-only: A + B is required to be diagonal, so the
 derivation D1 and every shift or product of shifts of it is diagonal,
@@ -174,59 +176,6 @@ class RatMatrix:
         cols = tuple(zip(*other.num))
         return RatMatrix._normal(
             tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in self.num), den)
-
-    @staticmethod
-    def stencil(D1: "RatMatrix", s: int, a: Optional["RatMatrix"], D2: "RatMatrix",
-                b: Optional["RatMatrix"], t: int, c: Optional["RatMatrix"]) -> "RatMatrix":
-        """(D1 + s) a + D2 b + t c for a diagonal D1 and integers s, t.
-
-        a, b and c have one shape; a term whose matrix is None is left
-        out, and at least one must be given.  Row p of the sum combines
-        row p of a and of c with the rows of b that D2's row p selects,
-        all over one lcm denominator, and the result is reduced once: no
-        intermediate matrix is built.
-        """
-        given = [m for m in (a, b, c) if m is not None]
-        if not given:
-            raise ValueError("stencil needs at least one term")
-        nrows, ncols = given[0].shape
-        if any(m.shape != (nrows, ncols) for m in given):
-            raise ValueError("stencil terms differ in shape")
-        if D1.diag is None or D1.nrows != nrows or D2.shape != (nrows, nrows):
-            raise ValueError(f"stencil needs a diagonal D1 and a D2 of size {nrows}")
-        den = lcm(*(f * m.den for f, m in ((D1.den, a), (D2.den, b), (1, c)) if m is not None))
-        # per row: the weights and the source rows they scale
-        weights = [[] for _ in range(nrows)]
-        sources = [[] for _ in range(nrows)]
-        if a is not None:
-            fa, shift = den // (D1.den * a.den), s * D1.den
-            for p, (d, row) in enumerate(zip(D1.num, a.num)):
-                weights[p].append(fa * (d[p] + shift))
-                sources[p].append(row)
-        if c is not None:
-            h = t * (den // c.den)
-            for ws, srcs, row in zip(weights, sources, c.num):
-                ws.append(h)
-                srcs.append(row)
-        if b is not None:
-            fb, bnum = den // (D2.den * b.den), b.num
-            for ws, srcs, entries in zip(weights, sources, D2.sparse_rows):
-                for q, v in entries:
-                    ws.append(fb * v)
-                    srcs.append(bnum[q])
-        zero = (0,) * ncols
-        out = []
-        for ws, srcs in zip(weights, sources):
-            if not srcs:
-                out.append(zero)
-            elif len(srcs) >= ncols:  # narrow rows: one dot product per column
-                out.append(tuple(sum(map(mul, ws, col)) for col in zip(*srcs)))
-            else:  # wide rows: one scaled pass per source row
-                acc = [ws[0] * x for x in srcs[0]]
-                for w, src in zip(ws[1:], srcs[1:]):
-                    acc = [x + w * y for x, y in zip(acc, src)]
-                out.append(tuple(acc))
-        return RatMatrix._normal(tuple(out), den)
 
     def apply(self, vec: Sequence) -> tuple:
         """Matrix-vector product as a tuple of Rat: `@` on the column of vec."""

@@ -20,11 +20,15 @@ from .ratmat import RatMatrix
 from .rational import Rat
 
 
+def _draw_pq(rng: random.Random, max_den: int, lo: int, hi: int) -> tuple:
+    """One (p, q) draw: q <= max_den, then p with p/q in [lo, hi]."""
+    q = rng.randint(1, max_den)
+    return rng.randint(lo * q, hi * q), q
+
+
 def random_rational(rng: random.Random, max_den: int = 3, lo: int = -1, hi: int = 1) -> Rat:
     """Uniform-ish rational p/q with q <= max_den and value in [lo, hi]."""
-    q = rng.randint(1, max_den)
-    p = rng.randint(lo * q, hi * q)
-    return Rat(p, q)
+    return Rat(*_draw_pq(rng, max_den, lo, hi))
 
 
 def random_matrix(rng: random.Random, d: int, max_den: int = 3,
@@ -35,10 +39,7 @@ def random_matrix(rng: random.Random, d: int, max_den: int = 3,
     the q, reduced once, which is the normal form the Fractions p/q
     would give.
     """
-    draws = []
-    for _ in range(d * d):
-        q = rng.randint(1, max_den)
-        draws.append((rng.randint(lo * q, hi * q), q))
+    draws = [_draw_pq(rng, max_den, lo, hi) for _ in range(d * d)]
     den = lcm(*(q for _, q in draws))
     flat = [p * (den // q) for p, q in draws]
     return RatMatrix._normal(tuple(tuple(flat[i:i + d]) for i in range(0, d * d, d)), den)

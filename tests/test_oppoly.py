@@ -7,9 +7,10 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import composite_apply_A, leibniz_scalar_member, to_sympy, trim
+from test_ratmat import check_normal_and_equal, raw_matrix, sym
 
 from mvjacobi.operators import ProblemSpec, build_D, dominant_coefficient
-from mvjacobi.oppoly import OpPoly, VectorPoly, apply_A, build_Pk
+from mvjacobi.oppoly import OpPoly, VectorPoly, _stencil, apply_A, build_Pk
 from mvjacobi.polyspace import enumerate_basis
 from mvjacobi.rational import Rat
 from mvjacobi.ratmat import RatMatrix
@@ -287,6 +288,25 @@ def test_apply_A_normalises_once_per_output_coefficient(monkeypatch, deg, kind):
     monkeypatch.undo()
     assert calls == {"_normal": deg + 2, "__matmul__": 0, "__add__": 0}
     assert got == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_stencil_matches_sympy(data):
+    n, m = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    d1, d2 = data.draw(raw_matrix(n, n, True)), data.draw(raw_matrix(n, n))
+    s, t = data.draw(st.integers(-6, 6)), data.draw(st.integers(-6, 6))
+    present = data.draw(st.lists(st.booleans(), min_size=3, max_size=3).filter(any))
+    terms = [data.draw(raw_matrix(n, m)) if p else None for p in present]
+    a, b, c = (None if x is None else RatMatrix(x) for x in terms)
+    expected = sympy.zeros(n, m)
+    if a is not None:
+        expected += (sym(d1) + s * sympy.eye(n)) * sym(terms[0])
+    if b is not None:
+        expected += sym(d2) * sym(terms[1])
+    if c is not None:
+        expected += t * sym(terms[2])
+    check_normal_and_equal(_stencil(RatMatrix(d1), s, a, RatMatrix(d2), b, t, c), expected)
 
 
 def test_apply_A_needs_a_diagonal_D1_and_matching_sizes():

@@ -315,7 +315,6 @@ def test_inverse_matches_sympy(data):
     check_normal_and_equal(RatMatrix.diagonal(d).inverse(), sympy.diag(*sym([d])).inv())
 
 
-
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_sparse_rows_list_the_nonzeros_of_each_row(data):
@@ -330,38 +329,6 @@ def test_sparse_rows_list_the_nonzeros_of_each_row(data):
             dense[c] = e
         assert tuple(dense) == row
     assert M.sparse_rows is M.sparse_rows  # cached
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_stencil_matches_sympy(data):
-    n, m = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
-    d1, d2 = data.draw(raw_matrix(n, n, True)), data.draw(raw_matrix(n, n))
-    s, t = data.draw(st.integers(-6, 6)), data.draw(st.integers(-6, 6))
-    present = data.draw(st.lists(st.booleans(), min_size=3, max_size=3).filter(any))
-    terms = [data.draw(raw_matrix(n, m)) if p else None for p in present]
-    a, b, c = (None if x is None else RatMatrix(x) for x in terms)
-    expected = sympy.zeros(n, m)
-    if a is not None:
-        expected += (sym(d1) + s * sympy.eye(n)) * sym(terms[0])
-    if b is not None:
-        expected += sym(d2) * sym(terms[1])
-    if c is not None:
-        expected += t * sym(terms[2])
-    check_normal_and_equal(RatMatrix.stencil(RatMatrix(d1), s, a, RatMatrix(d2), b, t, c),
-                           expected)
-
-
-def test_stencil_rejects_bad_operands():
-    I2, I3 = RatMatrix.identity(2), RatMatrix.identity(3)
-    with pytest.raises(ValueError, match="at least one term"):
-        RatMatrix.stencil(I2, 1, None, I2, None, 1, None)
-    with pytest.raises(ValueError, match="differ in shape"):
-        RatMatrix.stencil(I2, 1, I2, I2, RatMatrix.zeros(2, 1), 1, None)
-    with pytest.raises(ValueError, match="diagonal D1"):
-        RatMatrix.stencil(RatMatrix([[1, 1], [0, 1]]), 1, I2, I2, None, 1, None)
-    with pytest.raises(ValueError, match="D2 of size 2"):
-        RatMatrix.stencil(I2, 1, I2, I3, None, 1, None)
 
 
 @pytest.mark.parametrize("build", [
