@@ -7,82 +7,48 @@ factors.  The package constructs them over exact rationals, provides
 their recurrence, expansion, shifted-family and scalar-reduction
 structure, and checks the weighted-integral statements numerically.
 
+The package exports only the names the README documents: ProblemSpec,
+RatMatrix, Rat, OpPoly, VectorPoly, apply_A, build_Pk, build_tilde_Pk,
+expand, reconstruct and ResonanceError.  Each is loaded from its
+submodule on first use, so `import mvjacobi` loads no submodule.  Every
+other name is imported from its own submodule: the verifiers and
+recurrence_coeffs from mvjacobi.structure, random instances from
+mvjacobi.sampling, and so on.
+
 The numeric layer (ODE solver, weight, quadrature) lives in
 mvjacobi.numeric and is imported from there; it is the only part that
 needs numpy, so importing the package or running the exact commands
 never loads it.
 """
 
-from .errors import OdeError, QuadratureError, ResonanceError
-from .operators import (
-    ProblemSpec,
-    build_D,
-    describe_kernel,
-    dominant_coefficient,
-    induced_action_float,
-)
-from .oppoly import OpPoly, VectorPoly, apply_A, build_Pk
-from .polyspace import BasisIndex, PolySpace, PolyVector, enumerate_basis, evaluate
-from .ratmat import RatMatrix
-from .rational import Rat, falling_factorial, format_rational, parse_rational, rat
-from .reporting import CheckItem, CheckReport
-from .structure import (
-    Expansion,
-    RecurrenceCoeffs,
-    build_tilde_Pk,
-    classical_jacobi,
-    expand,
-    reconstruct,
-    recurrence_coeffs,
-    tilde_spec,
-    verify_derivative_relation,
-    verify_product_identities,
-    verify_recurrence,
-    verify_scalar_eigen_identity,
-    verify_scalar_reduction,
-    verify_trace_legendre,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BasisIndex",
-    "CheckItem",
-    "CheckReport",
-    "Expansion",
-    "OdeError",
-    "OpPoly",
-    "PolySpace",
-    "PolyVector",
-    "ProblemSpec",
-    "QuadratureError",
-    "Rat",
-    "RatMatrix",
-    "RecurrenceCoeffs",
-    "ResonanceError",
-    "VectorPoly",
-    "apply_A",
-    "build_D",
-    "build_Pk",
-    "build_tilde_Pk",
-    "classical_jacobi",
-    "describe_kernel",
-    "dominant_coefficient",
-    "enumerate_basis",
-    "evaluate",
-    "expand",
-    "falling_factorial",
-    "format_rational",
-    "induced_action_float",
-    "parse_rational",
-    "rat",
-    "reconstruct",
-    "recurrence_coeffs",
-    "tilde_spec",
-    "verify_derivative_relation",
-    "verify_product_identities",
-    "verify_recurrence",
-    "verify_scalar_eigen_identity",
-    "verify_scalar_reduction",
-    "verify_trace_legendre",
-]
+_SOURCES = {
+    "ProblemSpec": "operators",
+    "RatMatrix": "ratmat",
+    "Rat": "rational",
+    "OpPoly": "oppoly",
+    "VectorPoly": "oppoly",
+    "apply_A": "oppoly",
+    "build_Pk": "oppoly",
+    "build_tilde_Pk": "structure",
+    "expand": "structure",
+    "reconstruct": "structure",
+    "ResonanceError": "errors",
+}
+
+__all__ = sorted(_SOURCES)
+
+
+def __getattr__(name: str):
+    if name not in _SOURCES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_SOURCES[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_SOURCES))

@@ -20,7 +20,9 @@ import argparse
 import json
 import math
 import sys
-from datetime import datetime, timezone
+import time
+from contextlib import nullcontext
+from math import gcd
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import OdeError, QuadratureError, ResonanceError
@@ -28,21 +30,13 @@ from .operators import ProblemSpec
 from .oppoly import OpPoly, VectorPoly, build_Pk
 from .polyspace import PolySpace, basis_size
 from .ratmat import RatMatrix
-from .rational import Rat, format_rational, parse_rational
-from .reporting import CheckReport
-from .structure import (
-    expand,
-    reconstruct,
-    verify_derivative_relation,
-    verify_product_identities,
-    verify_recurrence,
-    verify_scalar_eigen_identity,
-    verify_scalar_reduction,
-    verify_trace_legendre,
-)
+from .rational import format_rational, parse_rational
 
+# verify and expand import the structure layer where they run it, and
+# quadrature the numeric layer (with numpy), so compute loads neither.
 if TYPE_CHECKING:
     from .numeric import IntegrabilityReport, NumericReport
+    from .reporting import CheckReport
 
 TOOL = "mvjacobi/0.1.0"
 DEFAULT_SEED = 0
@@ -62,7 +56,18 @@ MAX_KMAX = 10
 
 
 def _matrix_to_json(M: RatMatrix) -> list[list[str]]:
-    return [[format_rational(Rat(e, M.den)) for e in row] for row in M.num]
+    """Entries as lowest-terms "p/q" (or "p") strings, from the integer numerators."""
+    den = M.den
+    if den == 1:
+        return [[str(e) for e in row] for row in M.num]
+    out = []
+    for row in M.num:
+        texts = []
+        for e in row:
+            g = gcd(e, den)
+            texts.append(str(e // g) if g == den else f"{e // g}/{den // g}")
+        out.append(texts)
+    return out
 
 
 def _matrix_from_json(rows, what: str) -> RatMatrix:
@@ -143,32 +148,61 @@ def load_vector_poly(path: str, spec: ProblemSpec) -> VectorPoly:
     return VectorPoly(coeffs, space)
 
 
+def _utc_isoformat(t: float) -> str:
+    """datetime.fromtimestamp(t, timezone.utc).isoformat() for t >= 0, built with time.
+
+    The fraction is rounded to microseconds half to even, as datetime
+    does, and left out when it is zero.
+    """
+    frac, whole = math.modf(t)
+    us = round(frac * 1e6)
+    if us == 1_000_000:
+        whole, us = whole + 1, 0
+    tm = time.gmtime(whole)
+    text = (f"{tm.tm_year:04d}-{tm.tm_mon:02d}-{tm.tm_mday:02d}"
+            f"T{tm.tm_hour:02d}:{tm.tm_min:02d}:{tm.tm_sec:02d}")
+    return text + (f".{us:06d}" if us else "") + "+00:00"
+
+
 def _header() -> dict:
-    return {"tool": TOOL, "generated_at": datetime.now(timezone.utc).isoformat()}
+    return {"tool": TOOL, "generated_at": _utc_isoformat(time.time())}
 
 
 def _strict(value):
     """value with each non-finite float spelled "inf", "-inf" or "nan".
 
     JSON has no such numbers; Python's json would write the non-standard
-    tokens Infinity and NaN, which strict parsers reject.
+    tokens Infinity and NaN, which strict parsers reject.  Only the
+    containers on the path to such a float are copied, so a document
+    without one comes back as the same object.
     """
-    if isinstance(value, float) and not math.isfinite(value):
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return value
         return "nan" if math.isnan(value) else ("inf" if value > 0 else "-inf")
     if isinstance(value, dict):
-        return {key: _strict(v) for key, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_strict(v) for v in value]
-    return value
+        pairs = value.items()
+    elif isinstance(value, (list, tuple)):
+        pairs = enumerate(value)
+    else:
+        return value
+    out = None
+    for key, v in pairs:
+        if isinstance(v, (float, dict, list, tuple)):
+            s = _strict(v)
+            if s is not v:
+                if out is None:
+                    out = dict(value) if isinstance(value, dict) else list(value)
+                out[key] = s
+    return value if out is None else out
 
 
 def _emit(doc: dict, out: Optional[str]) -> None:
-    text = json.dumps(_strict(doc), sort_keys=True, indent=2, allow_nan=False)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    # streamed: neither the whole text nor its chunks are held at once
+    doc = _strict(doc)
+    with (open(out, "w", encoding="utf-8") if out else nullcontext(sys.stdout)) as fh:
+        json.dump(doc, fh, sort_keys=True, indent=2, allow_nan=False)
+        fh.write("\n")
 
 
 def _kmax(args, raw: dict, default: int) -> int:
@@ -205,6 +239,15 @@ def cmd_compute(args) -> int:
 
 
 def _suite_reports(spec: ProblemSpec, suite: str, k_max: int, seed: int) -> list[CheckReport]:
+    from .structure import (
+        verify_derivative_relation,
+        verify_product_identities,
+        verify_recurrence,
+        verify_scalar_eigen_identity,
+        verify_scalar_reduction,
+        verify_trace_legendre,
+    )
+
     reports: list[CheckReport] = []
     explicit = suite != "all"
 
@@ -261,6 +304,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_expand(args) -> int:
+    from .structure import expand, reconstruct
+
     spec, _raw = load_problem(args.input)
     f = load_vector_poly(args.poly, spec)
     _check_index(f.degree, "polynomial degree")

@@ -37,8 +37,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
 from .errors import OdeError, QuadratureError
 from .operators import ProblemSpec, basis_exponents, induced_action_float
 from .oppoly import OpPoly, build_Pk
@@ -46,6 +44,11 @@ from .polyspace import PolySpace, PolyVector
 from .ratmat import RatMatrix
 from .rational import ONE
 from .structure import build_tilde_Pk
+
+# numpy comes after the package's modules: when no bytecode is cached,
+# compiling them (structure is first loaded here) before numpy's memory
+# is in use lowers the peak RSS of `quadrature`
+import numpy as np  # noqa: E402
 
 X_CAP = 1.0 - 1e-12  # ODE solutions are only taken this close to +-1
 _CAP_DIST = 1.0 - X_CAP

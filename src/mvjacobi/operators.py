@@ -28,7 +28,6 @@ requirement on A + B worth enforcing at construction time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, cached_property
 from typing import Sequence
 
@@ -37,30 +36,51 @@ from .ratmat import RatMatrix
 from .rational import ZERO
 
 
-@dataclass(frozen=True)
 class ProblemSpec:
-    """Residue matrices (A at +1, B at -1) and the polynomial degree n."""
+    """Residue matrices (A at +1, B at -1) and the polynomial degree n.
 
-    d: int
-    n: int
-    A: RatMatrix
-    B: RatMatrix
+    Immutable; equality and hashing compare (d, n, A, B), so a spec can
+    key the caches of build_D and build_Pk.  M1 = A + B is formed once,
+    by the diagonality check; M2 and the coefficient space on first use.
+    """
 
-    def __post_init__(self):
-        if self.d < 1 or self.n < 1:
-            raise ValueError(f"need d >= 1 and n >= 1, got d={self.d}, n={self.n}")
-        for name, m in (("A", self.A), ("B", self.B)):
-            if m.shape != (self.d, self.d):
-                raise ValueError(f"{name} has shape {m.shape}, expected ({self.d}, {self.d})")
-        if (self.A + self.B).diag is None:
+    __slots__ = ("d", "n", "A", "B", "M1", "__dict__")
+
+    def __init__(self, d: int, n: int, A: RatMatrix, B: RatMatrix):
+        if d < 1 or n < 1:
+            raise ValueError(f"need d >= 1 and n >= 1, got d={d}, n={n}")
+        for name, m in (("A", A), ("B", B)):
+            if m.shape != (d, d):
+                raise ValueError(f"{name} has shape {m.shape}, expected ({d}, {d})")
+        M1 = A + B
+        if M1.diag is None:
             raise ValueError(
                 "A + B must be diagonal; conjugate A and B by an eigenbasis "
                 "of A + B before constructing the problem"
             )
+        init = object.__setattr__
+        init(self, "d", d)
+        init(self, "n", n)
+        init(self, "A", A)
+        init(self, "B", B)
+        init(self, "M1", M1)
 
-    @cached_property
-    def M1(self) -> RatMatrix:
-        return self.A + self.B
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not ProblemSpec:
+            return NotImplemented
+        return (self.d, self.n, self.A, self.B) == (other.d, other.n, other.A, other.B)
+
+    def __hash__(self) -> int:
+        return hash((self.d, self.n, self.A, self.B))
+
+    def __repr__(self) -> str:
+        return f"ProblemSpec(d={self.d!r}, n={self.n!r}, A={self.A!r}, B={self.B!r})"
 
     @cached_property
     def M2(self) -> RatMatrix:
@@ -78,7 +98,10 @@ def basis_exponents(lam: Sequence, space: PolySpace) -> list:
     endpoint exponent of the induced weight when lam holds the diagonal
     (or the eigenvalues) of a residue.
     """
-    return [sum(mi * li for mi, li in zip(b.m, lam)) - lam[b.j - 1] for b in space.basis]
+    # the basis runs over monomials with the slot j = 1..d as the inner
+    # index, so each dot product m.lam serves d consecutive elements
+    dots = [sum(mi * li for mi, li in zip(b.m, lam)) for b in space.basis[::space.d]]
+    return [dot - lam[j] for dot in dots for j in range(space.d)]
 
 
 @lru_cache(maxsize=None)

@@ -13,11 +13,10 @@ written by the CLI are only meaningful against it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache, cached_property
+from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .rational import ZERO
 
@@ -25,31 +24,49 @@ MultiIndex = tuple[int, ...]
 PolyVector = tuple  # flat coefficient tuple, one Rat per basis element
 
 
-@dataclass(frozen=True)
-class BasisIndex:
+class BasisIndex(NamedTuple):
     """One basis element w^m e_j; j is 1-based."""
 
     m: MultiIndex
     j: int
 
 
-@dataclass(frozen=True)
 class PolySpace:
-    d: int
-    n: int
-    basis: tuple[BasisIndex, ...]
+    """The basis of one (d, n), with each element's position in it.
+
+    Immutable; equality and hashing compare (d, n, basis).
+    """
+
+    __slots__ = ("d", "n", "basis", "position")
+
+    def __init__(self, d: int, n: int, basis: tuple[BasisIndex, ...]):
+        init = object.__setattr__
+        init(self, "d", d)
+        init(self, "n", n)
+        init(self, "basis", basis)
+        init(self, "position", {b: i for i, b in enumerate(basis)})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not PolySpace:
+            return NotImplemented
+        return (self.d, self.n, self.basis) == (other.d, other.n, other.basis)
+
+    def __hash__(self) -> int:
+        return hash((self.d, self.n, self.basis))
 
     @property
     def N(self) -> int:
         return len(self.basis)
 
-    @cached_property
-    def position(self) -> dict[BasisIndex, int]:
-        return {b: i for i, b in enumerate(self.basis)}
-
     def index_of(self, m: MultiIndex, j: int) -> int:
-        key = BasisIndex(tuple(m), j)
-        pos = self.position.get(key)
+        # a BasisIndex is a tuple, so the plain (m, j) finds it
+        pos = self.position.get((tuple(m), j))
         if pos is None:
             raise KeyError(f"no basis element w^{m} e_{j} in degree {self.n}, d={self.d}")
         return pos

@@ -8,11 +8,10 @@ JSON form is what the CLI serializes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class CheckItem:
+class CheckItem(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
@@ -21,10 +20,14 @@ class CheckItem:
         return {"name": self.name, "passed": self.passed, "detail": self.detail}
 
 
-@dataclass
 class CheckReport:
-    title: str
-    items: list[CheckItem] = field(default_factory=list)
+    """A titled list of CheckItems, empty until `add` appends one."""
+
+    __slots__ = ("title", "items")
+
+    def __init__(self, title: str):
+        self.title = title
+        self.items: list[CheckItem] = []
 
     def add(self, name: str, passed: bool, detail: str = "") -> None:
         self.items.append(CheckItem(name, bool(passed), detail))

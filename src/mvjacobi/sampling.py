@@ -67,7 +67,7 @@ def random_problem_spec(
     every operator the recurrence and expansion invert for k <= 6
     nonsingular.
     """
-    shifts = tuple(avoid_shifts) if avoid_shifts is not None else ()
+    resonant = {-s for s in avoid_shifts} if avoid_shifts is not None else set()
     for _ in range(max_tries):
         lam_mat = random_diagonal(rng, d, max_den)
         lam = [lam_mat.rows[i][i] for i in range(d)]
@@ -77,7 +77,7 @@ def random_problem_spec(
             A = random_matrix(rng, d, max_den)
         B = lam_mat - A
         entries = basis_exponents(lam, enumerate_basis(d, n))
-        if any(e == -s for e in entries for s in shifts):
+        if any(e in resonant for e in entries):
             continue
         return ProblemSpec(d, n, A, B)
     raise RuntimeError(f"no resonance-free sample found in {max_tries} tries")

@@ -24,10 +24,9 @@ than tolerances.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ResonanceError
 from .operators import ProblemSpec, build_D, describe_kernel, dominant_coefficient
@@ -44,8 +43,7 @@ ScalarPoly = tuple  # scalar polynomial, index = power of x, trimmed
 # -- recurrence ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RecurrenceCoeffs:
+class RecurrenceCoeffs(NamedTuple):
     k: int
     alpha: RatMatrix
     beta: RatMatrix
@@ -144,8 +142,7 @@ def verify_recurrence(spec: ProblemSpec, k_max: int) -> CheckReport:
 # -- completeness expansion -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Expansion:
+class Expansion(NamedTuple):
     """Coefficients q_0..q_K with f(x) = sum_j P_j(x) q_j."""
 
     coefficients: tuple[PolyVector, ...]

@@ -1,18 +1,24 @@
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+from datetime import datetime, timezone
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mvjacobi
 import mvjacobi.operators
-from mvjacobi.cli import MAX_KMAX, MAX_N, main
+from mvjacobi import cli
+from mvjacobi.cli import MAX_KMAX, MAX_N, _matrix_to_json, main
 from mvjacobi.oppoly import build_Pk
 from mvjacobi.operators import ProblemSpec
-from mvjacobi.rational import Rat, parse_rational
+from mvjacobi.rational import Rat, format_rational, parse_rational
 from mvjacobi.ratmat import RatMatrix
 from mvjacobi.sampling import random_problem_spec, random_vector
 import random
@@ -522,3 +528,129 @@ def test_module_entry_point_computes():
     out = run_python("-m", "mvjacobi", "compute", "--input", str(GOLDEN / "d1n2.json"))
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout)["kind"] == "members"
+
+
+# -- start-up: what each command loads --------------------------------------------
+
+# run one command in a fresh interpreter and list the modules it added to
+# those the bare interpreter (site and its .pth files included) starts with
+RUN_AND_LIST = """
+import json, sys
+before = set(sys.modules)
+from mvjacobi.cli import main
+code = main(sys.argv[1:])
+print(json.dumps({"code": code, "loaded": sorted(set(sys.modules) - before)}))
+"""
+NO_NUMERICS = ("mvjacobi.numeric", "numpy", "dataclasses", "datetime")
+
+
+def loaded_by(argv):
+    out = run_python("-c", RUN_AND_LIST, *argv)
+    assert out.returncode == 0, out.stderr
+    result = json.loads(out.stdout.splitlines()[-1])
+    assert result["code"] == 0
+    return set(result["loaded"])
+
+
+def test_compute_loads_only_the_construction(tmp_path):
+    loaded = loaded_by(["compute", "--input", str(GOLDEN / "d2n2_nc.json"), "--kmax", "2",
+                        "--out", str(tmp_path / "m.json")])
+    assert "mvjacobi.oppoly" in loaded
+    forbidden = ("mvjacobi.structure", "mvjacobi.reporting", "mvjacobi.sampling") + NO_NUMERICS
+    assert loaded.isdisjoint(forbidden), sorted(loaded.intersection(forbidden))
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--input", str(GOLDEN / "d2n2_nc.json"), "--kmax", "2"],
+    ["expand", "--input", str(GOLDEN / "d2n2_nc.json"),
+     "--poly", str(GOLDEN / "d2n2_nc.poly.json"), "--roundtrip"],
+], ids=lambda argv: argv[0])
+def test_exact_commands_load_no_numerics(tmp_path, argv):
+    loaded = loaded_by(argv + ["--out", str(tmp_path / "out.json")])
+    assert "mvjacobi.structure" in loaded
+    assert loaded.isdisjoint(NO_NUMERICS), sorted(loaded.intersection(NO_NUMERICS))
+
+
+def test_numeric_import_loads_structure():
+    # perfbench/traced_cli.py wraps mvjacobi.structure after importing
+    # mvjacobi.cli and mvjacobi.numeric, so the numeric layer must load it
+    out = run_python("-c", "import sys, mvjacobi.cli, mvjacobi.numeric; "
+                           "print('mvjacobi.structure' in sys.modules)")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "True"
+
+
+def test_package_exports_the_documented_names_lazily():
+    code = ("import sys, mvjacobi; print(sorted(m for m in sys.modules "
+            "if m.startswith('mvjacobi.'))); print(mvjacobi.__all__); "
+            "print(mvjacobi.expand.__module__, 'mvjacobi.structure' in sys.modules)")
+    out = run_python("-c", code)
+    assert out.returncode == 0, out.stderr
+    submodules, names, resolved = out.stdout.splitlines()
+    assert submodules == "[]"
+    assert names == str(sorted([
+        "OpPoly", "ProblemSpec", "Rat", "RatMatrix", "ResonanceError", "VectorPoly",
+        "apply_A", "build_Pk", "build_tilde_Pk", "expand", "reconstruct"]))
+    assert resolved == "mvjacobi.structure True"
+    for name in mvjacobi.__all__:
+        assert getattr(mvjacobi, name) is not None
+    # every other name stays importable from its submodule
+    with pytest.raises(AttributeError):
+        mvjacobi.verify_recurrence
+    from mvjacobi.structure import verify_recurrence  # noqa: F401
+    from mvjacobi import structure  # a submodule is still found as an attribute
+    assert structure.__name__ == "mvjacobi.structure"
+
+
+# -- serialization helpers -----------------------------------------------------------
+
+
+big = 2**1100
+numerators = st.one_of(st.just(0), st.integers(-10, 10), st.integers(-4 * big, 4 * big))
+denominators = st.one_of(st.just(1), st.integers(1, 12), st.integers(1, 4 * big))
+
+
+def raw_matrix(num, den):
+    # numerators over den exactly as given, without reduction
+    M = object.__new__(RatMatrix)
+    M.num, M.den = num, den
+    return M
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(numerators, min_size=3, max_size=3), min_size=1, max_size=3),
+       denominators)
+def test_matrix_to_json_matches_fraction_formatting(rows, den):
+    num = tuple(map(tuple, rows))
+    for M in (raw_matrix(num, den), RatMatrix._normal(num, den)):
+        want = [[format_rational(Fraction(e, M.den)) for e in row] for row in M.num]
+        assert _matrix_to_json(M) == want
+
+
+def test_matrix_to_json_edge_entries():
+    M = raw_matrix(((0, -6, big + 1, -3 * big),), 3)
+    assert _matrix_to_json(M) == [["0", "-2", f"{big + 1}/3", str(-big)]]
+    assert _matrix_to_json(raw_matrix(((0, -7),), 1)) == [["0", "-7"]]
+
+
+@pytest.mark.parametrize("t", [0.0, 1_700_000_000.0, 1_700_000_000.25, 1_000_000_000.0000005,
+                               1_000_000_000.0000015, 1_700_000_000.9999996, 951_782_400.5])
+def test_header_timestamp_matches_datetime(monkeypatch, t):
+    want = datetime.fromtimestamp(t, timezone.utc).isoformat()
+    assert cli._utc_isoformat(t) == want
+    monkeypatch.setattr(cli.time, "time", lambda: t)
+    assert cli._header()["generated_at"] == want
+
+
+def test_strict_returns_a_finite_document_itself():
+    doc = {"a": [["1/2", "3"], ["0"]], "b": {"x": 1.5, "y": [True, None, 2]}, "c": (1.0,)}
+    assert cli._strict(doc) is doc
+
+
+def test_strict_spells_nonfinite_floats_and_copies_only_their_path():
+    inner = [["1", "2"]]
+    doc = {"keep": inner, "r": {"v": [1.0, float("inf")], "w": -math.inf, "z": math.nan}}
+    out = cli._strict(doc)
+    assert out == {"keep": inner, "r": {"v": [1.0, "inf"], "w": "-inf", "z": "nan"}}
+    assert out["keep"] is inner
+    assert doc["r"]["v"][1] == math.inf  # the input is left alone

@@ -9,6 +9,7 @@ from oracles import derivation_matrix, derivation_oracle, induced_action, to_sym
 from mvjacobi.errors import ResonanceError
 from mvjacobi.operators import (
     ProblemSpec,
+    basis_exponents,
     build_D,
     describe_kernel,
     dominant_coefficient,
@@ -48,6 +49,64 @@ def test_spec_is_hashable_and_space_cached():
     s = scalar_spec(Rat(1, 2), Rat(1, 3), 2)
     assert s == scalar_spec(Rat(1, 2), Rat(1, 3), 2)
     assert s.space is enumerate_basis(1, 2)
+
+
+def test_spec_is_immutable():
+    s = scalar_spec(Rat(1, 2), Rat(1, 3), 2)
+    for name in ("d", "n", "A", "B", "M1", "M2", "space", "other"):
+        with pytest.raises(AttributeError):
+            setattr(s, name, 1)
+    with pytest.raises(AttributeError):
+        del s.A
+    assert s.d == 1 and s.A == RatMatrix([[Rat(1, 2)]])
+
+
+def test_spec_equality_and_hash_follow_the_fields():
+    A = RatMatrix([[1, 2], [0, 1]])
+    B = RatMatrix([[0, -2], [0, 0]])
+    s = ProblemSpec(2, 1, A, B)
+    same = ProblemSpec(2, 1, RatMatrix([[1, 2], [0, 1]]), RatMatrix([[0, -2], [0, 0]]))
+    assert s == same and hash(s) == hash(same) == hash((2, 1, A, B))
+    assert s != ProblemSpec(2, 2, A, B)
+    assert s != ProblemSpec(2, 1, B.scale(-1), A.scale(-1))
+    assert s != (2, 1, A, B)
+    assert len({s, same, ProblemSpec(2, 2, A, B)}) == 2
+    assert s.M1 is s.M1 and s.M2 is s.M2  # formed once
+
+
+def test_spec_sums_the_residues_once(monkeypatch):
+    # the diagonality check's A + B is kept as M1
+    calls = []
+    add = RatMatrix.__add__
+
+    def counting(self, other):
+        calls.append(1)
+        return add(self, other)
+
+    monkeypatch.setattr(RatMatrix, "__add__", counting)
+    s = scalar_spec(Rat(1, 2), Rat(1, 3), 2)
+    assert s.M1 == RatMatrix([[Rat(5, 6)]])
+    assert len(calls) == 1
+
+
+exact_lams = st.lists(st.builds(Rat, st.integers(-30, 30), st.integers(1, 12)),
+                      min_size=1, max_size=4)
+float_lams = st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=4)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(exact_lams, float_lams), st.integers(1, 4))
+def test_basis_exponents_match_the_per_element_formula(lam, n):
+    # one dot product per multi-index gives bit for bit what m.lam - lam_j
+    # per basis element gives, for Fractions and floats alike
+    space = enumerate_basis(len(lam), n)
+    want = [sum(mi * li for mi, li in zip(b.m, lam)) - lam[b.j - 1] for b in space.basis]
+    got = basis_exponents(lam, space)
+    assert [type(e) for e in got] == [type(e) for e in want]
+    if isinstance(lam[0], float):
+        assert [e.hex() for e in got] == [e.hex() for e in want]
+    else:
+        assert got == want
 
 
 # -- sampling -----------------------------------------------------------------

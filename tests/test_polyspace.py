@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvjacobi.polyspace import BasisIndex, enumerate_basis, evaluate
+from mvjacobi.polyspace import BasisIndex, PolySpace, enumerate_basis, evaluate
 from mvjacobi.rational import ONE, Rat, ZERO
 
 rationals = st.builds(Rat, st.integers(-5, 5), st.integers(1, 4))
@@ -38,6 +38,30 @@ def test_ordering_contract():
     ms = [b.m for b in space.basis[:: space.d]]
     assert ms == sorted(ms, reverse=True)
     assert space.basis[-1] == BasisIndex((0, 0, 2), 3)
+
+
+def test_space_is_immutable_with_value_equality():
+    space = enumerate_basis(2, 2)
+    for name in ("d", "n", "basis", "position", "N", "other"):
+        with pytest.raises(AttributeError):
+            setattr(space, name, 1)
+    with pytest.raises(AttributeError):
+        del space.basis
+    copy = PolySpace(2, 2, space.basis)
+    assert copy == space and copy is not space
+    assert hash(copy) == hash(space) == hash((2, 2, space.basis))
+    assert copy != enumerate_basis(2, 3) and space != (2, 2, space.basis)
+    assert len({space, copy, enumerate_basis(2, 3)}) == 2
+
+
+def test_space_builds_positions_once():
+    space = enumerate_basis(3, 2)
+    assert space.position is space.position
+    assert space.position == {b: i for i, b in enumerate(space.basis)}
+    assert [space.index_of(b.m, b.j) for b in space.basis] == list(range(space.N))
+    assert space.index_of([1, 1, 0], 2) == space.position[BasisIndex((1, 1, 0), 2)]
+    with pytest.raises(KeyError):
+        space.index_of((1, 0, 0), 1)
 
 
 def test_enumerate_basis_is_cached_and_validates():
