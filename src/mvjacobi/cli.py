@@ -4,7 +4,7 @@ Problems arrive as JSON documents whose matrix entries are rational
 strings "p/q" (lowest terms, positive denominator); results leave the
 same way, so files round-trip losslessly.  Every document carries a
 header with the only nondeterministic field (the timestamp); the rest
-of the output is a pure function of the inputs and the seed.
+of the output is a pure function of the inputs.
 
 Exit codes are a stable contract:
     0  success / all selected checks passed
@@ -39,7 +39,6 @@ if TYPE_CHECKING:
     from .reporting import CheckReport
 
 TOOL = "mvjacobi/0.1.0"
-DEFAULT_SEED = 0
 DEFAULT_VERIFY_KMAX = 6
 DEFAULT_COMPUTE_KMAX = 4
 SUITES = ("all", "recurrence", "tilde", "scalar", "trace", "identities")
@@ -102,6 +101,8 @@ def load_problem(path: str) -> tuple[ProblemSpec, dict]:
     for key in ("d", "n", "A", "B"):
         if key not in doc:
             raise ValueError(f"problem file is missing key {key!r}")
+    # "seed" is accepted for older files and otherwise ignored: every
+    # verifier is exact and deterministic
     for key in ("d", "n", "k_max", "seed"):
         if key in doc and not _is_int(doc[key]):
             raise ValueError(f"{key} must be an integer")
@@ -198,8 +199,8 @@ def _strict(value):
 
 
 def _emit(doc: dict, out: Optional[str]) -> None:
-    # streamed: neither the whole text nor its chunks are held at once
-    doc = _strict(doc)
+    # streamed: neither the whole text nor its chunks are held at once.
+    # Only quadrature documents hold floats; cmd_quadrature makes them strict.
     with (open(out, "w", encoding="utf-8") if out else nullcontext(sys.stdout)) as fh:
         json.dump(doc, fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
@@ -238,7 +239,7 @@ def cmd_compute(args) -> int:
     return 0
 
 
-def _suite_reports(spec: ProblemSpec, suite: str, k_max: int, seed: int) -> list[CheckReport]:
+def _suite_reports(spec: ProblemSpec, suite: str, k_max: int) -> list[CheckReport]:
     from .structure import (
         verify_derivative_relation,
         verify_product_identities,
@@ -263,14 +264,14 @@ def _suite_reports(spec: ProblemSpec, suite: str, k_max: int, seed: int) -> list
     if want("recurrence", True, ""):
         reports.append(verify_recurrence(spec, k_max))
     if want("identities", True, ""):
-        reports.append(verify_product_identities(spec, seed=seed))
+        reports.append(verify_product_identities(spec))
     if want("tilde", spec.n >= 2, "the shifted family needs n >= 2"):
         reports.append(verify_derivative_relation(spec, k_max))
     if want("scalar", spec.d == 1, "scalar reductions need d = 1"):
         a = spec.A.rows[0][0]
         b = spec.B.rows[0][0]
         reports.append(verify_scalar_reduction(a, b, spec.n, k_max))
-        reports.append(verify_scalar_eigen_identity(a, b, spec.n, k_max, seed=seed))
+        reports.append(verify_scalar_eigen_identity(a, b, spec.n, k_max))
     if want("trace", spec.n == 1, "the trace reduction needs n = 1"):
         reports.append(verify_trace_legendre(spec, min(k_max, 5)))
     return reports
@@ -279,8 +280,7 @@ def _suite_reports(spec: ProblemSpec, suite: str, k_max: int, seed: int) -> list
 def cmd_verify(args) -> int:
     spec, raw = load_problem(args.input)
     k_max = _kmax(args, raw, DEFAULT_VERIFY_KMAX)
-    seed = args.seed if args.seed is not None else raw.get("seed", DEFAULT_SEED)
-    reports = _suite_reports(spec, args.suite, k_max, seed)
+    reports = _suite_reports(spec, args.suite, k_max)
     all_passed = bool(reports) and all(r.passed for r in reports)
     if args.format == "json":
         doc = {
@@ -288,7 +288,6 @@ def cmd_verify(args) -> int:
             "kind": "verification",
             "suite": args.suite,
             "k_max": k_max,
-            "seed": seed,
             "passed": all_passed,
             "reports": [r.to_dict() for r in reports],
         }
@@ -350,7 +349,7 @@ def cmd_quadrature(args) -> int:
             "integrability": integ.to_dict(),
             "report": report.to_dict(),
         }
-        _emit(doc, args.out)
+        _emit(_strict(doc), args.out)
     else:
         _print_numeric(integ, report)
     return 0 if report.passed else 1
@@ -396,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--kmax", type=int, help="highest member index (default: file k_max or 6)")
     p.add_argument("--suite", choices=SUITES, default="all")
-    p.add_argument("--seed", type=int, help="seed for randomized checks (default: file seed or 0)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("expand", help="expand a coefficient-vector polynomial over the family")

@@ -23,10 +23,11 @@ Collecting powers of x, coefficient i of A_j r is the stencil
 
     (D_1 + 2j + i - 1) r_{i-1} + D_2 r_i - (i + 1) r_{i+1}
 
-(terms with an index outside 0..deg r left out).  D_1 is diagonal, so
-apply_A forms each output coefficient in one _stencil call on the
-integer numerators: a row scaling for D_1, a pass over the nonzeros of
-D_2 (RatMatrix.sparse_rows), one lcm and one reduction.
+(terms with an index outside 0..deg r, or a zero coefficient, left
+out).  D_1 is diagonal, so apply_A forms each output coefficient in one
+_stencil call on the integer numerators: a row scaling for D_1, a pass
+over the nonzeros of D_2 (RatMatrix.sparse_rows), one lcm and one
+reduction.
 """
 
 from __future__ import annotations
@@ -241,12 +242,16 @@ def _stencil(D1: RatMatrix, s: int, a: Optional[RatMatrix], D2: RatMatrix,
     """(D1 + s) a + D2 b + t c for the diagonal D1 and integers s, t.
 
     a, b and c are coefficients of one polynomial, so they share a shape;
-    a term whose matrix is None is left out, and at least one is given.
-    Row p of the sum combines row p of a and of c with the rows of b that
-    D2's row p selects, all over one lcm denominator, and the result is
-    reduced once: no intermediate matrix is built.
+    a term whose matrix is None or zero is left out, at least one matrix
+    is given, and with no term left the sum is the zero matrix.  Row p of
+    the sum combines row p of a and of c with the rows of b that D2's row
+    p selects, all over one lcm denominator, and the result is reduced
+    once: no intermediate matrix is built.
     """
     nrows, ncols = next(m for m in (a, b, c) if m is not None).shape
+    a, b, c = (None if m is None or m.is_zero else m for m in (a, b, c))
+    if a is b is c is None:
+        return RatMatrix.zeros(nrows, ncols)
     den = lcm(*(f * m.den for f, m in ((D1.den, a), (D2.den, b), (1, c)) if m is not None))
     # per row: the weights and the source rows they scale
     weights = [[] for _ in range(nrows)]

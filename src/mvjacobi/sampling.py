@@ -1,4 +1,4 @@
-"""Seeded random instances for property tests and verification suites.
+"""Seeded random instances for property tests and benchmark inputs.
 
 Everything takes an explicit random.Random so suites are reproducible
 from a single seed.  Residue pairs are sampled so that A + B is exactly
@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import random
 from math import lcm
+from operator import mul
 from typing import Iterable, Optional
 
-from .operators import ProblemSpec, basis_exponents
+from .operators import ProblemSpec
 from .oppoly import OpPoly, VectorPoly
 from .polyspace import PolySpace, enumerate_basis
 from .ratmat import RatMatrix
@@ -47,7 +48,28 @@ def random_matrix(rng: random.Random, d: int, max_den: int = 3,
 
 def random_diagonal(rng: random.Random, d: int, max_den: int = 3,
                     lo: int = -1, hi: int = 1) -> RatMatrix:
-    return RatMatrix.diagonal([random_rational(rng, max_den, lo, hi) for _ in range(d)])
+    """Diagonal of d random_rational draws, in the same order, as random_matrix builds."""
+    draws = [_draw_pq(rng, max_den, lo, hi) for _ in range(d)]
+    den = lcm(*(q for _, q in draws))
+    return RatMatrix._normal(tuple(tuple(p * (den // q) if i == c else 0 for c in range(d))
+                                   for i, (p, q) in enumerate(draws)), den)
+
+
+def _hits_shift(lam: RatMatrix, d: int, n: int, shifts: Iterable[int]) -> bool:
+    """Whether some basis exponent m.lam - lam_j equals -s for an s in shifts.
+
+    lam is diagonal; the exponents are compared as integer numerators
+    over lam's denominator, dot - lam_j == -s den, which is what
+    basis_exponents(diag lam, enumerate_basis(d, n)) would decide on
+    Fractions.
+    """
+    diag = [row[i] for i, row in enumerate(lam.num)]
+    bad = {-s * lam.den for s in shifts}
+    for b in enumerate_basis(d, n).basis[::d]:
+        dot = sum(map(mul, b.m, diag))
+        if any(dot - e in bad for e in diag):
+            return True
+    return False
 
 
 def random_problem_spec(
@@ -67,19 +89,16 @@ def random_problem_spec(
     every operator the recurrence and expansion invert for k <= 6
     nonsingular.
     """
-    resonant = {-s for s in avoid_shifts} if avoid_shifts is not None else set()
+    shifts = tuple(avoid_shifts) if avoid_shifts is not None else ()
     for _ in range(max_tries):
-        lam_mat = random_diagonal(rng, d, max_den)
-        lam = [lam_mat.rows[i][i] for i in range(d)]
+        lam = random_diagonal(rng, d, max_den)
         if commutative:
             A = random_diagonal(rng, d, max_den)
         else:
             A = random_matrix(rng, d, max_den)
-        B = lam_mat - A
-        entries = basis_exponents(lam, enumerate_basis(d, n))
-        if any(e in resonant for e in entries):
+        if shifts and _hits_shift(lam, d, n, shifts):
             continue
-        return ProblemSpec(d, n, A, B)
+        return ProblemSpec(d, n, A, lam - A)
     raise RuntimeError(f"no resonance-free sample found in {max_tries} tries")
 
 

@@ -204,12 +204,12 @@ def test_criterion_06_shifted_family_derivative_relation():
 def test_criterion_07_operator_product_identities():
     specs = recurrence_specs()
     for spec in (specs[1], specs[3], specs[4], specs[7], specs[5]):
-        report = verify_product_identities(spec, trials=20, seed=71)
+        report = verify_product_identities(spec)
         ok, total = report.counts
-        assert total == 60 and ok == 60, report.title
+        assert total == 55 and ok == 55, report.title
         assert report.passed
-    announce(7, "x-shift, Q-shift, and iterated product identities on 20 "
-                "random operator polynomials per spec, exact")
+    announce(7, "x-shift, Q-shift, and iterated product identities proved on x^i I "
+                "per spec, exact")
 
 
 def test_criterion_08_scalar_eigenvalue_identity():
@@ -223,7 +223,7 @@ def test_criterion_08_scalar_eigenvalue_identity():
                 P = build_Pk(spec, k)
                 lhs = apply_A(1, D1, D2, P.d_dx())
                 assert lhs == P.scale(k * (alpha + beta + k + 1)), (a, b, n, k)
-            report = verify_scalar_eigen_identity(a, b, n, 8, seed=8)
+            report = verify_scalar_eigen_identity(a, b, n, 8)
             assert report.passed
     announce(8, "first factor acting on dP_k/dx has eigenvalue "
                 "k(alpha+beta+k+1), exact for k <= 8")

@@ -171,15 +171,32 @@ def test_verify_json_report(tmp_path, capsys):
     inp = write_json(tmp_path / "spec.json", LEGENDRE)
     out = tmp_path / "report.json"
     assert main(["verify", "--input", inp, "--kmax", "3", "--format", "json",
-                 "--out", str(out), "--seed", "5"]) == 0
+                 "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["kind"] == "verification"
     assert doc["passed"] is True
-    assert doc["seed"] == 5
+    assert "seed" not in doc
     titles = [r["title"] for r in doc["reports"]]
     assert any("recurrence" in t for t in titles)
     assert any("scalar" in t for t in titles)  # d = 1 makes scalar applicable
     assert any("trace" in t for t in titles)  # n = 1 makes trace applicable
+    capsys.readouterr()
+
+
+def test_verify_has_no_seed_and_ignores_a_file_seed(tmp_path, capsys):
+    # every check is exact and deterministic, so --seed is gone, and a
+    # problem file's integer seed changes nothing in the report
+    inp = write_json(tmp_path / "spec.json", COMMUT_2x2)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--input", inp, "--seed", "5"])
+    assert exc.value.code == 2
+    outs = []
+    for name, doc in (("plain", COMMUT_2x2), ("seeded", dict(COMMUT_2x2, seed=5))):
+        out = tmp_path / f"{name}.out.json"
+        assert main(["verify", "--input", write_json(tmp_path / f"{name}.json", doc),
+                     "--kmax", "2", "--format", "json", "--out", str(out)]) == 0
+        outs.append(strip_timestamp(out.read_text()))
+    assert outs[0] == outs[1]
     capsys.readouterr()
 
 
@@ -240,7 +257,7 @@ def test_verify_deterministic_output(tmp_path, capsys):
     for name in ("r1.json", "r2.json"):
         out = tmp_path / name
         assert main(["verify", "--input", inp, "--kmax", "2", "--format", "json",
-                     "--seed", "7", "--out", str(out)]) == 0
+                     "--out", str(out)]) == 0
         outs.append(strip_timestamp(out.read_text()))
     assert outs[0] == outs[1]
     capsys.readouterr()
@@ -569,6 +586,7 @@ def test_exact_commands_load_no_numerics(tmp_path, argv):
     loaded = loaded_by(argv + ["--out", str(tmp_path / "out.json")])
     assert "mvjacobi.structure" in loaded
     assert loaded.isdisjoint(NO_NUMERICS), sorted(loaded.intersection(NO_NUMERICS))
+    assert "mvjacobi.sampling" not in loaded  # no verifier samples
 
 
 def test_numeric_import_loads_structure():

@@ -59,3 +59,24 @@ def test_golden_output(key):
 def test_golden_corpus_covers_resonance():
     assert DIGESTS["resonant verify"]["exit"] == 3
     assert DIGESTS["resonant verify"]["stderr"].startswith("resonance: ")
+
+
+def _floats(value):
+    if isinstance(value, float):
+        yield value
+    elif isinstance(value, dict):
+        for v in value.values():
+            yield from _floats(v)
+    elif isinstance(value, list):
+        for v in value:
+            yield from _floats(v)
+
+
+@pytest.mark.parametrize("key", sorted(k for k in DIGESTS if DIGESTS[k]["exit"] == 0))
+def test_exact_documents_hold_no_float(key):
+    # only quadrature reports hold floats, so only cmd_quadrature spells
+    # non-finite ones; compute, verify and expand must emit none at all
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(_argv(*key.split())) == 0
+    assert list(_floats(json.loads(out.getvalue()))) == []

@@ -18,7 +18,8 @@ from mvjacobi.operators import (
 from mvjacobi.polyspace import enumerate_basis, evaluate
 from mvjacobi.rational import ONE, Rat, ZERO
 from mvjacobi.ratmat import RatMatrix
-from mvjacobi.sampling import random_matrix, random_problem_spec, random_rational, random_vector
+from mvjacobi.sampling import (_hits_shift, random_matrix, random_problem_spec, random_rational,
+                               random_vector)
 from mvjacobi.structure import _certified_inverse
 
 
@@ -123,6 +124,29 @@ def test_random_matrix_keeps_the_fraction_draw_stream(d, max_den, lo, hi):
                          for _ in range(d)])
         assert (M.num, M.den) == (ref.num, ref.den)
         assert fast.getstate() == slow.getstate()
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.integers(1, 3), n=st.integers(1, 4), data=st.data())
+def test_hits_shift_decides_as_basis_exponents(d, n, data):
+    # integer numerators over lam's denominator, against the Fraction
+    # exponents of basis_exponents; small denominators make hits common
+    lam = [Rat(data.draw(st.integers(-24, 24)), data.draw(st.sampled_from([1, 2, 3])))
+           for _ in range(d)]
+    shifts = data.draw(st.sampled_from([range(2, 15), range(0, 3), (5,), (-1, 7)]))
+    resonant = {-s for s in shifts}
+    want = any(e in resonant for e in basis_exponents(lam, enumerate_basis(d, n)))
+    assert _hits_shift(RatMatrix.diagonal(lam), d, n, shifts) is want
+
+
+def test_hits_shift_accepts_and_rejects():
+    # d = 1, n = 2: the one exponent is 2 lam - lam = lam
+    assert _hits_shift(RatMatrix([[-3]]), 1, 2, range(2, 15))
+    assert not _hits_shift(RatMatrix([[Rat(-7, 2)]]), 1, 2, range(2, 15))
+    assert not _hits_shift(RatMatrix([[-15]]), 1, 2, range(2, 15))
+    # d = 2, n = 1: exponents lam_2 - lam_1 and lam_1 - lam_2 (and 0)
+    lam = RatMatrix.diagonal([Rat(1, 3), Rat(7, 3)])
+    assert _hits_shift(lam, 2, 1, (2,)) and not _hits_shift(lam, 2, 1, (3,))
 
 
 # -- the two derivations ------------------------------------------------------

@@ -309,6 +309,40 @@ def test_stencil_matches_sympy(data):
     check_normal_and_equal(_stencil(RatMatrix(d1), s, a, RatMatrix(d2), b, t, c), expected)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_apply_A_with_zero_coefficients_matches_composite_formula(data):
+    # zero coefficients below the top (x^i I, Q r) are skipped by the
+    # stencil, and an output coefficient with no term left is zero
+    d, n = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    spec = random_problem_spec(rng, d, n, commutative=data.draw(st.booleans()))
+    space = spec.space
+    D1, D2 = build_D(spec, 1), build_D(spec, 2)
+    deg = data.draw(st.integers(0, 4 if space.N <= 6 else 2))
+    make = random_vector_poly if data.draw(st.booleans()) else random_op_poly
+    r = make(rng, space, deg)
+    zeroed = data.draw(st.lists(st.booleans(), min_size=deg + 1, max_size=deg + 1))
+    z = RatMatrix.zeros(*r.mats[0].shape)
+    r = r.from_mats([z if zero else m for zero, m in zip(zeroed, r.mats)], space)
+    j = data.draw(st.integers(1, 6))
+    assert apply_A(j, D1, D2, r) == composite_apply_A(j, D1, D2, r)
+
+
+def test_stencil_treats_a_zero_term_as_absent():
+    D1 = RatMatrix.diagonal([Rat(1, 2), Rat(-1, 3)])
+    D2 = RatMatrix([[0, Rat(1, 5)], [Rat(2, 7), 1]])
+    M = RatMatrix([[Rat(1, 3), 2], [0, Rat(-1, 2)]])
+    for shape in ((2, 2), (2, 1)):
+        Z = RatMatrix.zeros(*shape)
+        out = _stencil(D1, 3, Z, D2, Z, -2, Z)
+        assert (out.num, out.den) == (Z.num, 1)
+        assert _stencil(D1, 3, None, D2, Z, -2, None) == Z
+    Z = RatMatrix.zeros(2)
+    assert _stencil(D1, 3, M, D2, Z, -2, None) == _stencil(D1, 3, M, D2, None, -2, None)
+    assert _stencil(D1, 3, Z, D2, M, -2, Z) == D2 @ M
+
+
 def test_apply_A_needs_a_diagonal_D1_and_matching_sizes():
     space = enumerate_basis(2, 1)  # N = 4
     I = RatMatrix.identity(4)

@@ -16,7 +16,7 @@ from oracles import (
     to_sympy,
 )
 
-from mvjacobi import structure
+from mvjacobi import oppoly, structure
 from mvjacobi.errors import ResonanceError
 from mvjacobi.operators import ProblemSpec, build_D
 from mvjacobi.oppoly import OpPoly, VectorPoly, build_Pk
@@ -390,6 +390,8 @@ def test_verify_scalar_reduction():
 def test_verify_scalar_eigen_identity():
     report = verify_scalar_eigen_identity(Rat(-1, 4), Rat(2, 3), 2, 5)
     assert report.passed, report.summary_lines()
+    # the rule on x^i for i <= 5 and j = 1..5, then one eigenvalue check per k
+    assert report.counts == (36, 36)
 
 
 # -- trace reduction -----------------------------------------------------------
@@ -411,14 +413,15 @@ def test_verify_trace_legendre():
 def test_verify_product_identities():
     rng = random.Random(73)
     spec = random_problem_spec(rng, 2, 2, max_den=3)
-    report = verify_product_identities(spec, trials=5, seed=9)
+    report = verify_product_identities(spec)
     assert report.passed, report.summary_lines()
-    assert report.counts == (15, 15)  # two checks per trial plus the k-fold one
+    # two checks per (i, j) with i <= 4 and j = 2..6, plus the k-fold one for k <= 5
+    assert report.counts == (55, 55)
 
 
 def test_verify_product_identities_applies_each_factor_once(monkeypatch):
-    # A_j r serves both the x r identity and the Q identity of a trial, so
-    # a trial applies a factor directly three times, not four
+    # A_j r serves both the x r identity and the Q identity of a pair
+    # (i, j), so a pair applies a factor directly three times, not four
     real = structure.apply_A
     calls = []
 
@@ -428,7 +431,32 @@ def test_verify_product_identities_applies_each_factor_once(monkeypatch):
 
     monkeypatch.setattr(structure, "apply_A", counting)
     spec = random_problem_spec(random.Random(73), 2, 2, max_den=3)
-    trials = 4
-    report = verify_product_identities(spec, trials=trials, seed=9)
+    report = verify_product_identities(spec)
     assert report.passed, report.summary_lines()
-    assert len(calls) == 3 * trials
+    assert len(calls) == 3 * 5 * 5
+    assert sorted(set(calls)) == [1, 2, 3, 4, 5, 6]
+
+
+def _d1_shift_mutant(real, j, i):
+    """_stencil with its D1 shift off by one at factor j, output coefficient i only."""
+    def stencil(D1, s, a, D2, b, t, c):
+        if (s, t) == (2 * j + i - 1, -(i + 1)):
+            s += 1
+        return real(D1, s, a, D2, b, t, c)
+    return stencil
+
+
+# Output coefficient 0 has no D1 term (it would scale r_{-1}), so a shift
+# there changes nothing and is not a mutant.
+@pytest.mark.parametrize("i", range(1, 6))
+@pytest.mark.parametrize("j", range(2, 7))
+def test_verify_product_identities_catches_every_d1_shift_mutant(monkeypatch, j, i):
+    spec = random_problem_spec(random.Random(73), 2, 2, max_den=3)
+    for k in range(6):
+        # cache the true members: a mutant build_Pk would stop at its own
+        # leading-coefficient check, and the test is about the basis checks
+        build_Pk(spec, k)
+    monkeypatch.setattr(oppoly, "_stencil", _d1_shift_mutant(oppoly._stencil, j, i))
+    report = verify_product_identities(spec)
+    failed = [item.name for item in report.items if not item.passed]
+    assert f"x^{i - 1} I: factor j={j} on x r" in failed, failed
