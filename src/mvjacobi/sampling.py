@@ -96,7 +96,7 @@ def random_problem_spec(
             A = random_diagonal(rng, d, max_den)
         else:
             A = random_matrix(rng, d, max_den)
-        if shifts and _hits_shift(lam, d, n, shifts):
+        if _hits_shift(lam, d, n, shifts):
             continue
         return ProblemSpec(d, n, A, lam - A)
     raise RuntimeError(f"no resonance-free sample found in {max_tries} tries")

@@ -30,7 +30,7 @@ from typing import NamedTuple, Sequence
 from .errors import ResonanceError
 from .operators import ProblemSpec, build_D, describe_kernel, dominant_coefficient
 from .oppoly import OpPoly, VectorPoly, apply_A, build_Pk, _product_apply
-from .polyspace import PolySpace, PolyVector
+from .polyspace import PolyVector
 from .ratmat import RatMatrix
 from .rational import ONE, Rat, ZERO, falling_factorial
 from .reporting import CheckReport
@@ -330,12 +330,6 @@ def verify_scalar_reduction(a, b, n: int, k_max: int) -> CheckReport:
     return report
 
 
-def _x_power(i: int, space: PolySpace) -> OpPoly:
-    """x^i I, one element of the monomial basis of operator polynomials."""
-    N = space.N
-    return OpPoly.from_mats((RatMatrix.zeros(N),) * i + (RatMatrix.identity(N),), space)
-
-
 def verify_scalar_eigen_identity(a, b, n: int, k_max: int) -> CheckReport:
     """d = 1: the first product factor is an eigenoperator on derivatives.
 
@@ -351,13 +345,14 @@ def verify_scalar_eigen_identity(a, b, n: int, k_max: int) -> CheckReport:
     report = CheckReport(f"scalar eigen identity a={Rat(a)} b={Rat(b)} n={n}")
     D1 = build_D(spec, 1)
     D2 = build_D(spec, 2)
+    r = OpPoly.identity(spec.space)  # x^i, i = 0..5
     for i in range(6):
-        r = _x_power(i, spec.space)
         dr = r.d_dx()
         for j in range(1, 6):
             lhs = apply_A(j, D1, D2, r).d_dx()
             rhs = r.scale(alpha + beta + 2 * j).add(apply_A(j + 1, D1, D2, dr))
             report.add(f"x^{i}: commutation past factor j={j}", lhs == rhs)
+        r = r.mul_by_x()
     for k in range(k_max + 1):
         P = build_Pk(spec, k)
         lhs = apply_A(1, D1, D2, P.d_dx())
@@ -432,19 +427,19 @@ def verify_product_identities(spec: ProblemSpec) -> CheckReport:
     and constant q: A_1...A_k(x q) = x P_k q + k A_1...A_{k-1}(Q q).
 
     Each identity is right-linear: A_j, x and Q act by left
-    multiplications and d/dx, so A_j(r M) = A_j(r) M for a constant M.
-    Every r of degree <= 4 is sum_i (x^i I) M_i, so checking r = x^i I
-    for i <= 4 proves the first two for every such r, and checking q = I
-    proves the third for every q (a vector q is the right factor of a
-    column).  The checks are exact, so a PASS is a proof over these
-    ranges, not a sample.
+    multiplications and d/dx, so A_j(r M) = A_j(r) M for a constant
+    matrix M, square or a column.  Every r of degree <= 4 is
+    sum_i (x^i I) M_i, so checking r = x^i I for i <= 4 proves the first
+    two for every such r, operator- or vector-valued, and checking q = I
+    proves the third for every constant q.  The checks are exact, so a
+    PASS is a proof over these ranges, not a sample.
     """
     space = spec.space
     D1 = build_D(spec, 1)
     D2 = build_D(spec, 2)
     report = CheckReport(f"product identities d={spec.d} n={spec.n}")
+    r = OpPoly.identity(space)  # x^i I, i = 0..4
     for i in range(5):
-        r = _x_power(i, space)
         rx, rQ = r.mul_by_x(), r.mul_by_Q()
         for j in range(2, 7):
             Ar = apply_A(j, D1, D2, r)
@@ -452,6 +447,7 @@ def verify_product_identities(spec: ProblemSpec) -> CheckReport:
                        apply_A(j, D1, D2, rx) == Ar.mul_by_x().add(rQ))
             report.add(f"x^{i} I: Q lowers the factor index j={j}",
                        Ar.mul_by_Q() == apply_A(j - 1, D1, D2, rQ))
+        r = rx
     I = OpPoly.identity(space)
     for k in range(1, 6):
         lhs = _product_apply(D1, D2, k, I.mul_by_x())
