@@ -45,8 +45,8 @@ SUITES = ("all", "recurrence", "tilde", "scalar", "trace", "identities")
 # Size caps, refused with exit 2 before anything is built.  Time grows
 # about like N^2.3 (the recurrence's dense products) and memory like
 # N^2 k^2 (the cached members); at N = 140 and k_max = 10, `verify` takes
-# 36 s and `compute` peaks at 297 MB on a 2-core x86-64 host.  README,
-# "Size limits", has the measurements.
+# 60 s and `compute` peaks at 297 MB on a shared 2-core x86-64 host.
+# README, "Size limits", has the measurements.
 MAX_N = 150
 MAX_KMAX = 10
 
