@@ -8,7 +8,7 @@ of the output is a pure function of the inputs.
 
 Exit codes are a stable contract:
     0  success / all selected checks passed
-    1  a verification check failed
+    1  a verification check failed, or an internal self-check did
     2  parse, validation, or precondition error
     3  resonance (a required operator is singular)
     4  quadrature failed to converge
@@ -436,10 +436,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OdeError as exc:
         print(f"integration failure: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        # build_Pk, recurrence_coeffs and expand re-check their own results;
+        # a failed self-check is a failed check
+        print(f"internal consistency failure: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-
-if __name__ == "__main__":
-    sys.exit(main())

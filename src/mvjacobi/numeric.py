@@ -320,29 +320,6 @@ def weight(spec: ProblemSpec, space: PolySpace, x: float,
     return induced_action_float(Y, space)
 
 
-def ode_vs_closed_form_report(spec: ProblemSpec, cfg: Optional[OdeConfig] = None,
-                              points: int = 20) -> NumericReport:
-    """Max deviation of the ODE fundamental matrix from the closed form.
-
-    The two differ by a constant right factor fixed at the basepoint, so
-    the ODE result is compared with C(x) C(basepoint)^{-1}.
-    """
-    cfg = cfg or OdeConfig()
-    base = commutative_Y(spec, cfg.basepoint)
-    xs = np.linspace(-0.95, 0.95, points)
-    got = _solver(spec, cfg).at(xs)
-    want = np.stack([commutative_Y(spec, x) for x in xs.tolist()]) @ np.linalg.inv(base)
-    worst = float(np.max(np.abs(got - want)))
-    tol = 10.0 * cfg.rel_tol
-    return NumericReport(
-        quantity=f"ODE vs closed-form fundamental matrix at {points} points",
-        max_abs_entry=worst,
-        estimated_quadrature_error=0.0,
-        tolerance=tol,
-        passed=worst <= tol,
-    )
-
-
 # -- double-exponential quadrature -------------------------------------------
 
 # An integrand is called once per level with that level's new nodes as arrays

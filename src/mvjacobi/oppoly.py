@@ -339,7 +339,8 @@ def build_Pk(spec: ProblemSpec, k: int) -> OpPoly:
     expected = dominant_coefficient(D1, k)
     if P.degree > k or P.coeff_at(k) != expected:
         raise RuntimeError(
-            f"internal consistency failure: member k={k} has degree {P.degree} "
-            "or a leading coefficient differing from the dominant-coefficient product"
+            f"member k={k} has degree {P.degree} or a leading coefficient differing "
+            "from the dominant-coefficient product; this indicates an internal "
+            "construction bug"
         )
     return P

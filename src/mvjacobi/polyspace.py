@@ -16,9 +16,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import NamedTuple, Sequence
-
-from .rational import ZERO
+from typing import NamedTuple
 
 MultiIndex = tuple[int, ...]
 PolyVector = tuple  # flat coefficient tuple, one Rat per basis element
@@ -106,24 +104,3 @@ def enumerate_basis(d: int, n: int) -> PolySpace:
     space = PolySpace(d, n, basis)
     assert space.N == basis_size(d, n)
     return space
-
-
-def evaluate(space: PolySpace, q: Sequence, w: Sequence) -> tuple:
-    """Evaluate the polynomial with coefficients q at the point w, exactly.
-
-    Returns a length-d tuple of rationals.
-    """
-    if len(q) != space.N:
-        raise ValueError(f"coefficient vector has length {len(q)}, expected {space.N}")
-    if len(w) != space.d:
-        raise ValueError(f"point has length {len(w)}, expected {space.d}")
-    out = [ZERO] * space.d
-    for coeff, b in zip(q, space.basis):
-        if not coeff:
-            continue
-        mono = coeff
-        for wi, mi in zip(w, b.m):
-            if mi:
-                mono = mono * wi**mi
-        out[b.j - 1] += mono
-    return tuple(out)

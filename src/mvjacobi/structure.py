@@ -439,15 +439,15 @@ def verify_product_identities(spec: ProblemSpec) -> CheckReport:
     D2 = build_D(spec, 2)
     report = CheckReport(f"product identities d={spec.d} n={spec.n}")
     r = OpPoly.identity(space)  # x^i I, i = 0..4
+    Ar = [apply_A(j, D1, D2, r) for j in range(2, 7)]
     for i in range(5):
         rx, rQ = r.mul_by_x(), r.mul_by_Q()
-        for j in range(2, 7):
-            Ar = apply_A(j, D1, D2, r)
-            report.add(f"x^{i} I: factor j={j} on x r",
-                       apply_A(j, D1, D2, rx) == Ar.mul_by_x().add(rQ))
+        Arx = [apply_A(j, D1, D2, rx) for j in range(2, 7)]  # A_j(r) of step i + 1
+        for j, A, Ax in zip(range(2, 7), Ar, Arx):
+            report.add(f"x^{i} I: factor j={j} on x r", Ax == A.mul_by_x().add(rQ))
             report.add(f"x^{i} I: Q lowers the factor index j={j}",
-                       Ar.mul_by_Q() == apply_A(j - 1, D1, D2, rQ))
-        r = rx
+                       A.mul_by_Q() == apply_A(j - 1, D1, D2, rQ))
+        r, Ar = rx, Arx
     I = OpPoly.identity(space)
     for k in range(1, 6):
         lhs = _product_apply(D1, D2, k, I.mul_by_x())

@@ -3,15 +3,21 @@
 Everything here is built from first principles (binomial sums, direct
 monomial differentiation, explicit convolution) or on sympy, deliberately
 sharing no code path with the library, so tests never compare the
-library against itself.
+library against itself.  The exceptions say so: `composite_apply_A`
+composes the library's ring operations, and `ode_vs_closed_form_report`
+compares its two independent routes to the fundamental matrix.
 """
 
 from __future__ import annotations
 
 from math import comb, factorial
+from typing import Optional, Sequence
 
+import numpy as np
 import sympy
 
+from mvjacobi.numeric import NumericReport, OdeConfig, _solver, commutative_Y
+from mvjacobi.operators import ProblemSpec
 from mvjacobi.polyspace import PolySpace
 from mvjacobi.ratmat import RatMatrix
 from mvjacobi.rational import ONE, Rat, ZERO, falling_factorial
@@ -118,6 +124,27 @@ def monomial_eval(m, w) -> Rat:
     return acc
 
 
+def evaluate(space: PolySpace, q: Sequence, w: Sequence) -> tuple:
+    """Evaluate the polynomial with coefficients q at the point w, exactly.
+
+    Returns a length-d tuple of rationals.
+    """
+    if len(q) != space.N:
+        raise ValueError(f"coefficient vector has length {len(q)}, expected {space.N}")
+    if len(w) != space.d:
+        raise ValueError(f"point has length {len(w)}, expected {space.d}")
+    out = [ZERO] * space.d
+    for coeff, b in zip(q, space.basis):
+        if not coeff:
+            continue
+        mono = coeff
+        for wi, mi in zip(w, b.m):
+            if mi:
+                mono = mono * wi**mi
+        out[b.j - 1] += mono
+    return tuple(out)
+
+
 def derivation_oracle(space: PolySpace, M_rows, coords, w) -> tuple:
     """Evaluate (grad q . (M w) - M q(w)) at a rational point w.
 
@@ -212,6 +239,29 @@ def commutative_weight_entry(a_diag, b_diag, m, j: int, x: float) -> float:
     p = sum(mi * float(ai) for mi, ai in zip(m, a_diag)) - float(a_diag[j - 1])
     q = sum(mi * float(bi) for mi, bi in zip(m, b_diag)) - float(b_diag[j - 1])
     return (1.0 - x) ** p * (1.0 + x) ** q
+
+
+def ode_vs_closed_form_report(spec: ProblemSpec, cfg: Optional[OdeConfig] = None,
+                              points: int = 20) -> NumericReport:
+    """Max deviation of the ODE fundamental matrix from the closed form.
+
+    The two differ by a constant right factor fixed at the basepoint, so
+    the ODE result is compared with C(x) C(basepoint)^{-1}.
+    """
+    cfg = cfg or OdeConfig()
+    base = commutative_Y(spec, cfg.basepoint)
+    xs = np.linspace(-0.95, 0.95, points)
+    got = _solver(spec, cfg).at(xs)
+    want = np.stack([commutative_Y(spec, x) for x in xs.tolist()]) @ np.linalg.inv(base)
+    worst = float(np.max(np.abs(got - want)))
+    tol = 10.0 * cfg.rel_tol
+    return NumericReport(
+        quantity=f"ODE vs closed-form fundamental matrix at {points} points",
+        max_abs_entry=worst,
+        estimated_quadrature_error=0.0,
+        tolerance=tol,
+        passed=worst <= tol,
+    )
 
 
 def to_sympy(M) -> sympy.Matrix:

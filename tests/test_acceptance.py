@@ -12,13 +12,18 @@ import random
 from functools import lru_cache
 from time import perf_counter
 
-from oracles import jacobi_binomial_sum, leibniz_scalar_member, poly_scale, trim
+from oracles import (
+    jacobi_binomial_sum,
+    leibniz_scalar_member,
+    ode_vs_closed_form_report,
+    poly_scale,
+    trim,
+)
 
 from mvjacobi.numeric import (
     OdeConfig,
     QuadConfig,
     integral_interrelation_check,
-    ode_vs_closed_form_report,
     quasi_orth_integral,
 )
 from mvjacobi.operators import ProblemSpec, build_D

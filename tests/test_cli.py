@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -11,6 +12,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_golden import DIGESTS, in_process_record, record
+from test_golden import _argv as golden_argv
+from test_structure import _d1_shift_mutant
 
 import mvjacobi
 import mvjacobi.operators
@@ -240,6 +244,22 @@ def test_verify_failing_identity_exits_1(tmp_path, capsys, monkeypatch):
     assert main(["verify", "--input", inp, "--suite", "recurrence", "--kmax", "1"]) == 1
     out = capsys.readouterr().out
     assert "[FAIL]" in out and "overall: FAIL" in out
+
+
+def test_internal_consistency_failure_exits_1_without_traceback(capsys, monkeypatch):
+    # a member construction that fails its own leading-coefficient check
+    from mvjacobi import oppoly
+
+    monkeypatch.setattr(oppoly, "_stencil", _d1_shift_mutant(oppoly._stencil, 2, 1))
+    build_Pk.cache_clear()
+    try:
+        code = main(["verify", "--input", str(GOLDEN / "d2n2_nc.json"), "--kmax", "2"])
+    finally:
+        build_Pk.cache_clear()  # no member built by the mutant outlives the test
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("internal consistency failure: member k=2 ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_verify_with_no_reports_fails(tmp_path, capsys, monkeypatch):
@@ -545,6 +565,76 @@ def test_module_entry_point_computes():
     out = run_python("-m", "mvjacobi", "compute", "--input", str(GOLDEN / "d1n2.json"))
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout)["kind"] == "members"
+
+
+# every golden command (exit 0 or 3) and one the command refuses (exit 2)
+ENTRY_CASES = [pytest.param(golden_argv(*key.split()), id=key) for key in sorted(DIGESTS)] + [
+    pytest.param(["verify", "--input", str(GOLDEN / "d2n2_nc.json"), "--suite", "trace"],
+                 id="d2n2_nc verify trace"),
+]
+
+
+@pytest.mark.parametrize("argv", ENTRY_CASES)
+def test_process_entry_matches_in_process_main(tmp_path, argv):
+    want = in_process_record(argv)
+    out = run_python("-m", "mvjacobi", *argv)
+    assert record(out.returncode, out.stdout, out.stderr) == want
+    if want["exit"] == 0:
+        path = tmp_path / "out.json"
+        out = run_python("-m", "mvjacobi", *argv, "--out", str(path))
+        assert out.returncode == 0, out.stderr
+        assert record(0, path.read_text(encoding="utf-8"), "") == want
+
+
+RUN_ENTRY = """
+import gc, sys
+from mvjacobi.__main__ import run
+before = gc.get_freeze_count()
+code = run(sys.argv[1:])
+print(code, before, gc.get_freeze_count())
+"""
+
+
+@pytest.mark.parametrize("problem, code", [("d1n2", 0), ("resonant", 3)])
+def test_run_returns_main_code_and_freezes_the_heap(problem, code):
+    argv = ["verify", "--input", str(GOLDEN / f"{problem}.json"), "--kmax", "2",
+            "--format", "json"]
+    out = run_python("-c", RUN_ENTRY, *argv)
+    assert out.returncode == 0, out.stderr
+    got, before, after = map(int, out.stdout.splitlines()[-1].split())
+    assert got == code == in_process_record(argv)["exit"]
+    assert before == 0 and after > 0
+
+
+def test_in_process_main_leaves_the_collector_alone(capsys):
+    before = gc.get_freeze_count()
+    assert main(["compute", "--input", str(GOLDEN / "d1n2.json"), "--kmax", "1"]) == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_importing_the_process_entry_has_no_side_effects():
+    out = run_python("-c", "import gc, mvjacobi.__main__; print(gc.get_freeze_count())")
+    assert (out.returncode, out.stdout.strip(), out.stderr) == (0, "0", "")
+
+
+def test_console_script_is_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")
+    with open(SRC.parent / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"mvjacobi": "mvjacobi.__main__:run"}
+    from mvjacobi.__main__ import run
+    assert callable(run)
+
+
+def test_profiler_still_reports_through_the_process_entry(tmp_path):
+    # the entry freezes the heap instead of ending with os._exit, which
+    # would skip atexit and with it the profile and coverage data
+    path = tmp_path / "members.json"
+    out = run_python("-m", "cProfile", "-m", "mvjacobi", "compute",
+                     "--input", str(GOLDEN / "d1n2.json"), "--out", str(path))
+    assert out.returncode == 0, out.stderr
+    assert "function calls" in out.stdout
+    assert json.loads(path.read_text(encoding="utf-8"))["kind"] == "members"
 
 
 # -- start-up: what each command loads --------------------------------------------

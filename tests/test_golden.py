@@ -40,15 +40,22 @@ def _digest(text: str) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True, indent=2).encode("utf-8")).hexdigest()
 
 
-def golden_record(key: str) -> dict:
+def record(code: int, out: str, err: str) -> dict:
     """Exit code plus output digest (exit 0) or stderr text (otherwise)."""
-    problem, command = key.split()
+    if code == 0:
+        return {"exit": 0, "sha256": _digest(out)}
+    return {"exit": code, "stderr": err.strip()}
+
+
+def in_process_record(argv: list[str]) -> dict:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(_argv(problem, command))
-    if code == 0:
-        return {"exit": 0, "sha256": _digest(out.getvalue())}
-    return {"exit": code, "stderr": err.getvalue().strip()}
+        code = main(argv)
+    return record(code, out.getvalue(), err.getvalue())
+
+
+def golden_record(key: str) -> dict:
+    return in_process_record(_argv(*key.split()))
 
 
 @pytest.mark.parametrize("key", sorted(DIGESTS))

@@ -11,6 +11,7 @@ from oracles import (
     jacobi_integral_beta,
     jacobi_integral_sympy,
     leibniz_scalar_member,
+    ode_vs_closed_form_report,
     poly_mul,
 )
 
@@ -31,7 +32,6 @@ from mvjacobi.numeric import (
     integrability_check,
     integral_interrelation_check,
     is_commutative,
-    ode_vs_closed_form_report,
     quasi_orth_integral,
     weight,
 )

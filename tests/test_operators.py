@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import derivation_matrix, derivation_oracle, induced_action, to_sympy
+from oracles import derivation_matrix, derivation_oracle, evaluate, induced_action, to_sympy
 
 from mvjacobi.errors import ResonanceError
 from mvjacobi.operators import (
@@ -15,7 +15,7 @@ from mvjacobi.operators import (
     dominant_coefficient,
     induced_action_float,
 )
-from mvjacobi.polyspace import enumerate_basis, evaluate
+from mvjacobi.polyspace import enumerate_basis
 from mvjacobi.rational import ONE, Rat, ZERO
 from mvjacobi.ratmat import RatMatrix
 from mvjacobi.sampling import (_hits_shift, random_matrix, random_problem_spec, random_rational,

@@ -421,7 +421,8 @@ def test_verify_product_identities():
 
 def test_verify_product_identities_applies_each_factor_once(monkeypatch):
     # A_j r serves both the x r identity and the Q identity of a pair
-    # (i, j), so a pair applies a factor directly three times, not four
+    # (i, j), and A_j(x r) is the next step's A_j r, so the five A_j(I)
+    # are applied once up front and each pair then applies two factors
     real = structure.apply_A
     calls = []
 
@@ -433,7 +434,7 @@ def test_verify_product_identities_applies_each_factor_once(monkeypatch):
     spec = random_problem_spec(random.Random(73), 2, 2, max_den=3)
     report = verify_product_identities(spec)
     assert report.passed, report.summary_lines()
-    assert len(calls) == 3 * 5 * 5
+    assert len(calls) == 5 + 2 * 5 * 5
     assert sorted(set(calls)) == [1, 2, 3, 4, 5, 6]
 
 
