@@ -426,11 +426,27 @@ def test_quadrature_nonconvergence_exit(tmp_path, capsys):
 @pytest.mark.parametrize("value", ["inf", "nan"])
 def test_quadrature_rejects_nonfinite_tolerance(tmp_path, capsys, value):
     # --tol inf would pass any claim; the ODE tolerance is covered by the
-    # OdeConfig test, so that no test can start the solver on a NaN
+    # next test, on a commutative problem, so that no test can start the
+    # solver on a NaN
     inp = write_json(tmp_path / "spec.json", COMMUT_2x2)
     assert main(["quadrature", "--input", inp, "--j", "0", "--k", "1",
                  "--side", "right", "--tol", value]) == 2
     assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--ode-tol", "nan", "rel_tol must be finite, got nan"),
+    ("--ode-tol", "inf", "rel_tol must be finite, got inf"),
+    ("--ode-tol", "0", "rel_tol must be positive"),
+    ("--tol", "0", "tolerance must be positive"),
+])
+def test_quadrature_validates_tolerances_without_an_ode(tmp_path, capsys, flag, value, message):
+    # the commutative integral is exact and never runs the solver, yet both
+    # tolerances are still checked
+    inp = write_json(tmp_path / "spec.json", COMMUT_2x2)
+    assert main(["quadrature", "--input", inp, "--j", "0", "--k", "1",
+                 "--side", "right", flag, value]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_quadrature_biased_override_fails_claim(tmp_path, capsys):
