@@ -330,18 +330,15 @@ def cmd_expand(args) -> int:
 
 def cmd_quadrature(args) -> int:
     # the numeric layer (and numpy) is loaded only by this command
-    from .numeric import OdeConfig, QuadConfig, integrability_check, quasi_orth_integral
+    from .numeric import integrability_check, quasi_orth_integral
 
     spec, _raw = load_problem(args.input)
     _check_index(max(args.j, args.k), "member index")
-    qcfg = QuadConfig(tolerance=args.tol)
-    ocfg = OdeConfig(rel_tol=args.ode_tol)
+    report = quasi_orth_integral(spec, args.j, args.k, args.side, tol=args.tol,
+                                 ode_tol=args.ode_tol,
+                                 override_integrability=args.override_integrability)
+    # the integral's gate has already made this memoized check
     integ = integrability_check(spec, spec.space, args.j, args.k)
-    report = quasi_orth_integral(
-        spec, args.j, args.k, args.side,
-        qcfg=qcfg, ocfg=ocfg,
-        override_integrability=args.override_integrability,
-    )
     if args.format == "json":
         doc = {
             "header": _header(),

@@ -2,13 +2,12 @@
 
 The system y' = [A/(x-1) + B/(x+1)] y, i.e. (x^2 - 1) y' = (x M1 + M2) y
 with M1 = A + B and M2 = A - B, has regular singular points at +-1.  Its
-fundamental matrix Y(x), normalized to the identity at an interior
-basepoint, is continued toward each endpoint by Taylor series at
-centers that step half a radius toward it, less for residues of large
-norm (the classical Taylor method for holonomic systems), up to
-|x| <= 1 - 1e-12.  Each side is swept once per problem and kept as
-dense output, which evaluates a whole array of points at once; only
-numpy is needed.
+fundamental matrix Y(x), normalized to the identity at 0, is continued
+toward each endpoint by Taylor series at centers that step half a
+radius toward it, less for residues of large norm (the classical Taylor
+method for holonomic systems), up to |x| <= 1 - 1e-12.  Each side is
+swept once per problem and kept as dense output, which evaluates a
+whole array of points at once; only numpy is needed.
 For simultaneously diagonal residues the closed form
 diag((1-x)^{a_i} (1+x)^{b_i}) is used instead; on (-1, 1) this real
 branch differs from an analytic continuation only by a constant
@@ -17,25 +16,30 @@ diagonal right factor, which none of the checked statements feel.
 Weighted integrals over (-1, 1) use tanh-sinh (double-exponential)
 quadrature with dyadic step sizes, so the levels are nested: each level
 reuses the previous level's sum and evaluates the integrand only at its
-new odd-indexed nodes, in one call on the whole node array.  The
-noncommutative integrand keeps the nodes as a leading axis throughout:
-dense output, weight action, members and their products are stacks.
-Nodes are generated together with the exact distances 1 -+ x to the
-endpoints, and integrands receive those distances directly; this is
-what keeps endpoint powers like (1-x)^(-1/2) accurate where float
-subtraction would have lost everything.  The one exception is
-quasi-orthogonality for commutative problems, where every channel is a
-polynomial against a Jacobi weight: its integrals are rational
-multiples of the Jacobi mass, from the classical moment recurrence, so
-vanishing is decided exactly.
+new odd-indexed nodes, in one call on the whole node array, and a
+refinement that has not settled by level 10 fails.  The noncommutative
+integrand keeps the nodes as a leading axis throughout: dense output,
+weight action, members and their products are stacks.  Nodes are
+generated together with the exact distances 1 -+ x to the endpoints,
+and integrands receive those distances directly; this is what keeps
+endpoint powers like (1-x)^(-1/2) accurate where float subtraction
+would have lost everything.  The one exception is quasi-orthogonality
+for commutative problems, where every channel is a polynomial against a
+Jacobi weight: its integrals are rational multiples of the Jacobi mass,
+from the classical moment recurrence, so vanishing is decided exactly.
+
+The in-process settings are plain floats: `tol`, the vanishing
+tolerance of a noncommutative quasi-orthogonality integral (and the
+relative tolerance of the integral inter-relation), and `ode_tol`, the
+relative tolerance of the fundamental matrix, which `fundamental_matrix`
+and `weight` take as `rel_tol`.  Each must be finite and positive.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional
 
 from .errors import OdeError, QuadratureError
 from .operators import ProblemSpec, basis_exponents, induced_action_float
@@ -56,44 +60,19 @@ _MAX_TERMS = 1000  # a Taylor sweep whose terms are still above its tail by then
 _MAX_CENTERS = 4000  # about 27.6 (1 + |A| + |B|) per side; 4000 allows norms up to ~140
 _DE_TMAX = 6.0
 _DE_FIRST_LEVEL = 4
+_DE_LAST_LEVEL = 10  # refinement that has not settled by this level fails
 _DELTA_FLOOR = 5e-300  # tanh-sinh nodes closer than this to an endpoint are dropped
 _NODE_BLOCK = 32  # nodes per batched weight evaluation, bounding the (block, N, N) temporaries
 
 
-def _require_finite(cfg, fields: Sequence[str]) -> None:
-    for name in fields:
-        if not math.isfinite(getattr(cfg, name)):
-            raise ValueError(f"{name} must be finite, got {getattr(cfg, name)!r}")
+def _check_tolerance(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    if value <= 0:
+        raise ValueError(f"{name} must be positive")
 
 
-@dataclass(frozen=True)
-class OdeConfig:
-    rel_tol: float = 1e-10
-    basepoint: float = 0.0
-
-    def __post_init__(self):
-        _require_finite(self, ("rel_tol", "basepoint"))
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be positive")
-        if not -1.0 < self.basepoint < 1.0:
-            raise ValueError("basepoint must lie strictly inside (-1, 1)")
-
-
-@dataclass(frozen=True)
-class QuadConfig:
-    levels: int = 10
-    tolerance: float = 1e-8
-
-    def __post_init__(self):
-        _require_finite(self, ("tolerance",))
-        if self.levels < _DE_FIRST_LEVEL + 1:
-            raise ValueError(f"levels must be >= {_DE_FIRST_LEVEL + 1}")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-
-
-@dataclass(frozen=True)
-class NumericReport:
+class NumericReport(NamedTuple):
     quantity: str
     max_abs_entry: float
     estimated_quadrature_error: float
@@ -104,16 +83,7 @@ class NumericReport:
     de_level: Optional[int] = None  # tanh-sinh level reached, when one was used
 
     def to_dict(self) -> dict:
-        return {
-            "quantity": self.quantity,
-            "max_abs_entry": self.max_abs_entry,
-            "estimated_quadrature_error": self.estimated_quadrature_error,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "claimed": self.claimed,
-            "detail": self.detail,
-            "de_level": self.de_level,
-        }
+        return self._asdict()
 
 
 def is_commutative(spec: ProblemSpec) -> bool:
@@ -134,9 +104,8 @@ def _floats(M: RatMatrix) -> np.ndarray:
     return np.array([[e / M.den for e in row] for row in M.num])
 
 
-@dataclass(frozen=True)
-class _Sweep:
-    """Taylor data of one sweep from the basepoint toward an endpoint.
+class _Sweep(NamedTuple):
+    """Taylor data of one sweep from 0 toward an endpoint.
 
     Center k lies at distance dist[k] from that endpoint (decreasing in
     k) and has radius rho[k]; coeffs is a (terms, centers, d, d) array z
@@ -161,9 +130,8 @@ def _sum_series(z: np.ndarray, s, centers=slice(None)) -> np.ndarray:
     return acc
 
 
-def solve_ivp(A: np.ndarray, B: np.ndarray, basepoint: float, sign: int,
-              tail: float) -> _Sweep:
-    """Continue Y(basepoint) = I toward the endpoint sign * 1 in Taylor steps.
+def solve_ivp(A: np.ndarray, B: np.ndarray, sign: int, tail: float) -> _Sweep:
+    """Continue Y(0) = I toward the endpoint sign * 1 in Taylor steps.
 
     Each center c has radius rho = min(1 - c, 1 + c), the distance to the
     nearer singular point, and the next center lies at s = sign * h,
@@ -187,7 +155,7 @@ def solve_ivp(A: np.ndarray, B: np.ndarray, basepoint: float, sign: int,
     """
     nu = np.max(np.sum(np.abs(A), axis=1)) + np.max(np.sum(np.abs(B), axis=1))
     h = 1.0 / (1.0 + max(1.0, nu))
-    dist = [1.0 - sign * basepoint]
+    dist = [1.0]
     while (reach := dist[-1] - h * min(dist[-1], 2.0 - dist[-1])) > _CAP_DIST:
         if len(dist) == _MAX_CENTERS:
             raise OdeError(f"residue norm |A| + |B| = {nu:g} needs more than "
@@ -227,15 +195,15 @@ def solve_ivp(A: np.ndarray, B: np.ndarray, basepoint: float, sign: int,
 
 
 class _FundamentalSolver:
-    """Y(x) from one Taylor sweep per side of the basepoint.
+    """Y(x) from one Taylor sweep per side of 0.
 
     A side is swept on first use.  A point is evaluated from the last
     center of its side that is not beyond it, so |s| <= h there, and
     points closer to an endpoint than 1 - X_CAP are evaluated at the cap.
     """
 
-    def __init__(self, spec: ProblemSpec, cfg: OdeConfig):
-        self.cfg = cfg
+    def __init__(self, spec: ProblemSpec, rel_tol: float):
+        self.rel_tol = rel_tol
         self.d = spec.d
         self._a = _floats(spec.A)
         self._b = _floats(spec.B)
@@ -245,8 +213,7 @@ class _FundamentalSolver:
         if sign not in self._sweeps:
             # the truncations of ~40 centers per side add up; squaring the
             # tolerance keeps them below rounding at the default 1e-10
-            self._sweeps[sign] = solve_ivp(self._a, self._b, self.cfg.basepoint,
-                                           sign, self.cfg.rel_tol ** 2)
+            self._sweeps[sign] = solve_ivp(self._a, self._b, sign, self.rel_tol ** 2)
         return self._sweeps[sign]
 
     def at(self, x: np.ndarray, dist_minus: Optional[np.ndarray] = None,
@@ -258,8 +225,8 @@ class _FundamentalSolver:
         x = np.asarray(x, dtype=float)
         dist_minus = 1.0 - x if dist_minus is None else np.asarray(dist_minus, dtype=float)
         dist_plus = 1.0 + x if dist_plus is None else np.asarray(dist_plus, dtype=float)
-        at_base = x == self.cfg.basepoint
-        plus = x > self.cfg.basepoint
+        at_base = x == 0.0
+        plus = x > 0.0
         delta = np.where(plus, dist_minus, dist_plus)
         outside = ~at_base & ~(delta > 0.0)
         if outside.any():
@@ -274,20 +241,22 @@ class _FundamentalSolver:
     def _side(self, sign: int, delta: np.ndarray) -> np.ndarray:
         sweep = self._sweep(sign)
         # the last center not beyond delta; the first one for a node that
-        # lies within rounding of the basepoint
+        # lies within rounding of 0
         i = np.maximum(np.searchsorted(-sweep.dist, -delta, side="right") - 1, 0)
         s = sign * (sweep.dist[i] - delta) / sweep.rho[i]
         return _sum_series(sweep.coeffs, s[:, None, None], i)
 
 
 @lru_cache(maxsize=None)
-def _solver(spec: ProblemSpec, cfg: OdeConfig) -> _FundamentalSolver:
-    return _FundamentalSolver(spec, cfg)
+def _solver(spec: ProblemSpec, rel_tol: float) -> _FundamentalSolver:
+    # an infinite rel_tol would settle every series after two terms
+    _check_tolerance("rel_tol", rel_tol)
+    return _FundamentalSolver(spec, rel_tol)
 
 
-def fundamental_matrix(spec: ProblemSpec, x: float, cfg: Optional[OdeConfig] = None) -> np.ndarray:
-    """Y(x) with Y(basepoint) = I, from the Taylor sweeps of Y' = MY."""
-    return _solver(spec, cfg or OdeConfig()).at(np.array([float(x)]))[0]
+def fundamental_matrix(spec: ProblemSpec, x: float, rel_tol: float = 1e-10) -> np.ndarray:
+    """Y(x) with Y(0) = I, from the Taylor sweeps of Y' = MY."""
+    return _solver(spec, rel_tol).at(np.array([float(x)]))[0]
 
 
 def commutative_Y(spec: ProblemSpec, x: float) -> np.ndarray:
@@ -307,16 +276,16 @@ def commutative_Y(spec: ProblemSpec, x: float) -> np.ndarray:
 
 
 def weight(spec: ProblemSpec, space: PolySpace, x: float,
-           cfg: Optional[OdeConfig] = None) -> np.ndarray:
+           rel_tol: float = 1e-10) -> np.ndarray:
     """Induced action of Y(x) on the coefficient space, as floats.
 
     Commutative problems use the closed-form Y; otherwise Y comes from
-    the ODE sweep under cfg.
+    the ODE sweep at relative tolerance rel_tol.
     """
     if is_commutative(spec):
         Y = commutative_Y(spec, x)
     else:
-        Y = fundamental_matrix(spec, x, cfg)
+        Y = fundamental_matrix(spec, x, rel_tol)
     return induced_action_float(Y, space)
 
 
@@ -352,23 +321,20 @@ def _de_nodes(level: int) -> tuple[np.ndarray, ...]:
     return x, dist_minus, dist_plus, 0.5 * math.pi * np.cosh(t) * (delta * (2.0 - delta))
 
 
-def de_integrate(integrand: Integrand, qcfg: QuadConfig,
-                 target: Optional[float] = None) -> tuple[np.ndarray, float, int]:
+def de_integrate(integrand: Integrand, target: float) -> tuple[np.ndarray, float, int]:
     """Tanh-sinh integral of a matrix/vector integrand over (-1, 1).
 
     Levels are refined (halving h) until two consecutive levels agree to
-    the target (default tolerance/10); returns (value, estimated error,
-    final level).  The integrand is called once per level, on that
-    level's new nodes; each level's sum is h times the running sum over
-    all nodes so far, so no node is evaluated twice.  Raises
-    QuadratureError when the level budget runs out.
+    the target; returns (value, estimated error, final level).  The
+    integrand is called once per level, on that level's new nodes; each
+    level's sum is h times the running sum over all nodes so far, so no
+    node is evaluated twice.  Raises QuadratureError when level
+    _DE_LAST_LEVEL has not settled.
     """
-    if target is None:
-        target = qcfg.tolerance / 10.0
     total = 0.0
     prev = None
     est = math.inf
-    for level in range(_DE_FIRST_LEVEL, qcfg.levels + 1):
+    for level in range(_DE_FIRST_LEVEL, _DE_LAST_LEVEL + 1):
         x, dist_minus, dist_plus, w = _de_nodes(level)
         values = np.asarray(integrand(x, dist_minus, dist_plus), dtype=float)
         total = total + np.tensordot(w, values, axes=1)
@@ -380,7 +346,7 @@ def de_integrate(integrand: Integrand, qcfg: QuadConfig,
         prev = cur
     raise QuadratureError(
         f"double-exponential refinement did not reach {target:g} "
-        f"within {qcfg.levels} levels (last change {est:g})",
+        f"within {_DE_LAST_LEVEL} levels (last change {est:g})",
         estimated_error=est,
     )
 
@@ -401,8 +367,7 @@ def commutative_exponents(spec: ProblemSpec, space: PolySpace) -> tuple[tuple, t
     return tuple(basis_exponents(a_diag, space)), tuple(basis_exponents(b_diag, space))
 
 
-@dataclass(frozen=True)
-class IntegrabilityReport:
+class IntegrabilityReport(NamedTuple):
     commutative: bool
     heuristic: bool
     min_exponent_plus: float
@@ -412,15 +377,7 @@ class IntegrabilityReport:
     detail: str
 
     def to_dict(self) -> dict:
-        return {
-            "commutative": self.commutative,
-            "heuristic": self.heuristic,
-            "min_exponent_plus": self.min_exponent_plus,
-            "min_exponent_minus": self.min_exponent_minus,
-            "exists_ok": self.exists_ok,
-            "fast_ok": self.fast_ok,
-            "detail": self.detail,
-        }
+        return self._asdict()
 
 
 @lru_cache(maxsize=None)
@@ -544,12 +501,12 @@ def _exact_channel_integrals(spec: ProblemSpec, j: int, k: int) -> list[tuple]:
 
 
 def _general_quasi_orth_integrand(spec: ProblemSpec, j: int, k: int, side: str,
-                                  ocfg: OdeConfig) -> Integrand:
+                                  rel_tol: float) -> Integrand:
     space = spec.space
     cj = _np_coeffs(build_Pk(spec, j))
     ck = _np_coeffs(build_Pk(spec, k))
     N = space.N
-    solver = _solver(spec, ocfg)
+    solver = _solver(spec, rel_tol)
 
     def integrand(x: np.ndarray, dist_minus: np.ndarray, dist_plus: np.ndarray) -> np.ndarray:
         out = np.empty((len(x), N, N))
@@ -564,8 +521,7 @@ def _general_quasi_orth_integrand(spec: ProblemSpec, j: int, k: int, side: str,
 
 
 def quasi_orth_integral(spec: ProblemSpec, j: int, k: int, side: str,
-                        qcfg: Optional[QuadConfig] = None,
-                        ocfg: Optional[OdeConfig] = None,
+                        tol: float = 1e-8, ode_tol: float = 1e-10,
                         override_integrability: bool = False) -> NumericReport:
     """Weighted integral over (-1, 1) whose one-sided vanishing is the claim.
 
@@ -574,15 +530,16 @@ def quasi_orth_integral(spec: ProblemSpec, j: int, k: int, side: str,
     computed and reported without a pass/fail assertion.
 
     Commutative problems are integrated exactly and pass a claim only at
-    exactly 0; others use tanh-sinh over the ODE weight and pass within
-    tolerance plus the estimated quadrature error.
+    exactly 0; others use tanh-sinh over the ODE weight (relative
+    tolerance ode_tol) to tol/10 and pass within tol plus the estimated
+    quadrature error.  Both tolerances are checked in either case.
     """
+    _check_tolerance("tolerance", tol)
+    _check_tolerance("rel_tol", ode_tol)
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
     if j < 0 or k < 0:
         raise ValueError("indices must be >= 0")
-    qcfg = qcfg or QuadConfig()
-    ocfg = ocfg or OdeConfig()
     space = spec.space
     _require_integrable(spec, space, j, k, override_integrability)
     claimed = j < k if side == "right" else j > k
@@ -596,11 +553,10 @@ def quasi_orth_integral(spec: ProblemSpec, j: int, k: int, side: str,
         est, tol, level = 0.0, 0.0, None
         detail += "; exact Jacobi moments, tolerance 0"
     else:
-        integrand = _general_quasi_orth_integrand(spec, j, k, side, ocfg)
-        value, est, level = de_integrate(integrand, qcfg)
+        integrand = _general_quasi_orth_integrand(spec, j, k, side, ode_tol)
+        value, est, level = de_integrate(integrand, tol / 10.0)
         worst = float(np.max(np.abs(value)))
-        vanishes = worst <= qcfg.tolerance + est
-        tol = qcfg.tolerance
+        vanishes = worst <= tol + est
     return NumericReport(
         quantity=name,
         max_abs_entry=worst,
@@ -617,9 +573,7 @@ def quasi_orth_integral(spec: ProblemSpec, j: int, k: int, side: str,
 
 
 def integral_interrelation_check(spec: ProblemSpec, k: int, x0: float,
-                                 q: PolyVector,
-                                 qcfg: Optional[QuadConfig] = None,
-                                 ocfg: Optional[OdeConfig] = None) -> NumericReport:
+                                 q: PolyVector, tol: float = 1e-6) -> NumericReport:
     """Compare P_k(x0) q against the weighted integral of the shifted member.
 
     The shifted family integrates back to the base one:
@@ -629,8 +583,10 @@ def integral_interrelation_check(spec: ProblemSpec, k: int, x0: float,
     which follows from d/dx [W P_k] = Q^{-1} W P~_{k+1} (the derivative
     inter-relation conjugated by the weight) plus W P_k q -> 0 at -1 for
     integrable parameters.  The check quantifies the relative error at a
-    single interior x0.
+    single interior x0 and passes within tol plus the estimated
+    quadrature error.
     """
+    _check_tolerance("tolerance", tol)
     if spec.n < 2:
         raise ValueError("the shifted family needs n >= 2")
     if not -1.0 < x0 < 1.0:
@@ -640,7 +596,6 @@ def integral_interrelation_check(spec: ProblemSpec, k: int, x0: float,
             "the integral inter-relation check is implemented for commutative "
             "problems, where endpoint integrability is decidable exactly"
         )
-    qcfg = qcfg or QuadConfig(tolerance=1e-6)
     space = spec.space
     plus, minus = commutative_exponents(spec, space)
     bad = [e for e in minus if e <= 0]
@@ -668,18 +623,18 @@ def integral_interrelation_check(spec: ProblemSpec, k: int, x0: float,
         q_inv = -1.0 / (dist_minus * dist_plus)   # 1 / (t^2 - 1)
         return (q_inv * half_len) * (w_diag * vec)
 
-    integral, est, level = de_integrate(integrand, qcfg)
+    integral, est, level = de_integrate(integrand, tol / 10.0)
     w0_diag = (1.0 - float(x0)) ** pe * (1.0 + float(x0)) ** me
     rhs = integral / w0_diag
     scale = float(np.max(np.abs(lhs)))
     diff = float(np.max(np.abs(lhs - rhs)))
     rel = diff / scale if scale > 0 else diff
-    passed = rel <= qcfg.tolerance + est / max(scale, 1e-300)
+    passed = rel <= tol + est / max(scale, 1e-300)
     return NumericReport(
         quantity=f"integral inter-relation k={k} at x0={float(x0):g}",
         max_abs_entry=rel,
         estimated_quadrature_error=est / max(scale, 1e-300),
-        tolerance=qcfg.tolerance,
+        tolerance=tol,
         passed=passed,
         detail=f"relative error; |lhs| scale {scale:g}, absolute difference {diff:g}",
         de_level=level,

@@ -11,12 +11,12 @@ compares its two independent routes to the fundamental matrix.
 from __future__ import annotations
 
 from math import comb, factorial
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 import sympy
 
-from mvjacobi.numeric import NumericReport, OdeConfig, _solver, commutative_Y
+from mvjacobi.numeric import NumericReport, _solver, commutative_Y
 from mvjacobi.operators import ProblemSpec
 from mvjacobi.polyspace import PolySpace
 from mvjacobi.ratmat import RatMatrix
@@ -241,20 +241,17 @@ def commutative_weight_entry(a_diag, b_diag, m, j: int, x: float) -> float:
     return (1.0 - x) ** p * (1.0 + x) ** q
 
 
-def ode_vs_closed_form_report(spec: ProblemSpec, cfg: Optional[OdeConfig] = None,
+def ode_vs_closed_form_report(spec: ProblemSpec, rel_tol: float = 1e-10,
                               points: int = 20) -> NumericReport:
     """Max deviation of the ODE fundamental matrix from the closed form.
 
-    The two differ by a constant right factor fixed at the basepoint, so
-    the ODE result is compared with C(x) C(basepoint)^{-1}.
+    Both are the identity at 0, so they are compared directly.
     """
-    cfg = cfg or OdeConfig()
-    base = commutative_Y(spec, cfg.basepoint)
     xs = np.linspace(-0.95, 0.95, points)
-    got = _solver(spec, cfg).at(xs)
-    want = np.stack([commutative_Y(spec, x) for x in xs.tolist()]) @ np.linalg.inv(base)
+    got = _solver(spec, rel_tol).at(xs)
+    want = np.stack([commutative_Y(spec, x) for x in xs.tolist()])
     worst = float(np.max(np.abs(got - want)))
-    tol = 10.0 * cfg.rel_tol
+    tol = 10.0 * rel_tol
     return NumericReport(
         quantity=f"ODE vs closed-form fundamental matrix at {points} points",
         max_abs_entry=worst,

@@ -20,12 +20,7 @@ from oracles import (
     trim,
 )
 
-from mvjacobi.numeric import (
-    OdeConfig,
-    QuadConfig,
-    integral_interrelation_check,
-    quasi_orth_integral,
-)
+from mvjacobi.numeric import integral_interrelation_check, quasi_orth_integral
 from mvjacobi.operators import ProblemSpec, build_D
 from mvjacobi.oppoly import OpPoly, apply_A, build_Pk, dominant_coefficient
 from mvjacobi.rational import Rat
@@ -260,12 +255,11 @@ def test_criterion_09_trace_reduces_to_legendre():
 def test_criterion_10_quasi_orthogonality():
     t0 = perf_counter()
     tol, stability = 1e-8, 1e-9
-    qcfg = QuadConfig(tolerance=tol)
     for spec in (POSITIVE, MILD_NEGATIVE):
         for hi in range(1, 5):
             for lo in range(hi):
                 for side, (j, k) in (("right", (lo, hi)), ("left", (hi, lo))):
-                    rep = quasi_orth_integral(spec, j, k, side, qcfg=qcfg)
+                    rep = quasi_orth_integral(spec, j, k, side, tol=tol)
                     assert rep.claimed and rep.passed, (side, j, k, rep.detail)
                     assert rep.max_abs_entry <= tol, (side, j, k, rep.max_abs_entry)
                     assert rep.estimated_quadrature_error <= stability
@@ -273,10 +267,8 @@ def test_criterion_10_quasi_orthogonality():
     A = RatMatrix([[Rat(1, 16), Rat(1, 20)], [Rat(-1, 20), Rat(1, 16)]])
     lam = RatMatrix([[Rat(1, 8), Rat(0)], [Rat(0), Rat(1, 16)]])
     nc = ProblemSpec(2, 2, A, lam - A)
-    ocfg = OdeConfig(rel_tol=1e-10)
-    ncfg = QuadConfig(tolerance=1e-6)
     for side, (j, k) in (("right", (0, 2)), ("left", (2, 0))):
-        rep = quasi_orth_integral(nc, j, k, side, qcfg=ncfg, ocfg=ocfg)
+        rep = quasi_orth_integral(nc, j, k, side, tol=1e-6, ode_tol=1e-10)
         assert rep.claimed and rep.passed, (side, j, k, rep.detail)
         assert rep.max_abs_entry <= 1e-6
     elapsed = perf_counter() - t0
@@ -297,8 +289,8 @@ def test_criterion_11_integral_interrelation():
 
 def test_criterion_12_ode_matches_commutative_closed_form():
     for spec in (POSITIVE, MILD_NEGATIVE):
-        rep = ode_vs_closed_form_report(spec, points=20)
-        assert rep.tolerance == 10.0 * OdeConfig().rel_tol
+        rep = ode_vs_closed_form_report(spec, rel_tol=1e-10, points=20)
+        assert rep.tolerance == 10.0 * 1e-10
         assert rep.passed, rep.max_abs_entry
     announce(12, "fundamental matrix from the ODE solver matches the "
                  "commutative closed form at 20 points within 10x rel_tol")

@@ -18,8 +18,6 @@ from oracles import (
 from mvjacobi.errors import OdeError, QuadratureError
 from mvjacobi.numeric import (
     X_CAP,
-    OdeConfig,
-    QuadConfig,
     _de_nodes,
     _exact_channel_integrals,
     _floats,
@@ -60,31 +58,33 @@ POSITIVE = diag_spec([Rat(1, 2), Rat(1, 3)], [Rat(1, 4), Rat(1, 5)], 2)
 MILD_NEGATIVE = diag_spec([Rat(-1, 8), Rat(1, 6)], [Rat(1, 5), Rat(-1, 10)], 2)
 
 
-# -- configuration validation --------------------------------------------------
+# -- tolerance validation --------------------------------------------------------
 
 
-def test_ode_config_validation():
-    OdeConfig()  # defaults are legal
-    with pytest.raises(ValueError):
-        OdeConfig(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        OdeConfig(basepoint=1.0)
-    for field in ("rel_tol", "basepoint"):
-        for value in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="finite"):
-                OdeConfig(**{field: value})
+@pytest.mark.parametrize("spec", [POSITIVE, small_noncommutative_spec()],
+                         ids=["commutative", "noncommutative"])
+@pytest.mark.parametrize("kwarg, value, message", [
+    pytest.param("tol", math.nan, "tolerance must be finite, got nan", id="tol-nan"),
+    pytest.param("tol", math.inf, "tolerance must be finite, got inf", id="tol-inf"),
+    pytest.param("tol", 0.0, "tolerance must be positive", id="tol-zero"),
+    pytest.param("ode_tol", math.nan, "rel_tol must be finite, got nan", id="ode_tol-nan"),
+    pytest.param("ode_tol", math.inf, "rel_tol must be finite, got inf", id="ode_tol-inf"),
+    pytest.param("ode_tol", -1e-10, "rel_tol must be positive", id="ode_tol-negative"),
+])
+def test_quasi_orth_rejects_bad_tolerance(spec, kwarg, value, message):
+    # checked before anything runs, also where the integral is exact
+    with pytest.raises(ValueError) as exc:
+        quasi_orth_integral(spec, 0, 1, "right", **{kwarg: value})
+    assert str(exc.value) == message
 
 
-def test_quad_config_validation():
-    QuadConfig()
-    with pytest.raises(ValueError):
-        QuadConfig(levels=4)
-    with pytest.raises(ValueError):
-        QuadConfig(tolerance=0.0)
-    for field in ("tolerance",):
-        for value in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="finite"):
-                QuadConfig(**{field: value})
+def test_solver_and_interrelation_reject_bad_tolerance():
+    # an infinite rel_tol would settle each Taylor series after two terms
+    for value in (math.inf, math.nan, 0.0):
+        with pytest.raises(ValueError, match="rel_tol must be"):
+            fundamental_matrix(small_noncommutative_spec(), 0.5, rel_tol=value)
+        with pytest.raises(ValueError, match="tolerance must be"):
+            integral_interrelation_check(INTEGRABLE, 1, 0.5, (Rat(1),) * 6, tol=value)
 
 
 def test_is_commutative():
@@ -118,10 +118,9 @@ def test_fundamental_matrix_identity_cases():
 
 
 def test_ode_matches_closed_form():
-    cfg = OdeConfig(rel_tol=1e-10)
     for spec in (POSITIVE, MILD_NEGATIVE):
-        report = ode_vs_closed_form_report(spec, cfg)
-        assert report.tolerance == 10.0 * cfg.rel_tol
+        report = ode_vs_closed_form_report(spec, rel_tol=1e-10)
+        assert report.tolerance == 10.0 * 1e-10
         assert report.passed, report.to_dict()
 
 
@@ -154,7 +153,7 @@ def test_fundamental_matrix_large_residues_and_limits():
         fundamental_matrix(huge, 0.5)
     # a tail target that squares to zero is never met
     with pytest.raises(OdeError, match="did not settle"):
-        fundamental_matrix(POSITIVE, 0.5, OdeConfig(rel_tol=1e-200))
+        fundamental_matrix(POSITIVE, 0.5, rel_tol=1e-200)
 
 
 def test_fundamental_matrix_liouville_noncommutative():
@@ -204,7 +203,7 @@ def test_float_views_match_fraction_floats():
 
 def test_dense_output_batched_equals_pointwise():
     # one batched call over a node array against one call per node, on both
-    # sides of the basepoint, at it, and past the cap 1e-12 from the ends
+    # sides of 0, at it, and past the cap 1e-12 from the ends
     deltas = np.array([1e-6, 1e-9, 1e-12, 1e-13])
     interior = np.array([0.5, 0.0, -0.5])
     x = np.concatenate([1.0 - deltas, interior, deltas - 1.0])
@@ -215,13 +214,13 @@ def test_dense_output_batched_equals_pointwise():
     lam = random_diagonal(rng, 3).scale(Rat(1, 8))
     A = random_matrix(rng, 3).scale(Rat(1, 8))
     for spec in (small_noncommutative_spec(), ProblemSpec(3, 2, A, lam - A)):
-        solver = _solver(spec, OdeConfig())
+        solver = _solver(spec, 1e-10)
         batched = solver.at(x[order], dist_minus[order], dist_plus[order])[np.argsort(order)]
         assert batched.shape == (len(x), spec.d, spec.d)
         for i in range(len(x)):
             one = solver.at(x[i:i + 1], dist_minus[i:i + 1], dist_plus[i:i + 1])[0]
             assert np.max(np.abs(batched[i] - one)) <= 1e-15 * np.max(np.abs(one)), x[i]
-        assert np.array_equal(batched[5], np.eye(spec.d))  # the basepoint
+        assert np.array_equal(batched[5], np.eye(spec.d))  # Y(0) = I
         # nodes past the cap 1 - X_CAP (just below 1e-12) are evaluated at it
         cap = 1.0 - X_CAP
         at_cap = solver.at(np.array([X_CAP, -X_CAP]), np.array([cap, 2.0 - cap]),
@@ -230,13 +229,6 @@ def test_dense_output_batched_equals_pointwise():
         assert np.array_equal(batched[10], at_cap[1])
         with pytest.raises(ValueError, match="outside"):
             solver.at(np.array([0.5, 1.0]))
-
-
-def test_ode_respects_nonzero_basepoint():
-    cfg = OdeConfig(basepoint=0.25)
-    assert np.allclose(fundamental_matrix(POSITIVE, 0.25, cfg), np.eye(2), atol=1e-12)
-    report = ode_vs_closed_form_report(POSITIVE, cfg)
-    assert report.passed, report.to_dict()
 
 
 # -- induced weight -------------------------------------------------------------
@@ -261,6 +253,7 @@ def test_weight_commutative_entries_match_oracle():
 
 
 def test_weight_noncommutative_at_basepoint():
+    # Y is normalized to I at 0
     spec = small_noncommutative_spec()
     W = weight(spec, spec.space, 0.0)
     assert np.allclose(W, np.eye(spec.space.N), atol=1e-12)
@@ -270,7 +263,7 @@ def test_weight_noncommutative_at_basepoint():
 
 
 def test_de_integrate_polynomial():
-    value, est, level = de_integrate(lambda x, dm, dp: (x * x)[:, None], QuadConfig())
+    value, est, level = de_integrate(lambda x, dm, dp: (x * x)[:, None], 1e-9)
     assert abs(value[0] - 2.0 / 3.0) < 1e-14
     assert est <= 1e-9
     assert level <= 10
@@ -285,7 +278,7 @@ def test_de_integrate_reuses_nested_levels():
         calls.append(list(zip(dm.tolist(), dp.tolist())))  # x itself rounds to +-1 near the ends
         return (x * x)[:, None]
 
-    value, _, level = de_integrate(square, QuadConfig())
+    value, _, level = de_integrate(square, 1e-9)
     assert abs(value[0] - 2.0 / 3.0) < 1e-14
     assert level == 5
     assert [len(nodes) for nodes in calls] == [193, 192]
@@ -296,18 +289,18 @@ def test_de_integrate_reuses_nested_levels():
 def test_de_integrate_endpoint_singularity():
     # integral of (1-x)^(-1/2) over (-1, 1) is 2 sqrt(2); the integrand is
     # evaluated through the cancellation-free endpoint distance
-    qcfg = QuadConfig(tolerance=1e-11)
-    value, est, _ = de_integrate(lambda x, dm, dp: (dm ** -0.5)[:, None], qcfg)
+    value, est, _ = de_integrate(lambda x, dm, dp: (dm ** -0.5)[:, None], 1e-12)
     assert abs(value[0] - 2.0 * math.sqrt(2.0)) < 1e-11
 
 
 def test_de_integrate_budget_exhaustion():
-    # an oscillatory integrand cannot settle between adjacent coarse levels
-    qcfg = QuadConfig(levels=5, tolerance=1e-10)
-    with pytest.raises(QuadratureError) as exc:
-        de_integrate(lambda x, dm, dp: np.cos(50.0 * x)[:, None], qcfg)
+    # level changes stay at rounding, far above a target of 1e-31, so
+    # refinement runs out at level 10 (cos(50 x) settles to 1e-11 at level 6)
+    target = 1e-31
+    with pytest.raises(QuadratureError, match="within 10 levels") as exc:
+        de_integrate(lambda x, dm, dp: np.cos(50.0 * x)[:, None], target)
     assert exc.value.estimated_error is not None
-    assert exc.value.estimated_error > 1e-11
+    assert exc.value.estimated_error > target
 
 
 # -- integrability advisories ------------------------------------------------------
@@ -375,8 +368,7 @@ def test_quasi_orth_noncommutative_gate_and_override():
         quasi_orth_integral(spec, 0, 1, "right")
     report = quasi_orth_integral(
         spec, 0, 1, "right",
-        qcfg=QuadConfig(tolerance=1e-4), ocfg=OdeConfig(rel_tol=1e-10),
-        override_integrability=True,
+        tol=1e-4, ode_tol=1e-10, override_integrability=True,
     )
     assert report.passed, report.to_dict()
     assert report.estimated_quadrature_error < 1e-6  # converged, just biased
@@ -386,18 +378,17 @@ def test_quasi_orth_noncommutative_gate_and_override():
 
 
 def test_quasi_orth_commutative_right_and_left():
-    qcfg = QuadConfig(tolerance=1e-10)
-    right = quasi_orth_integral(POSITIVE, 1, 3, "right", qcfg=qcfg)
+    right = quasi_orth_integral(POSITIVE, 1, 3, "right", tol=1e-10)
     assert right.claimed and right.passed
     assert right.max_abs_entry == 0.0
     assert right.estimated_quadrature_error == 0.0 and right.tolerance == 0.0
     assert right.de_level is None and right.to_dict()["de_level"] is None
     assert right.detail == "vanishing claimed; exact Jacobi moments, tolerance 0"
 
-    left = quasi_orth_integral(POSITIVE, 3, 1, "left", qcfg=qcfg)
+    left = quasi_orth_integral(POSITIVE, 3, 1, "left", tol=1e-10)
     assert left.claimed and left.passed
 
-    off_claim = quasi_orth_integral(POSITIVE, 2, 2, "right", qcfg=qcfg)
+    off_claim = quasi_orth_integral(POSITIVE, 2, 2, "right", tol=1e-10)
     assert not off_claim.claimed
     assert off_claim.passed  # informational, never asserted
     assert off_claim.max_abs_entry > 0.1
@@ -419,29 +410,15 @@ def test_quasi_orth_validates_arguments():
 
 
 def test_quasi_orth_mild_negative_exponents():
-    report = quasi_orth_integral(MILD_NEGATIVE, 0, 2, "right",
-                                 qcfg=QuadConfig(tolerance=1e-8))
+    report = quasi_orth_integral(MILD_NEGATIVE, 0, 2, "right", tol=1e-8)
     assert report.passed, report.to_dict()
 
 
 def test_quasi_orth_noncommutative_small_norm():
     spec = small_noncommutative_spec()
-    qcfg = QuadConfig(tolerance=1e-6)
-    ocfg = OdeConfig(rel_tol=1e-10)
-    report = quasi_orth_integral(spec, 0, 2, "right", qcfg=qcfg, ocfg=ocfg)
+    report = quasi_orth_integral(spec, 0, 2, "right", tol=1e-6, ode_tol=1e-10)
     assert report.claimed and report.passed, report.to_dict()
     assert report.de_level == 5 and report.to_dict()["de_level"] == 5
-
-
-def test_quasi_orth_vanishing_survives_base_change():
-    # renormalizing the fundamental matrix at a different basepoint multiplies
-    # the weight by a constant factor; the one-sided vanishing must not care
-    spec = small_noncommutative_spec()
-    qcfg = QuadConfig(tolerance=1e-6)
-    for basepoint in (0.0, 0.25):
-        ocfg = OdeConfig(rel_tol=1e-10, basepoint=basepoint)
-        report = quasi_orth_integral(spec, 1, 2, "right", qcfg=qcfg, ocfg=ocfg)
-        assert report.passed, (basepoint, report.to_dict())
 
 
 def small_norm_spec(rng: random.Random, d: int, n: int) -> ProblemSpec:
@@ -455,11 +432,11 @@ def small_norm_spec(rng: random.Random, d: int, n: int) -> ProblemSpec:
 
 
 def pointwise_quasi_orth(spec: ProblemSpec, j: int, k: int, side: str, level: int,
-                         ocfg: OdeConfig):
+                         rel_tol: float):
     """Tanh-sinh sums up to `level` of the integrand and of its absolute value,
     one node at a time: the single-point weight at the node's exact endpoint
     distances, and the members summed term by term."""
-    solver = _solver(spec, ocfg)
+    solver = _solver(spec, rel_tol)
     cj, ck = ([np.array([[float(e) for e in row] for row in c.rows]) for c in build_Pk(spec, i).coeffs]
               for i in (j, k))
 
@@ -480,13 +457,13 @@ def pointwise_quasi_orth(spec: ProblemSpec, j: int, k: int, side: str, level: in
 
 def test_batched_quasi_orth_matches_pointwise_reference():
     rng = random.Random(5)
-    qcfg, ocfg = QuadConfig(tolerance=1e-6), OdeConfig()
     specs = [small_noncommutative_spec(), small_norm_spec(rng, 3, 2), small_norm_spec(rng, 3, 2)]
     for spec in specs:
         for j, k, side in ((0, 2, "right"), (2, 2, "right"), (2, 1, "left")):
-            report = quasi_orth_integral(spec, j, k, side, qcfg=qcfg, ocfg=ocfg)
-            want, magnitude = pointwise_quasi_orth(spec, j, k, side, report.de_level, ocfg)
-            got, _, level = de_integrate(_general_quasi_orth_integrand(spec, j, k, side, ocfg), qcfg)
+            report = quasi_orth_integral(spec, j, k, side, tol=1e-6)
+            want, magnitude = pointwise_quasi_orth(spec, j, k, side, report.de_level, 1e-10)
+            got, _, level = de_integrate(_general_quasi_orth_integrand(spec, j, k, side, 1e-10),
+                                         1e-7)
             assert level == report.de_level
             scale = np.max(magnitude)
             assert np.max(np.abs(got - want)) <= 1e-13 * scale, (spec, j, k, side)
@@ -525,12 +502,11 @@ def exact_channel_values(spec: ProblemSpec, j: int, k: int) -> np.ndarray:
 def test_de_integrate_meets_its_target_against_exact_values():
     # the true error is checked against the refinement target, not against
     # DE's own estimate: the difference of two levels can understate it
-    qcfg = QuadConfig(tolerance=1e-8)
-    target = qcfg.tolerance / 10.0
+    target = 1e-8 / 10.0
     for spec in (POSITIVE, MILD_NEGATIVE):
         for k in range(5):
             for j in range(k + 1):
-                value, _, _ = de_integrate(commutative_de_integrand(spec, j, k), qcfg)
+                value, _, _ = de_integrate(commutative_de_integrand(spec, j, k), target)
                 err = np.max(np.abs(value - exact_channel_values(spec, j, k)))
                 assert err <= target, (spec.A.diag, j, k, err)
 
