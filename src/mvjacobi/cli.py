@@ -135,11 +135,16 @@ def load_vector_poly(path: str, spec: ProblemSpec) -> VectorPoly:
         doc = json.load(fh)
     if not isinstance(doc, dict) or "coeffs" not in doc:
         raise ValueError("polynomial file must be a JSON object with a 'coeffs' key")
+    for key in ("d", "n"):
+        if key in doc and not _is_int(doc[key]):
+            raise ValueError(f"{key} must be an integer")
     if doc.get("d", spec.d) != spec.d or doc.get("n", spec.n) != spec.n:
         raise ValueError(
             f"polynomial file is for d={doc.get('d')}, n={doc.get('n')}; "
             f"the problem has d={spec.d}, n={spec.n}"
         )
+    if not isinstance(doc["coeffs"], list):
+        raise ValueError("'coeffs' must be a list of coefficient arrays")
     space = spec.space
     coeffs = []
     for c in doc["coeffs"]:

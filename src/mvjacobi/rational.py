@@ -28,7 +28,8 @@ def rat(value) -> Rat:
 def parse_rational(text: str) -> Rat:
     """Parse a "p/q" or "p" string, rejecting malformed or zero-denominator input."""
     if not isinstance(text, str):
-        if isinstance(text, int):
+        # bool is an int subclass, but JSON true/false is no number
+        if isinstance(text, int) and not isinstance(text, bool):
             return Rat(text)
         raise ValueError(f"expected a rational string, got {type(text).__name__}")
     s = text.strip()

@@ -326,6 +326,31 @@ def test_expand_dimension_mismatch(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_expand_rejects_coeffs_that_are_not_a_list(tmp_path, capsys):
+    pol = write_json(tmp_path / "f.json", {"d": 2, "n": 2, "coeffs": 5})
+    assert main(["expand", "--input", str(GOLDEN / "d2n2_nc.json"), "--poly", pol]) == 2
+    assert capsys.readouterr().err == "error: 'coeffs' must be a list of coefficient arrays\n"
+
+
+def test_json_booleans_are_refused_as_numbers(tmp_path, capsys):
+    # bool is an int subclass, but true/false in an input file is a mistake
+    flagged = dict(COMMUT_2x2, B=[[1, 0], [0, True]])
+    assert main(["compute", "--input", write_json(tmp_path / "b.json", flagged)]) == 2
+    assert capsys.readouterr().err == "error: expected a rational string, got bool\n"
+
+    inp = write_json(tmp_path / "spec.json", COMMUT_2x2)
+    entry = {"d": 2, "n": 2, "coeffs": [[True] + ["0"] * 5]}
+    assert main(["expand", "--input", inp, "--poly", write_json(tmp_path / "e.json", entry)]) == 2
+    assert capsys.readouterr().err == "error: expected a rational string, got bool\n"
+
+    # "d": true would pass as d == 1 against a d = 1 problem
+    legendre = write_json(tmp_path / "legendre.json", LEGENDRE)
+    for key in ("d", "n"):
+        poly = write_json(tmp_path / f"{key}.json", {key: True, "coeffs": [["1"]]})
+        assert main(["expand", "--input", legendre, "--poly", poly]) == 2
+        assert capsys.readouterr().err == f"error: {key} must be an integer\n"
+
+
 def test_expand_singular_dominant_coefficient_exit(tmp_path, capsys):
     # a + b = -2 for d = 1, n = 2: the degree-1 dominant product vanishes
     res = {"d": 1, "n": 2, "A": [["-3/2"]], "B": [["-1/2"]]}
@@ -667,8 +692,9 @@ print(json.dumps({"code": code, "loaded": sorted(set(sys.modules) - before)}))
 NO_NUMERICS = ("mvjacobi.numeric", "numpy", "dataclasses", "datetime")
 
 
-def loaded_by(argv):
-    out = run_python("-c", RUN_AND_LIST, *argv)
+def loaded_by(argv, preload=()):
+    """Modules the command adds, beyond the interpreter's and those in preload."""
+    out = run_python("-c", "".join(f"import {m}\n" for m in preload) + RUN_AND_LIST, *argv)
     assert out.returncode == 0, out.stderr
     result = json.loads(out.stdout.splitlines()[-1])
     assert result["code"] == 0
@@ -693,6 +719,17 @@ def test_exact_commands_load_no_numerics(tmp_path, argv):
     assert "mvjacobi.structure" in loaded
     assert loaded.isdisjoint(NO_NUMERICS), sorted(loaded.intersection(NO_NUMERICS))
     assert "mvjacobi.sampling" not in loaded  # no verifier samples
+
+
+def test_quadrature_loads_no_dataclasses(tmp_path):
+    argv = ["quadrature", "--input", str(GOLDEN / "d2n3_c.json"), "--j", "1", "--k", "3",
+            "--side", "right", "--out", str(tmp_path / "q.json")]
+    loaded = loaded_by(argv)
+    assert {"mvjacobi.numeric", "numpy"} <= loaded
+    assert "dataclasses" not in loaded
+    # numpy's core loads datetime (and inspect) itself; once numpy is in,
+    # the package adds neither module
+    assert loaded_by(argv, preload=["numpy"]).isdisjoint({"dataclasses", "datetime"})
 
 
 def test_numeric_import_loads_structure():

@@ -24,7 +24,8 @@ def test_parse_basic_forms():
     assert parse_rational(5) == Rat(5)
 
 
-@pytest.mark.parametrize("bad", ["", "1/0", "0/0", "a/b", "1.5", "1/2/3", "1//2", None, 2.5])
+@pytest.mark.parametrize("bad", ["", "1/0", "0/0", "a/b", "1.5", "1/2/3", "1//2", None, 2.5,
+                                 True, False])
 def test_parse_rejects_malformed(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)
