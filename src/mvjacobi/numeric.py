@@ -225,15 +225,15 @@ class _FundamentalSolver:
         x = np.asarray(x, dtype=float)
         dist_minus = 1.0 - x if dist_minus is None else np.asarray(dist_minus, dtype=float)
         dist_plus = 1.0 + x if dist_plus is None else np.asarray(dist_plus, dtype=float)
-        at_base = x == 0.0
+        at_zero = x == 0.0
         plus = x > 0.0
         delta = np.where(plus, dist_minus, dist_plus)
-        outside = ~at_base & ~(delta > 0.0)
+        outside = ~at_zero & ~(delta > 0.0)
         if outside.any():
             raise ValueError(f"x = {x[outside][0]} outside (-1, 1)")
         out = np.empty(x.shape + (self.d, self.d))
-        out[at_base] = np.eye(self.d)
-        for sign, side in ((1, plus), (-1, ~plus & ~at_base)):
+        out[at_zero] = np.eye(self.d)
+        for sign, side in ((1, plus), (-1, ~plus & ~at_zero)):
             if side.any():
                 out[side] = self._side(sign, np.maximum(delta[side], _CAP_DIST))
         return out
