@@ -16,9 +16,9 @@ recurrence_coeffs from mvjacobi.structure, random instances from
 mvjacobi.sampling, and so on.
 
 The numeric layer (ODE solver, weight, quadrature) lives in
-mvjacobi.numeric and is imported from there; it is the only part that
-needs numpy, so importing the package or running the exact commands
-never loads it.
+mvjacobi.numeric, the only part that needs numpy; mvjacobi.integrals
+(quasi-orthogonality) loads it only for noncommutative problems, so the
+package import, the exact commands and commutative quadrature never do.
 """
 
 from importlib import import_module

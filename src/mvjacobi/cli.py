@@ -32,10 +32,10 @@ from .polyspace import PolySpace, basis_size
 from .ratmat import RatMatrix
 from .rational import format_rational, parse_rational
 
-# verify and expand import the structure layer where they run it, and
-# quadrature the numeric layer (with numpy), so compute loads neither.
+# verify and expand import the structure layer where they run it, and quadrature
+# the integrals layer (numpy only when noncommutative), so compute loads neither.
 if TYPE_CHECKING:
-    from .numeric import IntegrabilityReport, NumericReport
+    from .integrals import IntegrabilityReport, NumericReport
     from .reporting import CheckReport
 
 TOOL = "mvjacobi/0.1.0"
@@ -334,8 +334,8 @@ def cmd_expand(args) -> int:
 
 
 def cmd_quadrature(args) -> int:
-    # the numeric layer (and numpy) is loaded only by this command
-    from .numeric import integrability_check, quasi_orth_integral
+    # only this command loads integrals, and numeric (numpy) only when noncommutative
+    from .integrals import integrability_check, quasi_orth_integral
 
     spec, _raw = load_problem(args.input)
     _check_index(max(args.j, args.k), "member index")

@@ -1,4 +1,4 @@
-"""Floating-point layer: fundamental matrix, weight, and quadrature.
+"""Floating-point layer: fundamental matrix, weight, and tanh-sinh quadrature.
 
 The system y' = [A/(x-1) + B/(x+1)] y, i.e. (x^2 - 1) y' = (x M1 + M2) y
 with M1 = A + B and M2 = A - B, has regular singular points at +-1.  Its
@@ -23,10 +23,11 @@ weight action, members and their products are stacks.  Nodes are
 generated together with the exact distances 1 -+ x to the endpoints,
 and integrands receive those distances directly; this is what keeps
 endpoint powers like (1-x)^(-1/2) accurate where float subtraction
-would have lost everything.  The one exception is quasi-orthogonality
-for commutative problems, where every channel is a polynomial against a
-Jacobi weight: its integrals are rational multiples of the Jacobi mass,
-from the classical moment recurrence, so vanishing is decided exactly.
+would have lost everything.
+
+Quasi-orthogonality, its gate and the exact path of commutative problems
+live in mvjacobi.integrals (re-exported here as the same objects), which
+loads this module only for noncommutative problems.
 
 The in-process settings are plain floats: `tol`, the vanishing
 tolerance of a noncommutative quasi-orthogonality integral (and the
@@ -42,16 +43,17 @@ from functools import lru_cache
 from typing import Callable, NamedTuple, Optional
 
 from .errors import OdeError, QuadratureError
-from .operators import ProblemSpec, basis_exponents, induced_action_float
+from .integrals import (NumericReport, _check_tolerance, commutative_exponents,  # noqa: F401
+                        integrability_check, is_commutative, quasi_orth_integral)
+from .operators import ProblemSpec, induced_action_float
 from .oppoly import OpPoly, build_Pk
 from .polyspace import PolySpace, PolyVector
 from .ratmat import RatMatrix
-from .rational import ONE
 from .structure import build_tilde_Pk
 
 # numpy comes after the package's modules: when no bytecode is cached,
 # compiling them (structure is first loaded here) before numpy's memory
-# is in use lowers the peak RSS of `quadrature`
+# is in use lowers the peak RSS of a noncommutative `quadrature`
 import numpy as np  # noqa: E402
 
 X_CAP = 1.0 - 1e-12  # ODE solutions are only taken this close to +-1
@@ -65,43 +67,15 @@ _DELTA_FLOOR = 5e-300  # tanh-sinh nodes closer than this to an endpoint are dro
 _NODE_BLOCK = 32  # nodes per batched weight evaluation, bounding the (block, N, N) temporaries
 
 
-def _check_tolerance(name: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    if value <= 0:
-        raise ValueError(f"{name} must be positive")
-
-
-class NumericReport(NamedTuple):
-    quantity: str
-    max_abs_entry: float
-    estimated_quadrature_error: float
-    tolerance: float
-    passed: bool
-    claimed: bool = True
-    detail: str = ""
-    de_level: Optional[int] = None  # tanh-sinh level reached, when one was used
-
-    def to_dict(self) -> dict:
-        return self._asdict()
-
-
-def is_commutative(spec: ProblemSpec) -> bool:
-    """Both residues diagonal, hence everything simultaneously diagonal."""
-    return spec.A.diag is not None and spec.B.diag is not None
-
-
 # -- fundamental matrix ------------------------------------------------------
 
 
-def _floats(M: RatMatrix) -> np.ndarray:
-    """M as a float array, entry e / den from the integer numerators.
-
-    int / int true division is correctly rounded, and so is
-    float(Fraction), so this equals the Fraction view entry by entry
-    without building it.
-    """
-    return np.array([[e / M.den for e in row] for row in M.num])
+def _floats(M: RatMatrix, what: str) -> np.ndarray:
+    """M as floats, e / den rounding as float(Fraction) does; `what` names M in errors."""
+    try:
+        return np.array([[e / M.den for e in row] for row in M.num])
+    except OverflowError:
+        raise ValueError(f"an entry of {what} is past the float range") from None
 
 
 class _Sweep(NamedTuple):
@@ -205,8 +179,8 @@ class _FundamentalSolver:
     def __init__(self, spec: ProblemSpec, rel_tol: float):
         self.rel_tol = rel_tol
         self.d = spec.d
-        self._a = _floats(spec.A)
-        self._b = _floats(spec.B)
+        self._a = _floats(spec.A, "A")
+        self._b = _floats(spec.B, "B")
         self._sweeps: dict[int, _Sweep] = {}
 
     def _sweep(self, sign: int) -> _Sweep:
@@ -351,84 +325,12 @@ def de_integrate(integrand: Integrand, target: float) -> tuple[np.ndarray, float
     )
 
 
-# -- endpoint exponents and integrability -------------------------------------
-
-
-def commutative_exponents(spec: ProblemSpec, space: PolySpace) -> tuple[tuple, tuple]:
-    """Exact weight exponents (at +1, at -1) per basis element.
-
-    The weight acts diagonally with entry (1-x)^{m.a - a_j} (1+x)^{m.b - b_j}
-    on the basis element w^m e_j.
-    """
-    a_diag = spec.A.diag
-    b_diag = spec.B.diag
-    if a_diag is None or b_diag is None:
-        raise ValueError("exact exponents need both residues diagonal")
-    return tuple(basis_exponents(a_diag, space)), tuple(basis_exponents(b_diag, space))
-
-
-class IntegrabilityReport(NamedTuple):
-    commutative: bool
-    heuristic: bool
-    min_exponent_plus: float
-    min_exponent_minus: float
-    exists_ok: bool
-    fast_ok: bool
-    detail: str
-
-    def to_dict(self) -> dict:
-        return self._asdict()
-
-
-@lru_cache(maxsize=None)
-def integrability_check(spec: ProblemSpec, space: PolySpace,
-                        j: int = 0, k: int = 0) -> IntegrabilityReport:
-    """Endpoint-exponent advisory for the weighted integrals.
-
-    Commutative case: exact exponents; existence needs all > -1, and the
-    exact quasi-orthogonality path needs nothing more.  Noncommutative
-    case: the exponents are estimated from residue eigenvalues (real
-    parts) and flagged as heuristic only; nothing is proved about
-    existence, and > -1/2 keeps the tanh-sinh integral's endpoint
-    truncation bias small.
-    """
-    if is_commutative(spec):
-        plus, minus = commutative_exponents(spec, space)
-        mp = min(float(e) for e in plus)
-        mm = min(float(e) for e in minus)
-        heuristic = False
-        detail = (
-            f"exact exponents for indices j={j}, k={k}: "
-            f"min at +1 is {mp:g}, min at -1 is {mm:g}"
-        )
-    else:
-        eig_a = np.linalg.eigvals(_floats(spec.A))
-        eig_b = np.linalg.eigvals(_floats(spec.B))
-        mp = float(min(basis_exponents(eig_a.real.tolist(), space)))
-        mm = float(min(basis_exponents(eig_b.real.tolist(), space)))
-        heuristic = True
-        detail = (
-            f"heuristic only: eigenvalue-based exponents for j={j}, k={k}; "
-            f"min at +1 about {mp:g}, min at -1 about {mm:g}"
-        )
-    worst = min(mp, mm)
-    return IntegrabilityReport(
-        commutative=not heuristic,
-        heuristic=heuristic,
-        min_exponent_plus=mp,
-        min_exponent_minus=mm,
-        exists_ok=worst > -1.0,
-        fast_ok=worst > -0.5,
-        detail=detail,
-    )
-
-
 # -- quasi-orthogonality -------------------------------------------------------
 
 
-def _np_coeffs(P: OpPoly) -> np.ndarray:
-    """The coefficients of P as floats, stacked lowest power first."""
-    return np.stack([_floats(c) for c in P.coeffs])
+def _np_coeffs(P: OpPoly, what: str) -> np.ndarray:
+    """The coefficients of P (named `what`) as floats, stacked lowest power first."""
+    return np.stack([_floats(c, what) for c in P.coeffs])
 
 
 def _np_members(coeffs: np.ndarray, x) -> np.ndarray:
@@ -436,75 +338,11 @@ def _np_members(coeffs: np.ndarray, x) -> np.ndarray:
     return np.tensordot(np.power.outer(x, np.arange(len(coeffs))), coeffs, axes=1)
 
 
-def _require_integrable(spec: ProblemSpec, space: PolySpace, j: int, k: int,
-                        override: bool) -> IntegrabilityReport:
-    rep = integrability_check(spec, space, j, k)
-    if not rep.heuristic and not rep.exists_ok:
-        raise ValueError(
-            f"weighted integral does not exist: {rep.detail}; every exact "
-            "endpoint exponent must exceed -1"
-        )
-    if rep.heuristic and not rep.fast_ok and not override:
-        raise ValueError(
-            "noncommutative weighted integrals are restricted to heuristic "
-            f"endpoint exponents > -1/2 ({rep.detail}); pass the "
-            "override-integrability flag to force the computation"
-        )
-    return rep
-
-
-def _jacobi_moments(a, b, count: int) -> list:
-    """mu_m = int x^m w / int w for w = (1-x)^a (1+x)^b, a, b > -1, m < count.
-
-    Integrating d/dx [(1 - x^2) w x^m] over (-1, 1) gives mu_0 = 1 and
-    (a + b + m + 2) mu_{m+1} = (b - a) mu_m + m mu_{m-1}.
-    """
-    mu = [ONE]
-    for m in range(count - 1):
-        lower = m * mu[m - 1] if m else 0
-        mu.append(((b - a) * mu[m] + lower) / (a + b + m + 2))
-    return mu
-
-
-def _jacobi_integral(R, a, b) -> float:
-    """R M0 with M0 = int (1-x)^a (1+x)^b = 2^{a+b+1} G(a+1) G(b+1) / G(a+b+2).
-
-    Taken through logarithms, as M0 alone can pass the float range; +-inf past it.
-    """
-    if R == 0:
-        return 0.0
-    a, b = float(a), float(b)
-    log_abs = (math.log(abs(R.numerator)) - math.log(R.denominator) + (a + b + 1.0) * math.log(2.0)
-               + math.lgamma(a + 1.0) + math.lgamma(b + 1.0) - math.lgamma(a + b + 2.0))
-    try:
-        value = math.exp(log_abs)
-    except OverflowError:
-        value = math.inf
-    return value if R > 0 else -value
-
-
-def _exact_channel_integrals(spec: ProblemSpec, j: int, k: int) -> list[tuple]:
-    """(R_i, R_i M0_i) per channel of P_j W P_k = W P_j P_k, both residues diagonal.
-
-    Channel i integrates the i-th diagonal entries of P_j and P_k against
-    the Jacobi weight of basis element i; R_i = sum c_m mu_m is rational.
-    """
-    pj = [c.diag for c in build_Pk(spec, j).coeffs]
-    pk = [c.diag for c in build_Pk(spec, k).coeffs]
-    plus, minus = commutative_exponents(spec, spec.space)
-    out = []
-    for i, (a, b) in enumerate(zip(plus, minus)):
-        mu = _jacobi_moments(a, b, len(pj) + len(pk) - 1)
-        R = sum(cj[i] * ck[i] * mu[s + t] for s, cj in enumerate(pj) for t, ck in enumerate(pk))
-        out.append((R, _jacobi_integral(R, a, b)))
-    return out
-
-
 def _general_quasi_orth_integrand(spec: ProblemSpec, j: int, k: int, side: str,
                                   rel_tol: float) -> Integrand:
     space = spec.space
-    cj = _np_coeffs(build_Pk(spec, j))
-    ck = _np_coeffs(build_Pk(spec, k))
+    cj = _np_coeffs(build_Pk(spec, j), f"P_{j}")
+    ck = _np_coeffs(build_Pk(spec, k), f"P_{k}")
     N = space.N
     solver = _solver(spec, rel_tol)
 
@@ -520,53 +358,12 @@ def _general_quasi_orth_integrand(spec: ProblemSpec, j: int, k: int, side: str,
     return integrand
 
 
-def quasi_orth_integral(spec: ProblemSpec, j: int, k: int, side: str,
-                        tol: float = 1e-8, ode_tol: float = 1e-10,
-                        override_integrability: bool = False) -> NumericReport:
-    """Weighted integral over (-1, 1) whose one-sided vanishing is the claim.
-
-    side "right" integrates P_j W P_k (vanishes for j < k); side "left"
-    integrates W P_j P_k (vanishes for j > k).  Off-claim index orders are
-    computed and reported without a pass/fail assertion.
-
-    Commutative problems are integrated exactly and pass a claim only at
-    exactly 0; others use tanh-sinh over the ODE weight (relative
-    tolerance ode_tol) to tol/10 and pass within tol plus the estimated
-    quadrature error.  Both tolerances are checked in either case.
-    """
-    _check_tolerance("tolerance", tol)
-    _check_tolerance("rel_tol", ode_tol)
-    if side not in ("right", "left"):
-        raise ValueError(f"side must be 'right' or 'left', got {side!r}")
-    if j < 0 or k < 0:
-        raise ValueError("indices must be >= 0")
-    space = spec.space
-    _require_integrable(spec, space, j, k, override_integrability)
-    claimed = j < k if side == "right" else j > k
-    name = f"{side} weighted integral j={j} k={k} d={spec.d} n={spec.n}"
-
-    detail = "vanishing claimed" if claimed else "no vanishing claim for this index order"
-    if is_commutative(spec):
-        channels = _exact_channel_integrals(spec, j, k)
-        worst = max(abs(value) for _, value in channels)
-        vanishes = all(R == 0 for R, _ in channels)
-        est, tol, level = 0.0, 0.0, None
-        detail += "; exact Jacobi moments, tolerance 0"
-    else:
-        integrand = _general_quasi_orth_integrand(spec, j, k, side, ode_tol)
-        value, est, level = de_integrate(integrand, tol / 10.0)
-        worst = float(np.max(np.abs(value)))
-        vanishes = worst <= tol + est
-    return NumericReport(
-        quantity=name,
-        max_abs_entry=worst,
-        estimated_quadrature_error=est,
-        tolerance=tol,
-        passed=vanishes if claimed else True,
-        claimed=claimed,
-        detail=detail,
-        de_level=level,
-    )
+def _de_quasi_orth(spec: ProblemSpec, j: int, k: int, side: str, tol: float,
+                   ode_tol: float) -> tuple[float, float, int]:
+    """(max |entry|, estimated error, level) of a tanh-sinh quasi-orthogonality integral."""
+    integrand = _general_quasi_orth_integrand(spec, j, k, side, ode_tol)
+    value, est, level = de_integrate(integrand, tol / 10.0)
+    return float(np.max(np.abs(value))), est, level
 
 
 # -- integral inter-relation ---------------------------------------------------
@@ -606,9 +403,9 @@ def integral_interrelation_check(spec: ProblemSpec, k: int, x0: float,
         )
 
     qf = np.array([float(e) for e in q])
-    lhs = _np_members(_np_coeffs(build_Pk(spec, k)), float(x0)) @ qf
+    lhs = _np_members(_np_coeffs(build_Pk(spec, k), f"P_{k}"), float(x0)) @ qf
 
-    ct_q = _np_coeffs(build_tilde_Pk(spec, k + 1)) @ qf  # coefficients of P~_{k+1}(t) q
+    ct_q = _np_coeffs(build_tilde_Pk(spec, k + 1), f"P~_{k + 1}") @ qf  # P~_{k+1}(t) q
     pe = np.array([float(e) for e in plus])
     me = np.array([float(e) for e in minus])
     half_len = (float(x0) + 1.0) / 2.0

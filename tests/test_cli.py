@@ -589,8 +589,9 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_quadrature_loads_no_scipy(tmp_path):
-    # the fundamental matrix and the exact Jacobi moments need numpy at most
-    for doc in (NONCOMMUT_2x2, COMMUT_2x2):
+    # the fundamental matrix needs numpy at most, and the exact Jacobi
+    # moments of a commutative problem need neither numpy nor the numeric layer
+    for doc, floats in ((NONCOMMUT_2x2, True), (COMMUT_2x2, False)):
         inp = write_json(tmp_path / "spec.json", doc)
         out = run_python("-X", "importtime", "-m", "mvjacobi", "quadrature", "--input", inp,
                          "--j", "0", "--k", "2", "--side", "right", "--tol", "1e-6")
@@ -598,8 +599,67 @@ def test_quadrature_loads_no_scipy(tmp_path):
         assert "[PASS]" in out.stdout
         imported = [line.rsplit("|", 1)[-1].strip() for line in out.stderr.splitlines()
                     if line.startswith("import time:")]
-        assert "numpy" in imported
+        assert "mvjacobi.integrals" in imported
+        assert ("numpy" in imported) is floats
+        assert ("mvjacobi.numeric" in imported) is floats
         assert [m for m in imported if m.split(".")[0] == "scipy"] == []
+
+
+BIG = "1" + "0" * 400
+MASS = "the Jacobi mass of exponents from A and B"
+
+
+def _mass_spec(big: int) -> dict:
+    # the exponents at +1 run from 0 to 8 big: the gate passes, and the
+    # Jacobi masses of the other channels meet the float range
+    return {"d": 2, "n": 3, "A": [[str(big), "0"], ["0", str(3 * big)]],
+            "B": [["0", "0"], ["0", "0"]]}
+
+
+@pytest.mark.parametrize("doc, what", [
+    ({"d": 1, "n": 2, "A": [[BIG]], "B": [["0"]]}, "an endpoint exponent from A"),
+    (_mass_spec(10**400), MASS),  # the exponent itself is past the float range
+    (_mass_spec(10**306), MASS),  # lgamma of the exponent is
+    ({"d": 2, "n": 2, "A": [[BIG, "1"], ["0", "1/2"]], "B": [["-" + BIG, "-1"], ["0", "1/3"]]},
+     "an entry of A"),
+], ids=["commutative-gate", "commutative-exponent", "commutative-lgamma", "noncommutative"])
+def test_quadrature_refuses_values_past_the_float_range(tmp_path, doc, what):
+    inp = write_json(tmp_path / "spec.json", doc)
+    out = run_python("-m", "mvjacobi", "quadrature", "--input", inp,
+                     "--j", "0", "--k", "0", "--side", "right")
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == f"error: {what} is past the float range\n"
+
+
+PERFBENCH = SRC.parent / "perfbench"
+
+
+def test_frozen_tracer_sees_every_quadrature(tmp_path):
+    # perfbench/traced_cli.py wraps mvjacobi.numeric's functions in every
+    # module that holds them, so the integrals layer must hold the same objects
+    import mvjacobi.integrals as integrals
+    import mvjacobi.numeric as numeric
+
+    assert numeric.quasi_orth_integral is integrals.quasi_orth_integral
+    assert numeric.integrability_check is integrals.integrability_check
+    assert callable(integrals.integrability_check.cache_info)  # perfbench's setup_s relies on it
+    cases = {
+        "commutative": [str(GOLDEN / "d2n3_c.json"), "--j", "1", "--k", "3"],
+        "noncommutative": [write_json(tmp_path / "nc.json", NONCOMMUT_2x2),
+                           "--j", "0", "--k", "2", "--tol", "1e-6"],
+    }
+    for kind, (inp, *indices) in cases.items():
+        trace = tmp_path / f"{kind}.trace.json"
+        out = run_python(str(PERFBENCH / "traced_cli.py"), str(trace), "--", "quadrature",
+                         "--input", inp, *indices, "--side", "right",
+                         "--out", str(tmp_path / f"{kind}.json"))
+        assert out.returncode == 0, out.stderr
+        doc = json.loads(trace.read_text(encoding="utf-8"))
+        names = {span[0] for span in doc["spans"]}
+        assert "numeric.quasi_orth_integral" in names, kind
+        if kind == "noncommutative":
+            assert "numeric.ode_sweep" in names
+            assert doc["counters"]["numeric.ode_nfev"] > 0
 
 
 def test_module_entry_point_computes():
@@ -722,8 +782,17 @@ def test_exact_commands_load_no_numerics(tmp_path, argv):
 
 
 def test_quadrature_loads_no_dataclasses(tmp_path):
+    # a commutative problem is decided exactly, without the float layers
     argv = ["quadrature", "--input", str(GOLDEN / "d2n3_c.json"), "--j", "1", "--k", "3",
             "--side", "right", "--out", str(tmp_path / "q.json")]
+    loaded = loaded_by(argv)
+    assert "mvjacobi.integrals" in loaded
+    forbidden = ("mvjacobi.structure",) + NO_NUMERICS
+    assert loaded.isdisjoint(forbidden), sorted(loaded.intersection(forbidden))
+    # a noncommutative one integrates in floats
+    argv = ["quadrature", "--input", write_json(tmp_path / "nc.json", NONCOMMUT_2x2),
+            "--j", "0", "--k", "2", "--side", "right", "--tol", "1e-6",
+            "--out", str(tmp_path / "q.json")]
     loaded = loaded_by(argv)
     assert {"mvjacobi.numeric", "numpy"} <= loaded
     assert "dataclasses" not in loaded

@@ -16,10 +16,10 @@ from oracles import (
 )
 
 from mvjacobi.errors import OdeError, QuadratureError
+from mvjacobi.integrals import _exact_channel_integrals
 from mvjacobi.numeric import (
     X_CAP,
     _de_nodes,
-    _exact_channel_integrals,
     _floats,
     _general_quasi_orth_integrand,
     _solver,
@@ -171,7 +171,8 @@ def test_fundamental_matrix_liouville_noncommutative():
 
 def test_float_views_match_fraction_floats():
     # e / den over the integer numerators rounds exactly as float(Fraction)
-    # does, including operands past the float range: both overflow alike
+    # does, including operands past the float range: where float(Fraction)
+    # overflows, the view refuses the matrix by name
     rng = random.Random(31)
 
     def entry():
@@ -179,17 +180,24 @@ def test_float_views_match_fraction_floats():
         den = rng.randint(1, 10**20) * 2 ** rng.choice([0, 0, 1090, 1200])
         return Rat(num, den)
 
-    def outcome(convert):
+    def view(M):
         try:
-            return convert()
+            return _floats(M, "M").tolist()
+        except ValueError as exc:
+            assert str(exc) == "an entry of M is past the float range"
+            return "overflow"
+
+    def fraction_floats(M):
+        try:
+            return [[float(e) for e in row] for row in M.rows]
         except OverflowError:
             return "overflow"
 
     seen = set()
     for _ in range(200):
         M = RatMatrix([[entry() for _ in range(3)] for _ in range(3)])
-        got = outcome(lambda: _floats(M).tolist())
-        want = outcome(lambda: [[float(e) for e in row] for row in M.rows])
+        got = view(M)
+        want = fraction_floats(M)
         assert got == want, M.rows
         seen.add(got == "overflow")
     assert seen == {True, False}
