@@ -407,6 +407,60 @@ def test_verify_trace_legendre():
         verify_trace_legendre(random_problem_spec(rng, 2, 2, max_den=3), 2)
 
 
+def _member_mutant(monkeypatch, bumps):
+    """Patch structure.build_Pk: member k gets +1 at (row, column) of coefficient i.
+
+    `bumps` maps k to a list of (i, row, column); a coefficient above the
+    member's degree is added as zero first.
+    """
+    real = structure.build_Pk
+
+    def mutant(spec, k):
+        P = real(spec, k)
+        if k not in bumps:
+            return P
+        N = spec.space.N
+        mats = list(P.mats)
+        for i, p, q in bumps[k]:
+            mats += [RatMatrix.zeros(N)] * (i + 1 - len(mats))
+            rows = [list(row) for row in mats[i].rows]
+            rows[p][q] += 1
+            mats[i] = RatMatrix(rows)
+        return OpPoly.from_mats(mats, spec.space)
+
+    monkeypatch.setattr(structure, "build_Pk", mutant)
+
+
+def test_verify_trace_legendre_reports_the_failing_unit_matrices(monkeypatch):
+    # d = 2, n = 1: positions 0..3 hold E_11, E_21, E_12, E_22 (the unit
+    # E_rc sits at w_c e_r), and only rows 0 and 3 (E_11, E_22) enter a trace
+    spec = random_problem_spec(random.Random(71), 2, 1, max_den=3)
+    _member_mutant(monkeypatch, {
+        1: [(2, 3, 3)],             # a coefficient above the degree
+        2: [(1, 1, 0), (0, 2, 3)],  # rows outside the trace: invisible
+        3: [(1, 0, 1), (1, 0, 2)],  # listed in (r, c) order, not by position
+        4: [(0, 3, 0), (4, 0, 0)],  # the same unit at two powers
+    })
+    report = verify_trace_legendre(spec, 5)
+    assert [(item.passed, item.detail) for item in report.items] == [
+        (True, ""),
+        (False, "failing unit matrices: E_22"),
+        (True, ""),
+        (False, "failing unit matrices: E_12, E_21"),
+        (False, "failing unit matrices: E_11"),
+        (True, ""),
+    ]
+    assert report.counts == (3, 6)
+
+
+def test_verify_scalar_reduction_reports_a_mutated_member(monkeypatch):
+    _member_mutant(monkeypatch, {2: [(1, 0, 0)], 4: [(5, 0, 0)]})
+    report = verify_scalar_reduction(Rat(1, 2), Rat(1, 3), 2, 4)
+    failed = [item.name for item in report.items if not item.passed]
+    assert failed == ["k=2 equals 2^k k! classical", "k=4 equals 2^k k! classical"]
+    assert report.counts == (8, 10)
+
+
 # -- product identities ---------------------------------------------------------
 
 
