@@ -43,12 +43,14 @@ from functools import lru_cache
 from typing import Callable, NamedTuple, Optional
 
 from .errors import OdeError, QuadratureError
-from .integrals import (NumericReport, _check_tolerance, commutative_exponents,  # noqa: F401
-                        integrability_check, is_commutative, quasi_orth_integral)
+from .integrals import (NumericReport, _check_tolerance, _float,  # noqa: F401
+                        commutative_exponents, integrability_check, is_commutative,
+                        quasi_orth_integral)
 from .operators import ProblemSpec, induced_action_float
 from .oppoly import OpPoly, build_Pk
 from .polyspace import PolySpace, PolyVector
 from .ratmat import RatMatrix
+# keep at module level: perfbench/traced_cli.install finds mvjacobi.structure in sys.modules
 from .structure import build_tilde_Pk
 
 # numpy comes after the package's modules: when no bytecode is cached,
@@ -242,11 +244,9 @@ def commutative_Y(spec: ProblemSpec, x: float) -> np.ndarray:
     x = float(x)
     if not -1.0 < x < 1.0:
         raise ValueError(f"x = {x} outside (-1, 1)")
-    entries = [
-        (1.0 - x) ** float(a) * (1.0 + x) ** float(b)
-        for a, b in zip(a_diag, b_diag)
-    ]
-    return np.diag(entries)
+    a = [_float(e, "a diagonal entry of A") for e in a_diag]
+    b = [_float(e, "a diagonal entry of B") for e in b_diag]
+    return np.diag([(1.0 - x) ** ai * (1.0 + x) ** bi for ai, bi in zip(a, b)])
 
 
 def weight(spec: ProblemSpec, space: PolySpace, x: float,
@@ -399,15 +399,16 @@ def integral_interrelation_check(spec: ProblemSpec, k: int, x0: float,
     if bad:
         raise ValueError(
             "integrand is not integrable at -1: the weight exponents there must "
-            f"exceed 0 to absorb the 1/Q factor, found minimum {min(float(e) for e in minus):g}"
+            f"exceed 0 to absorb the 1/Q factor, found minimum "
+            f"{_float(min(minus), 'an endpoint exponent from B'):g}"
         )
 
-    qf = np.array([float(e) for e in q])
+    qf = np.array([_float(e, "an entry of q") for e in q])
     lhs = _np_members(_np_coeffs(build_Pk(spec, k), f"P_{k}"), float(x0)) @ qf
 
     ct_q = _np_coeffs(build_tilde_Pk(spec, k + 1), f"P~_{k + 1}") @ qf  # P~_{k+1}(t) q
-    pe = np.array([float(e) for e in plus])
-    me = np.array([float(e) for e in minus])
+    pe = np.array([_float(e, "an endpoint exponent from A") for e in plus])
+    me = np.array([_float(e, "an endpoint exponent from B") for e in minus])
     half_len = (float(x0) + 1.0) / 2.0
 
     def integrand(u: np.ndarray, du_minus: np.ndarray, du_plus: np.ndarray) -> np.ndarray:

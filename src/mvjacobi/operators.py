@@ -33,7 +33,6 @@ from typing import Sequence
 
 from .polyspace import PolySpace, enumerate_basis
 from .ratmat import RatMatrix
-from .rational import ZERO
 
 
 class ProblemSpec:
@@ -117,17 +116,19 @@ def build_D(spec: ProblemSpec, which: int) -> RatMatrix:
         raise ValueError(f"which must be 1 or 2, got {which}")
     space = spec.space
     if which == 1:
-        return RatMatrix.diagonal(basis_exponents(spec.M1.diag, space))
+        # the exponents of M1's diagonal numerators, over M1's denominator
+        M1 = spec.M1
+        D1 = RatMatrix.diagonal(basis_exponents([row[i] for i, row in enumerate(M1.num)], space))
+        return RatMatrix._normal(D1.num, M1.den)
     M = spec.M2
     N = space.N
-    cols: list[list] = [[ZERO] * N for _ in range(N)]
+    cols = [[0] * N for _ in range(N)]  # numerators over M.den
     for cpos, b in enumerate(space.basis):
         col = cols[cpos]
         for s, ms in enumerate(b.m):
             if not ms:
                 continue
-            for t in range(space.d):
-                entry = M.rows[s][t]
+            for t, entry in enumerate(M.num[s]):
                 if not entry:
                     continue
                 if s == t:
@@ -137,11 +138,9 @@ def build_D(spec: ProblemSpec, which: int) -> RatMatrix:
                     shifted[s] -= 1
                     shifted[t] += 1
                     col[space.index_of(tuple(shifted), b.j)] += ms * entry
-        for r in range(1, space.d + 1):
-            entry = M.rows[r - 1][b.j - 1]
-            if entry:
-                col[space.index_of(b.m, r)] -= entry
-    return RatMatrix(tuple(cols[c][r] for c in range(N)) for r in range(N))
+        for r, row in enumerate(M.num, 1):
+            col[space.index_of(b.m, r)] -= row[b.j - 1]
+    return RatMatrix._normal(tuple(zip(*cols)), M.den)
 
 
 def dominant_coefficient(D1: RatMatrix, k: int) -> RatMatrix:

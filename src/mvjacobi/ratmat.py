@@ -6,12 +6,13 @@ Python ints.  Every result is divided through by gcd(den, all of num),
 so the zero matrix has den 1, the form is unique, and equality and
 hashing compare (num, den).  All arithmetic runs on ints; Fraction
 appears only at the boundary: the constructor's entries, the cached
-`rows` and `diag` views, and the vector `apply` returns.  Coefficient
-vectors are N x 1 matrices, so a matrix-vector product is `@` on a
-column.  Diagonal matrices are detected once and get O(N^2) fast paths
-in the product.  `sparse_rows` is a cached view of each row's nonzero
-(column, numerator) pairs, for products that should skip the zeros of
-a sparse operator such as D2.
+`rows` and `diag` views, and the vector `apply` returns; `diagonal`
+reads int and Fraction entries' numerators and builds no Fraction.
+Coefficient vectors are N x 1 matrices, so a matrix-vector product is
+`@` on a column.  Diagonal matrices are detected once and get O(N^2)
+fast paths in the product.  `sparse_rows` is a cached view of each
+row's nonzero (column, numerator) pairs, for products that should skip
+the zeros of a sparse operator such as D2.
 
 Inversion is diagonal-only: A + B is required to be diagonal, so the
 derivation D1 and every shift or product of shifts of it is diagonal,
@@ -26,7 +27,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
-from .rational import Rat, ZERO, rat
+from .rational import Rat, rat
 
 
 class RatMatrix:
@@ -84,9 +85,14 @@ class RatMatrix:
 
     @staticmethod
     def diagonal(entries: Sequence) -> "RatMatrix":
-        ents = [rat(e) for e in entries]
+        """The square diagonal matrix of these rationals, over the lcm of their denominators."""
+        ents = [e if type(e) in (int, Rat) else rat(e) for e in entries]
+        if not ents:
+            raise ValueError("matrix needs at least one row")
+        den = lcm(*(e.denominator for e in ents))
         n = len(ents)
-        return RatMatrix([[ents[i] if i == j else ZERO for j in range(n)] for i in range(n)])
+        return RatMatrix._normal(tuple(tuple(e.numerator * (den // e.denominator) if i == j else 0
+                                             for j in range(n)) for i, e in enumerate(ents)), den)
 
     # -- shape / predicates / Fraction views ----------------------------
 

@@ -17,6 +17,10 @@ complete: any coefficient-vector polynomial expands uniquely as
 sum_j P_j(x) q_j by leading-term elimination, using seeded members
 P_j(x) q_j rather than whole operator polynomials.
 
+The classical reductions compare RatMatrix coefficients as well: a d = 1
+member with 2^k k! times the Jacobi polynomial as a 1 x 1 OpPoly, and
+at n = 1 the trace row t P_k with 2^k k! times the Legendre one.
+
 Everything here is exact; reports collect per-claim booleans rather
 than tolerances.
 """
@@ -34,9 +38,6 @@ from .polyspace import PolyVector
 from .ratmat import RatMatrix
 from .rational import ONE, Rat, ZERO, falling_factorial
 from .reporting import CheckReport
-
-ScalarPoly = tuple  # scalar polynomial, index = power of x, trimmed
-
 
 # -- recurrence ------------------------------------------------------------
 
@@ -245,15 +246,15 @@ def verify_derivative_relation(spec: ProblemSpec, k_max: int) -> CheckReport:
 # -- classical scalar oracles -----------------------------------------------
 
 
-def _trim(coeffs: Sequence) -> ScalarPoly:
+def _trim(coeffs: Sequence) -> tuple:
     cs = list(coeffs)
     while cs and not cs[-1]:
         cs.pop()
     return tuple(cs)
 
 
-def classical_jacobi(k: int, alpha, beta) -> ScalarPoly:
-    """Standard-normalization Jacobi polynomial, exact coefficients.
+def classical_jacobi(k: int, alpha, beta) -> tuple:
+    """Standard-normalization Jacobi polynomial: exact coefficients, lowest power first.
 
     Uses the classical three-term recurrence; raises if a recurrence
     denominator vanishes (possible only for degenerate negative
@@ -262,7 +263,7 @@ def classical_jacobi(k: int, alpha, beta) -> ScalarPoly:
     if k < 0:
         raise ValueError("k must be >= 0")
     alpha, beta = Rat(alpha), Rat(beta)
-    p_prev: ScalarPoly = (ONE,)
+    p_prev = (ONE,)
     if k == 0:
         return p_prev
     p_cur = _trim(((alpha - beta) / 2, (alpha + beta + 2) / 2))
@@ -290,17 +291,6 @@ def _scalar_spec(a, b, n: int) -> ProblemSpec:
     return ProblemSpec(1, n, RatMatrix([[Rat(a)]]), RatMatrix([[Rat(b)]]))
 
 
-def _as_scalar_poly(P: OpPoly) -> ScalarPoly:
-    if P.space.N != 1:
-        raise ValueError("not a scalar operator polynomial")
-    return _trim(c.rows[0][0] for c in P.coeffs)
-
-
-def _scale_poly(c, p: Sequence) -> ScalarPoly:
-    c = Rat(c)
-    return _trim(c * x for x in p)
-
-
 def verify_scalar_reduction(a, b, n: int, k_max: int) -> CheckReport:
     """d = 1: members equal 2^k k! times the classical polynomial.
 
@@ -324,9 +314,9 @@ def verify_scalar_reduction(a, b, n: int, k_max: int) -> CheckReport:
             lead_built == lead_expected,
             f"dominant product {lead_built}, classical gives {lead_expected}",
         )
-        mine = _as_scalar_poly(build_Pk(spec, k))
-        classical = _scale_poly(ck, classical_jacobi(k, alpha, beta))
-        report.add(f"k={k} equals 2^k k! classical", mine == classical)
+        classical = OpPoly([RatMatrix([[ck * c]]) for c in classical_jacobi(k, alpha, beta)],
+                           spec.space)
+        report.add(f"k={k} equals 2^k k! classical", build_Pk(spec, k) == classical)
     return report
 
 
@@ -365,53 +355,37 @@ def verify_trace_legendre(spec: ProblemSpec, k_max: int) -> CheckReport:
     """n = 1: traces of members reduce to scaled Legendre polynomials.
 
     For n = 1 the coefficient space is the d x d matrices acting as
-    q(w) = q w, and Tr[P_k(x) q] = 2^k k! Leg_k(x) Tr q for every q; it
-    is enough to check the d^2 unit matrices.
+    q(w) = q w, the basis element w_c e_r is the unit matrix E_rc, and
+    Tr[P_k(x) q] = 2^k k! Leg_k(x) Tr q for every q.  With t the row of
+    ones at the units E_rr, t P_k[i] holds Tr[P_k[i] E_rc] for every
+    unit, so the claim is t P_k[i] = 2^k k! Leg_k[i] t at each power i,
+    and a unit fails where the two rows differ.
     """
     if spec.n != 1:
         raise ValueError("trace reduction requires n = 1")
-    d = spec.d
+    d, space = spec.d, spec.space
+    # position of E_rc, in (r, c) order
+    units = [space.index_of(tuple(int(i == c) for i in range(d)), r + 1)
+             for r in range(d) for c in range(d)]
+    diagonal = set(units[::d + 1])
+    t = RatMatrix._normal((tuple(int(p in diagonal) for p in range(space.N)),), 1)
     report = CheckReport(f"trace reduction d={d}")
     for k in range(k_max + 1):
         P = build_Pk(spec, k)
-        ck = Rat(factorial(k)) * 2**k
-        legendre = _scale_poly(ck, classical_jacobi(k, 0, 0))
-        bad = []
-        for r in range(1, d + 1):
-            for c in range(1, d + 1):
-                q = _matrix_unit_vector(spec, r, c)
-                traced = _trace_poly(spec, P.apply_to(q))
-                want = legendre if r == c else ()
-                if traced != want:
-                    bad.append(f"E_{r}{c}")
+        legendre = classical_jacobi(k, 0, 0)
+        ck = 2**k * factorial(k)
+        bad = set()
+        for i in range(max(len(P.mats), len(legendre))):
+            coeff = legendre[i] if i < len(legendre) else 0
+            diff = t @ P.mat_at(i) - t.scale(ck * coeff)
+            bad.update(p for p, e in enumerate(diff.num[0]) if e)
+        names = [f"E_{u // d + 1}{u % d + 1}" for u, p in enumerate(units) if p in bad]
         report.add(
             f"k={k} trace equals 2^k k! Legendre times trace",
-            not bad,
-            "failing unit matrices: " + ", ".join(bad) if bad else "",
+            not names,
+            "failing unit matrices: " + ", ".join(names) if names else "",
         )
     return report
-
-
-def _matrix_unit_vector(spec: ProblemSpec, r: int, c: int) -> PolyVector:
-    """Coefficient vector of q(w) = E_rc w: the w_c entry of row r."""
-    space = spec.space
-    vec = [ZERO] * space.N
-    m = tuple(1 if i == c - 1 else 0 for i in range(spec.d))
-    vec[space.index_of(m, r)] = ONE
-    return tuple(vec)
-
-
-def _trace_poly(spec: ProblemSpec, f: VectorPoly) -> ScalarPoly:
-    """Trace of a matrix-valued (n = 1) polynomial, coefficient-wise."""
-    space = spec.space
-    out = []
-    for coeff in f.coeffs:
-        tr = ZERO
-        for r in range(1, spec.d + 1):
-            m = tuple(1 if i == r - 1 else 0 for i in range(spec.d))
-            tr += coeff[space.index_of(m, r)]
-        out.append(tr)
-    return _trim(out)
 
 
 # -- product-formula identities ----------------------------------------------

@@ -35,6 +35,7 @@ from mvjacobi.numeric import (
 )
 from mvjacobi.operators import ProblemSpec, induced_action_float
 from mvjacobi.oppoly import build_Pk
+from mvjacobi.polyspace import enumerate_basis
 from mvjacobi.rational import Rat
 from mvjacobi.ratmat import RatMatrix
 from mvjacobi.sampling import random_diagonal, random_matrix
@@ -601,3 +602,18 @@ def test_interrelation_preconditions():
     for value in (math.inf, math.nan, 0.0):
         with pytest.raises(ValueError, match="tolerance must be"):
             integral_interrelation_check(INTEGRABLE, 1, 0.5, q, tol=value)
+
+
+def test_public_numerics_refuse_values_past_the_float_range():
+    # each conversion names the value instead of an OverflowError escaping
+    huge = 10**400
+    with pytest.raises(ValueError, match="a diagonal entry of A is past the float range"):
+        commutative_Y(diag_spec([huge], [0], 2), 0.5)
+    with pytest.raises(ValueError, match="a diagonal entry of B is past the float range"):
+        weight(diag_spec([0], [-huge], 2), enumerate_basis(1, 2), 0.5)
+    q = (Rat(1),) * INTEGRABLE.space.N
+    with pytest.raises(ValueError, match="an entry of q is past the float range"):
+        integral_interrelation_check(INTEGRABLE, 1, 0.5, (Rat(huge),) + q[1:])
+    # the refusal at -1 names the exponent it cannot print
+    with pytest.raises(ValueError, match="an endpoint exponent from B is past the float range"):
+        integral_interrelation_check(diag_spec([0], [-huge], 2), 1, 0.5, (Rat(1),))

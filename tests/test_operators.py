@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -172,6 +173,27 @@ def test_build_D_first_kind_is_diagonal():
     want = [sum((mi * li for mi, li in zip(b.m, lam)), ZERO) - lam[b.j - 1]
             for b in space.basis]
     assert D1 == RatMatrix.diagonal(want)
+
+
+def test_build_D_and_diagonal_build_no_fraction(monkeypatch):
+    # both derivations and a diagonal of rationals are built on the integer
+    # numerators; Fractions are only read
+    spec = random_problem_spec(random.Random(5), 3, 2, max_den=3)
+    entries = [Rat(1, 2), 3, Rat(-2, 3)]
+    real = Fraction.__new__
+    made = []
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    got = (build_D.__wrapped__(spec, 1), build_D.__wrapped__(spec, 2))
+    D = RatMatrix.diagonal(entries)
+    assert made == []
+    monkeypatch.undo()
+    assert got == (derivation_matrix(spec.space, spec.M1), derivation_matrix(spec.space, spec.M2))
+    assert (D.num, D.den) == (((3, 0, 0), (0, 18, 0), (0, 0, -4)), 6)
 
 
 def test_build_D_matches_pointwise_derivation_oracle():
