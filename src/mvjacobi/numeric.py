@@ -232,7 +232,7 @@ def _solver(spec: ProblemSpec, rel_tol: float) -> _FundamentalSolver:
 
 def fundamental_matrix(spec: ProblemSpec, x: float, rel_tol: float = 1e-10) -> np.ndarray:
     """Y(x) with Y(0) = I, from the Taylor sweeps of Y' = MY."""
-    return _solver(spec, rel_tol).at(np.array([float(x)]))[0]
+    return _solver(spec, rel_tol).at(np.array([_float(x, "x")]))[0]
 
 
 def commutative_Y(spec: ProblemSpec, x: float) -> np.ndarray:
@@ -241,12 +241,15 @@ def commutative_Y(spec: ProblemSpec, x: float) -> np.ndarray:
     b_diag = spec.B.diag
     if a_diag is None or b_diag is None:
         raise ValueError("closed-form Y needs both residues diagonal")
-    x = float(x)
+    x = _float(x, "x")
     if not -1.0 < x < 1.0:
         raise ValueError(f"x = {x} outside (-1, 1)")
     a = [_float(e, "a diagonal entry of A") for e in a_diag]
     b = [_float(e, "a diagonal entry of B") for e in b_diag]
-    return np.diag([(1.0 - x) ** ai * (1.0 + x) ** bi for ai, bi in zip(a, b)])
+    try:  # a power past the float range raises, where a product would give inf
+        return np.diag([(1.0 - x) ** ai * (1.0 + x) ** bi for ai, bi in zip(a, b)])
+    except OverflowError:
+        raise ValueError(f"Y({x:g}) is past the float range") from None
 
 
 def weight(spec: ProblemSpec, space: PolySpace, x: float,

@@ -611,6 +611,12 @@ def test_public_numerics_refuse_values_past_the_float_range():
         commutative_Y(diag_spec([huge], [0], 2), 0.5)
     with pytest.raises(ValueError, match="a diagonal entry of B is past the float range"):
         weight(diag_spec([0], [-huge], 2), enumerate_basis(1, 2), 0.5)
+    for f in (commutative_Y, fundamental_matrix):
+        with pytest.raises(ValueError, match="x is past the float range"):
+            f(diag_spec([1], [0], 2), huge)
+    # a float exponent whose power is not a float: 1.5 ** 1e300
+    with pytest.raises(ValueError, match=r"Y\(-0.5\) is past the float range"):
+        weight(diag_spec([10**300], [0], 2), enumerate_basis(1, 2), -0.5)
     q = (Rat(1),) * INTEGRABLE.space.N
     with pytest.raises(ValueError, match="an entry of q is past the float range"):
         integral_interrelation_check(INTEGRABLE, 1, 0.5, (Rat(huge),) + q[1:])
