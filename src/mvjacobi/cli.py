@@ -140,7 +140,7 @@ def load_vector_poly(path: str, spec: ProblemSpec) -> VectorPoly:
             raise ValueError(f"{key} must be an integer")
     if doc.get("d", spec.d) != spec.d or doc.get("n", spec.n) != spec.n:
         raise ValueError(
-            f"polynomial file is for d={doc.get('d')}, n={doc.get('n')}; "
+            f"polynomial file is for d={doc.get('d', spec.d)}, n={doc.get('n', spec.n)}; "
             f"the problem has d={spec.d}, n={spec.n}"
         )
     if not isinstance(doc["coeffs"], list):
@@ -325,9 +325,7 @@ def cmd_quadrature(args) -> int:
 
     spec, _raw = load_problem(args.input)
     _check_index(max(args.j, args.k), "member index")
-    report = quasi_orth_integral(spec, args.j, args.k, args.side, tol=args.tol,
-                                 ode_tol=args.ode_tol,
-                                 override_integrability=args.override_integrability)
+    report = quasi_orth_integral(spec, args.j, args.k, args.side, tol=args.tol)
     # the integral's gate has already made this memoized check
     integ = integrability_check(spec, spec.space, args.j, args.k)
     if args.format == "json":
@@ -372,7 +370,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--input", required=True, help="problem JSON file")
         p.add_argument("--out", help="output JSON file (default: stdout)")
-        p.add_argument("--format", choices=("json", "text"), default="text")
+        p.add_argument("--format", choices=("json", "text"), default="text",
+                       help="report format of verify and quadrature (default: text); "
+                            "compute and expand always write JSON")
 
     p = sub.add_parser("compute", help="build members P_0..P_kmax and serialize them")
     common(p)
@@ -400,12 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-8,
                    help="vanishing tolerance of noncommutative problems "
                         "(commutative ones are decided exactly)")
-    p.add_argument("--ode-tol", dest="ode_tol", type=float, default=1e-10,
-                   help="relative tolerance for the fundamental-matrix solve")
-    p.add_argument("--override-integrability", dest="override_integrability",
-                   action="store_true",
-                   help="run a noncommutative integral even when its heuristic "
-                        "endpoint-exponent check fails")
     p.set_defaults(func=cmd_quadrature)
     return parser
 

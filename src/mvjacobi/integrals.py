@@ -174,8 +174,7 @@ def _exact_channel_integrals(spec: ProblemSpec, j: int, k: int) -> list[tuple]:
 
 
 def quasi_orth_integral(spec: ProblemSpec, j: int, k: int, side: str,
-                        tol: float = 1e-8, ode_tol: float = 1e-10,
-                        override_integrability: bool = False) -> NumericReport:
+                        tol: float = 1e-8) -> NumericReport:
     """Weighted integral over (-1, 1) whose one-sided vanishing is the claim.
 
     side "right" integrates P_j W P_k (vanishes for j < k); side "left"
@@ -183,12 +182,11 @@ def quasi_orth_integral(spec: ProblemSpec, j: int, k: int, side: str,
     computed and reported without a pass/fail assertion.
 
     Commutative problems are integrated exactly and pass a claim only at
-    exactly 0; others use tanh-sinh over the ODE weight (relative
-    tolerance ode_tol) to tol/10 and pass within tol plus the estimated
-    quadrature error.  Both tolerances are checked in either case.
+    exactly 0; others use tanh-sinh over the ODE weight to tol/10 and
+    pass within tol plus the estimated quadrature error.  tol is checked
+    in either case.
     """
     _check_tolerance("tolerance", tol)
-    _check_tolerance("rel_tol", ode_tol)
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
     if j < 0 or k < 0:
@@ -199,11 +197,10 @@ def quasi_orth_integral(spec: ProblemSpec, j: int, k: int, side: str,
             f"weighted integral does not exist: {gate.detail}; every exact "
             "endpoint exponent must exceed -1"
         )
-    if gate.heuristic and not gate.fast_ok and not override_integrability:
+    if gate.heuristic and not gate.fast_ok:
         raise ValueError(
             "noncommutative weighted integrals are restricted to heuristic "
-            f"endpoint exponents > -1/2 ({gate.detail}); pass the "
-            "override-integrability flag to force the computation"
+            f"endpoint exponents > -1/2 ({gate.detail})"
         )
     claimed = j < k if side == "right" else j > k
     name = f"{side} weighted integral j={j} k={k} d={spec.d} n={spec.n}"
@@ -218,7 +215,7 @@ def quasi_orth_integral(spec: ProblemSpec, j: int, k: int, side: str,
     else:
         from .numeric import _de_quasi_orth  # the float layer, with numpy
 
-        worst, est, level = _de_quasi_orth(spec, j, k, side, tol, ode_tol)
+        worst, est, level = _de_quasi_orth(spec, j, k, side, tol)
         vanishes = worst <= tol + est
     return NumericReport(
         quantity=name,

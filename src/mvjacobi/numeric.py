@@ -29,11 +29,10 @@ Quasi-orthogonality, its gate and the exact path of commutative problems
 live in mvjacobi.integrals (re-exported here as the same objects), which
 loads this module only for noncommutative problems.
 
-The in-process settings are plain floats: `tol`, the vanishing
-tolerance of a noncommutative quasi-orthogonality integral (and the
-relative tolerance of the integral inter-relation), and `ode_tol`, the
-relative tolerance of the fundamental matrix, which `fundamental_matrix`
-and `weight` take as `rel_tol`.  Each must be finite and positive.
+The one in-process setting is the float `tol`, the vanishing tolerance
+of a noncommutative quasi-orthogonality integral (and the relative
+tolerance of the integral inter-relation); it must be finite and
+positive.  Each Taylor series is summed to the fixed tail _TAIL.
 """
 
 from __future__ import annotations
@@ -60,6 +59,9 @@ import numpy as np  # noqa: E402
 
 X_CAP = 1.0 - 1e-12  # ODE solutions are only taken this close to +-1
 _CAP_DIST = 1.0 - X_CAP
+# a Taylor series is summed until its terms fall below this; the truncations
+# of ~40 centers per side then add up to less than rounding
+_TAIL = 1e-20
 _MAX_TERMS = 1000  # a Taylor sweep whose terms are still above its tail by then fails
 _MAX_CENTERS = 4000  # about 27.6 (1 + |A| + |B|) per side; 4000 allows norms up to ~140
 _DE_TMAX = 6.0
@@ -170,69 +172,47 @@ def solve_ivp(A: np.ndarray, B: np.ndarray, sign: int, tail: float) -> _Sweep:
     return _Sweep(e.ravel(), rho.ravel(), T @ np.stack(Y), T.shape[0] * T.shape[1])
 
 
-class _FundamentalSolver:
-    """Y(x) from one Taylor sweep per side of 0.
-
-    A side is swept on first use.  A point is evaluated from the last
-    center of its side that is not beyond it, so |s| <= h there, and
-    points closer to an endpoint than 1 - X_CAP are evaluated at the cap.
-    """
-
-    def __init__(self, spec: ProblemSpec, rel_tol: float):
-        self.rel_tol = rel_tol
-        self.d = spec.d
-        self._a = _floats(spec.A, "A")
-        self._b = _floats(spec.B, "B")
-        self._sweeps: dict[int, _Sweep] = {}
-
-    def _sweep(self, sign: int) -> _Sweep:
-        if sign not in self._sweeps:
-            # the truncations of ~40 centers per side add up; squaring the
-            # tolerance keeps them below rounding at the default 1e-10
-            self._sweeps[sign] = solve_ivp(self._a, self._b, sign, self.rel_tol ** 2)
-        return self._sweeps[sign]
-
-    def at(self, x: np.ndarray, dist_minus: Optional[np.ndarray] = None,
-           dist_plus: Optional[np.ndarray] = None) -> np.ndarray:
-        """Y at each node of the 1-D array x, stacked as (len(x), d, d).
-
-        Optional exact endpoint distances 1 - x and 1 + x sharpen s near +-1.
-        """
-        x = np.asarray(x, dtype=float)
-        dist_minus = 1.0 - x if dist_minus is None else np.asarray(dist_minus, dtype=float)
-        dist_plus = 1.0 + x if dist_plus is None else np.asarray(dist_plus, dtype=float)
-        at_zero = x == 0.0
-        plus = x > 0.0
-        delta = np.where(plus, dist_minus, dist_plus)
-        outside = ~at_zero & ~(delta > 0.0)
-        if outside.any():
-            raise ValueError(f"x = {x[outside][0]} outside (-1, 1)")
-        out = np.empty(x.shape + (self.d, self.d))
-        out[at_zero] = np.eye(self.d)
-        for sign, side in ((1, plus), (-1, ~plus & ~at_zero)):
-            if side.any():
-                out[side] = self._side(sign, np.maximum(delta[side], _CAP_DIST))
-        return out
-
-    def _side(self, sign: int, delta: np.ndarray) -> np.ndarray:
-        sweep = self._sweep(sign)
-        # the last center not beyond delta; the first one for a node that
-        # lies within rounding of 0
-        i = np.maximum(np.searchsorted(-sweep.dist, -delta, side="right") - 1, 0)
-        s = sign * (sweep.dist[i] - delta) / sweep.rho[i]
-        return _sum_series(sweep.coeffs, s[:, None, None], i)
-
-
 @lru_cache(maxsize=None)
-def _solver(spec: ProblemSpec, rel_tol: float) -> _FundamentalSolver:
-    # an infinite rel_tol would settle every series after two terms
-    _check_tolerance("rel_tol", rel_tol)
-    return _FundamentalSolver(spec, rel_tol)
+def _sweep(spec: ProblemSpec, sign: int) -> _Sweep:
+    """The sweep of spec toward sign * 1, made once per problem and side on first use."""
+    return solve_ivp(_floats(spec.A, "A"), _floats(spec.B, "B"), sign, _TAIL)
 
 
-def fundamental_matrix(spec: ProblemSpec, x: float, rel_tol: float = 1e-10) -> np.ndarray:
+def _Y_at(spec: ProblemSpec, x: np.ndarray, dist_minus: Optional[np.ndarray] = None,
+          dist_plus: Optional[np.ndarray] = None) -> np.ndarray:
+    """Y at each node of the 1-D array x, stacked as (len(x), d, d).
+
+    A point is evaluated from the last center of its side's sweep that is
+    not beyond it, so |s| <= h there, and points closer to an endpoint
+    than 1 - X_CAP are evaluated at the cap.  Optional exact endpoint
+    distances 1 - x and 1 + x sharpen s near +-1.
+    """
+    x = np.asarray(x, dtype=float)
+    dist_minus = 1.0 - x if dist_minus is None else np.asarray(dist_minus, dtype=float)
+    dist_plus = 1.0 + x if dist_plus is None else np.asarray(dist_plus, dtype=float)
+    at_zero = x == 0.0
+    plus = x > 0.0
+    delta = np.where(plus, dist_minus, dist_plus)
+    outside = ~at_zero & ~(delta > 0.0)
+    if outside.any():
+        raise ValueError(f"x = {x[outside][0]} outside (-1, 1)")
+    out = np.empty(x.shape + (spec.d, spec.d))
+    out[at_zero] = np.eye(spec.d)
+    for sign, side in ((1, plus), (-1, ~plus & ~at_zero)):
+        if side.any():
+            sweep = _sweep(spec, sign)
+            dist = np.maximum(delta[side], _CAP_DIST)
+            # the last center not beyond dist; the first one for a node that
+            # lies within rounding of 0
+            i = np.maximum(np.searchsorted(-sweep.dist, -dist, side="right") - 1, 0)
+            s = sign * (sweep.dist[i] - dist) / sweep.rho[i]
+            out[side] = _sum_series(sweep.coeffs, s[:, None, None], i)
+    return out
+
+
+def fundamental_matrix(spec: ProblemSpec, x: float) -> np.ndarray:
     """Y(x) with Y(0) = I, from the Taylor sweeps of Y' = MY."""
-    return _solver(spec, rel_tol).at(np.array([_float(x, "x")]))[0]
+    return _Y_at(spec, np.array([_float(x, "x")]))[0]
 
 
 def commutative_Y(spec: ProblemSpec, x: float) -> np.ndarray:
@@ -252,17 +232,16 @@ def commutative_Y(spec: ProblemSpec, x: float) -> np.ndarray:
         raise ValueError(f"Y({x:g}) is past the float range") from None
 
 
-def weight(spec: ProblemSpec, space: PolySpace, x: float,
-           rel_tol: float = 1e-10) -> np.ndarray:
+def weight(spec: ProblemSpec, space: PolySpace, x: float) -> np.ndarray:
     """Induced action of Y(x) on the coefficient space, as floats.
 
     Commutative problems use the closed-form Y; otherwise Y comes from
-    the ODE sweep at relative tolerance rel_tol.
+    the ODE sweep.
     """
     if is_commutative(spec):
         Y = commutative_Y(spec, x)
     else:
-        Y = fundamental_matrix(spec, x, rel_tol)
+        Y = fundamental_matrix(spec, x)
     return induced_action_float(Y, space)
 
 
@@ -341,19 +320,17 @@ def _np_members(coeffs: np.ndarray, x) -> np.ndarray:
     return np.tensordot(np.power.outer(x, np.arange(len(coeffs))), coeffs, axes=1)
 
 
-def _general_quasi_orth_integrand(spec: ProblemSpec, j: int, k: int, side: str,
-                                  rel_tol: float) -> Integrand:
+def _general_quasi_orth_integrand(spec: ProblemSpec, j: int, k: int, side: str) -> Integrand:
     space = spec.space
     cj = _np_coeffs(build_Pk(spec, j), f"P_{j}")
     ck = _np_coeffs(build_Pk(spec, k), f"P_{k}")
     N = space.N
-    solver = _solver(spec, rel_tol)
 
     def integrand(x: np.ndarray, dist_minus: np.ndarray, dist_plus: np.ndarray) -> np.ndarray:
         out = np.empty((len(x), N, N))
         for lo in range(0, len(x), _NODE_BLOCK):
             b = slice(lo, lo + _NODE_BLOCK)
-            W = induced_action_float(solver.at(x[b], dist_minus[b], dist_plus[b]), space)
+            W = induced_action_float(_Y_at(spec, x[b], dist_minus[b], dist_plus[b]), space)
             Fj = _np_members(cj, x[b])
             np.matmul(Fj @ W if side == "right" else W @ Fj, _np_members(ck, x[b]), out=out[b])
         return out
@@ -361,10 +338,10 @@ def _general_quasi_orth_integrand(spec: ProblemSpec, j: int, k: int, side: str,
     return integrand
 
 
-def _de_quasi_orth(spec: ProblemSpec, j: int, k: int, side: str, tol: float,
-                   ode_tol: float) -> tuple[float, float, int]:
+def _de_quasi_orth(spec: ProblemSpec, j: int, k: int, side: str,
+                   tol: float) -> tuple[float, float, int]:
     """(max |entry|, estimated error, level) of a tanh-sinh quasi-orthogonality integral."""
-    integrand = _general_quasi_orth_integrand(spec, j, k, side, ode_tol)
+    integrand = _general_quasi_orth_integrand(spec, j, k, side)
     value, est, level = de_integrate(integrand, tol / 10.0)
     return float(np.max(np.abs(value))), est, level
 

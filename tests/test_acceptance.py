@@ -268,7 +268,7 @@ def test_criterion_10_quasi_orthogonality():
     lam = RatMatrix([[Rat(1, 8), Rat(0)], [Rat(0), Rat(1, 16)]])
     nc = ProblemSpec(2, 2, A, lam - A)
     for side, (j, k) in (("right", (0, 2)), ("left", (2, 0))):
-        rep = quasi_orth_integral(nc, j, k, side, tol=1e-6, ode_tol=1e-10)
+        rep = quasi_orth_integral(nc, j, k, side, tol=1e-6)
         assert rep.claimed and rep.passed, (side, j, k, rep.detail)
         assert rep.max_abs_entry <= 1e-6
     elapsed = perf_counter() - t0

@@ -1,3 +1,4 @@
+import argparse
 import gc
 import json
 import math
@@ -20,6 +21,7 @@ import mvjacobi
 import mvjacobi.operators
 from mvjacobi import cli
 from mvjacobi.cli import MAX_KMAX, MAX_N, _matrix_to_json, main
+from mvjacobi.integrals import quasi_orth_integral
 from mvjacobi.oppoly import build_Pk
 from mvjacobi.operators import ProblemSpec
 from mvjacobi.rational import Rat, format_rational, parse_rational
@@ -340,6 +342,16 @@ def test_expand_dimension_mismatch(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_expand_mismatch_names_the_compared_dimensions(tmp_path, capsys):
+    # a key the file leaves out is compared as the problem's own value, and
+    # printed as that value, not as None
+    pol = write_json(tmp_path / "f.json", {"n": 3, "coeffs": [["1"]]})
+    inp = write_json(tmp_path / "spec.json", {"d": 1, "n": 2, "A": [["1/2"]], "B": [["1/3"]]})
+    assert main(["expand", "--input", inp, "--poly", pol]) == 2
+    assert capsys.readouterr().err == ("error: polynomial file is for d=1, n=3; "
+                                       "the problem has d=1, n=2\n")
+
+
 def test_expand_rejects_coeffs_that_are_not_a_list(tmp_path, capsys):
     pol = write_json(tmp_path / "f.json", {"d": 2, "n": 2, "coeffs": 5})
     assert main(["expand", "--input", str(GOLDEN / "d2n2_nc.json"), "--poly", pol]) == 2
@@ -445,13 +457,40 @@ def test_quadrature_checks_integrability_once(tmp_path, capsys):
 
 
 def test_quadrature_integrability_gate(tmp_path, capsys):
-    # an integral that does not exist is refused, with or without the override
+    # an integral that does not exist is refused
     divergent = {"d": 1, "n": 2, "A": [["-5/4"]], "B": [["0"]]}
     inp = write_json(tmp_path / "spec.json", divergent)
-    for extra in ([], ["--override-integrability"]):
-        assert main(["quadrature", "--input", inp, "--j", "0", "--k", "1",
-                     "--side", "right", *extra]) == 2
-        assert "weighted integral does not exist" in capsys.readouterr().err
+    assert main(["quadrature", "--input", inp, "--j", "0", "--k", "1",
+                 "--side", "right"]) == 2
+    assert "weighted integral does not exist" in capsys.readouterr().err
+
+
+# heuristic endpoint exponents -1.05 at both ends: the integral does not exist
+NONCOMMUT_DIVERGENT = {"d": 2, "n": 2,
+                       "A": [["-21/20", "1/4"], ["-1/4", "-21/20"]],
+                       "B": [["-21/20", "-1/4"], ["1/4", "-21/20"]]}
+# heuristic exponents -0.6: the integral exists, but the endpoint cap biases it
+NONCOMMUT_SLOW = {"d": 2, "n": 2,
+                  "A": [["-3/5", "1/4"], ["-1/4", "-3/5"]],
+                  "B": [["-3/5", "-1/4"], ["1/4", "-3/5"]]}
+GATE_MESSAGE = ("error: noncommutative weighted integrals are restricted to heuristic "
+                "endpoint exponents > -1/2 (heuristic only: eigenvalue-based exponents "
+                "for j={j}, k={k}; min at +1 about {e:g}, min at -1 about {e:g})\n")
+
+
+@pytest.mark.parametrize("j, k", [(0, 1), (1, 1)])
+def test_quadrature_refuses_a_noncommutative_integral_that_does_not_exist(
+        tmp_path, capsys, j, k):
+    # the claimed pair and the off-claim one alike: nothing is computed
+    spec = spec_of(NONCOMMUT_DIVERGENT)
+    with pytest.raises(ValueError, match="exponents > -1/2"):
+        quasi_orth_integral(spec, j, k, "right", tol=1e-1)
+    inp = write_json(tmp_path / "spec.json", NONCOMMUT_DIVERGENT)
+    assert main(["quadrature", "--input", inp, "--j", str(j), "--k", str(k),
+                 "--side", "right", "--tol", "1e-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == GATE_MESSAGE.format(j=j, k=k, e=-1.05)
 
 
 def test_quadrature_nonconvergence_exit(tmp_path, capsys):
@@ -464,9 +503,7 @@ def test_quadrature_nonconvergence_exit(tmp_path, capsys):
 
 @pytest.mark.parametrize("value", ["inf", "nan"])
 def test_quadrature_rejects_nonfinite_tolerance(tmp_path, capsys, value):
-    # --tol inf would pass any claim; the ODE tolerance is covered by the
-    # next test, on a commutative problem, so that no test can start the
-    # solver on a NaN
+    # --tol inf would pass any claim
     inp = write_json(tmp_path / "spec.json", COMMUT_2x2)
     assert main(["quadrature", "--input", inp, "--j", "0", "--k", "1",
                  "--side", "right", "--tol", value]) == 2
@@ -474,34 +511,46 @@ def test_quadrature_rejects_nonfinite_tolerance(tmp_path, capsys, value):
 
 
 @pytest.mark.parametrize("flag, value, message", [
-    ("--ode-tol", "nan", "rel_tol must be finite, got nan"),
-    ("--ode-tol", "inf", "rel_tol must be finite, got inf"),
-    ("--ode-tol", "0", "rel_tol must be positive"),
     ("--tol", "0", "tolerance must be positive"),
+    ("--tol", "-1", "tolerance must be positive"),
 ])
 def test_quadrature_validates_tolerances_without_an_ode(tmp_path, capsys, flag, value, message):
-    # the commutative integral is exact and never runs the solver, yet both
-    # tolerances are still checked
+    # the commutative integral is exact and never uses the tolerance, yet
+    # it is still checked
     inp = write_json(tmp_path / "spec.json", COMMUT_2x2)
     assert main(["quadrature", "--input", inp, "--j", "0", "--k", "1",
                  "--side", "right", flag, value]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def test_quadrature_biased_override_fails_claim(tmp_path, capsys):
-    # forced computation with endpoint exponents in (-1, -1/2): converges but
-    # the endpoint-cap bias exceeds a 1e-6 tolerance, so the claim fails
-    doc = {"d": 2, "n": 2,
-           "A": [["-3/5", "1/4"], ["-1/4", "-3/5"]],
-           "B": [["-3/5", "-1/4"], ["1/4", "-3/5"]]}
-    inp = write_json(tmp_path / "spec.json", doc)
+def test_quadrature_refuses_biased_noncommutative_exponents(tmp_path, capsys):
+    # exponents in (-1, -1/2]: the integral exists, but the endpoint-cap bias
+    # would fail this true claim at 1e-6, so it is refused instead
+    inp = write_json(tmp_path / "spec.json", NONCOMMUT_SLOW)
     assert main(["quadrature", "--input", inp, "--j", "0", "--k", "1",
-                 "--side", "right", "--tol", "1e-6",
-                 "--override-integrability"]) == 1
-    assert "[FAIL]" in capsys.readouterr().out
+                 "--side", "right", "--tol", "1e-6"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == GATE_MESSAGE.format(j=0, k=1, e=-0.6)
 
 
 # -- argument basics ----------------------------------------------------------------
+
+
+def test_each_command_has_exactly_its_documented_flags():
+    # adding or removing a flag means editing this list and the README together
+    want = {
+        "compute": ["--input", "--out", "--format", "--kmax"],
+        "verify": ["--input", "--out", "--format", "--kmax", "--suite"],
+        "expand": ["--input", "--out", "--format", "--poly", "--roundtrip"],
+        "quadrature": ["--input", "--out", "--format", "--j", "--k", "--side", "--tol"],
+    }
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    got = {name: [opt for a in sub._actions for opt in a.option_strings
+                  if opt not in ("-h", "--help")]
+           for name, sub in commands.choices.items()}
+    assert got == want
 
 
 def test_unknown_suite_rejected(tmp_path):

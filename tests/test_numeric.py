@@ -22,7 +22,7 @@ from mvjacobi.numeric import (
     _de_nodes,
     _floats,
     _general_quasi_orth_integrand,
-    _solver,
+    _Y_at,
     commutative_Y,
     commutative_exponents,
     de_integrate,
@@ -31,6 +31,7 @@ from mvjacobi.numeric import (
     integral_interrelation_check,
     is_commutative,
     quasi_orth_integral,
+    solve_ivp,
     weight,
 )
 from mvjacobi.operators import ProblemSpec, induced_action_float
@@ -66,13 +67,10 @@ MILD_NEGATIVE = diag_spec([Rat(-1, 8), Rat(1, 6)], [Rat(1, 5), Rat(-1, 10)], 2)
     pytest.param("tol", math.nan, "tolerance must be finite, got nan", id="tol-nan"),
     pytest.param("tol", math.inf, "tolerance must be finite, got inf", id="tol-inf"),
     pytest.param("tol", 0.0, "tolerance must be positive", id="tol-zero"),
-    pytest.param("ode_tol", math.nan, "rel_tol must be finite, got nan", id="ode_tol-nan"),
-    pytest.param("ode_tol", math.inf, "rel_tol must be finite, got inf", id="ode_tol-inf"),
-    pytest.param("ode_tol", -1e-10, "rel_tol must be positive", id="ode_tol-negative"),
 ])
 def test_quasi_orth_rejects_bad_tolerance(kwarg, value, message):
-    # both are checked before anything runs, even where the integral is
-    # exact and uses neither
+    # checked before anything runs, even where the integral is exact and
+    # does not use it
     with pytest.raises(ValueError) as exc:
         quasi_orth_integral(POSITIVE, 0, 1, "right", **{kwarg: value})
     assert str(exc.value) == message
@@ -142,13 +140,10 @@ def test_fundamental_matrix_large_residues_and_limits():
     huge = diag_spec([Rat(400)], [Rat(-400, 3)], 1)
     with pytest.raises(OdeError, match="Taylor centers"):
         fundamental_matrix(huge, 0.5)
-    # a tail target that squares to zero is never met
-    with pytest.raises(OdeError, match="did not settle"):
-        fundamental_matrix(POSITIVE, 0.5, rel_tol=1e-200)
-    # an infinite one would settle each series after two terms
-    for value in (math.inf, math.nan, 0.0):
-        with pytest.raises(ValueError, match="rel_tol must be"):
-            fundamental_matrix(POSITIVE, 0.5, rel_tol=value)
+    # a tail of zero is never met by terms that do not vanish
+    a, b = (np.diag([float(e) for e in M.diag]) for M in (POSITIVE.A, POSITIVE.B))
+    with pytest.raises(OdeError, match="did not settle within 1000 terms"):
+        solve_ivp(a, b, 1, 0.0)
 
 
 def test_fundamental_matrix_liouville_noncommutative():
@@ -217,21 +212,20 @@ def test_dense_output_batched_equals_pointwise():
     lam = random_diagonal(rng, 3).scale(Rat(1, 8))
     A = random_matrix(rng, 3).scale(Rat(1, 8))
     for spec in (small_noncommutative_spec(), ProblemSpec(3, 2, A, lam - A)):
-        solver = _solver(spec, 1e-10)
-        batched = solver.at(x[order], dist_minus[order], dist_plus[order])[np.argsort(order)]
+        batched = _Y_at(spec, x[order], dist_minus[order], dist_plus[order])[np.argsort(order)]
         assert batched.shape == (len(x), spec.d, spec.d)
         for i in range(len(x)):
-            one = solver.at(x[i:i + 1], dist_minus[i:i + 1], dist_plus[i:i + 1])[0]
+            one = _Y_at(spec, x[i:i + 1], dist_minus[i:i + 1], dist_plus[i:i + 1])[0]
             assert np.max(np.abs(batched[i] - one)) <= 1e-15 * np.max(np.abs(one)), x[i]
         assert np.array_equal(batched[5], np.eye(spec.d))  # Y(0) = I
         # nodes past the cap 1 - X_CAP (just below 1e-12) are evaluated at it
         cap = 1.0 - X_CAP
-        at_cap = solver.at(np.array([X_CAP, -X_CAP]), np.array([cap, 2.0 - cap]),
-                           np.array([2.0 - cap, cap]))
+        at_cap = _Y_at(spec, np.array([X_CAP, -X_CAP]), np.array([cap, 2.0 - cap]),
+                       np.array([2.0 - cap, cap]))
         assert np.array_equal(batched[3], at_cap[0])
         assert np.array_equal(batched[10], at_cap[1])
         with pytest.raises(ValueError, match="outside"):
-            solver.at(np.array([0.5, 1.0]))
+            _Y_at(spec, np.array([0.5, 1.0]))
 
 
 # -- induced weight -------------------------------------------------------------
@@ -346,35 +340,26 @@ def test_integrability_check_noncommutative_is_heuristic():
 
 
 def test_quasi_orth_rejects_divergent_weight():
-    # an exact exponent <= -1 means the integral does not exist, so no
-    # override can produce a value for it
+    # an exact exponent <= -1 means the integral does not exist
     for a in (Rat(-5, 4), Rat(-1)):
         divergent = diag_spec([a], [0], 2)
-        for override in (False, True):
-            with pytest.raises(ValueError, match="does not exist"):
-                quasi_orth_integral(divergent, 0, 1, "right",
-                                    override_integrability=override)
+        with pytest.raises(ValueError, match="does not exist"):
+            quasi_orth_integral(divergent, 0, 1, "right")
 
 
-def test_quasi_orth_noncommutative_gate_and_override():
-    # heuristic exponents land in (-1, -1/2): refused by default because the
+def test_quasi_orth_noncommutative_gate_refuses_slow_decay():
+    # heuristic exponents land in (-1, -1/2): the integral exists, but the
     # fundamental matrix is only carried to within 1e-12 of the endpoints,
-    # which biases such integrals by roughly (1e-12)^(1+exponent).  The
-    # override flag forces the computation; the refinement still converges
-    # and the vanishing shows up at the bias level, not below it.
+    # which biases such integrals by roughly (1e-12)^(1+exponent) times the
+    # members' size, so they are refused at every tolerance
     A = RatMatrix([[Rat(-3, 5), Rat(1, 4)], [Rat(-1, 4), Rat(-3, 5)]])
     lam = RatMatrix.diagonal([Rat(-6, 5), Rat(-6, 5)])
     spec = ProblemSpec(2, 2, A, lam - A)
     rep = integrability_check(spec, spec.space)
     assert rep.heuristic and rep.exists_ok and not rep.fast_ok
-    with pytest.raises(ValueError, match="override-integrability"):
-        quasi_orth_integral(spec, 0, 1, "right")
-    report = quasi_orth_integral(
-        spec, 0, 1, "right",
-        tol=1e-4, ode_tol=1e-10, override_integrability=True,
-    )
-    assert report.passed, report.to_dict()
-    assert report.estimated_quadrature_error < 1e-6  # converged, just biased
+    for tol in (1e-8, 1e-4):
+        with pytest.raises(ValueError, match=r"restricted to heuristic endpoint exponents > -1/2 \("):
+            quasi_orth_integral(spec, 0, 1, "right", tol=tol)
 
 
 # -- quasi-orthogonality -------------------------------------------------------------
@@ -419,7 +404,7 @@ def test_quasi_orth_mild_negative_exponents():
 
 def test_quasi_orth_noncommutative_small_norm():
     spec = small_noncommutative_spec()
-    report = quasi_orth_integral(spec, 0, 2, "right", tol=1e-6, ode_tol=1e-10)
+    report = quasi_orth_integral(spec, 0, 2, "right", tol=1e-6)
     assert report.claimed and report.passed, report.to_dict()
     assert report.de_level == 5 and report.to_dict()["de_level"] == 5
 
@@ -434,12 +419,10 @@ def small_norm_spec(rng: random.Random, d: int, n: int) -> ProblemSpec:
             return spec
 
 
-def pointwise_quasi_orth(spec: ProblemSpec, j: int, k: int, side: str, level: int,
-                         rel_tol: float):
+def pointwise_quasi_orth(spec: ProblemSpec, j: int, k: int, side: str, level: int):
     """Tanh-sinh sums up to `level` of the integrand and of its absolute value,
     one node at a time: the single-point weight at the node's exact endpoint
     distances, and the members summed term by term."""
-    solver = _solver(spec, rel_tol)
     cj, ck = ([np.array([[float(e) for e in row] for row in c.rows]) for c in build_Pk(spec, i).coeffs]
               for i in (j, k))
 
@@ -449,7 +432,7 @@ def pointwise_quasi_orth(spec: ProblemSpec, j: int, k: int, side: str, level: in
     total = magnitude = 0.0
     for lev in range(4, level + 1):
         for x, dm, dp, w in zip(*(a.tolist() for a in _de_nodes(lev))):
-            Y = solver.at(np.array([x]), np.array([dm]), np.array([dp]))[0]
+            Y = _Y_at(spec, np.array([x]), np.array([dm]), np.array([dp]))[0]
             W = induced_action_float(Y, spec.space)
             F = member(cj, x) @ W @ member(ck, x) if side == "right" else W @ member(cj, x) @ member(ck, x)
             total = total + w * F
@@ -464,9 +447,8 @@ def test_batched_quasi_orth_matches_pointwise_reference():
     for spec in specs:
         for j, k, side in ((0, 2, "right"), (2, 2, "right"), (2, 1, "left")):
             report = quasi_orth_integral(spec, j, k, side, tol=1e-6)
-            want, magnitude = pointwise_quasi_orth(spec, j, k, side, report.de_level, 1e-10)
-            got, _, level = de_integrate(_general_quasi_orth_integrand(spec, j, k, side, 1e-10),
-                                         1e-7)
+            want, magnitude = pointwise_quasi_orth(spec, j, k, side, report.de_level)
+            got, _, level = de_integrate(_general_quasi_orth_integrand(spec, j, k, side), 1e-7)
             assert level == report.de_level
             scale = np.max(magnitude)
             assert np.max(np.abs(got - want)) <= 1e-13 * scale, (spec, j, k, side)
