@@ -4,7 +4,9 @@ When both residues are diagonal, every P_k is diagonal and each channel
 of the integral is a polynomial against a Jacobi weight with exact
 exponents: a rational multiple of the Jacobi mass, so vanishing is
 decided exactly.  Other problems are integrated in floats by
-mvjacobi.numeric, which only they load, and numpy with it.
+mvjacobi.numeric, which only they load, and numpy with it; their gate
+refuses heuristic endpoint exponents at or below -1/2, where the
+endpoint cap of the fundamental matrix biases the integral.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ loads this module only for noncommutative problems.
 The one in-process setting is the float `tol`, the vanishing tolerance
 of a noncommutative quasi-orthogonality integral (and the relative
 tolerance of the integral inter-relation); it must be finite and
-positive.  Each Taylor series is summed to the fixed tail _TAIL.
+positive.  Each Taylor series is summed to the fixed tail _TAIL = 1e-20.
 """
 
 from __future__ import annotations
