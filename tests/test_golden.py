@@ -1,7 +1,8 @@
 """Golden-output regression: CLI output digests on a fixed corpus.
 
-tests/golden/ holds five small problems (one resonant) with one
-polynomial each.  digests.json records, per problem and command, the
+tests/golden/ holds six problems (one resonant) with one polynomial
+each: five at N <= 8 and d3n2_nc, a noncommutative d = 3, n = 2 problem
+at N = 18.  digests.json records, per problem and command, the
 exit code and either the sha256 of the JSON output with
 header.generated_at removed or, for a nonzero exit, the stderr line.
 Any change to the member construction, the verifiers, the expansion,
