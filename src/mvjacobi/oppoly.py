@@ -1,13 +1,17 @@
 """Polynomials in x with operator or coefficient-vector values.
 
-OpPoly holds an operator-valued polynomial: one N x N exact matrix per
-power of x, acting on a fixed coefficient space.  VectorPoly is the
-same with one N x 1 column per power of x, so both run the same ring
-operations on RatMatrix; VectorPoly converts to and from length-N
-tuples of Fractions only at its constructor, `coeffs`, `coeff_at`,
-`leading` and `eval`.  Both keep the invariant that the highest stored
-coefficient is nonzero, with the zero polynomial stored as an empty
-tuple (degree -1).
+OpPoly holds an operator-valued polynomial over a fixed coefficient
+space, VectorPoly one with coefficient-vector values.  Either stores
+one RatMatrix `mat` of N x w(K+1) entries for degree K: coefficient i is
+the block of w columns starting at column i w, lowest power first, with
+w = N for OpPoly and w = 1 for VectorPoly.  Trailing zero blocks are
+trimmed and the whole matrix is in RatMatrix's normal form (one
+denominator, gcd 1), so equal polynomials hold equal matrices; the zero
+polynomial is N x 0 (degree -1).  Each ring operation is one pass over
+the rows of `mat` or one matrix product.  `mats`, `mat_at`, `coeffs`,
+`coeff_at`, `leading` and `eval` are views that cut the blocks out as
+normalized RatMatrix coefficients (length-N tuples of Fractions for
+VectorPoly).
 
 The degree-k family member is the nested product
 
@@ -19,15 +23,16 @@ and difference of the residue matrices.  A_j acts the same way on
 vector-valued polynomials, which is how seeded members P_k(x) q are
 produced without building the full operator polynomial.
 
-Collecting powers of x, coefficient i of A_j r is the stencil
+Collecting powers of x, coefficient i of A_j r is
 
     (D_1 + 2j + i - 1) r_{i-1} + D_2 r_i - (i + 1) r_{i+1}
 
-(terms with an index outside 0..deg r, or a zero coefficient, left
-out).  D_1 is diagonal, so apply_A forms each output coefficient in one
-_stencil call on the integer numerators: a row scaling for D_1, a pass
-over the nonzeros of D_2 (RatMatrix.sparse_rows), one lcm and one
-reduction.
+(terms with an index outside 0..deg r left out).  D_1 is diagonal, so
+apply_A fills row p of every output coefficient in one pass over the
+integer numerators: row p of r shifted up one block and scaled per
+block by d_p + 2j + i - 1, row p shifted down one block and scaled by
+-(i + 1), and, for each nonzero of row p of D_2 (RatMatrix.sparse_rows),
+the whole source row scaled by it.  The result is reduced once.
 """
 
 from __future__ import annotations
@@ -35,48 +40,59 @@ from __future__ import annotations
 from functools import lru_cache
 from math import lcm
 from operator import mul
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .operators import ProblemSpec, build_D, dominant_coefficient
 from .polyspace import PolySpace, PolyVector
 from .ratmat import RatMatrix
-from .rational import rat
+from .rational import Rat, rat
 
 
 class _PolyBase:
-    """Shared coefficient-list mechanics on RatMatrix coefficients.
+    """Shared mechanics on one RatMatrix holding every coefficient.
 
-    `mats` holds one matrix per power of x, lowest first, each of the
-    subclass's `_shape`.  `_coerce` and `_out` convert one coefficient
-    from and to its public form; here that form is the matrix itself.
+    `mat` is N x w(K+1), coefficient i in columns i w .. i w + w - 1, w
+    the subclass's `_width`; `_out` converts one coefficient block to its
+    public form, here the matrix itself.
     """
 
-    __slots__ = ("mats", "space")
+    __slots__ = ("mat", "space")
 
     def __init__(self, coeffs: Iterable, space: PolySpace):
-        self._set(tuple(self._coerce(c, space) for c in coeffs), space)
+        coeffs = tuple(coeffs)
+        for c in coeffs:
+            if not isinstance(c, RatMatrix):
+                raise ValueError(f"coefficient must be a RatMatrix, got {type(c).__name__}")
+        self._assign(self.from_mats(coeffs, space).mat, space)
+
+    def _assign(self, mat: RatMatrix, space: PolySpace) -> None:
+        object.__setattr__(self, "mat", mat)
+        object.__setattr__(self, "space", space)
+
+    @classmethod
+    def _from(cls, num: tuple, den: int, space: PolySpace):
+        """The polynomial of numerator rows num over den > 0, trimmed and reduced once."""
+        w = cls._width(space)
+        cut = len(num[0])
+        while cut and not any(any(row[cut - w:cut]) for row in num):
+            cut -= w
+        if cut < len(num[0]):
+            num = tuple(row[:cut] for row in num)
+        out = object.__new__(cls)
+        out._assign(RatMatrix._normal(num, den), space)
+        return out
 
     @classmethod
     def from_mats(cls, mats: Iterable[RatMatrix], space: PolySpace):
         """The polynomial with these RatMatrix coefficients, lowest power first."""
-        out = object.__new__(cls)
-        out._set(tuple(mats), space)
-        return out
-
-    def _set(self, mats: tuple, space: PolySpace) -> None:
-        shape = self._shape(space)
+        mats = tuple(mats)
+        shape = (space.N, cls._width(space))
         if any(m.shape != shape for m in mats):
             raise ValueError(f"coefficient must be a {shape[0]} x {shape[1]} matrix")
-        while mats and mats[-1].is_zero:
-            mats = mats[:-1]
-        object.__setattr__(self, "mats", mats)
-        object.__setattr__(self, "space", space)
-
-    @staticmethod
-    def _coerce(v, space: PolySpace) -> RatMatrix:
-        if not isinstance(v, RatMatrix):
-            raise ValueError(f"coefficient must be a RatMatrix, got {type(v).__name__}")
-        return v
+        den = lcm(*(m.den for m in mats))
+        facs = [den // m.den for m in mats]
+        return cls._from(tuple(tuple(f * e for f, m in zip(facs, mats) for e in m.num[p])
+                               for p in range(space.N)), den, space)
 
     @staticmethod
     def _out(v: RatMatrix):
@@ -87,24 +103,31 @@ class _PolyBase:
 
     @classmethod
     def zero(cls, space: PolySpace):
-        return cls((), space)
+        return cls._from(((),) * space.N, 1, space)
 
     @property
     def degree(self) -> int:
-        return len(self.mats) - 1
+        return len(self.mat.num[0]) // self._width(self.space) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.mats
+        return not self.mat.num[0]
 
     def _zero(self) -> RatMatrix:
-        return RatMatrix.zeros(*self._shape(self.space))
+        return RatMatrix.zeros(self.space.N, self._width(self.space))
 
     def mat_at(self, i: int) -> RatMatrix:
         """The RatMatrix coefficient of x^i (zero above the degree)."""
         if i < 0:
             raise ValueError("coefficient index must be >= 0")
-        return self.mats[i] if i <= self.degree else self._zero()
+        if i > self.degree:
+            return self._zero()
+        w = self._width(self.space)
+        return RatMatrix._normal(tuple(row[i * w:i * w + w] for row in self.mat.num), self.mat.den)
+
+    @property
+    def mats(self) -> tuple:
+        return tuple(map(self.mat_at, range(self.degree + 1)))
 
     @property
     def coeffs(self) -> tuple:
@@ -114,46 +137,56 @@ class _PolyBase:
         return self._out(self.mat_at(i))
 
     def leading(self):
-        return self._out(self.mats[-1] if self.mats else self._zero())
+        return self._out(self.mat_at(max(self.degree, 0)))
 
     def eval(self, x):
-        """Exact Horner evaluation at a rational point."""
+        """Exact evaluation at a rational point: sum_i p^i q^(K-i) r_i / q^K at x = p/q."""
         x = rat(x)
-        acc = self._zero()
-        for v in reversed(self.mats):
-            acc = acc.scale(x) + v
-        return self._out(acc)
+        p, q = x.numerator, x.denominator
+        w, K = self._width(self.space), self.degree
+        wts = [p**i * q**(K - i) for i in range(K + 1)]
+        num = tuple(tuple(sum(map(mul, wts, row[c::w])) for c in range(w))
+                    for row in self.mat.num)
+        return self._out(RatMatrix._normal(num, self.mat.den * q ** max(K, 0)))
 
     # -- ring operations ------------------------------------------------
 
     def add(self, other):
         self._check_space(other)
-        a, b = self.mats, other.mats
-        if len(a) < len(b):
+        a, b = self.mat, other.mat
+        if a.ncols < b.ncols:
             a, b = b, a
-        return self.from_mats([x + y for x, y in zip(a, b)] + list(a[len(b):]), self.space)
+        den = lcm(a.den, b.den)
+        fa, fb = den // a.den, den // b.den
+        pad = (0,) * (a.ncols - b.ncols)
+        return self._from(tuple(tuple(fa * x + fb * y for x, y in zip(ra, rb + pad))
+                                for ra, rb in zip(a.num, b.num)), den, self.space)
 
     def scale(self, c):
         c = rat(c)
-        return self.from_mats((v.scale(c) for v in self.mats), self.space)
+        return self._from(tuple(tuple(c.numerator * e for e in row) for row in self.mat.num),
+                          self.mat.den * c.denominator, self.space)
 
     def mul_by_x(self):
-        return self.from_mats((self._zero(),) + self.mats, self.space)
+        z = (0,) * self._width(self.space)
+        return self._from(tuple(z + row for row in self.mat.num), self.mat.den, self.space)
 
     def mul_by_Q(self):
-        """Multiply by the fixed quadratic Q = x^2 - 1."""
-        z = self._zero()
-        out = [-v for v in self.mats] + [z, z]
-        for i, v in enumerate(self.mats):
-            out[i + 2] = out[i + 2] + v
-        return self.from_mats(out, self.space)
+        """Multiply by the fixed quadratic Q = x^2 - 1: block i is r_{i-2} - r_i."""
+        z = (0,) * (2 * self._width(self.space))
+        return self._from(tuple(tuple(b - a for a, b in zip(row + z, z + row))
+                                for row in self.mat.num), self.mat.den, self.space)
 
     def d_dx(self):
-        return self.from_mats((v.scale(i) for i, v in enumerate(self.mats) if i), self.space)
+        w = self._width(self.space)
+        facs = [i for i in range(1, self.degree + 1) for _ in range(w)]
+        return self._from(tuple(tuple(map(mul, facs, row[w:])) for row in self.mat.num),
+                          self.mat.den, self.space)
 
     def lmul(self, M: RatMatrix):
         """Apply a constant operator to every coefficient from the left."""
-        return self.from_mats((M @ v for v in self.mats), self.space)
+        P = M @ self.mat
+        return self._from(P.num, P.den, self.space)
 
     def __add__(self, other):
         return self.add(other)
@@ -162,17 +195,18 @@ class _PolyBase:
         return self.add(-other)
 
     def __neg__(self):
-        return self.from_mats((-v for v in self.mats), self.space)
+        return self._from(tuple(tuple(-e for e in row) for row in self.mat.num),
+                          self.mat.den, self.space)
 
     def __eq__(self, other) -> bool:
         return (
             type(other) is type(self)
             and self.space == other.space
-            and self.mats == other.mats
+            and self.mat == other.mat
         )
 
     def __hash__(self) -> int:
-        return hash((type(self).__name__, self.space, self.mats))
+        return hash((type(self).__name__, self.space, self.mat))
 
     def _check_space(self, other) -> None:
         if type(other) is not type(self):
@@ -184,6 +218,8 @@ class _PolyBase:
 class OpPoly(_PolyBase):
     """Operator-valued polynomial in x over a fixed coefficient space."""
 
+    __slots__ = ()
+
     @staticmethod
     def constant(M: RatMatrix, space: PolySpace) -> "OpPoly":
         return OpPoly((M,), space)
@@ -193,126 +229,114 @@ class OpPoly(_PolyBase):
         return OpPoly((RatMatrix.identity(space.N),), space)
 
     @staticmethod
-    def _shape(space: PolySpace) -> tuple[int, int]:
-        return (space.N, space.N)
+    def _width(space: PolySpace) -> int:
+        return space.N
+
+    def _times(self, M: RatMatrix, cls):
+        """Every coefficient times M from the right: one product on the stacked blocks."""
+        N, K = self.space.N, self.degree
+        if K < 0:
+            return cls.zero(self.space)
+        num = self.mat.num
+        stacked = RatMatrix._normal(tuple(row[i * N:i * N + N] for i in range(K + 1)
+                                          for row in num), self.mat.den)
+        P = stacked @ M
+        return cls._from(tuple(sum((P.num[i * N + p] for i in range(K + 1)), ())
+                               for p in range(N)), P.den, self.space)
 
     def rmul(self, M: RatMatrix) -> "OpPoly":
         """Multiply every coefficient by a constant operator on the right."""
-        return OpPoly.from_mats((v @ M for v in self.mats), self.space)
+        return self._times(M, OpPoly)
 
     def apply_to(self, q: Sequence) -> "VectorPoly":
         """Coefficient-wise application to a constant vector."""
         if len(q) != self.space.N:
             raise ValueError(f"vector length {len(q)} != space dimension {self.space.N}")
-        col = RatMatrix.column(q)
-        return VectorPoly.from_mats((v @ col for v in self.mats), self.space)
+        return self._times(RatMatrix.column(q), VectorPoly)
 
 
 class VectorPoly(_PolyBase):
-    """Coefficient-vector-valued polynomial in x: one N x 1 column per power.
+    """Coefficient-vector-valued polynomial in x: one column per power.
 
     The constructor takes length-N tuples of rationals; `coeffs`,
     `coeff_at`, `leading` and `eval` return length-N tuples of Fractions.
     """
+
+    __slots__ = ()
+
+    def __init__(self, coeffs: Iterable, space: PolySpace):
+        N = space.N
+        cols = []
+        for v in coeffs:
+            if not isinstance(v, tuple) or len(v) != N:
+                raise ValueError(f"coefficient must be a length-{N} tuple")
+            cols.append(tuple(e if type(e) is Rat else rat(e) for e in v))
+        rows = tuple(zip(*cols)) if cols else ((),) * N
+        den = lcm(*(e.denominator for col in cols for e in col))
+        poly = self._from(tuple(tuple(e.numerator * (den // e.denominator) for e in row)
+                                for row in rows), den, space)
+        if poly.mat.num[0] and len(poly.mat.num[0]) == len(cols):
+            poly.mat.rows = rows  # the entries are the cached Fraction view
+        self._assign(poly.mat, space)
 
     @staticmethod
     def constant(q: Sequence, space: PolySpace) -> "VectorPoly":
         return VectorPoly((tuple(q),), space)
 
     @staticmethod
-    def _shape(space: PolySpace) -> tuple[int, int]:
-        return (space.N, 1)
-
-    @staticmethod
-    def _coerce(v, space: PolySpace) -> RatMatrix:
-        if not isinstance(v, tuple) or len(v) != space.N:
-            raise ValueError(f"coefficient must be a length-{space.N} tuple")
-        return RatMatrix.column(v)
+    def _width(space: PolySpace) -> int:
+        return 1
 
     @staticmethod
     def _out(v: RatMatrix) -> PolyVector:
         return tuple(row[0] for row in v.rows)
 
+    @property
+    def coeffs(self) -> tuple:
+        return tuple(zip(*self.mat.rows))
+
 
 Poly = Union[OpPoly, VectorPoly]
-
-
-def _stencil(D1: RatMatrix, s: int, a: Optional[RatMatrix], D2: RatMatrix,
-             b: Optional[RatMatrix], t: int, c: Optional[RatMatrix]) -> RatMatrix:
-    """(D1 + s) a + D2 b + t c for the diagonal D1 and integers s, t.
-
-    a, b and c are coefficients of one polynomial, so they share a shape;
-    a term whose matrix is None or zero is left out, at least one matrix
-    is given, and with no term left the sum is the zero matrix.  Row p of
-    the sum combines row p of a and of c with the rows of b that D2's row
-    p selects, all over one lcm denominator, and the result is reduced
-    once: no intermediate matrix is built.
-    """
-    nrows, ncols = next(m for m in (a, b, c) if m is not None).shape
-    a, b, c = (None if m is None or m.is_zero else m for m in (a, b, c))
-    if a is b is c is None:
-        return RatMatrix.zeros(nrows, ncols)
-    den = lcm(*(f * m.den for f, m in ((D1.den, a), (D2.den, b), (1, c)) if m is not None))
-    # per row: the weights and the source rows they scale
-    weights = [[] for _ in range(nrows)]
-    sources = [[] for _ in range(nrows)]
-    if a is not None:
-        fa, shift = den // (D1.den * a.den), s * D1.den
-        for p, (d, row) in enumerate(zip(D1.num, a.num)):
-            weights[p].append(fa * (d[p] + shift))
-            sources[p].append(row)
-    if c is not None:
-        h = t * (den // c.den)
-        for ws, srcs, row in zip(weights, sources, c.num):
-            ws.append(h)
-            srcs.append(row)
-    if b is not None:
-        fb, bnum = den // (D2.den * b.den), b.num
-        for ws, srcs, entries in zip(weights, sources, D2.sparse_rows):
-            for q, v in entries:
-                ws.append(fb * v)
-                srcs.append(bnum[q])
-    zero = (0,) * ncols
-    out = []
-    for ws, srcs in zip(weights, sources):
-        if not srcs:
-            out.append(zero)
-        # The cheaper pass depends on the row's shape (BENCH_10.json,
-        # "stencil_branches"): a dot product per column when there are at
-        # least as many source rows as columns (VectorPoly), a scaled pass
-        # per source row when the rows are wider (OpPoly).
-        elif len(srcs) >= ncols:
-            out.append(tuple(sum(map(mul, ws, col)) for col in zip(*srcs)))
-        else:
-            acc = [ws[0] * x for x in srcs[0]]
-            for w, src in zip(ws[1:], srcs[1:]):
-                acc = [x + w * y for x, y in zip(acc, src)]
-            out.append(tuple(acc))
-    return RatMatrix._normal(tuple(out), den)
 
 
 def apply_A(j: int, D1: RatMatrix, D2: RatMatrix, r: Poly) -> Poly:
     """One factor of the product formula: x(2j + D1) r + D2 r + Q r'.
 
-    Computed as the three-term stencil of the module docstring, one
-    reduced matrix per output coefficient; D1 must be diagonal.
+    Computed row by row as in the module docstring, all over one
+    denominator and reduced once; D1 must be diagonal.
     """
     if j < 1:
         raise ValueError(f"factor index must be >= 1, got {j}")
     N = r.space.N
     if D1.diag is None or D1.nrows != N or D2.shape != (N, N):
         raise ValueError(f"apply_A needs a diagonal D1 and a D2 of size {N}")
-    m = r.mats
-    K = len(m) - 1
+    K = r.degree
     if K < 0:
         return r  # A_j maps the zero polynomial to itself
-    return r.from_mats(
-        (_stencil(D1, 2 * j + i - 1, m[i - 1] if i else None,
-                  D2, m[i] if i <= K else None,
-                  -(i + 1), m[i + 1] if i < K else None)
-         for i in range(K + 2)),
-        r.space,
-    )
+    w = r._width(r.space)
+    rnum = r.mat.num
+    # blocks below the lowest nonzero one, lo, add nothing
+    lo = next(i for i in range(K + 1) if any(any(row[i * w:i * w + w]) for row in rnum))
+    srcs = [row[lo * w:] for row in rnum] if lo else rnum
+    L = lcm(D1.den, D2.den)
+    f1, f2 = L // D1.den, L // D2.den
+    # per source column in block m: the factor 2j + m of the D1 term,
+    # landing one block up, and -m of Q r', landing one block down
+    up = [L * (2 * j + m) for m in range(lo, K + 1) for _ in range(w)]
+    down = [-L * m for m in range(lo, K + 1) for _ in range(w)]
+    zeros = [0] * w
+    head = (0,) * (lo * w - w) if lo else ()
+    out = []
+    for p, (src, entries) in enumerate(zip(srcs, D2.sparse_rows)):
+        low = [f * x for f, x in zip(down, src)]  # blocks lo - 1 .. K - 1
+        acc = low[w:] + zeros  # blocks lo .. K
+        for q, v in entries:
+            g = f2 * v
+            acc = [y + g * x for y, x in zip(acc, srcs[q])]
+        a = f1 * D1.num[p][p]
+        out.append(head + (tuple(low[:w]) if lo else ()) + tuple(acc[:w])
+                   + tuple([y + (a + s) * x for y, s, x in zip(acc[w:] + zeros, up, src)]))
+    return r._from(tuple(out), L * r.mat.den, r.space)
 
 
 def _product_apply(D1: RatMatrix, D2: RatMatrix, k: int, seed: Poly) -> Poly:

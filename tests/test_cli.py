@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_golden import DIGESTS, in_process_record, record
 from test_golden import _argv as golden_argv
-from test_structure import _d1_shift_mutant
+from test_structure import _d1_shift_mutant, patch_apply_A
 
 import mvjacobi
 import mvjacobi.operators
@@ -266,7 +266,7 @@ def test_internal_consistency_failure_exits_1_without_traceback(capsys, monkeypa
     # a member construction that fails its own leading-coefficient check
     from mvjacobi import oppoly
 
-    monkeypatch.setattr(oppoly, "_stencil", _d1_shift_mutant(oppoly._stencil, 2, 1))
+    patch_apply_A(monkeypatch, _d1_shift_mutant(oppoly.apply_A, 2, 1))
     build_Pk.cache_clear()
     try:
         code = main(["verify", "--input", str(GOLDEN / "d2n2_nc.json"), "--kmax", "2"])

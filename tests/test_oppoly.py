@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 
 import pytest
@@ -7,10 +8,10 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import composite_apply_A, leibniz_scalar_member, to_sympy, trim
-from test_ratmat import check_normal_and_equal, raw_matrix, sym
+from test_ratmat import raw_matrix, sym
 
 from mvjacobi.operators import ProblemSpec, build_D, dominant_coefficient
-from mvjacobi.oppoly import OpPoly, VectorPoly, _stencil, apply_A, build_Pk
+from mvjacobi.oppoly import OpPoly, VectorPoly, apply_A, build_Pk
 from mvjacobi.polyspace import enumerate_basis
 from mvjacobi.rational import Rat
 from mvjacobi.ratmat import RatMatrix
@@ -176,6 +177,126 @@ def assert_matches(f: VectorPoly, expected: sympy.Matrix) -> None:
     assert to_sympy([f.leading()]).T == top
 
 
+def assert_layout(p, expected: sympy.Matrix) -> None:
+    """p has the value of expected and the unique one-matrix layout.
+
+    p.mat is N x w(K+1) with coefficient i in columns i w .. i w + w - 1,
+    its top block nonzero, in normal form (den 1 for zero); the same value
+    built from its coefficients has the same (num, den) and hash.
+    """
+    N = p.space.N
+    w = N if isinstance(p, OpPoly) else 1
+    expected = expected.expand()
+    K = max((sympy.degree(e, X) for e in expected if e != 0), default=-1)
+    blocks = [expected.applyfunc(lambda e: e.coeff(X, i)) for i in range(K + 1)]
+    M = p.mat
+    assert p.degree == K and M.shape == (N, w * (K + 1))
+    assert M.den > 0 and gcd(M.den, *chain.from_iterable(M.num)) == 1
+    if K < 0:
+        assert M.den == 1
+    else:
+        assert any(any(row[-w:]) for row in M.num)
+        assert sympy.Matrix(M.num) / M.den == sympy.Matrix.hstack(*blocks)
+    rebuilt = type(p).from_mats([RatMatrix([[Fraction(int(e.p), int(e.q)) for e in b.row(r)]
+                                            for r in range(N)]) for b in blocks], p.space)
+    assert (rebuilt.mat.num, rebuilt.mat.den) == (M.num, M.den)
+    assert rebuilt == p and hash(rebuilt) == hash(p)
+    assert tuple(to_sympy(m) for m in p.mats) == tuple(blocks)
+
+
+def sym_poly(p) -> sympy.Matrix:
+    """sum_i p_i x^i as a sympy matrix, from the coefficient views."""
+    return sum((to_sympy(m) * X**i for i, m in enumerate(p.mats)), sympy.zeros(*p.mat_at(0).shape))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_ring_operations_match_sympy(data):
+    # d, n in {1, 2, 3} (N up to 30), both kinds, zero coefficients, and a
+    # D2 with whole zero rows
+    d, n = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    space = enumerate_basis(d, n)
+    N = space.N
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    kind = data.draw(st.sampled_from(["op", "vector"]))
+    top = 3 if N <= 9 else 1
+    make = random_op_poly if kind == "op" else random_vector_poly
+
+    def poly():
+        deg = data.draw(st.integers(-1, top))
+        if deg < 0:
+            return (OpPoly if kind == "op" else VectorPoly).zero(space)
+        r = make(rng, space, deg)
+        zeroed = data.draw(st.lists(st.booleans(), min_size=deg + 1, max_size=deg + 1))
+        z = r.mat_at(deg + 1)
+        return r.from_mats([z if zero else m for zero, m in zip(zeroed, r.mats)], space)
+
+    f, g = poly(), poly()
+    F, G = sym_poly(f), sym_poly(g)
+    c, x0 = data.draw(small), data.draw(small)
+    M = random_matrix(rng, N)
+    assert_layout(f, F)
+    assert_layout(f.add(g), F + G)
+    assert_layout(f - g, F - G)
+    assert_layout(f - f, F - F)
+    assert_layout(-f, -F)
+    assert_layout(f.scale(c), F * sym_rat(c))
+    assert_layout(f.scale(0), F * 0)
+    assert_layout(f.mul_by_x(), F * X)
+    assert_layout(f.mul_by_Q(), F * (X**2 - 1))
+    assert_layout(f.d_dx(), F.diff(X))
+    assert_layout(f.lmul(M), to_sympy(M) * F)
+    singular = RatMatrix([row if i else (0,) * N for i, row in enumerate(M.rows)])
+    assert_layout(f.lmul(singular), to_sympy(singular) * F)
+    value = f.eval(x0)
+    expected = F.subs(X, sym_rat(x0))
+    assert (to_sympy(value) if kind == "op" else to_sympy([value]).T) == expected
+    if kind == "op":
+        assert_layout(f.rmul(M), F * to_sympy(M))
+        assert_layout(f.rmul(singular.scale(0)), F * 0)
+        q = random_vector(rng, N)
+        assert_layout(f.apply_to(q), F * to_sympy([q]).T)
+    spec = random_problem_spec(rng, d, n, commutative=data.draw(st.booleans()))
+    D1, D2 = build_D(spec, 1), build_D(spec, 2)
+    if data.draw(st.booleans()):
+        D2 = RatMatrix([row if rng.random() < 0.5 else (0,) * N for row in D2.rows])
+    j = data.draw(st.integers(1, 6))
+    A = apply_A(j, D1, D2, f)
+    assert type(A) is type(f)
+    assert_layout(A, X * (to_sympy(D1) + 2 * j * sympy.eye(N)) * F + to_sympy(D2) * F
+                  + (X**2 - 1) * F.diff(X))
+
+
+@pytest.mark.parametrize("kind", [OpPoly, VectorPoly])
+def test_equal_values_share_one_normal_form(space, kind):
+    N = space.N
+    w = N if kind is OpPoly else 1
+    rng = random.Random(14)
+    a = RatMatrix([[Rat(rng.randint(-9, 9), 6) for _ in range(w)] for _ in range(N)])
+    b = RatMatrix([[Rat(rng.randint(-9, 9), 4) for _ in range(w)] for _ in range(N)])
+    z = RatMatrix.zeros(N, w)
+    p = kind.from_mats([a, z, b], space)
+    routes = [
+        kind.from_mats([a, z, b, z, z], space),              # trailing zero blocks
+        kind.from_mats([a], space).add(kind.from_mats([z, z, b], space)),
+        kind.from_mats([a.scale(3), z, b.scale(3)], space).scale(Rat(1, 3)),
+        kind.from_mats([b], space).mul_by_x().mul_by_x().add(kind.from_mats([a], space)),
+        -(-p),
+    ]
+    if kind is VectorPoly:
+        routes.append(VectorPoly([tuple(r[0] for r in m.rows) for m in (a, z, b, z)], space))
+    else:
+        routes.append(OpPoly((a, z, b, z), space))
+    for q in routes:
+        assert (q.mat.num, q.mat.den) == (p.mat.num, p.mat.den)
+        assert q == p and hash(q) == hash(p)
+    zero = kind.zero(space)
+    for q in (p - p, p.add(-p), p.scale(0), kind.from_mats([z, z], space), p.d_dx().d_dx().d_dx()):
+        assert q.is_zero and q.degree == -1
+        assert (q.mat.num, q.mat.den) == (zero.mat.num, zero.mat.den) == (((),) * N, 1)
+        assert q == zero and hash(q) == hash(zero)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_vector_poly_matches_sympy_columns(data):
@@ -261,7 +382,7 @@ def test_apply_A_stencil_matches_composite_formula(data):
 
 @pytest.mark.parametrize("deg", [0, 1, 4])
 @pytest.mark.parametrize("kind", ["op", "vector"])
-def test_apply_A_normalises_once_per_output_coefficient(monkeypatch, deg, kind):
+def test_apply_A_normalises_once_per_application(monkeypatch, deg, kind):
     rng = random.Random(12)
     spec = random_problem_spec(rng, 2, 2)
     D1, D2 = build_D(spec, 1), build_D(spec, 2)
@@ -286,27 +407,28 @@ def test_apply_A_normalises_once_per_output_coefficient(monkeypatch, deg, kind):
     monkeypatch.setattr(RatMatrix, "__add__", forbidden("__add__"))
     got = apply_A(3, D1, D2, r)
     monkeypatch.undo()
-    assert calls == {"_normal": deg + 2, "__matmul__": 0, "__add__": 0}
+    assert calls == {"_normal": 1, "__matmul__": 0, "__add__": 0}
     assert got == want
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_stencil_matches_sympy(data):
-    n, m = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
-    d1, d2 = data.draw(raw_matrix(n, n, True)), data.draw(raw_matrix(n, n))
-    s, t = data.draw(st.integers(-6, 6)), data.draw(st.integers(-6, 6))
-    present = data.draw(st.lists(st.booleans(), min_size=3, max_size=3).filter(any))
-    terms = [data.draw(raw_matrix(n, m)) if p else None for p in present]
-    a, b, c = (None if x is None else RatMatrix(x) for x in terms)
-    expected = sympy.zeros(n, m)
-    if a is not None:
-        expected += (sym(d1) + s * sympy.eye(n)) * sym(terms[0])
-    if b is not None:
-        expected += sym(d2) * sym(terms[1])
-    if c is not None:
-        expected += t * sym(terms[2])
-    check_normal_and_equal(_stencil(RatMatrix(d1), s, a, RatMatrix(d2), b, t, c), expected)
+def test_apply_A_matches_sympy(data):
+    # raw D1 (diagonal) and D2 with whole zero rows, coefficients with
+    # zero rows and zero blocks, against x(2j + D1) r + D2 r + Q r'
+    space = enumerate_basis(data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2)))
+    N = space.N
+    kind = data.draw(st.sampled_from([OpPoly, VectorPoly]))
+    w = N if kind is OpPoly else 1
+    d1, d2 = data.draw(raw_matrix(N, N, True)), data.draw(raw_matrix(N, N))
+    terms = [data.draw(raw_matrix(N, w)) for _ in range(data.draw(st.integers(0, 3)))]
+    r = kind.from_mats([RatMatrix(t) for t in terms], space)
+    j = data.draw(st.integers(1, 6))
+    R = sympy.zeros(N, w)
+    for i, t in enumerate(terms):
+        R += sym(t) * X**i
+    want = X * (sym(d1) + 2 * j * sympy.eye(N)) * R + sym(d2) * R + (X**2 - 1) * R.diff(X)
+    assert_layout(apply_A(j, RatMatrix(d1), RatMatrix(d2), r), want)
 
 
 @settings(max_examples=60, deadline=None)
@@ -329,18 +451,29 @@ def test_apply_A_with_zero_coefficients_matches_composite_formula(data):
     assert apply_A(j, D1, D2, r) == composite_apply_A(j, D1, D2, r)
 
 
-def test_stencil_treats_a_zero_term_as_absent():
-    D1 = RatMatrix.diagonal([Rat(1, 2), Rat(-1, 3)])
-    D2 = RatMatrix([[0, Rat(1, 5)], [Rat(2, 7), 1]])
-    M = RatMatrix([[Rat(1, 3), 2], [0, Rat(-1, 2)]])
-    for shape in ((2, 2), (2, 1)):
-        Z = RatMatrix.zeros(*shape)
-        out = _stencil(D1, 3, Z, D2, Z, -2, Z)
-        assert (out.num, out.den) == (Z.num, 1)
-        assert _stencil(D1, 3, None, D2, Z, -2, None) == Z
-    Z = RatMatrix.zeros(2)
-    assert _stencil(D1, 3, M, D2, Z, -2, None) == _stencil(D1, 3, M, D2, None, -2, None)
-    assert _stencil(D1, 3, Z, D2, M, -2, Z) == D2 @ M
+def test_apply_A_treats_a_zero_term_as_absent():
+    space = enumerate_basis(2, 1)  # N = 4
+    D1 = RatMatrix.diagonal([Rat(1, 2), Rat(-1, 3), 2, 0])
+    D2 = RatMatrix([[0, Rat(1, 5), 0, 1], [0] * 4, [Rat(2, 7), 1, 0, 0], [0, 0, 3, 0]])
+    M = RatMatrix([[Rat(1, 3), 2, 0, 0], [0] * 4, [0, Rat(-1, 2), 1, 0], [1, 0, 0, 1]])
+    Z = RatMatrix.zeros(4)
+    for kind, m in ((OpPoly, M), (VectorPoly, RatMatrix([[Rat(1, 3)], [0], [0], [2]]))):
+        zero = kind.zero(space)
+        out = apply_A(3, D1, D2, zero)
+        assert out.is_zero and (out.mat.num, out.mat.den) == (((),) * 4, 1)
+        z = RatMatrix.zeros(*m.shape)
+        for blocks in ([z, z, m], [m, z, z], [z, m], [m]):
+            r = kind.from_mats(blocks, space)
+            assert apply_A(3, D1, D2, r) == composite_apply_A(3, D1, D2, r)
+            assert apply_A(3, D1, Z, r) == composite_apply_A(3, D1, Z, r)
+    # with D1 + 2j + K zero, the top output block vanishes and is trimmed
+    r = OpPoly.from_mats([M, Z, M], space)
+    minus = RatMatrix.diagonal([-4] * 4)
+    out = apply_A(1, minus, D2, r)
+    assert out.degree == 2 and out == composite_apply_A(1, minus, D2, r)
+    assert apply_A(2, minus, D2, OpPoly.constant(M, space)) == OpPoly.constant(D2 @ M, space)
+    out = apply_A(2, minus, Z, OpPoly.constant(M, space))
+    assert out.is_zero and (out.mat.num, out.mat.den) == (((),) * 4, 1)
 
 
 def test_apply_A_needs_a_diagonal_D1_and_matching_sizes():

@@ -493,12 +493,26 @@ def test_verify_product_identities_applies_each_factor_once(monkeypatch):
 
 
 def _d1_shift_mutant(real, j, i):
-    """_stencil with its D1 shift off by one at factor j, output coefficient i only."""
-    def stencil(D1, s, a, D2, b, t, c):
-        if (s, t) == (2 * j + i - 1, -(i + 1)):
-            s += 1
-        return real(D1, s, a, D2, b, t, c)
-    return stencil
+    """apply_A with its D1 shift off by one at factor j, output coefficient i only.
+
+    The shift adds r_{i-1} to coefficient i of A_j r, so the mutant adds
+    x^i r_{i-1} to the true factor.
+    """
+    def mutant(jj, D1, D2, r):
+        out = real(jj, D1, D2, r)
+        if jj != j:
+            return out
+        extra = r.from_mats([r.mat_at(i - 1)], r.space)
+        for _ in range(i):
+            extra = extra.mul_by_x()
+        return out.add(extra)
+    return mutant
+
+
+def patch_apply_A(monkeypatch, fn):
+    """Replace apply_A in oppoly (members, k-fold products) and in structure."""
+    monkeypatch.setattr(oppoly, "apply_A", fn)
+    monkeypatch.setattr(structure, "apply_A", fn)
 
 
 # Output coefficient 0 has no D1 term (it would scale r_{-1}), so a shift
@@ -511,7 +525,7 @@ def test_verify_product_identities_catches_every_d1_shift_mutant(monkeypatch, j,
         # cache the true members: a mutant build_Pk would stop at its own
         # leading-coefficient check, and the test is about the basis checks
         build_Pk(spec, k)
-    monkeypatch.setattr(oppoly, "_stencil", _d1_shift_mutant(oppoly._stencil, j, i))
+    patch_apply_A(monkeypatch, _d1_shift_mutant(oppoly.apply_A, j, i))
     report = verify_product_identities(spec)
     failed = [item.name for item in report.items if not item.passed]
     assert f"x^{i - 1} I: factor j={j} on x r" in failed, failed
