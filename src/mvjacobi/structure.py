@@ -64,13 +64,22 @@ def _certified_inverse(op: RatMatrix, name: str, spec: ProblemSpec) -> RatMatrix
     )
 
 
+@lru_cache(maxsize=None)
+def _recurrence_products(spec: ProblemSpec) -> tuple[RatMatrix, RatMatrix]:
+    """D2 D2 and D1 D2 + D2 D1: the k-invariant products of the three equations."""
+    D1 = build_D(spec, 1)
+    D2 = build_D(spec, 2)
+    return D2 @ D2, D1 @ D2 + D2 @ D1
+
+
 def _solve_recurrence(spec: ProblemSpec, k: int) -> RecurrenceCoeffs:
     """alpha_k, beta_k, gamma_k from the three coefficient equations, unchecked."""
     if k < 0:
         raise ValueError("k must be >= 0")
     D1 = build_D(spec, 1)
     D2 = build_D(spec, 2)
-    inv2 = _certified_inverse(D1.plus_scalar(2 * k + 2), f"D1 + 2k + 2 at k = {k}", spec)
+    shift2 = D1.plus_scalar(2 * k + 2)
+    inv2 = _certified_inverse(shift2, f"D1 + 2k + 2 at k = {k}", spec)
     if k == 0:
         # (D1+1) cancels against its inverse in alpha_0 (D1 is diagonal), so
         # it must not be inverted here: the shift 1 is outside the
@@ -79,11 +88,12 @@ def _solve_recurrence(spec: ProblemSpec, k: int) -> RecurrenceCoeffs:
     inv1 = _certified_inverse(D1.plus_scalar(2 * k + 1), f"D1 + 2k + 1 at k = {k}", spec)
     alpha = inv1 @ inv2 @ D1.plus_scalar(k + 1)
     inv0 = _certified_inverse(D1.plus_scalar(2 * k), f"D1 + 2k at k = {k}", spec)
-    mid = D2.scale(4 * k + 2) + D1 @ D2 + D2 @ D1
+    D2D2, D1D2 = _recurrence_products(spec)
+    mid = D2.scale(4 * k + 2) + D1D2
     beta = inv0 @ (D2 - mid @ alpha)
     gamma = (
         RatMatrix.identity(spec.space.N).scale(k - 1)
-        - (D2 @ D2 - D1.plus_scalar(2 * k + 2)) @ alpha
+        - (D2D2 - shift2) @ alpha
         - D2 @ beta
     )
     return RecurrenceCoeffs(k, alpha, beta, gamma)
@@ -125,15 +135,16 @@ def verify_recurrence(spec: ProblemSpec, k_max: int) -> CheckReport:
     D1 = build_D(spec, 1)
     D2 = build_D(spec, 2)
     I = RatMatrix.identity(spec.space.N)
+    D2D2, D1D2 = _recurrence_products(spec)
     for k in range(k_max + 1):
         rc = _solve_recurrence(spec, k)
         report.add(f"k={k} two-step recurrence", _recurrence_holds(spec, rc))
-        e1 = D1.plus_scalar(2 * k + 1) @ D1.plus_scalar(2 * k + 2) @ rc.alpha
+        shift2 = D1.plus_scalar(2 * k + 2)
+        e1 = D1.plus_scalar(2 * k + 1) @ shift2 @ rc.alpha
         report.add(f"k={k} x^2 coefficient equation", e1 == D1.plus_scalar(k + 1))
-        mid = D2.scale(4 * k + 2) + D1 @ D2 + D2 @ D1
-        e2 = mid @ rc.alpha + D1.plus_scalar(2 * k) @ rc.beta
+        e2 = (D2.scale(4 * k + 2) + D1D2) @ rc.alpha + D1.plus_scalar(2 * k) @ rc.beta
         report.add(f"k={k} x coefficient equation", e2 == D2)
-        e3 = (D2 @ D2 - D1.plus_scalar(2 * k + 2)) @ rc.alpha + D2 @ rc.beta + rc.gamma
+        e3 = (D2D2 - shift2) @ rc.alpha + D2 @ rc.beta + rc.gamma
         report.add(f"k={k} constant coefficient equation", e3 == I.scale(k - 1))
     return report
 
