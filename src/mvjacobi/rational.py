@@ -12,6 +12,7 @@ Floats never enter here; the numeric layer converts explicitly.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction as Rat
 
 ZERO = Rat(0)
@@ -25,6 +26,11 @@ def rat(value) -> Rat:
     return Rat(value)
 
 
+# ASCII digits only: int() alone would also take "1_000", " 1 " around the
+# slash, other scripts' digits and a signed denominator
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_rational(text: str) -> Rat:
     """Parse a "p/q" or "p" string, rejecting malformed or zero-denominator input."""
     if not isinstance(text, str):
@@ -32,13 +38,10 @@ def parse_rational(text: str) -> Rat:
         if isinstance(text, int) and not isinstance(text, bool):
             return Rat(text)
         raise ValueError(f"expected a rational string, got {type(text).__name__}")
-    s = text.strip()
-    num, sep, den = s.partition("/")
-    try:
-        p = int(num)
-        q = int(den) if sep else 1
-    except ValueError:
-        raise ValueError(f"malformed rational {text!r}") from None
+    m = _RATIONAL.fullmatch(text.strip())
+    if m is None:
+        raise ValueError(f"malformed rational {text!r}")
+    p, q = int(m[1]), int(m[2] or 1)
     if q == 0:
         raise ValueError(f"zero denominator in rational {text!r}")
     return Rat(p, q)

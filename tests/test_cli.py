@@ -119,6 +119,17 @@ def test_compute_result_file_roundtrips_exactly(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("text", ["1_000", "1 / 2", "\u0663", "\uff11/2", "3/-4"])
+def test_rational_strings_are_ascii_p_over_q(tmp_path, capsys, text):
+    # int() takes underscores, spaces, other scripts' digits and a signed
+    # denominator; a file entry is only [+-]?[0-9]+(/[0-9]+)?
+    path = write_json(tmp_path / "a.json", dict(LEGENDRE, A=[[text]]))
+    assert main(["compute", "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: malformed rational {text!r}\n"
+
+
 def test_compute_rejects_malformed_input(tmp_path, capsys):
     bad = dict(LEGENDRE, A=[["1/0"]])
     assert main(["compute", "--input", write_json(tmp_path / "a.json", bad)]) == 2

@@ -20,8 +20,10 @@ def test_parse_basic_forms():
     assert parse_rational("-7") == Rat(-7)
     assert parse_rational("0") == ZERO
     assert parse_rational(" 2/6 ") == Rat(1, 3)
-    assert parse_rational("-2/-4") == Rat(1, 2)
+    assert parse_rational("+3/6") == Rat(1, 2)
     assert parse_rational(5) == Rat(5)
+    with pytest.raises(ValueError, match="malformed rational"):
+        parse_rational("-2/-4")  # the denominator takes no sign
 
 
 @pytest.mark.parametrize("bad", ["", "1/0", "0/0", "a/b", "1.5", "1/2/3", "1//2", None, 2.5,
