@@ -140,14 +140,12 @@ class _PolyBase:
         return self._out(self.mat_at(max(self.degree, 0)))
 
     def eval(self, x):
-        """Exact evaluation at a rational point: sum_i p^i q^(K-i) r_i / q^K at x = p/q."""
+        """Exact Horner evaluation at a rational point."""
         x = rat(x)
-        p, q = x.numerator, x.denominator
-        w, K = self._width(self.space), self.degree
-        wts = [p**i * q**(K - i) for i in range(K + 1)]
-        num = tuple(tuple(sum(map(mul, wts, row[c::w])) for c in range(w))
-                    for row in self.mat.num)
-        return self._out(RatMatrix._normal(num, self.mat.den * q ** max(K, 0)))
+        acc = self._zero()
+        for v in reversed(self.mats):
+            acc = acc.scale(x) + v
+        return self._out(acc)
 
     # -- ring operations ------------------------------------------------
 
@@ -218,8 +216,6 @@ class _PolyBase:
 class OpPoly(_PolyBase):
     """Operator-valued polynomial in x over a fixed coefficient space."""
 
-    __slots__ = ()
-
     @staticmethod
     def constant(M: RatMatrix, space: PolySpace) -> "OpPoly":
         return OpPoly((M,), space)
@@ -261,8 +257,6 @@ class VectorPoly(_PolyBase):
     The constructor takes length-N tuples of rationals; `coeffs`,
     `coeff_at`, `leading` and `eval` return length-N tuples of Fractions.
     """
-
-    __slots__ = ()
 
     def __init__(self, coeffs: Iterable, space: PolySpace):
         N = space.N
