@@ -10,7 +10,9 @@ appears only at the boundary: the constructor's entries, the cached
 reads int and Fraction entries' numerators and builds no Fraction.
 Coefficient vectors are N x 1 matrices, so a matrix-vector product is
 `@` on a column.  Diagonal matrices are detected once and get O(N^2)
-fast paths in the product.  `sparse_rows` is a cached view of each
+fast paths in the product; otherwise a left row with at most a third
+of its entries nonzero (a row of D2, or of a diagonal coefficient inside
+a polynomial's matrix) adds up the right operand's rows it selects.  `sparse_rows` is a cached view of each
 row's nonzero (column, numerator) pairs, for products that should skip
 the zeros of a sparse operator such as D2.
 
@@ -179,9 +181,22 @@ class RatMatrix:
         if other.diag is not None:
             d = [row[j] for j, row in enumerate(other.num)]
             return RatMatrix._normal(tuple(tuple(map(mul, row, d)) for row in self.num), den)
-        cols = tuple(zip(*other.num))
-        return RatMatrix._normal(
-            tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in self.num), den)
+        onum = other.num
+        cols = tuple(zip(*onum))
+        zero = (0,) * len(cols)
+        out = []
+        for row in self.num:
+            # a row of at most one third nonzeros sums the rows of other it
+            # selects; a denser one takes a dot product per column
+            if 3 * row.count(0) >= 2 * len(row):
+                acc = zero
+                for c, e in enumerate(row):
+                    if e:
+                        acc = [a + e * b for a, b in zip(acc, onum[c])]
+                out.append(tuple(acc))
+            else:
+                out.append(tuple(sum(map(mul, row, col)) for col in cols))
+        return RatMatrix._normal(tuple(out), den)
 
     def apply(self, vec: Sequence) -> tuple:
         """Matrix-vector product as a tuple of Rat: `@` on the column of vec."""

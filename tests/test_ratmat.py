@@ -287,6 +287,28 @@ def test_products_match_sympy(data):
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
+def test_products_with_sparse_left_rows_match_sympy(data):
+    # rows with at most a third nonzeros (several of them, at widths up
+    # to 12) sum the right operand's rows; the others take dot products
+    n, width, p = data.draw(st.integers(1, 4)), data.draw(st.integers(3, 12)), data.draw(st.integers(1, 6))
+    a = []
+    for _ in range(n):
+        nnz = data.draw(st.integers(0, width))
+        where = data.draw(st.sets(st.integers(0, width - 1), min_size=nnz, max_size=nnz))
+        a.append([data.draw(mixed.filter(bool)) if c in where else Fraction(0)
+                  for c in range(width)])
+    b = data.draw(raw_matrix(width, p))
+    check_normal_and_equal(RatMatrix(a) @ RatMatrix(b), sym(a) * sym(b))
+    # a square left operand whose rows are one unit each: x^i I inside a polynomial
+    perm = data.draw(st.permutations(range(width)))
+    unit = [[Fraction(int(c == perm[r])) for c in range(width)] for r in range(width)]
+    unit[0][perm[0]] = Fraction(0)  # not a permutation matrix, so no diagonal path
+    unit[0][(perm[0] + 1) % width] = Fraction(3, 2)
+    check_normal_and_equal(RatMatrix(unit) @ RatMatrix(b), sym(unit) * sym(b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
 def test_ring_operations_and_apply_match_sympy(data):
     n, m = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
     a, b = data.draw(raw_matrix(n, m)), data.draw(raw_matrix(n, m))
