@@ -386,7 +386,7 @@ def verify_trace_legendre(spec: ProblemSpec, k_max: int) -> CheckReport:
         legendre = classical_jacobi(k, 0, 0)
         ck = 2**k * factorial(k)
         bad = set()
-        for i in range(max(len(P.mats), len(legendre))):
+        for i in range(max(P.degree + 1, len(legendre))):
             coeff = legendre[i] if i < len(legendre) else 0
             diff = t @ P.mat_at(i) - t.scale(ck * coeff)
             bad.update(p for p, e in enumerate(diff.num[0]) if e)
