@@ -12,9 +12,10 @@ Coefficient vectors are N x 1 matrices, so a matrix-vector product is
 `@` on a column.  Diagonal matrices are detected once and get O(N^2)
 fast paths in the product; otherwise a left row with at most a third
 of its entries nonzero (a row of D2, or of a diagonal coefficient inside
-a polynomial's matrix) adds up the right operand's rows it selects.  `sparse_rows` is a cached view of each
-row's nonzero (column, numerator) pairs, for products that should skip
-the zeros of a sparse operator such as D2.
+a polynomial's matrix) adds up the right operand's rows it selects.
+`sparse_rows` is a cached view of each row's nonzero (column,
+numerator) pairs, for products that should skip the zeros of a sparse
+operator such as D2.
 
 Inversion is diagonal-only: A + B is required to be diagonal, so the
 derivation D1 and every shift or product of shifts of it is diagonal,
