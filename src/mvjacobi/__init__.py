@@ -5,7 +5,7 @@ vector-valued homogeneous polynomials, built from the residue pair of a
 two-singularity first-order system by a nested product of first-order
 factors.  The package constructs them over exact rationals, provides
 their recurrence, expansion, shifted-family and scalar-reduction
-structure, and checks the weighted-integral statements numerically.
+structure, and checks its weighted-integral statements.
 
 The package exports only the names the README documents: ProblemSpec,
 RatMatrix, Rat, OpPoly, VectorPoly, apply_A, build_Pk, build_tilde_Pk,

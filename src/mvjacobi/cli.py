@@ -398,8 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--side", choices=("right", "left"), required=True)
     p.add_argument("--tol", type=float, default=1e-8,
-                   help="vanishing tolerance of noncommutative problems "
-                        "(commutative ones are decided exactly)")
+                   help="accuracy target of a noncommutative problem's reported "
+                        "value (every claim is decided exactly)")
     p.set_defaults(func=cmd_quadrature)
     return parser
 

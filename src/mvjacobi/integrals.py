@@ -1,24 +1,28 @@
 """Quasi-orthogonality integrals and their integrability gate, without numpy.
 
-When both residues are diagonal, every P_k is diagonal and each channel
-of the integral is a polynomial against a Jacobi weight with exact
-exponents: a rational multiple of the Jacobi mass, so vanishing is
-decided exactly.  Other problems are integrated in floats by
-mvjacobi.numeric, which only they load, and numpy with it; their gate
-refuses heuristic endpoint exponents at or below -1/2, where the
-endpoint cap of the fundamental matrix biases the integral.
+The weight satisfies Q W' = W (x D1 + D2), Q = x^2 - 1.  Integrating
+x^m Q W' by parts (the boundary terms vanish when every endpoint exponent
+exceeds -1) gives int x^m W = mu_0 R_m with exact ratios R_m and
+mu_0 = int W.  With E_{s,h} = sum_t R_{s+t} P_h[t], int P_j W P_k is
+sum_s P_j[s] mu_0 E_{s,k} and int W P_j P_k is sum_t mu_0 E_{t,j} P_k[t],
+so a one-sided claim passes exactly when the E it needs are zero.  mu_0
+enters only a nonzero value: one Jacobi mass per channel when both
+residues are diagonal, else a tanh-sinh integral in mvjacobi.numeric,
+which only those problems load, and numpy with it.  Their endpoint
+exponents are heuristic estimates, and the gate refuses any <= -1/2.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import add
 from typing import NamedTuple, Optional
 
-from .operators import ProblemSpec, basis_exponents
+from .operators import ProblemSpec, _certified_inverse, basis_exponents, build_D
 from .oppoly import build_Pk
 from .polyspace import PolySpace
-from .rational import ONE
+from .ratmat import RatMatrix
 
 
 def _check_tolerance(name: str, value: float) -> None:
@@ -125,19 +129,6 @@ def integrability_check(spec: ProblemSpec, space: PolySpace,
     )
 
 
-def _jacobi_moments(a, b, count: int) -> list:
-    """mu_m = int x^m w / int w for w = (1-x)^a (1+x)^b, a, b > -1, m < count.
-
-    Integrating d/dx [(1 - x^2) w x^m] over (-1, 1) gives mu_0 = 1 and
-    (a + b + m + 2) mu_{m+1} = (b - a) mu_m + m mu_{m-1}.
-    """
-    mu = [ONE]
-    for m in range(count - 1):
-        lower = m * mu[m - 1] if m else 0
-        mu.append(((b - a) * mu[m] + lower) / (a + b + m + 2))
-    return mu
-
-
 def _jacobi_integral(R, a, b) -> float:
     """R M0 with M0 = int (1-x)^a (1+x)^b = 2^{a+b+1} G(a+1) G(b+1) / G(a+b+2).
 
@@ -158,21 +149,20 @@ def _jacobi_integral(R, a, b) -> float:
     return value if R > 0 else -value
 
 
-def _exact_channel_integrals(spec: ProblemSpec, j: int, k: int) -> list[tuple]:
-    """(R_i, R_i M0_i) per channel of P_j W P_k = W P_j P_k, both residues diagonal.
+@lru_cache(maxsize=None)
+def moment_ratios(spec: ProblemSpec, count: int) -> tuple:
+    """R_0 .. R_{count-1}: int x^m W = (int W) R_m when every endpoint exponent exceeds -1.
 
-    Channel i integrates the i-th diagonal entries of P_j and P_k against
-    the Jacobi weight of basis element i; R_i = sum c_m mu_m is rational.
+    R_0 = I and R_{m+1} = (m R_{m-1} - R_m D2) (D1 + m + 2)^{-1}, exact; a
+    zero entry of the diagonal D1 + m + 2 raises ResonanceError.
     """
-    pj = [c.diag for c in build_Pk(spec, j).coeffs]
-    pk = [c.diag for c in build_Pk(spec, k).coeffs]
-    plus, minus = commutative_exponents(spec, spec.space)
-    out = []
-    for i, (a, b) in enumerate(zip(plus, minus)):
-        mu = _jacobi_moments(a, b, len(pj) + len(pk) - 1)
-        R = sum(cj[i] * ck[i] * mu[s + t] for s, cj in enumerate(pj) for t, ck in enumerate(pk))
-        out.append((R, _jacobi_integral(R, a, b)))
-    return out
+    if count == 1:
+        return (RatMatrix.identity(spec.space.N),)
+    R = moment_ratios(spec, count - 1)
+    m = count - 2
+    step = R[m - 1].scale(m) - R[m] @ build_D(spec, 2)  # at m = 0, R[-1] is scaled by 0
+    shift = build_D(spec, 1).plus_scalar(m + 2)
+    return R + (step @ _certified_inverse(shift, f"D1 + m + 2 at m = {m}", spec),)
 
 
 def quasi_orth_integral(spec: ProblemSpec, j: int, k: int, side: str,
@@ -183,10 +173,9 @@ def quasi_orth_integral(spec: ProblemSpec, j: int, k: int, side: str,
     integrates W P_j P_k (vanishes for j > k).  Off-claim index orders are
     computed and reported without a pass/fail assertion.
 
-    Commutative problems are integrated exactly and pass a claim only at
-    exactly 0; others use tanh-sinh over the ODE weight to tol/10 and
-    pass within tol plus the estimated quadrature error.  tol is checked
-    in either case.
+    A claim passes when its E are exactly zero; only other pairs get a
+    float value, with mu_0 integrated to tol/10 unless both residues are
+    diagonal.  tol is checked in either case.
     """
     _check_tolerance("tolerance", tol)
     if side not in ("right", "left"):
@@ -207,23 +196,34 @@ def quasi_orth_integral(spec: ProblemSpec, j: int, k: int, side: str,
     claimed = j < k if side == "right" else j > k
     name = f"{side} weighted integral j={j} k={k} d={spec.d} n={spec.n}"
 
-    detail = "vanishing claimed" if claimed else "no vanishing claim for this index order"
-    if is_commutative(spec):
-        channels = _exact_channel_integrals(spec, j, k)
-        worst = max(abs(value) for _, value in channels)
-        vanishes = all(R == 0 for R, _ in channels)
-        est, tol, level = 0.0, 0.0, None
-        detail += "; exact Jacobi moments, tolerance 0"
-    else:
-        from .numeric import _de_quasi_orth  # the float layer, with numpy
+    # E_{s,h} for s <= lo, h the member right of W
+    lo, h = (j, k) if side == "right" else (k, j)
+    P = build_Pk(spec, h).mats
+    R = moment_ratios(spec, lo + len(P))
+    E = [reduce(add, (R[s + t] @ c for t, c in enumerate(P))) for s in range(lo + 1)]
+    vanishes = all(e.is_zero for e in E)
+    worst, est, level = 0.0, 0.0, None
+    if not vanishes:  # the value is sum_s L_s mu_0 M_s over these (L_s, M_s)
+        low = build_Pk(spec, lo).mats
+        terms = (list(zip(low, E)) if side == "right"
+                 else [(R[0], e @ p) for e, p in zip(E, low)])  # R_0 = I
+        if is_commutative(spec):
+            plus, minus = commutative_exponents(spec, spec.space)
+            worst = max(abs(_jacobi_integral(sum(L.diag[i] * M.diag[i] for L, M in terms), a, b))
+                        for i, (a, b) in enumerate(zip(plus, minus)))
+        else:
+            from .numeric import _moment_value  # the float layer, with numpy
 
-        worst, est, level = _de_quasi_orth(spec, j, k, side, tol)
-        vanishes = worst <= tol + est
+            worst, est, level = _moment_value(spec, terms, tol)
+    detail = "vanishing claimed" if claimed else "no vanishing claim for this index order"
+    detail += ("; exact matrix moments, tolerance 0, resting on the heuristic gate for "
+               "the exponents > -1 they need" if gate.heuristic
+               else "; exact Jacobi moments, tolerance 0")
     return NumericReport(
         quantity=name,
         max_abs_entry=worst,
         estimated_quadrature_error=est,
-        tolerance=tol,
+        tolerance=0.0,
         passed=vanishes if claimed else True,
         claimed=claimed,
         detail=detail,

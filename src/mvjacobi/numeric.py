@@ -17,22 +17,23 @@ Weighted integrals over (-1, 1) use tanh-sinh (double-exponential)
 quadrature with dyadic step sizes, so the levels are nested: each level
 reuses the previous level's sum and evaluates the integrand only at its
 new odd-indexed nodes, in one call on the whole node array, and a
-refinement that has not settled by level 10 fails.  The noncommutative
-integrand keeps the nodes as a leading axis throughout: dense output,
-weight action, members and their products are stacks.  Nodes are
-generated together with the exact distances 1 -+ x to the endpoints,
-and integrands receive those distances directly; this is what keeps
-endpoint powers like (1-x)^(-1/2) accurate where float subtraction
-would have lost everything.
+refinement that has not settled by level 10 fails.  The weight integrand
+keeps the nodes as a leading axis throughout: dense output and weight
+action are stacks.  Nodes are generated together with the exact
+distances 1 -+ x to the endpoints, and integrands receive those
+distances directly; this is what keeps endpoint powers like
+(1-x)^(-1/2) accurate where float subtraction would have lost
+everything.
 
-Quasi-orthogonality, its gate and the exact path of commutative problems
-live in mvjacobi.integrals (re-exported here as the same objects), which
-loads this module only for noncommutative problems.
+Quasi-orthogonality and its gate live in mvjacobi.integrals
+(re-exported here as the same objects), which decides claims by exact
+matrix moments and loads this module only for a noncommutative value,
+exact moment sums times the one tanh-sinh integral mu_0 = int W.
 
-The one in-process setting is the float `tol`, the vanishing tolerance
-of a noncommutative quasi-orthogonality integral (and the relative
-tolerance of the integral inter-relation); it must be finite and
-positive.  Each Taylor series is summed to the fixed tail _TAIL = 1e-20.
+The one in-process setting is the float `tol`, the accuracy target of
+mu_0 (and the relative tolerance of the integral inter-relation); it
+must be finite and positive.  Each Taylor series is summed to the fixed
+tail _TAIL = 1e-20.
 """
 
 from __future__ import annotations
@@ -307,7 +308,33 @@ def de_integrate(integrand: Integrand, target: float) -> tuple[np.ndarray, float
     )
 
 
-# -- quasi-orthogonality -------------------------------------------------------
+# -- quasi-orthogonality values ------------------------------------------------
+
+
+def _moment_value(spec: ProblemSpec, terms: list, tol: float) -> tuple[float, float, int]:
+    """(max |entry|, error bound, level) of sum_s L_s mu_0 M_s for exact pairs (L_s, M_s).
+
+    mu_0 = int W is integrated by tanh-sinh to tol/10; an error est per entry
+    of mu_0 moves entry (a, c) by at most est sum_s |L_s|_{a.} |M_s|_{.c}.
+    """
+    space = spec.space
+
+    def integrand(x: np.ndarray, dist_minus: np.ndarray, dist_plus: np.ndarray) -> np.ndarray:
+        out = np.empty((len(x), space.N, space.N))
+        for lo in range(0, len(x), _NODE_BLOCK):
+            b = slice(lo, lo + _NODE_BLOCK)
+            out[b] = induced_action_float(_Y_at(spec, x[b], dist_minus[b], dist_plus[b]), space)
+        return out
+
+    mu0, est, level = de_integrate(integrand, tol / 10.0)
+    L = np.stack([_floats(left, "a member coefficient") for left, _ in terms])
+    M = np.stack([_floats(right, "a moment sum") for _, right in terms])
+    value = np.sum(L @ mu0 @ M, axis=0)
+    bound = np.abs(L).sum(axis=2).T @ np.abs(M).sum(axis=1)
+    return float(np.max(np.abs(value))), est * float(np.max(bound)), level
+
+
+# -- integral inter-relation ---------------------------------------------------
 
 
 def _np_coeffs(P: OpPoly, what: str) -> np.ndarray:
@@ -318,35 +345,6 @@ def _np_coeffs(P: OpPoly, what: str) -> np.ndarray:
 def _np_members(coeffs: np.ndarray, x) -> np.ndarray:
     """sum_i coeffs[i] x^i at each node of x, stacked along x's axes."""
     return np.tensordot(np.power.outer(x, np.arange(len(coeffs))), coeffs, axes=1)
-
-
-def _general_quasi_orth_integrand(spec: ProblemSpec, j: int, k: int, side: str) -> Integrand:
-    space = spec.space
-    cj = _np_coeffs(build_Pk(spec, j), f"P_{j}")
-    ck = _np_coeffs(build_Pk(spec, k), f"P_{k}")
-    N = space.N
-
-    def integrand(x: np.ndarray, dist_minus: np.ndarray, dist_plus: np.ndarray) -> np.ndarray:
-        out = np.empty((len(x), N, N))
-        for lo in range(0, len(x), _NODE_BLOCK):
-            b = slice(lo, lo + _NODE_BLOCK)
-            W = induced_action_float(_Y_at(spec, x[b], dist_minus[b], dist_plus[b]), space)
-            Fj = _np_members(cj, x[b])
-            np.matmul(Fj @ W if side == "right" else W @ Fj, _np_members(ck, x[b]), out=out[b])
-        return out
-
-    return integrand
-
-
-def _de_quasi_orth(spec: ProblemSpec, j: int, k: int, side: str,
-                   tol: float) -> tuple[float, float, int]:
-    """(max |entry|, estimated error, level) of a tanh-sinh quasi-orthogonality integral."""
-    integrand = _general_quasi_orth_integrand(spec, j, k, side)
-    value, est, level = de_integrate(integrand, tol / 10.0)
-    return float(np.max(np.abs(value))), est, level
-
-
-# -- integral inter-relation ---------------------------------------------------
 
 
 def integral_interrelation_check(spec: ProblemSpec, k: int, x0: float,

@@ -31,8 +31,10 @@ from __future__ import annotations
 from functools import lru_cache, cached_property
 from typing import Sequence
 
+from .errors import ResonanceError
 from .polyspace import PolySpace, enumerate_basis
 from .ratmat import RatMatrix
+from .rational import ONE, ZERO
 
 
 class ProblemSpec:
@@ -161,6 +163,21 @@ def describe_kernel(space: PolySpace, kernel: Sequence) -> str:
         if coeff:
             parts.append(f"({coeff})*w^{b.m}.e{b.j}")
     return " + ".join(parts) if parts else "0"
+
+
+def _certified_inverse(op: RatMatrix, name: str, spec: ProblemSpec) -> RatMatrix:
+    """Inverse of a diagonal operator, or ResonanceError naming a kernel e_b."""
+    d = op.diag or ()
+    zero = next((b for b, e in enumerate(d) if not e), None)
+    if zero is None:
+        return op.inverse()
+    kernel = tuple(ONE if b == zero else ZERO for b in range(len(d)))
+    raise ResonanceError(
+        name,
+        kernel=kernel,
+        detail=f"rank {sum(1 for e in d if e)} of {len(d)}; kernel "
+        + describe_kernel(spec.space, kernel),
+    )
 
 
 # -- induced substitution action ------------------------------------------

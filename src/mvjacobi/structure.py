@@ -31,8 +31,7 @@ from functools import lru_cache
 from math import factorial
 from typing import NamedTuple, Sequence
 
-from .errors import ResonanceError
-from .operators import ProblemSpec, build_D, describe_kernel, dominant_coefficient
+from .operators import ProblemSpec, _certified_inverse, build_D, dominant_coefficient
 from .oppoly import OpPoly, VectorPoly, apply_A, build_Pk, _product_apply
 from .polyspace import PolyVector
 from .ratmat import RatMatrix
@@ -47,21 +46,6 @@ class RecurrenceCoeffs(NamedTuple):
     alpha: RatMatrix
     beta: RatMatrix
     gamma: RatMatrix
-
-
-def _certified_inverse(op: RatMatrix, name: str, spec: ProblemSpec) -> RatMatrix:
-    """Inverse of a diagonal operator, or ResonanceError naming a kernel e_b."""
-    d = op.diag or ()
-    zero = next((b for b, e in enumerate(d) if not e), None)
-    if zero is None:
-        return op.inverse()
-    kernel = tuple(ONE if b == zero else ZERO for b in range(len(d)))
-    raise ResonanceError(
-        name,
-        kernel=kernel,
-        detail=f"rank {sum(1 for e in d if e)} of {len(d)}; kernel "
-        + describe_kernel(spec.space, kernel),
-    )
 
 
 @lru_cache(maxsize=None)

@@ -505,11 +505,53 @@ def test_quadrature_refuses_a_noncommutative_integral_that_does_not_exist(
 
 
 def test_quadrature_nonconvergence_exit(tmp_path, capsys):
-    # an unreachable refinement target exhausts the level budget
+    # an unreachable refinement target for the off-claim value's mu_0
+    # exhausts the level budget
     inp = write_json(tmp_path / "spec.json", NONCOMMUT_2x2)
-    assert main(["quadrature", "--input", inp, "--j", "0", "--k", "1",
+    assert main(["quadrature", "--input", inp, "--j", "1", "--k", "1",
                  "--side", "right", "--tol", "1e-30"]) == 4
     assert "quadrature failure:" in capsys.readouterr().err
+
+
+NONCOMMUT_DETAIL = ("exact matrix moments, tolerance 0, resting on the heuristic gate "
+                    "for the exponents > -1 they need")
+
+
+def test_quadrature_noncommutative_claim_report(tmp_path, capsys):
+    # a claimed noncommutative pair is decided exactly, like a commutative one
+    inp = write_json(tmp_path / "spec.json", NONCOMMUT_2x2)
+    argv = ["quadrature", "--input", inp, "--j", "0", "--k", "2", "--side", "right",
+            "--tol", "1e-6"]
+    assert main(argv + ["--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["report"] == {
+        "quantity": "right weighted integral j=0 k=2 d=2 n=2",
+        "max_abs_entry": 0.0, "estimated_quadrature_error": 0.0, "tolerance": 0.0,
+        "passed": True, "claimed": True, "de_level": None,
+        "detail": "vanishing claimed; " + NONCOMMUT_DETAIL,
+    }
+    assert doc["integrability"]["heuristic"] is True
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "[PASS] right weighted integral j=0 k=2 d=2 n=2",
+        "  max |entry| = 0.000e+00  estimated quadrature error = 0.000e+00  tolerance = 0.000e+00",
+        "  vanishing claimed; " + NONCOMMUT_DETAIL,
+    ]
+
+
+# heuristic exponents 0 at both ends, and D1 has the entry -2
+NONCOMMUT_MOMENT_RESONANCE = {"d": 2, "n": 1, "A": [["0", "1"], ["-1", "1"]],
+                              "B": [["0", "-1"], ["1", "1"]]}
+
+
+def test_quadrature_moment_resonance_exit(tmp_path, capsys):
+    # D1 + 2 is singular, so the moment recurrence cannot give R_1
+    inp = write_json(tmp_path / "spec.json", NONCOMMUT_MOMENT_RESONANCE)
+    assert main(["quadrature", "--input", inp, "--j", "0", "--k", "1", "--side", "right"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("resonance: singular operator: D1 + m + 2 at m = 0 "
+                   "(rank 3 of 4; kernel (1)*w^(1, 0).e2)\n")
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])
@@ -719,8 +761,9 @@ def test_frozen_tracer_sees_every_quadrature(tmp_path):
     assert callable(integrals.integrability_check.cache_info)  # perfbench's setup_s relies on it
     cases = {
         "commutative": [str(GOLDEN / "d2n3_c.json"), "--j", "1", "--k", "3"],
+        # a claimed pair integrates nothing; an off-claim value integrates mu_0
         "noncommutative": [write_json(tmp_path / "nc.json", NONCOMMUT_2x2),
-                           "--j", "0", "--k", "2", "--tol", "1e-6"],
+                           "--j", "2", "--k", "2", "--tol", "1e-6"],
     }
     for kind, (inp, *indices) in cases.items():
         trace = tmp_path / f"{kind}.trace.json"
