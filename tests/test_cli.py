@@ -480,7 +480,7 @@ def test_quadrature_integrability_gate(tmp_path, capsys):
 NONCOMMUT_DIVERGENT = {"d": 2, "n": 2,
                        "A": [["-21/20", "1/4"], ["-1/4", "-21/20"]],
                        "B": [["-21/20", "-1/4"], ["1/4", "-21/20"]]}
-# heuristic exponents -0.6: the integral exists, but the endpoint cap biases it
+# heuristic exponents -0.6: the integral exists, but the gate's margin refuses it
 NONCOMMUT_SLOW = {"d": 2, "n": 2,
                   "A": [["-3/5", "1/4"], ["-1/4", "-3/5"]],
                   "B": [["-3/5", "-1/4"], ["1/4", "-3/5"]]}
@@ -556,7 +556,7 @@ def test_quadrature_moment_resonance_exit(tmp_path, capsys):
 
 @pytest.mark.parametrize("value", ["inf", "nan"])
 def test_quadrature_rejects_nonfinite_tolerance(tmp_path, capsys, value):
-    # --tol inf would pass any claim
+    # --tol sets an accuracy target, which must be finite
     inp = write_json(tmp_path / "spec.json", COMMUT_2x2)
     assert main(["quadrature", "--input", inp, "--j", "0", "--k", "1",
                  "--side", "right", "--tol", value]) == 2
@@ -577,8 +577,8 @@ def test_quadrature_validates_tolerances_without_an_ode(tmp_path, capsys, flag, 
 
 
 def test_quadrature_refuses_biased_noncommutative_exponents(tmp_path, capsys):
-    # exponents in (-1, -1/2]: the integral exists, but the endpoint-cap bias
-    # would fail this true claim at 1e-6, so it is refused instead
+    # exponents in (-1, -1/2]: the integral exists, but the heuristic gate keeps
+    # its 1/2 margin above the moment lemma's -1, so it is refused
     inp = write_json(tmp_path / "spec.json", NONCOMMUT_SLOW)
     assert main(["quadrature", "--input", inp, "--j", "0", "--k", "1",
                  "--side", "right", "--tol", "1e-6"]) == 2

@@ -349,9 +349,9 @@ def test_quasi_orth_rejects_divergent_weight():
 
 def test_quasi_orth_noncommutative_gate_refuses_slow_decay():
     # heuristic exponents land in (-1, -1/2): the integral exists, but the
-    # fundamental matrix is only carried to within 1e-12 of the endpoints,
-    # which biases such integrals by roughly (1e-12)^(1+exponent) times the
-    # members' size, so they are refused at every tolerance
+    # gate keeps a 1/2 margin above the moment lemma's -1 for the unproved
+    # heuristic (and for the float mu_0, biased by roughly (1e-12)^(1+exponent)
+    # at the sweep's endpoint cap), so they are refused at every tolerance
     A = RatMatrix([[Rat(-3, 5), Rat(1, 4)], [Rat(-1, 4), Rat(-3, 5)]])
     lam = RatMatrix.diagonal([Rat(-6, 5), Rat(-6, 5)])
     spec = ProblemSpec(2, 2, A, lam - A)
