@@ -320,7 +320,8 @@ def cmd_expand(args) -> int:
 
 
 def cmd_quadrature(args) -> int:
-    # only this command loads integrals, and numeric (numpy) only when noncommutative
+    # only this command loads integrals, and numeric (numpy) only for a
+    # noncommutative value, which integrates mu_0 in floats
     from .integrals import integrability_check, quasi_orth_integral
 
     spec, _raw = load_problem(args.input)
@@ -342,9 +343,9 @@ def cmd_quadrature(args) -> int:
 
 
 def _print_numeric(integ: IntegrabilityReport, report: NumericReport) -> None:
-    kind = "heuristic" if integ.heuristic else "exact"
-    print(f"integrability ({kind}): min exponent {min(integ.min_exponent_plus, integ.min_exponent_minus):g}"
-          f" ({integ.detail})")
+    least = "min exponent" if integ.commutative else "estimated min exponent"
+    print(f"integrability (exact): {least} "
+          f"{min(integ.min_exponent_plus, integ.min_exponent_minus):g} ({integ.detail})")
     mark = "PASS" if report.passed else "FAIL"
     claim = "" if report.claimed else " [informational, no vanishing claim]"
     print(f"[{mark}] {report.quantity}{claim}")

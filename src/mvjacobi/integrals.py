@@ -8,8 +8,16 @@ sum_s P_j[s] mu_0 E_{s,k} and int W P_j P_k is sum_t mu_0 E_{t,j} P_k[t],
 so a one-sided claim passes exactly when the E it needs are zero.  mu_0
 enters only a nonzero value: one Jacobi mass per channel when both
 residues are diagonal, else a tanh-sinh integral in mvjacobi.numeric,
-which only those problems load, and numpy with it.  Their endpoint
-exponents are heuristic estimates, and the gate refuses any <= -1/2.
+which only those values load, and numpy with it.
+
+The gate decides exactly whether every endpoint exponent exceeds -1,
+which the lemma needs, and -1/2, which bounds the float mu_0's endpoint
+bias: from the exponents themselves for diagonal residues, else by
+Routh's test on the characteristic polynomial of n A (x) I - I (x) A,
+formed from the traces of powers of A (and of B at -1).  The reported
+minimum exponents are floats, estimated from the roots of det(z - A)
+for noncommutative problems.  A claim needs only > -1; a noncommutative
+value needs > -1/2.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from .operators import ProblemSpec, _certified_inverse, basis_exponents, build_D
 from .oppoly import build_Pk
 from .polyspace import PolySpace
 from .ratmat import RatMatrix
+from .rational import Rat
 
 
 def _check_tolerance(name: str, value: float) -> None:
@@ -72,7 +81,7 @@ def commutative_exponents(spec: ProblemSpec, space: PolySpace) -> tuple[tuple, t
 
 class IntegrabilityReport(NamedTuple):
     commutative: bool
-    heuristic: bool
+    heuristic: bool  # always False: every decision is exact
     min_exponent_plus: float
     min_exponent_minus: float
     exists_ok: bool
@@ -83,48 +92,180 @@ class IntegrabilityReport(NamedTuple):
         return self._asdict()
 
 
+def _elementary(p: list, D: int) -> list:
+    """e_0 .. e_D from the power sums p_1 .. p_D of D algebraic integers (Newton's identities)."""
+    e = [1]
+    for k in range(1, D + 1):
+        e.append(sum((-1) ** (i - 1) * e[k - i] * p[i] for i in range(1, k + 1)) // k)
+    return e
+
+
+def _residue_traces(M: RatMatrix) -> tuple[list, list]:
+    """(S, e) of the integer matrix X = den M: S_r = tr X^r for r <= d^2 and
+    det(z - X) = sum_k (-1)^k e_k z^(d-k).
+
+    Only X^1 .. X^d are formed; the later S_r follow from e by Newton's identities.
+    """
+    X, d = M.num, M.nrows
+    S, P = [d], X
+    for r in range(1, d + 1):
+        S.append(sum(P[i][i] for i in range(d)))
+        if r < d:
+            P = [[sum(a * b for a, b in zip(row, col)) for col in zip(*X)] for row in P]
+    e = _elementary(S, d)
+    for r in range(d + 1, d * d + 1):
+        S.append(sum((-1) ** (i - 1) * e[i] * S[r - i] for i in range(1, d + 1)))
+    return S, e
+
+
+def _kron_charpoly(S: list, d: int, n: int) -> list:
+    """det(z - L), highest power first, for L = 2 (n X (x) I - I (x) X) and S_r = tr X^r.
+
+    X (x) I and I (x) X commute, and tr (X^a (x) X^b) = S_a S_b, so
+    tr L^m = 2^m sum_r C(m, r) n^r (-1)^(m-r) S_r S_(m-r).
+    """
+    D = d * d
+    p = [D] + [2 ** m * sum(math.comb(m, r) * n ** r * (-1) ** (m - r) * S[r] * S[m - r]
+                            for r in range(m + 1)) for m in range(1, D + 1)]
+    return [(-1) ** k * e for k, e in enumerate(_elementary(p, D))]
+
+
+def _roots_exceed(poly: list, t: int) -> bool:
+    """Whether every root of the monic integer polynomial poly (highest first) has real part > t.
+
+    The roots of f(z) = poly(z + t) have positive real parts exactly when
+    g(z) = (-1)^D f(-z) is Hurwitz, that is, when every first-column entry
+    of g's Routh array is positive (Routh 1877; Gantmacher, The Theory of
+    Matrices, vol. 2, ch. XV); a zero entry means a root on the line.
+    Dividing each new row by the pivot two rows up keeps the rows
+    integral, as the division is exact.
+    """
+    f = list(poly)
+    for i in range(len(f) - 1):  # Taylor shift by t, one synthetic division at a time
+        for j in range(1, len(f) - i):
+            f[j] += t * f[j - 1]
+    g = [c if k % 2 == 0 else -c for k, c in enumerate(f)]
+    upper, lower, pivot = g[0::2], g[1::2], 1
+    while lower:
+        if lower[0] <= 0:
+            return False
+        padded = lower + [0]
+        upper, lower, pivot = lower, [(lower[0] * upper[k + 1] - upper[0] * padded[k + 1]) // pivot
+                                      for k in range(len(upper) - 1)], upper[0]
+    return True
+
+
+_ROOT_ITERATIONS = 100
+
+
+def _aberth_roots(coeffs: list) -> list:
+    """Complex roots of the monic polynomial with float coefficients coeffs (highest power first).
+
+    Aberth-Ehrlich iteration from a circle of Fujiwara's root-bound radius;
+    it converges cubically to simple roots and stops once no approximation
+    moves by more than about a unit in the last place of 1 + |z|.
+    """
+    d = len(coeffs) - 1
+    radius = 2.0 * max(abs(c) ** (1.0 / k) for k, c in enumerate(coeffs) if k) or 1.0
+    z = [radius * complex(math.cos(a), math.sin(a))
+         for a in (2.0 * math.pi * i / d + 0.5 for i in range(d))]
+    for _ in range(_ROOT_ITERATIONS):
+        moved = False
+        for i, zi in enumerate(z):
+            p = dp = 0j
+            for c in coeffs:
+                dp = dp * zi + p
+                p = p * zi + c
+            denom = dp - p * sum(1.0 / (zi - zj) for zj in z if zj != zi)
+            step = p / denom if denom else 0j
+            z[i] = zi - step
+            moved = moved or abs(step) > 1e-15 * (1.0 + abs(zi))
+        if not moved:
+            break
+    return z
+
+
+def _eigenvalue_real_parts(M: RatMatrix, e: list, what: str) -> list:
+    """Float estimates of the real parts of M's eigenvalues, from e of X = den M.
+
+    The roots are found for M / 2^s with 2^s >= every |entry|, whose
+    characteristic coefficients are at most C(d, k) d^k.
+    """
+    top = max(abs(v) for row in M.num for v in row)
+    s = math.frexp(_float(Rat(top, M.den), f"an entry of {what}"))[1]
+    unit = M.den * Rat(2) ** s
+    coeffs = [float((-1) ** k * c / unit ** k) for k, c in enumerate(e)]
+    try:
+        return [math.ldexp(z.real, s) for z in _aberth_roots(coeffs)]
+    except OverflowError:
+        raise ValueError(f"an eigenvalue of {what} is past the float range") from None
+
+
+@lru_cache(maxsize=None)
+def _endpoint_gate(spec: ProblemSpec) -> tuple[float, float, bool, bool]:
+    """(min exponent at +1, min at -1, every exponent > -1, every exponent > -1/2).
+
+    The exponents at +1 are m.l - l_j over the eigenvalues l of A and the
+    basis elements w^m e_j, whose real parts are least at m = n e_i: every
+    one exceeds c exactly when every eigenvalue n l_i - l_j of
+    K = n A (x) I - I (x) A does.  Both decisions are exact: the exponents
+    themselves for diagonal residues, else Routh's test on K's
+    characteristic polynomial.  The minima are floats, exact for diagonal
+    residues and otherwise estimated from the roots of det(z - A).  At -1,
+    B takes A's place.
+    """
+    space = spec.space
+    if is_commutative(spec):
+        plus, minus = commutative_exponents(spec, space)
+        worst = min(min(plus), min(minus))
+        # float rounding is monotone, so the float of the least exponent is the least float
+        return (_float(min(plus), "an endpoint exponent from A"),
+                _float(min(minus), "an endpoint exponent from B"),
+                worst > -1, worst > Rat(-1, 2))
+    estimates, exists_ok, fast_ok = [], True, True
+    for M, what in ((spec.A, "A"), (spec.B, "B")):
+        S, e = _residue_traces(M)
+        estimates.append(min(basis_exponents(_eigenvalue_real_parts(M, e, what), space)))
+        poly = _kron_charpoly(S, spec.d, spec.n)  # eigenvalues 2 den (n l_i - l_j)
+        fast = _roots_exceed(poly, -M.den)
+        fast_ok = fast_ok and fast
+        exists_ok = exists_ok and (fast or _roots_exceed(poly, -2 * M.den))
+    return estimates[0], estimates[1], exists_ok, fast_ok
+
+
 @lru_cache(maxsize=None)
 def integrability_check(spec: ProblemSpec, space: PolySpace,
                         j: int = 0, k: int = 0) -> IntegrabilityReport:
-    """Endpoint-exponent advisory for the weighted integrals.
+    """Whether every endpoint exponent exceeds -1 (exists_ok) and -1/2 (fast_ok), decided exactly.
 
-    Commutative case: exact exponents; existence needs all > -1, and the
-    exact quasi-orthogonality path needs nothing more.  Noncommutative
-    case: the exponents are estimated from residue eigenvalues (real
-    parts) and flagged as heuristic only; nothing is proved about
-    existence, and > -1/2 keeps the tanh-sinh integral's endpoint
-    truncation bias small.
+    space must be spec.space; j and k enter only `detail`.  The moment
+    lemma behind every claim needs exists_ok.  fast_ok bounds the endpoint
+    truncation bias of the float mu_0 that a noncommutative value uses.
     """
-    if is_commutative(spec):
-        plus, minus = commutative_exponents(spec, space)
-        # float rounding is monotone, so the float of the least exponent is the least float
-        mp = _float(min(plus), "an endpoint exponent from A")
-        mm = _float(min(minus), "an endpoint exponent from B")
-        heuristic = False
+    if space != spec.space:
+        raise ValueError("the integrability check needs the problem's own coefficient space")
+    mp, mm, exists_ok, fast_ok = _endpoint_gate(spec)
+    commutative = is_commutative(spec)
+    if commutative:
         detail = (
             f"exact exponents for indices j={j}, k={k}: "
             f"min at +1 is {mp:g}, min at -1 is {mm:g}"
         )
     else:
-        from .numeric import _floats, np  # numeric compiles its modules before numpy: lower peak RSS
-
-        eig_a = np.linalg.eigvals(_floats(spec.A, "A"))
-        eig_b = np.linalg.eigvals(_floats(spec.B, "B"))
-        mp = float(min(basis_exponents(eig_a.real.tolist(), space)))
-        mm = float(min(basis_exponents(eig_b.real.tolist(), space)))
-        heuristic = True
+        verdict = ("every exponent > -1/2" if fast_ok else
+                   "every exponent > -1, not every one > -1/2" if exists_ok else
+                   "an exponent <= -1")
         detail = (
-            f"heuristic only: eigenvalue-based exponents for j={j}, k={k}; "
-            f"min at +1 about {mp:g}, min at -1 about {mm:g}"
+            f"exact Routh-Hurwitz decision for j={j}, k={k}: {verdict}; "
+            f"estimated min at +1 about {mp:g}, min at -1 about {mm:g}"
         )
-    worst = min(mp, mm)
     return IntegrabilityReport(
-        commutative=not heuristic,
-        heuristic=heuristic,
+        commutative=commutative,
+        heuristic=False,
         min_exponent_plus=mp,
         min_exponent_minus=mm,
-        exists_ok=worst > -1.0,
-        fast_ok=worst > -0.5,
+        exists_ok=exists_ok,
+        fast_ok=fast_ok,
         detail=detail,
     )
 
@@ -175,7 +316,8 @@ def quasi_orth_integral(spec: ProblemSpec, j: int, k: int, side: str,
 
     A claim passes when its E are exactly zero; only other pairs get a
     float value, with mu_0 integrated to tol/10 unless both residues are
-    diagonal.  tol is checked in either case.
+    diagonal.  tol is checked in either case.  Every pair needs each
+    endpoint exponent > -1, and a noncommutative value > -1/2.
     """
     _check_tolerance("tolerance", tol)
     if side not in ("right", "left"):
@@ -183,15 +325,10 @@ def quasi_orth_integral(spec: ProblemSpec, j: int, k: int, side: str,
     if j < 0 or k < 0:
         raise ValueError("indices must be >= 0")
     gate = integrability_check(spec, spec.space, j, k)
-    if not gate.heuristic and not gate.exists_ok:
+    if not gate.exists_ok:
         raise ValueError(
-            f"weighted integral does not exist: {gate.detail}; every exact "
+            f"weighted integral does not exist: {gate.detail}; every "
             "endpoint exponent must exceed -1"
-        )
-    if gate.heuristic and not gate.fast_ok:
-        raise ValueError(
-            "noncommutative weighted integrals are restricted to heuristic "
-            f"endpoint exponents > -1/2 ({gate.detail})"
         )
     claimed = j < k if side == "right" else j > k
     name = f"{side} weighted integral j={j} k={k} d={spec.d} n={spec.n}"
@@ -211,14 +348,18 @@ def quasi_orth_integral(spec: ProblemSpec, j: int, k: int, side: str,
             plus, minus = commutative_exponents(spec, spec.space)
             worst = max(abs(_jacobi_integral(sum(L.diag[i] * M.diag[i] for L, M in terms), a, b))
                         for i, (a, b) in enumerate(zip(plus, minus)))
+        elif not gate.fast_ok:
+            raise ValueError(
+                "the value of a noncommutative weighted integral needs the float "
+                f"mu_0, restricted to endpoint exponents > -1/2 ({gate.detail})"
+            )
         else:
             from .numeric import _moment_value  # the float layer, with numpy
 
             worst, est, level = _moment_value(spec, terms, tol)
     detail = "vanishing claimed" if claimed else "no vanishing claim for this index order"
-    detail += ("; exact matrix moments, tolerance 0, resting on the heuristic gate for "
-               "the exponents > -1 they need" if gate.heuristic
-               else "; exact Jacobi moments, tolerance 0")
+    detail += ("; exact Jacobi moments, tolerance 0" if gate.commutative
+               else "; exact matrix moments, tolerance 0")
     return NumericReport(
         quantity=name,
         max_abs_entry=worst,

@@ -476,17 +476,17 @@ def test_quadrature_integrability_gate(tmp_path, capsys):
     assert "weighted integral does not exist" in capsys.readouterr().err
 
 
-# heuristic endpoint exponents -1.05 at both ends: the integral does not exist
+# endpoint exponents -1.05 at both ends: the integral does not exist
 NONCOMMUT_DIVERGENT = {"d": 2, "n": 2,
                        "A": [["-21/20", "1/4"], ["-1/4", "-21/20"]],
                        "B": [["-21/20", "-1/4"], ["1/4", "-21/20"]]}
-# heuristic exponents -0.6: the integral exists, but the gate's margin refuses it
+# exponents -0.6: the integral exists, and a claim is decided exactly, but a
+# noncommutative value's float mu_0 is refused below -1/2
 NONCOMMUT_SLOW = {"d": 2, "n": 2,
                   "A": [["-3/5", "1/4"], ["-1/4", "-3/5"]],
                   "B": [["-3/5", "-1/4"], ["1/4", "-3/5"]]}
-GATE_MESSAGE = ("error: noncommutative weighted integrals are restricted to heuristic "
-                "endpoint exponents > -1/2 (heuristic only: eigenvalue-based exponents "
-                "for j={j}, k={k}; min at +1 about {e:g}, min at -1 about {e:g})\n")
+GATE_DETAIL = ("exact Routh-Hurwitz decision for j={j}, k={k}: {verdict}; "
+               "estimated min at +1 about {e:g}, min at -1 about {e:g}")
 
 
 @pytest.mark.parametrize("j, k", [(0, 1), (1, 1)])
@@ -494,14 +494,16 @@ def test_quadrature_refuses_a_noncommutative_integral_that_does_not_exist(
         tmp_path, capsys, j, k):
     # the claimed pair and the off-claim one alike: nothing is computed
     spec = spec_of(NONCOMMUT_DIVERGENT)
-    with pytest.raises(ValueError, match="exponents > -1/2"):
+    with pytest.raises(ValueError, match="weighted integral does not exist"):
         quasi_orth_integral(spec, j, k, "right", tol=1e-1)
     inp = write_json(tmp_path / "spec.json", NONCOMMUT_DIVERGENT)
     assert main(["quadrature", "--input", inp, "--j", str(j), "--k", str(k),
                  "--side", "right", "--tol", "1e-1"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == GATE_MESSAGE.format(j=j, k=k, e=-1.05)
+    detail = GATE_DETAIL.format(j=j, k=k, verdict="an exponent <= -1", e=-1.05)
+    assert err == (f"error: weighted integral does not exist: {detail}; "
+                   "every endpoint exponent must exceed -1\n")
 
 
 def test_quadrature_nonconvergence_exit(tmp_path, capsys):
@@ -513,8 +515,7 @@ def test_quadrature_nonconvergence_exit(tmp_path, capsys):
     assert "quadrature failure:" in capsys.readouterr().err
 
 
-NONCOMMUT_DETAIL = ("exact matrix moments, tolerance 0, resting on the heuristic gate "
-                    "for the exponents > -1 they need")
+NONCOMMUT_DETAIL = "exact matrix moments, tolerance 0"
 
 
 def test_quadrature_noncommutative_claim_report(tmp_path, capsys):
@@ -530,16 +531,20 @@ def test_quadrature_noncommutative_claim_report(tmp_path, capsys):
         "passed": True, "claimed": True, "de_level": None,
         "detail": "vanishing claimed; " + NONCOMMUT_DETAIL,
     }
-    assert doc["integrability"]["heuristic"] is True
+    assert doc["integrability"]["heuristic"] is False
+    assert doc["integrability"]["commutative"] is False
     assert main(argv) == 0
-    assert capsys.readouterr().out.splitlines()[1:] == [
+    assert capsys.readouterr().out.splitlines() == [
+        "integrability (exact): estimated min exponent 0.03125 (exact Routh-Hurwitz decision "
+        "for j=0, k=2: every exponent > -1/2; estimated min at +1 about 0.0625, min at -1 "
+        "about 0.03125)",
         "[PASS] right weighted integral j=0 k=2 d=2 n=2",
         "  max |entry| = 0.000e+00  estimated quadrature error = 0.000e+00  tolerance = 0.000e+00",
         "  vanishing claimed; " + NONCOMMUT_DETAIL,
     ]
 
 
-# heuristic exponents 0 at both ends, and D1 has the entry -2
+# endpoint exponents of real part 0 at both ends, and D1 has the entry -2
 NONCOMMUT_MOMENT_RESONANCE = {"d": 2, "n": 1, "A": [["0", "1"], ["-1", "1"]],
                               "B": [["0", "-1"], ["1", "1"]]}
 
@@ -577,14 +582,20 @@ def test_quadrature_validates_tolerances_without_an_ode(tmp_path, capsys, flag, 
 
 
 def test_quadrature_refuses_biased_noncommutative_exponents(tmp_path, capsys):
-    # exponents in (-1, -1/2]: the integral exists, but the heuristic gate keeps
-    # its 1/2 margin above the moment lemma's -1, so it is refused
+    # exponents in (-1, -1/2]: the integral exists, so a claim is decided
+    # exactly; an off-claim value would need the float mu_0, whose endpoint
+    # bias the -1/2 margin bounds, so it is refused
     inp = write_json(tmp_path / "spec.json", NONCOMMUT_SLOW)
-    assert main(["quadrature", "--input", inp, "--j", "0", "--k", "1",
-                 "--side", "right", "--tol", "1e-6"]) == 2
+    argv = ["quadrature", "--input", inp, "--side", "right", "--tol", "1e-6"]
+    assert main(argv + ["--j", "0", "--k", "1"]) == 0
+    assert "[PASS] right weighted integral j=0 k=1" in capsys.readouterr().out
+    assert main(argv + ["--j", "1", "--k", "1"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == GATE_MESSAGE.format(j=0, k=1, e=-0.6)
+    detail = GATE_DETAIL.format(j=1, k=1, verdict="every exponent > -1, not every one > -1/2",
+                                e=-0.6)
+    assert err == ("error: the value of a noncommutative weighted integral needs the float "
+                   f"mu_0, restricted to endpoint exponents > -1/2 ({detail})\n")
 
 
 # -- argument basics ----------------------------------------------------------------
@@ -705,12 +716,13 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_quadrature_loads_no_scipy(tmp_path):
-    # the fundamental matrix needs numpy at most, and the exact Jacobi
-    # moments of a commutative problem need neither numpy nor the numeric layer
-    for doc, floats in ((NONCOMMUT_2x2, True), (COMMUT_2x2, False)):
+    # a claim is decided by exact moments and an exact gate, without numpy
+    # or the numeric layer; only a noncommutative value integrates in floats
+    for doc, j, floats in ((NONCOMMUT_2x2, 0, False), (COMMUT_2x2, 0, False),
+                           (NONCOMMUT_2x2, 2, True)):
         inp = write_json(tmp_path / "spec.json", doc)
         out = run_python("-X", "importtime", "-m", "mvjacobi", "quadrature", "--input", inp,
-                         "--j", "0", "--k", "2", "--side", "right", "--tol", "1e-6")
+                         "--j", str(j), "--k", "2", "--side", "right", "--tol", "1e-6")
         assert out.returncode == 0, out.stderr
         assert "[PASS]" in out.stdout
         imported = [line.rsplit("|", 1)[-1].strip() for line in out.stderr.splitlines()
@@ -722,6 +734,7 @@ def test_quadrature_loads_no_scipy(tmp_path):
 
 
 BIG = "1" + "0" * 400
+HUGE = "1" + "0" * 308
 MASS = "the Jacobi mass of exponents from A and B"
 
 
@@ -738,7 +751,12 @@ def _mass_spec(big: int) -> dict:
     (_mass_spec(10**306), MASS),  # lgamma of the exponent is
     ({"d": 2, "n": 2, "A": [[BIG, "1"], ["0", "1/2"]], "B": [["-" + BIG, "-1"], ["0", "1/3"]]},
      "an entry of A"),
-], ids=["commutative-gate", "commutative-exponent", "commutative-lgamma", "noncommutative"])
+    # entries of 1e308 fit, but A's eigenvalue 2e308 does not
+    ({"d": 2, "n": 2, "A": [[HUGE, HUGE], [HUGE, HUGE]], "B": [["-" + HUGE, "-" + HUGE],
+                                                              ["-" + HUGE, "-" + HUGE]]},
+     "an eigenvalue of A"),
+], ids=["commutative-gate", "commutative-exponent", "commutative-lgamma", "noncommutative",
+        "noncommutative-eigenvalue"])
 def test_quadrature_refuses_values_past_the_float_range(tmp_path, doc, what):
     inp = write_json(tmp_path / "spec.json", doc)
     out = run_python("-m", "mvjacobi", "quadrature", "--input", inp,
@@ -899,17 +917,18 @@ def test_exact_commands_load_no_numerics(tmp_path, argv):
 
 
 def test_quadrature_loads_no_dataclasses(tmp_path):
-    # a commutative problem is decided exactly, without the float layers
-    argv = ["quadrature", "--input", str(GOLDEN / "d2n3_c.json"), "--j", "1", "--k", "3",
-            "--side", "right", "--out", str(tmp_path / "q.json")]
-    loaded = loaded_by(argv)
-    assert "mvjacobi.integrals" in loaded
+    # a claimed pair is decided exactly, without the float layers, whether
+    # the problem is commutative or not
     forbidden = ("mvjacobi.structure",) + NO_NUMERICS
-    assert loaded.isdisjoint(forbidden), sorted(loaded.intersection(forbidden))
-    # a noncommutative one integrates in floats
-    argv = ["quadrature", "--input", write_json(tmp_path / "nc.json", NONCOMMUT_2x2),
-            "--j", "0", "--k", "2", "--side", "right", "--tol", "1e-6",
-            "--out", str(tmp_path / "q.json")]
+    nc = write_json(tmp_path / "nc.json", NONCOMMUT_2x2)
+    for inp, j, k in ((str(GOLDEN / "d2n3_c.json"), 1, 3), (nc, 0, 2)):
+        loaded = loaded_by(["quadrature", "--input", inp, "--j", str(j), "--k", str(k),
+                            "--side", "right", "--tol", "1e-6", "--out", str(tmp_path / "q.json")])
+        assert "mvjacobi.integrals" in loaded
+        assert loaded.isdisjoint(forbidden), sorted(loaded.intersection(forbidden))
+    # a noncommutative off-claim value integrates mu_0 in floats
+    argv = ["quadrature", "--input", nc, "--j", "2", "--k", "2", "--side", "right",
+            "--tol", "1e-6", "--out", str(tmp_path / "q.json")]
     loaded = loaded_by(argv)
     assert {"mvjacobi.numeric", "numpy"} <= loaded
     assert "dataclasses" not in loaded

@@ -329,14 +329,15 @@ def test_integrability_check_commutative_branches():
     assert not rep.exists_ok
 
 
-def test_integrability_check_noncommutative_is_heuristic():
+def test_integrability_check_noncommutative_is_exact():
     spec = small_noncommutative_spec()
     rep = integrability_check(spec, spec.space)
-    assert rep.heuristic and not rep.commutative
-    # both residues have eigenvalue real parts 1/16 and (1/8 - 1/16)
+    assert not rep.heuristic and not rep.commutative
+    # A's eigenvalue pair has real part 1/16; the minimum is an estimate
     assert abs(rep.min_exponent_plus - 0.0625) < 1e-12
     assert rep.exists_ok and rep.fast_ok
-    assert "heuristic" in rep.detail
+    assert rep.detail.startswith(
+        "exact Routh-Hurwitz decision for j=0, k=0: every exponent > -1/2;")
 
 
 def test_quasi_orth_rejects_divergent_weight():
@@ -348,18 +349,20 @@ def test_quasi_orth_rejects_divergent_weight():
 
 
 def test_quasi_orth_noncommutative_gate_refuses_slow_decay():
-    # heuristic exponents land in (-1, -1/2): the integral exists, but the
-    # gate keeps a 1/2 margin above the moment lemma's -1 for the unproved
-    # heuristic (and for the float mu_0, biased by roughly (1e-12)^(1+exponent)
-    # at the sweep's endpoint cap), so they are refused at every tolerance
+    # exponents -0.6 in (-1, -1/2): the integral exists, so a claim is decided
+    # exactly; an off-claim value needs the float mu_0, biased by roughly
+    # (1e-12)^(1+exponent) at the sweep's endpoint cap, so it is refused at
+    # every tolerance
     A = RatMatrix([[Rat(-3, 5), Rat(1, 4)], [Rat(-1, 4), Rat(-3, 5)]])
     lam = RatMatrix.diagonal([Rat(-6, 5), Rat(-6, 5)])
     spec = ProblemSpec(2, 2, A, lam - A)
     rep = integrability_check(spec, spec.space)
-    assert rep.heuristic and rep.exists_ok and not rep.fast_ok
+    assert not rep.heuristic and rep.exists_ok and not rep.fast_ok
     for tol in (1e-8, 1e-4):
-        with pytest.raises(ValueError, match=r"restricted to heuristic endpoint exponents > -1/2 \("):
-            quasi_orth_integral(spec, 0, 1, "right", tol=tol)
+        claim = quasi_orth_integral(spec, 0, 1, "right", tol=tol)
+        assert claim.claimed and claim.passed and claim.max_abs_entry == 0.0
+        with pytest.raises(ValueError, match=r"restricted to endpoint exponents > -1/2 \("):
+            quasi_orth_integral(spec, 1, 1, "right", tol=tol)
 
 
 # -- quasi-orthogonality -------------------------------------------------------------
@@ -409,7 +412,7 @@ def test_quasi_orth_noncommutative_small_norm():
     assert report.claimed and report.passed, report.to_dict()
     assert report.max_abs_entry == 0.0 and report.tolerance == 0.0
     assert report.de_level is None and report.to_dict()["de_level"] is None
-    assert "resting on the heuristic gate" in report.detail
+    assert report.detail == "vanishing claimed; exact matrix moments, tolerance 0"
 
 
 def small_norm_spec(rng: random.Random, d: int, n: int) -> ProblemSpec:
