@@ -57,8 +57,6 @@ MAX_KMAX = 10
 def _matrix_to_json(M: RatMatrix) -> list[list[str]]:
     """Entries as lowest-terms "p/q" (or "p") strings, from the integer numerators."""
     den = M.den
-    if den == 1:
-        return [[str(e) for e in row] for row in M.num]
     out = []
     for row in M.num:
         texts = []

@@ -8,7 +8,8 @@ w = N for OpPoly and w = 1 for VectorPoly.  Trailing zero blocks are
 trimmed and the whole matrix is in RatMatrix's normal form (one
 denominator, gcd 1), so equal polynomials hold equal matrices; the zero
 polynomial is N x 0 (degree -1).  Each ring operation is one pass over
-the rows of `mat` or one matrix product.  `mats`, `mat_at`, `coeffs`,
+the rows of `mat`, except that `lmul` is one matrix product and `rmul`
+and `apply_to` one product per coefficient.  `mats`, `mat_at`, `coeffs`,
 `coeff_at`, `leading` and `eval` are views that cut the blocks out as
 normalized RatMatrix coefficients (length-N tuples of Fractions for
 VectorPoly).
@@ -228,27 +229,16 @@ class OpPoly(_PolyBase):
     def _width(space: PolySpace) -> int:
         return space.N
 
-    def _times(self, M: RatMatrix, cls):
-        """Every coefficient times M from the right: one product on the stacked blocks."""
-        N, K = self.space.N, self.degree
-        if K < 0:
-            return cls.zero(self.space)
-        num = self.mat.num
-        stacked = RatMatrix._normal(tuple(row[i * N:i * N + N] for i in range(K + 1)
-                                          for row in num), self.mat.den)
-        P = stacked @ M
-        return cls._from(tuple(sum((P.num[i * N + p] for i in range(K + 1)), ())
-                               for p in range(N)), P.den, self.space)
-
     def rmul(self, M: RatMatrix) -> "OpPoly":
         """Multiply every coefficient by a constant operator on the right."""
-        return self._times(M, OpPoly)
+        return OpPoly.from_mats([c @ M for c in self.mats], self.space)
 
     def apply_to(self, q: Sequence) -> "VectorPoly":
         """Coefficient-wise application to a constant vector."""
         if len(q) != self.space.N:
             raise ValueError(f"vector length {len(q)} != space dimension {self.space.N}")
-        return self._times(RatMatrix.column(q), VectorPoly)
+        col = RatMatrix.column(q)
+        return VectorPoly.from_mats([c @ col for c in self.mats], self.space)
 
 
 class VectorPoly(_PolyBase):

@@ -9,10 +9,10 @@ appears only at the boundary: the constructor's entries, the cached
 `rows` and `diag` views, and the vector `apply` returns; `diagonal`
 reads int and Fraction entries' numerators and builds no Fraction.
 Coefficient vectors are N x 1 matrices, so a matrix-vector product is
-`@` on a column.  Diagonal matrices are detected once and get O(N^2)
-fast paths in the product; otherwise a left row with at most a third
-of its entries nonzero (a row of D2, or of a diagonal coefficient inside
-a polynomial's matrix) adds up the right operand's rows it selects.
+`@` on a column.  A diagonal right operand (detected once) scales the
+left one's columns in O(N^2); otherwise a left row with at most a third
+of its entries nonzero (a row of D2, or of a diagonal matrix for
+N >= 3) adds up the right operand's rows it selects.
 `sparse_rows` is a cached view of each row's nonzero (column,
 numerator) pairs, for products that should skip the zeros of a sparse
 operator such as D2.
@@ -77,14 +77,12 @@ class RatMatrix:
 
     @staticmethod
     def column(entries: Sequence) -> "RatMatrix":
-        """The N x 1 matrix of a vector of rationals; the entries become `rows`."""
-        rows = tuple((e if type(e) is Rat else rat(e),) for e in entries)
-        if not rows:
+        """The N x 1 matrix of a vector of rationals."""
+        ents = [e if type(e) is Rat else rat(e) for e in entries]
+        if not ents:
             raise ValueError("column needs at least one entry")
-        den = lcm(*(e.denominator for (e,) in rows))
-        out = RatMatrix._normal(tuple((e.numerator * (den // e.denominator),) for (e,) in rows), den)
-        out.rows = rows
-        return out
+        den = lcm(*(e.denominator for e in ents))
+        return RatMatrix._normal(tuple((e.numerator * (den // e.denominator),) for e in ents), den)
 
     @staticmethod
     def diagonal(entries: Sequence) -> "RatMatrix":
@@ -176,9 +174,6 @@ class RatMatrix:
         if self.ncols != other.nrows:
             raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
         den = self.den * other.den
-        if self.diag is not None:
-            return RatMatrix._normal(tuple(tuple(row[i] * e for e in orow) for i, (row, orow)
-                                           in enumerate(zip(self.num, other.num))), den)
         if other.diag is not None:
             d = [row[j] for j, row in enumerate(other.num)]
             return RatMatrix._normal(tuple(tuple(map(mul, row, d)) for row in self.num), den)

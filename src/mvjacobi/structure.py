@@ -164,14 +164,9 @@ def expand(spec: ProblemSpec, f: VectorPoly) -> Expansion:
     out: list[PolyVector] = []
     rest = f
     for j in range(f.degree, -1, -1):
-        if j == 0:
-            qj = rest.mat_at(0)  # degree-0 dominant coefficient is the identity
-        else:
-            qj = _dominant_inverse(spec, j) @ rest.mat_at(j)
-        seed = VectorPoly.from_mats((qj,), f.space)
+        seed = VectorPoly.from_mats((_dominant_inverse(spec, j) @ rest.mat_at(j),), f.space)
         out.append(seed.coeff_at(0))
-        if not seed.is_zero:
-            rest = rest - _product_apply(D1, D2, j, seed)  # P_j(x) q_j
+        rest = rest - _product_apply(D1, D2, j, seed)  # P_j(x) q_j
         if rest.degree >= j:
             raise RuntimeError(
                 f"expansion failed to reduce the degree at step {j}; "
@@ -186,9 +181,7 @@ def reconstruct(spec: ProblemSpec, expansion: Expansion) -> VectorPoly:
     D1, D2 = build_D(spec, 1), build_D(spec, 2)
     acc = VectorPoly.zero(spec.space)
     for j, qj in enumerate(expansion.coefficients):
-        seed = VectorPoly.constant(qj, spec.space)
-        if not seed.is_zero:
-            acc = acc.add(_product_apply(D1, D2, j, seed))
+        acc = acc.add(_product_apply(D1, D2, j, VectorPoly.constant(qj, spec.space)))
     return acc
 
 
@@ -233,6 +226,8 @@ def verify_derivative_relation(spec: ProblemSpec, k_max: int) -> CheckReport:
     D2 = build_D(spec, 2)
     for k in range(k_max + 1):
         P = build_Pk(spec, k)
+        # ring operations, not apply_A, which also builds the right side: a
+        # wrong factor (say, D2 from the right) would then pass on both sides
         lhs = P.lmul(D1).mul_by_x().add(P.lmul(D2)).add(P.d_dx().mul_by_Q())
         report.add(f"k={k} maps into shifted member k+1", lhs == build_tilde_Pk(spec, k + 1))
     return report

@@ -85,6 +85,23 @@ def test_lmul_rmul_pointwise(space):
     assert p.rmul(M).eval(x) == p.eval(x) @ M
 
 
+def test_rmul_and_apply_to_on_zero_and_constant(space):
+    # both multiply block by block: the zero polynomial has no block, a
+    # constant one, and a product that vanishes trims to the zero polynomial
+    rng = random.Random(9)
+    C, M = random_matrix(rng, space.N), random_matrix(rng, space.N)
+    q = random_vector(rng, space.N)
+    zero, c = OpPoly.zero(space), OpPoly.constant(C, space)
+    assert zero.rmul(M) == zero
+    assert zero.apply_to(q) == VectorPoly.zero(space)
+    assert c.rmul(M).degree == 0
+    assert to_sympy(c.rmul(M).leading()) == to_sympy(C) * to_sympy(M)
+    assert c.apply_to(q).degree == 0
+    assert to_sympy([c.apply_to(q).leading()]).T == to_sympy(C) * to_sympy([q]).T
+    assert c.rmul(RatMatrix.zeros(space.N)).is_zero
+    assert c.apply_to((0,) * space.N) == VectorPoly.zero(space)
+
+
 def test_space_and_type_mismatch(space):
     other = enumerate_basis(2, 3)
     with pytest.raises(ValueError):

@@ -133,12 +133,17 @@ def test_identity_is_neutral(M):
     assert M @ I == M
 
 
-def test_diagonal_fast_paths_match_reference():
-    D = RatMatrix.diagonal([Rat(1, 2), 0, -3])
-    M = RatMatrix([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-    assert D @ M == reference_matmul(D, M)
-    assert M @ D == reference_matmul(M, D)
-    assert D @ D == reference_matmul(D, D)
+def test_diagonal_operand_products_match_sympy():
+    # a diagonal left operand takes the dense path for N <= 2 and the
+    # sparse-row path for N >= 3; a diagonal right one scales columns
+    for entries in ([Rat(-2, 3)], [Rat(1, 2), Rat(5, 4)], [Rat(1, 2), 0], [Rat(1, 2), 0, -3],
+                    [Rat(3, 4), Rat(-1, 6), Rat(2, 5)]):
+        n = len(entries)
+        D = RatMatrix.diagonal(entries)
+        M = RatMatrix([[Rat(3 * i - j + 1, j + 2) for j in range(n)] for i in range(n)])
+        v = RatMatrix.column([Rat(i - 1, i + 3) for i in range(n)])
+        for X, Y in [(D, M), (M, D), (D, D), (D, v)]:
+            check_normal_and_equal(X @ Y, sym(X.rows) * sym(Y.rows))
 
 
 def test_apply():

@@ -241,12 +241,14 @@ def test_expand_recovers_synthesized_coefficients():
     spec = random_problem_spec(rng, 2, 2, max_den=3)
     space = spec.space
     coeffs = [random_vector(rng, space.N) for _ in range(5)]
-    coeffs[2] = (ZERO,) * space.N  # a gap must round-trip too
-    f = VectorPoly.zero(space)
-    for j, qj in enumerate(coeffs):
-        f = f + build_Pk(spec, j).apply_to(qj)
-    got = expand(spec, f).coefficients
-    assert list(got) == coeffs
+    for gap in (2, 0):  # an interior gap, then a zero constant term as well
+        coeffs[gap] = (ZERO,) * space.N
+        f = VectorPoly.zero(space)
+        for j, qj in enumerate(coeffs):
+            f = f + build_Pk(spec, j).apply_to(qj)
+        got = expand(spec, f)
+        assert list(got.coefficients) == coeffs
+        assert reconstruct(spec, got) == f
 
 
 def test_expand_roundtrip_random():
@@ -529,3 +531,26 @@ def test_verify_product_identities_catches_every_d1_shift_mutant(monkeypatch, j,
     report = verify_product_identities(spec)
     failed = [item.name for item in report.items if not item.passed]
     assert f"x^{i - 1} I: factor j={j} on x r" in failed, failed
+
+
+def _right_d2(j, D1, D2, r):
+    """The factor with D2 applied from the right: x(2j + D1) r + r D2 + Q r'."""
+    return r.lmul(D1.plus_scalar(2 * j)).mul_by_x().add(r.rmul(D2)).add(r.d_dx().mul_by_Q())
+
+
+def test_derivative_relation_catches_a_right_d2_factor(monkeypatch):
+    # x and Q commute with every operator, so all 55 product identities hold
+    # for a factor that applies D2 from the wrong side; the derivative
+    # relation builds its left side from ring operations, not from apply_A,
+    # and must catch it
+    spec = random_problem_spec(random.Random(73), 2, 2, max_den=3)
+    build_Pk.cache_clear()
+    try:
+        patch_apply_A(monkeypatch, _right_d2)
+        identities = verify_product_identities(spec)
+        assert identities.passed and identities.counts == (55, 55)
+        report = verify_derivative_relation(spec, 4)
+        # P_0 = I and the shifted P_1 = x D1 + D2 do not see the side of D2
+        assert [item.passed for item in report.items] == [True, False, False, False, False]
+    finally:
+        build_Pk.cache_clear()  # drop the mutant members
