@@ -54,7 +54,7 @@ class ProblemSpec:
             if m.shape != (d, d):
                 raise ValueError(f"{name} has shape {m.shape}, expected ({d}, {d})")
         M1 = A + B
-        if M1.diag is None:
+        if M1._dnum is None:
             raise ValueError(
                 "A + B must be diagonal; conjugate A and B by an eigenbasis "
                 "of A + B before constructing the problem"
@@ -120,8 +120,7 @@ def build_D(spec: ProblemSpec, which: int) -> RatMatrix:
     if which == 1:
         # the exponents of M1's diagonal numerators, over M1's denominator
         M1 = spec.M1
-        D1 = RatMatrix.diagonal(basis_exponents([row[i] for i, row in enumerate(M1.num)], space))
-        return RatMatrix._normal(D1.num, M1.den)
+        return RatMatrix._from_diagonal(basis_exponents(M1._dnum, space), M1.den)
     M = spec.M2
     N = space.N
     cols = [[0] * N for _ in range(N)]  # numerators over M.den
@@ -147,13 +146,21 @@ def build_D(spec: ProblemSpec, which: int) -> RatMatrix:
 
 def dominant_coefficient(D1: RatMatrix, k: int) -> RatMatrix:
     """Leading coefficient (D1 + k + 1)(D1 + k + 2) ... (D1 + 2k) of the
-    degree-k member; identity for k = 0."""
+    degree-k member; identity for k = 0.
+
+    D1 must be diagonal, so the product is taken entry by entry: with
+    D1 = diag(e) / den, entry b is prod_i (e_b + i den) over den^k.
+    """
     if k < 0:
         raise ValueError("k must be >= 0")
-    out = RatMatrix.identity(D1.nrows)
+    d = D1._dnum
+    if d is None:
+        raise ValueError("the dominant coefficient needs a square diagonal D1")
+    den = D1.den
+    out = [1] * len(d)
     for i in range(k + 1, 2 * k + 1):
-        out = out @ D1.plus_scalar(i)
-    return out
+        out = [a * (e + i * den) for a, e in zip(out, d)]
+    return RatMatrix._from_diagonal(out, den**k)
 
 
 def describe_kernel(space: PolySpace, kernel: Sequence) -> str:
@@ -167,7 +174,7 @@ def describe_kernel(space: PolySpace, kernel: Sequence) -> str:
 
 def _certified_inverse(op: RatMatrix, name: str, spec: ProblemSpec) -> RatMatrix:
     """Inverse of a diagonal operator, or ResonanceError naming a kernel e_b."""
-    d = op.diag or ()
+    d = op._dnum or ()
     zero = next((b for b, e in enumerate(d) if not e), None)
     if zero is None:
         return op.inverse()

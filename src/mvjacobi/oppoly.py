@@ -8,8 +8,10 @@ w = N for OpPoly and w = 1 for VectorPoly.  Trailing zero blocks are
 trimmed and the whole matrix is in RatMatrix's normal form (one
 denominator, gcd 1), so equal polynomials hold equal matrices; the zero
 polynomial is N x 0 (degree -1).  Each ring operation is one pass over
-the rows of `mat`, except that `lmul` is one matrix product and `rmul`
-and `apply_to` one product per coefficient.  `mats`, `mat_at`, `coeffs`,
+the rows of `mat`, except that `lmul`, `rmul` and `apply_to` are one
+matrix product each: `rmul` and `apply_to` stack the blocks of every
+row as rows of one left operand and reduce the result once, with no
+per-coefficient products.  `mats`, `mat_at`, `coeffs`,
 `coeff_at`, `leading` and `eval` are views that cut the blocks out as
 normalized RatMatrix coefficients (length-N tuples of Fractions for
 VectorPoly).
@@ -33,19 +35,23 @@ apply_A fills row p of every output coefficient in one pass over the
 integer numerators: row p of r shifted up one block and scaled per
 block by d_p + 2j + i - 1, row p shifted down one block and scaled by
 -(i + 1), and, for each nonzero of row p of D_2 (RatMatrix.sparse_rows),
-the whole source row scaled by it.  The result is reduced once.
+source row q scaled by it.  A source row of at most a third nonzeros
+(a row of x^i I, or of an early member in a chain) adds only its
+nonzeros, the rule RatMatrix's product applies to left rows; a denser
+one is added whole.  The result is reduced once.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
 from math import lcm
 from operator import mul
 from typing import Iterable, Sequence, Union
 
 from .operators import ProblemSpec, build_D, dominant_coefficient
 from .polyspace import PolySpace, PolyVector
-from .ratmat import RatMatrix
+from .ratmat import RatMatrix, _nonzeros
 from .rational import Rat, rat
 
 
@@ -158,8 +164,8 @@ class _PolyBase:
         den = lcm(a.den, b.den)
         fa, fb = den // a.den, den // b.den
         pad = (0,) * (a.ncols - b.ncols)
-        return self._from(tuple(tuple(fa * x + fb * y for x, y in zip(ra, rb + pad))
-                                for ra, rb in zip(a.num, b.num)), den, self.space)
+        return self._from(tuple([tuple([fa * x + fb * y for x, y in zip(ra, rb + pad)])
+                                 for ra, rb in zip(a.num, b.num)]), den, self.space)
 
     def scale(self, c):
         c = rat(c)
@@ -173,8 +179,8 @@ class _PolyBase:
     def mul_by_Q(self):
         """Multiply by the fixed quadratic Q = x^2 - 1: block i is r_{i-2} - r_i."""
         z = (0,) * (2 * self._width(self.space))
-        return self._from(tuple(tuple(b - a for a, b in zip(row + z, z + row))
-                                for row in self.mat.num), self.mat.den, self.space)
+        return self._from(tuple([tuple([b - a for a, b in zip(row + z, z + row)])
+                                 for row in self.mat.num]), self.mat.den, self.space)
 
     def d_dx(self):
         w = self._width(self.space)
@@ -194,7 +200,7 @@ class _PolyBase:
         return self.add(-other)
 
     def __neg__(self):
-        return self._from(tuple(tuple(-e for e in row) for row in self.mat.num),
+        return self._from(tuple([tuple([-e for e in row]) for row in self.mat.num]),
                           self.mat.den, self.space)
 
     def __eq__(self, other) -> bool:
@@ -229,16 +235,30 @@ class OpPoly(_PolyBase):
     def _width(space: PolySpace) -> int:
         return space.N
 
+    def _times(self, M: RatMatrix, kind):
+        """The kind polynomial whose coefficient i is coefficient i of self times M.
+
+        The N x N blocks of every row enter one product as rows of their
+        own (RatMatrix._times), and the result is reduced once.
+        """
+        if self.is_zero:
+            return kind.zero(self.space)
+        N, K1 = self.space.N, self.degree + 1
+        prod = M._times([row[i:i + N] for row in self.mat.num for i in range(0, N * K1, N)])
+        return kind._from(tuple([tuple(chain.from_iterable(prod[p:p + K1]))
+                                 for p in range(0, N * K1, K1)]), self.mat.den * M.den, self.space)
+
     def rmul(self, M: RatMatrix) -> "OpPoly":
         """Multiply every coefficient by a constant operator on the right."""
-        return OpPoly.from_mats([c @ M for c in self.mats], self.space)
+        if M.shape != (self.space.N, self.space.N):
+            raise ValueError(f"cannot multiply coefficients by a {M.shape} matrix")
+        return self._times(M, OpPoly)
 
     def apply_to(self, q: Sequence) -> "VectorPoly":
         """Coefficient-wise application to a constant vector."""
         if len(q) != self.space.N:
             raise ValueError(f"vector length {len(q)} != space dimension {self.space.N}")
-        col = RatMatrix.column(q)
-        return VectorPoly.from_mats([c @ col for c in self.mats], self.space)
+        return self._times(RatMatrix.column(q), VectorPoly)
 
 
 class VectorPoly(_PolyBase):
@@ -292,7 +312,7 @@ def apply_A(j: int, D1: RatMatrix, D2: RatMatrix, r: Poly) -> Poly:
     if j < 1:
         raise ValueError(f"factor index must be >= 1, got {j}")
     N = r.space.N
-    if D1.diag is None or D1.nrows != N or D2.shape != (N, N):
+    if D1._dnum is None or D1.nrows != N or D2.shape != (N, N):
         raise ValueError(f"apply_A needs a diagonal D1 and a D2 of size {N}")
     K = r.degree
     if K < 0:
@@ -310,16 +330,23 @@ def apply_A(j: int, D1: RatMatrix, D2: RatMatrix, r: Poly) -> Poly:
     down = [-L * m for m in range(lo, K + 1) for _ in range(w)]
     zeros = [0] * w
     head = (0,) * (lo * w - w) if lo else ()
+    # a source row of at most a third nonzeros adds only those into the D2 term
+    n = len(srcs[0])
+    sparse = [_nonzeros(src) if 3 * src.count(0) >= 2 * n else None for src in srcs]
     out = []
-    for p, (src, entries) in enumerate(zip(srcs, D2.sparse_rows)):
+    for src, entries, d in zip(srcs, D2.sparse_rows, D1._dnum):
         low = [f * x for f, x in zip(down, src)]  # blocks lo - 1 .. K - 1
-        acc = low[w:] + zeros  # blocks lo .. K
+        acc = low[w:] + zeros  # blocks lo .. K, a new list
         for q, v in entries:
             g = f2 * v
-            acc = [y + g * x for y, x in zip(acc, srcs[q])]
-        a = f1 * D1.num[p][p]
-        out.append(head + (tuple(low[:w]) if lo else ()) + tuple(acc[:w])
-                   + tuple([y + (a + s) * x for y, s, x in zip(acc[w:] + zeros, up, src)]))
+            if sparse[q] is None:
+                acc = [y + g * x for y, x in zip(acc, srcs[q])]
+            else:
+                for c, x in sparse[q]:
+                    acc[c] += g * x
+        a = f1 * d
+        row = acc[:w] + [y + (a + s) * x for y, s, x in zip(acc[w:] + zeros, up, src)]
+        out.append(head + tuple(low[:w] + row if lo else row))
     return r._from(tuple(out), L * r.mat.den, r.space)
 
 

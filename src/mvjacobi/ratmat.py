@@ -8,14 +8,22 @@ hashing compare (num, den).  All arithmetic runs on ints; Fraction
 appears only at the boundary: the constructor's entries, the cached
 `rows` and `diag` views, and the vector `apply` returns; `diagonal`
 reads int and Fraction entries' numerators and builds no Fraction.
+Diagonality is read once per matrix from the integers (`_dnum`, the
+diagonal numerators or None); products, `inverse` and the callers that
+only need the diagonal's numerators use it and build no Fraction.
+
 Coefficient vectors are N x 1 matrices, so a matrix-vector product is
-`@` on a column.  A diagonal right operand (detected once) scales the
-left one's columns in O(N^2); otherwise a left row with at most a third
-of its entries nonzero (a row of D2, or of a diagonal matrix for
-N >= 3) adds up the right operand's rows it selects.
+`@` on a column.  A diagonal right operand scales the left one's columns
+in O(N^2).  Otherwise every left row of at most a third nonzeros (a row
+of D2, of a diagonal matrix for N >= 3, or of x^i I) adds up the right
+operand's rows it selects, and a denser row takes one dot product per
+column; the columns are cut out only when some row needs them.
 `sparse_rows` is a cached view of each row's nonzero (column,
-numerator) pairs, for products that should skip the zeros of a sparse
-operator such as D2.
+numerator) pairs; the product reads the left operand's to choose per
+row, and `apply_A` reads D2's.  `_times` is that product on bare integer
+rows, unreduced, so a caller holding rows of a larger matrix (the
+stacked coefficients of a polynomial) multiplies them all in one pass
+and reduces once.
 
 Inversion is diagonal-only: A + B is required to be diagonal, so the
 derivation D1 and every shift or product of shifts of it is diagonal,
@@ -25,12 +33,17 @@ and those are the only operators the construction ever inverts.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .rational import Rat, rat
+
+
+def _nonzeros(row: Sequence[int]) -> tuple:
+    """The (column, entry) pairs of an int row's nonzero entries."""
+    return tuple(zip(compress(range(len(row)), row), filter(None, row)))
 
 
 class RatMatrix:
@@ -57,7 +70,7 @@ class RatMatrix:
         """num / den (den > 0) divided through by gcd(den, every numerator)."""
         g = gcd(den, *chain.from_iterable(num))
         if g != 1:
-            num = tuple(tuple(e // g for e in row) for row in num)
+            num = tuple([tuple([e // g for e in row]) for row in num])
             den //= g
         out = object.__new__(RatMatrix)
         out.num = num
@@ -67,8 +80,19 @@ class RatMatrix:
     # -- constructors ------------------------------------------------
 
     @staticmethod
+    def _from_diagonal(d: Sequence[int], den: int) -> "RatMatrix":
+        """The square diagonal matrix of the int numerators d over den > 0, reduced."""
+        n = len(d)
+        out = RatMatrix._normal(tuple([(0,) * i + (e,) + (0,) * (n - 1 - i)
+                                       for i, e in enumerate(d)]), den)
+        # the diagonal and nonzero views, known here in O(n)
+        out._dnum = d = tuple([row[i] for i, row in enumerate(out.num)])
+        out.sparse_rows = tuple([((i, e),) if e else () for i, e in enumerate(d)])
+        return out
+
+    @staticmethod
     def identity(n: int) -> "RatMatrix":
-        return RatMatrix._normal(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1)
+        return RatMatrix._from_diagonal((1,) * n, 1)
 
     @staticmethod
     def zeros(nrows: int, ncols: Optional[int] = None) -> "RatMatrix":
@@ -91,9 +115,7 @@ class RatMatrix:
         if not ents:
             raise ValueError("matrix needs at least one row")
         den = lcm(*(e.denominator for e in ents))
-        n = len(ents)
-        return RatMatrix._normal(tuple(tuple(e.numerator * (den // e.denominator) if i == j else 0
-                                             for j in range(n)) for i, e in enumerate(ents)), den)
+        return RatMatrix._from_diagonal([e.numerator * (den // e.denominator) for e in ents], den)
 
     # -- shape / predicates / Fraction views ----------------------------
 
@@ -123,19 +145,25 @@ class RatMatrix:
         return tuple(tuple(Rat(e, self.den) for e in row) for row in self.num)
 
     @cached_property
-    def diag(self) -> Optional[tuple]:
-        """Diagonal entries (Fractions) if the matrix is square diagonal, else None."""
+    def _dnum(self) -> Optional[tuple]:
+        """Diagonal numerators (over den) if the matrix is square diagonal, else None."""
         if not self.is_square:
             return None
         for i, row in enumerate(self.num):
             if any(row[:i]) or any(row[i + 1:]):
                 return None
-        return tuple(Rat(row[i], self.den) for i, row in enumerate(self.num))
+        return tuple([row[i] for i, row in enumerate(self.num)])
+
+    @cached_property
+    def diag(self) -> Optional[tuple]:
+        """Diagonal entries (Fractions) if the matrix is square diagonal, else None."""
+        d = self._dnum
+        return None if d is None else tuple([Rat(e, self.den) for e in d])
 
     @cached_property
     def sparse_rows(self) -> tuple:
         """Per row, the (column, numerator) pairs of its nonzero entries."""
-        return tuple(tuple((c, e) for c, e in enumerate(row) if e) for row in self.num)
+        return tuple(map(_nonzeros, self.num))
 
     # -- arithmetic ----------------------------------------------------
 
@@ -143,18 +171,19 @@ class RatMatrix:
         self._check_same_shape(other)
         den = lcm(self.den, other.den)  # both sides over the common denominator
         fa, fb = den // self.den, den // other.den
-        return RatMatrix._normal(tuple(tuple(fa * a + fb * b for a, b in zip(ra, rb))
-                                       for ra, rb in zip(self.num, other.num)), den)
+        return RatMatrix._normal(tuple([tuple([fa * a + fb * b for a, b in zip(ra, rb)])
+                                        for ra, rb in zip(self.num, other.num)]), den)
 
     def __sub__(self, other: "RatMatrix") -> "RatMatrix":
         return self + -other
 
     def __neg__(self) -> "RatMatrix":
-        return RatMatrix._normal(tuple(tuple(-e for e in row) for row in self.num), self.den)
+        return RatMatrix._normal(tuple([tuple([-e for e in row]) for row in self.num]), self.den)
 
     def scale(self, c) -> "RatMatrix":
         c = rat(c)
-        return RatMatrix._normal(tuple(tuple(c.numerator * e for e in row) for row in self.num),
+        f = c.numerator
+        return RatMatrix._normal(tuple([tuple([f * e for e in row]) for row in self.num]),
                                  self.den * c.denominator)
 
     def plus_scalar(self, c) -> "RatMatrix":
@@ -173,26 +202,41 @@ class RatMatrix:
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.ncols != other.nrows:
             raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
-        den = self.den * other.den
-        if other.diag is not None:
-            d = [row[j] for j, row in enumerate(other.num)]
-            return RatMatrix._normal(tuple(tuple(map(mul, row, d)) for row in self.num), den)
-        onum = other.num
-        cols = tuple(zip(*onum))
-        zero = (0,) * len(cols)
+        # self's cached nonzeros choose each row's path; a diagonal other needs none
+        nonzeros = self.sparse_rows if other._dnum is None else None
+        return RatMatrix._normal(tuple(other._times(self.num, nonzeros)), self.den * other.den)
+
+    def _times(self, rows: Sequence[tuple], nonzeros: Optional[Sequence] = None) -> list:
+        """The numerators of rows @ self, over den times the rows' denominator, unreduced.
+
+        rows are int rows of length nrows; nonzeros, when given, holds each
+        row's (column, entry) pairs, and otherwise a row's zeros are counted.
+        """
+        d = self._dnum
+        if d is not None:
+            return [tuple(map(mul, row, d)) for row in rows]
+        onum = self.num
+        n = len(onum)
+        cols = None
+        zero = [0] * len(onum[0])
         out = []
-        for row in self.num:
-            # a row of at most one third nonzeros sums the rows of other it
+        for i, row in enumerate(rows):
+            # a row of at most one third nonzeros sums the rows of self it
             # selects; a denser one takes a dot product per column
-            if 3 * row.count(0) >= 2 * len(row):
+            if nonzeros is None:
+                nz = _nonzeros(row) if 3 * row.count(0) >= 2 * n else None
+            else:
+                nz = nonzeros[i] if 3 * len(nonzeros[i]) <= n else None
+            if nz is not None:
                 acc = zero
-                for c, e in enumerate(row):
-                    if e:
-                        acc = [a + e * b for a, b in zip(acc, onum[c])]
+                for c, e in nz:
+                    acc = [a + e * b for a, b in zip(acc, onum[c])]
                 out.append(tuple(acc))
             else:
-                out.append(tuple(sum(map(mul, row, col)) for col in cols))
-        return RatMatrix._normal(tuple(out), den)
+                if cols is None:
+                    cols = tuple(zip(*onum))
+                out.append(tuple([sum(map(mul, row, col)) for col in cols]))
+        return out
 
     def apply(self, vec: Sequence) -> tuple:
         """Matrix-vector product as a tuple of Rat: `@` on the column of vec."""
@@ -219,15 +263,14 @@ class RatMatrix:
         the diagonal D1, so only the diagonal case is supported; any other
         input, and a zero diagonal entry, raise ValueError.
         """
-        if self.diag is None:
+        d = self._dnum
+        if d is None:
             raise ValueError("inverse needs a square diagonal matrix")
-        d = [row[i] for i, row in enumerate(self.num)]
         if not all(d):
             raise ValueError("singular matrix (zero diagonal entry)")
         # 1 / (d_i / den) = den * (L / d_i) / L with L = lcm(d)
         L = lcm(*d)
-        return RatMatrix._normal(tuple(tuple(self.den * (L // e) if i == j else 0
-                                             for j in range(len(d))) for i, e in enumerate(d)), L)
+        return RatMatrix._from_diagonal([self.den * (L // e) for e in d], L)
 
     def _check_same_shape(self, other: "RatMatrix") -> None:
         if self.shape != other.shape:

@@ -114,7 +114,18 @@ def recurrence_coeffs(spec: ProblemSpec, k: int) -> RecurrenceCoeffs:
 
 
 def verify_recurrence(spec: ProblemSpec, k_max: int) -> CheckReport:
-    """Check the recurrence and its three coefficient equations for k <= k_max."""
+    """Check the recurrence and its three coefficient equations for k <= k_max.
+
+    The two-step recurrence check is the one that tests the members: it
+    multiplies out P_{k+1} alpha_k + P_k beta_k + P_{k-1} gamma_k and
+    compares it with x P_k.  The three coefficient-equation checks
+    recompute the products that `_solve_recurrence` used, so they can
+    catch only a fault in the solve.  At k >= 1 the constant-coefficient
+    check restates gamma_k's formula and holds for any alpha_k and
+    beta_k, and the x^2 and x checks test only that the diagonal
+    inverses of D1 + 2k + 1, D1 + 2k + 2 and D1 + 2k invert them.  At
+    k = 0 they check the closed forms of alpha_0 and beta_0.
+    """
     report = CheckReport(f"recurrence d={spec.d} n={spec.n}")
     D1 = build_D(spec, 1)
     D2 = build_D(spec, 2)

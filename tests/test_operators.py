@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import derivation_matrix, derivation_oracle, evaluate, induced_action, to_sympy
@@ -238,6 +239,32 @@ def test_dominant_coefficient_values():
     assert dominant_coefficient(D1, 3) == RatMatrix([[120]])
     with pytest.raises(ValueError):
         dominant_coefficient(D1, -1)
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_dominant_coefficient_is_the_product_of_shifts(k):
+    # a zero entry, entries that a shift cancels (-3 and -4; -7/2 never),
+    # and mixed denominators, against the dense product of the k shifts
+    d = [ZERO, Rat(-3), Rat(1, 2), Rat(-7, 2), Rat(5, 6), Rat(-4)]
+    D1 = RatMatrix.diagonal(d)
+    want = sympy.eye(len(d))
+    for i in range(k + 1, 2 * k + 1):
+        want = want * (to_sympy(D1) + i * sympy.eye(len(d)))
+    got = dominant_coefficient(D1, k)
+    assert to_sympy(got) == want
+    shifts = RatMatrix.identity(len(d))
+    for i in range(k + 1, 2 * k + 1):
+        shifts = shifts @ D1.plus_scalar(i)
+    assert (got.num, got.den) == (shifts.num, shifts.den)
+    assert got._dnum == tuple(got.num[b][b] for b in range(len(d)))
+    assert (0 in got._dnum) == (k in (2, 3))  # -3 + 3 at k = 2, -4 + 4 at k = 2, 3
+
+
+def test_dominant_coefficient_needs_a_diagonal_D1():
+    with pytest.raises(ValueError, match="diagonal"):
+        dominant_coefficient(RatMatrix([[1, 1], [0, 1]]), 2)
+    with pytest.raises(ValueError, match="diagonal"):
+        dominant_coefficient(RatMatrix.zeros(2, 3), 0)
 
 
 def test_dominant_coefficient_noncommutative_order():

@@ -8,13 +8,14 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import composite_apply_A, leibniz_scalar_member, to_sympy, trim
-from test_ratmat import raw_matrix, sym
+from test_ratmat import mixed, raw_matrix, sym
 
+from mvjacobi import oppoly
 from mvjacobi.operators import ProblemSpec, build_D, dominant_coefficient
 from mvjacobi.oppoly import OpPoly, VectorPoly, apply_A, build_Pk
 from mvjacobi.polyspace import enumerate_basis
 from mvjacobi.rational import Rat
-from mvjacobi.ratmat import RatMatrix
+from mvjacobi.ratmat import RatMatrix, _nonzeros
 from mvjacobi.sampling import (random_matrix, random_op_poly, random_problem_spec,
                                random_vector, random_vector_poly)
 
@@ -466,6 +467,77 @@ def test_apply_A_with_zero_coefficients_matches_composite_formula(data):
     r = r.from_mats([z if zero else m for zero, m in zip(zeroed, r.mats)], space)
     j = data.draw(st.integers(1, 6))
     assert apply_A(j, D1, D2, r) == composite_apply_A(j, D1, D2, r)
+
+
+@pytest.mark.parametrize("pattern", ["below", "at", "above", "mixed"])
+@pytest.mark.parametrize("kind", [OpPoly, VectorPoly])
+def test_apply_A_sparse_and_dense_source_rows_match_sympy(monkeypatch, kind, pattern):
+    # source rows with fewer, exactly, or more than a third nonzeros (12
+    # entries for OpPoly, 6 for VectorPoly), or all three; the rows at or
+    # below the rule add only their nonzeros into the D2 term
+    space = enumerate_basis(2, 2)  # N = 6
+    N = space.N
+    w, K = (N, 1) if kind is OpPoly else (1, 5)
+    n = w * (K + 1)
+    counts = {"below": n // 3 - 1, "at": n // 3, "above": n // 3 + 1}
+    rng = random.Random(f"{kind.__name__} {pattern}")
+
+    def entry():
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4))
+
+    rows = []
+    for p in range(N):
+        nnz = counts[pattern] if pattern != "mixed" else list(counts.values())[p % 3]
+        # row 0 starts with a nonzero, so no zero block is cut off below
+        where = {0, *rng.sample(range(1, n), nnz - 1)} if p == 0 else set(rng.sample(range(n), nnz))
+        rows.append([entry() if c in where else Fraction(0) for c in range(n)])
+    r = kind.from_mats([RatMatrix([row[i * w:i * w + w] for row in rows]) for i in range(K + 1)],
+                       space)
+    assert r.degree == K
+    d1 = [[Fraction(rng.randint(-5, 5), rng.randint(1, 3)) if i == j else 0 for j in range(N)]
+          for i in range(N)]
+    d2 = [[entry() for _ in range(N)] for _ in range(N)]
+    calls = []
+
+    def recording(row):
+        calls.append(row)
+        return _nonzeros(row)
+
+    monkeypatch.setattr(oppoly, "_nonzeros", recording)
+    j = 3
+    got = apply_A(j, RatMatrix(d1), RatMatrix(d2), r)
+    monkeypatch.undo()
+    assert len(calls) == sum(3 * sum(map(bool, row)) <= n for row in rows)
+    R = sympy.zeros(N, w)
+    for i in range(K + 1):
+        R += sym([row[i * w:i * w + w] for row in rows]) * X**i
+    assert_layout(got, X * (sym(d1) + 2 * j * sympy.eye(N)) * R + sym(d2) * R
+                  + (X**2 - 1) * R.diff(X))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_rmul_and_apply_to_match_per_coefficient_products(data):
+    # one stacked product against sympy coefficient by coefficient: zero
+    # polynomial, degree 0, zero and sparse rows (both paths of the
+    # product), zero blocks, and dense, diagonal or singular right factors
+    space = enumerate_basis(data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2)))
+    N = space.N
+    blocks = [data.draw(raw_matrix(N, N)) for _ in range(data.draw(st.integers(0, 3)))]
+    p = OpPoly.from_mats([RatMatrix(b) for b in blocks], space)
+    m = data.draw(raw_matrix(N, N, diagonal=data.draw(st.booleans())))
+    q = data.draw(st.lists(mixed, min_size=N, max_size=N))
+    got_r, got_q = p.rmul(RatMatrix(m)), p.apply_to(tuple(q))
+    want_r = [sym(b) * sym(m) for b in blocks]
+    want_q = [sym(b) * sym([q]).T for b in blocks]
+    assert_layout(got_r, sum((c * X**i for i, c in enumerate(want_r)), sympy.zeros(N, N)))
+    assert_layout(got_q, sum((c * X**i for i, c in enumerate(want_q)), sympy.zeros(N, 1)))
+    for i in range(len(blocks) + 1):
+        zero_r, zero_q = sympy.zeros(N, N), sympy.zeros(N, 1)
+        assert to_sympy(got_r.mat_at(i)) == (want_r[i] if i < len(blocks) else zero_r)
+        assert to_sympy(got_q.mat_at(i)) == (want_q[i] if i < len(blocks) else zero_q)
+    with pytest.raises(ValueError):
+        p.rmul(RatMatrix.zeros(N, N + 1))
 
 
 def test_apply_A_treats_a_zero_term_as_absent():

@@ -359,6 +359,32 @@ def test_sparse_rows_list_the_nonzeros_of_each_row(data):
     assert M.sparse_rows is M.sparse_rows  # cached
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_integer_diagonal_view_matches_the_entries(data):
+    # non-square, zero, partly zero and full diagonals, and dense entries
+    n, m = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    if data.draw(st.booleans()):
+        m = n
+    M = RatMatrix(data.draw(raw_matrix(n, m, diagonal=data.draw(st.booleans()))))
+    off = [M.num[i][j] for i in range(n) for j in range(m) if i != j]
+    want = tuple(M.num[i][i] for i in range(n)) if n == m and not any(off) else None
+    assert M._dnum == want
+    assert M.diag == (None if want is None else tuple(Fraction(e, M.den) for e in want))
+    assert M._dnum is M._dnum  # cached
+    # the diagonal constructors fill both views themselves, after reduction
+    # (the inverse of diag(1/2, 1) is built over 2 and reduced to den 1)
+    d = data.draw(st.lists(mixed, min_size=n, max_size=n))
+    built = [RatMatrix.identity(n), RatMatrix.diagonal(d),
+             RatMatrix.diagonal([Rat(1, 2), 1]).inverse()]
+    if all(d):
+        built.append(RatMatrix.diagonal(d).inverse())
+    for D in built:
+        fresh = RatMatrix(D.rows)  # the same matrix, views computed on demand
+        assert (D.num, D.den) == (fresh.num, fresh.den)
+        assert D._dnum == fresh._dnum and D.sparse_rows == fresh.sparse_rows
+
+
 @pytest.mark.parametrize("build", [
     lambda: RatMatrix([[1, 0.1]]),
     lambda: RatMatrix.column([Fraction(1, 2), 0.5]),
