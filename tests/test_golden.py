@@ -9,7 +9,9 @@ Any change to the member construction, the verifiers, the expansion,
 the exact quadrature path or the resonance message shows up here as a
 changed digest.  Quadrature keys name their indices and side, as in
 "d2n3_c quadrature 1 3 right"; on a commutative problem the integral is
-decided exactly, so its document is deterministic.
+decided exactly, and on a noncommutative one a claimed pair is decided
+by exact moments and a pair the gate refuses exits 2, so each document
+or stderr line is deterministic.
 """
 
 import contextlib
