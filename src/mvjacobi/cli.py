@@ -152,24 +152,11 @@ def load_vector_poly(path: str, spec: ProblemSpec) -> VectorPoly:
     return VectorPoly(coeffs, space)
 
 
-def _utc_isoformat(t: float) -> str:
-    """datetime.fromtimestamp(t, timezone.utc).isoformat() for t >= 0, built with time.
-
-    The fraction is rounded to microseconds half to even, as datetime
-    does, and left out when it is zero.
-    """
-    frac, whole = math.modf(t)
-    us = round(frac * 1e6)
-    if us == 1_000_000:
-        whole, us = whole + 1, 0
-    tm = time.gmtime(whole)
-    text = (f"{tm.tm_year:04d}-{tm.tm_mon:02d}-{tm.tm_mday:02d}"
-            f"T{tm.tm_hour:02d}:{tm.tm_min:02d}:{tm.tm_sec:02d}")
-    return text + (f".{us:06d}" if us else "") + "+00:00"
-
-
 def _header() -> dict:
-    return {"tool": TOOL, "generated_at": _utc_isoformat(time.time())}
+    # UTC seconds and microseconds (truncated) of the same clock reading
+    secs, ns = divmod(time.time_ns(), 10**9)
+    stamp = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(secs))
+    return {"tool": TOOL, "generated_at": f"{stamp}.{ns // 1000:06d}+00:00"}
 
 
 def _strict(value):

@@ -191,20 +191,18 @@ def _Y_at(spec: ProblemSpec, x: np.ndarray, dist_minus: Optional[np.ndarray] = N
     x = np.asarray(x, dtype=float)
     dist_minus = 1.0 - x if dist_minus is None else np.asarray(dist_minus, dtype=float)
     dist_plus = 1.0 + x if dist_plus is None else np.asarray(dist_plus, dtype=float)
-    at_zero = x == 0.0
     plus = x > 0.0
     delta = np.where(plus, dist_minus, dist_plus)
-    outside = ~at_zero & ~(delta > 0.0)
+    outside = ~(delta > 0.0)
     if outside.any():
         raise ValueError(f"x = {x[outside][0]} outside (-1, 1)")
     out = np.empty(x.shape + (spec.d, spec.d))
-    out[at_zero] = np.eye(spec.d)
-    for sign, side in ((1, plus), (-1, ~plus & ~at_zero)):
+    for sign, side in ((1, plus), (-1, ~plus)):
         if side.any():
             sweep = _sweep(spec, sign)
             dist = np.maximum(delta[side], _CAP_DIST)
-            # the last center not beyond dist; the first one for a node that
-            # lies within rounding of 0
+            # the last center not beyond dist; the first one, 0, for x = 0
+            # (there s = 0 and the series gives Y(0) = I) or a node within rounding of it
             i = np.maximum(np.searchsorted(-sweep.dist, -dist, side="right") - 1, 0)
             s = sign * (sweep.dist[i] - dist) / sweep.rho[i]
             out[side] = _sum_series(sweep.coeffs, s[:, None, None], i)

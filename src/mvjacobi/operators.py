@@ -132,13 +132,11 @@ def build_D(spec: ProblemSpec, which: int) -> RatMatrix:
             for t, entry in enumerate(M.num[s]):
                 if not entry:
                     continue
-                if s == t:
-                    col[cpos] += ms * entry
-                else:
-                    shifted = list(b.m)
-                    shifted[s] -= 1
-                    shifted[t] += 1
-                    col[space.index_of(tuple(shifted), b.j)] += ms * entry
+                # for t == s the shifted multi-index is m itself
+                shifted = list(b.m)
+                shifted[s] -= 1
+                shifted[t] += 1
+                col[space.index_of(tuple(shifted), b.j)] += ms * entry
         for r, row in enumerate(M.num, 1):
             col[space.index_of(b.m, r)] -= row[b.j - 1]
     return RatMatrix._normal(tuple(zip(*cols)), M.den)

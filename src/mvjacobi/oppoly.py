@@ -66,10 +66,6 @@ class _PolyBase:
     __slots__ = ("mat", "space")
 
     def __init__(self, coeffs: Iterable, space: PolySpace):
-        coeffs = tuple(coeffs)
-        for c in coeffs:
-            if not isinstance(c, RatMatrix):
-                raise ValueError(f"coefficient must be a RatMatrix, got {type(c).__name__}")
         self._assign(self.from_mats(coeffs, space).mat, space)
 
     def _assign(self, mat: RatMatrix, space: PolySpace) -> None:
@@ -94,8 +90,8 @@ class _PolyBase:
         """The polynomial with these RatMatrix coefficients, lowest power first."""
         mats = tuple(mats)
         shape = (space.N, cls._width(space))
-        if any(m.shape != shape for m in mats):
-            raise ValueError(f"coefficient must be a {shape[0]} x {shape[1]} matrix")
+        if any(not isinstance(m, RatMatrix) or m.shape != shape for m in mats):
+            raise ValueError(f"coefficient must be a {shape[0]} x {shape[1]} RatMatrix")
         den = lcm(*(m.den for m in mats))
         facs = [den // m.den for m in mats]
         return cls._from(tuple(tuple(f * e for f, m in zip(facs, mats) for e in m.num[p])
@@ -229,7 +225,7 @@ class OpPoly(_PolyBase):
 
     @staticmethod
     def identity(space: PolySpace) -> "OpPoly":
-        return OpPoly((RatMatrix.identity(space.N),), space)
+        return OpPoly._from(RatMatrix.identity(space.N).num, 1, space)
 
     @staticmethod
     def _width(space: PolySpace) -> int:

@@ -14,7 +14,6 @@ written by the CLI are only meaningful against it.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
 from math import comb
 from typing import NamedTuple
 
@@ -71,21 +70,10 @@ class PolySpace:
 
 
 def _multi_indices(d: int, n: int) -> list[MultiIndex]:
-    """All d-part compositions of n, descending lexicographic."""
+    """All d-part compositions of n, descending lexicographic: first exponent n down to 0."""
     if d == 1:
         return [(n,)]
-    out = []
-    # stars-and-bars; generated ascending then reversed
-    for bars in combinations(range(n + d - 1), d - 1):
-        prev = -1
-        m = []
-        for b in bars:
-            m.append(b - prev - 1)
-            prev = b
-        m.append(n + d - 2 - prev)
-        out.append(tuple(m))
-    out.sort(reverse=True)
-    return out
+    return [(a,) + rest for a in range(n, -1, -1) for rest in _multi_indices(d - 1, n - a)]
 
 
 def basis_size(d: int, n: int) -> int:

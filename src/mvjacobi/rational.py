@@ -1,9 +1,9 @@
 """Exact rational scalar at the boundary of the algebraic core.
 
 Rat is fractions.Fraction: always in lowest terms with positive
-denominator, serialized as a "p/q" (or bare "p") string, and
-interoperable with ints.  It is what problem files parse to, what
-reports format, and what RatMatrix and VectorPoly take and hand back.
+denominator, interoperable with ints, and read and written as an ASCII
+"p/q" (or bare "p") string, with one grammar, parse_rational, for problem
+files and rat() alike.  RatMatrix and VectorPoly take and hand it back.
 Matrix and coefficient-vector arithmetic runs on integer numerators
 over one common denominator (see ratmat.py); scalars stay Fractions.
 
@@ -20,7 +20,9 @@ ONE = Rat(1)
 
 
 def rat(value) -> Rat:
-    """Coerce an int, string ("p/q" or "p"), Fraction or Rat to Rat."""
+    """Coerce an int, Fraction, Rat or parse_rational string to Rat."""
+    if isinstance(value, str):
+        return parse_rational(value)
     if isinstance(value, float):
         raise TypeError(f"refusing to coerce float {value!r} to an exact rational")
     return Rat(value)

@@ -5,9 +5,9 @@ over one denominator `den` > 0, the fmpq_mat layout of FLINT in plain
 Python ints.  Every result is divided through by gcd(den, all of num),
 so the zero matrix has den 1, the form is unique, and equality and
 hashing compare (num, den).  All arithmetic runs on ints; Fraction
-appears only at the boundary: the constructor's entries, the cached
-`rows` and `diag` views, and the vector `apply` returns; `diagonal`
-reads int and Fraction entries' numerators and builds no Fraction.
+appears only in the cached `rows` and `diag` views and the vector `apply`
+returns.  The constructor, which `column` and `diagonal` build through,
+takes int and Fraction entries as they are and others through rat().
 Diagonality is read once per matrix from the integers (`_dnum`, the
 diagonal numerators or None); products, `inverse` and the callers that
 only need the diagonal's numerators use it and build no Fraction.
@@ -52,7 +52,7 @@ class RatMatrix:
     __slots__ = ("num", "den", "__dict__")
 
     def __init__(self, rows: Iterable[Iterable]):
-        rows = tuple(tuple(rat(e) for e in row) for row in rows)
+        rows = tuple(tuple(e if type(e) in (int, Rat) else rat(e) for e in row) for row in rows)
         if not rows:
             raise ValueError("matrix needs at least one row")
         width = len(rows[0])
@@ -63,7 +63,6 @@ class RatMatrix:
         self.num = tuple(
             tuple(e.numerator * (self.den // e.denominator) for e in row) for row in rows
         )
-        self.rows = rows  # fills the cached Fraction view
 
     @staticmethod
     def _normal(num: tuple, den: int) -> "RatMatrix":
@@ -102,20 +101,13 @@ class RatMatrix:
     @staticmethod
     def column(entries: Sequence) -> "RatMatrix":
         """The N x 1 matrix of a vector of rationals."""
-        ents = [e if type(e) is Rat else rat(e) for e in entries]
-        if not ents:
-            raise ValueError("column needs at least one entry")
-        den = lcm(*(e.denominator for e in ents))
-        return RatMatrix._normal(tuple((e.numerator * (den // e.denominator),) for e in ents), den)
+        return RatMatrix([(e,) for e in entries])
 
     @staticmethod
     def diagonal(entries: Sequence) -> "RatMatrix":
         """The square diagonal matrix of these rationals, over the lcm of their denominators."""
-        ents = [e if type(e) in (int, Rat) else rat(e) for e in entries]
-        if not ents:
-            raise ValueError("matrix needs at least one row")
-        den = lcm(*(e.denominator for e in ents))
-        return RatMatrix._from_diagonal([e.numerator * (den // e.denominator) for e in ents], den)
+        row = RatMatrix([entries])
+        return RatMatrix._from_diagonal(row.num[0], row.den)
 
     # -- shape / predicates / Fraction views ----------------------------
 

@@ -6,7 +6,7 @@ import os
 import re
 import subprocess
 import sys
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 from pathlib import Path
 
@@ -797,6 +797,28 @@ def test_frozen_tracer_sees_every_quadrature(tmp_path):
             assert doc["counters"]["numeric.ode_nfev"] > 0
 
 
+EXACT_SPANS = {"verify": {"operators.build_D", "oppoly.apply_A", "oppoly.build_Pk",
+                          "structure.verify_recurrence", "structure.verify_product_identities",
+                          "structure.verify_derivative_relation", "structure.build_tilde_Pk",
+                          "ratmat.matmul", "ratmat.inverse"},
+               "compute": {"operators.build_D", "oppoly.apply_A", "oppoly.build_Pk"},
+               "expand": {"structure.expand", "structure.reconstruct", "oppoly.apply_A",
+                          "ratmat.inverse"}}
+
+
+@pytest.mark.parametrize("command", sorted(EXACT_SPANS))
+def test_frozen_tracer_sees_every_exact_command(tmp_path, command):
+    # perfbench/traced_cli.py wraps these functions by name in every module
+    # that holds them; a renamed or inlined one would drop out of the trace
+    argv = golden_argv("d2n2_nc", command)
+    trace, doc = tmp_path / "trace.json", tmp_path / "out.json"
+    out = run_python(str(PERFBENCH / "traced_cli.py"), str(trace), "--", *argv, "--out", str(doc))
+    assert out.returncode == 0, out.stderr
+    assert record(0, doc.read_text(encoding="utf-8"), "") == in_process_record(argv)
+    names = {span[0] for span in json.loads(trace.read_text(encoding="utf-8"))["spans"]}
+    assert EXACT_SPANS[command] <= names
+
+
 def test_module_entry_point_computes():
     out = run_python("-m", "mvjacobi", "compute", "--input", str(GOLDEN / "d1n2.json"))
     assert out.returncode == 0, out.stderr
@@ -999,13 +1021,33 @@ def test_matrix_to_json_edge_entries():
     assert _matrix_to_json(raw_matrix(((0, -7),), 1)) == [["0", "-7"]]
 
 
+def _utc_microseconds(ns: int) -> datetime:
+    # datetime of the whole seconds of ns, with its microseconds truncated
+    return datetime.fromtimestamp(ns // 10**9, timezone.utc).replace(microsecond=ns // 1000 % 10**6)
+
+
 @pytest.mark.parametrize("t", [0.0, 1_700_000_000.0, 1_700_000_000.25, 1_000_000_000.0000005,
                                1_000_000_000.0000015, 1_700_000_000.9999996, 951_782_400.5])
 def test_header_timestamp_matches_datetime(monkeypatch, t):
-    want = datetime.fromtimestamp(t, timezone.utc).isoformat()
-    assert cli._utc_isoformat(t) == want
-    monkeypatch.setattr(cli.time, "time", lambda: t)
+    # the clock read in nanoseconds (t's exact value), truncated to microseconds
+    ns = int(Fraction(t) * 10**9)
+    monkeypatch.setattr(cli.time, "time_ns", lambda: ns)
+    want = _utc_microseconds(ns).isoformat(timespec="microseconds")
     assert cli._header()["generated_at"] == want
+
+
+@pytest.mark.parametrize("ns, text", [
+    (0, "1970-01-01T00:00:00.000000+00:00"),
+    (1_700_000_000 * 10**9, "2023-11-14T22:13:20.000000+00:00"),
+    (1_700_000_000_999_999_999, "2023-11-14T22:13:20.999999+00:00"),
+    (951_782_400_500_000_500, "2000-02-29T00:00:00.500000+00:00"),
+])
+def test_header_timestamp_truncates_time_ns(monkeypatch, ns, text):
+    monkeypatch.setattr(cli.time, "time_ns", lambda: ns)
+    assert cli._header()["generated_at"] == text
+    stamp = datetime.fromisoformat(text)
+    assert stamp.utcoffset() == timedelta(0)
+    assert stamp == _utc_microseconds(ns)
 
 
 def test_strict_returns_a_finite_document_itself():

@@ -113,6 +113,22 @@ def test_space_and_type_mismatch(space):
         OpPoly((RatMatrix.identity(3),), space)  # wrong coefficient shape
 
 
+def test_op_poly_checks_each_coefficient_once(space):
+    # one check, one message: a RatMatrix of the space's N x N shape
+    I = RatMatrix.identity(space.N)
+    for bad in ([[1] * space.N] * space.N, "I", RatMatrix.identity(3), RatMatrix.zeros(space.N, 1)):
+        with pytest.raises(ValueError, match=f"{space.N} x {space.N} RatMatrix"):
+            OpPoly((I, bad), space)
+
+
+@pytest.mark.parametrize("d, n", [(1, 3), (2, 2), (3, 2)])  # N = 1, 6, 18
+def test_identity_is_the_constant_identity_matrix(d, n):
+    space = enumerate_basis(d, n)
+    I = OpPoly.identity(space)
+    assert I == OpPoly((RatMatrix.identity(space.N),), space)
+    assert (I.degree, I.mat.den, I.leading()) == (0, 1, RatMatrix.identity(space.N))
+
+
 def test_immutability(space):
     p = OpPoly.identity(space)
     with pytest.raises(AttributeError):

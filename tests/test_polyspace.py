@@ -41,6 +41,14 @@ def test_ordering_contract():
     assert space.basis[-1] == BasisIndex((0, 0, 2), 3)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_ordering_is_descending_lexicographic_with_slots_inside(d, n):
+    ms = sorted(brute_force_multi_indices(d, n), reverse=True)
+    assert enumerate_basis(d, n).basis == tuple(
+        BasisIndex(m, j) for m in ms for j in range(1, d + 1))
+
+
 def test_space_is_immutable_with_value_equality():
     space = enumerate_basis(2, 2)
     for name in ("d", "n", "basis", "position", "N", "other"):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given
@@ -13,6 +14,7 @@ from mvjacobi.rational import (
     parse_rational,
     rat,
 )
+from mvjacobi.ratmat import RatMatrix
 
 
 def test_parse_basic_forms():
@@ -26,8 +28,10 @@ def test_parse_basic_forms():
         parse_rational("-2/-4")  # the denominator takes no sign
 
 
-@pytest.mark.parametrize("bad", ["", "1/0", "0/0", "a/b", "1.5", "1/2/3", "1//2", None, 2.5,
-                                 True, False])
+MALFORMED = ["", "1/0", "0/0", "a/b", "1.5", "1/2/3", "1//2"]
+
+
+@pytest.mark.parametrize("bad", MALFORMED + [None, 2.5, True, False])
 def test_parse_rejects_malformed(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)
@@ -52,6 +56,39 @@ def test_rat_coercions():
     assert rat(Fraction(2, 3)) == Rat(2, 3)
     with pytest.raises(TypeError):
         rat(0.5)
+
+
+# Fraction(str) would take each of the last three: a decimal exponent, a
+# digit separator and an Arabic-Indic digit
+@pytest.mark.parametrize("bad", MALFORMED + ["1e3", "1_000", "\u0663"])
+def test_rat_and_matrix_entries_refuse_what_parse_rational_refuses(bad):
+    I = RatMatrix.identity(2)
+    for build in (rat, lambda s: RatMatrix([[s]]), lambda s: RatMatrix.column([1, s]),
+                  lambda s: RatMatrix.diagonal([s, 1]), I.scale, I.plus_scalar):
+        with pytest.raises(ValueError):
+            build(bad)
+
+
+def test_column_and_diagonal_read_mixed_entries():
+    entries = [2, Fraction(-1, 3), "5/6", 0, "-4"]
+    col, diag = RatMatrix.column(entries), RatMatrix.diagonal(entries)
+    assert (col.num, col.den) == (((12,), (-2,), (5,), (0,), (-24,)), 6)
+    assert diag.den == 6 and diag._dnum == (12, -2, 5, 0, -24)
+    assert diag.diag == tuple(rat(e) for e in entries)
+    for M in (RatMatrix.column([1, 2]), RatMatrix.diagonal([1, 2]), RatMatrix([[1, 2]])):
+        assert all(type(e) is Fraction for row in M.rows for e in row)
+    for build in (RatMatrix.column, RatMatrix.diagonal):
+        with pytest.raises(ValueError):
+            build([])
+
+
+@given(st.lists(st.one_of(st.integers(-50, 50), st.fractions(max_denominator=30),
+                          st.fractions(max_denominator=30).map(str)), min_size=1, max_size=6))
+def test_column_and_diagonal_hold_their_entries(entries):
+    want = tuple(map(Fraction, entries))
+    col, diag = RatMatrix.column(entries), RatMatrix.diagonal(entries)
+    assert tuple(row[0] for row in col.rows) == want and diag.diag == want
+    assert col.den == diag.den == lcm(*(e.denominator for e in want))
 
 
 def test_falling_factorial_values():
