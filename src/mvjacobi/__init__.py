@@ -17,8 +17,9 @@ mvjacobi.sampling, and so on.
 
 The numeric layer (ODE solver, weight, quadrature) lives in
 mvjacobi.numeric, the only part that needs numpy; mvjacobi.integrals
-(quasi-orthogonality) loads it only for noncommutative problems, so the
-package import, the exact commands and commutative quadrature never do.
+(quasi-orthogonality) loads it only for a noncommutative integral whose
+exact moments E do not vanish, so the package import, the exact
+commands, a passing claim and commutative quadrature never do.
 """
 
 from importlib import import_module

@@ -12,12 +12,15 @@ which only those values load, and numpy with it.
 
 The gate decides exactly whether every endpoint exponent exceeds -1,
 which the lemma needs, and -1/2, which bounds the float mu_0's endpoint
-bias: from the exponents themselves for diagonal residues, else by
-Routh's test on the characteristic polynomial of n A (x) I - I (x) A,
-formed from the traces of powers of A (and of B at -1).  The reported
-minimum exponents are floats, estimated from the roots of det(z - A)
-for noncommutative problems.  A claim needs only > -1; a noncommutative
-value needs > -1/2.
+bias: from the exponents themselves for diagonal residues, else from a
+bracket of the least exponent n a - b, with a and b the least and
+greatest real parts of A's eigenvalues (B's at -1), bisected by Routh's
+test on det(z - den A).  Only a threshold inside the bracket runs
+Routh's test on the characteristic polynomial of n A (x) I - I (x) A.
+Both polynomials come from the traces of powers of den A.  The reported
+minimum exponents are floats: the bracket's upper end for
+noncommutative problems, within 2^-60 of the minimum.  A claim needs
+only > -1; a noncommutative value needs > -1/2.
 """
 
 from __future__ import annotations
@@ -155,50 +158,26 @@ def _roots_exceed(poly: list, t: int) -> bool:
     return True
 
 
-_ROOT_ITERATIONS = 100
+_BITS = 60  # a noncommutative minimum exponent is bracketed to within 2^-_BITS
 
 
-def _aberth_roots(coeffs: list) -> list:
-    """Complex roots of the monic polynomial with float coefficients coeffs (highest power first).
+def _bisect(poly: list, lo: int, hi: int, steps: int) -> tuple[int, int]:
+    """(lo, hi) 2^steps times finer, with lo < min Re z <= hi kept over the roots z of poly.
 
-    Aberth-Ehrlich iteration from a circle of Fujiwara's root-bound radius;
-    it converges cubically to simple roots and stops once no approximation
-    moves by more than about a unit in the last place of 1 + |z|.
+    poly is monic and integral, highest power first; each step doubles its
+    roots and halves the bracket, whose midpoint is an integer there.  A
+    root on the line does not exceed it, so hi lands exactly on a minimum
+    that is dyadic to that precision.
     """
-    d = len(coeffs) - 1
-    radius = 2.0 * max(abs(c) ** (1.0 / k) for k, c in enumerate(coeffs) if k) or 1.0
-    z = [radius * complex(math.cos(a), math.sin(a))
-         for a in (2.0 * math.pi * i / d + 0.5 for i in range(d))]
-    for _ in range(_ROOT_ITERATIONS):
-        moved = False
-        for i, zi in enumerate(z):
-            p = dp = 0j
-            for c in coeffs:
-                dp = dp * zi + p
-                p = p * zi + c
-            denom = dp - p * sum(1.0 / (zi - zj) for zj in z if zj != zi)
-            step = p / denom if denom else 0j
-            z[i] = zi - step
-            moved = moved or abs(step) > 1e-15 * (1.0 + abs(zi))
-        if not moved:
-            break
-    return z
-
-
-def _eigenvalue_real_parts(M: RatMatrix, e: list, what: str) -> list:
-    """Float estimates of the real parts of M's eigenvalues, from e of X = den M.
-
-    The roots are found for M / 2^s with 2^s >= every |entry|, whose
-    characteristic coefficients are at most C(d, k) d^k.
-    """
-    top = max(abs(v) for row in M.num for v in row)
-    s = math.frexp(_float(Rat(top, M.den), f"an entry of {what}"))[1]
-    unit = M.den * Rat(2) ** s
-    coeffs = [float((-1) ** k * c / unit ** k) for k, c in enumerate(e)]
-    try:
-        return [math.ldexp(z.real, s) for z in _aberth_roots(coeffs)]
-    except OverflowError:
-        raise ValueError(f"an eigenvalue of {what} is past the float range") from None
+    for _ in range(steps):
+        poly = [c << k for k, c in enumerate(poly)]
+        lo, hi = 2 * lo, 2 * hi
+        mid = (lo + hi) // 2
+        if _roots_exceed(poly, mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
 
 
 @lru_cache(maxsize=None)
@@ -206,13 +185,15 @@ def _endpoint_gate(spec: ProblemSpec) -> tuple[float, float, bool, bool]:
     """(min exponent at +1, min at -1, every exponent > -1, every exponent > -1/2).
 
     The exponents at +1 are m.l - l_j over the eigenvalues l of A and the
-    basis elements w^m e_j, whose real parts are least at m = n e_i: every
-    one exceeds c exactly when every eigenvalue n l_i - l_j of
-    K = n A (x) I - I (x) A does.  Both decisions are exact: the exponents
-    themselves for diagonal residues, else Routh's test on K's
-    characteristic polynomial.  The minima are floats, exact for diagonal
-    residues and otherwise estimated from the roots of det(z - A).  At -1,
-    B takes A's place.
+    basis elements w^m e_j, so the least real part among them is n a - b,
+    with a and b the least and greatest real parts of the l.  For diagonal
+    residues the exponents themselves decide.  Otherwise Routh's test on
+    det(z - X) and det(z + X), X = den A, bisects a and b until
+    n a - b lies in a bracket (lo, hi] at most 2^-_BITS wide, and hi is the
+    reported minimum.  A threshold c that the bracket contains is decided
+    by Routh's test on the characteristic polynomial of
+    K = n A (x) I - I (x) A, since every exponent exceeds c exactly when
+    every eigenvalue n l_i - l_j of K does.  At -1, B takes A's place.
     """
     space = spec.space
     if is_commutative(spec):
@@ -222,15 +203,24 @@ def _endpoint_gate(spec: ProblemSpec) -> tuple[float, float, bool, bool]:
         return (_float(min(plus), "an endpoint exponent from A"),
                 _float(min(minus), "an endpoint exponent from B"),
                 worst > -1, worst > Rat(-1, 2))
-    estimates, exists_ok, fast_ok = [], True, True
+    n, estimates, ok = spec.n, [], [True, True]
     for M, what in ((spec.A, "A"), (spec.B, "B")):
+        # every |eigenvalue| of X is at most its row-sum norm, below bound
+        norm = max(sum(abs(v) for v in row) for row in M.num)
+        _float(Rat(norm, M.den), f"the row-sum norm of {what}")  # bounds the steps below
+        bound = 1 << norm.bit_length()
+        # the least steps taking the bracket of n a - b from (n + 1) 2 bound / den to 2^-_BITS wide
+        steps = (-(-((n + 1) * 2 * bound << _BITS) // M.den) - 1).bit_length()
         S, e = _residue_traces(M)
-        estimates.append(min(basis_exponents(_eigenvalue_real_parts(M, e, what), space)))
-        poly = _kron_charpoly(S, spec.d, spec.n)  # eigenvalues 2 den (n l_i - l_j)
-        fast = _roots_exceed(poly, -M.den)
-        fast_ok = fast_ok and fast
-        exists_ok = exists_ok and (fast or _roots_exceed(poly, -2 * M.den))
-    return estimates[0], estimates[1], exists_ok, fast_ok
+        a_lo, a_hi = _bisect([(-1) ** k * c for k, c in enumerate(e)], -bound, bound, steps)
+        nb_lo, nb_hi = _bisect(e, -bound, bound, steps)  # -b, from the roots of det(z + X)
+        unit = M.den << steps
+        lo, hi = Rat(n * a_lo + nb_lo, unit), Rat(n * a_hi + nb_hi, unit)
+        estimates.append(_float(hi, f"an endpoint exponent from {what}"))
+        for i, c in enumerate((Rat(-1), Rat(-1, 2))):  # K's eigenvalues scaled by 2 den
+            ok[i] = ok[i] and (lo >= c or hi >= c and _roots_exceed(
+                _kron_charpoly(S, spec.d, n), int(2 * M.den * c)))
+    return estimates[0], estimates[1], ok[0], ok[1]
 
 
 @lru_cache(maxsize=None)

@@ -735,7 +735,9 @@ def test_quadrature_loads_no_scipy(tmp_path):
 
 BIG = "1" + "0" * 400
 HUGE = "1" + "0" * 308
+HUGE_4000 = "1" + "0" * 3999
 MASS = "the Jacobi mass of exponents from A and B"
+NORM = "the row-sum norm of A"
 
 
 def _mass_spec(big: int) -> dict:
@@ -750,13 +752,16 @@ def _mass_spec(big: int) -> dict:
     (_mass_spec(10**400), MASS),  # the exponent itself is past the float range
     (_mass_spec(10**306), MASS),  # lgamma of the exponent is
     ({"d": 2, "n": 2, "A": [[BIG, "1"], ["0", "1/2"]], "B": [["-" + BIG, "-1"], ["0", "1/3"]]},
-     "an entry of A"),
+     NORM),
     # entries of 1e308 fit, but A's eigenvalue 2e308 does not
     ({"d": 2, "n": 2, "A": [[HUGE, HUGE], [HUGE, HUGE]], "B": [["-" + HUGE, "-" + HUGE],
                                                               ["-" + HUGE, "-" + HUGE]]},
-     "an eigenvalue of A"),
+     NORM),
+    # refused before the bisection, whose steps grow with the entries' digits
+    ({"d": 2, "n": 2, "A": [[HUGE_4000, "1"], ["0", "1/2"]],
+      "B": [["-" + HUGE_4000, "-1"], ["0", "1/3"]]}, NORM),
 ], ids=["commutative-gate", "commutative-exponent", "commutative-lgamma", "noncommutative",
-        "noncommutative-eigenvalue"])
+        "noncommutative-eigenvalue", "noncommutative-4000-digits"])
 def test_quadrature_refuses_values_past_the_float_range(tmp_path, doc, what):
     inp = write_json(tmp_path / "spec.json", doc)
     out = run_python("-m", "mvjacobi", "quadrature", "--input", inp,

@@ -205,30 +205,118 @@ def test_seeded_float_boundary_draws_fail_fast_ok(n, M):
     assert exceeds(M, n, Rat(-1)) and not exceeds(M, n, Rat(-1, 2))
 
 
-# -- the float estimates -------------------------------------------------------------
+# -- the bracket and its fallback to K -----------------------------------------------
+
+
+def gate_draw(rng: random.Random, d: int, n: int, scale: Rat) -> ProblemSpec:
+    """The first noncommutative draw of a random pair with A + B diagonal, residues scaled."""
+    while True:
+        lam = random_diagonal(rng, d).scale(scale)
+        A = random_matrix(rng, d).scale(scale)
+        spec = ProblemSpec(d, n, A, lam - A)
+        if not is_commutative(spec):
+            return spec
+
+
+def test_bracket_decides_as_the_K_array():
+    # the gate decides from the bracket of n a - b and runs K's array only
+    # when the bracket holds the threshold; both must give K's decisions
+    rng = random.Random(27)
+    seen = set()
+    for _ in range(120):
+        spec = gate_draw(rng, rng.randint(2, 5), rng.randint(1, 3),
+                         Rat(1, rng.choice([1, 2, 4, 8])))
+        _, _, exists_ok, fast_ok = integrals._endpoint_gate.__wrapped__(spec)
+        want = tuple(exceeds(spec.A, spec.n, c) and exceeds(spec.B, spec.n, c)
+                     for c in (Rat(-1), Rat(-1, 2)))
+        assert (exists_ok, fast_ok) == want, spec
+        seen.add(want)
+    assert seen == {(True, True), (True, False), (False, False)}
+
+
+@pytest.fixture
+def gate_spy(monkeypatch):
+    """Records the degree of every polynomial Routh's test sees and counts K's polynomials."""
+    calls = {"kron": 0, "degrees": []}
+    kron, routh = integrals._kron_charpoly, integrals._roots_exceed
+
+    def spy_kron(*args):
+        calls["kron"] += 1
+        return kron(*args)
+
+    def spy_routh(poly, t):
+        calls["degrees"].append(len(poly) - 1)
+        return routh(poly, t)
+
+    monkeypatch.setattr(integrals, "_kron_charpoly", spy_kron)
+    monkeypatch.setattr(integrals, "_roots_exceed", spy_routh)
+    return calls
+
+
+def boundary_specs():
+    for n, M in FLOAT_BOUNDARY_DRAWS:
+        yield ProblemSpec(M.nrows, n, M, RatMatrix.diagonal([0] * M.nrows) - M)
+    for complex_pair in (True, False):  # an exponent exactly at -1/2, then at -1
+        M = boundary_residue(random.Random(5), 2, Rat(-1, 2 if complex_pair else 1), complex_pair)
+        yield ProblemSpec(2, 2, M, RatMatrix.diagonal([8, 8]) - M)
+
+
+@pytest.mark.parametrize("spec", list(boundary_specs()),
+                         ids=["float-d3-B", "float-d4-A", "complex-pair", "real-pair"])
+def test_exact_boundary_draws_fall_back_to_K(gate_spy, spec):
+    # the bracket's upper end is the least exponent itself, so it holds the
+    # threshold; K's array decides
+    _, _, exists_ok, fast_ok = integrals._endpoint_gate.__wrapped__(spec)
+    assert gate_spy["kron"] > 0
+    assert not fast_ok
+
+
+def test_bracket_alone_decides_away_from_the_boundary(gate_spy):
+    # a quadrature-nc-style draw (d = 3, n = 2, residues scaled by 1/8), then a
+    # d = 12 draw, whose K would have degree 144: Routh's test sees only
+    # degree-d polynomials
+    for d, n in ((3, 2), (12, 1)):
+        spec = gate_draw(random.Random(d), d, n, Rat(1, 8))
+        gate_spy["degrees"].clear()
+        integrals._endpoint_gate.__wrapped__(spec)
+        assert gate_spy["kron"] == 0, d
+        assert set(gate_spy["degrees"]) == {d}
+
+
+# -- the reported minima -------------------------------------------------------------
 
 
 def test_float_estimates_match_numpy_eigenvalues():
-    # seeded d <= 6 draws whose eigenvalues lie at least 0.05 apart
+    # seeded d <= 6 draws whose eigenvalues lie at least 0.05 apart in A and B
     rng = random.Random(11)
     checked = 0
-    while checked < 60:
-        d = rng.randint(2, 6)
-        M = random_matrix(rng, d).scale(Rat(1, rng.choice([1, 2, 4, 8])))
-        want = numpy_eigenvalues(M)
-        if min(abs(a - b) for i, a in enumerate(want) for b in want[i + 1:]) < 0.05:
+    while checked < 40:
+        d, n = rng.randint(2, 6), rng.randint(1, 3)
+        spec = gate_draw(rng, d, n, Rat(1, rng.choice([1, 2, 4, 8])))
+        want = [numpy_eigenvalues(M) for M in (spec.A, spec.B)]
+        if min(abs(a - b) for w in want for i, a in enumerate(w) for b in w[i + 1:]) < 0.05:
             continue
-        _, e = integrals._residue_traces(M)
-        got = integrals._eigenvalue_real_parts(M, e, "A")
-        assert np.allclose(sorted(got), sorted(want.real), rtol=0, atol=1e-9), (M, got, want)
+        rep = integrability_check(spec, spec.space)
+        for got, w in zip((rep.min_exponent_plus, rep.min_exponent_minus), want):
+            assert abs(got - min(basis_exponents(w.real.tolist(), spec.space))) < 1e-9, (spec, got)
         checked += 1
 
 
 def test_float_estimates_of_a_nilpotent_residue():
-    # a repeated root: the iteration still settles, at 0
-    M = RatMatrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
-    _, e = integrals._residue_traces(M)
-    assert max(abs(x) for x in integrals._eigenvalue_real_parts(M, e, "A")) < 1e-12
+    # a repeated eigenvalue 0: the bracket's upper end lands on it exactly
+    A = RatMatrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+    spec = ProblemSpec(3, 3, A, -A)
+    rep = integrability_check(spec, spec.space)
+    assert (rep.min_exponent_plus, rep.min_exponent_minus) == (0.0, 0.0)
+
+
+def test_float_estimates_of_a_jordan_block_are_exact():
+    # A is one Jordan block of 1/8, with least exponent 2/8 - 1/8 at n = 2,
+    # and B nilpotent; both minima are dyadic, so they are reported exactly
+    A = RatMatrix([[Rat(1, 8), 1, 0], [0, Rat(1, 8), 1], [0, 0, Rat(1, 8)]])
+    spec = ProblemSpec(3, 2, A, RatMatrix([[0, -1, 0], [0, 0, -1], [0, 0, 0]]))
+    rep = integrability_check(spec, spec.space)
+    assert (rep.min_exponent_plus, rep.min_exponent_minus) == (0.125, 0.0)
 
 
 # -- one exact computation per problem -----------------------------------------------
