@@ -218,8 +218,8 @@ def _endpoint_gate(spec: ProblemSpec) -> tuple[float, float, bool, bool]:
         lo, hi = Rat(n * a_lo + nb_lo, unit), Rat(n * a_hi + nb_hi, unit)
         estimates.append(_float(hi, f"an endpoint exponent from {what}"))
         for i, c in enumerate((Rat(-1), Rat(-1, 2))):  # K's eigenvalues scaled by 2 den
-            ok[i] = ok[i] and (lo >= c or hi >= c and _roots_exceed(
-                _kron_charpoly(S, spec.d, n), int(2 * M.den * c)))
+            ok[i] = ok[i] and (lo >= c or (hi >= c and _roots_exceed(
+                _kron_charpoly(S, spec.d, n), int(2 * M.den * c))))
     return estimates[0], estimates[1], ok[0], ok[1]
 
 
