@@ -1,6 +1,7 @@
 import random
 import re
 from itertools import chain
+from pathlib import Path
 
 import pytest
 import sympy
@@ -8,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import (
     binom_rat,
+    derivation_matrix,
     derivation_sympy,
     jacobi_binomial_sum,
     poly_eval,
@@ -17,6 +19,7 @@ from oracles import (
 )
 
 from mvjacobi import oppoly, structure
+from mvjacobi.cli import SUITES, _suite_reports, load_problem
 from mvjacobi.errors import ResonanceError
 from mvjacobi.operators import ProblemSpec, build_D
 from mvjacobi.oppoly import OpPoly, VectorPoly, build_Pk
@@ -81,7 +84,7 @@ def test_verify_recurrence_random_spec(commutative):
     spec = random_problem_spec(rng, 2, 2, max_den=3, commutative=commutative)
     report = verify_recurrence(spec, 4)
     assert report.passed, report.summary_lines()
-    assert report.counts == (20, 20)  # 4 checks per k
+    assert report.counts == (5, 5)  # the two-step check at each k
 
 
 def test_recurrence_resonance_is_reported():
@@ -111,8 +114,7 @@ def test_verify_recurrence_reports_a_failing_identity(monkeypatch):
     report = verify_recurrence(spec, 2)
     assert not report.passed
     failed = {item.name for item in report.items if not item.passed}
-    assert {"k=1 two-step recurrence", "k=1 constant coefficient equation"} <= failed
-    assert "k=1 x coefficient equation" not in failed
+    assert "k=1 two-step recurrence" in failed
     with pytest.raises(RuntimeError, match="polynomial identity"):
         recurrence_coeffs(spec, 1)
 
@@ -554,3 +556,179 @@ def test_derivative_relation_catches_a_right_d2_factor(monkeypatch):
         assert [item.passed for item in report.items] == [True, False, False, False, False]
     finally:
         build_Pk.cache_clear()  # drop the mutant members
+
+
+# -- mutant table ---------------------------------------------------------------
+#
+# Mutation analysis over the verify suites: each mutant is one fault in the
+# code a suite checks, and the table records the kinds of verify line that
+# fail under it on the five non-resonant golden problems.  Every kind of line
+# verify prints must fail under at least one mutant; a kind that no mutant
+# can fail proves nothing and does not belong in verify.
+
+GOLDEN = Path(__file__).parent / "golden"
+VERIFY_PROBLEMS = ("d1n2", "d2n1", "d2n2_nc", "d2n3_c", "d3n2_nc")
+TABLE_KMAX = 3
+
+
+def _line_kind(name):
+    """An item name without its k, power and factor index: "k=2 two-step recurrence"
+    and "x^3 I: factor j=4 on x r" are of the kinds "two-step recurrence" and
+    "factor j on x r"."""
+    return re.sub(r"=\d+", "", re.sub(r"^(k=\d+|x\^\d+( I)?:) ", "", name))
+
+
+def _suite_kinds(spec):
+    """{suite: (kinds of its lines, kinds of its failing lines)}, each suite run alone."""
+    out = {}
+    for suite in SUITES[1:]:
+        try:
+            reports = _suite_reports(spec, suite, TABLE_KMAX)
+        except ValueError as exc:
+            assert "not applicable" in str(exc)
+            continue
+        items = [item for report in reports for item in report.items]
+        out[suite] = ({_line_kind(i.name) for i in items},
+                      {_line_kind(i.name) for i in items if not i.passed})
+    return out
+
+
+def _build_D_mutant(monkeypatch, which, change):
+    """Patch build_D in oppoly and structure: D_which becomes change(spec, D_which)."""
+    real = structure.build_D
+
+    def mutant(spec, i):
+        D = real(spec, i)
+        return change(spec, D) if i == which else D
+
+    monkeypatch.setattr(oppoly, "build_D", mutant)
+    monkeypatch.setattr(structure, "build_D", mutant)
+
+
+def _second_sum(spec):
+    """Matrix of q |-> M2 q: the sum that build_D subtracts in D2."""
+    space = spec.space
+    rows = [[ZERO] * space.N for _ in range(space.N)]
+    for c, b in enumerate(space.basis):
+        for r in range(spec.d):
+            rows[space.index_of(b.m, r + 1)][c] = spec.M2.rows[r][b.j - 1]
+    return RatMatrix(rows)
+
+
+def _first_entry_plus_half(spec, D1):
+    return D1 + RatMatrix.diagonal([Rat(1, 2)] + [ZERO] * (spec.space.N - 1))
+
+
+def _tilde_spec_over_n(spec):
+    shift = Rat(1, spec.n)
+    return ProblemSpec(spec.d, spec.n, spec.A.plus_scalar(-shift), spec.B.plus_scalar(-shift))
+
+
+def _beta_sign_flipped(monkeypatch):
+    solve = structure._solve_recurrence
+
+    def mutant(spec, k):
+        rc = solve(spec, k)
+        return RecurrenceCoeffs(k, rc.alpha, -rc.beta, rc.gamma)
+
+    monkeypatch.setattr(structure, "_solve_recurrence", mutant)
+
+
+def _next_factor(monkeypatch):
+    real = oppoly.apply_A
+    patch_apply_A(monkeypatch, lambda j, D1, D2, r: real(j + 1, D1, D2, r))
+
+
+# name: (install on a monkeypatch, cache the true members first, kinds of line it
+# fails on some golden problem at k_max = 3).  A mutant that breaks build_Pk's
+# own leading-coefficient check would stop every member-based suite before its
+# first line, so it runs on the true members and reaches only the checks that
+# apply factors themselves; every other mutant builds the members it is checked on.
+MUTANT_TABLE = {
+    "D1 shift at j=2, i=1": (
+        lambda mp: patch_apply_A(mp, _d1_shift_mutant(oppoly.apply_A, 2, 1)), True,
+        {"factor j on x r", "Q lowers the factor index j", "k-fold product on x I",
+         "commutation past factor j"}),
+    "D2 from the right": (
+        lambda mp: patch_apply_A(mp, _right_d2), False,
+        {"two-step recurrence", "maps into shifted member k+1"}),
+    "member k=2 bumped at x^1 (0, 0)": (
+        lambda mp: _member_mutant(mp, {2: [(1, 0, 0)]}), False,
+        {"two-step recurrence", "k-fold product on x I", "maps into shifted member k+1",
+         "equals 2^k k! classical", "eigenvalue k(alpha+beta+k+1)",
+         "trace equals 2^k k! Legendre times trace"}),
+    # the structural suites hold for any D2; only the classical reductions see it
+    "D2 transposed": (
+        lambda mp: _build_D_mutant(mp, 2, lambda spec, D: RatMatrix(list(zip(*D.rows)))), False,
+        set()),
+    "D2 second sum sign flipped": (
+        lambda mp: _build_D_mutant(mp, 2, lambda spec, D: D + _second_sum(spec).scale(2)), False,
+        {"equals 2^k k! classical", "trace equals 2^k k! Legendre times trace"}),
+    "D1 first entry + 1/2": (
+        lambda mp: _build_D_mutant(mp, 1, _first_entry_plus_half), False,
+        {"normalization 2^k k! from leading coefficients", "equals 2^k k! classical",
+         "commutation past factor j", "eigenvalue k(alpha+beta+k+1)",
+         "trace equals 2^k k! Legendre times trace"}),
+    "factor index j + 1": (
+        _next_factor, True,
+        {"k-fold product on x I", "commutation past factor j", "eigenvalue k(alpha+beta+k+1)"}),
+    "tilde_spec shift 1/n": (
+        lambda mp: mp.setattr(structure, "tilde_spec", _tilde_spec_over_n), False,
+        {"maps into shifted member k+1"}),
+    "beta_k sign flipped": (_beta_sign_flipped, False, {"two-step recurrence"}),
+}
+
+# The golden problems on which a D2 mutant differs from the sympy derivation
+# matrix: test_operators.py's build_D oracle catches both, as verify cannot.
+# At d2n3_c, A - B is diagonal and D2 is symmetric, so its transpose is no fault.
+D2_MUTANTS_SEEN_BY_ORACLE = {
+    "D2 transposed": {"d2n1", "d2n2_nc", "d3n2_nc"},
+    "D2 second sum sign flipped": set(VERIFY_PROBLEMS),
+}
+
+
+def _golden_specs():
+    return {p: load_problem(str(GOLDEN / f"{p}.json"))[0] for p in VERIFY_PROBLEMS}
+
+
+@pytest.fixture
+def cold_caches():
+    """Clear the member and coefficient caches before and after: no member
+    built under a mutant may outlive its test."""
+    caches = (build_Pk, structure._recurrence_products, structure._dominant_inverse)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+@pytest.mark.parametrize("mutant", list(MUTANT_TABLE))
+def test_mutant_table_row(monkeypatch, cold_caches, mutant):
+    install, cache_members, kinds = MUTANT_TABLE[mutant]
+    specs = _golden_specs()
+    if cache_members:
+        for spec in specs.values():
+            for k in range(6):  # the identities suite's k-fold product reaches P_5
+                build_Pk(spec, k)
+                if spec.n >= 2:
+                    build_tilde_Pk(spec, k)
+    install(monkeypatch)
+    failed = set()
+    for spec in specs.values():
+        for _, fails in _suite_kinds(spec).values():
+            failed |= fails
+    assert failed == kinds
+    if mutant in D2_MUTANTS_SEEN_BY_ORACLE:
+        seen = {p for p, spec in specs.items()
+                if structure.build_D(spec, 2) != derivation_matrix(spec.space, spec.M2)}
+        assert seen == D2_MUTANTS_SEEN_BY_ORACLE[mutant]
+
+
+def test_every_verify_line_kind_fails_under_some_mutant(cold_caches):
+    printed = set()
+    for spec in _golden_specs().values():
+        for kinds, fails in _suite_kinds(spec).values():
+            assert not fails
+            printed |= kinds
+    assert printed == set().union(*(kinds for _, _, kinds in MUTANT_TABLE.values()))
