@@ -560,7 +560,8 @@ def test_derivative_relation_catches_a_right_d2_factor(monkeypatch):
 
 # -- mutant table ---------------------------------------------------------------
 #
-# Mutation analysis over the verify suites: each mutant is one fault in the
+# Mutation analysis (DeMillo, Lipton & Sayward, "Hints on test data selection",
+# IEEE Computer 1978) over the verify suites: each mutant is one fault in the
 # code a suite checks, and the table records the kinds of verify line that
 # fail under it on the five non-resonant golden problems.  Every kind of line
 # verify prints must fail under at least one mutant; a kind that no mutant
@@ -572,9 +573,11 @@ TABLE_KMAX = 3
 
 
 def _line_kind(name):
-    """An item name without its k, power and factor index: "k=2 two-step recurrence"
-    and "x^3 I: factor j=4 on x r" are of the kinds "two-step recurrence" and
-    "factor j on x r"."""
+    """An item name without its k, power and factor index.
+
+    "k=2 two-step recurrence" is of the kind "two-step recurrence", and
+    "x^3 I: factor j=4 on x r" of the kind "factor j on x r".
+    """
     return re.sub(r"=\d+", "", re.sub(r"^(k=\d+|x\^\d+( I)?:) ", "", name))
 
 
@@ -657,7 +660,8 @@ MUTANT_TABLE = {
         {"two-step recurrence", "k-fold product on x I", "maps into shifted member k+1",
          "equals 2^k k! classical", "eigenvalue k(alpha+beta+k+1)",
          "trace equals 2^k k! Legendre times trace"}),
-    # the structural suites hold for any D2; only the classical reductions see it
+    # no verify line fails: the structural suites hold for any D2, and neither
+    # classical reduction sees this one (D2_MUTANTS_SEEN_BY_ORACLE below does)
     "D2 transposed": (
         lambda mp: _build_D_mutant(mp, 2, lambda spec, D: RatMatrix(list(zip(*D.rows)))), False,
         set()),
@@ -695,7 +699,7 @@ def _golden_specs():
 def cold_caches():
     """Clear the member and coefficient caches before and after: no member
     built under a mutant may outlive its test."""
-    caches = (build_Pk, structure._recurrence_products, structure._dominant_inverse)
+    caches = (build_Pk, structure._recurrence_products)
     for cache in caches:
         cache.cache_clear()
     yield
@@ -725,7 +729,7 @@ def test_mutant_table_row(monkeypatch, cold_caches, mutant):
         assert seen == D2_MUTANTS_SEEN_BY_ORACLE[mutant]
 
 
-def test_every_verify_line_kind_fails_under_some_mutant(cold_caches):
+def test_every_verify_line_kind_fails_under_some_mutant():
     printed = set()
     for spec in _golden_specs().values():
         for kinds, fails in _suite_kinds(spec).values():
