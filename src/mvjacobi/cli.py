@@ -41,7 +41,6 @@ if TYPE_CHECKING:
 TOOL = "mvjacobi/0.1.0"
 DEFAULT_VERIFY_KMAX = 6
 DEFAULT_COMPUTE_KMAX = 4
-SUITES = ("all", "recurrence", "tilde", "scalar", "trace", "identities")
 # Size caps, refused with exit 2 before anything is built.  Time grows
 # about like N^2.3 (the recurrence's dense products) and memory like
 # N^2 k^2 (the cached members); at N = 140 and k_max = 10, `verify` took
@@ -215,41 +214,35 @@ def cmd_compute(args) -> int:
     return 0
 
 
+# One row per verify suite, in the order `all` runs them: the reason the suite
+# does not apply to a problem ("" when it does), and a runner returning its
+# reports.  Runners get the structure module from _suite_reports and look the
+# verifiers up on it when they run, so importing cli loads no structure.
+_SUITE_TABLE = {
+    "recurrence": (lambda spec: "", lambda s, spec, k: [s.verify_recurrence(spec, k)]),
+    "identities": (lambda spec: "", lambda s, spec, k: [s.verify_product_identities(spec)]),
+    "tilde": (lambda spec: "" if spec.n >= 2 else "the shifted family needs n >= 2",
+              lambda s, spec, k: [s.verify_derivative_relation(spec, k)]),
+    "scalar": (lambda spec: "" if spec.d == 1 else "scalar reductions need d = 1",
+               lambda s, spec, k: [f(spec.A.rows[0][0], spec.B.rows[0][0], spec.n, k) for f in
+                                   (s.verify_scalar_reduction, s.verify_scalar_eigen_identity)]),
+    "trace": (lambda spec: "" if spec.n == 1 else "the trace reduction needs n = 1",
+              lambda s, spec, k: [s.verify_trace_legendre(spec, k)]),
+}
+SUITES = ("all", *_SUITE_TABLE)
+
+
 def _suite_reports(spec: ProblemSpec, suite: str, k_max: int) -> list[CheckReport]:
-    from .structure import (
-        verify_derivative_relation,
-        verify_product_identities,
-        verify_recurrence,
-        verify_scalar_eigen_identity,
-        verify_scalar_reduction,
-        verify_trace_legendre,
-    )
+    from . import structure
 
     reports: list[CheckReport] = []
-    explicit = suite != "all"
-
-    def want(name: str, applicable: bool, why: str) -> bool:
-        if suite not in (name, "all"):
-            return False
-        if applicable:
-            return True
-        if explicit:
-            raise ValueError(f"suite {name!r} is not applicable: {why}")
-        return False
-
-    if want("recurrence", True, ""):
-        reports.append(verify_recurrence(spec, k_max))
-    if want("identities", True, ""):
-        reports.append(verify_product_identities(spec))
-    if want("tilde", spec.n >= 2, "the shifted family needs n >= 2"):
-        reports.append(verify_derivative_relation(spec, k_max))
-    if want("scalar", spec.d == 1, "scalar reductions need d = 1"):
-        a = spec.A.rows[0][0]
-        b = spec.B.rows[0][0]
-        reports.append(verify_scalar_reduction(a, b, spec.n, k_max))
-        reports.append(verify_scalar_eigen_identity(a, b, spec.n, k_max))
-    if want("trace", spec.n == 1, "the trace reduction needs n = 1"):
-        reports.append(verify_trace_legendre(spec, k_max))
+    for name, (why_not, run) in _SUITE_TABLE.items():
+        if suite in (name, "all"):
+            reason = why_not(spec)
+            if not reason:
+                reports += run(structure, spec, k_max)
+            elif suite == name:
+                raise ValueError(f"suite {name!r} is not applicable: {reason}")
     return reports
 
 

@@ -272,28 +272,45 @@ def to_sympy(M) -> sympy.Matrix:
 def induced_action(Y: RatMatrix, space: PolySpace) -> RatMatrix:
     """Exact matrix of q |-> Y^{-1} q(Y w) on the monomial basis.
 
-    The basis element w^m e_j maps to prod_s (Y w)_s^{m_s} times column j
-    of Y^{-1}; sympy expands the product and inverts Y.  Raises
-    ValueError for a wrongly shaped or singular Y.
+    Raises ValueError for a wrongly shaped or singular Y.
     """
     if Y.shape != (space.d, space.d):
         raise ValueError(f"Y has shape {Y.shape}, expected ({space.d}, {space.d})")
-    Ys = to_sympy(Y)
-    Yinv = Ys.inv()  # sympy raises a ValueError subclass when Y is singular
+    W = induced_action_sympy(to_sympy(Y), space)
+    return RatMatrix([[Rat(int(e.p), int(e.q)) for e in W.row(r)] for r in range(space.N)])
+
+
+def induced_action_sympy(Y: sympy.Matrix, space: PolySpace) -> sympy.Matrix:
+    """induced_action for a sympy Y, whose entries may hold symbols.
+
+    The basis element w^m e_j maps to prod_s (Y w)_s^{m_s} times column j
+    of Y^{-1}; sympy expands the product and inverts Y.
+    """
+    Yinv = Y.inv()  # sympy raises a ValueError subclass when Y is singular
     w = sympy.symbols(f"w1:{space.d + 1}")
-    Yw = Ys * sympy.Matrix(w)
-    cols = []
-    for b in space.basis:
+    Yw = Y * sympy.Matrix(w)
+    W = sympy.zeros(space.N, space.N)
+    for c, b in enumerate(space.basis):
         image = sympy.Integer(1)
         for s, ms in enumerate(b.m):
             image *= Yw[s] ** ms
-        col = [ZERO] * space.N
-        for mm, c in sympy.Poly(sympy.expand(image), *w).as_dict().items():
+        for mm, coeff in sympy.Poly(sympy.expand(image), *w).as_dict().items():
             for r in range(space.d):
-                col[space.index_of(mm, r + 1)] += Rat(int(c.p), int(c.q)) * Rat(
-                    int(Yinv[r, b.j - 1].p), int(Yinv[r, b.j - 1].q))
-        cols.append(col)
-    return RatMatrix([[cols[c][r] for c in range(space.N)] for r in range(space.N)])
+                W[space.index_of(mm, r + 1), c] += coeff * Yinv[r, b.j - 1]
+    return W
+
+
+def action_derivative(spec: ProblemSpec, i: int) -> sympy.Matrix:
+    """The derivative of the induced action at I in the direction M_i.
+
+    The epsilon-coefficient of induced_action(I + epsilon M_i), with
+    epsilon a sympy symbol and M_1 = A + B, M_2 = A - B: the matrix that
+    build_D(spec, i) must equal.
+    """
+    eps = sympy.Symbol("epsilon")
+    M = to_sympy(spec.A) + (1 if i == 1 else -1) * to_sympy(spec.B)
+    rho = induced_action_sympy(sympy.eye(spec.d) + eps * M, spec.space)
+    return rho.diff(eps).subs(eps, 0)
 
 
 def _sympy_rat(c) -> sympy.Rational:

@@ -218,11 +218,31 @@ def test_verify_has_no_seed_and_ignores_a_file_seed(tmp_path, capsys):
 
 
 def test_verify_inapplicable_suite_is_precondition_error(tmp_path, capsys):
-    inp = write_json(tmp_path / "spec.json", COMMUT_2x2)  # n = 2
-    assert main(["verify", "--input", inp, "--suite", "trace"]) == 2
-    assert "not applicable" in capsys.readouterr().err
-    assert main(["verify", "--input", inp, "--suite", "scalar"]) == 2
-    capsys.readouterr()
+    inp = write_json(tmp_path / "spec.json", COMMUT_2x2)  # d = n = 2
+    for suite, problem, reason in (
+            ("trace", inp, "the trace reduction needs n = 1"),
+            ("scalar", inp, "scalar reductions need d = 1"),
+            ("tilde", str(GOLDEN / "d2n1.json"), "the shifted family needs n >= 2")):
+        assert main(["verify", "--input", problem, "--suite", suite]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: suite {suite!r} is not applicable: {reason}\n"
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize("problem", ["d1n2", "d2n1", "d2n2_nc", "d2n3_c", "d3n2_nc"])
+def test_verify_all_runs_the_applicable_suites_in_table_order(problem):
+    # `all` is the applicable suites run alone, one after another, in the
+    # table's order (the resonant problem stops at its first suite, exit 3)
+    spec, _raw = cli.load_problem(str(GOLDEN / f"{problem}.json"))
+    alone = []
+    for suite in cli.SUITES[1:]:
+        try:
+            alone += cli._suite_reports(spec, suite, 3)
+        except ValueError as exc:
+            assert "is not applicable" in str(exc)
+    assert cli.SUITES == ("all", "recurrence", "identities", "tilde", "scalar", "trace")
+    assert ([r.to_dict() for r in cli._suite_reports(spec, "all", 3)]
+            == [r.to_dict() for r in alone])
 
 
 def test_verify_trace_suite_runs_to_kmax(tmp_path, capsys):

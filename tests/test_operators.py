@@ -6,7 +6,8 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import derivation_matrix, derivation_oracle, evaluate, induced_action, to_sympy
+from oracles import (action_derivative, derivation_matrix, derivation_oracle, evaluate,
+                     induced_action, to_sympy)
 
 from mvjacobi.errors import ResonanceError
 from mvjacobi.operators import (
@@ -344,11 +345,34 @@ def test_induced_action_pointwise():
         assert got == tuple(Rat(int(e.p), int(e.q)) for e in want)
 
 
+SMALL_SHAPES = [(d, n) for d in (1, 2, 3) for n in (1, 2, 3)]
+
+
+def _invertible_matrix(rng, d):
+    while True:
+        Y = random_matrix(rng, d, max_den=3)
+        if to_sympy(Y).det() != 0:
+            return Y
+
+
 def test_induced_action_reverses_products():
-    space = enumerate_basis(2, 2)
-    Y = RatMatrix([[1, 1], [0, 1]])
-    C = RatMatrix([[2, 0], [1, 1]])
-    assert induced_action(Y @ C, space) == induced_action(C, space) @ induced_action(Y, space)
+    # rho(g h) = rho(h) rho(g), exactly, for seeded rational g and h
+    rng = random.Random(31)
+    for d, n in SMALL_SHAPES:
+        space = enumerate_basis(d, n)
+        for _ in range(2):
+            g, h = _invertible_matrix(rng, d), _invertible_matrix(rng, d)
+            assert (induced_action(g @ h, space)
+                    == induced_action(h, space) @ induced_action(g, space)), (d, n)
+
+
+@pytest.mark.parametrize("d,n", SMALL_SHAPES)
+def test_build_D_is_the_derivative_of_the_induced_action(d, n):
+    # D_i is the epsilon-coefficient of rho(I + epsilon M_i), M1 = A + B and
+    # M2 = A - B: the derivative of the action, not build_D's formula restated
+    spec = random_problem_spec(random.Random(200 + 10 * d + n), d, n, max_den=3)
+    for i in (1, 2):
+        assert to_sympy(build_D(spec, i)) == action_derivative(spec, i), i
 
 
 def test_induced_action_identity_and_errors():

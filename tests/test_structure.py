@@ -8,6 +8,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import (
+    action_derivative,
     binom_rat,
     derivation_matrix,
     derivation_sympy,
@@ -727,6 +728,15 @@ def test_mutant_table_row(monkeypatch, cold_caches, mutant):
         seen = {p for p, spec in specs.items()
                 if structure.build_D(spec, 2) != derivation_matrix(spec.space, spec.M2)}
         assert seen == D2_MUTANTS_SEEN_BY_ORACLE[mutant]
+
+
+def test_transposed_d2_fails_the_action_derivative(monkeypatch):
+    # the derivative of the induced action pins D2 down where no verify line
+    # does: D2 transposed differs from it wherever it is a fault at all
+    MUTANT_TABLE["D2 transposed"][0](monkeypatch)
+    seen = {p for p, spec in _golden_specs().items()
+            if to_sympy(structure.build_D(spec, 2)) != action_derivative(spec, 2)}
+    assert seen == D2_MUTANTS_SEEN_BY_ORACLE["D2 transposed"] == {"d2n1", "d2n2_nc", "d3n2_nc"}
 
 
 def test_every_verify_line_kind_fails_under_some_mutant():
