@@ -13,9 +13,9 @@ equals -s; failures surface as ResonanceError with that basis element
 as the kernel witness.
 
 The same invertibility (of the dominant coefficients) makes the family
-complete: any coefficient-vector polynomial expands uniquely as
-sum_j P_j(x) q_j by leading-term elimination, using seeded members
-P_j(x) q_j rather than whole operator polynomials.
+complete: expand finds the unique q_j with f = sum_j P_j(x) q_j by
+leading-term elimination on seeded members P_j(x) q_j, and reconstruct
+re-sums f from the operator members P_j, a second construction of each.
 
 The classical reductions compare RatMatrix coefficients as well: a d = 1
 member with 2^k k! times the Jacobi polynomial as a 1 x 1 OpPoly, and
@@ -176,11 +176,10 @@ def expand(spec: ProblemSpec, f: VectorPoly) -> Expansion:
 
 
 def reconstruct(spec: ProblemSpec, expansion: Expansion) -> VectorPoly:
-    """Re-assemble sum_j P_j(x) q_j from expansion coefficients."""
-    D1, D2 = build_D(spec, 1), build_D(spec, 2)
+    """sum_j P_j(x) q_j from the members compute writes, not expand's seeded chains."""
     acc = VectorPoly.zero(spec.space)
     for j, qj in enumerate(expansion.coefficients):
-        acc = acc.add(_product_apply(D1, D2, j, VectorPoly.constant(qj, spec.space)))
+        acc = acc.add(build_Pk(spec, j).apply_to(qj))
     return acc
 
 

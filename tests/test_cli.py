@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_golden import DIGESTS, in_process_record, record
 from test_golden import _argv as golden_argv
-from test_structure import _d1_shift_mutant, patch_apply_A
+from test_structure import _constant_block_mutant, _d1_shift_mutant, patch_apply_A
 
 import mvjacobi
 import mvjacobi.operators
@@ -353,6 +353,22 @@ def test_expand_unit_and_roundtrip(tmp_path, capsys):
     assert got[2] == q
     assert all(not any(c) for c in got[:2])
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("problem", ["d2n2_nc", "d3n2_nc", "d2n3_c"])
+def test_expand_roundtrip_exits_1_on_a_vector_only_factor_fault(tmp_path, capsys,
+                                                               monkeypatch, problem):
+    # reconstruct sums the operator members, which the fault does not reach,
+    # so they no longer cancel the seeded chains that expand subtracted
+    from mvjacobi import oppoly
+
+    patch_apply_A(monkeypatch, _constant_block_mutant(oppoly.apply_A, vector_only=True))
+    out = tmp_path / "coeffs.json"
+    assert main(["expand", "--input", str(GOLDEN / f"{problem}.json"),
+                 "--poly", str(GOLDEN / f"{problem}.poly.json"), "--roundtrip",
+                 "--out", str(out)]) == 1
+    assert json.loads(out.read_text())["roundtrip_exact"] is False
+    assert capsys.readouterr().err == "roundtrip failed: reconstruction does not equal the input\n"
 
 
 def test_expand_zero_polynomial(tmp_path, capsys):

@@ -20,7 +20,7 @@ from oracles import (
 )
 
 from mvjacobi import oppoly, structure
-from mvjacobi.cli import SUITES, _suite_reports, load_problem
+from mvjacobi.cli import SUITES, _suite_reports, load_problem, load_vector_poly
 from mvjacobi.errors import ResonanceError
 from mvjacobi.operators import ProblemSpec, build_D
 from mvjacobi.oppoly import OpPoly, VectorPoly, build_Pk
@@ -264,14 +264,14 @@ def test_expand_roundtrip_random():
             assert reconstruct(spec, exp) == f
 
 
-def test_expand_and_reconstruct_build_no_operator_members():
-    # both work on seeded members P_j q_j; a cold run on a fresh problem must
-    # not build (and cache) a single operator polynomial
+def test_expand_builds_no_operator_members():
+    # expand works on seeded members P_j q_j; a cold run on a fresh problem
+    # must not build (and cache) a single operator polynomial
     rng = random.Random(83)
     spec = random_problem_spec(rng, 2, 3, max_den=5)
     f = random_vector_poly(rng, spec.space, 4, max_den=3)
     before = build_Pk.cache_info().misses
-    assert reconstruct(spec, expand(spec, f)) == f
+    expand(spec, f)
     assert build_Pk.cache_info().misses == before
 
 
@@ -514,6 +514,20 @@ def _d1_shift_mutant(real, j, i):
     return mutant
 
 
+def _constant_block_mutant(real, vector_only):
+    """apply_A adding r's constant block at x^0 at factor j = 2.
+
+    With vector_only the fault reaches VectorPoly input alone: expand's
+    seeded chains, but not the operator members that build_Pk makes.
+    """
+    def mutant(j, D1, D2, r):
+        out = real(j, D1, D2, r)
+        if j != 2 or (vector_only and type(r) is not VectorPoly):
+            return out
+        return out.add(r.from_mats([r.mat_at(0)], r.space))
+    return mutant
+
+
 def patch_apply_A(monkeypatch, fn):
     """Replace apply_A in oppoly (members, k-fold products) and in structure."""
     monkeypatch.setattr(oppoly, "apply_A", fn)
@@ -746,3 +760,26 @@ def test_every_verify_line_kind_fails_under_some_mutant():
             assert not fails
             printed |= kinds
     assert printed == set().union(*(kinds for _, _, kinds in MUTANT_TABLE.values()))
+
+
+# -- what the round trip proves -------------------------------------------------
+#
+# expand subtracts seeded chains A_1...A_j q_j and reconstruct adds the
+# operator members P_j applied to q_j, so the round trip compares two
+# constructions: a fault in one of them fails it, and a fault common to both
+# cancels, which the recurrence suite catches instead.
+
+
+# fault on VectorPoly input alone -> (round trip exact, recurrence suite passed)
+@pytest.mark.parametrize("vector_only, outcome", [(True, (False, True)), (False, (True, False))],
+                         ids=["vector-only", "both-input-types"])
+def test_roundtrip_and_recurrence_under_a_factor_fault(monkeypatch, cold_caches,
+                                                       vector_only, outcome):
+    specs = _golden_specs()
+    polys = {p: load_vector_poly(str(GOLDEN / f"{p}.poly.json"), spec)
+             for p, spec in specs.items()}
+    patch_apply_A(monkeypatch, _constant_block_mutant(oppoly.apply_A, vector_only))
+    got = {p: (reconstruct(spec, expand(spec, polys[p])) == polys[p],
+               verify_recurrence(spec, TABLE_KMAX).passed)
+           for p, spec in specs.items()}
+    assert got == dict.fromkeys(VERIFY_PROBLEMS, outcome)
