@@ -17,13 +17,13 @@ Coefficient vectors are N x 1 matrices, so a matrix-vector product is
 in O(N^2).  Otherwise every left row of at most a third nonzeros (a row
 of D2, of a diagonal matrix for N >= 3, or of x^i I) adds up the right
 operand's rows it selects, and a denser row takes one dot product per
-column; the columns are cut out only when some row needs them.
-`sparse_rows` is a cached view of each row's nonzero (column,
-numerator) pairs; the product reads the left operand's to choose per
-row, and `apply_A` reads D2's.  `_times` is that product on bare integer
-rows, unreduced, so a caller holding rows of a larger matrix (the
-stacked coefficients of a polynomial) multiplies them all in one pass
-and reduces once.
+column; the columns are cut out only when some row needs them.  The
+product counts each left row's zeros to choose its path, and `_times`
+is that product on bare integer rows, unreduced, so a caller holding
+rows of a larger matrix (the stacked coefficients of a polynomial)
+multiplies them all in one pass and reduces once.  `sparse_rows` is a
+cached view of each row's nonzero (column, numerator) pairs, which
+`apply_A` reads for D2.
 
 Inversion is diagonal-only: A + B is required to be diagonal, so the
 derivation D1 and every shift or product of shifts of it is diagonal,
@@ -194,15 +194,12 @@ class RatMatrix:
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.ncols != other.nrows:
             raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
-        # self's cached nonzeros choose each row's path; a diagonal other needs none
-        nonzeros = self.sparse_rows if other._dnum is None else None
-        return RatMatrix._normal(tuple(other._times(self.num, nonzeros)), self.den * other.den)
+        return RatMatrix._normal(tuple(other._times(self.num)), self.den * other.den)
 
-    def _times(self, rows: Sequence[tuple], nonzeros: Optional[Sequence] = None) -> list:
+    def _times(self, rows: Sequence[tuple]) -> list:
         """The numerators of rows @ self, over den times the rows' denominator, unreduced.
 
-        rows are int rows of length nrows; nonzeros, when given, holds each
-        row's (column, entry) pairs, and otherwise a row's zeros are counted.
+        rows are int rows of length nrows; each row's zeros choose its path.
         """
         d = self._dnum
         if d is not None:
@@ -212,13 +209,10 @@ class RatMatrix:
         cols = None
         zero = [0] * len(onum[0])
         out = []
-        for i, row in enumerate(rows):
+        for row in rows:
             # a row of at most one third nonzeros sums the rows of self it
             # selects; a denser one takes a dot product per column
-            if nonzeros is None:
-                nz = _nonzeros(row) if 3 * row.count(0) >= 2 * n else None
-            else:
-                nz = nonzeros[i] if 3 * len(nonzeros[i]) <= n else None
+            nz = _nonzeros(row) if 3 * row.count(0) >= 2 * n else None
             if nz is not None:
                 acc = zero
                 for c, e in nz:

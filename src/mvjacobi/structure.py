@@ -15,7 +15,8 @@ as the kernel witness.
 The same invertibility (of the dominant coefficients) makes the family
 complete: expand finds the unique q_j with f = sum_j P_j(x) q_j by
 leading-term elimination on seeded members P_j(x) q_j, and reconstruct
-re-sums f from the operator members P_j, a second construction of each.
+re-sums f as q_0 + A_1(q_1 + ...) with each factor composed from ring
+operations (_ring_factor), not apply_A: a second construction of each.
 
 The classical reductions compare RatMatrix coefficients as well: a d = 1
 member with 2^k k! times the Jacobi polynomial as a 1 x 1 OpPoly, and
@@ -175,11 +176,22 @@ def expand(spec: ProblemSpec, f: VectorPoly) -> Expansion:
     return Expansion(tuple(out))
 
 
+def _ring_factor(j: int, D1: RatMatrix, D2: RatMatrix, r):
+    """A_j r = x(2j + D1) r + D2 r + Q r', from the ring operations rather than apply_A."""
+    return r.lmul(D1.plus_scalar(2 * j)).mul_by_x().add(r.lmul(D2)).add(r.d_dx().mul_by_Q())
+
+
 def reconstruct(spec: ProblemSpec, expansion: Expansion) -> VectorPoly:
-    """sum_j P_j(x) q_j from the members compute writes, not expand's seeded chains."""
-    acc = VectorPoly.zero(spec.space)
-    for j, qj in enumerate(expansion.coefficients):
-        acc = acc.add(build_Pk(spec, j).apply_to(qj))
+    """sum_j P_j(x) q_j = q_0 + A_1(q_1 + A_2(q_2 + ... + A_K q_K)), by _ring_factor."""
+    qs = [VectorPoly.constant(q, spec.space) for q in expansion.coefficients]
+    if not qs:
+        return VectorPoly.zero(spec.space)
+    D1, D2 = build_D(spec, 1), build_D(spec, 2)
+    # start at q_K, not at zero: perfbench's traced run fails on a product with
+    # no columns, and after expand succeeds no accumulator here is zero
+    acc = qs[-1]
+    for j in range(len(qs) - 1, 0, -1):
+        acc = _ring_factor(j, D1, D2, acc).add(qs[j - 1])
     return acc
 
 
@@ -223,10 +235,9 @@ def verify_derivative_relation(spec: ProblemSpec, k_max: int) -> CheckReport:
     D1 = build_D(spec, 1)
     D2 = build_D(spec, 2)
     for k in range(k_max + 1):
-        P = build_Pk(spec, k)
         # ring operations, not apply_A, which also builds the right side: a
         # wrong factor (say, D2 from the right) would then pass on both sides
-        lhs = P.lmul(D1).mul_by_x().add(P.lmul(D2)).add(P.d_dx().mul_by_Q())
+        lhs = _ring_factor(0, D1, D2, build_Pk(spec, k))
         report.add(f"k={k} maps into shifted member k+1", lhs == build_tilde_Pk(spec, k + 1))
     return report
 

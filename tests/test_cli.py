@@ -355,14 +355,17 @@ def test_expand_unit_and_roundtrip(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("problem", ["d2n2_nc", "d3n2_nc", "d2n3_c"])
-def test_expand_roundtrip_exits_1_on_a_vector_only_factor_fault(tmp_path, capsys,
-                                                               monkeypatch, problem):
-    # reconstruct sums the operator members, which the fault does not reach,
-    # so they no longer cancel the seeded chains that expand subtracted
+@pytest.mark.parametrize("problem, vector_only", [
+    pytest.param(p, v, id=p if v else f"{p}-both-input-types")
+    for v in (True, False) for p in ["d2n2_nc", "d3n2_nc", "d2n3_c", "d1n2", "d2n1"]])
+def test_expand_roundtrip_exits_1_on_a_vector_only_factor_fault(tmp_path, capsys, monkeypatch,
+                                                               problem, vector_only):
+    # reconstruct composes the factors from the ring operations, which the
+    # fault in apply_A does not reach, so they no longer cancel the seeded
+    # chains that expand subtracted
     from mvjacobi import oppoly
 
-    patch_apply_A(monkeypatch, _constant_block_mutant(oppoly.apply_A, vector_only=True))
+    patch_apply_A(monkeypatch, _constant_block_mutant(oppoly.apply_A, vector_only))
     out = tmp_path / "coeffs.json"
     assert main(["expand", "--input", str(GOLDEN / f"{problem}.json"),
                  "--poly", str(GOLDEN / f"{problem}.poly.json"), "--roundtrip",

@@ -1,6 +1,6 @@
 import random
 import re
-from itertools import chain
+from itertools import chain, product
 from pathlib import Path
 
 import pytest
@@ -264,15 +264,42 @@ def test_expand_roundtrip_random():
             assert reconstruct(spec, exp) == f
 
 
-def test_expand_builds_no_operator_members():
-    # expand works on seeded members P_j q_j; a cold run on a fresh problem
-    # must not build (and cache) a single operator polynomial
+def test_expand_builds_no_operator_members(monkeypatch):
+    # expand works on seeded members P_j q_j and reconstruct on vector-valued
+    # factors; a cold round trip on a fresh problem must not build (and
+    # cache) a single operator polynomial
     rng = random.Random(83)
     spec = random_problem_spec(rng, 2, 3, max_den=5)
     f = random_vector_poly(rng, spec.space, 4, max_den=3)
     before = build_Pk.cache_info().misses
-    expand(spec, f)
+    e = expand(spec, f)
+    assert reconstruct(spec, e) == f
     assert build_Pk.cache_info().misses == before
+
+    # reconstruct composes its factors from the ring operations alone
+    def no_apply_A(*args):
+        raise AssertionError("reconstruct called apply_A")
+
+    patch_apply_A(monkeypatch, no_apply_A)
+    assert reconstruct(spec, e) == f
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_reconstruct_equals_the_sum_over_the_members(seed):
+    # the oracle is sum_j P_j q_j over the cached operator members; expansions
+    # of length 1 and with a zero q_j in the middle included
+    rng = random.Random(400 + seed)
+    for d, n in product(range(1, 4), repeat=2):
+        spec = random_problem_spec(rng, d, n, max_den=3)
+        space = spec.space
+        for length in (1, 2, 4):
+            qs = [random_vector(rng, space.N) for _ in range(length)]
+            if length > 2:
+                qs[rng.randrange(1, length - 1)] = (ZERO,) * space.N
+            want = VectorPoly.zero(space)
+            for j, q in enumerate(qs):
+                want = want + build_Pk(spec, j).apply_to(q)
+            assert reconstruct(spec, structure.Expansion(tuple(qs))) == want, (d, n, qs)
 
 
 def test_expand_degenerate_cases():
@@ -764,14 +791,16 @@ def test_every_verify_line_kind_fails_under_some_mutant():
 
 # -- what the round trip proves -------------------------------------------------
 #
-# expand subtracts seeded chains A_1...A_j q_j and reconstruct adds the
-# operator members P_j applied to q_j, so the round trip compares two
-# constructions: a fault in one of them fails it, and a fault common to both
-# cancels, which the recurrence suite catches instead.
+# expand subtracts seeded chains A_1...A_j q_j built by apply_A, and
+# reconstruct adds the same factors composed from the ring operations
+# (_ring_factor), so the round trip compares apply_A with the ring
+# operations: a fault in apply_A fails it on either input type, and the
+# recurrence suite, which runs apply_A on operator input only, sees only
+# the fault that reaches the members.
 
 
 # fault on VectorPoly input alone -> (round trip exact, recurrence suite passed)
-@pytest.mark.parametrize("vector_only, outcome", [(True, (False, True)), (False, (True, False))],
+@pytest.mark.parametrize("vector_only, outcome", [(True, (False, True)), (False, (False, False))],
                          ids=["vector-only", "both-input-types"])
 def test_roundtrip_and_recurrence_under_a_factor_fault(monkeypatch, cold_caches,
                                                        vector_only, outcome):
