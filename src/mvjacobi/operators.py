@@ -29,6 +29,7 @@ requirement on A + B worth enforcing at construction time.
 from __future__ import annotations
 
 from functools import lru_cache, cached_property
+from operator import mul
 from typing import Sequence
 
 from .errors import ResonanceError
@@ -101,7 +102,7 @@ def basis_exponents(lam: Sequence, space: PolySpace) -> list:
     """
     # the basis runs over monomials with the slot j = 1..d as the inner
     # index, so each dot product m.lam serves d consecutive elements
-    dots = [sum(mi * li for mi, li in zip(b.m, lam)) for b in space.basis[::space.d]]
+    dots = [sum(map(mul, b.m, lam)) for b in space.basis[::space.d]]
     return [dot - lam[j] for dot in dots for j in range(space.d)]
 
 

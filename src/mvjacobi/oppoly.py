@@ -52,7 +52,7 @@ from typing import Iterable, Sequence, Union
 from .operators import ProblemSpec, build_D, dominant_coefficient
 from .polyspace import PolySpace, PolyVector
 from .ratmat import RatMatrix, _nonzeros
-from .rational import Rat, rat
+from .rational import rat
 
 
 class _PolyBase:
@@ -260,24 +260,19 @@ class OpPoly(_PolyBase):
 class VectorPoly(_PolyBase):
     """Coefficient-vector-valued polynomial in x: one column per power.
 
-    The constructor takes length-N tuples of rationals; `coeffs`,
-    `coeff_at`, `leading` and `eval` return length-N tuples of Fractions.
+    The constructor reads length-N tuples of rationals as the columns of
+    one RatMatrix; `coeffs`, `coeff_at`, `leading` and `eval` return
+    length-N tuples of Fractions.
     """
 
     def __init__(self, coeffs: Iterable, space: PolySpace):
         N = space.N
-        cols = []
-        for v in coeffs:
+        cols = tuple(coeffs)
+        for v in cols:
             if not isinstance(v, tuple) or len(v) != N:
                 raise ValueError(f"coefficient must be a length-{N} tuple")
-            cols.append(tuple(e if type(e) is Rat else rat(e) for e in v))
-        rows = tuple(zip(*cols)) if cols else ((),) * N
-        den = lcm(*(e.denominator for col in cols for e in col))
-        poly = self._from(tuple(tuple(e.numerator * (den // e.denominator) for e in row)
-                                for row in rows), den, space)
-        if poly.mat.num[0] and len(poly.mat.num[0]) == len(cols):
-            poly.mat.rows = rows  # the entries are the cached Fraction view
-        self._assign(poly.mat, space)
+        mat = RatMatrix(zip(*cols)) if cols else RatMatrix.zeros(N, 1)
+        self._assign(self._from(mat.num, mat.den, space).mat, space)
 
     @staticmethod
     def constant(q: Sequence, space: PolySpace) -> "VectorPoly":

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import random
 from math import lcm
-from operator import mul
 from typing import Iterable, Optional
 
-from .operators import ProblemSpec
+from .operators import ProblemSpec, basis_exponents
 from .oppoly import OpPoly, VectorPoly
 from .polyspace import PolySpace, enumerate_basis
 from .ratmat import RatMatrix
@@ -48,28 +47,19 @@ def random_matrix(rng: random.Random, d: int, max_den: int = 3,
 
 def random_diagonal(rng: random.Random, d: int, max_den: int = 3,
                     lo: int = -1, hi: int = 1) -> RatMatrix:
-    """Diagonal of d random_rational draws, in the same order, as random_matrix builds."""
+    """Diagonal of d random_rational draws in random_matrix's order, by _from_diagonal."""
     draws = [_draw_pq(rng, max_den, lo, hi) for _ in range(d)]
     den = lcm(*(q for _, q in draws))
-    return RatMatrix._normal(tuple(tuple(p * (den // q) if i == c else 0 for c in range(d))
-                                   for i, (p, q) in enumerate(draws)), den)
+    return RatMatrix._from_diagonal([p * (den // q) for p, q in draws], den)
 
 
 def _hits_shift(lam: RatMatrix, d: int, n: int, shifts: Iterable[int]) -> bool:
     """Whether some basis exponent m.lam - lam_j equals -s for an s in shifts.
 
-    lam is diagonal; the exponents are compared as integer numerators
-    over lam's denominator, dot - lam_j == -s den, which is what
-    basis_exponents(diag lam, enumerate_basis(d, n)) would decide on
-    Fractions.
+    basis_exponents runs on the diagonal lam's numerators, over lam.den.
     """
-    diag = [row[i] for i, row in enumerate(lam.num)]
     bad = {-s * lam.den for s in shifts}
-    for b in enumerate_basis(d, n).basis[::d]:
-        dot = sum(map(mul, b.m, diag))
-        if any(dot - e in bad for e in diag):
-            return True
-    return False
+    return not bad.isdisjoint(basis_exponents(lam._dnum, enumerate_basis(d, n)))
 
 
 def random_problem_spec(

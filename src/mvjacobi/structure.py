@@ -142,16 +142,6 @@ class Expansion(NamedTuple):
     coefficients: tuple[PolyVector, ...]
 
 
-@lru_cache(maxsize=None)
-def _dominant_inverse(spec: ProblemSpec, j: int) -> RatMatrix:
-    D1 = build_D(spec, 1)
-    return _certified_inverse(
-        dominant_coefficient(D1, j),
-        f"dominant coefficient (D1+{j + 1})...(D1+{2 * j}) at degree {j}",
-        spec,
-    )
-
-
 def expand(spec: ProblemSpec, f: VectorPoly) -> Expansion:
     """Unique expansion of f over the family, by leading-term elimination.
 
@@ -164,7 +154,9 @@ def expand(spec: ProblemSpec, f: VectorPoly) -> Expansion:
     out: list[PolyVector] = []
     rest = f
     for j in range(f.degree, -1, -1):
-        seed = VectorPoly.from_mats((_dominant_inverse(spec, j) @ rest.mat_at(j),), f.space)
+        name = f"dominant coefficient (D1+{j + 1})...(D1+{2 * j}) at degree {j}"
+        inv = _certified_inverse(dominant_coefficient(D1, j), name, spec)
+        seed = VectorPoly.from_mats((inv @ rest.mat_at(j),), f.space)
         out.append(seed.coeff_at(0))
         rest = rest - _product_apply(D1, D2, j, seed)  # P_j(x) q_j
         if rest.degree >= j:

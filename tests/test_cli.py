@@ -1,4 +1,5 @@
 import argparse
+import ast
 import gc
 import json
 import math
@@ -153,6 +154,11 @@ def test_compute_rejects_malformed_input(tmp_path, capsys):
     (tmp_path / "garbage.json").write_text("{not json")
     assert main(["compute", "--input", str(tmp_path / "garbage.json")]) == 2
     capsys.readouterr()
+
+    for name, doc, message in (("list", [LEGENDRE], "problem file must be a JSON object"),
+                               ("string-A", dict(LEGENDRE, A="x"), "A must be a list of rows")):
+        assert main(["compute", "--input", write_json(tmp_path / f"{name}.json", doc)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_compute_rejects_negative_kmax(tmp_path, capsys):
@@ -381,6 +387,10 @@ def test_expand_zero_polynomial(tmp_path, capsys):
     out = tmp_path / "coeffs.json"
     assert main(["expand", "--input", inp, "--poly", pol, "--out", str(out)]) == 0
     assert json.loads(out.read_text())["coefficients"] == []
+    # the empty expansion reconstructs as the zero polynomial
+    assert main(["expand", "--input", inp, "--poly", pol, "--roundtrip", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["coefficients"] == [] and doc["roundtrip_exact"] is True
     capsys.readouterr()
 
 
@@ -403,9 +413,15 @@ def test_expand_mismatch_names_the_compared_dimensions(tmp_path, capsys):
 
 
 def test_expand_rejects_coeffs_that_are_not_a_list(tmp_path, capsys):
-    pol = write_json(tmp_path / "f.json", {"d": 2, "n": 2, "coeffs": 5})
-    assert main(["expand", "--input", str(GOLDEN / "d2n2_nc.json"), "--poly", pol]) == 2
-    assert capsys.readouterr().err == "error: 'coeffs' must be a list of coefficient arrays\n"
+    for doc, message in (
+        ({"d": 2, "n": 2, "coeffs": 5}, "'coeffs' must be a list of coefficient arrays"),
+        ([["1"] * 6], "polynomial file must be a JSON object with a 'coeffs' key"),
+        # d2n2_nc has N = 6
+        ({"d": 2, "n": 2, "coeffs": [["1"] * 5]}, "each coefficient must be a length-6 array"),
+    ):
+        pol = write_json(tmp_path / "f.json", doc)
+        assert main(["expand", "--input", str(GOLDEN / "d2n2_nc.json"), "--poly", pol]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_json_booleans_are_refused_as_numbers(tmp_path, capsys):
@@ -754,6 +770,36 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def unused_imports(source: str) -> list:
+    """Names a module imports and never reads, as pyflakes' F401 would flag them.
+
+    Imports from __future__ and import lines marked "# noqa" (re-exports)
+    are skipped; a name read anywhere in the module counts as used.
+    """
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or "# noqa" in lines[node.lineno - 1]:
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in used:
+                unused.append(f"line {node.lineno}: {name}")
+    return unused
+
+
+def test_src_has_no_unused_imports():
+    found = {path.name: unused_imports(path.read_text(encoding="utf-8"))
+             for path in sorted((SRC / "mvjacobi").glob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == {}
+    assert unused_imports("import os\nfrom math import gcd, lcm\nlcm(1)\n") == ["line 1: os",
+                                                                           "line 2: gcd"]
+
+
 def test_quadrature_loads_no_scipy(tmp_path):
     # a claim is decided by exact moments and an exact gate, without numpy
     # or the numeric layer; only a noncommutative value integrates in floats
@@ -770,6 +816,25 @@ def test_quadrature_loads_no_scipy(tmp_path):
         assert ("numpy" in imported) is floats
         assert ("mvjacobi.numeric" in imported) is floats
         assert [m for m in imported if m.split(".")[0] == "scipy"] == []
+
+
+def test_quadrature_integration_failure_exits_2(tmp_path, capsys, monkeypatch):
+    # the noncommutative pair off the claim integrates Y' = MY in floats;
+    # a sweep that fails surfaces as an integration failure, exit 2
+    from mvjacobi import numeric
+    from mvjacobi.errors import OdeError
+
+    def fail(*args, **kwargs):
+        raise OdeError("sweep refused")
+
+    numeric._sweep.cache_clear()  # a cached sweep would skip solve_ivp
+    monkeypatch.setattr(numeric, "solve_ivp", fail)
+    inp = write_json(tmp_path / "spec.json", NONCOMMUT_2x2)
+    assert main(["quadrature", "--input", inp, "--j", "2", "--k", "2", "--side", "right",
+                 "--tol", "1e-6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "integration failure: sweep refused\n"
 
 
 BIG = "1" + "0" * 400
