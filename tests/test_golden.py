@@ -1,8 +1,9 @@
 """Golden-output regression: CLI output digests on a fixed corpus.
 
-tests/golden/ holds six problems (one resonant) with one polynomial
-each: five at N <= 8 and d3n2_nc, a noncommutative d = 3, n = 2 problem
-at N = 18.  digests.json records, per problem and command, the
+tests/golden/ holds seven problems (one resonant) with one polynomial
+each: five at N <= 8, d3n2_nc, a noncommutative d = 3, n = 2 problem
+at N = 18, and d3n3, a noncommutative d = 3, n = 3 problem at N = 30,
+the north-star size.  digests.json records, per problem and command, the
 exit code and either the sha256 of the JSON output with
 header.generated_at removed or, for a nonzero exit, the stderr line.
 Any change to the member construction, the verifiers, the expansion,
