@@ -224,8 +224,8 @@ _SUITE_TABLE = {
     "tilde": (lambda spec: "" if spec.n >= 2 else "the shifted family needs n >= 2",
               lambda s, spec, k: [s.verify_derivative_relation(spec, k)]),
     "scalar": (lambda spec: "" if spec.d == 1 else "scalar reductions need d = 1",
-               lambda s, spec, k: [f(spec.A.rows[0][0], spec.B.rows[0][0], spec.n, k) for f in
-                                   (s.verify_scalar_reduction, s.verify_scalar_eigen_identity)]),
+               lambda s, spec, k: [s.verify_scalar_reduction(spec, k),
+                                   s.verify_scalar_eigen_identity(spec, k)]),
     "trace": (lambda spec: "" if spec.n == 1 else "the trace reduction needs n = 1",
               lambda s, spec, k: [s.verify_trace_legendre(spec, k)]),
 }

@@ -71,7 +71,7 @@ def is_commutative(spec: ProblemSpec) -> bool:
     return spec.A._dnum is not None
 
 
-def commutative_exponents(spec: ProblemSpec, space: PolySpace) -> tuple[tuple, tuple]:
+def commutative_exponents(spec: ProblemSpec) -> tuple[tuple, tuple]:
     """Exact weight exponents (at +1, at -1) per basis element.
 
     The weight acts diagonally with entry (1-x)^{m.a - a_j} (1+x)^{m.b - b_j}
@@ -79,7 +79,7 @@ def commutative_exponents(spec: ProblemSpec, space: PolySpace) -> tuple[tuple, t
     """
     if not is_commutative(spec):
         raise ValueError("exact exponents need both residues diagonal")
-    return tuple(basis_exponents(spec.A.diag, space)), tuple(basis_exponents(spec.B.diag, space))
+    return tuple(tuple(basis_exponents(M.diag, spec.space)) for M in (spec.A, spec.B))
 
 
 class IntegrabilityReport(NamedTuple):
@@ -195,9 +195,8 @@ def _endpoint_gate(spec: ProblemSpec) -> tuple[float, float, bool, bool]:
     K = n A (x) I - I (x) A, since every exponent exceeds c exactly when
     every eigenvalue n l_i - l_j of K does.  At -1, B takes A's place.
     """
-    space = spec.space
     if is_commutative(spec):
-        plus, minus = commutative_exponents(spec, space)
+        plus, minus = commutative_exponents(spec)
         worst = min(min(plus), min(minus))
         # float rounding is monotone, so the float of the least exponent is the least float
         return (_float(min(plus), "an endpoint exponent from A"),
@@ -335,7 +334,7 @@ def quasi_orth_integral(spec: ProblemSpec, j: int, k: int, side: str,
         terms = (list(zip(low, E)) if side == "right"
                  else [(R[0], e @ p) for e, p in zip(E, low)])  # R_0 = I
         if is_commutative(spec):
-            plus, minus = commutative_exponents(spec, spec.space)
+            plus, minus = commutative_exponents(spec)
             worst = max(abs(_jacobi_integral(sum(L.diag[i] * M.diag[i] for L, M in terms), a, b))
                         for i, (a, b) in enumerate(zip(plus, minus)))
         elif not gate.fast_ok:

@@ -48,7 +48,7 @@ from .integrals import (NumericReport, _check_tolerance, _float,  # noqa: F401
                         quasi_orth_integral)
 from .operators import ProblemSpec, induced_action_float
 from .oppoly import OpPoly, build_Pk
-from .polyspace import PolySpace, PolyVector
+from .polyspace import PolyVector
 from .ratmat import RatMatrix
 # keep at module level: perfbench/traced_cli.install finds mvjacobi.structure in sys.modules
 from .structure import build_tilde_Pk
@@ -231,7 +231,7 @@ def commutative_Y(spec: ProblemSpec, x: float) -> np.ndarray:
         raise ValueError(f"Y({x:g}) is past the float range") from None
 
 
-def weight(spec: ProblemSpec, space: PolySpace, x: float) -> np.ndarray:
+def weight(spec: ProblemSpec, x: float) -> np.ndarray:
     """Induced action of Y(x) on the coefficient space, as floats.
 
     Commutative problems use the closed-form Y; otherwise Y comes from
@@ -241,7 +241,7 @@ def weight(spec: ProblemSpec, space: PolySpace, x: float) -> np.ndarray:
         Y = commutative_Y(spec, x)
     else:
         Y = fundamental_matrix(spec, x)
-    return induced_action_float(Y, space)
+    return induced_action_float(Y, spec.space)
 
 
 # -- double-exponential quadrature -------------------------------------------
@@ -369,8 +369,7 @@ def integral_interrelation_check(spec: ProblemSpec, k: int, x0: float,
             "the integral inter-relation check is implemented for commutative "
             "problems, where endpoint integrability is decidable exactly"
         )
-    space = spec.space
-    plus, minus = commutative_exponents(spec, space)
+    plus, minus = commutative_exponents(spec)
     bad = [e for e in minus if e <= 0]
     if bad:
         raise ValueError(

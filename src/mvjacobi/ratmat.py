@@ -17,13 +17,13 @@ Coefficient vectors are N x 1 matrices, so a matrix-vector product is
 in O(N^2).  Otherwise every left row of at most a third nonzeros (a row
 of D2, of a diagonal matrix for N >= 3, or of x^i I) adds up the right
 operand's rows it selects, and a denser row takes one dot product per
-column; the columns are cut out only when some row needs them.  The
-product counts each left row's zeros to choose its path, and `_times`
-is that product on bare integer rows, unreduced, so a caller holding
-rows of a larger matrix (the stacked coefficients of a polynomial)
-multiplies them all in one pass and reduces once.  `sparse_rows` is a
-cached view of each row's nonzero (column, numerator) pairs, which
-`apply_A` reads for D2.
+column; the columns are cut out only when some row needs them.  That
+row rule is `_sparse`, which `apply_A` shares for its source rows.
+`_times` is the product on bare integer rows, unreduced, so a caller
+holding rows of a larger matrix (the stacked coefficients of a
+polynomial) multiplies them all in one pass and reduces once.
+`sparse_rows` is a cached view of each row's nonzero (column, numerator)
+pairs, which `apply_A` reads for D2.
 
 Inversion is diagonal-only: A + B is required to be diagonal, so the
 derivation D1 and every shift or product of shifts of it is diagonal,
@@ -46,23 +46,29 @@ def _nonzeros(row: Sequence[int]) -> tuple:
     return tuple(zip(compress(range(len(row)), row), filter(None, row)))
 
 
+def _sparse(row: Sequence[int]) -> Optional[tuple]:
+    """_nonzeros(row) if at most a third of the int row is nonzero, else None."""
+    return _nonzeros(row) if 3 * row.count(0) >= 2 * len(row) else None
+
+
 class RatMatrix:
     """Immutable matrix of exact rationals: integer numerators over one denominator."""
 
     __slots__ = ("num", "den", "__dict__")
 
     def __init__(self, rows: Iterable[Iterable]):
-        rows = tuple(tuple(e if type(e) in (int, Rat) else rat(e) for e in row) for row in rows)
+        rows = tuple(map(tuple, rows))
+        # every entry in one pass, before the shape checks
+        flat = [e if type(e) in (int, Rat) else rat(e) for e in chain.from_iterable(rows)]
         if not rows:
             raise ValueError("matrix needs at least one row")
         width = len(rows[0])
         if width == 0 or any(len(r) != width for r in rows):
             raise ValueError("ragged or empty matrix rows")
         # the lcm of lowest-terms denominators is already normalized
-        self.den = lcm(*(e.denominator for row in rows for e in row))
-        self.num = tuple(
-            tuple(e.numerator * (self.den // e.denominator) for e in row) for row in rows
-        )
+        self.den = den = lcm(*[e.denominator for e in flat])
+        flat = [e.numerator * (den // e.denominator) for e in flat]
+        self.num = tuple([tuple(flat[i:i + width]) for i in range(0, len(flat), width)])
 
     @staticmethod
     def _normal(num: tuple, den: int) -> "RatMatrix":
@@ -84,9 +90,7 @@ class RatMatrix:
         n = len(d)
         out = RatMatrix._normal(tuple([(0,) * i + (e,) + (0,) * (n - 1 - i)
                                        for i, e in enumerate(d)]), den)
-        # the diagonal and nonzero views, known here in O(n)
-        out._dnum = d = tuple([row[i] for i, row in enumerate(out.num)])
-        out.sparse_rows = tuple([((i, e),) if e else () for i, e in enumerate(d)])
+        out._dnum = tuple([row[i] for i, row in enumerate(out.num)])  # known here in O(n)
         return out
 
     @staticmethod
@@ -205,14 +209,13 @@ class RatMatrix:
         if d is not None:
             return [tuple(map(mul, row, d)) for row in rows]
         onum = self.num
-        n = len(onum)
         cols = None
         zero = [0] * len(onum[0])
         out = []
         for row in rows:
-            # a row of at most one third nonzeros sums the rows of self it
-            # selects; a denser one takes a dot product per column
-            nz = _nonzeros(row) if 3 * row.count(0) >= 2 * n else None
+            # a sparse row sums the rows of self it selects; a denser one
+            # takes a dot product per column
+            nz = _sparse(row)
             if nz is not None:
                 acc = zero
                 for c, e in nz:

@@ -28,7 +28,6 @@ than tolerances.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import factorial
 from typing import NamedTuple, Sequence
 
@@ -49,14 +48,6 @@ class RecurrenceCoeffs(NamedTuple):
     gamma: RatMatrix
 
 
-@lru_cache(maxsize=None)
-def _recurrence_products(spec: ProblemSpec) -> tuple[RatMatrix, RatMatrix]:
-    """D2 D2 and D1 D2 + D2 D1: the k-invariant products of the solve."""
-    D1 = build_D(spec, 1)
-    D2 = build_D(spec, 2)
-    return D2 @ D2, D1 @ D2 + D2 @ D1
-
-
 def _solve_recurrence(spec: ProblemSpec, k: int) -> RecurrenceCoeffs:
     """alpha_k, beta_k, gamma_k from the three coefficient equations, unchecked."""
     if k < 0:
@@ -73,12 +64,11 @@ def _solve_recurrence(spec: ProblemSpec, k: int) -> RecurrenceCoeffs:
     inv1 = _certified_inverse(D1.plus_scalar(2 * k + 1), f"D1 + 2k + 1 at k = {k}", spec)
     alpha = inv1 @ inv2 @ D1.plus_scalar(k + 1)
     inv0 = _certified_inverse(D1.plus_scalar(2 * k), f"D1 + 2k at k = {k}", spec)
-    D2D2, D1D2 = _recurrence_products(spec)
-    mid = D2.scale(4 * k + 2) + D1D2
+    mid = D2.scale(4 * k + 2) + D1 @ D2 + D2 @ D1
     beta = inv0 @ (D2 - mid @ alpha)
     gamma = (
         RatMatrix.identity(spec.space.N).scale(k - 1)
-        - (D2D2 - shift2) @ alpha
+        - (D2 @ D2 - shift2) @ alpha
         - D2 @ beta
     )
     return RecurrenceCoeffs(k, alpha, beta, gamma)
@@ -278,23 +268,25 @@ def classical_jacobi(k: int, alpha, beta) -> tuple:
     return p_cur
 
 
-def _scalar_spec(a, b, n: int) -> ProblemSpec:
-    return ProblemSpec(1, n, RatMatrix([[Rat(a)]]), RatMatrix([[Rat(b)]]))
+def _scalar_parameters(spec: ProblemSpec) -> tuple:
+    """(a, b, alpha, beta) of a d = 1 problem: its residues and alpha = (n-1)a, beta = (n-1)b."""
+    if spec.d != 1:
+        raise ValueError("scalar reductions need d = 1")
+    a, b = spec.A.rows[0][0], spec.B.rows[0][0]
+    return a, b, (spec.n - 1) * a, (spec.n - 1) * b
 
 
-def verify_scalar_reduction(a, b, n: int, k_max: int) -> CheckReport:
+def verify_scalar_reduction(spec: ProblemSpec, k_max: int) -> CheckReport:
     """d = 1: members equal 2^k k! times the classical polynomial.
 
-    Parameters feed a rank-one problem; the classical parameters are
-    alpha = (n-1)a, beta = (n-1)b.  The normalization constant 2^k k! is
-    confirmed independently at each k by comparing leading coefficients:
+    The classical parameters are alpha = (n-1)a, beta = (n-1)b for the
+    residues a and b.  The normalization constant 2^k k! is confirmed
+    independently at each k by comparing leading coefficients:
     the member's dominant product of shifts against 2^k k! times the
     classical leading coefficient ff(2k+alpha+beta, k) / (2^k k!).
     """
-    spec = _scalar_spec(a, b, n)
-    alpha = (n - 1) * Rat(a)
-    beta = (n - 1) * Rat(b)
-    report = CheckReport(f"scalar reduction a={Rat(a)} b={Rat(b)} n={n}")
+    a, b, alpha, beta = _scalar_parameters(spec)
+    report = CheckReport(f"scalar reduction a={a} b={b} n={spec.n}")
     D1 = build_D(spec, 1)
     for k in range(k_max + 1):
         ck = Rat(factorial(k)) * 2**k
@@ -311,7 +303,7 @@ def verify_scalar_reduction(a, b, n: int, k_max: int) -> CheckReport:
     return report
 
 
-def verify_scalar_eigen_identity(a, b, n: int, k_max: int) -> CheckReport:
+def verify_scalar_eigen_identity(spec: ProblemSpec, k_max: int) -> CheckReport:
     """d = 1: the first product factor is an eigenoperator on derivatives.
 
     Checks the commutation rule d/dx A_j = (alpha+beta+2j) + A_{j+1} d/dx
@@ -320,10 +312,8 @@ def verify_scalar_eigen_identity(a, b, n: int, k_max: int) -> CheckReport:
     sides of the rule are linear in the polynomial they act on, so the
     monomial checks prove it for every polynomial of degree <= 5.
     """
-    spec = _scalar_spec(a, b, n)
-    alpha = (n - 1) * Rat(a)
-    beta = (n - 1) * Rat(b)
-    report = CheckReport(f"scalar eigen identity a={Rat(a)} b={Rat(b)} n={n}")
+    a, b, alpha, beta = _scalar_parameters(spec)
+    report = CheckReport(f"scalar eigen identity a={a} b={b} n={spec.n}")
     D1 = build_D(spec, 1)
     D2 = build_D(spec, 2)
     r = OpPoly.identity(spec.space)  # x^i, i = 0..5

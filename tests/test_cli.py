@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 from pathlib import Path
@@ -156,7 +157,9 @@ def test_compute_rejects_malformed_input(tmp_path, capsys):
     capsys.readouterr()
 
     for name, doc, message in (("list", [LEGENDRE], "problem file must be a JSON object"),
-                               ("string-A", dict(LEGENDRE, A="x"), "A must be a list of rows")):
+                               ("string-A", dict(LEGENDRE, A="x"), "A must be a list of rows"),
+                               ("zero-d", {"d": 0, "n": 2, "A": [[0]], "B": [[0]]},
+                                "need d >= 1 and n >= 1, got d=0, n=2")):
         assert main(["compute", "--input", write_json(tmp_path / f"{name}.json", doc)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
@@ -798,6 +801,45 @@ def test_src_has_no_unused_imports():
     assert {name: names for name, names in found.items() if names} == {}
     assert unused_imports("import os\nfrom math import gcd, lcm\nlcm(1)\n") == ["line 1: os",
                                                                            "line 2: gcd"]
+
+
+def _mentions(node: ast.AST) -> Counter:
+    """How often each name is read, looked up as an attribute or imported under node."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute)
+                   else n.name for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute, ast.alias)))
+
+
+def unreferenced_private_names(sources: dict) -> list:
+    """Private functions, classes and methods that no module names outside their own definition.
+
+    sources maps module names to their text.  Private means one leading
+    underscore; dunders are exempt.  A name counts as used wherever it is
+    read, looked up as an attribute or imported, so two definitions of one
+    name (a method in two classes) share their uses.
+    """
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    total = sum(map(_mentions, trees.values()), Counter())
+    found = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")
+                    and total[node.name] == _mentions(node)[node.name]):
+                found.append(f"{module}: {node.name}")
+    return found
+
+
+def test_src_has_no_unreferenced_private_names():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted((SRC / "mvjacobi").glob("*.py"))}
+    assert unreferenced_private_names(sources) == []
+    # a planted orphan is reported, even when it calls itself; a used helper
+    # and a dunder are not
+    planted = ("def _used():\n    return 1\n\n\ndef _orphan(k):\n    return _orphan(k - 1)\n\n\n"
+               "class _Box:\n    def __init__(self):\n        self.v = _used()\n")
+    assert unreferenced_private_names({"planted.py": planted}) == ["planted.py: _orphan",
+                                                                   "planted.py: _Box"]
 
 
 def test_quadrature_loads_no_scipy(tmp_path):

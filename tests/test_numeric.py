@@ -233,7 +233,7 @@ def test_dense_output_batched_equals_pointwise():
 
 def test_weight_trivial_spec_is_identity():
     spec = diag_spec([0, 0], [0, 0], 2)
-    W = weight(spec, spec.space, 0.3)
+    W = weight(spec, 0.3)
     assert np.allclose(W, np.eye(spec.space.N))
 
 
@@ -241,7 +241,7 @@ def test_weight_commutative_entries_match_oracle():
     spec = MILD_NEGATIVE
     space = spec.space
     for x in (-0.4, 0.0, 0.62):
-        W = weight(spec, space, x)
+        W = weight(spec, x)
         for i, b in enumerate(space.basis):
             want = commutative_weight_entry(spec.A.diag, spec.B.diag, b.m, b.j, x)
             assert abs(W[i, i] - want) < 1e-13 * max(1.0, abs(want))
@@ -252,7 +252,7 @@ def test_weight_commutative_entries_match_oracle():
 def test_weight_noncommutative_at_basepoint():
     # Y is normalized to I at 0
     spec = small_noncommutative_spec()
-    W = weight(spec, spec.space, 0.0)
+    W = weight(spec, 0.0)
     assert np.allclose(W, np.eye(spec.space.N), atol=1e-12)
 
 
@@ -306,12 +306,14 @@ def test_de_integrate_budget_exhaustion():
 def test_commutative_exponents_values():
     spec = POSITIVE
     space = spec.space
-    plus, minus = commutative_exponents(spec, space)
+    plus, minus = commutative_exponents(spec)
     a = spec.A.diag
     b = spec.B.diag
     for i, bi in enumerate(space.basis):
         assert plus[i] == sum(mi * ai for mi, ai in zip(bi.m, a)) - a[bi.j - 1]
         assert minus[i] == sum(mi * bbi for mi, bbi in zip(bi.m, b)) - b[bi.j - 1]
+    with pytest.raises(ValueError, match="exact exponents need both residues diagonal"):
+        commutative_exponents(small_noncommutative_spec())
 
 
 def test_integrability_check_commutative_branches():
@@ -472,7 +474,7 @@ def commutative_de_integrand(spec: ProblemSpec, j: int, k: int):
     """Tanh-sinh integrand of P_j W P_k for diagonal residues, one entry per channel."""
     pj = [np.array([float(e) for e in c.diag]) for c in build_Pk(spec, j).coeffs]
     pk = [np.array([float(e) for e in c.diag]) for c in build_Pk(spec, k).coeffs]
-    plus, minus = commutative_exponents(spec, spec.space)
+    plus, minus = commutative_exponents(spec)
     pe = np.array([float(e) for e in plus])
     me = np.array([float(e) for e in minus])
 
@@ -496,7 +498,7 @@ def exact_channels(spec: ProblemSpec, j: int, k: int) -> list[tuple]:
     pj = [c.diag for c in build_Pk(spec, j).coeffs]
     pk = [c.diag for c in build_Pk(spec, k).coeffs]
     R = [r.diag for r in moment_ratios(spec, len(pj) + len(pk) - 1)]
-    plus, minus = commutative_exponents(spec, spec.space)
+    plus, minus = commutative_exponents(spec)
     out = []
     for i, (a, b) in enumerate(zip(plus, minus)):
         Ri = sum(cj[i] * ck[i] * R[s + t][i] for s, cj in enumerate(pj) for t, ck in enumerate(pk))
@@ -522,7 +524,7 @@ def test_de_integrate_meets_its_target_against_exact_values():
 
 def channel_exponents_and_members(spec: ProblemSpec, j: int, k: int):
     """(a, b, p_i) per channel, p_i from the closed-form members, not from build_Pk."""
-    plus, minus = commutative_exponents(spec, spec.space)
+    plus, minus = commutative_exponents(spec)
     return [(a, b, poly_mul(leibniz_scalar_member(a, b, j), leibniz_scalar_member(a, b, k)))
             for a, b in zip(plus, minus)]
 
@@ -658,8 +660,8 @@ def test_weight_satisfies_the_pearson_equation():
         D1, D2 = (_floats(build_D(spec, i), f"D{i}") for i in (1, 2))
         h = 1e-5
         for x in (-0.8, -0.3, 0.2, 0.7):
-            W = weight(spec, spec.space, x)
-            dW = (weight(spec, spec.space, x + h) - weight(spec, spec.space, x - h)) / (2 * h)
+            W = weight(spec, x)
+            dW = (weight(spec, x + h) - weight(spec, x - h)) / (2 * h)
             lhs = (x * x - 1.0) * dW
             scale = np.max(np.abs(lhs)) + np.max(np.abs(W))
             assert np.max(np.abs(lhs - W @ (x * D1 + D2))) <= 1e-7 * scale, (spec, x)
@@ -706,13 +708,13 @@ def test_public_numerics_refuse_values_past_the_float_range():
     with pytest.raises(ValueError, match="a diagonal entry of A is past the float range"):
         commutative_Y(diag_spec([huge], [0], 2), 0.5)
     with pytest.raises(ValueError, match="a diagonal entry of B is past the float range"):
-        weight(diag_spec([0], [-huge], 2), enumerate_basis(1, 2), 0.5)
+        weight(diag_spec([0], [-huge], 2), 0.5)
     for f in (commutative_Y, fundamental_matrix):
         with pytest.raises(ValueError, match="x is past the float range"):
             f(diag_spec([1], [0], 2), huge)
     # a float exponent whose power is not a float: 1.5 ** 1e300
     with pytest.raises(ValueError, match=r"Y\(-0.5\) is past the float range"):
-        weight(diag_spec([10**300], [0], 2), enumerate_basis(1, 2), -0.5)
+        weight(diag_spec([10**300], [0], 2), -0.5)
     q = (Rat(1),) * INTEGRABLE.space.N
     with pytest.raises(ValueError, match="an entry of q is past the float range"):
         integral_interrelation_check(INTEGRABLE, 1, 0.5, (Rat(huge),) + q[1:])

@@ -150,6 +150,9 @@ def test_hits_shift_accepts_and_rejects():
     # d = 2, n = 1: exponents lam_2 - lam_1 and lam_1 - lam_2 (and 0)
     lam = RatMatrix.diagonal([Rat(1, 3), Rat(7, 3)])
     assert _hits_shift(lam, 2, 1, (2,)) and not _hits_shift(lam, 2, 1, (3,))
+    # d = n = 1: the one exponent, lam - lam, is 0, so every draw hits the shift 0
+    with pytest.raises(RuntimeError, match="no resonance-free sample found in 200 tries"):
+        random_problem_spec(random.Random(0), 1, 1, avoid_shifts=[0])
 
 
 # -- the two derivations ------------------------------------------------------

@@ -15,7 +15,7 @@ from mvjacobi.operators import ProblemSpec, build_D, dominant_coefficient
 from mvjacobi.oppoly import OpPoly, VectorPoly, apply_A, build_Pk
 from mvjacobi.polyspace import enumerate_basis
 from mvjacobi.rational import Rat
-from mvjacobi.ratmat import RatMatrix, _nonzeros
+from mvjacobi.ratmat import RatMatrix, _sparse
 from mvjacobi.sampling import (random_matrix, random_op_poly, random_problem_spec,
                                random_vector, random_vector_poly)
 
@@ -516,10 +516,12 @@ def test_apply_A_sparse_and_dense_source_rows_match_sympy(monkeypatch, kind, pat
     calls = []
 
     def recording(row):
-        calls.append(row)
-        return _nonzeros(row)
+        nz = _sparse(row)
+        if nz is not None:
+            calls.append(row)
+        return nz
 
-    monkeypatch.setattr(oppoly, "_nonzeros", recording)
+    monkeypatch.setattr(oppoly, "_sparse", recording)
     j = 3
     got = apply_A(j, RatMatrix(d1), RatMatrix(d2), r)
     monkeypatch.undo()

@@ -372,7 +372,7 @@ def test_integer_diagonal_view_matches_the_entries(data):
     assert M._dnum == want
     assert M.diag == (None if want is None else tuple(Fraction(e, M.den) for e in want))
     assert M._dnum is M._dnum  # cached
-    # the diagonal constructors fill both views themselves, after reduction
+    # the diagonal constructors fill the diagonal view themselves, after reduction
     # (the inverse of diag(1/2, 1) is built over 2 and reduced to den 1)
     d = data.draw(st.lists(mixed, min_size=n, max_size=n))
     built = [RatMatrix.identity(n), RatMatrix.diagonal(d),

@@ -413,17 +413,21 @@ def test_classical_jacobi_errors():
 
 
 def test_verify_scalar_reduction():
-    report = verify_scalar_reduction(Rat(1, 2), Rat(1, 3), 2, 5)
+    report = verify_scalar_reduction(scalar_spec(Rat(1, 2), Rat(1, 3), 2), 5)
     assert report.passed, report.summary_lines()
     assert report.counts == (12, 12)  # normalization + equality per k
-    assert verify_scalar_reduction(0, 0, 3, 4).passed
+    assert verify_scalar_reduction(scalar_spec(0, 0, 3), 4).passed
+    with pytest.raises(ValueError, match="scalar reductions need d = 1"):
+        verify_scalar_reduction(load_problem(str(GOLDEN / "d2n1.json"))[0], 2)
 
 
 def test_verify_scalar_eigen_identity():
-    report = verify_scalar_eigen_identity(Rat(-1, 4), Rat(2, 3), 2, 5)
+    report = verify_scalar_eigen_identity(scalar_spec(Rat(-1, 4), Rat(2, 3), 2), 5)
     assert report.passed, report.summary_lines()
     # the rule on x^i for i <= 5 and j = 1..5, then one eigenvalue check per k
     assert report.counts == (36, 36)
+    with pytest.raises(ValueError, match="scalar reductions need d = 1"):
+        verify_scalar_eigen_identity(load_problem(str(GOLDEN / "d2n1.json"))[0], 2)
 
 
 # -- trace reduction -----------------------------------------------------------
@@ -487,7 +491,7 @@ def test_verify_trace_legendre_reports_the_failing_unit_matrices(monkeypatch):
 
 def test_verify_scalar_reduction_reports_a_mutated_member(monkeypatch):
     _member_mutant(monkeypatch, {2: [(1, 0, 0)], 4: [(5, 0, 0)]})
-    report = verify_scalar_reduction(Rat(1, 2), Rat(1, 3), 2, 4)
+    report = verify_scalar_reduction(scalar_spec(Rat(1, 2), Rat(1, 3), 2), 4)
     failed = [item.name for item in report.items if not item.passed]
     assert failed == ["k=2 equals 2^k k! classical", "k=4 equals 2^k k! classical"]
     assert report.counts == (8, 10)
@@ -739,14 +743,11 @@ def _golden_specs():
 
 @pytest.fixture
 def cold_caches():
-    """Clear the member and coefficient caches before and after: no member
+    """Clear the member cache before and after: no member
     built under a mutant may outlive its test."""
-    caches = (build_Pk, structure._recurrence_products)
-    for cache in caches:
-        cache.cache_clear()
+    build_Pk.cache_clear()
     yield
-    for cache in caches:
-        cache.cache_clear()
+    build_Pk.cache_clear()
 
 
 @pytest.mark.parametrize("mutant", list(MUTANT_TABLE))
