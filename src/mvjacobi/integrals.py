@@ -109,12 +109,12 @@ def _residue_traces(M: RatMatrix) -> tuple[list, list]:
 
     Only X^1 .. X^d are formed; the later S_r follow from e by Newton's identities.
     """
-    X, d = M.num, M.nrows
+    X, d = RatMatrix._normal(M.num, 1), M.nrows
     S, P = [d], X
     for r in range(1, d + 1):
-        S.append(sum(P[i][i] for i in range(d)))
+        S.append(sum(P.num[i][i] for i in range(d)))
         if r < d:
-            P = [[sum(a * b for a, b in zip(row, col)) for col in zip(*X)] for row in P]
+            P = P @ X
     e = _elementary(S, d)
     for r in range(d + 1, d * d + 1):
         S.append(sum((-1) ** (i - 1) * e[i] * S[r - i] for i in range(1, d + 1)))

@@ -216,15 +216,13 @@ def fundamental_matrix(spec: ProblemSpec, x: float) -> np.ndarray:
 
 def commutative_Y(spec: ProblemSpec, x: float) -> np.ndarray:
     """Closed-form diag((1-x)^{a_i} (1+x)^{b_i}); real branch on (-1, 1)."""
-    a_diag = spec.A.diag
-    b_diag = spec.B.diag
-    if a_diag is None or b_diag is None:
+    if not is_commutative(spec):
         raise ValueError("closed-form Y needs both residues diagonal")
     x = _float(x, "x")
     if not -1.0 < x < 1.0:
         raise ValueError(f"x = {x} outside (-1, 1)")
-    a = [_float(e, "a diagonal entry of A") for e in a_diag]
-    b = [_float(e, "a diagonal entry of B") for e in b_diag]
+    a = [_float(e, "a diagonal entry of A") for e in spec.A.diag]
+    b = [_float(e, "a diagonal entry of B") for e in spec.B.diag]
     try:  # a power past the float range raises, where a product would give inf
         return np.diag([(1.0 - x) ** ai * (1.0 + x) ** bi for ai, bi in zip(a, b)])
     except OverflowError:

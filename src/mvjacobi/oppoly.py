@@ -8,13 +8,11 @@ w = N for OpPoly and w = 1 for VectorPoly.  Trailing zero blocks are
 trimmed and the whole matrix is in RatMatrix's normal form (one
 denominator, gcd 1), so equal polynomials hold equal matrices; the zero
 polynomial is N x 0 (degree -1).  Each ring operation is one pass over
-the rows of `mat`, except that `lmul`, `rmul` and `apply_to` are one
-matrix product each: `rmul` and `apply_to` stack the blocks of every
-row as rows of one left operand and reduce the result once, with no
-per-coefficient products.  `mats`, `mat_at`, `coeffs`,
-`coeff_at`, `leading` and `eval` are views that cut the blocks out as
-normalized RatMatrix coefficients (length-N tuples of Fractions for
-VectorPoly).
+the rows of `mat`, except the products: `lmul` is one matrix product,
+and `rmul` and `apply_to` multiply coefficient by coefficient, all
+through RatMatrix's `@`.  `mats`, `mat_at`, `coeffs`, `coeff_at`,
+`leading` and `eval` are views that cut the blocks out as normalized
+RatMatrix coefficients (length-N tuples of Fractions for VectorPoly).
 
 The degree-k family member is the nested product
 
@@ -44,7 +42,6 @@ to left rows; a denser one is added whole.  The result is reduced once.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain
 from math import lcm
 from operator import mul
 from typing import Iterable, Sequence, Union
@@ -231,30 +228,18 @@ class OpPoly(_PolyBase):
     def _width(space: PolySpace) -> int:
         return space.N
 
-    def _times(self, M: RatMatrix, kind):
-        """The kind polynomial whose coefficient i is coefficient i of self times M.
-
-        The N x N blocks of every row enter one product as rows of their
-        own (RatMatrix._times), and the result is reduced once.
-        """
-        if self.is_zero:
-            return kind.zero(self.space)
-        N, K1 = self.space.N, self.degree + 1
-        prod = M._times([row[i:i + N] for row in self.mat.num for i in range(0, N * K1, N)])
-        return kind._from(tuple([tuple(chain.from_iterable(prod[p:p + K1]))
-                                 for p in range(0, N * K1, K1)]), self.mat.den * M.den, self.space)
-
     def rmul(self, M: RatMatrix) -> "OpPoly":
         """Multiply every coefficient by a constant operator on the right."""
         if M.shape != (self.space.N, self.space.N):
             raise ValueError(f"cannot multiply coefficients by a {M.shape} matrix")
-        return self._times(M, OpPoly)
+        return OpPoly.from_mats([c @ M for c in self.mats], self.space)
 
     def apply_to(self, q: Sequence) -> "VectorPoly":
         """Coefficient-wise application to a constant vector."""
         if len(q) != self.space.N:
             raise ValueError(f"vector length {len(q)} != space dimension {self.space.N}")
-        return self._times(RatMatrix.column(q), VectorPoly)
+        q = RatMatrix.column(q)
+        return VectorPoly.from_mats([c @ q for c in self.mats], self.space)
 
 
 class VectorPoly(_PolyBase):

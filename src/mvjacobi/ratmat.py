@@ -19,9 +19,6 @@ of D2, of a diagonal matrix for N >= 3, or of x^i I) adds up the right
 operand's rows it selects, and a denser row takes one dot product per
 column; the columns are cut out only when some row needs them.  That
 row rule is `_sparse`, which `apply_A` shares for its source rows.
-`_times` is the product on bare integer rows, unreduced, so a caller
-holding rows of a larger matrix (the stacked coefficients of a
-polynomial) multiplies them all in one pass and reduces once.
 `sparse_rows` is a cached view of each row's nonzero (column, numerator)
 pairs, which `apply_A` reads for D2.
 
@@ -198,22 +195,16 @@ class RatMatrix:
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.ncols != other.nrows:
             raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
-        return RatMatrix._normal(tuple(other._times(self.num)), self.den * other.den)
-
-    def _times(self, rows: Sequence[tuple]) -> list:
-        """The numerators of rows @ self, over den times the rows' denominator, unreduced.
-
-        rows are int rows of length nrows; each row's zeros choose its path.
-        """
-        d = self._dnum
+        den = self.den * other.den
+        d = other._dnum
         if d is not None:
-            return [tuple(map(mul, row, d)) for row in rows]
-        onum = self.num
+            return RatMatrix._normal(tuple([tuple(map(mul, row, d)) for row in self.num]), den)
+        onum = other.num
         cols = None
         zero = [0] * len(onum[0])
         out = []
-        for row in rows:
-            # a sparse row sums the rows of self it selects; a denser one
+        for row in self.num:
+            # a sparse row sums the rows of other it selects; a denser one
             # takes a dot product per column
             nz = _sparse(row)
             if nz is not None:
@@ -225,7 +216,7 @@ class RatMatrix:
                 if cols is None:
                     cols = tuple(zip(*onum))
                 out.append(tuple([sum(map(mul, row, col)) for col in cols]))
-        return out
+        return RatMatrix._normal(tuple(out), den)
 
     def apply(self, vec: Sequence) -> tuple:
         """Matrix-vector product as a tuple of Rat: `@` on the column of vec."""

@@ -303,19 +303,26 @@ def test_verify_failing_identity_exits_1(tmp_path, capsys, monkeypatch):
 
 
 def test_internal_consistency_failure_exits_1_without_traceback(capsys, monkeypatch):
-    # a member construction that fails its own leading-coefficient check
+    # a member construction and an expansion that fail their own checks
     from mvjacobi import oppoly
 
     patch_apply_A(monkeypatch, _d1_shift_mutant(oppoly.apply_A, 2, 1))
     build_Pk.cache_clear()
     try:
         code = main(["verify", "--input", str(GOLDEN / "d2n2_nc.json"), "--kmax", "2"])
+        err = capsys.readouterr().err
+        # expand's own degree check, under the same fault
+        expand_code = main(["expand", "--input", str(GOLDEN / "d2n2_nc.json"),
+                            "--poly", str(GOLDEN / "d2n2_nc.poly.json"), "--roundtrip"])
+        captured = capsys.readouterr()
     finally:
         build_Pk.cache_clear()  # no member built by the mutant outlives the test
-    err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("internal consistency failure: member k=2 ")
     assert err.count("\n") == 1 and "Traceback" not in err
+    assert expand_code == 1 and captured.out == ""
+    assert captured.err == ("internal consistency failure: expansion failed to reduce the "
+                            "degree at step 2; this indicates an internal construction bug\n")
 
 
 def test_verify_with_no_reports_fails(tmp_path, capsys, monkeypatch):
@@ -810,23 +817,38 @@ def _mentions(node: ast.AST) -> Counter:
                    if isinstance(n, (ast.Name, ast.Attribute, ast.alias)))
 
 
+def _definitions(tree: ast.Module):
+    """(node, name) of every function, class and method, then of every module-level assignment."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node, node.name
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for n in ast.walk(target):
+                    if isinstance(n, ast.Name):
+                        yield node, n.id
+
+
 def unreferenced_private_names(sources: dict) -> list:
-    """Private functions, classes and methods that no module names outside their own definition.
+    """Private functions, classes, methods and module-level names that no
+    module names outside their own definition.
 
     sources maps module names to their text.  Private means one leading
     underscore; dunders are exempt.  A name counts as used wherever it is
     read, looked up as an attribute or imported, so two definitions of one
-    name (a method in two classes) share their uses.
+    name (a method in two classes) share their uses.  A module-level
+    assignment's own statement is its definition, its target included.
     """
     trees = {module: ast.parse(text) for module, text in sources.items()}
     total = sum(map(_mentions, trees.values()), Counter())
     found = []
     for module, tree in trees.items():
-        for node in ast.walk(tree):
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and node.name.startswith("_") and not node.name.startswith("__")
-                    and total[node.name] == _mentions(node)[node.name]):
-                found.append(f"{module}: {node.name}")
+        for node, name in _definitions(tree):
+            if (name.startswith("_") and not name.startswith("__")
+                    and total[name] == _mentions(node)[name]):
+                found.append(f"{module}: {name}")
     return found
 
 
@@ -840,6 +862,13 @@ def test_src_has_no_unreferenced_private_names():
                "class _Box:\n    def __init__(self):\n        self.v = _used()\n")
     assert unreferenced_private_names({"planted.py": planted}) == ["planted.py: _orphan",
                                                                    "planted.py: _Box"]
+    # a module-level constant no module reads is reported, one that a
+    # function or another module reads is not, nor a dunder assignment
+    planted = ("__all__ = []\n_LIMIT = 3\n_SHARED: int = 4\n_ORPHAN, _PAIR = 1, 2\n\n\n"
+               "def f(k):\n    return k < _LIMIT + _PAIR\n")
+    assert unreferenced_private_names({"planted.py": planted,
+                                       "user.py": "from planted import _SHARED\n"}) == [
+        "planted.py: _ORPHAN"]
 
 
 def test_quadrature_loads_no_scipy(tmp_path):

@@ -140,6 +140,12 @@ def test_fundamental_matrix_large_residues_and_limits():
     huge = diag_spec([Rat(400)], [Rat(-400, 3)], 1)
     with pytest.raises(OdeError, match="Taylor centers"):
         fundamental_matrix(huge, 0.5)
+    # a norm under that limit whose solution leaves the float range is
+    # refused where the sweep first meets a non-finite entry
+    past = ProblemSpec(1, 1, RatMatrix([[-120]]), RatMatrix([[0]]))
+    with np.errstate(over="ignore"), pytest.raises(
+            OdeError, match=r"^non-finite fundamental matrix at distance 0\.0026\d* from \+1$"):
+        fundamental_matrix(past, 0.5)
     # a tail of zero is never met by terms that do not vanish
     a, b = (np.diag([float(e) for e in M.diag]) for M in (POSITIVE.A, POSITIVE.B))
     with pytest.raises(OdeError, match="did not settle within 1000 terms"):

@@ -536,7 +536,7 @@ def test_apply_A_sparse_and_dense_source_rows_match_sympy(monkeypatch, kind, pat
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_rmul_and_apply_to_match_per_coefficient_products(data):
-    # one stacked product against sympy coefficient by coefficient: zero
+    # coefficient by coefficient against sympy: zero
     # polynomial, degree 0, zero and sparse rows (both paths of the
     # product), zero blocks, and dense, diagonal or singular right factors
     space = enumerate_basis(data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2)))
