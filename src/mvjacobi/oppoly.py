@@ -33,10 +33,8 @@ apply_A fills row p of every output coefficient in one pass over the
 integer numerators: row p of r shifted up one block and scaled per
 block by d_p + 2j + i - 1, row p shifted down one block and scaled by
 -(i + 1), and, for each nonzero of row p of D_2 (RatMatrix.sparse_rows),
-source row q scaled by it.  A source row of at most a third nonzeros
-(a row of x^i I, or of an early member in a chain) adds only its
-nonzeros, by the rule (ratmat._sparse) that RatMatrix's product applies
-to left rows; a denser one is added whole.  The result is reduced once.
+the nonzeros of source row q scaled by it, the rule RatMatrix's product
+applies.  The result is reduced once.
 """
 
 from __future__ import annotations
@@ -48,7 +46,7 @@ from typing import Iterable, Sequence, Union
 
 from .operators import ProblemSpec, build_D, dominant_coefficient
 from .polyspace import PolySpace, PolyVector
-from .ratmat import RatMatrix, _sparse
+from .ratmat import RatMatrix, _nonzeros
 from .rational import rat
 
 
@@ -306,19 +304,16 @@ def apply_A(j: int, D1: RatMatrix, D2: RatMatrix, r: Poly) -> Poly:
     down = [-L * m for m in range(lo, K + 1) for _ in range(w)]
     zeros = [0] * w
     head = (0,) * (lo * w - w) if lo else ()
-    # a sparse source row adds only its nonzeros into the D2 term
-    nonzeros = [_sparse(src) for src in srcs]
+    # each source row adds only its nonzeros into the D2 term
+    nonzeros = [_nonzeros(src) for src in srcs]
     out = []
     for src, entries, d in zip(srcs, D2.sparse_rows, D1._dnum):
         low = [f * x for f, x in zip(down, src)]  # blocks lo - 1 .. K - 1
         acc = low[w:] + zeros  # blocks lo .. K, a new list
         for q, v in entries:
             g = f2 * v
-            if nonzeros[q] is None:
-                acc = [y + g * x for y, x in zip(acc, srcs[q])]
-            else:
-                for c, x in nonzeros[q]:
-                    acc[c] += g * x
+            for c, x in nonzeros[q]:
+                acc[c] += g * x
         a = f1 * d
         row = acc[:w] + [y + (a + s) * x for y, s, x in zip(acc[w:] + zeros, up, src)]
         out.append(head + tuple(low[:w] + row if lo else row))

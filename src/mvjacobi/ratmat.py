@@ -9,18 +9,16 @@ appears only in the cached `rows` and `diag` views and the vector `apply`
 returns.  The constructor, which `column` and `diagonal` build through,
 takes int and Fraction entries as they are and others through rat().
 Diagonality is read once per matrix from the integers (`_dnum`, the
-diagonal numerators or None); products, `inverse` and the callers that
-only need the diagonal's numerators use it and build no Fraction.
+diagonal numerators or None); `inverse` and the callers that only need
+the diagonal's numerators use it and build no Fraction.
 
 Coefficient vectors are N x 1 matrices, so a matrix-vector product is
-`@` on a column.  A diagonal right operand scales the left one's columns
-in O(N^2).  Otherwise every left row of at most a third nonzeros (a row
-of D2, of a diagonal matrix for N >= 3, or of x^i I) adds up the right
-operand's rows it selects, and a denser row takes one dot product per
-column; the columns are cut out only when some row needs them.  That
-row rule is `_sparse`, which `apply_A` shares for its source rows.
-`sparse_rows` is a cached view of each row's nonzero (column, numerator)
-pairs, which `apply_A` reads for D2.
+`@` on a column.  Every product takes one rule: each nonzero of a left
+row adds its multiple of the nonzeros of the right row it selects, so
+the work is the number of nonzero pairs that meet, whatever the shape
+or density of either side.  The right operand's nonzeros are listed once
+per product and not kept on it.  `sparse_rows` is a cached view of each
+row's nonzero (column, numerator) pairs, which `apply_A` reads for D2.
 
 Inversion is diagonal-only: A + B is required to be diagonal, so the
 derivation D1 and every shift or product of shifts of it is diagonal,
@@ -32,7 +30,6 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import chain, compress
 from math import gcd, lcm
-from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .rational import Rat, rat
@@ -41,11 +38,6 @@ from .rational import Rat, rat
 def _nonzeros(row: Sequence[int]) -> tuple:
     """The (column, entry) pairs of an int row's nonzero entries."""
     return tuple(zip(compress(range(len(row)), row), filter(None, row)))
-
-
-def _sparse(row: Sequence[int]) -> Optional[tuple]:
-    """_nonzeros(row) if at most a third of the int row is nonzero, else None."""
-    return _nonzeros(row) if 3 * row.count(0) >= 2 * len(row) else None
 
 
 class RatMatrix:
@@ -195,28 +187,16 @@ class RatMatrix:
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.ncols != other.nrows:
             raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
-        den = self.den * other.den
-        d = other._dnum
-        if d is not None:
-            return RatMatrix._normal(tuple([tuple(map(mul, row, d)) for row in self.num]), den)
-        onum = other.num
-        cols = None
-        zero = [0] * len(onum[0])
+        right = [_nonzeros(r) for r in other.num]
+        zero = [0] * len(other.num[0])
         out = []
         for row in self.num:
-            # a sparse row sums the rows of other it selects; a denser one
-            # takes a dot product per column
-            nz = _sparse(row)
-            if nz is not None:
-                acc = zero
-                for c, e in nz:
-                    acc = [a + e * b for a, b in zip(acc, onum[c])]
-                out.append(tuple(acc))
-            else:
-                if cols is None:
-                    cols = tuple(zip(*onum))
-                out.append(tuple([sum(map(mul, row, col)) for col in cols]))
-        return RatMatrix._normal(tuple(out), den)
+            acc = zero[:]
+            for c, e in _nonzeros(row):
+                for c2, v in right[c]:
+                    acc[c2] += e * v
+            out.append(tuple(acc))
+        return RatMatrix._normal(tuple(out), self.den * other.den)
 
     def apply(self, vec: Sequence) -> tuple:
         """Matrix-vector product as a tuple of Rat: `@` on the column of vec."""

@@ -1170,6 +1170,11 @@ def test_package_exports_the_documented_names_lazily():
     assert structure.__name__ == "mvjacobi.structure"
 
 
+def test_package_dir_lists_the_exported_names():
+    assert len(mvjacobi.__all__) == 11
+    assert set(mvjacobi.__all__) <= set(dir(mvjacobi))
+
+
 # -- serialization helpers -----------------------------------------------------------
 
 

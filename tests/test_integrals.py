@@ -343,3 +343,9 @@ def test_gate_needs_the_problem_space():
     other = ProblemSpec(2, 3, spec.A, spec.B).space
     with pytest.raises(ValueError, match="own coefficient space"):
         integrability_check(spec, other)
+
+
+def test_jacobi_mass_refuses_an_exponent_past_the_float_range():
+    with pytest.raises(ValueError, match="^the Jacobi mass of exponents from A and B is past "
+                                         "the float range$"):
+        integrals._jacobi_integral(Fraction(1), Fraction(10**400), 0)

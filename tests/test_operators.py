@@ -65,6 +65,12 @@ def test_spec_is_immutable():
     assert s.d == 1 and s.A == RatMatrix([[Rat(1, 2)]])
 
 
+def test_spec_repr_names_the_fields():
+    s = ProblemSpec(2, 1, RatMatrix([[1, "1/2"], [0, -1]]), RatMatrix([[0, "-1/2"], [0, 1]]))
+    assert repr(s) == ("ProblemSpec(d=2, n=1, A=RatMatrix[1 1/2; 0 -1], "
+                       "B=RatMatrix[0 -1/2; 0 1])")
+
+
 def test_spec_equality_and_hash_follow_the_fields():
     A = RatMatrix([[1, 2], [0, 1]])
     B = RatMatrix([[0, -2], [0, 0]])

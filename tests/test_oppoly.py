@@ -15,7 +15,7 @@ from mvjacobi.operators import ProblemSpec, build_D, dominant_coefficient
 from mvjacobi.oppoly import OpPoly, VectorPoly, apply_A, build_Pk
 from mvjacobi.polyspace import enumerate_basis
 from mvjacobi.rational import Rat
-from mvjacobi.ratmat import RatMatrix, _sparse
+from mvjacobi.ratmat import RatMatrix, _nonzeros
 from mvjacobi.sampling import (random_matrix, random_op_poly, random_problem_spec,
                                random_vector, random_vector_poly)
 
@@ -489,8 +489,8 @@ def test_apply_A_with_zero_coefficients_matches_composite_formula(data):
 @pytest.mark.parametrize("kind", [OpPoly, VectorPoly])
 def test_apply_A_sparse_and_dense_source_rows_match_sympy(monkeypatch, kind, pattern):
     # source rows with fewer, exactly, or more than a third nonzeros (12
-    # entries for OpPoly, 6 for VectorPoly), or all three; the rows at or
-    # below the rule add only their nonzeros into the D2 term
+    # entries for OpPoly, 6 for VectorPoly), or all three; every source
+    # row adds only its nonzeros into the D2 term, listed once per row
     space = enumerate_basis(2, 2)  # N = 6
     N = space.N
     w, K = (N, 1) if kind is OpPoly else (1, 5)
@@ -516,16 +516,14 @@ def test_apply_A_sparse_and_dense_source_rows_match_sympy(monkeypatch, kind, pat
     calls = []
 
     def recording(row):
-        nz = _sparse(row)
-        if nz is not None:
-            calls.append(row)
-        return nz
+        calls.append(row)
+        return _nonzeros(row)
 
-    monkeypatch.setattr(oppoly, "_sparse", recording)
+    monkeypatch.setattr(oppoly, "_nonzeros", recording)
     j = 3
     got = apply_A(j, RatMatrix(d1), RatMatrix(d2), r)
     monkeypatch.undo()
-    assert len(calls) == sum(3 * sum(map(bool, row)) <= n for row in rows)
+    assert len(calls) == N
     R = sympy.zeros(N, w)
     for i in range(K + 1):
         R += sym([row[i * w:i * w + w] for row in rows]) * X**i
@@ -537,8 +535,8 @@ def test_apply_A_sparse_and_dense_source_rows_match_sympy(monkeypatch, kind, pat
 @given(st.data())
 def test_rmul_and_apply_to_match_per_coefficient_products(data):
     # coefficient by coefficient against sympy: zero
-    # polynomial, degree 0, zero and sparse rows (both paths of the
-    # product), zero blocks, and dense, diagonal or singular right factors
+    # polynomial, degree 0, zero and sparse rows, zero blocks, and
+    # dense, diagonal or singular right factors
     space = enumerate_basis(data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2)))
     N = space.N
     blocks = [data.draw(raw_matrix(N, N)) for _ in range(data.draw(st.integers(0, 3)))]

@@ -92,6 +92,10 @@ def test_diag_detection():
     assert RatMatrix([[5, 0], [0, 7]]).diag == (Rat(5), Rat(7))
 
 
+def test_repr_prints_the_entries_row_by_row():
+    assert repr(RatMatrix([[1, "1/2"], [0, -1]])) == "RatMatrix[1 1/2; 0 -1]"
+
+
 # -- ring operations ------------------------------------------------------
 
 
@@ -134,8 +138,8 @@ def test_identity_is_neutral(M):
 
 
 def test_diagonal_operand_products_match_sympy():
-    # a diagonal left operand takes the dense path for N <= 2 and the
-    # sparse-row path for N >= 3; a diagonal right one scales columns
+    # diagonal operands on either side, at N = 1 to 3, against dense
+    # matrices, each other and a column
     for entries in ([Rat(-2, 3)], [Rat(1, 2), Rat(5, 4)], [Rat(1, 2), 0], [Rat(1, 2), 0, -3],
                     [Rat(3, 4), Rat(-1, 6), Rat(2, 5)]):
         n = len(entries)
@@ -294,21 +298,27 @@ def test_products_match_sympy(data):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_products_with_sparse_left_rows_match_sympy(data):
-    # rows with at most a third nonzeros (several of them, at widths up
-    # to 12) sum the right operand's rows; the others take dot products
+    # left rows and right rows with a drawn number of nonzeros each (at
+    # widths up to 12): all-zero rows, rows with one nonzero, full rows,
+    # and on the right also columns that are zero throughout
     n, width, p = data.draw(st.integers(1, 4)), data.draw(st.integers(3, 12)), data.draw(st.integers(1, 6))
-    a = []
-    for _ in range(n):
-        nnz = data.draw(st.integers(0, width))
-        where = set(data.draw(st.permutations(range(width)))[:nnz])
-        a.append([data.draw(nonzero) if c in where else Fraction(0)
-                  for c in range(width)])
-    b = data.draw(raw_matrix(width, p))
+
+    def rows_of_drawn_density(count, size, dead=()):
+        rows = []
+        for _ in range(count):
+            nnz = data.draw(st.integers(0, size))
+            where = set(data.draw(st.permutations(range(size)))[:nnz]) - set(dead)
+            rows.append([data.draw(nonzero) if c in where else Fraction(0)
+                         for c in range(size)])
+        return rows
+
+    a = rows_of_drawn_density(n, width)
+    b = rows_of_drawn_density(width, p, data.draw(st.sets(st.integers(0, p - 1), max_size=p)))
     check_normal_and_equal(RatMatrix(a) @ RatMatrix(b), sym(a) * sym(b))
     # a square left operand whose rows are one unit each: x^i I inside a polynomial
     perm = data.draw(st.permutations(range(width)))
     unit = [[Fraction(int(c == perm[r])) for c in range(width)] for r in range(width)]
-    unit[0][perm[0]] = Fraction(0)  # not a permutation matrix, so no diagonal path
+    unit[0][perm[0]] = Fraction(0)  # not a permutation matrix
     unit[0][(perm[0] + 1) % width] = Fraction(3, 2)
     check_normal_and_equal(RatMatrix(unit) @ RatMatrix(b), sym(unit) * sym(b))
 
