@@ -42,9 +42,9 @@ TOOL = "mvjacobi/0.1.0"
 DEFAULT_VERIFY_KMAX = 6
 DEFAULT_COMPUTE_KMAX = 4
 # Size caps, refused with exit 2 before anything is built.  Time grows
-# about like N^2.3 (the recurrence's dense products) and memory like
-# N^2 k^2 (the cached members); at N = 140 and k_max = 10, `verify` took
-# 26 s and `compute` peaked at 153 MB on a shared 2-core x86-64 host.
+# about like N^2 (the members and the recurrence's products) and memory
+# like N^2 k^2 (the cached members); at N = 140 and k_max = 10, `verify`
+# took 15 s and `compute` peaked at 158 MB on a shared 2-core x86-64 host.
 # README, "Size limits", has the measurements.
 MAX_N = 150
 MAX_KMAX = 10
