@@ -8,11 +8,11 @@ w = N for OpPoly and w = 1 for VectorPoly.  Trailing zero blocks are
 trimmed and the whole matrix is in RatMatrix's normal form (one
 denominator, gcd 1), so equal polynomials hold equal matrices; the zero
 polynomial is N x 0 (degree -1).  Each ring operation is one pass over
-the rows of `mat`, except the products: `lmul` is one matrix product,
-and `rmul` and `apply_to` multiply coefficient by coefficient, all
-through RatMatrix's `@`.  `mats`, `mat_at`, `coeffs`, `coeff_at`,
-`leading` and `eval` are views that cut the blocks out as normalized
-RatMatrix coefficients (length-N tuples of Fractions for VectorPoly).
+the rows of `mat`, except the products, which are one RatMatrix `@`
+each: `lmul` multiplies `mat` itself, and `rmul` the blocks stacked as
+N(K+1) rows of width N.  `mats`, `mat_at`, `coeffs` and `coeff_at` are
+views that cut the blocks out as normalized RatMatrix coefficients
+(length-N tuples of Fractions for VectorPoly).
 
 The degree-k family member is the nested product
 
@@ -40,6 +40,7 @@ applies.  The result is reduced once.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
 from math import lcm
 from operator import mul
 from typing import Iterable, Sequence, Union
@@ -134,17 +135,6 @@ class _PolyBase:
     def coeff_at(self, i: int):
         return self._out(self.mat_at(i))
 
-    def leading(self):
-        return self._out(self.mat_at(max(self.degree, 0)))
-
-    def eval(self, x):
-        """Exact Horner evaluation at a rational point."""
-        x = rat(x)
-        acc = self._zero()
-        for v in reversed(self.mats):
-            acc = acc.scale(x) + v
-        return self._out(acc)
-
     # -- ring operations ------------------------------------------------
 
     def add(self, other):
@@ -215,10 +205,6 @@ class OpPoly(_PolyBase):
     """Operator-valued polynomial in x over a fixed coefficient space."""
 
     @staticmethod
-    def constant(M: RatMatrix, space: PolySpace) -> "OpPoly":
-        return OpPoly((M,), space)
-
-    @staticmethod
     def identity(space: PolySpace) -> "OpPoly":
         return OpPoly._from(RatMatrix.identity(space.N).num, 1, space)
 
@@ -227,25 +213,31 @@ class OpPoly(_PolyBase):
         return space.N
 
     def rmul(self, M: RatMatrix) -> "OpPoly":
-        """Multiply every coefficient by a constant operator on the right."""
-        if M.shape != (self.space.N, self.space.N):
-            raise ValueError(f"cannot multiply coefficients by a {M.shape} matrix")
-        return OpPoly.from_mats([c @ M for c in self.mats], self.space)
+        """Multiply every coefficient by a constant operator on the right.
 
-    def apply_to(self, q: Sequence) -> "VectorPoly":
-        """Coefficient-wise application to a constant vector."""
-        if len(q) != self.space.N:
-            raise ValueError(f"vector length {len(q)} != space dimension {self.space.N}")
-        q = RatMatrix.column(q)
-        return VectorPoly.from_mats([c @ q for c in self.mats], self.space)
+        The K + 1 blocks of `mat` are stacked as N(K + 1) rows of width N,
+        block 0 on top, over mat.den (the same entries, so already in
+        normal form); one product by M, cut back into N rows, is the result.
+        """
+        N = self.space.N
+        if M.shape != (N, N):
+            raise ValueError(f"cannot multiply coefficients by a {M.shape} matrix")
+        if self.is_zero:
+            return self  # no block to multiply
+        num = self.mat.num
+        stack = RatMatrix._normal(tuple([row[c:c + N] for c in range(0, len(num[0]), N)
+                                         for row in num]), self.mat.den)
+        P = stack @ M  # row i N + p is row p of block i
+        return self._from(tuple([tuple(chain.from_iterable(P.num[p::N])) for p in range(N)]),
+                          P.den, self.space)
 
 
 class VectorPoly(_PolyBase):
     """Coefficient-vector-valued polynomial in x: one column per power.
 
     The constructor reads length-N tuples of rationals as the columns of
-    one RatMatrix; `coeffs`, `coeff_at`, `leading` and `eval` return
-    length-N tuples of Fractions.
+    one RatMatrix; `coeffs` and `coeff_at` return length-N tuples of
+    Fractions.
     """
 
     def __init__(self, coeffs: Iterable, space: PolySpace):

@@ -5,9 +5,9 @@ over one denominator `den` > 0, the fmpq_mat layout of FLINT in plain
 Python ints.  Every result is divided through by gcd(den, all of num),
 so the zero matrix has den 1, the form is unique, and equality and
 hashing compare (num, den).  All arithmetic runs on ints; Fraction
-appears only in the cached `rows` and `diag` views and the vector `apply`
-returns.  The constructor, which `column` and `diagonal` build through,
-takes int and Fraction entries as they are and others through rat().
+appears only in the cached `rows` and `diag` views.  The constructor,
+which `column` and `diagonal` build through, takes int and Fraction
+entries as they are and others through rat().
 Diagonality is read once per matrix from the integers (`_dnum`, the
 diagonal numerators or None); `inverse` and the callers that only need
 the diagonal's numerators use it and build no Fraction.
@@ -197,10 +197,6 @@ class RatMatrix:
                     acc[c2] += e * v
             out.append(tuple(acc))
         return RatMatrix._normal(tuple(out), self.den * other.den)
-
-    def apply(self, vec: Sequence) -> tuple:
-        """Matrix-vector product as a tuple of Rat: `@` on the column of vec."""
-        return tuple(row[0] for row in (self @ RatMatrix.column(vec)).rows)
 
     # -- comparison ----------------------------------------------------
 

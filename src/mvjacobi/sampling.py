@@ -14,7 +14,7 @@ from math import lcm
 from typing import Iterable, Optional
 
 from .operators import ProblemSpec, basis_exponents
-from .oppoly import OpPoly, VectorPoly
+from .oppoly import VectorPoly
 from .polyspace import PolySpace, enumerate_basis
 from .ratmat import RatMatrix
 from .rational import Rat
@@ -103,12 +103,3 @@ def random_vector_poly(rng: random.Random, space: PolySpace, degree: int,
     if not any(coeffs[-1]):
         coeffs[-1] = coeffs[-1][:-1] + (Rat(1),)
     return VectorPoly(coeffs, space)
-
-
-def random_op_poly(rng: random.Random, space: PolySpace, degree: int,
-                   max_den: int = 3) -> OpPoly:
-    """Random operator polynomial of exactly the given degree."""
-    coeffs = [random_matrix(rng, space.N, max_den) for _ in range(degree + 1)]
-    if coeffs[-1].is_zero:
-        coeffs[-1] = coeffs[-1].plus_scalar(1)
-    return OpPoly(coeffs, space)

@@ -5,7 +5,10 @@ monomial differentiation, explicit convolution) or on sympy, deliberately
 sharing no code path with the library, so tests never compare the
 library against itself.  The exceptions say so: `composite_apply_A`
 composes the library's ring operations, and `ode_vs_closed_form_report`
-compares its two independent routes to the fundamental matrix.
+compares its two independent routes to the fundamental matrix.  The
+polynomial helpers at the end, which the library itself has no use for,
+read its matrices through their Fraction `rows` and build their results
+with the public constructors, never through RatMatrix's `@`.
 """
 
 from __future__ import annotations
@@ -18,9 +21,11 @@ import sympy
 
 from mvjacobi.numeric import NumericReport, _Y_at, commutative_Y
 from mvjacobi.operators import ProblemSpec
+from mvjacobi.oppoly import OpPoly, VectorPoly
 from mvjacobi.polyspace import PolySpace
 from mvjacobi.ratmat import RatMatrix
-from mvjacobi.rational import ONE, Rat, ZERO, falling_factorial
+from mvjacobi.rational import ONE, Rat, ZERO, falling_factorial, rat
+from mvjacobi.sampling import random_matrix
 
 # Scalar polynomials are tuples of Rat coefficients, constant term first,
 # with no trailing zeros; the zero polynomial is the empty tuple.  This is
@@ -353,3 +358,61 @@ def composite_apply_A(j: int, D1: RatMatrix, D2: RatMatrix, r):
     """
     term_x = r.lmul(D1.plus_scalar(2 * j)).mul_by_x()
     return term_x.add(r.lmul(D2)).add(r.d_dx().mul_by_Q())
+
+
+# -- polynomial helpers the library does not need ------------------------------
+
+
+def matvec(M: RatMatrix, vec: Sequence) -> tuple:
+    """M times the vector vec as a tuple of Rat, from M's Fraction rows."""
+    if len(vec) != M.ncols:
+        raise ValueError(f"vector length {len(vec)} != {M.ncols} columns")
+    vec = [rat(e) for e in vec]
+    return tuple(sum((a * b for a, b in zip(row, vec)), ZERO) for row in M.rows)
+
+
+def op_constant(M: RatMatrix, space: PolySpace) -> OpPoly:
+    """The constant operator polynomial M."""
+    return OpPoly((M,), space)
+
+
+def leading(p):
+    """The coefficient of x^deg p (of x^0 for the zero polynomial), in p's public form."""
+    return p.coeff_at(max(p.degree, 0))
+
+
+def poly_value(p, x):
+    """p(x) by Horner's rule on each Fraction row of p.mat.
+
+    An N x N RatMatrix for an OpPoly, a length-N tuple of Fractions for a
+    VectorPoly; floats are refused, as everywhere in the library.
+    """
+    x = rat(x)
+    op = isinstance(p, OpPoly)
+    w = p.space.N if op else 1
+    rows = []
+    for row in p.mat.rows:
+        acc = [ZERO] * w
+        for i in range(p.degree, -1, -1):
+            acc = [a * x + e for a, e in zip(acc, row[i * w:i * w + w])]
+        rows.append(acc)
+    return RatMatrix(rows) if op else tuple(acc[0] for acc in rows)
+
+
+def apply_to(p: OpPoly, q: Sequence) -> VectorPoly:
+    """p(x) q for a constant vector q: each coefficient times q, from the Fraction rows."""
+    N = p.space.N
+    if len(q) != N:
+        raise ValueError(f"vector length {len(q)} != space dimension {N}")
+    q = [rat(e) for e in q]
+    rows = p.mat.rows
+    return VectorPoly([tuple(sum((a * b for a, b in zip(row[i * N:i * N + N], q)), ZERO)
+                             for row in rows) for i in range(p.degree + 1)], p.space)
+
+
+def random_op_poly(rng, space: PolySpace, degree: int, max_den: int = 3) -> OpPoly:
+    """Random operator polynomial of exactly the given degree."""
+    coeffs = [random_matrix(rng, space.N, max_den) for _ in range(degree + 1)]
+    if coeffs[-1].is_zero:
+        coeffs[-1] = coeffs[-1].plus_scalar(1)
+    return OpPoly(coeffs, space)

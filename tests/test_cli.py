@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import apply_to
 from test_golden import DIGESTS, in_process_record, record
 from test_golden import _argv as golden_argv
 from test_structure import _constant_block_mutant, _d1_shift_mutant, patch_apply_A
@@ -354,7 +355,7 @@ def test_expand_unit_and_roundtrip(tmp_path, capsys):
     space = spec.space
     rng = random.Random(11)
     q = random_vector(rng, space.N)
-    f = build_Pk(spec, 2).apply_to(q)
+    f = apply_to(build_Pk(spec, 2), q)
     poly_doc = {"d": 2, "n": 2,
                 "coeffs": [[str(e) for e in c] for c in f.coeffs]}
     inp = write_json(tmp_path / "spec.json", COMMUT_2x2)
@@ -666,20 +667,84 @@ def test_quadrature_refuses_biased_noncommutative_exponents(tmp_path, capsys):
 # -- argument basics ----------------------------------------------------------------
 
 
-def test_each_command_has_exactly_its_documented_flags():
-    # adding or removing a flag means editing this list and the README together
-    want = {
-        "compute": ["--input", "--out", "--format", "--kmax"],
-        "verify": ["--input", "--out", "--format", "--kmax", "--suite"],
-        "expand": ["--input", "--out", "--format", "--poly", "--roundtrip"],
-        "quadrature": ["--input", "--out", "--format", "--j", "--k", "--side", "--tol"],
+# README.md as a checked contract: four lists it states are read from its
+# text and compared with the code.  Each check also runs on a README with a
+# planted mismatch of its own kind, which it must report, and only that kind.
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_table(text: str, header: str) -> list:
+    """The body rows, as lists of stripped cells, of the table under this header line."""
+    lines = text.splitlines()
+    rows = []
+    for line in lines[lines.index(header) + 2:]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip() for cell in line.strip("|").split("|")])
+    return rows
+
+
+def _ticked(text: str) -> list:
+    return re.findall(r"`([^`]+)`", text)
+
+
+def documented(text: str) -> dict:
+    """What the README states: exported names, flags, verify suites, exit codes."""
+    exports = re.search(r"The package exports \w+ names: (.*?)\.\s", text, re.S).group(1)
+    return {
+        "exports": sorted(_ticked(exports)),
+        "flags": {_ticked(command)[0]: _ticked(flags)
+                  for command, flags in readme_table(text, "| command | flags |")},
+        "suites": [_ticked(row[0])[0] for row in readme_table(text, "| suite | proves | failed by |")],
+        "exit codes": [int(row[0]) for row in readme_table(text, "| code | meaning |")],
     }
+
+
+def implemented() -> dict:
+    """The same four lists from the code: __all__, the parser, the suite table, cli's docstring."""
     parser = cli.build_parser()
     (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    got = {name: [opt for a in sub._actions for opt in a.option_strings
-                  if opt not in ("-h", "--help")]
-           for name, sub in commands.choices.items()}
-    assert got == want
+    return {
+        "exports": sorted(mvjacobi.__all__),
+        "flags": {name: [opt for a in sub._actions for opt in a.option_strings
+                         if opt not in ("-h", "--help")]
+                  for name, sub in commands.choices.items()},
+        "suites": list(cli._SUITE_TABLE),
+        "exit codes": [int(c) for c in re.findall(r"^    (\d)  ", cli.__doc__, re.M)],
+    }
+
+
+def readme_mismatches(text: str) -> list:
+    """The kinds of list on which the README and the code disagree."""
+    doc, code = documented(text), implemented()
+    return [kind for kind in code if doc[kind] != code[kind]]
+
+
+def check_readme(kind: str, old: str, new: str) -> None:
+    """The README agrees with the code on kind, and reports kind alone with old planted as new."""
+    text = README.read_text(encoding="utf-8")
+    assert documented(text)[kind] == implemented()[kind]
+    assert text.count(old) == 1
+    assert readme_mismatches(text.replace(old, new)) == [kind]
+
+
+def test_each_command_has_exactly_its_documented_flags():
+    check_readme("flags", "`--kmax`, `--suite` |", "`--kmax` |")
+    assert set(implemented()["flags"]) == {"compute", "verify", "expand", "quadrature"}
+
+
+def test_readme_names_exactly_the_package_exports():
+    check_readme("exports", "`VectorPoly`, `apply_A`, ", "`VectorPoly`, ")
+
+
+def test_readme_suite_table_is_the_cli_suite_table():
+    check_readme("suites", "| `trace` (n = 1) |", "| `legendre` (n = 1) |")
+
+
+def test_readme_exit_codes_are_the_cli_exit_codes():
+    check_readme("exit codes", "| 4 | quadrature failed", "| 5 | quadrature failed")
+    assert implemented()["exit codes"] == [0, 1, 2, 3, 4]
 
 
 def test_unknown_suite_rejected(tmp_path):

@@ -7,7 +7,8 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import composite_apply_A, leibniz_scalar_member, to_sympy, trim
+from oracles import (apply_to, composite_apply_A, leading, leibniz_scalar_member, matvec,
+                     op_constant, poly_value, random_op_poly, to_sympy, trim)
 from test_ratmat import mixed, raw_matrix, sym
 
 from mvjacobi import oppoly
@@ -16,8 +17,7 @@ from mvjacobi.oppoly import OpPoly, VectorPoly, apply_A, build_Pk
 from mvjacobi.polyspace import enumerate_basis
 from mvjacobi.rational import Rat
 from mvjacobi.ratmat import RatMatrix, _nonzeros
-from mvjacobi.sampling import (random_matrix, random_op_poly, random_problem_spec,
-                               random_vector, random_vector_poly)
+from mvjacobi.sampling import random_matrix, random_problem_spec, random_vector, random_vector_poly
 
 
 @pytest.fixture
@@ -39,7 +39,7 @@ def test_trim_invariant(space):
     assert p.degree == 0 and p.coeffs == (M,)
     assert OpPoly((Z,), space).is_zero
     assert OpPoly.zero(space).degree == -1
-    assert OpPoly.zero(space).leading() == Z
+    assert OpPoly.zero(space).coeff_at(0) == Z
 
 
 def test_coeff_at(space):
@@ -74,7 +74,7 @@ def test_d_dx_product_rule_with_x(space):
     rng = random.Random(3)
     p = random_op_poly(rng, space, 4)
     assert p.mul_by_x().d_dx() == p + p.d_dx().mul_by_x()
-    assert OpPoly.constant(RatMatrix.identity(space.N), space).d_dx().is_zero
+    assert OpPoly.identity(space).d_dx().is_zero
 
 
 def test_lmul_rmul_pointwise(space):
@@ -82,25 +82,25 @@ def test_lmul_rmul_pointwise(space):
     p = random_op_poly(rng, space, 3)
     M = RatMatrix.diagonal(random_vector(rng, space.N))
     x = Rat(2, 3)
-    assert p.lmul(M).eval(x) == M @ p.eval(x)
-    assert p.rmul(M).eval(x) == p.eval(x) @ M
+    assert poly_value(p.lmul(M), x) == M @ poly_value(p, x)
+    assert poly_value(p.rmul(M), x) == poly_value(p, x) @ M
 
 
 def test_rmul_and_apply_to_on_zero_and_constant(space):
-    # both multiply block by block: the zero polynomial has no block, a
-    # constant one, and a product that vanishes trims to the zero polynomial
+    # rmul (src) and the oracle apply_to: the zero polynomial has no block,
+    # a constant one, and a product that vanishes trims to the zero polynomial
     rng = random.Random(9)
     C, M = random_matrix(rng, space.N), random_matrix(rng, space.N)
     q = random_vector(rng, space.N)
-    zero, c = OpPoly.zero(space), OpPoly.constant(C, space)
+    zero, c = OpPoly.zero(space), op_constant(C, space)
     assert zero.rmul(M) == zero
-    assert zero.apply_to(q) == VectorPoly.zero(space)
+    assert apply_to(zero, q) == VectorPoly.zero(space)
     assert c.rmul(M).degree == 0
-    assert to_sympy(c.rmul(M).leading()) == to_sympy(C) * to_sympy(M)
-    assert c.apply_to(q).degree == 0
-    assert to_sympy([c.apply_to(q).leading()]).T == to_sympy(C) * to_sympy([q]).T
+    assert to_sympy(leading(c.rmul(M))) == to_sympy(C) * to_sympy(M)
+    assert apply_to(c, q).degree == 0
+    assert to_sympy([leading(apply_to(c, q))]).T == to_sympy(C) * to_sympy([q]).T
     assert c.rmul(RatMatrix.zeros(space.N)).is_zero
-    assert c.apply_to((0,) * space.N) == VectorPoly.zero(space)
+    assert apply_to(c, (0,) * space.N) == VectorPoly.zero(space)
 
 
 def test_space_and_type_mismatch(space):
@@ -126,7 +126,7 @@ def test_identity_is_the_constant_identity_matrix(d, n):
     space = enumerate_basis(d, n)
     I = OpPoly.identity(space)
     assert I == OpPoly((RatMatrix.identity(space.N),), space)
-    assert (I.degree, I.mat.den, I.leading()) == (0, 1, RatMatrix.identity(space.N))
+    assert (I.degree, I.mat.den, I.coeff_at(0)) == (0, 1, RatMatrix.identity(space.N))
 
 
 def test_immutability(space):
@@ -135,35 +135,49 @@ def test_immutability(space):
         p.coeffs = ()
 
 
-# -- evaluation --------------------------------------------------------------
+# -- evaluation and application (the tests' oracles) ---------------------------
 
 
 def test_eval_horner_matches_power_sum(space):
+    # oracles.poly_value against sympy's substitution, for both kinds, the
+    # zero polynomial included
     rng = random.Random(5)
-    p = random_op_poly(rng, space, 4)
-    x = Rat(-3, 5)
-    direct = RatMatrix.zeros(space.N)
-    for i in range(p.degree + 1):
-        direct = direct + p.coeff_at(i).scale(x**i)
-    assert p.eval(x) == direct
+    X = sympy.Symbol("x")
+    for p in (random_op_poly(rng, space, 4), random_vector_poly(rng, space, 3),
+              OpPoly.zero(space), VectorPoly.zero(space)):
+        for x in (Rat(-3, 5), Rat(0), Rat(7, 2)):
+            value = poly_value(p, x)
+            got = to_sympy(value) if isinstance(p, OpPoly) else to_sympy([value]).T
+            F = sum((to_sympy(m) * X**i for i, m in enumerate(p.mats)),
+                    sympy.zeros(*p.mat_at(0).shape))
+            assert got == F.subs(X, sympy.Rational(x.numerator, x.denominator))
+    with pytest.raises(TypeError, match="float"):
+        poly_value(OpPoly.identity(space), 0.5)
 
 
 def test_apply_to_commutes_with_eval(space):
+    # oracles.apply_to against sympy's product, and at a point against
+    # oracles.matvec of the value
     rng = random.Random(7)
     p = random_op_poly(rng, space, 3)
     q = random_vector(rng, space.N)
     x = Rat(1, 7)
-    assert p.apply_to(q).eval(x) == p.eval(x).apply(q)
+    X = sympy.Symbol("x")
+    F = sum((to_sympy(m) * X**i for i, m in enumerate(p.mats)), sympy.zeros(space.N))
+    got = sum((to_sympy([c]).T * X**i for i, c in enumerate(apply_to(p, q).coeffs)),
+              sympy.zeros(space.N, 1))
+    assert (got - F * to_sympy([q]).T).expand() == sympy.zeros(space.N, 1)
+    assert poly_value(apply_to(p, q), x) == matvec(poly_value(p, x), q)
     with pytest.raises(ValueError):
-        p.apply_to(q[:-1])
+        apply_to(p, q[:-1])
 
 
 def test_vector_poly_basics(space):
     q = random_vector(random.Random(8), space.N)
     v = VectorPoly.constant(q, space)
     assert v.degree == 0
-    assert v.eval(Rat(5)) == q
-    assert v.mul_by_x().eval(Rat(2)) == tuple(2 * c for c in q)
+    assert v.coeffs == (q,) and v.coeff_at(0) == q
+    assert v.mul_by_x().coeffs == (tuple(0 for _ in q), q)
 
 
 # -- column-backed VectorPoly against sympy column arithmetic -----------------
@@ -207,8 +221,6 @@ def assert_matches(f: VectorPoly, expected: sympy.Matrix) -> None:
     for i in range(f.degree + 2):
         assert to_sympy([f.coeff_at(i)]).T == expected.applyfunc(lambda e: e.coeff(X, i))
         assert_fraction_vector(f.coeff_at(i), N)
-    top = expected.applyfunc(lambda e: e.coeff(X, max(f.degree, 0)))
-    assert to_sympy([f.leading()]).T == top
 
 
 def assert_layout(p, expected: sympy.Matrix) -> None:
@@ -267,7 +279,7 @@ def test_ring_operations_match_sympy(data):
 
     f, g = poly(), poly()
     F, G = sym_poly(f), sym_poly(g)
-    c, x0 = data.draw(small), data.draw(small)
+    c = data.draw(small)
     M = random_matrix(rng, N)
     assert_layout(f, F)
     assert_layout(f.add(g), F + G)
@@ -282,14 +294,9 @@ def test_ring_operations_match_sympy(data):
     assert_layout(f.lmul(M), to_sympy(M) * F)
     singular = RatMatrix([row if i else (0,) * N for i, row in enumerate(M.rows)])
     assert_layout(f.lmul(singular), to_sympy(singular) * F)
-    value = f.eval(x0)
-    expected = F.subs(X, sym_rat(x0))
-    assert (to_sympy(value) if kind == "op" else to_sympy([value]).T) == expected
     if kind == "op":
         assert_layout(f.rmul(M), F * to_sympy(M))
         assert_layout(f.rmul(singular.scale(0)), F * 0)
-        q = random_vector(rng, N)
-        assert_layout(f.apply_to(q), F * to_sympy([q]).T)
     spec = random_problem_spec(rng, d, n, commutative=data.draw(st.booleans()))
     D1, D2 = build_D(spec, 1), build_D(spec, 2)
     if data.draw(st.booleans()):
@@ -339,7 +346,7 @@ def test_vector_poly_matches_sympy_columns(data):
     a, b = data.draw(vector_coeffs(N)), data.draw(vector_coeffs(N))
     f, g = VectorPoly(a, space), VectorPoly(b, space)
     F, G = sym_column(a, N), sym_column(b, N)
-    c, x0 = data.draw(small), data.draw(small)
+    c = data.draw(small)
     M = [[data.draw(small) for _ in range(N)] for _ in range(N)]
     assert_matches(f, F)
     assert_matches(f.add(g), F + G)
@@ -351,9 +358,6 @@ def test_vector_poly_matches_sympy_columns(data):
     assert_matches(f.mul_by_Q(), F * (X**2 - 1))
     assert_matches(f.d_dx(), F.diff(X))
     assert_matches(f.lmul(RatMatrix(M)), to_sympy(M) * F)
-    value = f.eval(x0)
-    assert_fraction_vector(value, N)
-    assert to_sympy([value]).T == F.subs(X, sym_rat(x0))
 
 
 @settings(max_examples=20, deadline=None)
@@ -534,16 +538,16 @@ def test_apply_A_sparse_and_dense_source_rows_match_sympy(monkeypatch, kind, pat
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_rmul_and_apply_to_match_per_coefficient_products(data):
-    # coefficient by coefficient against sympy: zero
-    # polynomial, degree 0, zero and sparse rows, zero blocks, and
-    # dense, diagonal or singular right factors
+    # rmul and the oracle apply_to, coefficient by coefficient against
+    # sympy: zero polynomial, degree 0, zero and sparse rows, zero blocks,
+    # and dense, diagonal or singular right factors
     space = enumerate_basis(data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2)))
     N = space.N
     blocks = [data.draw(raw_matrix(N, N)) for _ in range(data.draw(st.integers(0, 3)))]
     p = OpPoly.from_mats([RatMatrix(b) for b in blocks], space)
     m = data.draw(raw_matrix(N, N, diagonal=data.draw(st.booleans())))
     q = data.draw(st.lists(mixed, min_size=N, max_size=N))
-    got_r, got_q = p.rmul(RatMatrix(m)), p.apply_to(tuple(q))
+    got_r, got_q = p.rmul(RatMatrix(m)), apply_to(p, tuple(q))
     want_r = [sym(b) * sym(m) for b in blocks]
     want_q = [sym(b) * sym([q]).T for b in blocks]
     assert_layout(got_r, sum((c * X**i for i, c in enumerate(want_r)), sympy.zeros(N, N)))
@@ -554,6 +558,63 @@ def test_rmul_and_apply_to_match_per_coefficient_products(data):
         assert to_sympy(got_q.mat_at(i)) == (want_q[i] if i < len(blocks) else zero_q)
     with pytest.raises(ValueError):
         p.rmul(RatMatrix.zeros(N, N + 1))
+
+
+def _right_operand(kind: str, N: int, rng: random.Random) -> RatMatrix:
+    """A diagonal, sparse (about one entry in five) or dense N x N matrix.
+
+    Every nonzero entry has a multiple of 7 for its denominator, so the
+    operand's denominator differs from that of a random_op_poly with
+    max_den <= 6.
+    """
+    def entry():
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 6), rng.choice([7, 14, 21]))
+
+    if kind == "diagonal":
+        return RatMatrix.diagonal([entry() for _ in range(N)])
+    keep = {"sparse": 0.2, "dense": 1.0}[kind]
+    return RatMatrix([[entry() if rng.random() < keep else 0 for _ in range(N)]
+                      for _ in range(N)])
+
+
+@pytest.mark.parametrize("operand", ["diagonal", "sparse", "dense"])
+@pytest.mark.parametrize("deg", [-1, 0, 7])
+def test_rmul_matches_sympy(deg, operand):
+    # p(x) M against sympy: the zero polynomial, a constant and degree 7 at
+    # N = 6 and 8, with M over a denominator unequal to p's
+    for d, n in ((2, 2), (2, 3)):
+        space = enumerate_basis(d, n)
+        N = space.N
+        rng = random.Random(f"rmul {deg} {operand} {N}")
+        p = OpPoly.zero(space) if deg < 0 else random_op_poly(rng, space, deg, max_den=5)
+        M = _right_operand(operand, N, rng)
+        assert deg < 0 or M.den != p.mat.den
+        assert_layout(p.rmul(M), sym_poly(p) * to_sympy(M))
+
+
+@pytest.mark.parametrize("deg", [-1, 0, 3, 7])
+def test_rmul_makes_one_product(monkeypatch, space, deg):
+    # one RatMatrix @ of the stacked blocks per call, and none at all for
+    # the zero polynomial, which comes back as it is
+    rng = random.Random(deg)
+    p = OpPoly.zero(space) if deg < 0 else random_op_poly(rng, space, deg)
+    M = random_matrix(rng, space.N)
+    want = OpPoly.from_mats([c @ M for c in p.mats], space)
+    calls = []
+    matmul = RatMatrix.__matmul__
+
+    def counting(a, b):
+        calls.append((a.shape, b.shape))
+        return matmul(a, b)
+
+    monkeypatch.setattr(RatMatrix, "__matmul__", counting)
+    got = p.rmul(M)
+    monkeypatch.undo()
+    assert got == want
+    N = space.N
+    assert calls == ([] if deg < 0 else [((N * (deg + 1), N), (N, N))])
+    if deg < 0:
+        assert got is p
 
 
 def test_apply_A_treats_a_zero_term_as_absent():
@@ -576,8 +637,8 @@ def test_apply_A_treats_a_zero_term_as_absent():
     minus = RatMatrix.diagonal([-4] * 4)
     out = apply_A(1, minus, D2, r)
     assert out.degree == 2 and out == composite_apply_A(1, minus, D2, r)
-    assert apply_A(2, minus, D2, OpPoly.constant(M, space)) == OpPoly.constant(D2 @ M, space)
-    out = apply_A(2, minus, Z, OpPoly.constant(M, space))
+    assert apply_A(2, minus, D2, op_constant(M, space)) == op_constant(D2 @ M, space)
+    out = apply_A(2, minus, Z, op_constant(M, space))
     assert out.is_zero and (out.mat.num, out.mat.den) == (((),) * 4, 1)
 
 
@@ -630,7 +691,7 @@ def test_build_Pk_leading_is_dominant_product():
         for k in range(5):
             P = build_Pk(spec, k)
             assert P.degree == k
-            assert P.leading() == dominant_coefficient(D1, k)
+            assert P.coeff_at(k) == dominant_coefficient(D1, k)
 
 
 def test_build_Pk_diagonal_channels_match_leibniz_closed_form():
@@ -656,7 +717,7 @@ def test_build_Pk_is_cached():
     assert build_Pk(spec, 4) is build_Pk(spec, 4)
 
 
-@pytest.mark.parametrize("method", ["scale", "eval"])
+@pytest.mark.parametrize("method", ["scale"])
 @pytest.mark.parametrize("kind", ["op", "vector"])
 def test_polynomials_refuse_floats(space, method, kind):
     p = OpPoly.identity(space) if kind == "op" else VectorPoly.constant((1,) * space.N, space)

@@ -9,10 +9,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import (
     action_derivative,
+    apply_to,
     binom_rat,
     derivation_matrix,
     derivation_sympy,
     jacobi_binomial_sum,
+    matvec,
     poly_eval,
     recurrence_oracle,
     seeded_member_sympy,
@@ -97,7 +99,7 @@ def test_recurrence_resonance_is_reported():
     err = exc.value
     assert err.operator_name == "D1 + 2k + 1 at k = 1"
     assert err.kernel is not None
-    assert not any(D1.plus_scalar(3).apply(err.kernel))
+    assert not any(matvec(D1.plus_scalar(3), err.kernel))
     assert "singular operator" in str(err)
 
 
@@ -231,7 +233,7 @@ def test_expand_unit_property():
     space = spec.space
     q = random_vector(rng, space.N)
     for j in (0, 2, 4):
-        f = build_Pk(spec, j).apply_to(q)
+        f = apply_to(build_Pk(spec, j), q)
         coeffs = expand(spec, f).coefficients
         assert len(coeffs) == j + 1
         assert coeffs[j] == q
@@ -248,7 +250,7 @@ def test_expand_recovers_synthesized_coefficients():
         coeffs[gap] = (ZERO,) * space.N
         f = VectorPoly.zero(space)
         for j, qj in enumerate(coeffs):
-            f = f + build_Pk(spec, j).apply_to(qj)
+            f = f + apply_to(build_Pk(spec, j), qj)
         got = expand(spec, f)
         assert list(got.coefficients) == coeffs
         assert reconstruct(spec, got) == f
@@ -298,7 +300,7 @@ def test_reconstruct_equals_the_sum_over_the_members(seed):
                 qs[rng.randrange(1, length - 1)] = (ZERO,) * space.N
             want = VectorPoly.zero(space)
             for j, q in enumerate(qs):
-                want = want + build_Pk(spec, j).apply_to(q)
+                want = want + apply_to(build_Pk(spec, j), q)
             assert reconstruct(spec, structure.Expansion(tuple(qs))) == want, (d, n, qs)
 
 
@@ -559,6 +561,24 @@ def _constant_block_mutant(real, vector_only):
     return mutant
 
 
+def _head_one_block_short(real):
+    """apply_A with its lowest-block skip one block short.
+
+    apply_A pads the blocks below lo - 1, lo the lowest nonzero block of r,
+    with `head`; one block fewer there moves every output block one power
+    of x down.  At lo <= 1 the pad is empty either way, so only an r with
+    lo >= 2 (such as x^i I for i >= 2) sees the fault.
+    """
+    def mutant(j, D1, D2, r):
+        out = real(j, D1, D2, r)
+        lo = next((i for i in range(r.degree + 1) if not r.mat_at(i).is_zero), 0)
+        if lo < 2:
+            return out
+        w = r._width(r.space)
+        return out._from(tuple(row[w:] for row in out.mat.num), out.mat.den, out.space)
+    return mutant
+
+
 def patch_apply_A(monkeypatch, fn):
     """Replace apply_A in oppoly (members, k-fold products) and in structure."""
     monkeypatch.setattr(oppoly, "apply_A", fn)
@@ -726,6 +746,12 @@ MUTANT_TABLE = {
         lambda mp: mp.setattr(structure, "tilde_spec", _tilde_spec_over_n), False,
         {"maps into shifted member k+1"}),
     "beta_k sign flipped": (_beta_sign_flipped, False, {"two-step recurrence"}),
+    # only inputs whose lowest nonzero block is x^2 or higher see it: the
+    # members never are, so no member-based line fails, and verify in a
+    # fresh process prints these same lines and exits 1, no self-check first
+    "apply_A head one block short": (
+        lambda mp: patch_apply_A(mp, _head_one_block_short(oppoly.apply_A)), False,
+        {"factor j on x r", "commutation past factor j"}),
 }
 
 # The golden problems on which a D2 mutant differs from the sympy derivation
