@@ -7,13 +7,11 @@ factors.  The package constructs them over exact rationals, provides
 their recurrence, expansion, shifted-family and scalar-reduction
 structure, and checks its weighted-integral statements.
 
-The package exports only the names the README documents: ProblemSpec,
-RatMatrix, Rat, OpPoly, VectorPoly, apply_A, build_Pk, build_tilde_Pk,
-expand, reconstruct and ResonanceError.  Each is loaded from its
-submodule on first use, so `import mvjacobi` loads no submodule.  Every
-other name is imported from its own submodule: the verifiers and
-recurrence_coeffs from mvjacobi.structure, random instances from
-mvjacobi.sampling, and so on.
+The package exports only the names the README documents, each listed
+in _SOURCES with the submodule it is loaded from on first use, so
+`import mvjacobi` loads no submodule.  Every other name is imported
+from its own submodule: the verifiers and recurrence_coeffs from
+mvjacobi.structure, random instances from mvjacobi.sampling, and so on.
 
 The numeric layer (ODE solver, weight, quadrature) lives in
 mvjacobi.numeric, the only part that needs numpy; mvjacobi.integrals

@@ -324,13 +324,13 @@ def quasi_orth_integral(spec: ProblemSpec, j: int, k: int, side: str,
 
     # E_{s,h} for s <= lo, h the member right of W
     lo, h = (j, k) if side == "right" else (k, j)
-    P = build_Pk(spec, h).mats
+    P = build_Pk(spec, h).coeffs
     R = moment_ratios(spec, lo + len(P))
     E = [reduce(add, (R[s + t] @ c for t, c in enumerate(P))) for s in range(lo + 1)]
     vanishes = all(e.is_zero for e in E)
     worst, est, level = 0.0, 0.0, None
     if not vanishes:  # the value is sum_s L_s mu_0 M_s over these (L_s, M_s)
-        low = build_Pk(spec, lo).mats
+        low = build_Pk(spec, lo).coeffs
         terms = (list(zip(low, E)) if side == "right"
                  else [(R[0], e @ p) for e, p in zip(E, low)])  # R_0 = I
         if is_commutative(spec):

@@ -109,7 +109,7 @@ def _sum_series(z: np.ndarray, s, centers=slice(None)) -> np.ndarray:
     return acc
 
 
-def solve_ivp(A: np.ndarray, B: np.ndarray, sign: int, tail: float) -> _Sweep:
+def solve_ivp(A: np.ndarray, B: np.ndarray, sign: int) -> _Sweep:
     """Continue Y(0) = I toward the endpoint sign * 1 in Taylor steps.
 
     Each center c has radius rho = min(1 - c, 1 + c), the distance to the
@@ -126,7 +126,7 @@ def solve_ivp(A: np.ndarray, B: np.ndarray, sign: int, tail: float) -> _Sweep:
         T_{j+1} = rho [(c M1 + M2 - 2cj) T_j + rho (M1 - (j-1)) T_{j-1}] / (q (j+1)),
 
     which is run for all centers at once.  It stops once two consecutive
-    terms at |s| = h have norm below tail at every center: the bound
+    terms at |s| = h have norm below _TAIL at every center: the bound
     holds for each column of Y(c), so small columns keep their relative
     accuracy.  The step is h = 1/2 while nu = |A| + |B| <= 1 and
     h = 1/(1 + nu) beyond: the terms of a series summed at |s| = h can
@@ -159,7 +159,7 @@ def solve_ivp(A: np.ndarray, B: np.ndarray, sign: int, tail: float) -> _Sweep:
                                   + rM1 @ prev - (j - 1) * rho * prev)
         T.append(nxt)
         norm = np.max(np.sum(np.abs(nxt), axis=2)) * h ** (j + 1)
-        settled = settled + 1 if norm <= tail else 0
+        settled = settled + 1 if norm <= _TAIL else 0
         prev = cur
     T = np.stack(T)
     # Y at each center: the previous one carried across one step
@@ -176,7 +176,7 @@ def solve_ivp(A: np.ndarray, B: np.ndarray, sign: int, tail: float) -> _Sweep:
 @lru_cache(maxsize=None)
 def _sweep(spec: ProblemSpec, sign: int) -> _Sweep:
     """The sweep of spec toward sign * 1, made once per problem and side on first use."""
-    return solve_ivp(_floats(spec.A, "A"), _floats(spec.B, "B"), sign, _TAIL)
+    return solve_ivp(_floats(spec.A, "A"), _floats(spec.B, "B"), sign)
 
 
 def _Y_at(spec: ProblemSpec, x: np.ndarray, dist_minus: Optional[np.ndarray] = None,

@@ -10,9 +10,9 @@ denominator, gcd 1), so equal polynomials hold equal matrices; the zero
 polynomial is N x 0 (degree -1).  Each ring operation is one pass over
 the rows of `mat`, except the products, which are one RatMatrix `@`
 each: `lmul` multiplies `mat` itself, and `rmul` the blocks stacked as
-N(K+1) rows of width N.  `mats`, `mat_at`, `coeffs` and `coeff_at` are
-views that cut the blocks out as normalized RatMatrix coefficients
-(length-N tuples of Fractions for VectorPoly).
+N(K+1) rows of width N.  `mat_at` cuts one block out as a normalized
+RatMatrix; `coeffs` and `coeff_at` give the blocks in public form (for
+VectorPoly, length-N tuples of Fractions).
 
 The degree-k family member is the nested product
 
@@ -43,7 +43,7 @@ from functools import lru_cache
 from itertools import chain
 from math import lcm
 from operator import mul
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 from .operators import ProblemSpec, build_D, dominant_coefficient
 from .polyspace import PolySpace, PolyVector
@@ -125,12 +125,8 @@ class _PolyBase:
         return RatMatrix._normal(tuple(row[i * w:i * w + w] for row in self.mat.num), self.mat.den)
 
     @property
-    def mats(self) -> tuple:
-        return tuple(map(self.mat_at, range(self.degree + 1)))
-
-    @property
     def coeffs(self) -> tuple:
-        return tuple(map(self._out, self.mats))
+        return tuple(map(self.coeff_at, range(self.degree + 1)))
 
     def coeff_at(self, i: int):
         return self._out(self.mat_at(i))
@@ -248,10 +244,6 @@ class VectorPoly(_PolyBase):
                 raise ValueError(f"coefficient must be a length-{N} tuple")
         mat = RatMatrix(zip(*cols)) if cols else RatMatrix.zeros(N, 1)
         self._assign(self._from(mat.num, mat.den, space).mat, space)
-
-    @staticmethod
-    def constant(q: Sequence, space: PolySpace) -> "VectorPoly":
-        return VectorPoly((tuple(q),), space)
 
     @staticmethod
     def _width(space: PolySpace) -> int:

@@ -6,14 +6,14 @@ Python ints.  Every result is divided through by gcd(den, all of num),
 so the zero matrix has den 1, the form is unique, and equality and
 hashing compare (num, den).  All arithmetic runs on ints; Fraction
 appears only in the cached `rows` and `diag` views.  The constructor,
-which `column` and `diagonal` build through, takes int and Fraction
-entries as they are and others through rat().
+which `diagonal` builds through, takes int and Fraction entries as they
+are and others through rat().
 Diagonality is read once per matrix from the integers (`_dnum`, the
 diagonal numerators or None); `inverse` and the callers that only need
 the diagonal's numerators use it and build no Fraction.
 
 Coefficient vectors are N x 1 matrices, so a matrix-vector product is
-`@` on a column.  Every product takes one rule: each nonzero of a left
+`@` on an N x 1 matrix.  Every product takes one rule: each nonzero of a left
 row adds its multiple of the nonzeros of the right row it selects, so
 the work is the number of nonzero pairs that meet, whatever the shape
 or density of either side.  The right operand's nonzeros are listed once
@@ -90,11 +90,6 @@ class RatMatrix:
     def zeros(nrows: int, ncols: Optional[int] = None) -> "RatMatrix":
         ncols = nrows if ncols is None else ncols
         return RatMatrix._normal(((0,) * ncols,) * nrows, 1)
-
-    @staticmethod
-    def column(entries: Sequence) -> "RatMatrix":
-        """The N x 1 matrix of a vector of rationals."""
-        return RatMatrix([(e,) for e in entries])
 
     @staticmethod
     def diagonal(entries: Sequence) -> "RatMatrix":

@@ -165,7 +165,7 @@ def _ring_factor(j: int, D1: RatMatrix, D2: RatMatrix, r):
 
 def reconstruct(spec: ProblemSpec, expansion: Expansion) -> VectorPoly:
     """sum_j P_j(x) q_j = q_0 + A_1(q_1 + A_2(q_2 + ... + A_K q_K)), by _ring_factor."""
-    qs = [VectorPoly.constant(q, spec.space) for q in expansion.coefficients]
+    qs = [VectorPoly((q,), spec.space) for q in expansion.coefficients]
     if not qs:
         return VectorPoly.zero(spec.space)
     D1, D2 = build_D(spec, 1), build_D(spec, 2)

@@ -3,12 +3,12 @@
 Everything here is built from first principles (binomial sums, direct
 monomial differentiation, explicit convolution) or on sympy, deliberately
 sharing no code path with the library, so tests never compare the
-library against itself.  The exceptions say so: `composite_apply_A`
-composes the library's ring operations, and `ode_vs_closed_form_report`
-compares its two independent routes to the fundamental matrix.  The
-polynomial helpers at the end, which the library itself has no use for,
-read its matrices through their Fraction `rows` and build their results
-with the public constructors, never through RatMatrix's `@`.
+library against itself.  The one exception says so:
+`ode_vs_closed_form_report` compares the library's two independent
+routes to the fundamental matrix.  The polynomial helpers at the end,
+which the library itself has no use for, read its matrices through
+their Fraction `rows` and build their results with the public
+constructors, never through RatMatrix's `@`.
 """
 
 from __future__ import annotations
@@ -347,17 +347,6 @@ def jacobi_integral_beta(p, a, b) -> sympy.Expr:
             beta = sympy.gamma(b + l + 1) * sympy.gamma(a + 1) / sympy.gamma(a + b + l + 2)
             total += _sympy_rat(c) * comb(m, l) * 2 ** l * (-1) ** (m - l) * beta
     return 2 ** (a + b + 1) * total
-
-
-def composite_apply_A(j: int, D1: RatMatrix, D2: RatMatrix, r):
-    """x(2j + D1) r + D2 r + Q r', composed from the generic ring operations.
-
-    lmul, mul_by_x, add, d_dx and mul_by_Q are each checked against sympy
-    on their own; this is the product-formula factor without the integer
-    stencil that oppoly.apply_A runs.
-    """
-    term_x = r.lmul(D1.plus_scalar(2 * j)).mul_by_x()
-    return term_x.add(r.lmul(D2)).add(r.d_dx().mul_by_Q())
 
 
 # -- polynomial helpers the library does not need ------------------------------

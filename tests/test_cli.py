@@ -936,22 +936,11 @@ def test_src_has_no_unreferenced_private_names():
         "planted.py: _ORPHAN"]
 
 
-def test_quadrature_loads_no_scipy(tmp_path):
-    # a claim is decided by exact moments and an exact gate, without numpy
-    # or the numeric layer; only a noncommutative value integrates in floats
-    for doc, j, floats in ((NONCOMMUT_2x2, 0, False), (COMMUT_2x2, 0, False),
-                           (NONCOMMUT_2x2, 2, True)):
-        inp = write_json(tmp_path / "spec.json", doc)
-        out = run_python("-X", "importtime", "-m", "mvjacobi", "quadrature", "--input", inp,
-                         "--j", str(j), "--k", "2", "--side", "right", "--tol", "1e-6")
-        assert out.returncode == 0, out.stderr
-        assert "[PASS]" in out.stdout
-        imported = [line.rsplit("|", 1)[-1].strip() for line in out.stderr.splitlines()
-                    if line.startswith("import time:")]
-        assert "mvjacobi.integrals" in imported
-        assert ("numpy" in imported) is floats
-        assert ("mvjacobi.numeric" in imported) is floats
-        assert [m for m in imported if m.split(".")[0] == "scipy"] == []
+def test_quadrature_loads_no_scipy(loads):
+    # a claim is decided by exact moments and an exact gate, and a
+    # noncommutative value integrates in numpy alone
+    for name in ("commutative claim", "noncommutative claim", "noncommutative value"):
+        assert [m for m in loads[name] if m.split(".")[0] == "scipy"] == []
 
 
 def test_quadrature_integration_failure_exits_2(tmp_path, capsys, monkeypatch):
@@ -1151,7 +1140,6 @@ from mvjacobi.cli import main
 code = main(sys.argv[1:])
 print(json.dumps({"code": code, "loaded": sorted(set(sys.modules) - before)}))
 """
-NO_NUMERICS = ("mvjacobi.numeric", "numpy", "dataclasses", "datetime")
 
 
 def loaded_by(argv, preload=()):
@@ -1163,45 +1151,78 @@ def loaded_by(argv, preload=()):
     return set(result["loaded"])
 
 
-def test_compute_loads_only_the_construction(tmp_path):
-    loaded = loaded_by(["compute", "--input", str(GOLDEN / "d2n2_nc.json"), "--kmax", "2",
-                        "--out", str(tmp_path / "m.json")])
-    assert "mvjacobi.oppoly" in loaded
-    forbidden = ("mvjacobi.structure", "mvjacobi.reporting", "mvjacobi.sampling") + NO_NUMERICS
-    assert loaded.isdisjoint(forbidden), sorted(loaded.intersection(forbidden))
+# the golden commands behind each row of README's Install table, by the row's
+# first cell; a failing claim takes the off-claim path, a float value of mu_0
+INSTALL_RUNS = {
+    "compute": ("`compute`", golden_argv("d2n2_nc", "compute")),
+    "verify": ("`verify`, `expand`", golden_argv("d2n2_nc", "verify")),
+    "expand": ("`verify`, `expand`", golden_argv("d2n2_nc", "expand")),
+    "commutative claim": ("`quadrature`, commutative problem",
+                          golden_argv("d2n3_c", "quadrature", "1", "3", "right")),
+    "noncommutative claim": ("`quadrature`, noncommutative claimed pair",
+                             golden_argv("d2n2_nc", "quadrature", "0", "2", "right")),
+    "noncommutative value": ("`quadrature`, noncommutative off-claim pair or failing claim",
+                             golden_argv("d2n2_nc", "quadrature", "2", "2", "right")),
+}
+STDLIB_UNUSED = {"dataclasses", "datetime"}
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify", "--input", str(GOLDEN / "d2n2_nc.json"), "--kmax", "2"],
-    ["expand", "--input", str(GOLDEN / "d2n2_nc.json"),
-     "--poly", str(GOLDEN / "d2n2_nc.poly.json"), "--roundtrip"],
-], ids=lambda argv: argv[0])
-def test_exact_commands_load_no_numerics(tmp_path, argv):
-    loaded = loaded_by(argv + ["--out", str(tmp_path / "out.json")])
-    assert "mvjacobi.structure" in loaded
-    assert loaded.isdisjoint(NO_NUMERICS), sorted(loaded.intersection(NO_NUMERICS))
-    assert "mvjacobi.sampling" not in loaded  # no verifier samples
+@pytest.fixture(scope="module")
+def loads(tmp_path_factory):
+    """The modules each of INSTALL_RUNS adds in a fresh process, by run name."""
+    out = str(tmp_path_factory.mktemp("loads") / "out.json")
+    return {name: loaded_by(argv + ["--out", out]) for name, (_, argv) in INSTALL_RUNS.items()}
 
 
-def test_quadrature_loads_no_dataclasses(tmp_path):
+def install_table(text: str) -> dict:
+    """README's Install table: {command cell: (sorted package modules, numpy loaded)}."""
+    return {command: (sorted(_ticked(modules)), numpy == "yes")
+            for command, modules, numpy in readme_table(
+                text, "| command | package modules loaded | numpy |")}
+
+
+def as_install_row(loaded: set) -> tuple:
+    """A run's loads in the Install table's terms: (sorted package modules, numpy loaded)."""
+    return (sorted(m.removeprefix("mvjacobi.") for m in loaded if m.startswith("mvjacobi.")),
+            "numpy" in loaded)
+
+
+def install_mismatches(text: str, loads: dict) -> list:
+    """The Install rows that a run of theirs contradicts."""
+    table = install_table(text)
+    return sorted({row for name, (row, _) in INSTALL_RUNS.items()
+                   if table[row] != as_install_row(loads[name])})
+
+
+def test_readme_install_table_is_what_each_command_loads(loads):
+    text = README.read_text(encoding="utf-8")
+    assert set(install_table(text)) == {row for row, _ in INSTALL_RUNS.values()}
+    assert install_mismatches(text, loads) == []
+    old = "| `compute` | `errors`, "
+    assert text.count(old) == 1
+    assert install_mismatches(text.replace(old, "| `compute` | "), loads) == ["`compute`"]
+
+
+def test_compute_loads_only_the_construction(loads):
+    assert loads["compute"].isdisjoint(STDLIB_UNUSED)
+
+
+@pytest.mark.parametrize("command", ["verify", "expand"])
+def test_exact_commands_load_no_numerics(loads, command):
+    assert loads[command].isdisjoint(STDLIB_UNUSED)
+
+
+def test_quadrature_loads_no_dataclasses(loads, tmp_path):
     # a claimed pair is decided exactly, without the float layers, whether
     # the problem is commutative or not
-    forbidden = ("mvjacobi.structure",) + NO_NUMERICS
-    nc = write_json(tmp_path / "nc.json", NONCOMMUT_2x2)
-    for inp, j, k in ((str(GOLDEN / "d2n3_c.json"), 1, 3), (nc, 0, 2)):
-        loaded = loaded_by(["quadrature", "--input", inp, "--j", str(j), "--k", str(k),
-                            "--side", "right", "--tol", "1e-6", "--out", str(tmp_path / "q.json")])
-        assert "mvjacobi.integrals" in loaded
-        assert loaded.isdisjoint(forbidden), sorted(loaded.intersection(forbidden))
+    for name in ("commutative claim", "noncommutative claim"):
+        assert loads[name].isdisjoint(STDLIB_UNUSED)
     # a noncommutative off-claim value integrates mu_0 in floats
-    argv = ["quadrature", "--input", nc, "--j", "2", "--k", "2", "--side", "right",
-            "--tol", "1e-6", "--out", str(tmp_path / "q.json")]
-    loaded = loaded_by(argv)
-    assert {"mvjacobi.numeric", "numpy"} <= loaded
-    assert "dataclasses" not in loaded
+    assert "dataclasses" not in loads["noncommutative value"]
     # numpy's core loads datetime (and inspect) itself; once numpy is in,
     # the package adds neither module
-    assert loaded_by(argv, preload=["numpy"]).isdisjoint({"dataclasses", "datetime"})
+    argv = INSTALL_RUNS["noncommutative value"][1] + ["--out", str(tmp_path / "q.json")]
+    assert loaded_by(argv, preload=["numpy"]).isdisjoint(STDLIB_UNUSED)
 
 
 def test_numeric_import_loads_structure():
@@ -1221,9 +1242,7 @@ def test_package_exports_the_documented_names_lazily():
     assert out.returncode == 0, out.stderr
     submodules, names, resolved = out.stdout.splitlines()
     assert submodules == "[]"
-    assert names == str(sorted([
-        "OpPoly", "ProblemSpec", "Rat", "RatMatrix", "ResonanceError", "VectorPoly",
-        "apply_A", "build_Pk", "build_tilde_Pk", "expand", "reconstruct"]))
+    assert names == str(mvjacobi.__all__)
     assert resolved == "mvjacobi.structure True"
     for name in mvjacobi.__all__:
         assert getattr(mvjacobi, name) is not None
@@ -1236,7 +1255,6 @@ def test_package_exports_the_documented_names_lazily():
 
 
 def test_package_dir_lists_the_exported_names():
-    assert len(mvjacobi.__all__) == 11
     assert set(mvjacobi.__all__) <= set(dir(mvjacobi))
 
 

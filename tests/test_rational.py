@@ -63,7 +63,7 @@ def test_rat_coercions():
 @pytest.mark.parametrize("bad", MALFORMED + ["1e3", "1_000", "\u0663"])
 def test_rat_and_matrix_entries_refuse_what_parse_rational_refuses(bad):
     I = RatMatrix.identity(2)
-    for build in (rat, lambda s: RatMatrix([[s]]), lambda s: RatMatrix.column([1, s]),
+    for build in (rat, lambda s: RatMatrix([[s]]), lambda s: RatMatrix([[1], [s]]),
                   lambda s: RatMatrix.diagonal([s, 1]), I.scale, I.plus_scalar):
         with pytest.raises(ValueError):
             build(bad)
@@ -71,13 +71,13 @@ def test_rat_and_matrix_entries_refuse_what_parse_rational_refuses(bad):
 
 def test_column_and_diagonal_read_mixed_entries():
     entries = [2, Fraction(-1, 3), "5/6", 0, "-4"]
-    col, diag = RatMatrix.column(entries), RatMatrix.diagonal(entries)
+    col, diag = RatMatrix([(e,) for e in entries]), RatMatrix.diagonal(entries)
     assert (col.num, col.den) == (((12,), (-2,), (5,), (0,), (-24,)), 6)
     assert diag.den == 6 and diag._dnum == (12, -2, 5, 0, -24)
     assert diag.diag == tuple(rat(e) for e in entries)
-    for M in (RatMatrix.column([1, 2]), RatMatrix.diagonal([1, 2]), RatMatrix([[1, 2]])):
+    for M in (RatMatrix([[1], [2]]), RatMatrix.diagonal([1, 2]), RatMatrix([[1, 2]])):
         assert all(type(e) is Fraction for row in M.rows for e in row)
-    for build in (RatMatrix.column, RatMatrix.diagonal):
+    for build in (RatMatrix, RatMatrix.diagonal):
         with pytest.raises(ValueError):
             build([])
 
@@ -86,7 +86,7 @@ def test_column_and_diagonal_read_mixed_entries():
                           st.fractions(max_denominator=30).map(str)), min_size=1, max_size=6))
 def test_column_and_diagonal_hold_their_entries(entries):
     want = tuple(map(Fraction, entries))
-    col, diag = RatMatrix.column(entries), RatMatrix.diagonal(entries)
+    col, diag = RatMatrix([(e,) for e in entries]), RatMatrix.diagonal(entries)
     assert tuple(row[0] for row in col.rows) == want and diag.diag == want
     assert col.den == diag.den == lcm(*(e.denominator for e in want))
 

@@ -310,7 +310,7 @@ def test_expand_degenerate_cases():
     space = spec.space
     assert expand(spec, VectorPoly.zero(space)).coefficients == ()
     q = random_vector(rng, space.N)
-    got = expand(spec, VectorPoly.constant(q, space)).coefficients
+    got = expand(spec, VectorPoly((q,), space)).coefficients
     assert got == (q,)
     with pytest.raises(ValueError, match="space"):
         expand(spec, VectorPoly.zero(random_problem_spec(rng, 2, 2).space))
@@ -458,7 +458,7 @@ def _member_mutant(monkeypatch, bumps):
         if k not in bumps:
             return P
         N = spec.space.N
-        mats = list(P.mats)
+        mats = list(P.coeffs)
         for i, p, q in bumps[k]:
             mats += [RatMatrix.zeros(N)] * (i + 1 - len(mats))
             rows = [list(row) for row in mats[i].rows]
@@ -627,11 +627,12 @@ def test_derivative_relation_catches_a_right_d2_factor(monkeypatch):
 # -- mutant table ---------------------------------------------------------------
 #
 # Mutation analysis (DeMillo, Lipton & Sayward, "Hints on test data selection",
-# IEEE Computer 1978) over the verify suites: each mutant is one fault in the
-# code a suite checks, and the table records the kinds of verify line that
-# fail under it on the five non-resonant golden problems.  Every kind of line
-# verify prints must fail under at least one mutant; a kind that no mutant
-# can fail proves nothing and does not belong in verify.
+# IEEE Computer 1978) over the verify suites and expand --roundtrip: each
+# mutant is one fault in the code a verdict checks, and the table records, on
+# the five non-resonant golden problems, the kinds of verify line that fail
+# under it and the round trip of each golden .poly.json input.  Every kind of
+# line verify prints, and roundtrip_exact, must fail under at least one
+# mutant; a verdict that no mutant can fail proves nothing.
 
 GOLDEN = Path(__file__).parent / "golden"
 VERIFY_PROBLEMS = ("d1n2", "d2n1", "d2n2_nc", "d2n3_c", "d3n2_nc")
@@ -708,50 +709,83 @@ def _next_factor(monkeypatch):
     patch_apply_A(monkeypatch, lambda j, D1, D2, r: real(j + 1, D1, D2, r))
 
 
+def _on_all(outcome):
+    """A round-trip cell with the same outcome on every golden problem."""
+    return dict.fromkeys(VERIFY_PROBLEMS, outcome)
+
+
 # name: (install on a monkeypatch, cache the true members first, kinds of line it
-# fails on some golden problem at k_max = 3).  A mutant that breaks build_Pk's
-# own leading-coefficient check would stop every member-based suite before its
-# first line, so it runs on the true members and reaches only the checks that
-# apply factors themselves; every other mutant builds the members it is checked on.
+# fails on some golden problem at k_max = 3, round-trip cell).  A mutant that
+# breaks build_Pk's own leading-coefficient check would stop every member-based
+# suite before its first line, so it runs on the true members and reaches only
+# the checks that apply factors themselves; every other mutant builds the
+# members it is checked on.  The round-trip cell maps each golden problem to
+# roundtrip_exact, or to "step s" where expand's degree check raised at step s;
+# it is None where the fault cannot act on the vector polynomials expand runs on.
 MUTANT_TABLE = {
     "D1 shift at j=2, i=1": (
         lambda mp: patch_apply_A(mp, _d1_shift_mutant(oppoly.apply_A, 2, 1)), True,
         {"factor j on x r", "Q lowers the factor index j", "k-fold product on x I",
-         "commutation past factor j"}),
+         "commutation past factor j"},
+        _on_all("step 2")),
+    # r D2 needs a right factor of width N, and a vector coefficient has one
+    # column, so a VectorPoly has no rmul and this fault no vector form
     "D2 from the right": (
         lambda mp: patch_apply_A(mp, _right_d2), False,
-        {"two-step recurrence", "maps into shifted member k+1"}),
+        {"two-step recurrence", "maps into shifted member k+1"},
+        None),
     "member k=2 bumped at x^1 (0, 0)": (
         lambda mp: _member_mutant(mp, {2: [(1, 0, 0)]}), False,
         {"two-step recurrence", "k-fold product on x I", "maps into shifted member k+1",
          "equals 2^k k! classical", "eigenvalue k(alpha+beta+k+1)",
-         "trace equals 2^k k! Legendre times trace"}),
+         "trace equals 2^k k! Legendre times trace"},
+        _on_all(True)),
     # no verify line fails: the structural suites hold for any D2, and neither
     # classical reduction sees this one (D2_MUTANTS_SEEN_BY_ORACLE below does)
     "D2 transposed": (
         lambda mp: _build_D_mutant(mp, 2, lambda spec, D: RatMatrix(list(zip(*D.rows)))), False,
-        set()),
+        set(),
+        _on_all(True)),
     "D2 second sum sign flipped": (
         lambda mp: _build_D_mutant(mp, 2, lambda spec, D: D + _second_sum(spec).scale(2)), False,
-        {"equals 2^k k! classical", "trace equals 2^k k! Legendre times trace"}),
+        {"equals 2^k k! classical", "trace equals 2^k k! Legendre times trace"},
+        _on_all(True)),
     "D1 first entry + 1/2": (
         lambda mp: _build_D_mutant(mp, 1, _first_entry_plus_half), False,
         {"normalization 2^k k! from leading coefficients", "equals 2^k k! classical",
          "commutation past factor j", "eigenvalue k(alpha+beta+k+1)",
-         "trace equals 2^k k! Legendre times trace"}),
+         "trace equals 2^k k! Legendre times trace"},
+        _on_all(True)),
     "factor index j + 1": (
         _next_factor, True,
-        {"k-fold product on x I", "commutation past factor j", "eigenvalue k(alpha+beta+k+1)"}),
+        {"k-fold product on x I", "commutation past factor j", "eigenvalue k(alpha+beta+k+1)"},
+        {**_on_all("step 3"), "d3n2_nc": "step 4"}),
     "tilde_spec shift 1/n": (
         lambda mp: mp.setattr(structure, "tilde_spec", _tilde_spec_over_n), False,
-        {"maps into shifted member k+1"}),
-    "beta_k sign flipped": (_beta_sign_flipped, False, {"two-step recurrence"}),
+        {"maps into shifted member k+1"},
+        _on_all(True)),
+    "beta_k sign flipped": (_beta_sign_flipped, False, {"two-step recurrence"}, _on_all(True)),
     # only inputs whose lowest nonzero block is x^2 or higher see it: the
     # members never are, so no member-based line fails, and verify in a
-    # fresh process prints these same lines and exits 1, no self-check first
+    # fresh process prints these same lines and exits 1, no self-check first;
+    # expand's seeded chains start at a constant q_j, so it never sees it
     "apply_A head one block short": (
         lambda mp: patch_apply_A(mp, _head_one_block_short(oppoly.apply_A)), False,
-        {"factor j on x r", "commutation past factor j"}),
+        {"factor j on x r", "commutation past factor j"},
+        _on_all(True)),
+    # the fault reaches expand's seeded chains and not the members, so every
+    # verify line passes while the round trip fails
+    "constant block at j=2, vector input": (
+        lambda mp: patch_apply_A(mp, _constant_block_mutant(oppoly.apply_A, True)), False,
+        set(),
+        _on_all(False)),
+    "constant block at j=2, both input types": (
+        lambda mp: patch_apply_A(mp, _constant_block_mutant(oppoly.apply_A, False)), False,
+        {"two-step recurrence", "factor j on x r", "Q lowers the factor index j",
+         "k-fold product on x I", "commutation past factor j", "maps into shifted member k+1",
+         "equals 2^k k! classical", "eigenvalue k(alpha+beta+k+1)",
+         "trace equals 2^k k! Legendre times trace"},
+        _on_all(False)),
 }
 
 # The golden problems on which a D2 mutant differs from the sympy derivation
@@ -767,6 +801,26 @@ def _golden_specs():
     return {p: load_problem(str(GOLDEN / f"{p}.json"))[0] for p in VERIFY_PROBLEMS}
 
 
+DEGREE_CHECK = (r"expansion failed to reduce the degree at step (\d+); this indicates an "
+                r"internal construction bug")
+
+
+def _roundtrips(specs):
+    """{problem: expand --roundtrip's roundtrip_exact, or "step s" where expand raised}."""
+    out = {}
+    for p, spec in specs.items():
+        f = load_vector_poly(str(GOLDEN / f"{p}.poly.json"), spec)
+        try:
+            expansion = expand(spec, f)
+        except RuntimeError as exc:
+            step = re.fullmatch(DEGREE_CHECK, str(exc))
+            assert step, str(exc)
+            out[p] = f"step {step.group(1)}"
+        else:
+            out[p] = reconstruct(spec, expansion) == f
+    return out
+
+
 @pytest.fixture
 def cold_caches():
     """Clear the member cache before and after: no member
@@ -778,7 +832,7 @@ def cold_caches():
 
 @pytest.mark.parametrize("mutant", list(MUTANT_TABLE))
 def test_mutant_table_row(monkeypatch, cold_caches, mutant):
-    install, cache_members, kinds = MUTANT_TABLE[mutant]
+    install, cache_members, kinds, roundtrips = MUTANT_TABLE[mutant]
     specs = _golden_specs()
     if cache_members:
         for spec in specs.values():
@@ -792,6 +846,11 @@ def test_mutant_table_row(monkeypatch, cold_caches, mutant):
         for _, fails in _suite_kinds(spec).values():
             failed |= fails
     assert failed == kinds
+    if roundtrips is None:
+        with pytest.raises(AttributeError, match="'VectorPoly' object has no attribute 'rmul'"):
+            _roundtrips(specs)
+    else:
+        assert _roundtrips(specs) == roundtrips
     if mutant in D2_MUTANTS_SEEN_BY_ORACLE:
         seen = {p for p, spec in specs.items()
                 if structure.build_D(spec, 2) != derivation_matrix(spec.space, spec.M2)}
@@ -813,7 +872,12 @@ def test_every_verify_line_kind_fails_under_some_mutant():
         for kinds, fails in _suite_kinds(spec).values():
             assert not fails
             printed |= kinds
-    assert printed == set().union(*(kinds for _, _, kinds in MUTANT_TABLE.values()))
+    assert printed == set().union(*(kinds for _, _, kinds, _ in MUTANT_TABLE.values()))
+
+
+def test_roundtrip_fails_under_some_mutant():
+    assert _roundtrips(_golden_specs()) == _on_all(True)
+    assert any(False in cells.values() for *_, cells in MUTANT_TABLE.values() if cells)
 
 
 # -- what the round trip proves -------------------------------------------------
@@ -821,9 +885,10 @@ def test_every_verify_line_kind_fails_under_some_mutant():
 # expand subtracts seeded chains A_1...A_j q_j built by apply_A, and
 # reconstruct adds the same factors composed from the ring operations
 # (_ring_factor), so the round trip compares apply_A with the ring
-# operations: a fault in apply_A fails it on either input type, and the
-# recurrence suite, which runs apply_A on operator input only, sees only
-# the fault that reaches the members.
+# operations: MUTANT_TABLE's round-trip cells show which apply_A faults fail
+# it or stop expand first.  The recurrence suite, which runs apply_A on
+# operator input only, sees only the fault that reaches the members, on
+# every golden problem.
 
 
 # fault on VectorPoly input alone -> (round trip exact, recurrence suite passed)
@@ -832,25 +897,8 @@ def test_every_verify_line_kind_fails_under_some_mutant():
 def test_roundtrip_and_recurrence_under_a_factor_fault(monkeypatch, cold_caches,
                                                        vector_only, outcome):
     specs = _golden_specs()
-    polys = {p: load_vector_poly(str(GOLDEN / f"{p}.poly.json"), spec)
-             for p, spec in specs.items()}
     patch_apply_A(monkeypatch, _constant_block_mutant(oppoly.apply_A, vector_only))
-    got = {p: (reconstruct(spec, expand(spec, polys[p])) == polys[p],
-               verify_recurrence(spec, TABLE_KMAX).passed)
+    roundtrips = _roundtrips(specs)
+    got = {p: (roundtrips[p], verify_recurrence(spec, TABLE_KMAX).passed)
            for p, spec in specs.items()}
-    assert got == dict.fromkeys(VERIFY_PROBLEMS, outcome)
-
-
-def test_expand_self_check_catches_a_d1_shift_fault(monkeypatch):
-    # a fault in the degree-2 factor leaves P_j q_j with a wrong leading
-    # term, so subtracting it no longer lowers the degree, and expand
-    # refuses at step 2 instead of returning coefficients
-    specs = _golden_specs()
-    polys = {p: load_vector_poly(str(GOLDEN / f"{p}.poly.json"), spec)
-             for p, spec in specs.items()}
-    patch_apply_A(monkeypatch, _d1_shift_mutant(oppoly.apply_A, 2, 1))
-    for p, spec in specs.items():
-        with pytest.raises(RuntimeError, match=r"^expansion failed to reduce the degree at "
-                                               r"step 2; this indicates an internal "
-                                               r"construction bug$"):
-            expand(spec, polys[p])
+    assert got == _on_all(outcome)
