@@ -902,3 +902,18 @@ def test_roundtrip_and_recurrence_under_a_factor_fault(monkeypatch, cold_caches,
     got = {p: (roundtrips[p], verify_recurrence(spec, TABLE_KMAX).passed)
            for p, spec in specs.items()}
     assert got == _on_all(outcome)
+
+
+def test_expand_self_check_catches_a_d1_shift_fault(monkeypatch):
+    # a fault in the degree-2 factor leaves P_j q_j with a wrong leading
+    # term, so subtracting it no longer lowers the degree, and expand
+    # refuses at step 2 instead of returning coefficients
+    specs = _golden_specs()
+    polys = {p: load_vector_poly(str(GOLDEN / f"{p}.poly.json"), spec)
+             for p, spec in specs.items()}
+    patch_apply_A(monkeypatch, _d1_shift_mutant(oppoly.apply_A, 2, 1))
+    for p, spec in specs.items():
+        with pytest.raises(RuntimeError, match=r"^expansion failed to reduce the degree at "
+                                               r"step 2; this indicates an internal "
+                                               r"construction bug$"):
+            expand(spec, polys[p])
