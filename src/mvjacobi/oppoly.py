@@ -233,7 +233,7 @@ class VectorPoly(_PolyBase):
 
     The constructor reads length-N tuples of rationals as the columns of
     one RatMatrix; `coeffs` and `coeff_at` return length-N tuples of
-    Fractions.
+    Fractions, `coeffs` all at once from the matrix's one Fraction view.
     """
 
     def __init__(self, coeffs: Iterable, space: PolySpace):

@@ -16,9 +16,6 @@ class CheckItem(NamedTuple):
     passed: bool
     detail: str = ""
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
-
 
 class CheckReport:
     """A titled list of CheckItems, empty until `add` appends one."""
@@ -49,7 +46,7 @@ class CheckReport:
             "passed": self.passed,
             "checks_passed": ok,
             "checks_total": total,
-            "items": [item.to_dict() for item in self.items],
+            "items": [item._asdict() for item in self.items],
         }
 
     def summary_lines(self) -> list[str]:

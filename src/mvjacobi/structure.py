@@ -28,14 +28,14 @@ than tolerances.
 
 from __future__ import annotations
 
-from math import factorial
-from typing import NamedTuple, Sequence
+from math import comb, factorial
+from typing import NamedTuple
 
 from .operators import ProblemSpec, _certified_inverse, build_D, dominant_coefficient
 from .oppoly import OpPoly, VectorPoly, apply_A, build_Pk, _product_apply
 from .polyspace import PolyVector
 from .ratmat import RatMatrix
-from .rational import ONE, Rat, ZERO, falling_factorial
+from .rational import Rat, ZERO, falling_factorial
 from .reporting import CheckReport
 
 # -- recurrence ------------------------------------------------------------
@@ -227,45 +227,27 @@ def verify_derivative_relation(spec: ProblemSpec, k_max: int) -> CheckReport:
 # -- classical scalar oracles -----------------------------------------------
 
 
-def _trim(coeffs: Sequence) -> tuple:
-    cs = list(coeffs)
-    while cs and not cs[-1]:
-        cs.pop()
-    return tuple(cs)
-
-
 def classical_jacobi(k: int, alpha, beta) -> tuple:
     """Standard-normalization Jacobi polynomial: exact coefficients, lowest power first.
 
-    Uses the classical three-term recurrence; raises if a recurrence
-    denominator vanishes (possible only for degenerate negative
-    alpha + beta, outside this library's use).
+    Szego's finite sum (Orthogonal Polynomials, (4.3.2)), with C(z, r) = ff(z, r) / r!,
+    P_k = 2^-k sum_s C(k+alpha, k-s) C(k+beta, s) (x-1)^s (x+1)^(k-s), is polynomial
+    in alpha and beta, so it holds for every pair, those where the three-term
+    recurrence divides by zero too; the degree drops where ff(2k+alpha+beta, k) = 0.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    alpha, beta = Rat(alpha), Rat(beta)
-    p_prev = (ONE,)
-    if k == 0:
-        return p_prev
-    p_cur = _trim(((alpha - beta) / 2, (alpha + beta + 2) / 2))
-    for m in range(2, k + 1):
-        c1 = 2 * m * (m + alpha + beta) * (2 * m + alpha + beta - 2)
-        if not c1:
-            raise ValueError(
-                f"three-term recurrence degenerates at degree {m} "
-                f"for alpha={alpha}, beta={beta}"
-            )
-        c2 = (2 * m + alpha + beta - 1) * (2 * m + alpha + beta) * (2 * m + alpha + beta - 2)
-        c3 = (2 * m + alpha + beta - 1) * (alpha * alpha - beta * beta)
-        c4 = 2 * (m + alpha - 1) * (m + beta - 1) * (2 * m + alpha + beta)
-        nxt = [ZERO] * (m + 1)
-        for i, c in enumerate(p_cur):
-            nxt[i + 1] += c2 * c
-            nxt[i] += c3 * c
-        for i, c in enumerate(p_prev):
-            nxt[i] -= c4 * c
-        p_prev, p_cur = p_cur, _trim(x / c1 for x in nxt)
-    return p_cur
+    coeffs = [ZERO] * (k + 1)
+    for s in range(k + 1):
+        c = (falling_factorial(k + alpha, k - s) * falling_factorial(k + beta, s)
+             / (2**k * factorial(k - s) * factorial(s)))
+        # x^(a+b) takes x from a of the s factors x - 1 and b of the k - s factors x + 1
+        for a in range(s + 1):
+            for b in range(k - s + 1):
+                coeffs[a + b] += c * (-1) ** (s - a) * comb(s, a) * comb(k - s, b)
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return tuple(coeffs)
 
 
 def _scalar_parameters(spec: ProblemSpec) -> tuple:

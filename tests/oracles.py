@@ -122,6 +122,23 @@ def jacobi_binomial_sum(k: int, alpha, beta) -> tuple:
     return acc
 
 
+def jacobi_rodrigues(k: int, alpha, beta) -> tuple:
+    """Classical Jacobi polynomial from the Rodrigues formula, differentiated by sympy.
+
+    P_k = (-1)^k / (2^k k!) (1-x)^-alpha (1+x)^-beta d^k/dx^k [(1-x)^(alpha+k) (1+x)^(beta+k)];
+    it shares no sum with the library and no recurrence, so it also serves the
+    alpha + beta where the three-term recurrence divides by zero (sympy's
+    jacobi_poly raises ZeroDivisionError there).
+    """
+    x = sympy.symbols("x")
+    a, b = _sympy_rat(alpha), _sympy_rat(beta)
+    rodrigues = sympy.diff((1 - x) ** (a + k) * (1 + x) ** (b + k), x, k)
+    # expand merges fractional powers of one base; cancel clears integer ones
+    p = sympy.cancel(sympy.expand((-1) ** k * rodrigues * (1 - x) ** -a * (1 + x) ** -b
+                                  / (2 ** k * factorial(k))))
+    return trim(Rat(int(c.p), int(c.q)) for c in reversed(sympy.Poly(p, x).all_coeffs()))
+
+
 def monomial_eval(m, w) -> Rat:
     acc = ONE
     for e, wi in zip(m, w):

@@ -278,6 +278,20 @@ def test_verify_resonance_names_operator(tmp_path, capsys):
     assert "kernel" in err
 
 
+def test_verify_scalar_decides_where_the_jacobi_recurrence_divides_by_zero(tmp_path, capsys):
+    # alpha = beta = -1: the classical three-term recurrence divides by zero
+    # at degree 2, the closed sum does not, and the members are 2^k k! P_k;
+    # the problem is resonant, so `all` still stops at its first shift
+    inp = write_json(tmp_path / "spec.json", {"d": 1, "n": 2, "A": [["-1"]], "B": [["-1"]]})
+    assert main(["verify", "--input", inp, "--suite", "scalar", "--kmax", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "overall: PASS"
+    items = [line for line in lines if line.startswith("[")]
+    assert len(items) == 8 + 34 and all(line.startswith("[PASS]") for line in items)
+    assert main(["verify", "--input", inp, "--suite", "all", "--kmax", "3"]) == 3
+    assert "D1 + 2k + 2 at k = 0" in capsys.readouterr().err
+
+
 def test_verify_rejects_negative_kmax(tmp_path, capsys):
     # no suite may run zero checks and call that a pass
     inp = write_json(tmp_path / "spec.json", LEGENDRE)

@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 from itertools import chain, product
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from oracles import (
     binom_rat,
     derivation_matrix,
     derivation_sympy,
-    jacobi_binomial_sum,
+    jacobi_rodrigues,
     matvec,
     poly_eval,
     recurrence_oracle,
@@ -24,6 +25,7 @@ from oracles import (
 from mvjacobi import oppoly, structure
 from mvjacobi.cli import SUITES, _suite_reports, load_problem, load_vector_poly
 from mvjacobi.errors import ResonanceError
+from mvjacobi.integrals import moment_ratios, quasi_orth_integral
 from mvjacobi.operators import ProblemSpec, build_D
 from mvjacobi.oppoly import OpPoly, VectorPoly, build_Pk
 from mvjacobi.polyspace import enumerate_basis
@@ -391,11 +393,13 @@ def test_verify_derivative_relation_random(commutative, n):
 # -- classical scalar reductions ---------------------------------------------
 
 
-@pytest.mark.parametrize("alpha,beta", [(0, 0), (Rat(1, 2), Rat(1, 3)),
-                                        (Rat(-1, 4), Rat(2, 3)), (3, 2)])
-def test_classical_jacobi_matches_binomial_sum(alpha, beta):
+# (-1, -1) and (-3/2, -1/2) have alpha + beta = -2, where the three-term
+# recurrence divides by zero at degree 2; at (-1, -1) P_1 is zero
+@pytest.mark.parametrize("alpha,beta", [(0, 0), (Rat(1, 2), Rat(1, 3)), (Rat(-1, 4), Rat(2, 3)),
+                                        (3, 2), (-1, -1), (Rat(-3, 2), Rat(-1, 2))])
+def test_classical_jacobi_matches_rodrigues(alpha, beta):
     for k in range(7):
-        assert tuple(classical_jacobi(k, alpha, beta)) == jacobi_binomial_sum(k, alpha, beta)
+        assert classical_jacobi(k, alpha, beta) == jacobi_rodrigues(k, alpha, beta)
 
 
 def test_classical_jacobi_value_at_one():
@@ -407,11 +411,8 @@ def test_classical_jacobi_value_at_one():
 
 
 def test_classical_jacobi_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="k must be >= 0"):
         classical_jacobi(-1, 0, 0)
-    # alpha + beta = -2 kills the three-term denominator at degree 2
-    with pytest.raises(ValueError, match="degenerates"):
-        classical_jacobi(2, Rat(-3, 2), Rat(-1, 2))
 
 
 def test_verify_scalar_reduction():
@@ -445,8 +446,21 @@ def test_verify_trace_legendre():
         verify_trace_legendre(random_problem_spec(rng, 2, 2, max_den=3), 2)
 
 
+def plant(monkeypatch, orig, fault):
+    """Rebind every global of a loaded mvjacobi module that is orig to fault.
+
+    A fault then acts wherever the library binds the name, as in
+    perfbench's tracer: integrals, say, binds build_D and build_Pk itself.
+    """
+    for modname, mod in list(sys.modules.items()):
+        if modname.split(".")[0] == "mvjacobi" and mod is not None:
+            for attr, value in list(vars(mod).items()):
+                if value is orig:
+                    monkeypatch.setattr(mod, attr, fault)
+
+
 def _member_mutant(monkeypatch, bumps):
-    """Patch structure.build_Pk: member k gets +1 at (row, column) of coefficient i.
+    """Plant a build_Pk whose member k gets +1 at (row, column) of coefficient i.
 
     `bumps` maps k to a list of (i, row, column); a coefficient above the
     member's degree is added as zero first.
@@ -466,7 +480,7 @@ def _member_mutant(monkeypatch, bumps):
             mats[i] = RatMatrix(rows)
         return OpPoly.from_mats(mats, spec.space)
 
-    monkeypatch.setattr(structure, "build_Pk", mutant)
+    plant(monkeypatch, real, mutant)
 
 
 def test_verify_trace_legendre_reports_the_failing_unit_matrices(monkeypatch):
@@ -580,9 +594,8 @@ def _head_one_block_short(real):
 
 
 def patch_apply_A(monkeypatch, fn):
-    """Replace apply_A in oppoly (members, k-fold products) and in structure."""
-    monkeypatch.setattr(oppoly, "apply_A", fn)
-    monkeypatch.setattr(structure, "apply_A", fn)
+    """Plant fn as apply_A: in oppoly (members, k-fold products) and in structure."""
+    plant(monkeypatch, oppoly.apply_A, fn)
 
 
 # Output coefficient 0 has no D1 term (it would scale r_{-1}), so a shift
@@ -627,12 +640,14 @@ def test_derivative_relation_catches_a_right_d2_factor(monkeypatch):
 # -- mutant table ---------------------------------------------------------------
 #
 # Mutation analysis (DeMillo, Lipton & Sayward, "Hints on test data selection",
-# IEEE Computer 1978) over the verify suites and expand --roundtrip: each
-# mutant is one fault in the code a verdict checks, and the table records, on
-# the five non-resonant golden problems, the kinds of verify line that fail
-# under it and the round trip of each golden .poly.json input.  Every kind of
-# line verify prints, and roundtrip_exact, must fail under at least one
-# mutant; a verdict that no mutant can fail proves nothing.
+# IEEE Computer 1978) over the verify suites, expand --roundtrip and the
+# quadrature claims: each mutant is one fault in the code a verdict checks,
+# planted wherever the library binds the faulted name, and the table records,
+# on the five non-resonant golden problems, the kinds of verify line that fail
+# under it, the round trip of each golden .poly.json input and the verdict of
+# each claimed quadrature pair with a golden digest.  Every kind of line
+# verify prints, roundtrip_exact and a claim's passed must each fail under at
+# least one mutant; a verdict that no mutant can fail proves nothing.
 
 GOLDEN = Path(__file__).parent / "golden"
 VERIFY_PROBLEMS = ("d1n2", "d2n1", "d2n2_nc", "d2n3_c", "d3n2_nc")
@@ -664,15 +679,14 @@ def _suite_kinds(spec):
 
 
 def _build_D_mutant(monkeypatch, which, change):
-    """Patch build_D in oppoly and structure: D_which becomes change(spec, D_which)."""
+    """Plant a build_D whose D_which is change(spec, D_which)."""
     real = structure.build_D
 
     def mutant(spec, i):
         D = real(spec, i)
         return change(spec, D) if i == which else D
 
-    monkeypatch.setattr(oppoly, "build_D", mutant)
-    monkeypatch.setattr(structure, "build_D", mutant)
+    plant(monkeypatch, real, mutant)
 
 
 def _second_sum(spec):
@@ -714,57 +728,72 @@ def _on_all(outcome):
     return dict.fromkeys(VERIFY_PROBLEMS, outcome)
 
 
+# the claimed quadrature pairs whose golden digests exist: (problem, j, k, side)
+CLAIMED_PAIRS = (("d2n2_nc", 0, 2, "right"), ("d2n2_nc", 2, 0, "left"),
+                 ("d2n3_c", 1, 3, "right"), ("d2n3_c", 3, 1, "left"))
+
+
+def _claims_failing_on(*problems):
+    """A quadrature cell: the claims on these problems fail, every other one passes."""
+    return {pair: pair[0] not in problems for pair in CLAIMED_PAIRS}
+
+
 # name: (install on a monkeypatch, cache the true members first, kinds of line it
-# fails on some golden problem at k_max = 3, round-trip cell).  A mutant that
-# breaks build_Pk's own leading-coefficient check would stop every member-based
-# suite before its first line, so it runs on the true members and reaches only
-# the checks that apply factors themselves; every other mutant builds the
-# members it is checked on.  The round-trip cell maps each golden problem to
+# fails on some golden problem at k_max = 3, round-trip cell, quadrature cell).
+# A mutant that breaks build_Pk's own leading-coefficient check would stop every
+# member-based suite before its first line, so it runs on the true members and
+# reaches only the checks that apply factors themselves; every other mutant
+# builds the members it is checked on.  The round-trip cell maps each golden problem to
 # roundtrip_exact, or to "step s" where expand's degree check raised at step s;
 # it is None where the fault cannot act on the vector polynomials expand runs on.
+# The quadrature cell maps each claimed pair to quasi_orth_integral's passed.
+# A claim compares the members with moments built from D1 and D2 alone, so a
+# fault in build_D reaches both sides alike and no claim sees it; a fault that
+# reaches the members alone fails the claims whose members it changes.
 MUTANT_TABLE = {
     "D1 shift at j=2, i=1": (
         lambda mp: patch_apply_A(mp, _d1_shift_mutant(oppoly.apply_A, 2, 1)), True,
         {"factor j on x r", "Q lowers the factor index j", "k-fold product on x I",
          "commutation past factor j"},
-        _on_all("step 2")),
+        _on_all("step 2"), _claims_failing_on()),
     # r D2 needs a right factor of width N, and a vector coefficient has one
     # column, so a VectorPoly has no rmul and this fault no vector form
     "D2 from the right": (
         lambda mp: patch_apply_A(mp, _right_d2), False,
         {"two-step recurrence", "maps into shifted member k+1"},
-        None),
+        None, _claims_failing_on("d2n2_nc")),
     "member k=2 bumped at x^1 (0, 0)": (
         lambda mp: _member_mutant(mp, {2: [(1, 0, 0)]}), False,
         {"two-step recurrence", "k-fold product on x I", "maps into shifted member k+1",
          "equals 2^k k! classical", "eigenvalue k(alpha+beta+k+1)",
          "trace equals 2^k k! Legendre times trace"},
-        _on_all(True)),
+        _on_all(True), _claims_failing_on("d2n2_nc")),
     # no verify line fails: the structural suites hold for any D2, and neither
     # classical reduction sees this one (D2_MUTANTS_SEEN_BY_ORACLE below does)
     "D2 transposed": (
         lambda mp: _build_D_mutant(mp, 2, lambda spec, D: RatMatrix(list(zip(*D.rows)))), False,
         set(),
-        _on_all(True)),
+        _on_all(True), _claims_failing_on()),
     "D2 second sum sign flipped": (
         lambda mp: _build_D_mutant(mp, 2, lambda spec, D: D + _second_sum(spec).scale(2)), False,
         {"equals 2^k k! classical", "trace equals 2^k k! Legendre times trace"},
-        _on_all(True)),
+        _on_all(True), _claims_failing_on()),
     "D1 first entry + 1/2": (
         lambda mp: _build_D_mutant(mp, 1, _first_entry_plus_half), False,
         {"normalization 2^k k! from leading coefficients", "equals 2^k k! classical",
          "commutation past factor j", "eigenvalue k(alpha+beta+k+1)",
          "trace equals 2^k k! Legendre times trace"},
-        _on_all(True)),
+        _on_all(True), _claims_failing_on()),
     "factor index j + 1": (
         _next_factor, True,
         {"k-fold product on x I", "commutation past factor j", "eigenvalue k(alpha+beta+k+1)"},
-        {**_on_all("step 3"), "d3n2_nc": "step 4"}),
+        {**_on_all("step 3"), "d3n2_nc": "step 4"}, _claims_failing_on()),
     "tilde_spec shift 1/n": (
         lambda mp: mp.setattr(structure, "tilde_spec", _tilde_spec_over_n), False,
         {"maps into shifted member k+1"},
-        _on_all(True)),
-    "beta_k sign flipped": (_beta_sign_flipped, False, {"two-step recurrence"}, _on_all(True)),
+        _on_all(True), _claims_failing_on()),
+    "beta_k sign flipped": (_beta_sign_flipped, False, {"two-step recurrence"}, _on_all(True),
+                            _claims_failing_on()),
     # only inputs whose lowest nonzero block is x^2 or higher see it: the
     # members never are, so no member-based line fails, and verify in a
     # fresh process prints these same lines and exits 1, no self-check first;
@@ -772,20 +801,20 @@ MUTANT_TABLE = {
     "apply_A head one block short": (
         lambda mp: patch_apply_A(mp, _head_one_block_short(oppoly.apply_A)), False,
         {"factor j on x r", "commutation past factor j"},
-        _on_all(True)),
+        _on_all(True), _claims_failing_on()),
     # the fault reaches expand's seeded chains and not the members, so every
     # verify line passes while the round trip fails
     "constant block at j=2, vector input": (
         lambda mp: patch_apply_A(mp, _constant_block_mutant(oppoly.apply_A, True)), False,
         set(),
-        _on_all(False)),
+        _on_all(False), _claims_failing_on()),
     "constant block at j=2, both input types": (
         lambda mp: patch_apply_A(mp, _constant_block_mutant(oppoly.apply_A, False)), False,
         {"two-step recurrence", "factor j on x r", "Q lowers the factor index j",
          "k-fold product on x I", "commutation past factor j", "maps into shifted member k+1",
          "equals 2^k k! classical", "eigenvalue k(alpha+beta+k+1)",
          "trace equals 2^k k! Legendre times trace"},
-        _on_all(False)),
+        _on_all(False), _claims_failing_on("d2n3_c")),
 }
 
 # The golden problems on which a D2 mutant differs from the sympy derivation
@@ -803,6 +832,11 @@ def _golden_specs():
 
 DEGREE_CHECK = (r"expansion failed to reduce the degree at step (\d+); this indicates an "
                 r"internal construction bug")
+
+
+def _claims(specs):
+    """{claimed pair: quasi_orth_integral's passed} over CLAIMED_PAIRS."""
+    return {pair: quasi_orth_integral(specs[pair[0]], *pair[1:]).passed for pair in CLAIMED_PAIRS}
 
 
 def _roundtrips(specs):
@@ -823,16 +857,18 @@ def _roundtrips(specs):
 
 @pytest.fixture
 def cold_caches():
-    """Clear the member cache before and after: no member
-    built under a mutant may outlive its test."""
+    """Clear the member and moment caches before and after: no member or
+    moment built under a mutant may outlive its test."""
     build_Pk.cache_clear()
+    moment_ratios.cache_clear()
     yield
     build_Pk.cache_clear()
+    moment_ratios.cache_clear()
 
 
 @pytest.mark.parametrize("mutant", list(MUTANT_TABLE))
 def test_mutant_table_row(monkeypatch, cold_caches, mutant):
-    install, cache_members, kinds, roundtrips = MUTANT_TABLE[mutant]
+    install, cache_members, kinds, roundtrips, claims = MUTANT_TABLE[mutant]
     specs = _golden_specs()
     if cache_members:
         for spec in specs.values():
@@ -851,6 +887,7 @@ def test_mutant_table_row(monkeypatch, cold_caches, mutant):
             _roundtrips(specs)
     else:
         assert _roundtrips(specs) == roundtrips
+    assert _claims(specs) == claims
     if mutant in D2_MUTANTS_SEEN_BY_ORACLE:
         seen = {p for p, spec in specs.items()
                 if structure.build_D(spec, 2) != derivation_matrix(spec.space, spec.M2)}
@@ -872,12 +909,17 @@ def test_every_verify_line_kind_fails_under_some_mutant():
         for kinds, fails in _suite_kinds(spec).values():
             assert not fails
             printed |= kinds
-    assert printed == set().union(*(kinds for _, _, kinds, _ in MUTANT_TABLE.values()))
+    assert printed == set().union(*(kinds for _, _, kinds, *_ in MUTANT_TABLE.values()))
 
 
 def test_roundtrip_fails_under_some_mutant():
     assert _roundtrips(_golden_specs()) == _on_all(True)
-    assert any(False in cells.values() for *_, cells in MUTANT_TABLE.values() if cells)
+    assert any(False in cells.values() for _, _, _, cells, _ in MUTANT_TABLE.values() if cells)
+
+
+def test_claim_fails_under_some_mutant():
+    assert _claims(_golden_specs()) == _claims_failing_on()
+    assert any(False in cells.values() for *_, cells in MUTANT_TABLE.values())
 
 
 # -- what the round trip proves -------------------------------------------------
