@@ -306,13 +306,13 @@ def cmd_quadrature(args) -> int:
     _check_index(max(args.j, args.k), "member index")
     report = quasi_orth_integral(spec, args.j, args.k, args.side, tol=args.tol)
     # the integral's gate has already made this memoized check
-    integ = integrability_check(spec, spec.space, args.j, args.k)
+    integ = integrability_check(spec, spec.space)
     if args.format == "json":
         doc = {
             "header": _header(),
             "kind": "quadrature",
-            "integrability": integ.to_dict(),
-            "report": report.to_dict(),
+            "integrability": integ._asdict(),
+            "report": report._asdict(),
         }
         _emit(_strict(doc), args.out)
     else:

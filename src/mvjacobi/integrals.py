@@ -10,12 +10,13 @@ enters only a nonzero value: one Jacobi mass per channel when both
 residues are diagonal, else a tanh-sinh integral in mvjacobi.numeric,
 which only those values load, and numpy with it.
 
-The gate decides exactly whether every endpoint exponent exceeds -1,
-which the lemma needs, and -1/2, which bounds the float mu_0's endpoint
-bias: from the exponents themselves for diagonal residues, else from a
-bracket of the least exponent n a - b, with a and b the least and
-greatest real parts of A's eigenvalues (B's at -1), bisected by Routh's
-test on det(z - den A).  Only a threshold inside the bracket runs
+The gate decides exactly, once per problem and for every pair alike,
+whether every endpoint exponent exceeds -1, which the lemma needs, and
+-1/2, which bounds the float mu_0's endpoint bias: from the exponents
+themselves for diagonal residues, else from a bracket of the least
+exponent n a - b, with a and b the least and greatest real parts of A's
+eigenvalues (B's at -1), bisected by Routh's test on det(z - den A).
+Only a threshold inside the bracket runs
 Routh's test on the characteristic polynomial of n A (x) I - I (x) A.
 Both polynomials come from the traces of powers of den A.  The reported
 minimum exponents are floats: the bracket's upper end for
@@ -37,11 +38,11 @@ from .ratmat import RatMatrix
 from .rational import Rat
 
 
-def _check_tolerance(name: str, value: float) -> None:
+def _check_tolerance(value: float) -> None:
     if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
+        raise ValueError(f"tolerance must be finite, got {value!r}")
     if value <= 0:
-        raise ValueError(f"{name} must be positive")
+        raise ValueError("tolerance must be positive")
 
 
 def _float(value, what: str) -> float:
@@ -62,9 +63,6 @@ class NumericReport(NamedTuple):
     detail: str = ""
     de_level: Optional[int] = None  # tanh-sinh level reached, when one was used
 
-    def to_dict(self) -> dict:
-        return self._asdict()
-
 
 def is_commutative(spec: ProblemSpec) -> bool:
     """Both residues diagonal; A + B is, so B is exactly when A is."""
@@ -84,15 +82,11 @@ def commutative_exponents(spec: ProblemSpec) -> tuple[tuple, tuple]:
 
 class IntegrabilityReport(NamedTuple):
     commutative: bool
-    heuristic: bool  # always False: every decision is exact
     min_exponent_plus: float
     min_exponent_minus: float
     exists_ok: bool
     fast_ok: bool
     detail: str
-
-    def to_dict(self) -> dict:
-        return self._asdict()
 
 
 def _elementary(p: list, D: int) -> list:
@@ -181,8 +175,12 @@ def _bisect(poly: list, lo: int, hi: int, steps: int) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=None)
-def _endpoint_gate(spec: ProblemSpec) -> tuple[float, float, bool, bool]:
-    """(min exponent at +1, min at -1, every exponent > -1, every exponent > -1/2).
+def integrability_check(spec: ProblemSpec, space: PolySpace) -> IntegrabilityReport:
+    """Whether every endpoint exponent exceeds -1 (exists_ok) and -1/2 (fast_ok), decided exactly.
+
+    Decided once per problem; space must be spec.space.  The moment lemma
+    behind every claim needs exists_ok.  fast_ok bounds the endpoint
+    truncation bias of the float mu_0 that a noncommutative value uses.
 
     The exponents at +1 are m.l - l_j over the eigenvalues l of A and the
     basis elements w^m e_j, so the least real part among them is n a - b,
@@ -195,13 +193,16 @@ def _endpoint_gate(spec: ProblemSpec) -> tuple[float, float, bool, bool]:
     K = n A (x) I - I (x) A, since every exponent exceeds c exactly when
     every eigenvalue n l_i - l_j of K does.  At -1, B takes A's place.
     """
+    if space != spec.space:
+        raise ValueError("the integrability check needs the problem's own coefficient space")
     if is_commutative(spec):
         plus, minus = commutative_exponents(spec)
         worst = min(min(plus), min(minus))
         # float rounding is monotone, so the float of the least exponent is the least float
-        return (_float(min(plus), "an endpoint exponent from A"),
-                _float(min(minus), "an endpoint exponent from B"),
-                worst > -1, worst > Rat(-1, 2))
+        mp = _float(min(plus), "an endpoint exponent from A")
+        mm = _float(min(minus), "an endpoint exponent from B")
+        return IntegrabilityReport(True, mp, mm, worst > -1, worst > Rat(-1, 2),
+                                   f"exact exponents: min at +1 is {mp:g}, min at -1 is {mm:g}")
     n, estimates, ok = spec.n, [], [True, True]
     for M, what in ((spec.A, "A"), (spec.B, "B")):
         # every |eigenvalue| of X is at most its row-sum norm, below bound
@@ -219,44 +220,13 @@ def _endpoint_gate(spec: ProblemSpec) -> tuple[float, float, bool, bool]:
         for i, c in enumerate((Rat(-1), Rat(-1, 2))):  # K's eigenvalues scaled by 2 den
             ok[i] = ok[i] and (lo >= c or (hi >= c and _roots_exceed(
                 _kron_charpoly(S, spec.d, n), int(2 * M.den * c))))
-    return estimates[0], estimates[1], ok[0], ok[1]
-
-
-@lru_cache(maxsize=None)
-def integrability_check(spec: ProblemSpec, space: PolySpace,
-                        j: int = 0, k: int = 0) -> IntegrabilityReport:
-    """Whether every endpoint exponent exceeds -1 (exists_ok) and -1/2 (fast_ok), decided exactly.
-
-    space must be spec.space; j and k enter only `detail`.  The moment
-    lemma behind every claim needs exists_ok.  fast_ok bounds the endpoint
-    truncation bias of the float mu_0 that a noncommutative value uses.
-    """
-    if space != spec.space:
-        raise ValueError("the integrability check needs the problem's own coefficient space")
-    mp, mm, exists_ok, fast_ok = _endpoint_gate(spec)
-    commutative = is_commutative(spec)
-    if commutative:
-        detail = (
-            f"exact exponents for indices j={j}, k={k}: "
-            f"min at +1 is {mp:g}, min at -1 is {mm:g}"
-        )
-    else:
-        verdict = ("every exponent > -1/2" if fast_ok else
-                   "every exponent > -1, not every one > -1/2" if exists_ok else
-                   "an exponent <= -1")
-        detail = (
-            f"exact Routh-Hurwitz decision for j={j}, k={k}: {verdict}; "
-            f"estimated min at +1 about {mp:g}, min at -1 about {mm:g}"
-        )
-    return IntegrabilityReport(
-        commutative=commutative,
-        heuristic=False,
-        min_exponent_plus=mp,
-        min_exponent_minus=mm,
-        exists_ok=exists_ok,
-        fast_ok=fast_ok,
-        detail=detail,
-    )
+    (mp, mm), (exists_ok, fast_ok) = estimates, ok
+    verdict = ("every exponent > -1/2" if fast_ok else
+               "every exponent > -1, not every one > -1/2" if exists_ok else
+               "an exponent <= -1")
+    return IntegrabilityReport(False, mp, mm, exists_ok, fast_ok,
+                               f"exact Routh-Hurwitz decision: {verdict}; "
+                               f"estimated min at +1 about {mp:g}, min at -1 about {mm:g}")
 
 
 def _jacobi_integral(R, a, b) -> float:
@@ -308,12 +278,12 @@ def quasi_orth_integral(spec: ProblemSpec, j: int, k: int, side: str,
     diagonal.  tol is checked in either case.  Every pair needs each
     endpoint exponent > -1, and a noncommutative value > -1/2.
     """
-    _check_tolerance("tolerance", tol)
+    _check_tolerance(tol)
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
     if j < 0 or k < 0:
         raise ValueError("indices must be >= 0")
-    gate = integrability_check(spec, spec.space, j, k)
+    gate = integrability_check(spec, spec.space)
     if not gate.exists_ok:
         raise ValueError(
             f"weighted integral does not exist: {gate.detail}; every "

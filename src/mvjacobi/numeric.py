@@ -357,7 +357,7 @@ def integral_interrelation_check(spec: ProblemSpec, k: int, x0: float,
     single interior x0 and passes within tol plus the estimated
     quadrature error.
     """
-    _check_tolerance("tolerance", tol)
+    _check_tolerance(tol)
     if spec.n < 2:
         raise ValueError("the shifted family needs n >= 2")
     if not -1.0 < x0 < 1.0:

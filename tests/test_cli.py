@@ -1,6 +1,8 @@
 import argparse
 import ast
+import contextlib
 import gc
+import io
 import json
 import math
 import os
@@ -535,14 +537,16 @@ def test_quadrature_json_is_strict_past_the_float_range(tmp_path, capsys):
 
 
 def test_quadrature_checks_integrability_once(tmp_path, capsys):
-    # the report printed by the command and the gate inside the integral
-    # share one memoized integrability check
+    # one memoized decision per problem: the report each command prints and
+    # the gate inside every integral share it, whatever j, k and side
     from mvjacobi import numeric
 
     numeric.integrability_check.cache_clear()
-    inp = write_json(tmp_path / "spec.json", COMMUT_2x2)
-    assert main(["quadrature", "--input", inp, "--j", "0", "--k", "2",
-                 "--side", "right"]) == 0
+    inp = write_json(tmp_path / "spec.json", NONCOMMUT_2x2)
+    for j, k, side in (("0", "2", "right"), ("2", "0", "left")):
+        assert main(["quadrature", "--input", inp, "--j", j, "--k", k, "--side", side]) == 0
+    for j, k, side in ((1, 2, "right"), (2, 1, "left"), (0, 1, "right")):
+        assert quasi_orth_integral(spec_of(NONCOMMUT_2x2), j, k, side).passed
     assert numeric.integrability_check.cache_info().misses == 1
     capsys.readouterr()
 
@@ -565,7 +569,7 @@ NONCOMMUT_DIVERGENT = {"d": 2, "n": 2,
 NONCOMMUT_SLOW = {"d": 2, "n": 2,
                   "A": [["-3/5", "1/4"], ["-1/4", "-3/5"]],
                   "B": [["-3/5", "-1/4"], ["1/4", "-3/5"]]}
-GATE_DETAIL = ("exact Routh-Hurwitz decision for j={j}, k={k}: {verdict}; "
+GATE_DETAIL = ("exact Routh-Hurwitz decision: {verdict}; "
                "estimated min at +1 about {e:g}, min at -1 about {e:g}")
 
 
@@ -581,7 +585,7 @@ def test_quadrature_refuses_a_noncommutative_integral_that_does_not_exist(
                  "--side", "right", "--tol", "1e-1"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    detail = GATE_DETAIL.format(j=j, k=k, verdict="an exponent <= -1", e=-1.05)
+    detail = GATE_DETAIL.format(verdict="an exponent <= -1", e=-1.05)
     assert err == (f"error: weighted integral does not exist: {detail}; "
                    "every endpoint exponent must exceed -1\n")
 
@@ -611,13 +615,11 @@ def test_quadrature_noncommutative_claim_report(tmp_path, capsys):
         "passed": True, "claimed": True, "de_level": None,
         "detail": "vanishing claimed; " + NONCOMMUT_DETAIL,
     }
-    assert doc["integrability"]["heuristic"] is False
     assert doc["integrability"]["commutative"] is False
     assert main(argv) == 0
     assert capsys.readouterr().out.splitlines() == [
-        "integrability (exact): estimated min exponent 0.03125 (exact Routh-Hurwitz decision "
-        "for j=0, k=2: every exponent > -1/2; estimated min at +1 about 0.0625, min at -1 "
-        "about 0.03125)",
+        "integrability (exact): estimated min exponent 0.03125 (exact Routh-Hurwitz decision: "
+        "every exponent > -1/2; estimated min at +1 about 0.0625, min at -1 about 0.03125)",
         "[PASS] right weighted integral j=0 k=2 d=2 n=2",
         "  max |entry| = 0.000e+00  estimated quadrature error = 0.000e+00  tolerance = 0.000e+00",
         "  vanishing claimed; " + NONCOMMUT_DETAIL,
@@ -672,8 +674,7 @@ def test_quadrature_refuses_biased_noncommutative_exponents(tmp_path, capsys):
     assert main(argv + ["--j", "1", "--k", "1"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    detail = GATE_DETAIL.format(j=1, k=1, verdict="every exponent > -1, not every one > -1/2",
-                                e=-0.6)
+    detail = GATE_DETAIL.format(verdict="every exponent > -1, not every one > -1/2", e=-0.6)
     assert err == ("error: the value of a noncommutative weighted integral needs the float "
                    f"mu_0, restricted to endpoint exponents > -1/2 ({detail})\n")
 
@@ -759,6 +760,36 @@ def test_readme_suite_table_is_the_cli_suite_table():
 def test_readme_exit_codes_are_the_cli_exit_codes():
     check_readme("exit codes", "| 4 | quadrature failed", "| 5 | quadrature failed")
     assert implemented()["exit codes"] == [0, 1, 2, 3, 4]
+
+
+# a text example: a sh block holding one mvjacobi command, then a plain
+# block holding what it prints
+README_EXAMPLE = re.compile(r"```sh\nmvjacobi ([^\n]*)\n```\n\n```\n(.*?)\n```\n", re.S)
+
+
+def example_mismatches(text: str) -> list:
+    """The README's example commands whose printed lines differ from cli.main's stdout."""
+    bad = []
+    for command, shown in README_EXAMPLE.findall(text):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            main(command.split())
+        if out.getvalue().splitlines() != shown.splitlines():
+            bad.append(command.split()[0])
+    return bad
+
+
+@pytest.mark.parametrize("command, old, new", [
+    ("verify", "k=2 maps into shifted member k+1", "k=2 maps into shifted member k+2"),
+    ("quadrature", "min at -1 is -0.85)", "min at -1 is -0.86)"),
+], ids=["verify", "quadrature"])
+def test_readme_text_examples_are_real_output(monkeypatch, command, old, new):
+    monkeypatch.chdir(README.parent)  # the examples read tests/golden from the repository root
+    text = README.read_text(encoding="utf-8")
+    assert [c.split()[0] for c, _ in README_EXAMPLE.findall(text)] == ["verify", "quadrature"]
+    assert example_mismatches(text) == []
+    assert text.count(old) == 1
+    assert example_mismatches(text.replace(old, new)) == [command]
 
 
 def test_unknown_suite_rejected(tmp_path):

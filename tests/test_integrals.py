@@ -226,10 +226,10 @@ def test_bracket_decides_as_the_K_array():
     for _ in range(120):
         spec = gate_draw(rng, rng.randint(2, 5), rng.randint(1, 3),
                          Rat(1, rng.choice([1, 2, 4, 8])))
-        _, _, exists_ok, fast_ok = integrals._endpoint_gate.__wrapped__(spec)
+        rep = integrability_check.__wrapped__(spec, spec.space)
         want = tuple(exceeds(spec.A, spec.n, c) and exceeds(spec.B, spec.n, c)
                      for c in (Rat(-1), Rat(-1, 2)))
-        assert (exists_ok, fast_ok) == want, spec
+        assert (rep.exists_ok, rep.fast_ok) == want, spec
         seen.add(want)
     assert seen == {(True, True), (True, False), (False, False)}
 
@@ -266,7 +266,7 @@ def boundary_specs():
 def test_exact_boundary_draws_fall_back_to_K(gate_spy, spec):
     # the bracket's upper end is the least exponent itself, so it holds the
     # threshold; K's array decides
-    _, _, exists_ok, fast_ok = integrals._endpoint_gate.__wrapped__(spec)
+    fast_ok = integrability_check.__wrapped__(spec, spec.space).fast_ok
     assert gate_spy["kron"] > 0
     assert not fast_ok
 
@@ -278,7 +278,7 @@ def test_bracket_alone_decides_away_from_the_boundary(gate_spy):
     for d, n in ((3, 2), (12, 1)):
         spec = gate_draw(random.Random(d), d, n, Rat(1, 8))
         gate_spy["degrees"].clear()
-        integrals._endpoint_gate.__wrapped__(spec)
+        integrability_check.__wrapped__(spec, spec.space)
         assert gate_spy["kron"] == 0, d
         assert set(gate_spy["degrees"]) == {d}
 
@@ -330,12 +330,12 @@ def test_second_pair_reuses_the_exact_gate():
         spec = ProblemSpec(3, 2, A, lam - A)
         if not is_commutative(spec) and integrability_check(spec, spec.space).fast_ok:
             break
-    misses = integrals._endpoint_gate.cache_info().misses
+    misses = integrability_check.cache_info().misses
     for j, k in ((0, 1), (1, 2), (2, 1)):
         quasi_orth_integral(spec, j, k, "right" if j < k else "left")
-    assert integrals._endpoint_gate.cache_info().misses == misses
-    assert integrability_check(spec, spec.space, 1, 2).detail.startswith(
-        "exact Routh-Hurwitz decision for j=1, k=2: every exponent > -1/2;")
+    assert integrability_check.cache_info().misses == misses
+    assert integrability_check(spec, spec.space).detail.startswith(
+        "exact Routh-Hurwitz decision: every exponent > -1/2;")
 
 
 def test_gate_needs_the_problem_space():

@@ -110,7 +110,7 @@ def test_ode_matches_closed_form():
     for spec in (POSITIVE, MILD_NEGATIVE):
         report = ode_vs_closed_form_report(spec, rel_tol=1e-10)
         assert report.tolerance == 10.0 * 1e-10
-        assert report.passed, report.to_dict()
+        assert report.passed, report._asdict()
 
 
 ENDPOINT_DISTANCES = (1e-6, 1e-9, 1e-12)
@@ -325,7 +325,7 @@ def test_commutative_exponents_values():
 
 def test_integrability_check_commutative_branches():
     rep = integrability_check(POSITIVE, POSITIVE.space)
-    assert rep.commutative and not rep.heuristic
+    assert rep.commutative
     assert rep.exists_ok and rep.fast_ok
 
     slow = diag_spec([Rat(-3, 4)], [0], 2)
@@ -341,12 +341,12 @@ def test_integrability_check_commutative_branches():
 def test_integrability_check_noncommutative_is_exact():
     spec = small_noncommutative_spec()
     rep = integrability_check(spec, spec.space)
-    assert not rep.heuristic and not rep.commutative
+    assert not rep.commutative
     # A's eigenvalue pair has real part 1/16; the minimum is an estimate
     assert abs(rep.min_exponent_plus - 0.0625) < 1e-12
     assert rep.exists_ok and rep.fast_ok
     assert rep.detail.startswith(
-        "exact Routh-Hurwitz decision for j=0, k=0: every exponent > -1/2;")
+        "exact Routh-Hurwitz decision: every exponent > -1/2;")
 
 
 def test_quasi_orth_rejects_divergent_weight():
@@ -366,7 +366,7 @@ def test_quasi_orth_noncommutative_gate_refuses_slow_decay():
     lam = RatMatrix.diagonal([Rat(-6, 5), Rat(-6, 5)])
     spec = ProblemSpec(2, 2, A, lam - A)
     rep = integrability_check(spec, spec.space)
-    assert not rep.heuristic and rep.exists_ok and not rep.fast_ok
+    assert rep.exists_ok and not rep.fast_ok
     for tol in (1e-8, 1e-4):
         claim = quasi_orth_integral(spec, 0, 1, "right", tol=tol)
         assert claim.claimed and claim.passed and claim.max_abs_entry == 0.0
@@ -382,7 +382,7 @@ def test_quasi_orth_commutative_right_and_left():
     assert right.claimed and right.passed
     assert right.max_abs_entry == 0.0
     assert right.estimated_quadrature_error == 0.0 and right.tolerance == 0.0
-    assert right.de_level is None and right.to_dict()["de_level"] is None
+    assert right.de_level is None
     assert right.detail == "vanishing claimed; exact Jacobi moments, tolerance 0"
 
     left = quasi_orth_integral(POSITIVE, 3, 1, "left", tol=1e-10)
@@ -411,16 +411,16 @@ def test_quasi_orth_validates_arguments():
 
 def test_quasi_orth_mild_negative_exponents():
     report = quasi_orth_integral(MILD_NEGATIVE, 0, 2, "right", tol=1e-8)
-    assert report.passed, report.to_dict()
+    assert report.passed, report._asdict()
 
 
 def test_quasi_orth_noncommutative_small_norm():
     # the claim is decided by exact moments: no float value, no tanh-sinh level
     spec = small_noncommutative_spec()
     report = quasi_orth_integral(spec, 0, 2, "right", tol=1e-6)
-    assert report.claimed and report.passed, report.to_dict()
+    assert report.claimed and report.passed, report._asdict()
     assert report.max_abs_entry == 0.0 and report.tolerance == 0.0
-    assert report.de_level is None and report.to_dict()["de_level"] is None
+    assert report.de_level is None
     assert report.detail == "vanishing claimed; exact matrix moments, tolerance 0"
 
 
@@ -685,7 +685,7 @@ def test_interrelation_matches_exact_member():
     q = (Rat(1), Rat(-1, 2), Rat(1, 3), Rat(0), Rat(2), Rat(-1))
     for k, x0 in ((0, 0.5), (1, 0.5), (1, -0.3)):
         report = integral_interrelation_check(INTEGRABLE, k, x0, q)
-        assert report.passed, report.to_dict()
+        assert report.passed, report._asdict()
         assert report.max_abs_entry < 1e-8
         assert report.de_level == 5
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import random
 import re
 import sys
@@ -23,7 +25,7 @@ from oracles import (
 )
 
 from mvjacobi import oppoly, structure
-from mvjacobi.cli import SUITES, _suite_reports, load_problem, load_vector_poly
+from mvjacobi.cli import SUITES, _suite_reports, load_problem, load_vector_poly, main
 from mvjacobi.errors import ResonanceError
 from mvjacobi.integrals import moment_ratios, quasi_orth_integral
 from mvjacobi.operators import ProblemSpec, build_D
@@ -644,10 +646,11 @@ def test_derivative_relation_catches_a_right_d2_factor(monkeypatch):
 # quadrature claims: each mutant is one fault in the code a verdict checks,
 # planted wherever the library binds the faulted name, and the table records,
 # on the five non-resonant golden problems, the kinds of verify line that fail
-# under it, the round trip of each golden .poly.json input and the verdict of
-# each claimed quadrature pair with a golden digest.  Every kind of line
-# verify prints, roundtrip_exact and a claim's passed must each fail under at
-# least one mutant; a verdict that no mutant can fail proves nothing.
+# under it, the round trip of each golden .poly.json input, the verdict of
+# each claimed quadrature pair with a golden digest, and how verify ends when
+# the fault also builds the members, as in a fresh process.  Every kind of
+# line verify prints, roundtrip_exact and a claim's passed must each fail
+# under at least one mutant; a verdict that no mutant can fail proves nothing.
 
 GOLDEN = Path(__file__).parent / "golden"
 VERIFY_PROBLEMS = ("d1n2", "d2n1", "d2n2_nc", "d2n3_c", "d3n2_nc")
@@ -738,8 +741,21 @@ def _claims_failing_on(*problems):
     return {pair: pair[0] not in problems for pair in CLAIMED_PAIRS}
 
 
+def _exits_1_on(*problems):
+    """A fresh-process cell: verify exits 1 on these problems and 0 on every other one."""
+    return {p: int(p in problems) for p in VERIFY_PROBLEMS}
+
+
+def _stops_at_member(k):
+    """A fresh-process cell: build_Pk's self-check stops verify at member k everywhere."""
+    return _on_all((1, f"internal consistency failure: member k={k} has degree {k} or a leading "
+                       "coefficient differing from the dominant-coefficient product; this "
+                       "indicates an internal construction bug"))
+
+
 # name: (install on a monkeypatch, cache the true members first, kinds of line it
-# fails on some golden problem at k_max = 3, round-trip cell, quadrature cell).
+# fails on some golden problem at k_max = 3, round-trip cell, quadrature cell,
+# fresh-process cell).
 # A mutant that breaks build_Pk's own leading-coefficient check would stop every
 # member-based suite before its first line, so it runs on the true members and
 # reaches only the checks that apply factors themselves; every other mutant
@@ -747,6 +763,10 @@ def _claims_failing_on(*problems):
 # roundtrip_exact, or to "step s" where expand's degree check raised at step s;
 # it is None where the fault cannot act on the vector polynomials expand runs on.
 # The quadrature cell maps each claimed pair to quasi_orth_integral's passed.
+# The fresh-process cell maps each golden problem to the exit code of
+# `verify --suite all --kmax 3` run through cli.main with no member cached, and
+# to (exit code, stderr line) where a self-check stopped it; the kinds of line
+# that run fails are the row's kinds, or none where the row caches the members.
 # A claim compares the members with moments built from D1 and D2 alone, so a
 # fault in build_D reaches both sides alike and no claim sees it; a fault that
 # reaches the members alone fails the claims whose members it changes.
@@ -755,45 +775,45 @@ MUTANT_TABLE = {
         lambda mp: patch_apply_A(mp, _d1_shift_mutant(oppoly.apply_A, 2, 1)), True,
         {"factor j on x r", "Q lowers the factor index j", "k-fold product on x I",
          "commutation past factor j"},
-        _on_all("step 2"), _claims_failing_on()),
+        _on_all("step 2"), _claims_failing_on(), _stops_at_member(2)),
     # r D2 needs a right factor of width N, and a vector coefficient has one
     # column, so a VectorPoly has no rmul and this fault no vector form
     "D2 from the right": (
         lambda mp: patch_apply_A(mp, _right_d2), False,
         {"two-step recurrence", "maps into shifted member k+1"},
-        None, _claims_failing_on("d2n2_nc")),
+        None, _claims_failing_on("d2n2_nc"), _exits_1_on("d2n1", "d2n2_nc", "d3n2_nc")),
     "member k=2 bumped at x^1 (0, 0)": (
         lambda mp: _member_mutant(mp, {2: [(1, 0, 0)]}), False,
         {"two-step recurrence", "k-fold product on x I", "maps into shifted member k+1",
          "equals 2^k k! classical", "eigenvalue k(alpha+beta+k+1)",
          "trace equals 2^k k! Legendre times trace"},
-        _on_all(True), _claims_failing_on("d2n2_nc")),
+        _on_all(True), _claims_failing_on("d2n2_nc"), _exits_1_on(*VERIFY_PROBLEMS)),
     # no verify line fails: the structural suites hold for any D2, and neither
     # classical reduction sees this one (D2_MUTANTS_SEEN_BY_ORACLE below does)
     "D2 transposed": (
         lambda mp: _build_D_mutant(mp, 2, lambda spec, D: RatMatrix(list(zip(*D.rows)))), False,
         set(),
-        _on_all(True), _claims_failing_on()),
+        _on_all(True), _claims_failing_on(), _exits_1_on()),
     "D2 second sum sign flipped": (
         lambda mp: _build_D_mutant(mp, 2, lambda spec, D: D + _second_sum(spec).scale(2)), False,
         {"equals 2^k k! classical", "trace equals 2^k k! Legendre times trace"},
-        _on_all(True), _claims_failing_on()),
+        _on_all(True), _claims_failing_on(), _exits_1_on("d1n2", "d2n1")),
     "D1 first entry + 1/2": (
         lambda mp: _build_D_mutant(mp, 1, _first_entry_plus_half), False,
         {"normalization 2^k k! from leading coefficients", "equals 2^k k! classical",
          "commutation past factor j", "eigenvalue k(alpha+beta+k+1)",
          "trace equals 2^k k! Legendre times trace"},
-        _on_all(True), _claims_failing_on()),
+        _on_all(True), _claims_failing_on(), _exits_1_on("d1n2", "d2n1")),
     "factor index j + 1": (
         _next_factor, True,
         {"k-fold product on x I", "commutation past factor j", "eigenvalue k(alpha+beta+k+1)"},
-        {**_on_all("step 3"), "d3n2_nc": "step 4"}, _claims_failing_on()),
+        {**_on_all("step 3"), "d3n2_nc": "step 4"}, _claims_failing_on(), _stops_at_member(1)),
     "tilde_spec shift 1/n": (
         lambda mp: mp.setattr(structure, "tilde_spec", _tilde_spec_over_n), False,
         {"maps into shifted member k+1"},
-        _on_all(True), _claims_failing_on()),
+        _on_all(True), _claims_failing_on(), _exits_1_on("d1n2", "d2n2_nc", "d2n3_c", "d3n2_nc")),
     "beta_k sign flipped": (_beta_sign_flipped, False, {"two-step recurrence"}, _on_all(True),
-                            _claims_failing_on()),
+                            _claims_failing_on(), _exits_1_on(*VERIFY_PROBLEMS)),
     # only inputs whose lowest nonzero block is x^2 or higher see it: the
     # members never are, so no member-based line fails, and verify in a
     # fresh process prints these same lines and exits 1, no self-check first;
@@ -801,20 +821,20 @@ MUTANT_TABLE = {
     "apply_A head one block short": (
         lambda mp: patch_apply_A(mp, _head_one_block_short(oppoly.apply_A)), False,
         {"factor j on x r", "commutation past factor j"},
-        _on_all(True), _claims_failing_on()),
+        _on_all(True), _claims_failing_on(), _exits_1_on(*VERIFY_PROBLEMS)),
     # the fault reaches expand's seeded chains and not the members, so every
     # verify line passes while the round trip fails
     "constant block at j=2, vector input": (
         lambda mp: patch_apply_A(mp, _constant_block_mutant(oppoly.apply_A, True)), False,
         set(),
-        _on_all(False), _claims_failing_on()),
+        _on_all(False), _claims_failing_on(), _exits_1_on()),
     "constant block at j=2, both input types": (
         lambda mp: patch_apply_A(mp, _constant_block_mutant(oppoly.apply_A, False)), False,
         {"two-step recurrence", "factor j on x r", "Q lowers the factor index j",
          "k-fold product on x I", "commutation past factor j", "maps into shifted member k+1",
          "equals 2^k k! classical", "eigenvalue k(alpha+beta+k+1)",
          "trace equals 2^k k! Legendre times trace"},
-        _on_all(False), _claims_failing_on("d2n3_c")),
+        _on_all(False), _claims_failing_on("d2n3_c"), _exits_1_on(*VERIFY_PROBLEMS)),
 }
 
 # The golden problems on which a D2 mutant differs from the sympy derivation
@@ -837,6 +857,28 @@ DEGREE_CHECK = (r"expansion failed to reduce the degree at step (\d+); this indi
 def _claims(specs):
     """{claimed pair: quasi_orth_integral's passed} over CLAIMED_PAIRS."""
     return {pair: quasi_orth_integral(specs[pair[0]], *pair[1:]).passed for pair in CLAIMED_PAIRS}
+
+
+# a failing verify line in text: [FAIL] title: name, then " (detail)" if any
+FAIL_LINE = re.compile(r"^\[FAIL\] [^:]+: (.+?)(?: \(.*\))?$", re.M)
+
+
+def _fresh_verify():
+    """(fresh-process cell, kinds of the failing lines over the golden problems).
+
+    Each problem runs `verify --suite all` through cli.main with the member
+    cache cleared first, so the members are built under the planted fault.
+    """
+    cells, failed = {}, set()
+    for p in VERIFY_PROBLEMS:
+        build_Pk.cache_clear()
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verify", "--input", str(GOLDEN / f"{p}.json"), "--suite", "all",
+                         "--kmax", str(TABLE_KMAX)])
+        cells[p] = (code, err.getvalue().strip()) if err.getvalue() else code
+        failed |= {_line_kind(name) for name in FAIL_LINE.findall(out.getvalue())}
+    return cells, failed
 
 
 def _roundtrips(specs):
@@ -868,7 +910,7 @@ def cold_caches():
 
 @pytest.mark.parametrize("mutant", list(MUTANT_TABLE))
 def test_mutant_table_row(monkeypatch, cold_caches, mutant):
-    install, cache_members, kinds, roundtrips, claims = MUTANT_TABLE[mutant]
+    install, cache_members, kinds, roundtrips, claims, fresh = MUTANT_TABLE[mutant]
     specs = _golden_specs()
     if cache_members:
         for spec in specs.values():
@@ -888,6 +930,7 @@ def test_mutant_table_row(monkeypatch, cold_caches, mutant):
     else:
         assert _roundtrips(specs) == roundtrips
     assert _claims(specs) == claims
+    assert _fresh_verify() == (fresh, set() if cache_members else kinds)
     if mutant in D2_MUTANTS_SEEN_BY_ORACLE:
         seen = {p for p, spec in specs.items()
                 if structure.build_D(spec, 2) != derivation_matrix(spec.space, spec.M2)}
@@ -914,12 +957,12 @@ def test_every_verify_line_kind_fails_under_some_mutant():
 
 def test_roundtrip_fails_under_some_mutant():
     assert _roundtrips(_golden_specs()) == _on_all(True)
-    assert any(False in cells.values() for _, _, _, cells, _ in MUTANT_TABLE.values() if cells)
+    assert any(False in cells.values() for _, _, _, cells, *_ in MUTANT_TABLE.values() if cells)
 
 
 def test_claim_fails_under_some_mutant():
     assert _claims(_golden_specs()) == _claims_failing_on()
-    assert any(False in cells.values() for *_, cells in MUTANT_TABLE.values())
+    assert any(False in cells.values() for *_, cells, _ in MUTANT_TABLE.values())
 
 
 # -- what the round trip proves -------------------------------------------------
