@@ -351,45 +351,34 @@ def verify_trace_legendre(spec: ProblemSpec, k_max: int) -> CheckReport:
     return report
 
 
-# -- product-formula identities ----------------------------------------------
+# -- product-formula factors -------------------------------------------------
 
 
 def verify_product_identities(spec: ProblemSpec) -> CheckReport:
-    """Prove the three identities behind the recurrence proof, 55 checks.
+    """Prove apply_A(j, ., ., r) = A_j r on every r of degree <= 5, for j = 1..6: 36 checks.
 
-    For j = 2..6 and operator polynomials r of degree <= 4: applying a
-    factor to x r equals x times the applied factor plus Q r, and Q
-    commutes past a factor by lowering its index,
-    A_j(x r) = x A_j(r) + Q r and Q A_j(r) = A_{j-1}(Q r).  For k = 1..5
-    and constant q: A_1...A_k(x q) = x P_k q + k A_1...A_{k-1}(Q q).
-
-    Each identity is right-linear: A_j, x and Q act by left
-    multiplications and d/dx, so A_j(r M) = A_j(r) M for a constant
-    matrix M, square or a column.  Every r of degree <= 4 is
-    sum_i (x^i I) M_i, so checking r = x^i I for i <= 4 proves the first
-    two for every such r, operator- or vector-valued, and checking q = I
-    proves the third for every constant q.  The checks are exact, so a
-    PASS is a proof over these ranges, not a sample.
+    Each check compares apply_A with _ring_factor, A_j composed from the
+    ring operations, on r = x^i I for i = 0..5.  Both sides commute with
+    right multiplication by a constant matrix M, square or a column:
+    A_j acts by left multiplications and d/dx, and apply_A's row pass
+    transforms the columns of each coefficient block alike.  Every r of
+    degree <= 5 is sum_i (x^i I) M_i, so equality on the x^i I proves
+    apply_A = A_j on every operator or vector polynomial of that degree.
+    The checks are exact, so a PASS is a proof over these ranges, not a
+    sample.  The identities behind the recurrence proof,
+    A_j(x r) = x A_j(r) + Q r, Q A_j(r) = A_{j-1}(Q r) and
+    A_1...A_k(x q) = x P_k q + k A_1...A_{k-1}(Q q), are then theorems of
+    A_j's definition.  A fault that breaks the premise passes: D2
+    applied from the right agrees with A_j on every x^i I, and the
+    recurrence and tilde suites fail it.
     """
-    space = spec.space
     D1 = build_D(spec, 1)
     D2 = build_D(spec, 2)
     report = CheckReport(f"product identities d={spec.d} n={spec.n}")
-    r = OpPoly.identity(space)  # x^i I, i = 0..4
-    Ar = [apply_A(j, D1, D2, r) for j in range(2, 7)]
-    for i in range(5):
-        rx, rQ = r.mul_by_x(), r.mul_by_Q()
-        Arx = [apply_A(j, D1, D2, rx) for j in range(2, 7)]  # A_j(r) of step i + 1
-        for j, A, Ax in zip(range(2, 7), Ar, Arx):
-            report.add(f"x^{i} I: factor j={j} on x r", Ax == A.mul_by_x().add(rQ))
-            report.add(f"x^{i} I: Q lowers the factor index j={j}",
-                       A.mul_by_Q() == apply_A(j - 1, D1, D2, rQ))
-        r, Ar = rx, Arx
-    I = OpPoly.identity(space)
-    for k in range(1, 6):
-        lhs = _product_apply(D1, D2, k, I.mul_by_x())
-        rhs = build_Pk(spec, k).mul_by_x().add(
-            _product_apply(D1, D2, k - 1, I.mul_by_Q()).scale(k)
-        )
-        report.add(f"k={k} k-fold product on x I", lhs == rhs)
+    r = OpPoly.identity(spec.space)  # x^i I, i = 0..5
+    for i in range(6):
+        for j in range(1, 7):
+            report.add(f"x^{i} I: factor j={j} equals its ring-operation form",
+                       apply_A(j, D1, D2, r) == _ring_factor(j, D1, D2, r))
+        r = r.mul_by_x()
     return report

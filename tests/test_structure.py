@@ -518,19 +518,22 @@ def test_verify_scalar_reduction_reports_a_mutated_member(monkeypatch):
 # -- product identities ---------------------------------------------------------
 
 
+IDENTITY_LINE = "x^{i} I: factor j={j} equals its ring-operation form"
+
+
 def test_verify_product_identities():
     rng = random.Random(73)
     spec = random_problem_spec(rng, 2, 2, max_den=3)
     report = verify_product_identities(spec)
     assert report.passed, report.summary_lines()
-    # two checks per (i, j) with i <= 4 and j = 2..6, plus the k-fold one for k <= 5
-    assert report.counts == (55, 55)
+    # one check per (i, j) with i <= 5 and j = 1..6
+    assert report.counts == (36, 36)
+    assert [item.name for item in report.items] == [
+        IDENTITY_LINE.format(i=i, j=j) for i in range(6) for j in range(1, 7)]
 
 
 def test_verify_product_identities_applies_each_factor_once(monkeypatch):
-    # A_j r serves both the x r identity and the Q identity of a pair
-    # (i, j), and A_j(x r) is the next step's A_j r, so the five A_j(I)
-    # are applied once up front and each pair then applies two factors
+    # each pair (i, j) applies the factor j once, to x^i I
     real = structure.apply_A
     calls = []
 
@@ -542,8 +545,13 @@ def test_verify_product_identities_applies_each_factor_once(monkeypatch):
     spec = random_problem_spec(random.Random(73), 2, 2, max_den=3)
     report = verify_product_identities(spec)
     assert report.passed, report.summary_lines()
-    assert len(calls) == 5 + 2 * 5 * 5
-    assert sorted(set(calls)) == [1, 2, 3, 4, 5, 6]
+    assert calls == [1, 2, 3, 4, 5, 6] * 6
+
+
+def test_verify_product_identities_builds_no_member():
+    build_Pk.cache_clear()
+    verify_product_identities(random_problem_spec(random.Random(73), 2, 2, max_den=3))
+    assert build_Pk.cache_info().currsize == 0
 
 
 def _d1_shift_mutant(real, j, i):
@@ -596,24 +604,21 @@ def _head_one_block_short(real):
 
 
 def patch_apply_A(monkeypatch, fn):
-    """Plant fn as apply_A: in oppoly (members, k-fold products) and in structure."""
+    """Plant fn as apply_A: in oppoly (members, seeded chains) and in structure."""
     plant(monkeypatch, oppoly.apply_A, fn)
 
 
 # Output coefficient 0 has no D1 term (it would scale r_{-1}), so a shift
-# there changes nothing and is not a mutant.
-@pytest.mark.parametrize("i", range(1, 6))
-@pytest.mark.parametrize("j", range(2, 7))
+# there changes nothing and is not a mutant.  The shift at coefficient i
+# reads r_{i-1} alone, so of the inputs x^m I only x^{i-1} I sees it.
+@pytest.mark.parametrize("i", range(1, 7))
+@pytest.mark.parametrize("j", range(1, 7))
 def test_verify_product_identities_catches_every_d1_shift_mutant(monkeypatch, j, i):
     spec = random_problem_spec(random.Random(73), 2, 2, max_den=3)
-    for k in range(6):
-        # cache the true members: a mutant build_Pk would stop at its own
-        # leading-coefficient check, and the test is about the basis checks
-        build_Pk(spec, k)
     patch_apply_A(monkeypatch, _d1_shift_mutant(oppoly.apply_A, j, i))
     report = verify_product_identities(spec)
     failed = [item.name for item in report.items if not item.passed]
-    assert f"x^{i - 1} I: factor j={j} on x r" in failed, failed
+    assert failed == [IDENTITY_LINE.format(i=i - 1, j=j)]
 
 
 def _right_d2(j, D1, D2, r):
@@ -622,16 +627,16 @@ def _right_d2(j, D1, D2, r):
 
 
 def test_derivative_relation_catches_a_right_d2_factor(monkeypatch):
-    # x and Q commute with every operator, so all 55 product identities hold
-    # for a factor that applies D2 from the wrong side; the derivative
-    # relation builds its left side from ring operations, not from apply_A,
-    # and must catch it
+    # (x^i I) D2 = D2 (x^i I), so all 36 product-identity lines hold for a
+    # factor that applies D2 from the wrong side; the derivative relation
+    # builds its left side from ring operations, not from apply_A, and
+    # must catch it
     spec = random_problem_spec(random.Random(73), 2, 2, max_den=3)
     build_Pk.cache_clear()
     try:
         patch_apply_A(monkeypatch, _right_d2)
         identities = verify_product_identities(spec)
-        assert identities.passed and identities.counts == (55, 55)
+        assert identities.passed and identities.counts == (36, 36)
         report = verify_derivative_relation(spec, 4)
         # P_0 = I and the shifted P_1 = x D1 + D2 do not see the side of D2
         assert [item.passed for item in report.items] == [True, False, False, False, False]
@@ -661,7 +666,8 @@ def _line_kind(name):
     """An item name without its k, power and factor index.
 
     "k=2 two-step recurrence" is of the kind "two-step recurrence", and
-    "x^3 I: factor j=4 on x r" of the kind "factor j on x r".
+    "x^3 I: factor j=4 equals its ring-operation form" of the kind
+    "factor j equals its ring-operation form".
     """
     return re.sub(r"=\d+", "", re.sub(r"^(k=\d+|x\^\d+( I)?:) ", "", name))
 
@@ -773,8 +779,7 @@ def _stops_at_member(k):
 MUTANT_TABLE = {
     "D1 shift at j=2, i=1": (
         lambda mp: patch_apply_A(mp, _d1_shift_mutant(oppoly.apply_A, 2, 1)), True,
-        {"factor j on x r", "Q lowers the factor index j", "k-fold product on x I",
-         "commutation past factor j"},
+        {"factor j equals its ring-operation form", "commutation past factor j"},
         _on_all("step 2"), _claims_failing_on(), _stops_at_member(2)),
     # r D2 needs a right factor of width N, and a vector coefficient has one
     # column, so a VectorPoly has no rmul and this fault no vector form
@@ -784,9 +789,8 @@ MUTANT_TABLE = {
         None, _claims_failing_on("d2n2_nc"), _exits_1_on("d2n1", "d2n2_nc", "d3n2_nc")),
     "member k=2 bumped at x^1 (0, 0)": (
         lambda mp: _member_mutant(mp, {2: [(1, 0, 0)]}), False,
-        {"two-step recurrence", "k-fold product on x I", "maps into shifted member k+1",
-         "equals 2^k k! classical", "eigenvalue k(alpha+beta+k+1)",
-         "trace equals 2^k k! Legendre times trace"},
+        {"two-step recurrence", "maps into shifted member k+1", "equals 2^k k! classical",
+         "eigenvalue k(alpha+beta+k+1)", "trace equals 2^k k! Legendre times trace"},
         _on_all(True), _claims_failing_on("d2n2_nc"), _exits_1_on(*VERIFY_PROBLEMS)),
     # no verify line fails: the structural suites hold for any D2, and neither
     # classical reduction sees this one (D2_MUTANTS_SEEN_BY_ORACLE below does)
@@ -806,7 +810,8 @@ MUTANT_TABLE = {
         _on_all(True), _claims_failing_on(), _exits_1_on("d1n2", "d2n1")),
     "factor index j + 1": (
         _next_factor, True,
-        {"k-fold product on x I", "commutation past factor j", "eigenvalue k(alpha+beta+k+1)"},
+        {"factor j equals its ring-operation form", "commutation past factor j",
+         "eigenvalue k(alpha+beta+k+1)"},
         {**_on_all("step 3"), "d3n2_nc": "step 4"}, _claims_failing_on(), _stops_at_member(1)),
     "tilde_spec shift 1/n": (
         lambda mp: mp.setattr(structure, "tilde_spec", _tilde_spec_over_n), False,
@@ -820,7 +825,7 @@ MUTANT_TABLE = {
     # expand's seeded chains start at a constant q_j, so it never sees it
     "apply_A head one block short": (
         lambda mp: patch_apply_A(mp, _head_one_block_short(oppoly.apply_A)), False,
-        {"factor j on x r", "commutation past factor j"},
+        {"factor j equals its ring-operation form", "commutation past factor j"},
         _on_all(True), _claims_failing_on(), _exits_1_on(*VERIFY_PROBLEMS)),
     # the fault reaches expand's seeded chains and not the members, so every
     # verify line passes while the round trip fails
@@ -830,10 +835,9 @@ MUTANT_TABLE = {
         _on_all(False), _claims_failing_on(), _exits_1_on()),
     "constant block at j=2, both input types": (
         lambda mp: patch_apply_A(mp, _constant_block_mutant(oppoly.apply_A, False)), False,
-        {"two-step recurrence", "factor j on x r", "Q lowers the factor index j",
-         "k-fold product on x I", "commutation past factor j", "maps into shifted member k+1",
-         "equals 2^k k! classical", "eigenvalue k(alpha+beta+k+1)",
-         "trace equals 2^k k! Legendre times trace"},
+        {"two-step recurrence", "factor j equals its ring-operation form",
+         "commutation past factor j", "maps into shifted member k+1", "equals 2^k k! classical",
+         "eigenvalue k(alpha+beta+k+1)", "trace equals 2^k k! Legendre times trace"},
         _on_all(False), _claims_failing_on("d2n3_c"), _exits_1_on(*VERIFY_PROBLEMS)),
 }
 
@@ -914,7 +918,7 @@ def test_mutant_table_row(monkeypatch, cold_caches, mutant):
     specs = _golden_specs()
     if cache_members:
         for spec in specs.values():
-            for k in range(6):  # the identities suite's k-fold product reaches P_5
+            for k in range(TABLE_KMAX + 2):  # the recurrence and tilde suites reach k_max + 1
                 build_Pk(spec, k)
                 if spec.n >= 2:
                     build_tilde_Pk(spec, k)
