@@ -199,16 +199,37 @@ def tilde_spec(spec: ProblemSpec) -> ProblemSpec:
 
 
 def build_tilde_Pk(spec: ProblemSpec, k: int) -> OpPoly:
-    """Degree-k member of the shifted family: the base family of tilde_spec.
+    """Degree-k member of the shifted family: one shifted factor on the base member k - 1.
 
     Lowering M1 by 2/(n-1) I lowers the induced derivation on
     homogeneous degree-n polynomials by exactly 2I (each basis monomial
     picks up n times the shift from the substitution side and loses one
-    from the left multiplication), so this is the product with D1 - 2I.
-    Unlike the base family the shifted dominant coefficient may vanish,
-    in which case the degree drops below k.
+    from the left multiplication) and leaves D2 alone.  So the shifted
+    factors are A~_j = A_{j-1}, and P~_k = A~_1 P_{k-1}: one apply_A with
+    tilde_spec's D1 - 2I and D2 on the cached base member, instead of
+    the shifted problem's whole product from I.  The shift and the
+    leading coefficient (D1~+k+1)...(D1~+2k) are re-checked, so a
+    successful return certifies the construction.  Unlike the base
+    family the shifted dominant coefficient may vanish, in which case
+    the degree drops below k.
     """
-    return build_Pk(tilde_spec(spec), k)
+    shifted = tilde_spec(spec)
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    D1, D2 = build_D(shifted, 1), build_D(shifted, 2)
+    if D1 != build_D(spec, 1).plus_scalar(-2) or D2 != build_D(spec, 2):
+        raise RuntimeError("the shifted derivations differ from D1 - 2I and D2; "
+                           "this indicates an internal construction bug")
+    if k == 0:
+        return OpPoly.identity(spec.space)
+    P = apply_A(1, D1, D2, build_Pk(spec, k - 1))
+    if P.degree > k or P.coeff_at(k) != dominant_coefficient(D1, k):
+        raise RuntimeError(
+            f"shifted member k={k} has degree {P.degree} or a leading coefficient differing "
+            "from the dominant-coefficient product; this indicates an internal "
+            "construction bug"
+        )
+    return P
 
 
 def verify_derivative_relation(spec: ProblemSpec, k_max: int) -> CheckReport:
@@ -217,8 +238,9 @@ def verify_derivative_relation(spec: ProblemSpec, k_max: int) -> CheckReport:
     D1 = build_D(spec, 1)
     D2 = build_D(spec, 2)
     for k in range(k_max + 1):
-        # ring operations, not apply_A, which also builds the right side: a
-        # wrong factor (say, D2 from the right) would then pass on both sides
+        # A_0 from the ring operations against apply_A's shifted factor on the
+        # same P_k: a factor that holds on every x^i I but not beyond (say, D2
+        # from the right) fails here, while a fault in P_k reaches both sides
         lhs = _ring_factor(0, D1, D2, build_Pk(spec, k))
         report.add(f"k={k} maps into shifted member k+1", lhs == build_tilde_Pk(spec, k + 1))
     return report
@@ -262,23 +284,15 @@ def verify_scalar_reduction(spec: ProblemSpec, k_max: int) -> CheckReport:
     """d = 1: members equal 2^k k! times the classical polynomial.
 
     The classical parameters are alpha = (n-1)a, beta = (n-1)b for the
-    residues a and b.  The normalization constant 2^k k! is confirmed
-    independently at each k by comparing leading coefficients:
-    the member's dominant product of shifts against 2^k k! times the
-    classical leading coefficient ff(2k+alpha+beta, k) / (2^k k!).
+    residues a and b.  Equal polynomials have equal leading
+    coefficients, so each line also confirms the normalization 2^k k!
+    against the member's dominant product of shifts, which build_Pk
+    re-checks.
     """
     a, b, alpha, beta = _scalar_parameters(spec)
     report = CheckReport(f"scalar reduction a={a} b={b} n={spec.n}")
-    D1 = build_D(spec, 1)
     for k in range(k_max + 1):
         ck = Rat(factorial(k)) * 2**k
-        lead_expected = falling_factorial(alpha + beta + 2 * k, k)
-        lead_built = dominant_coefficient(D1, k).rows[0][0]
-        report.add(
-            f"k={k} normalization 2^k k! from leading coefficients",
-            lead_built == lead_expected,
-            f"dominant product {lead_built}, classical gives {lead_expected}",
-        )
         classical = OpPoly([RatMatrix([[ck * c]]) for c in classical_jacobi(k, alpha, beta)],
                            spec.space)
         report.add(f"k={k} equals 2^k k! classical", build_Pk(spec, k) == classical)
@@ -357,28 +371,37 @@ def verify_trace_legendre(spec: ProblemSpec, k_max: int) -> CheckReport:
 def verify_product_identities(spec: ProblemSpec) -> CheckReport:
     """Prove apply_A(j, ., ., r) = A_j r on every r of degree <= 5, for j = 1..6: 36 checks.
 
-    Each check compares apply_A with _ring_factor, A_j composed from the
-    ring operations, on r = x^i I for i = 0..5.  Both sides commute with
-    right multiplication by a constant matrix M, square or a column:
-    A_j acts by left multiplications and d/dx, and apply_A's row pass
-    transforms the columns of each coefficient block alike.  Every r of
-    degree <= 5 is sum_i (x^i I) M_i, so equality on the x^i I proves
-    apply_A = A_j on every operator or vector polynomial of that degree.
-    The checks are exact, so a PASS is a proof over these ranges, not a
-    sample.  The identities behind the recurrence proof,
-    A_j(x r) = x A_j(r) + Q r, Q A_j(r) = A_{j-1}(Q r) and
-    A_1...A_k(x q) = x P_k q + k A_1...A_{k-1}(Q q), are then theorems of
-    A_j's definition.  A fault that breaks the premise passes: D2
-    applied from the right agrees with A_j on every x^i I, and the
-    recurrence and tilde suites fail it.
+    On r = x^i I the factor A_j = x(2j + D1) + D2 + Q d/dx is three
+    fixed blocks,
+
+        A_j(x^i I) = x^{i+1} (D1 + (2j+i) I) + x^i D2 - i x^{i-1} I,
+
+    so each check compares apply_A's output, block by block, with this
+    closed form for i = 0..5: every other block zero and degree i + 1.
+    Both sides commute with right multiplication by a constant matrix M,
+    square or a column: A_j acts by left multiplications and d/dx, and
+    apply_A's row pass transforms the columns of each coefficient block
+    alike.  Every r of degree <= 5 is sum_i (x^i I) M_i, so equality on
+    the x^i I proves apply_A = A_j on every operator or vector
+    polynomial of that degree.  The checks are exact, so a PASS is a
+    proof over these ranges, not a sample.  The identities behind the
+    recurrence proof, A_j(x r) = x A_j(r) + Q r, Q A_j(r) = A_{j-1}(Q r)
+    and A_1...A_k(x q) = x P_k q + k A_1...A_{k-1}(Q q), are then
+    theorems of A_j's definition.  A fault that breaks the premise
+    passes: D2 applied from the right agrees with A_j on every x^i I,
+    and the recurrence and tilde suites fail it.
     """
     D1 = build_D(spec, 1)
     D2 = build_D(spec, 2)
+    N = spec.space.N
     report = CheckReport(f"product identities d={spec.d} n={spec.n}")
     r = OpPoly.identity(spec.space)  # x^i I, i = 0..5
     for i in range(6):
+        # the closed form's blocks below x^i: zero, then -i I at x^(i-1)
+        below = [RatMatrix.zeros(N)] * (i - 1) + [RatMatrix.identity(N).scale(-i)] if i else []
         for j in range(1, 7):
-            report.add(f"x^{i} I: factor j={j} equals its ring-operation form",
-                       apply_A(j, D1, D2, r) == _ring_factor(j, D1, D2, r))
+            closed = OpPoly.from_mats(below + [D2, D1.plus_scalar(2 * j + i)], spec.space)
+            report.add(f"x^{i} I: factor j={j} equals its closed form",
+                       apply_A(j, D1, D2, r) == closed)
         r = r.mul_by_x()
     return report

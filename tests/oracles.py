@@ -3,9 +3,10 @@
 Everything here is built from first principles (binomial sums, direct
 monomial differentiation, explicit convolution) or on sympy, deliberately
 sharing no code path with the library, so tests never compare the
-library against itself.  The one exception says so:
+library against itself.  The two exceptions say so:
 `ode_vs_closed_form_report` compares the library's two independent
-routes to the fundamental matrix.  The polynomial helpers at the end,
+routes to the fundamental matrix, and `shifted_member_from_identity`
+builds a shifted member by the route `build_tilde_Pk` no longer takes.  The polynomial helpers at the end,
 which the library itself has no use for, read its matrices through
 their Fraction `rows` and build their results with the public
 constructors, never through RatMatrix's `@`.
@@ -21,11 +22,12 @@ import sympy
 
 from mvjacobi.numeric import NumericReport, _Y_at, commutative_Y
 from mvjacobi.operators import ProblemSpec
-from mvjacobi.oppoly import OpPoly, VectorPoly
+from mvjacobi.oppoly import OpPoly, VectorPoly, build_Pk
 from mvjacobi.polyspace import PolySpace
 from mvjacobi.ratmat import RatMatrix
 from mvjacobi.rational import ONE, Rat, ZERO, falling_factorial, rat
 from mvjacobi.sampling import random_matrix
+from mvjacobi.structure import tilde_spec
 
 # Scalar polynomials are tuples of Rat coefficients, constant term first,
 # with no trailing zeros; the zero polynomial is the empty tuple.  This is
@@ -282,6 +284,16 @@ def ode_vs_closed_form_report(spec: ProblemSpec, rel_tol: float = 1e-10,
         tolerance=tol,
         passed=worst <= tol,
     )
+
+
+def shifted_member_from_identity(spec: ProblemSpec, k: int) -> OpPoly:
+    """Degree-k shifted member as the shifted problem's whole product A~_1...A~_k I.
+
+    build_tilde_Pk applies one shifted factor to the base member P_{k-1}
+    instead; this is its former construction, the library's build_Pk on
+    tilde_spec, so it checks that shortcut and not the factors.
+    """
+    return build_Pk(tilde_spec(spec), k)
 
 
 def to_sympy(M) -> sympy.Matrix:

@@ -230,7 +230,7 @@ def test_criterion_07_operator_product_identities():
         assert total == 36 and ok == 36, report.title
         assert report.passed
     announce(7, "x-shift, Q-shift, and iterated product identities hold on x^i I, "
-                "and apply_A == the ring-operation factor A_j on x^i I, per spec, exact")
+                "and apply_A == the closed form of A_j on x^i I, per spec, exact")
 
 
 def test_criterion_08_scalar_eigenvalue_identity():

@@ -289,7 +289,7 @@ def test_verify_scalar_decides_where_the_jacobi_recurrence_divides_by_zero(tmp_p
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1] == "overall: PASS"
     items = [line for line in lines if line.startswith("[")]
-    assert len(items) == 8 + 34 and all(line.startswith("[PASS]") for line in items)
+    assert len(items) == 4 + 34 and all(line.startswith("[PASS]") for line in items)
     assert main(["verify", "--input", inp, "--suite", "all", "--kmax", "3"]) == 3
     assert "D1 + 2k + 2 at k = 0" in capsys.readouterr().err
 

@@ -21,6 +21,7 @@ from oracles import (
     poly_eval,
     recurrence_oracle,
     seeded_member_sympy,
+    shifted_member_from_identity,
     to_sympy,
 )
 
@@ -392,6 +393,39 @@ def test_verify_derivative_relation_random(commutative, n):
     assert report.counts == (5, 5)
 
 
+def _counting_apply_A(monkeypatch):
+    """Plant an apply_A that records each factor index it is called with."""
+    real, calls = oppoly.apply_A, []
+
+    def counting(j, D1, D2, r):
+        calls.append(j)
+        return real(j, D1, D2, r)
+
+    plant(monkeypatch, real, counting)
+    return calls
+
+
+# every non-resonant golden problem with n >= 2, and (None) random_problem_spec(Random(7), 3, 3)
+@pytest.mark.parametrize("problem, k_max", [("d1n2", 5), ("d2n2_nc", 5), ("d2n3_c", 5),
+                                            ("d3n2_nc", 5), ("d3n3", 5), (None, 6)])
+def test_build_tilde_Pk_equals_the_shifted_product_from_identity(problem, k_max):
+    spec = (load_problem(str(GOLDEN / f"{problem}.json"))[0] if problem
+            else random_problem_spec(random.Random(7), 3, 3))
+    for k in range(k_max + 1):
+        assert build_tilde_Pk(spec, k) == shifted_member_from_identity(spec, k), k
+
+
+def test_build_tilde_Pk_applies_one_factor_to_the_cached_member(monkeypatch):
+    spec = random_problem_spec(random.Random(7), 2, 3, max_den=3)
+    for k in range(5):
+        build_Pk(spec, k)
+    calls = _counting_apply_A(monkeypatch)
+    for k in range(1, 6):
+        calls.clear()
+        build_tilde_Pk(spec, k)
+        assert calls == [1], k
+
+
 # -- classical scalar reductions ---------------------------------------------
 
 
@@ -420,7 +454,7 @@ def test_classical_jacobi_errors():
 def test_verify_scalar_reduction():
     report = verify_scalar_reduction(scalar_spec(Rat(1, 2), Rat(1, 3), 2), 5)
     assert report.passed, report.summary_lines()
-    assert report.counts == (12, 12)  # normalization + equality per k
+    assert report.counts == (6, 6)  # one equality per k
     assert verify_scalar_reduction(scalar_spec(0, 0, 3), 4).passed
     with pytest.raises(ValueError, match="scalar reductions need d = 1"):
         verify_scalar_reduction(load_problem(str(GOLDEN / "d2n1.json"))[0], 2)
@@ -512,13 +546,13 @@ def test_verify_scalar_reduction_reports_a_mutated_member(monkeypatch):
     report = verify_scalar_reduction(scalar_spec(Rat(1, 2), Rat(1, 3), 2), 4)
     failed = [item.name for item in report.items if not item.passed]
     assert failed == ["k=2 equals 2^k k! classical", "k=4 equals 2^k k! classical"]
-    assert report.counts == (8, 10)
+    assert report.counts == (3, 5)
 
 
 # -- product identities ---------------------------------------------------------
 
 
-IDENTITY_LINE = "x^{i} I: factor j={j} equals its ring-operation form"
+IDENTITY_LINE = "x^{i} I: factor j={j} equals its closed form"
 
 
 def test_verify_product_identities():
@@ -533,19 +567,45 @@ def test_verify_product_identities():
 
 
 def test_verify_product_identities_applies_each_factor_once(monkeypatch):
-    # each pair (i, j) applies the factor j once, to x^i I
-    real = structure.apply_A
-    calls = []
+    # each pair (i, j) applies the factor j once, to x^i I, and compares it
+    # with the closed form's three blocks read off D1 and D2: no factor is
+    # composed from the ring operations, so no product is made
+    def refuse(*args):
+        raise AssertionError("the identities suite composed a factor")
 
-    def counting(*args):
-        calls.append(args[0])
-        return real(*args)
-
-    monkeypatch.setattr(structure, "apply_A", counting)
+    monkeypatch.setattr(structure, "_ring_factor", refuse)
+    monkeypatch.setattr(OpPoly, "lmul", refuse)
+    calls = _counting_apply_A(monkeypatch)
     spec = random_problem_spec(random.Random(73), 2, 2, max_den=3)
     report = verify_product_identities(spec)
     assert report.passed, report.summary_lines()
     assert calls == [1, 2, 3, 4, 5, 6] * 6
+
+
+@pytest.mark.parametrize("problem", ["d1n2", "d2n1", "d2n2_nc", "d2n3_c", "d3n2_nc", "d3n3"])
+def test_identities_closed_form_equals_the_ring_factor(monkeypatch, problem):
+    # with the ring-operation factor in apply_A's place, every line compares
+    # the closed form with A_j composed from lmul, mul_by_x, d_dx and mul_by_Q
+    monkeypatch.setattr(structure, "apply_A", structure._ring_factor)
+    report = verify_product_identities(load_problem(str(GOLDEN / f"{problem}.json"))[0])
+    assert report.passed and report.counts == (36, 36), report.summary_lines()
+
+
+def _sympy_factor(j, D1, D2, r):
+    """A_j(x^i I) at d = 1, N = 1: x(2j + D1)x^i + D2 x^i + Q (x^i)' expanded by sympy."""
+    x = sympy.Symbol("x")
+    d1, d2 = (to_sympy(D)[0, 0] for D in (D1, D2))
+    xi = x ** r.degree
+    poly = sympy.Poly(sympy.expand(x * (2 * j + d1) * xi + d2 * xi + (x**2 - 1) * xi.diff(x)), x)
+    coeffs = poly.all_coeffs()[::-1]
+    return OpPoly([RatMatrix([[Rat(int(c.p), int(c.q))]]) for c in coeffs], r.space)
+
+
+@pytest.mark.parametrize("a,b,n", [(Rat(1, 2), Rat(1, 3), 2), (Rat(-1, 4), Rat(2, 3), 3), (0, 0, 2)])
+def test_identities_closed_form_equals_sympy_at_d1(monkeypatch, a, b, n):
+    monkeypatch.setattr(structure, "apply_A", _sympy_factor)
+    report = verify_product_identities(scalar_spec(a, b, n))
+    assert report.passed and report.counts == (36, 36), report.summary_lines()
 
 
 def test_verify_product_identities_builds_no_member():
@@ -666,20 +726,36 @@ def _line_kind(name):
     """An item name without its k, power and factor index.
 
     "k=2 two-step recurrence" is of the kind "two-step recurrence", and
-    "x^3 I: factor j=4 equals its ring-operation form" of the kind
-    "factor j equals its ring-operation form".
+    "x^3 I: factor j=4 equals its closed form" of the kind
+    "factor j equals its closed form".
     """
     return re.sub(r"=\d+", "", re.sub(r"^(k=\d+|x\^\d+( I)?:) ", "", name))
 
 
+# a suite that a self-check stopped fails "stopped: " and the check's message
+STOPPED = "stopped: "
+
+
+def _printed(kinds):
+    """The kinds of line among kinds: every kind but a stopped self-check."""
+    return {kind for kind in kinds if not kind.startswith(STOPPED)}
+
+
 def _suite_kinds(spec):
-    """{suite: (kinds of its lines, kinds of its failing lines)}, each suite run alone."""
+    """{suite: (kinds of its lines, kinds of its failing lines)}, each suite run alone.
+
+    A suite that a self-check stops prints no line, and its failing kinds
+    are the stop, as the fresh-process cell records the stderr line.
+    """
     out = {}
     for suite in SUITES[1:]:
         try:
             reports = _suite_reports(spec, suite, TABLE_KMAX)
         except ValueError as exc:
             assert "not applicable" in str(exc)
+            continue
+        except RuntimeError as exc:
+            out[suite] = (set(), {f"{STOPPED}{exc}"})
             continue
         items = [item for report in reports for item in report.items]
         out[suite] = ({_line_kind(i.name) for i in items},
@@ -752,11 +828,28 @@ def _exits_1_on(*problems):
     return {p: int(p in problems) for p in VERIFY_PROBLEMS}
 
 
+def _member_check(k):
+    """The message of build_Pk's leading-coefficient check at member k; build_tilde_Pk's
+    reads "shifted " before it."""
+    return (f"member k={k} has degree {k} or a leading coefficient differing from the "
+            "dominant-coefficient product; this indicates an internal construction bug")
+
+
+# the message of build_tilde_Pk's check of the shifted derivations
+SHIFT_CHECK = ("the shifted derivations differ from D1 - 2I and D2; this indicates an internal "
+               "construction bug")
+
+
+def _stopped_on(message, *problems):
+    """A fresh-process cell: a self-check stops verify with this message on these
+    problems, and verify exits 0 on every other one."""
+    return {p: (1, f"internal consistency failure: {message}") if p in problems else 0
+            for p in VERIFY_PROBLEMS}
+
+
 def _stops_at_member(k):
     """A fresh-process cell: build_Pk's self-check stops verify at member k everywhere."""
-    return _on_all((1, f"internal consistency failure: member k={k} has degree {k} or a leading "
-                       "coefficient differing from the dominant-coefficient product; this "
-                       "indicates an internal construction bug"))
+    return _stopped_on(_member_check(k), *VERIFY_PROBLEMS)
 
 
 # name: (install on a monkeypatch, cache the true members first, kinds of line it
@@ -764,22 +857,25 @@ def _stops_at_member(k):
 # fresh-process cell).
 # A mutant that breaks build_Pk's own leading-coefficient check would stop every
 # member-based suite before its first line, so it runs on the true members and
-# reaches only the checks that apply factors themselves; every other mutant
-# builds the members it is checked on.  The round-trip cell maps each golden problem to
+# reaches only the checks that apply factors themselves, build_tilde_Pk's shifted
+# factor included; every other mutant builds the members it is checked on.  A
+# suite that a self-check stops adds the stop (STOPPED and its message) to the
+# kinds.  The round-trip cell maps each golden problem to
 # roundtrip_exact, or to "step s" where expand's degree check raised at step s;
 # it is None where the fault cannot act on the vector polynomials expand runs on.
 # The quadrature cell maps each claimed pair to quasi_orth_integral's passed.
 # The fresh-process cell maps each golden problem to the exit code of
 # `verify --suite all --kmax 3` run through cli.main with no member cached, and
 # to (exit code, stderr line) where a self-check stopped it; the kinds of line
-# that run fails are the row's kinds, or none where the row caches the members.
+# that run fails are the row's printed kinds, or none where the row caches the
+# members.
 # A claim compares the members with moments built from D1 and D2 alone, so a
 # fault in build_D reaches both sides alike and no claim sees it; a fault that
 # reaches the members alone fails the claims whose members it changes.
 MUTANT_TABLE = {
     "D1 shift at j=2, i=1": (
         lambda mp: patch_apply_A(mp, _d1_shift_mutant(oppoly.apply_A, 2, 1)), True,
-        {"factor j equals its ring-operation form", "commutation past factor j"},
+        {"factor j equals its closed form", "commutation past factor j"},
         _on_all("step 2"), _claims_failing_on(), _stops_at_member(2)),
     # r D2 needs a right factor of width N, and a vector coefficient has one
     # column, so a VectorPoly has no rmul and this fault no vector form
@@ -787,10 +883,12 @@ MUTANT_TABLE = {
         lambda mp: patch_apply_A(mp, _right_d2), False,
         {"two-step recurrence", "maps into shifted member k+1"},
         None, _claims_failing_on("d2n2_nc"), _exits_1_on("d2n1", "d2n2_nc", "d3n2_nc")),
+    # the shifted member k+1 is one factor on the same bumped P_k, so both
+    # sides of the tilde line read the bump
     "member k=2 bumped at x^1 (0, 0)": (
         lambda mp: _member_mutant(mp, {2: [(1, 0, 0)]}), False,
-        {"two-step recurrence", "maps into shifted member k+1", "equals 2^k k! classical",
-         "eigenvalue k(alpha+beta+k+1)", "trace equals 2^k k! Legendre times trace"},
+        {"two-step recurrence", "equals 2^k k! classical", "eigenvalue k(alpha+beta+k+1)",
+         "trace equals 2^k k! Legendre times trace"},
         _on_all(True), _claims_failing_on("d2n2_nc"), _exits_1_on(*VERIFY_PROBLEMS)),
     # no verify line fails: the structural suites hold for any D2, and neither
     # classical reduction sees this one (D2_MUTANTS_SEEN_BY_ORACLE below does)
@@ -804,19 +902,19 @@ MUTANT_TABLE = {
         _on_all(True), _claims_failing_on(), _exits_1_on("d1n2", "d2n1")),
     "D1 first entry + 1/2": (
         lambda mp: _build_D_mutant(mp, 1, _first_entry_plus_half), False,
-        {"normalization 2^k k! from leading coefficients", "equals 2^k k! classical",
-         "commutation past factor j", "eigenvalue k(alpha+beta+k+1)",
+        {"equals 2^k k! classical", "commutation past factor j", "eigenvalue k(alpha+beta+k+1)",
          "trace equals 2^k k! Legendre times trace"},
         _on_all(True), _claims_failing_on(), _exits_1_on("d1n2", "d2n1")),
     "factor index j + 1": (
         _next_factor, True,
-        {"factor j equals its ring-operation form", "commutation past factor j",
-         "eigenvalue k(alpha+beta+k+1)"},
+        {"factor j equals its closed form", "commutation past factor j",
+         "eigenvalue k(alpha+beta+k+1)", STOPPED + "shifted " + _member_check(1)},
         {**_on_all("step 3"), "d3n2_nc": "step 4"}, _claims_failing_on(), _stops_at_member(1)),
     "tilde_spec shift 1/n": (
         lambda mp: mp.setattr(structure, "tilde_spec", _tilde_spec_over_n), False,
-        {"maps into shifted member k+1"},
-        _on_all(True), _claims_failing_on(), _exits_1_on("d1n2", "d2n2_nc", "d2n3_c", "d3n2_nc")),
+        {STOPPED + SHIFT_CHECK},
+        _on_all(True), _claims_failing_on(),
+        _stopped_on(SHIFT_CHECK, "d1n2", "d2n2_nc", "d2n3_c", "d3n2_nc")),
     "beta_k sign flipped": (_beta_sign_flipped, False, {"two-step recurrence"}, _on_all(True),
                             _claims_failing_on(), _exits_1_on(*VERIFY_PROBLEMS)),
     # only inputs whose lowest nonzero block is x^2 or higher see it: the
@@ -825,7 +923,7 @@ MUTANT_TABLE = {
     # expand's seeded chains start at a constant q_j, so it never sees it
     "apply_A head one block short": (
         lambda mp: patch_apply_A(mp, _head_one_block_short(oppoly.apply_A)), False,
-        {"factor j equals its ring-operation form", "commutation past factor j"},
+        {"factor j equals its closed form", "commutation past factor j"},
         _on_all(True), _claims_failing_on(), _exits_1_on(*VERIFY_PROBLEMS)),
     # the fault reaches expand's seeded chains and not the members, so every
     # verify line passes while the round trip fails
@@ -835,9 +933,9 @@ MUTANT_TABLE = {
         _on_all(False), _claims_failing_on(), _exits_1_on()),
     "constant block at j=2, both input types": (
         lambda mp: patch_apply_A(mp, _constant_block_mutant(oppoly.apply_A, False)), False,
-        {"two-step recurrence", "factor j equals its ring-operation form",
-         "commutation past factor j", "maps into shifted member k+1", "equals 2^k k! classical",
-         "eigenvalue k(alpha+beta+k+1)", "trace equals 2^k k! Legendre times trace"},
+        {"two-step recurrence", "factor j equals its closed form", "commutation past factor j",
+         "equals 2^k k! classical", "eigenvalue k(alpha+beta+k+1)",
+         "trace equals 2^k k! Legendre times trace"},
         _on_all(False), _claims_failing_on("d2n3_c"), _exits_1_on(*VERIFY_PROBLEMS)),
 }
 
@@ -918,10 +1016,8 @@ def test_mutant_table_row(monkeypatch, cold_caches, mutant):
     specs = _golden_specs()
     if cache_members:
         for spec in specs.values():
-            for k in range(TABLE_KMAX + 2):  # the recurrence and tilde suites reach k_max + 1
+            for k in range(TABLE_KMAX + 2):  # the recurrence suite reaches k_max + 1
                 build_Pk(spec, k)
-                if spec.n >= 2:
-                    build_tilde_Pk(spec, k)
     install(monkeypatch)
     failed = set()
     for spec in specs.values():
@@ -934,7 +1030,7 @@ def test_mutant_table_row(monkeypatch, cold_caches, mutant):
     else:
         assert _roundtrips(specs) == roundtrips
     assert _claims(specs) == claims
-    assert _fresh_verify() == (fresh, set() if cache_members else kinds)
+    assert _fresh_verify() == (fresh, set() if cache_members else _printed(kinds))
     if mutant in D2_MUTANTS_SEEN_BY_ORACLE:
         seen = {p for p, spec in specs.items()
                 if structure.build_D(spec, 2) != derivation_matrix(spec.space, spec.M2)}
@@ -956,7 +1052,7 @@ def test_every_verify_line_kind_fails_under_some_mutant():
         for kinds, fails in _suite_kinds(spec).values():
             assert not fails
             printed |= kinds
-    assert printed == set().union(*(kinds for _, _, kinds, *_ in MUTANT_TABLE.values()))
+    assert printed == _printed(set().union(*(kinds for _, _, kinds, *_ in MUTANT_TABLE.values())))
 
 
 def test_roundtrip_fails_under_some_mutant():
