@@ -43,9 +43,8 @@ DEFAULT_VERIFY_KMAX = 6
 DEFAULT_COMPUTE_KMAX = 4
 # Size caps, refused with exit 2 before anything is built.  Time grows
 # about like N^2 (the members and the recurrence's products) and memory
-# like N^2 k^2 (the cached members); at N = 140 and k_max = 10, `verify`
-# took 15 s and `compute` peaked at 158 MB on a shared 2-core x86-64 host.
-# README, "Size limits", has the measurements.
+# like N^2 k^2 (the cached members).  README, "Size limits", has the
+# measurements near the caps.
 MAX_N = 150
 MAX_KMAX = 10
 
@@ -216,18 +215,17 @@ def cmd_compute(args) -> int:
 
 # One row per verify suite, in the order `all` runs them: the reason the suite
 # does not apply to a problem ("" when it does), and a runner returning its
-# reports.  Runners get the structure module from _suite_reports and look the
+# report.  Runners get the structure module from _suite_reports and look the
 # verifiers up on it when they run, so importing cli loads no structure.
 _SUITE_TABLE = {
-    "recurrence": (lambda spec: "", lambda s, spec, k: [s.verify_recurrence(spec, k)]),
-    "identities": (lambda spec: "", lambda s, spec, k: [s.verify_product_identities(spec)]),
+    "recurrence": (lambda spec: "", lambda s, spec, k: s.verify_recurrence(spec, k)),
+    "identities": (lambda spec: "", lambda s, spec, k: s.verify_product_identities(spec)),
     "tilde": (lambda spec: "" if spec.n >= 2 else "the shifted family needs n >= 2",
-              lambda s, spec, k: [s.verify_derivative_relation(spec, k)]),
+              lambda s, spec, k: s.verify_derivative_relation(spec, k)),
     "scalar": (lambda spec: "" if spec.d == 1 else "scalar reductions need d = 1",
-               lambda s, spec, k: [s.verify_scalar_reduction(spec, k),
-                                   s.verify_scalar_eigen_identity(spec, k)]),
+               lambda s, spec, k: s.verify_scalar_reduction(spec, k)),
     "trace": (lambda spec: "" if spec.n == 1 else "the trace reduction needs n = 1",
-              lambda s, spec, k: [s.verify_trace_legendre(spec, k)]),
+              lambda s, spec, k: s.verify_trace_legendre(spec, k)),
 }
 SUITES = ("all", *_SUITE_TABLE)
 
@@ -240,7 +238,7 @@ def _suite_reports(spec: ProblemSpec, suite: str, k_max: int) -> list[CheckRepor
         if suite in (name, "all"):
             reason = why_not(spec)
             if not reason:
-                reports += run(structure, spec, k_max)
+                reports.append(run(structure, spec, k_max))
             elif suite == name:
                 raise ValueError(f"suite {name!r} is not applicable: {reason}")
     return reports

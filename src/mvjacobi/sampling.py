@@ -19,6 +19,9 @@ from .polyspace import PolySpace, enumerate_basis
 from .ratmat import RatMatrix
 from .rational import Rat
 
+# draws random_problem_spec makes before it gives up
+_MAX_TRIES = 200
+
 
 def _draw_pq(rng: random.Random, max_den: int, lo: int, hi: int) -> tuple:
     """One (p, q) draw: q <= max_den, then p with p/q in [lo, hi]."""
@@ -45,10 +48,9 @@ def random_matrix(rng: random.Random, d: int, max_den: int = 3,
     return RatMatrix._normal(tuple(tuple(flat[i:i + d]) for i in range(0, d * d, d)), den)
 
 
-def random_diagonal(rng: random.Random, d: int, max_den: int = 3,
-                    lo: int = -1, hi: int = 1) -> RatMatrix:
-    """Diagonal of d random_rational draws in random_matrix's order, by _from_diagonal."""
-    draws = [_draw_pq(rng, max_den, lo, hi) for _ in range(d)]
+def random_diagonal(rng: random.Random, d: int, max_den: int = 3) -> RatMatrix:
+    """Diagonal of d random_rational draws in [-1, 1], in random_matrix's order."""
+    draws = [_draw_pq(rng, max_den, -1, 1) for _ in range(d)]
     den = lcm(*(q for _, q in draws))
     return RatMatrix._from_diagonal([p * (den // q) for p, q in draws], den)
 
@@ -69,7 +71,6 @@ def random_problem_spec(
     max_den: int = 3,
     commutative: bool = False,
     avoid_shifts: Optional[Iterable[int]] = range(2, 15),
-    max_tries: int = 200,
 ) -> ProblemSpec:
     """Random residue pair with diagonal sum.
 
@@ -80,7 +81,7 @@ def random_problem_spec(
     nonsingular.
     """
     shifts = tuple(avoid_shifts) if avoid_shifts is not None else ()
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         lam = random_diagonal(rng, d, max_den)
         if commutative:
             A = random_diagonal(rng, d, max_den)
@@ -89,7 +90,7 @@ def random_problem_spec(
         if _hits_shift(lam, d, n, shifts):
             continue
         return ProblemSpec(d, n, A, lam - A)
-    raise RuntimeError(f"no resonance-free sample found in {max_tries} tries")
+    raise RuntimeError(f"no resonance-free sample found in {_MAX_TRIES} tries")
 
 
 def random_vector(rng: random.Random, N: int, max_den: int = 3) -> tuple:

@@ -272,54 +272,29 @@ def classical_jacobi(k: int, alpha, beta) -> tuple:
     return tuple(coeffs)
 
 
-def _scalar_parameters(spec: ProblemSpec) -> tuple:
-    """(a, b, alpha, beta) of a d = 1 problem: its residues and alpha = (n-1)a, beta = (n-1)b."""
+def verify_scalar_reduction(spec: ProblemSpec, k_max: int) -> CheckReport:
+    """d = 1: members equal 2^k k! times the classical polynomial, with its eigenvalue.
+
+    The classical parameters are alpha = (n-1)a, beta = (n-1)b for the
+    residues a and b.  For k <= k_max the suite checks P_k against 2^k k!
+    times the Jacobi polynomial, then the eigenvalue identity
+    A_1 d/dx P_k = k (alpha+beta+k+1) P_k.  Equal polynomials have equal
+    leading coefficients, so each classical line also confirms the
+    normalization 2^k k! against the member's dominant product of shifts,
+    which build_Pk re-checks.
+    """
     if spec.d != 1:
         raise ValueError("scalar reductions need d = 1")
     a, b = spec.A.rows[0][0], spec.B.rows[0][0]
-    return a, b, (spec.n - 1) * a, (spec.n - 1) * b
-
-
-def verify_scalar_reduction(spec: ProblemSpec, k_max: int) -> CheckReport:
-    """d = 1: members equal 2^k k! times the classical polynomial.
-
-    The classical parameters are alpha = (n-1)a, beta = (n-1)b for the
-    residues a and b.  Equal polynomials have equal leading
-    coefficients, so each line also confirms the normalization 2^k k!
-    against the member's dominant product of shifts, which build_Pk
-    re-checks.
-    """
-    a, b, alpha, beta = _scalar_parameters(spec)
+    alpha, beta = (spec.n - 1) * a, (spec.n - 1) * b
     report = CheckReport(f"scalar reduction a={a} b={b} n={spec.n}")
     for k in range(k_max + 1):
         ck = Rat(factorial(k)) * 2**k
         classical = OpPoly([RatMatrix([[ck * c]]) for c in classical_jacobi(k, alpha, beta)],
                            spec.space)
         report.add(f"k={k} equals 2^k k! classical", build_Pk(spec, k) == classical)
-    return report
-
-
-def verify_scalar_eigen_identity(spec: ProblemSpec, k_max: int) -> CheckReport:
-    """d = 1: the first product factor is an eigenoperator on derivatives.
-
-    Checks the commutation rule d/dx A_j = (alpha+beta+2j) + A_{j+1} d/dx
-    for j = 1..5 on the monomials x^i, i <= 5, and the eigenvalue
-    identity A_1 d/dx P_k = k (alpha+beta+k+1) P_k for k <= k_max.  Both
-    sides of the rule are linear in the polynomial they act on, so the
-    monomial checks prove it for every polynomial of degree <= 5.
-    """
-    a, b, alpha, beta = _scalar_parameters(spec)
-    report = CheckReport(f"scalar eigen identity a={a} b={b} n={spec.n}")
     D1 = build_D(spec, 1)
     D2 = build_D(spec, 2)
-    r = OpPoly.identity(spec.space)  # x^i, i = 0..5
-    for i in range(6):
-        dr = r.d_dx()
-        for j in range(1, 6):
-            lhs = apply_A(j, D1, D2, r).d_dx()
-            rhs = r.scale(alpha + beta + 2 * j).add(apply_A(j + 1, D1, D2, dr))
-            report.add(f"x^{i}: commutation past factor j={j}", lhs == rhs)
-        r = r.mul_by_x()
     for k in range(k_max + 1):
         P = build_Pk(spec, k)
         lhs = apply_A(1, D1, D2, P.d_dx())

@@ -34,7 +34,7 @@ from mvjacobi.structure import (
     recurrence_coeffs,
     tilde_spec,
     verify_product_identities,
-    verify_scalar_eigen_identity,
+    verify_scalar_reduction,
     verify_trace_legendre,
 )
 
@@ -244,7 +244,7 @@ def test_criterion_08_scalar_eigenvalue_identity():
                 P = build_Pk(spec, k)
                 lhs = apply_A(1, D1, D2, P.d_dx())
                 assert lhs == P.scale(k * (alpha + beta + k + 1)), (a, b, n, k)
-            report = verify_scalar_eigen_identity(spec, 8)
+            report = verify_scalar_reduction(spec, 8)
             assert report.passed
     announce(8, "first factor acting on dP_k/dx has eigenvalue "
                 "k(alpha+beta+k+1), exact for k <= 8")

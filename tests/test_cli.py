@@ -289,7 +289,7 @@ def test_verify_scalar_decides_where_the_jacobi_recurrence_divides_by_zero(tmp_p
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1] == "overall: PASS"
     items = [line for line in lines if line.startswith("[")]
-    assert len(items) == 4 + 34 and all(line.startswith("[PASS]") for line in items)
+    assert len(items) == 4 + 4 and all(line.startswith("[PASS]") for line in items)
     assert main(["verify", "--input", inp, "--suite", "all", "--kmax", "3"]) == 3
     assert "D1 + 2k + 2 at k = 0" in capsys.readouterr().err
 
@@ -790,6 +790,41 @@ def test_readme_text_examples_are_real_output(monkeypatch, command, old, new):
     assert example_mismatches(text) == []
     assert text.count(old) == 1
     assert example_mismatches(text.replace(old, new)) == [command]
+
+
+# README's d = 1 example: the problem, the number of scalar lines and the two
+# exit codes, read from one sentence with its line breaks folded
+SCALAR_EXAMPLE = re.compile(
+    r"With A = B = (\S+) at n = (\d+) \(alpha = beta = \S+\), `verify --suite scalar "
+    r"--kmax (\d+)` passes all (\d+) lines and exits (\d+), and `--suite all` exits (\d+)")
+
+
+def scalar_example_mismatches(text: str, tmp_path) -> list:
+    """Which of the line count, the scalar exit and the all exit differ from cli.main."""
+    residue, n, k_max, *shown = SCALAR_EXAMPLE.search(" ".join(text.split())).groups()
+    inp = write_json(tmp_path / "scalar.json",
+                     {"d": 1, "n": int(n), "A": [[residue]], "B": [[residue]]})
+    argv = ["verify", "--input", inp, "--kmax", k_max, "--suite"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        scalar_exit = main(argv + ["scalar"])
+        lines = [line for line in out.getvalue().splitlines() if line.startswith("[PASS]")]
+        all_exit = main(argv + ["all"])
+    got = (len(lines), scalar_exit, all_exit)
+    return [what for what, g, s in zip(("lines", "scalar exit", "all exit"), got, shown)
+            if g != int(s)]
+
+
+@pytest.mark.parametrize("old, new, kind", [
+    ("passes all 8 lines", "passes all 38 lines", "lines"),
+    ("lines and exits 0, and", "lines and exits 1, and", "scalar exit"),
+    ("`--suite all` exits 3 at", "`--suite all` exits 0 at", "all exit"),
+], ids=["lines", "scalar-exit", "all-exit"])
+def test_readme_scalar_example_is_real_output(tmp_path, old, new, kind):
+    text = README.read_text(encoding="utf-8")
+    assert scalar_example_mismatches(text, tmp_path) == []
+    assert text.count(old) == 1
+    assert scalar_example_mismatches(text.replace(old, new), tmp_path) == [kind]
 
 
 def test_unknown_suite_rejected(tmp_path):

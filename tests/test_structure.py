@@ -47,7 +47,6 @@ from mvjacobi.structure import (
     verify_derivative_relation,
     verify_product_identities,
     verify_recurrence,
-    verify_scalar_eigen_identity,
     verify_scalar_reduction,
     verify_trace_legendre,
 )
@@ -454,19 +453,41 @@ def test_classical_jacobi_errors():
 def test_verify_scalar_reduction():
     report = verify_scalar_reduction(scalar_spec(Rat(1, 2), Rat(1, 3), 2), 5)
     assert report.passed, report.summary_lines()
-    assert report.counts == (6, 6)  # one equality per k
+    assert report.counts == (12, 12)  # one classical and one eigenvalue line per k
     assert verify_scalar_reduction(scalar_spec(0, 0, 3), 4).passed
     with pytest.raises(ValueError, match="scalar reductions need d = 1"):
         verify_scalar_reduction(load_problem(str(GOLDEN / "d2n1.json"))[0], 2)
 
 
 def test_verify_scalar_eigen_identity():
-    report = verify_scalar_eigen_identity(scalar_spec(Rat(-1, 4), Rat(2, 3), 2), 5)
+    # the eigenvalue lines follow the classical ones in the same report
+    report = verify_scalar_reduction(scalar_spec(Rat(-1, 4), Rat(2, 3), 2), 5)
     assert report.passed, report.summary_lines()
-    # the rule on x^i for i <= 5 and j = 1..5, then one eigenvalue check per k
-    assert report.counts == (36, 36)
-    with pytest.raises(ValueError, match="scalar reductions need d = 1"):
-        verify_scalar_eigen_identity(load_problem(str(GOLDEN / "d2n1.json"))[0], 2)
+    assert [item.name for item in report.items[6:]] == [
+        f"k={k} eigenvalue k(alpha+beta+k+1)" for k in range(6)]
+
+
+def test_scalar_suite_is_one_report_of_classical_and_eigenvalue_lines(monkeypatch, cold_caches,
+                                                                       capsys):
+    # with the members cached, the suite calls apply_A once per eigenvalue line
+    spec = _golden_specs()["d1n2"]
+    for k in range(7):
+        build_Pk(spec, k)
+    real, calls = oppoly.apply_A, []
+
+    def counted(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    patch_apply_A(monkeypatch, counted)
+    assert main(["verify", "--input", str(GOLDEN / "d1n2.json"), "--suite", "scalar",
+                 "--kmax", "6"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if not line.startswith("[")] == [
+        "scalar reduction a=1/2 b=1/3 n=2: 14/14 checks passed", "overall: PASS"]
+    assert [_line_kind(line.split(": ", 1)[1]) for line in lines[:14]] == (
+        ["equals 2^k k! classical"] * 7 + ["eigenvalue k(alpha+beta+k+1)"] * 7)
+    assert calls == [1] * 7
 
 
 # -- trace reduction -----------------------------------------------------------
@@ -545,8 +566,10 @@ def test_verify_scalar_reduction_reports_a_mutated_member(monkeypatch):
     _member_mutant(monkeypatch, {2: [(1, 0, 0)], 4: [(5, 0, 0)]})
     report = verify_scalar_reduction(scalar_spec(Rat(1, 2), Rat(1, 3), 2), 4)
     failed = [item.name for item in report.items if not item.passed]
-    assert failed == ["k=2 equals 2^k k! classical", "k=4 equals 2^k k! classical"]
-    assert report.counts == (3, 5)
+    # a bumped member fails its classical line and its eigenvalue line
+    assert failed == ["k=2 equals 2^k k! classical", "k=4 equals 2^k k! classical",
+                      "k=2 eigenvalue k(alpha+beta+k+1)", "k=4 eigenvalue k(alpha+beta+k+1)"]
+    assert report.counts == (6, 10)
 
 
 # -- product identities ---------------------------------------------------------
@@ -875,7 +898,7 @@ def _stops_at_member(k):
 MUTANT_TABLE = {
     "D1 shift at j=2, i=1": (
         lambda mp: patch_apply_A(mp, _d1_shift_mutant(oppoly.apply_A, 2, 1)), True,
-        {"factor j equals its closed form", "commutation past factor j"},
+        {"factor j equals its closed form"},
         _on_all("step 2"), _claims_failing_on(), _stops_at_member(2)),
     # r D2 needs a right factor of width N, and a vector coefficient has one
     # column, so a VectorPoly has no rmul and this fault no vector form
@@ -902,13 +925,13 @@ MUTANT_TABLE = {
         _on_all(True), _claims_failing_on(), _exits_1_on("d1n2", "d2n1")),
     "D1 first entry + 1/2": (
         lambda mp: _build_D_mutant(mp, 1, _first_entry_plus_half), False,
-        {"equals 2^k k! classical", "commutation past factor j", "eigenvalue k(alpha+beta+k+1)",
+        {"equals 2^k k! classical", "eigenvalue k(alpha+beta+k+1)",
          "trace equals 2^k k! Legendre times trace"},
         _on_all(True), _claims_failing_on(), _exits_1_on("d1n2", "d2n1")),
     "factor index j + 1": (
         _next_factor, True,
-        {"factor j equals its closed form", "commutation past factor j",
-         "eigenvalue k(alpha+beta+k+1)", STOPPED + "shifted " + _member_check(1)},
+        {"factor j equals its closed form", "eigenvalue k(alpha+beta+k+1)",
+         STOPPED + "shifted " + _member_check(1)},
         {**_on_all("step 3"), "d3n2_nc": "step 4"}, _claims_failing_on(), _stops_at_member(1)),
     "tilde_spec shift 1/n": (
         lambda mp: mp.setattr(structure, "tilde_spec", _tilde_spec_over_n), False,
@@ -923,7 +946,7 @@ MUTANT_TABLE = {
     # expand's seeded chains start at a constant q_j, so it never sees it
     "apply_A head one block short": (
         lambda mp: patch_apply_A(mp, _head_one_block_short(oppoly.apply_A)), False,
-        {"factor j equals its closed form", "commutation past factor j"},
+        {"factor j equals its closed form"},
         _on_all(True), _claims_failing_on(), _exits_1_on(*VERIFY_PROBLEMS)),
     # the fault reaches expand's seeded chains and not the members, so every
     # verify line passes while the round trip fails
@@ -933,8 +956,7 @@ MUTANT_TABLE = {
         _on_all(False), _claims_failing_on(), _exits_1_on()),
     "constant block at j=2, both input types": (
         lambda mp: patch_apply_A(mp, _constant_block_mutant(oppoly.apply_A, False)), False,
-        {"two-step recurrence", "factor j equals its closed form", "commutation past factor j",
-         "equals 2^k k! classical", "eigenvalue k(alpha+beta+k+1)",
+        {"two-step recurrence", "factor j equals its closed form", "equals 2^k k! classical", "eigenvalue k(alpha+beta+k+1)",
          "trace equals 2^k k! Legendre times trace"},
         _on_all(False), _claims_failing_on("d2n3_c"), _exits_1_on(*VERIFY_PROBLEMS)),
 }
