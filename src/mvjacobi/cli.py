@@ -25,6 +25,7 @@ from contextlib import nullcontext
 from math import gcd
 from typing import TYPE_CHECKING, Optional, Sequence
 
+from . import __version__
 from .errors import OdeError, QuadratureError, ResonanceError
 from .operators import ProblemSpec
 from .oppoly import OpPoly, VectorPoly, build_Pk
@@ -38,7 +39,7 @@ if TYPE_CHECKING:
     from .integrals import IntegrabilityReport, NumericReport
     from .reporting import CheckReport
 
-TOOL = "mvjacobi/0.1.0"
+TOOL = f"mvjacobi/{__version__}"
 DEFAULT_VERIFY_KMAX = 6
 DEFAULT_COMPUTE_KMAX = 4
 # Size caps, refused with exit 2 before anything is built.  Time grows
@@ -276,20 +277,17 @@ def cmd_expand(args) -> int:
     f = load_vector_poly(args.poly, spec)
     _check_index(f.degree, "polynomial degree")
     expansion = expand(spec, f)
-    roundtrip_ok = None
-    if args.roundtrip:
-        roundtrip_ok = reconstruct(spec, expansion) == f
+    roundtrip_ok = reconstruct(spec, expansion) == f
     doc = {
         "header": _header(),
         "kind": "expansion",
         "spec": {"d": spec.d, "n": spec.n},
         "basis": _basis_manifest(spec.space),
         "coefficients": [_vector_to_json(q) for q in expansion.coefficients],
+        "roundtrip_exact": roundtrip_ok,
     }
-    if roundtrip_ok is not None:
-        doc["roundtrip_exact"] = roundtrip_ok
     _emit(doc, args.out)
-    if args.roundtrip and not roundtrip_ok:
+    if not roundtrip_ok:
         print("roundtrip failed: reconstruction does not equal the input", file=sys.stderr)
         return 1
     return 0
@@ -366,7 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--poly", required=True, help="VectorPoly JSON file")
     p.add_argument("--roundtrip", action="store_true",
-                   help="re-synthesize the expansion and require exact equality")
+                   help="accepted and ignored: expand always re-synthesizes the "
+                        "expansion and requires exact equality")
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("quadrature", help="weighted quasi-orthogonality integral")
@@ -400,7 +399,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # a failed self-check is a failed check
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

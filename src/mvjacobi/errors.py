@@ -2,31 +2,27 @@
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 
 class ResonanceError(ValueError):
     """An operator that the construction must invert is singular.
 
     Carries the name of the offending operator (e.g. "D1 + 2k + 1 at
-    k = 3") and, when available, an exact kernel vector so the caller
-    can report which basis combination is annihilated.
+    k = 3") and an exact kernel vector, so the caller can report which
+    basis combination is annihilated.
     """
 
-    def __init__(self, operator_name: str, kernel: Optional[Sequence] = None,
-                 detail: str = ""):
+    def __init__(self, operator_name: str, kernel: Sequence, detail: str):
         self.operator_name = operator_name
-        self.kernel = tuple(kernel) if kernel is not None else None
-        msg = f"singular operator: {operator_name}"
-        if detail:
-            msg += f" ({detail})"
-        super().__init__(msg)
+        self.kernel = tuple(kernel)
+        super().__init__(f"singular operator: {operator_name} ({detail})")
 
 
 class QuadratureError(RuntimeError):
     """Numerical integration failed to converge to the requested tolerance."""
 
-    def __init__(self, message: str, estimated_error: Optional[float] = None):
+    def __init__(self, message: str, estimated_error: float):
         self.estimated_error = estimated_error
         super().__init__(message)
 

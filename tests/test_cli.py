@@ -280,20 +280,6 @@ def test_verify_resonance_names_operator(tmp_path, capsys):
     assert "kernel" in err
 
 
-def test_verify_scalar_decides_where_the_jacobi_recurrence_divides_by_zero(tmp_path, capsys):
-    # alpha = beta = -1: the classical three-term recurrence divides by zero
-    # at degree 2, the closed sum does not, and the members are 2^k k! P_k;
-    # the problem is resonant, so `all` still stops at its first shift
-    inp = write_json(tmp_path / "spec.json", {"d": 1, "n": 2, "A": [["-1"]], "B": [["-1"]]})
-    assert main(["verify", "--input", inp, "--suite", "scalar", "--kmax", "3"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[-1] == "overall: PASS"
-    items = [line for line in lines if line.startswith("[")]
-    assert len(items) == 4 + 4 and all(line.startswith("[PASS]") for line in items)
-    assert main(["verify", "--input", inp, "--suite", "all", "--kmax", "3"]) == 3
-    assert "D1 + 2k + 2 at k = 0" in capsys.readouterr().err
-
-
 def test_verify_rejects_negative_kmax(tmp_path, capsys):
     # no suite may run zero checks and call that a pass
     inp = write_json(tmp_path / "spec.json", LEGENDRE)
@@ -388,20 +374,38 @@ def test_expand_unit_and_roundtrip(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("problem, vector_only", [
-    pytest.param(p, v, id=p if v else f"{p}-both-input-types")
-    for v in (True, False) for p in ["d2n2_nc", "d3n2_nc", "d2n3_c", "d1n2", "d2n1"]])
+# the five non-resonant golden problems, each with its golden polynomial
+EXPAND_PROBLEMS = ["d2n2_nc", "d3n2_nc", "d2n3_c", "d1n2", "d2n1"]
+
+
+@pytest.mark.parametrize("problem", EXPAND_PROBLEMS)
+def test_expand_without_the_flag_writes_the_roundtrip_document(capsys, problem):
+    # --roundtrip is accepted and changes nothing: the golden digest was
+    # recorded with it, and the document holds roundtrip_exact either way
+    argv = golden_argv(problem, "expand")
+    assert argv[-1] == "--roundtrip"
+    assert main(argv[:-1]) == 0
+    out = capsys.readouterr().out
+    assert record(0, out, "") == DIGESTS[f"{problem} expand"]
+    assert json.loads(out)["roundtrip_exact"] is True
+
+
+@pytest.mark.parametrize("problem, vector_only, flags", [
+    pytest.param(p, v, f, id=p + ("" if v else "-both-input-types")
+                 + ("" if f else "-without-the-flag"))
+    for v, f in ((True, ["--roundtrip"]), (False, ["--roundtrip"]), (True, []))
+    for p in EXPAND_PROBLEMS])
 def test_expand_roundtrip_exits_1_on_a_vector_only_factor_fault(tmp_path, capsys, monkeypatch,
-                                                               problem, vector_only):
+                                                               problem, vector_only, flags):
     # reconstruct composes the factors from the ring operations, which the
     # fault in apply_A does not reach, so they no longer cancel the seeded
-    # chains that expand subtracted
+    # chains that expand subtracted; expand runs the round trip, flag or not
     from mvjacobi import oppoly
 
     patch_apply_A(monkeypatch, _constant_block_mutant(oppoly.apply_A, vector_only))
     out = tmp_path / "coeffs.json"
     assert main(["expand", "--input", str(GOLDEN / f"{problem}.json"),
-                 "--poly", str(GOLDEN / f"{problem}.poly.json"), "--roundtrip",
+                 "--poly", str(GOLDEN / f"{problem}.poly.json"), *flags,
                  "--out", str(out)]) == 1
     assert json.loads(out.read_text())["roundtrip_exact"] is False
     assert capsys.readouterr().err == "roundtrip failed: reconstruction does not equal the input\n"
@@ -413,9 +417,7 @@ def test_expand_zero_polynomial(tmp_path, capsys):
     pol = write_json(tmp_path / "f.json", poly_doc)
     out = tmp_path / "coeffs.json"
     assert main(["expand", "--input", inp, "--poly", pol, "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["coefficients"] == []
     # the empty expansion reconstructs as the zero polynomial
-    assert main(["expand", "--input", inp, "--poly", pol, "--roundtrip", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["coefficients"] == [] and doc["roundtrip_exact"] is True
     capsys.readouterr()
@@ -792,16 +794,20 @@ def test_readme_text_examples_are_real_output(monkeypatch, command, old, new):
     assert example_mismatches(text.replace(old, new)) == [command]
 
 
-# README's d = 1 example: the problem, the number of scalar lines and the two
-# exit codes, read from one sentence with its line breaks folded
+# README's d = 1 example: the problem, the number of scalar lines, the two
+# exit codes and the singular shift that stops `all`, read from one sentence
+# with its line breaks folded.  At alpha = beta = -1 the classical three-term
+# recurrence divides by zero, Szego's closed sum does not, and the problem is
+# resonant.
 SCALAR_EXAMPLE = re.compile(
     r"With A = B = (\S+) at n = (\d+) \(alpha = beta = \S+\), `verify --suite scalar "
-    r"--kmax (\d+)` passes all (\d+) lines and exits (\d+), and `--suite all` exits (\d+)")
+    r"--kmax (\d+)` passes all (\d+) lines and exits (\d+), and `--suite all` exits (\d+) "
+    r"at the recurrence's singular shift (.+? at k = \d+)\.")
 
 
 def scalar_example_mismatches(text: str, tmp_path) -> list:
-    """Which of the line count, the scalar exit and the all exit differ from cli.main."""
-    residue, n, k_max, *shown = SCALAR_EXAMPLE.search(" ".join(text.split())).groups()
+    """Which of the line count, the two exits and the shift differ from cli.main."""
+    residue, n, k_max, *shown, shift = SCALAR_EXAMPLE.search(" ".join(text.split())).groups()
     inp = write_json(tmp_path / "scalar.json",
                      {"d": 1, "n": int(n), "A": [[residue]], "B": [[residue]]})
     argv = ["verify", "--input", inp, "--kmax", k_max, "--suite"]
@@ -811,15 +817,19 @@ def scalar_example_mismatches(text: str, tmp_path) -> list:
         lines = [line for line in out.getvalue().splitlines() if line.startswith("[PASS]")]
         all_exit = main(argv + ["all"])
     got = (len(lines), scalar_exit, all_exit)
-    return [what for what, g, s in zip(("lines", "scalar exit", "all exit"), got, shown)
-            if g != int(s)]
+    bad = [what for what, g, s in zip(("lines", "scalar exit", "all exit"), got, shown)
+           if g != int(s)]
+    if not err.getvalue().startswith(f"resonance: singular operator: {shift} ("):
+        bad.append("shift")
+    return bad
 
 
 @pytest.mark.parametrize("old, new, kind", [
     ("passes all 8 lines", "passes all 38 lines", "lines"),
     ("lines and exits 0, and", "lines and exits 1, and", "scalar exit"),
     ("`--suite all` exits 3 at", "`--suite all` exits 0 at", "all exit"),
-], ids=["lines", "scalar-exit", "all-exit"])
+    ("D1 + 2k + 2 at k = 0.", "D1 + 2k + 2 at k = 1.", "shift"),
+], ids=["lines", "scalar-exit", "all-exit", "shift"])
 def test_readme_scalar_example_is_real_output(tmp_path, old, new, kind):
     text = README.read_text(encoding="utf-8")
     assert scalar_example_mismatches(text, tmp_path) == []
