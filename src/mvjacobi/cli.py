@@ -40,8 +40,6 @@ if TYPE_CHECKING:
     from .reporting import CheckReport
 
 TOOL = f"mvjacobi/{__version__}"
-DEFAULT_VERIFY_KMAX = 6
-DEFAULT_COMPUTE_KMAX = 4
 # Size caps, refused with exit 2 before anything is built.  Time grows
 # about like N^2 (the members and the recurrence's products) and memory
 # like N^2 k^2 (the cached members).  README, "Size limits", has the
@@ -85,28 +83,35 @@ def _basis_manifest(space: PolySpace) -> list[dict]:
 
 
 def _is_int(value) -> bool:
-    # bool is an int subclass, but true/false in a problem file is a mistake
+    # bool is an int subclass, but true/false in an input file is a mistake
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def load_problem(path: str) -> tuple[ProblemSpec, dict]:
-    """Parse a problem document; returns the ProblemSpec and the raw JSON."""
+def _read_fields(path: str, kind: str, keys: tuple[str, ...]) -> dict:
+    """The JSON object in path; it must hold exactly these keys, with integer d and n."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
-        raise ValueError("problem file must be a JSON object")
-    for key in ("d", "n", "A", "B"):
-        if key not in doc:
-            raise ValueError(f"problem file is missing key {key!r}")
-    # "seed" is accepted for older files and otherwise ignored: every
-    # verifier is exact and deterministic
-    for key in ("d", "n", "k_max", "seed"):
+        raise ValueError(f"{kind} file must be a JSON object")
+    for key in doc:
+        if key not in keys:
+            raise ValueError(f"{kind} file has unknown key {key!r}")
+    for key in ("d", "n"):
         if key in doc and not _is_int(doc[key]):
             raise ValueError(f"{key} must be an integer")
+    for key in keys:
+        if key not in doc:
+            raise ValueError(f"{kind} file is missing key {key!r}")
+    return doc
+
+
+def load_problem(path: str) -> ProblemSpec:
+    """Parse a problem document {d, n, A, B}."""
+    doc = _read_fields(path, "problem", ("d", "n", "A", "B"))
     _check_dimension(doc["d"], doc["n"])
     A = _matrix_from_json(doc["A"], "A")
     B = _matrix_from_json(doc["B"], "B")
-    return ProblemSpec(doc["d"], doc["n"], A, B), doc
+    return ProblemSpec(doc["d"], doc["n"], A, B)
 
 
 def _check_dimension(d: int, n: int) -> None:
@@ -128,18 +133,11 @@ def _check_index(k: int, what: str) -> None:
 
 
 def load_vector_poly(path: str, spec: ProblemSpec) -> VectorPoly:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict) or "coeffs" not in doc:
-        raise ValueError("polynomial file must be a JSON object with a 'coeffs' key")
-    for key in ("d", "n"):
-        if key in doc and not _is_int(doc[key]):
-            raise ValueError(f"{key} must be an integer")
-    if doc.get("d", spec.d) != spec.d or doc.get("n", spec.n) != spec.n:
-        raise ValueError(
-            f"polynomial file is for d={doc.get('d', spec.d)}, n={doc.get('n', spec.n)}; "
-            f"the problem has d={spec.d}, n={spec.n}"
-        )
+    """Parse a polynomial document {d, n, coeffs} for this problem."""
+    doc = _read_fields(path, "polynomial", ("d", "n", "coeffs"))
+    if (doc["d"], doc["n"]) != (spec.d, spec.n):
+        raise ValueError(f"polynomial file is for d={doc['d']}, n={doc['n']}; "
+                         f"the problem has d={spec.d}, n={spec.n}")
     if not isinstance(doc["coeffs"], list):
         raise ValueError("'coeffs' must be a list of coefficient arrays")
     space = spec.space
@@ -181,20 +179,19 @@ def _emit(doc: dict, out: Optional[str]) -> None:
         fh.write("\n")
 
 
-def _kmax(args, raw: dict, default: int) -> int:
-    k_max = args.kmax if args.kmax is not None else raw.get("k_max", default)
-    if k_max < 0:
+def _kmax(args) -> int:
+    if args.kmax < 0:
         raise ValueError("k_max must be a nonnegative integer")
-    _check_index(k_max, "k_max")
-    return k_max
+    _check_index(args.kmax, "k_max")
+    return args.kmax
 
 
 # -- commands ----------------------------------------------------------------
 
 
 def cmd_compute(args) -> int:
-    spec, raw = load_problem(args.input)
-    k_max = _kmax(args, raw, DEFAULT_COMPUTE_KMAX)
+    spec = load_problem(args.input)
+    k_max = _kmax(args)
     space = spec.space
     members = [
         {"k": k, "coeffs": _oppoly_to_json(build_Pk(spec, k))}
@@ -246,8 +243,8 @@ def _suite_reports(spec: ProblemSpec, suite: str, k_max: int) -> list[CheckRepor
 
 
 def cmd_verify(args) -> int:
-    spec, raw = load_problem(args.input)
-    k_max = _kmax(args, raw, DEFAULT_VERIFY_KMAX)
+    spec = load_problem(args.input)
+    k_max = _kmax(args)
     reports = _suite_reports(spec, args.suite, k_max)
     all_passed = bool(reports) and all(r.passed for r in reports)
     if args.format == "json":
@@ -273,7 +270,7 @@ def cmd_verify(args) -> int:
 def cmd_expand(args) -> int:
     from .structure import expand, reconstruct
 
-    spec, _raw = load_problem(args.input)
+    spec = load_problem(args.input)
     f = load_vector_poly(args.poly, spec)
     _check_index(f.degree, "polynomial degree")
     expansion = expand(spec, f)
@@ -298,7 +295,7 @@ def cmd_quadrature(args) -> int:
     # noncommutative value, which integrates mu_0 in floats
     from .integrals import integrability_check, quasi_orth_integral
 
-    spec, _raw = load_problem(args.input)
+    spec = load_problem(args.input)
     _check_index(max(args.j, args.k), "member index")
     report = quasi_orth_integral(spec, args.j, args.k, args.side, tol=args.tol)
     # the integral's gate has already made this memoized check
@@ -351,12 +348,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compute", help="build members P_0..P_kmax and serialize them")
     common(p)
-    p.add_argument("--kmax", type=int, help="highest member index (default: file k_max or 4)")
+    p.add_argument("--kmax", type=int, default=4,
+                   help="highest member index (default: %(default)s)")
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("verify", help="run exact verification suites")
     common(p)
-    p.add_argument("--kmax", type=int, help="highest member index (default: file k_max or 6)")
+    p.add_argument("--kmax", type=int, default=6,
+                   help="highest member index (default: %(default)s)")
     p.add_argument("--suite", choices=SUITES, default="all")
     p.set_defaults(func=cmd_verify)
 
@@ -395,11 +394,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"integration failure: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
-        # build_Pk, recurrence_coeffs and expand re-check their own results;
-        # a failed self-check is a failed check
+        # build_Pk, build_tilde_Pk, recurrence_coeffs and expand re-check
+        # their own results; a failed self-check is a failed check
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

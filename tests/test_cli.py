@@ -93,14 +93,17 @@ def test_compute_kmax_zero_gives_identity_only(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_compute_kmax_precedence(tmp_path, capsys):
-    doc = dict(LEGENDRE, k_max=1)
-    inp = write_json(tmp_path / "spec.json", doc)
+def test_compute_kmax_comes_from_the_flag_alone(tmp_path, capsys):
+    # a problem file's k_max is refused, not read as a second default
+    refused = write_json(tmp_path / "k.json", dict(LEGENDRE, k_max=1))
+    assert main(["compute", "--input", refused]) == 2
+    assert capsys.readouterr().err == "error: problem file has unknown key 'k_max'\n"
+    inp = write_json(tmp_path / "spec.json", LEGENDRE)
     out = tmp_path / "m.json"
     assert main(["compute", "--input", inp, "--out", str(out)]) == 0
-    assert len(json.loads(out.read_text())["members"]) == 2  # file k_max
+    assert len(json.loads(out.read_text())["members"]) == 5  # the flag's default, 4
     assert main(["compute", "--input", inp, "--kmax", "3", "--out", str(out)]) == 0
-    assert len(json.loads(out.read_text())["members"]) == 4  # flag wins
+    assert len(json.loads(out.read_text())["members"]) == 4
     capsys.readouterr()
 
 
@@ -149,10 +152,15 @@ def test_compute_rejects_malformed_input(tmp_path, capsys):
     assert "conjugate" in capsys.readouterr().err
 
     # JSON true/false are not integers, although bool subclasses int
-    for key in ("d", "n", "k_max", "seed"):
+    for key in ("d", "n"):
         flagged = write_json(tmp_path / f"{key}.json", dict(LEGENDRE, **{key: True}))
         assert main(["compute", "--input", flagged]) == 2
         assert f"{key} must be an integer" in capsys.readouterr().err
+    # k_max and seed are not problem keys, whatever their value
+    for key in ("k_max", "seed"):
+        flagged = write_json(tmp_path / f"{key}.json", dict(LEGENDRE, **{key: True}))
+        assert main(["compute", "--input", flagged]) == 2
+        assert capsys.readouterr().err == f"error: problem file has unknown key {key!r}\n"
 
     assert main(["compute", "--input", str(tmp_path / "absent.json")]) == 2
     (tmp_path / "garbage.json").write_text("{not json")
@@ -173,7 +181,7 @@ def test_compute_rejects_negative_kmax(tmp_path, capsys):
     assert "k_max must be a nonnegative integer" in capsys.readouterr().err
     neg = write_json(tmp_path / "neg.json", dict(LEGENDRE, k_max=-1))
     assert main(["compute", "--input", neg]) == 2
-    capsys.readouterr()
+    assert capsys.readouterr().err == "error: problem file has unknown key 'k_max'\n"
 
 
 def test_compute_resonance_exit_code(tmp_path, capsys):
@@ -212,21 +220,19 @@ def test_verify_json_report(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_verify_has_no_seed_and_ignores_a_file_seed(tmp_path, capsys):
-    # every check is exact and deterministic, so --seed is gone, and a
-    # problem file's integer seed changes nothing in the report
+def test_verify_has_no_seed_flag_or_file_key(tmp_path, capsys):
+    # every check is exact and deterministic, so there is no --seed, and
+    # a problem file's seed is an unknown key
     inp = write_json(tmp_path / "spec.json", COMMUT_2x2)
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--input", inp, "--seed", "5"])
     assert exc.value.code == 2
-    outs = []
-    for name, doc in (("plain", COMMUT_2x2), ("seeded", dict(COMMUT_2x2, seed=5))):
-        out = tmp_path / f"{name}.out.json"
-        assert main(["verify", "--input", write_json(tmp_path / f"{name}.json", doc),
-                     "--kmax", "2", "--format", "json", "--out", str(out)]) == 0
-        outs.append(strip_timestamp(out.read_text()))
-    assert outs[0] == outs[1]
     capsys.readouterr()
+    seeded = write_json(tmp_path / "seeded.json", dict(COMMUT_2x2, seed=5))
+    assert main(["verify", "--input", seeded, "--kmax", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: problem file has unknown key 'seed'\n"
+    assert captured.out == ""
 
 
 def test_verify_inapplicable_suite_is_precondition_error(tmp_path, capsys):
@@ -245,7 +251,7 @@ def test_verify_inapplicable_suite_is_precondition_error(tmp_path, capsys):
 def test_verify_all_runs_the_applicable_suites_in_table_order(problem):
     # `all` is the applicable suites run alone, one after another, in the
     # table's order (the resonant problem stops at its first suite, exit 3)
-    spec, _raw = cli.load_problem(str(GOLDEN / f"{problem}.json"))
+    spec = cli.load_problem(str(GOLDEN / f"{problem}.json"))
     alone = []
     for suite in cli.SUITES[1:]:
         try:
@@ -326,6 +332,18 @@ def test_internal_consistency_failure_exits_1_without_traceback(capsys, monkeypa
     assert expand_code == 1 and captured.out == ""
     assert captured.err == ("internal consistency failure: expansion failed to reduce the "
                             "degree at step 2; this indicates an internal construction bug\n")
+
+
+def test_an_internal_key_error_is_not_an_input_error(capsys, monkeypatch):
+    # the input readers name every missing key themselves, so a KeyError is
+    # a fault in the program (here a basis lookup), never exit 2
+    def faulty_build_Pk(spec, k):
+        return spec.space.index_of((spec.n + 1,) * spec.d, 1)
+
+    monkeypatch.setattr(cli, "build_Pk", faulty_build_Pk)
+    with pytest.raises(KeyError, match="no basis element"):
+        main(["compute", "--input", str(GOLDEN / "d2n2_nc.json")])
+    assert capsys.readouterr().out == ""
 
 
 def test_verify_with_no_reports_fails(tmp_path, capsys, monkeypatch):
@@ -432,19 +450,21 @@ def test_expand_dimension_mismatch(tmp_path, capsys):
 
 
 def test_expand_mismatch_names_the_compared_dimensions(tmp_path, capsys):
-    # a key the file leaves out is compared as the problem's own value, and
-    # printed as that value, not as None
-    pol = write_json(tmp_path / "f.json", {"n": 3, "coeffs": [["1"]]})
+    # the file must give both d and n; the refusal prints the values compared
     inp = write_json(tmp_path / "spec.json", {"d": 1, "n": 2, "A": [["1/2"]], "B": [["1/3"]]})
+    pol = write_json(tmp_path / "f.json", {"d": 1, "n": 3, "coeffs": [["1"]]})
     assert main(["expand", "--input", inp, "--poly", pol]) == 2
     assert capsys.readouterr().err == ("error: polynomial file is for d=1, n=3; "
                                        "the problem has d=1, n=2\n")
+    no_d = write_json(tmp_path / "no_d.json", {"n": 3, "coeffs": [["1"]]})
+    assert main(["expand", "--input", inp, "--poly", no_d]) == 2
+    assert capsys.readouterr().err == "error: polynomial file is missing key 'd'\n"
 
 
 def test_expand_rejects_coeffs_that_are_not_a_list(tmp_path, capsys):
     for doc, message in (
         ({"d": 2, "n": 2, "coeffs": 5}, "'coeffs' must be a list of coefficient arrays"),
-        ([["1"] * 6], "polynomial file must be a JSON object with a 'coeffs' key"),
+        ([["1"] * 6], "polynomial file must be a JSON object"),
         # d2n2_nc has N = 6
         ({"d": 2, "n": 2, "coeffs": [["1"] * 5]}, "each coefficient must be a length-6 array"),
     ):
@@ -837,6 +857,33 @@ def test_readme_scalar_example_is_real_output(tmp_path, old, new, kind):
     assert scalar_example_mismatches(text.replace(old, new), tmp_path) == [kind]
 
 
+# README's problem file: the JSON block after "Problem file:"
+README_PROBLEM = re.compile(r"^Problem file:\n\n```json\n(.*?)```\n", re.S | re.M)
+
+
+def test_readme_problem_file_is_exactly_what_load_problem_reads(tmp_path, capsys):
+    doc = json.loads(README_PROBLEM.search(README.read_text(encoding="utf-8")).group(1))
+    assert cli.load_problem(write_json(tmp_path / "readme.json", doc)) == spec_of(doc)
+    extra = write_json(tmp_path / "extra.json", dict(doc, note="x"))
+    assert main(["compute", "--input", extra]) == 2
+    assert capsys.readouterr().err == "error: problem file has unknown key 'note'\n"
+
+
+@pytest.mark.parametrize("problem, poly, message", [
+    # a typo such as "kmax" would otherwise be ignored and the default used
+    (dict(LEGENDRE, kmax=1), None, "problem file has unknown key 'kmax'"),
+    ({"d": 1, "n": 1, "A": [["0"]]}, None, "problem file is missing key 'B'"),
+    (LEGENDRE, {"d": 1, "n": 1, "coeffs": [["1"]], "k_max": 0},
+     "polynomial file has unknown key 'k_max'"),
+], ids=["problem-kmax", "problem-no-B", "polynomial-k_max"])
+def test_input_files_hold_exactly_their_keys(tmp_path, capsys, problem, poly, message):
+    inp = write_json(tmp_path / "spec.json", problem)
+    argv = (["compute", "--input", inp] if poly is None else
+            ["expand", "--input", inp, "--poly", write_json(tmp_path / "f.json", poly)])
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_unknown_suite_rejected(tmp_path):
     inp = write_json(tmp_path / "spec.json", LEGENDRE)
     with pytest.raises(SystemExit):
@@ -893,7 +940,7 @@ def test_kmax_cap(tmp_path, capsys, command):
     assert f"k_max = {over} is above the cap MAX_KMAX = {MAX_KMAX}" in capsys.readouterr().err
     from_file = write_json(tmp_path / "k.json", dict(LEGENDRE, k_max=MAX_KMAX + 1))
     assert main([command, "--input", from_file]) == 2
-    assert f"cap MAX_KMAX = {MAX_KMAX}" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: problem file has unknown key 'k_max'\n"
     assert main([command, "--input", inp, "--kmax", str(MAX_KMAX),
                  "--out", str(tmp_path / "out.json")]) == 0
     capsys.readouterr()
@@ -1141,6 +1188,30 @@ def test_frozen_tracer_sees_every_exact_command(tmp_path, command):
     assert record(0, doc.read_text(encoding="utf-8"), "") == in_process_record(argv)
     names = {span[0] for span in json.loads(trace.read_text(encoding="utf-8"))["spans"]}
     assert EXACT_SPANS[command] <= names
+
+
+def test_golden_corpus_loads_through_the_readers():
+    for problem in sorted(p for p in GOLDEN.glob("*.json")
+                          if p.name != "digests.json" and not p.name.endswith(".poly.json")):
+        spec = cli.load_problem(str(problem))
+        f = cli.load_vector_poly(str(problem.with_suffix(".poly.json")), spec)
+        assert f.space is spec.space
+
+
+@pytest.mark.parametrize("workload", ["exact-verify", "members-expand", "quadrature-nc"])
+def test_frozen_benchmark_inputs_load_through_the_readers(tmp_path, workload):
+    # perfbench/gen.py writes the problem and polynomial files the benchmark's
+    # operations read; every one must pass the readers' key checks
+    out = run_python(str(PERFBENCH / "gen.py"), "--workload", workload, "--seed", "4",
+                     "--out", str(tmp_path))
+    assert out.returncode == 0, out.stderr
+    manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
+    for op in manifest["ops"]:
+        argv = op["argv"]
+        spec = cli.load_problem(str(tmp_path / argv[argv.index("--input") + 1]))
+        assert (spec.d, spec.n) == (op["d"], op["n"])
+        if "--poly" in argv:
+            cli.load_vector_poly(str(tmp_path / argv[argv.index("--poly") + 1]), spec)
 
 
 def test_module_entry_point_computes():

@@ -408,7 +408,7 @@ def _counting_apply_A(monkeypatch):
 @pytest.mark.parametrize("problem, k_max", [("d1n2", 5), ("d2n2_nc", 5), ("d2n3_c", 5),
                                             ("d3n2_nc", 5), ("d3n3", 5), (None, 6)])
 def test_build_tilde_Pk_equals_the_shifted_product_from_identity(problem, k_max):
-    spec = (load_problem(str(GOLDEN / f"{problem}.json"))[0] if problem
+    spec = (load_problem(str(GOLDEN / f"{problem}.json")) if problem
             else random_problem_spec(random.Random(7), 3, 3))
     for k in range(k_max + 1):
         assert build_tilde_Pk(spec, k) == shifted_member_from_identity(spec, k), k
@@ -456,7 +456,7 @@ def test_verify_scalar_reduction():
     assert report.counts == (12, 12)  # one classical and one eigenvalue line per k
     assert verify_scalar_reduction(scalar_spec(0, 0, 3), 4).passed
     with pytest.raises(ValueError, match="scalar reductions need d = 1"):
-        verify_scalar_reduction(load_problem(str(GOLDEN / "d2n1.json"))[0], 2)
+        verify_scalar_reduction(load_problem(str(GOLDEN / "d2n1.json")), 2)
 
 
 def test_verify_scalar_eigen_identity():
@@ -610,7 +610,7 @@ def test_identities_closed_form_equals_the_ring_factor(monkeypatch, problem):
     # with the ring-operation factor in apply_A's place, every line compares
     # the closed form with A_j composed from lmul, mul_by_x, d_dx and mul_by_Q
     monkeypatch.setattr(structure, "apply_A", structure._ring_factor)
-    report = verify_product_identities(load_problem(str(GOLDEN / f"{problem}.json"))[0])
+    report = verify_product_identities(load_problem(str(GOLDEN / f"{problem}.json")))
     assert report.passed and report.counts == (36, 36), report.summary_lines()
 
 
@@ -971,7 +971,7 @@ D2_MUTANTS_SEEN_BY_ORACLE = {
 
 
 def _golden_specs():
-    return {p: load_problem(str(GOLDEN / f"{p}.json"))[0] for p in VERIFY_PROBLEMS}
+    return {p: load_problem(str(GOLDEN / f"{p}.json")) for p in VERIFY_PROBLEMS}
 
 
 DEGREE_CHECK = (r"expansion failed to reduce the degree at step (\d+); this indicates an "
