@@ -88,9 +88,13 @@ def _is_int(value) -> bool:
 
 
 def _read_fields(path: str, kind: str, keys: tuple[str, ...]) -> dict:
-    """The JSON object in path; it must hold exactly these keys, with integer d and n."""
+    """The JSON object in path; it must hold exactly these keys, each once, with integer d, n."""
+    def unique(pairs):  # json alone would keep a repeated key's last value
+        if repeated := [key for i, (key, _) in enumerate(pairs) if key in dict(pairs[:i])]:
+            raise ValueError(f"{kind} file repeats key {repeated[0]!r}")
+        return dict(pairs)
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        doc = json.load(fh, object_pairs_hook=unique)
     if not isinstance(doc, dict):
         raise ValueError(f"{kind} file must be a JSON object")
     for key in doc:
@@ -212,18 +216,18 @@ def cmd_compute(args) -> int:
 
 
 # One row per verify suite, in the order `all` runs them: the reason the suite
-# does not apply to a problem ("" when it does), and a runner returning its
-# report.  Runners get the structure module from _suite_reports and look the
-# verifiers up on it when they run, so importing cli loads no structure.
+# does not apply to a problem ("" when it does), and its verifier's name in
+# structure.  Each runs as verifier(spec, k_max), looked up when it runs, so
+# importing cli loads no structure and a rebound verifier is the one called.
 _SUITE_TABLE = {
-    "recurrence": (lambda spec: "", lambda s, spec, k: s.verify_recurrence(spec, k)),
-    "identities": (lambda spec: "", lambda s, spec, k: s.verify_product_identities(spec)),
+    "recurrence": (lambda spec: "", "verify_recurrence"),
+    "identities": (lambda spec: "", "verify_product_identities"),
     "tilde": (lambda spec: "" if spec.n >= 2 else "the shifted family needs n >= 2",
-              lambda s, spec, k: s.verify_derivative_relation(spec, k)),
+              "verify_derivative_relation"),
     "scalar": (lambda spec: "" if spec.d == 1 else "scalar reductions need d = 1",
-               lambda s, spec, k: s.verify_scalar_reduction(spec, k)),
+               "verify_scalar_reduction"),
     "trace": (lambda spec: "" if spec.n == 1 else "the trace reduction needs n = 1",
-              lambda s, spec, k: s.verify_trace_legendre(spec, k)),
+              "verify_trace_legendre"),
 }
 SUITES = ("all", *_SUITE_TABLE)
 
@@ -232,11 +236,11 @@ def _suite_reports(spec: ProblemSpec, suite: str, k_max: int) -> list[CheckRepor
     from . import structure
 
     reports: list[CheckReport] = []
-    for name, (why_not, run) in _SUITE_TABLE.items():
+    for name, (why_not, verifier) in _SUITE_TABLE.items():
         if suite in (name, "all"):
             reason = why_not(spec)
             if not reason:
-                reports.append(run(structure, spec, k_max))
+                reports.append(getattr(structure, verifier)(spec, k_max))
             elif suite == name:
                 raise ValueError(f"suite {name!r} is not applicable: {reason}")
     return reports

@@ -343,21 +343,23 @@ def verify_trace_legendre(spec: ProblemSpec, k_max: int) -> CheckReport:
 # -- product-formula factors -------------------------------------------------
 
 
-def verify_product_identities(spec: ProblemSpec) -> CheckReport:
-    """Prove apply_A(j, ., ., r) = A_j r on every r of degree <= 5, for j = 1..6: 36 checks.
+def verify_product_identities(spec: ProblemSpec, k_max: int) -> CheckReport:
+    """Prove apply_A(j, ., ., r) = A_j r on every r of degree <= i, for i + j <= k_max + 1.
 
+    The range is what the members use: P_m = A_1...A_m I applies A_j to a
+    polynomial of degree m - j, and verify reads members up to P_{k_max+1}.
     On r = x^i I the factor A_j = x(2j + D1) + D2 + Q d/dx is three
     fixed blocks,
 
         A_j(x^i I) = x^{i+1} (D1 + (2j+i) I) + x^i D2 - i x^{i-1} I,
 
     so each check compares apply_A's output, block by block, with this
-    closed form for i = 0..5: every other block zero and degree i + 1.
+    closed form: every other block zero and degree i + 1.
     Both sides commute with right multiplication by a constant matrix M,
     square or a column: A_j acts by left multiplications and d/dx, and
     apply_A's row pass transforms the columns of each coefficient block
-    alike.  Every r of degree <= 5 is sum_i (x^i I) M_i, so equality on
-    the x^i I proves apply_A = A_j on every operator or vector
+    alike.  Every r of degree <= i is a sum of (x^i' I) M_i', i' <= i, so
+    equality on the x^i' I proves apply_A = A_j on every operator or vector
     polynomial of that degree.  The checks are exact, so a PASS is a
     proof over these ranges, not a sample.  The identities behind the
     recurrence proof, A_j(x r) = x A_j(r) + Q r, Q A_j(r) = A_{j-1}(Q r)
@@ -366,15 +368,13 @@ def verify_product_identities(spec: ProblemSpec) -> CheckReport:
     passes: D2 applied from the right agrees with A_j on every x^i I,
     and the recurrence and tilde suites fail it.
     """
-    D1 = build_D(spec, 1)
-    D2 = build_D(spec, 2)
-    N = spec.space.N
+    D1, D2, N = build_D(spec, 1), build_D(spec, 2), spec.space.N
     report = CheckReport(f"product identities d={spec.d} n={spec.n}")
-    r = OpPoly.identity(spec.space)  # x^i I, i = 0..5
-    for i in range(6):
+    r = OpPoly.identity(spec.space)  # x^i I, i = 0..k_max
+    for i in range(k_max + 1):
         # the closed form's blocks below x^i: zero, then -i I at x^(i-1)
         below = [RatMatrix.zeros(N)] * (i - 1) + [RatMatrix.identity(N).scale(-i)] if i else []
-        for j in range(1, 7):
+        for j in range(1, k_max + 2 - i):
             closed = OpPoly.from_mats(below + [D2, D1.plus_scalar(2 * j + i)], spec.space)
             report.add(f"x^{i} I: factor j={j} equals its closed form",
                        apply_A(j, D1, D2, r) == closed)

